@@ -1,14 +1,11 @@
 """Cluster-scope DFRS controller.
 
-Rides the leader-elected rebalancer pattern
-(:class:`repro.migration.rebalancer.Rebalancer`): its hook is appended to
-*every* node's ``period_hooks``, all period ticks fire at the same
-timestamps, and the first live node's hook leads each round (the rest
-see the timestamp already claimed and return), so leadership fails over
-past crashed nodes with no election traffic.  An idle controller
-(``solve_every=0``) adds **zero** simulator events and zero RNG draws —
-a world with a disabled DFRS layer is bit-identical, event count
-included, to a world without the subsystem.
+Runs on the world's leader-elected control tick
+(:meth:`~repro.experiments.harness.CloudWorld.every_period`).  An idle
+controller (``solve_every=0``) registers nothing, so it adds **zero**
+simulator events and zero RNG draws — a world with a disabled DFRS layer
+is bit-identical, event count included, to a world without the
+subsystem.
 
 Every ``solve_every``-th period the leader:
 
@@ -44,6 +41,13 @@ __all__ = ["DFRSConfig", "DFRSController"]
 #: Tolerance for SAN009 float comparisons (caps/weights round-trip
 #: through plain float slots; only representation error is expected).
 _EPS = 1e-9
+#: Floor on the estimated need (fraction of host capacity): a VM that was
+#: idle all interval still gets a sliver, so a later burst is not capped
+#: to zero.
+MIN_NEED = 0.05
+#: Weight of the unmet-demand signal (spin + run-queue wait) relative to
+#: consumed CPU in the need estimate.
+WAIT_FACTOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -58,20 +62,14 @@ class DFRSConfig:
     #: leave burst room.  Caps are per-VM limits, not a partition, so
     #: with headroom they may sum above 1.0 on a packed host.
     headroom: float = 1.25
-    #: Publish caps / weights (either can be disabled for ablations).
-    apply_caps: bool = True
-    apply_weights: bool = True
     #: Issue solver-proposed relocations through the migration engine.
     allow_moves: bool = False
     #: Relocation budget per control round.
     max_moves_per_round: int = 1
-    #: Floor on the estimated need (fraction of host capacity): a VM that
-    #: was idle all interval still gets a sliver, so a later burst is not
-    #: capped to zero.
-    min_need: float = 0.05
-    #: Weight of the unmet-demand signal (spin + run-queue wait) relative
-    #: to consumed CPU in the need estimate.
-    wait_factor: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.solve_every < 0:
+            raise ValueError(f"solve_every must be >= 0, got {self.solve_every}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -88,8 +86,6 @@ class DFRSController:
         self.world = world
         self.sim = world.sim
         self.cfg = config
-        self._tick_seen_ns = -1
-        self._ticks = 0
         #: Cumulative-signal snapshots per vmid from the previous solve:
         #: ``(cpu_consumed_ns, spin_total_ns, queue_wait_ns)``.  Deltas
         #: against these estimate the need over the last interval; a
@@ -109,8 +105,8 @@ class DFRSController:
         #: SAN009 violations found when no sanitizer is attached
         #: (strings; tests assert empty) — the MigrationEngine pattern.
         self.violations: list[str] = []
-        for vmm in world.vmms:
-            vmm.period_hooks.append(self._on_period)
+        if config.solve_every:
+            world.every_period(self._control, config.solve_every)
 
     # ------------------------------------------------------------------
     @property
@@ -128,18 +124,6 @@ class DFRSController:
         }
 
     # ------------------------------------------------------------------
-    def _on_period(self, now: int) -> None:
-        if self.cfg.solve_every <= 0:
-            return  # idle layer: no state, no events, no RNG
-        if now == self._tick_seen_ns:
-            return  # a lower-indexed live node already led this round
-        self._tick_seen_ns = now
-        self._ticks += 1
-        if self._ticks % self.cfg.solve_every:
-            return
-        self._control(now)
-
-    # ------------------------------------------------------------------
     # Need estimation
     # ------------------------------------------------------------------
     def _estimate_needs(self, now: int) -> list[VMNeed]:
@@ -147,13 +131,12 @@ class DFRSController:
         since the previous solve.
 
         Signals: the ``cpu_consumed_ns`` ledger (satisfied demand) plus
-        ``wait_factor`` times spin and run-queue-wait time (unmet
+        :data:`WAIT_FACTOR` times spin and run-queue-wait time (unmet
         demand).  All are read as deltas of cumulative counters; the
         queue-wait counter is period-scoped on some configurations
         (ATC's monitor drains it), so a shrinking counter clamps its
         delta to the current value rather than going negative.
         """
-        cfg = self.cfg
         interval = max(1, now - self._last_solve_ns)
         needs: list[VMNeed] = []
         for vm in self.world.vms:
@@ -168,9 +151,9 @@ class DFRSController:
             self._last_sig[vm.vmid] = sig
             n_pcpus = len(vm.node.pcpus)
             ceil = min(len(vm.vcpus), n_pcpus) / n_pcpus
-            demand_ns = d_cpu + cfg.wait_factor * (d_spin + d_wait)
+            demand_ns = d_cpu + WAIT_FACTOR * (d_spin + d_wait)
             need = demand_ns / (interval * n_pcpus)
-            need = max(cfg.min_need, min(ceil, need))
+            need = max(MIN_NEED, min(ceil, need))
             needs.append(
                 VMNeed(name=vm.name, vmid=vm.vmid, node=vm.node.index,
                        need=need, ceil=ceil)
@@ -206,7 +189,6 @@ class DFRSController:
             self._relocate(needs)
 
     def _publish(self, now: int, solves) -> None:
-        cfg = self.cfg
         self._published.clear()
         vms_by_id = {vm.vmid: vm for vm in self.world.vms}
         for node in sorted(solves):
@@ -232,16 +214,13 @@ class DFRSController:
                 if vm is None:  # torn down between estimate and publish
                     continue
                 sched = vm.node.vmm.scheduler
-                cap = a.cap if (cfg.apply_caps and contended) else None
-                weight = a.weight if cfg.apply_weights else vm.weight
-                if cfg.apply_caps:
-                    sched.set_vm_cap(vm, cap)
-                    if cap is not None:
-                        self.caps_applied += 1
-                if cfg.apply_weights:
-                    sched.set_vm_weight(vm, weight)
-                    self.weights_applied += 1
-                self._published[vm.vmid] = (cap, weight)
+                cap = a.cap if contended else None
+                sched.set_vm_cap(vm, cap)
+                if cap is not None:
+                    self.caps_applied += 1
+                sched.set_vm_weight(vm, a.weight)
+                self.weights_applied += 1
+                self._published[vm.vmid] = (cap, a.weight)
                 if obstrace.enabled:
                     obstrace.emit(
                         "dfrs.apply",
@@ -250,7 +229,7 @@ class DFRSController:
                         node=node,
                         need=a.need,
                         cap=cap,
-                        weight=weight,
+                        weight=a.weight,
                         vm_yield=a.vm_yield,
                     )
 
@@ -295,12 +274,12 @@ class DFRSController:
             vm = vms_by_id.get(vmid)
             if vm is None:
                 continue
-            if self.cfg.apply_caps and not _close(vm.cap, cap):
+            if not _close(vm.cap, cap):
                 self._violate(
                     f"{vm.name}: applied cap {vm.cap!r} != published {cap!r} "
                     f"at t={now}"
                 )
-            if self.cfg.apply_weights and abs(vm.weight - weight) > _EPS:
+            if abs(vm.weight - weight) > _EPS:
                 self._violate(
                     f"{vm.name}: applied weight {vm.weight!r} != published "
                     f"{weight!r} at t={now}"

@@ -17,7 +17,7 @@ Typical use (see ``examples/quickstart.py``)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.analysis.sanitizer import SimSanitizer
 from repro.cluster.network import NetworkParams
@@ -78,12 +78,6 @@ class WorldConfig:
     period_ns: int = 30 * MSEC
     #: Deterministic seed for all workload randomness.
     seed: int = 0
-    #: Event-queue backend for the simulator: "heap", "bucket", or ``None``
-    #: to follow the ``REPRO_EVENT_QUEUE`` env var (default heap).  Both
-    #: backends produce bit-identical results (same (time, seq) order);
-    #: "bucket" trades per-push heap churn for O(1) inserts at the deep
-    #: queue depths of full-scale worlds.
-    event_queue: Optional[str] = None
     #: Tie-order mode among same-timestamp events: "fifo", "reversed", or
     #: ``None`` to follow the ``REPRO_TIE_ORDER`` env var (default fifo).
     #: "reversed" is the race-detector differential mode (see
@@ -144,7 +138,7 @@ class CloudWorld:
     def __init__(self, config: WorldConfig | None = None) -> None:
         self.config = config or WorldConfig()
         cfg = self.config
-        self.sim = Simulator(queue=cfg.event_queue, tie_order=cfg.tie_order)
+        self.sim = Simulator(tie_order=cfg.tie_order)
         self.rng = SimRNG(cfg.seed)
         self.cluster: Cluster = build_cluster(
             self.sim, cfg.n_nodes, cfg.node_params, cfg.net_params
@@ -171,6 +165,12 @@ class CloudWorld:
         self._rng_key = 0
         self.vms: list[VM] = []
         self.virtual_clusters: list[VirtualCluster] = []
+        #: Cluster controllers on the control tick (:meth:`every_period`),
+        #: as ``(fn, every)`` in registration order.
+        self._period_fns: list[tuple[Callable[[int], None], int]] = []
+        self._led_tick_ns = -1
+        #: Period timestamps the control tick has led so far.
+        self.leader_ticks = 0
         self.migration_engine: Optional[MigrationEngine] = None
         self.rebalancer: Optional[Rebalancer] = None
         if cfg.migration is not None:
@@ -329,6 +329,37 @@ class CloudWorld:
         for vm in vc.vms:
             self.teardown_vm(vm)
         self.virtual_clusters.remove(vc)
+
+    # ------------------------------------------------------------------
+    # Control tick (cluster controllers)
+    # ------------------------------------------------------------------
+    def every_period(self, fn: Callable[[int], None], every: int = 1) -> None:
+        """Call ``fn(now)`` on every ``every``-th cluster period tick.
+
+        Every VMM's period tick fires at the same timestamps.  The first
+        registration appends one shared hook to each node's
+        ``period_hooks`` (a world without controllers carries none); the
+        first live node to tick at a timestamp leads it, counts one leader
+        tick and runs the registered functions in registration order, and
+        the other nodes see the timestamp claimed and return.  Crashed
+        nodes skip their hooks, so leadership fails over to the next live
+        node with no election traffic.  The tick schedules no events of
+        its own: an idle controller leaves a run bit-identical, event
+        count included, to one without it.
+        """
+        if not self._period_fns:
+            for vmm in self.vmms:
+                vmm.period_hooks.append(self._control_tick)
+        self._period_fns.append((fn, every))
+
+    def _control_tick(self, now: int) -> None:
+        if now == self._led_tick_ns:
+            return  # a lower-indexed live node already led this tick
+        self._led_tick_ns = now
+        self.leader_ticks += 1
+        for fn, every in self._period_fns:
+            if self.leader_ticks % every == 0:
+                fn(now)
 
     # ------------------------------------------------------------------
     # Workload builders

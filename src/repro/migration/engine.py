@@ -115,6 +115,10 @@ class MigrationConfig:
     cooldown_ns: int = 500 * MSEC
     params: MigrationParams = field(default_factory=MigrationParams)
 
+    def __post_init__(self) -> None:
+        if self.control_every < 1:
+            raise ValueError(f"control_every must be >= 1, got {self.control_every}")
+
     def to_dict(self) -> dict:
         return {
             "policy": self.policy,

@@ -1,14 +1,11 @@
 """Periodic cluster-level rebalancing controller.
 
-The rebalancer piggybacks on the VMM scheduling period instead of
-scheduling its own events: its hook is appended to *every* node's
-``period_hooks``, all period ticks fire at the same timestamps, and the
-first live node's hook leads each round (the rest see the timestamp
-already claimed and return).  Crashed nodes skip their hooks, so
-leadership silently fails over to the next node index.  An idle control
-plane therefore adds **zero** simulator events and zero RNG draws — a
-world with a rebalancer that never migrates is bit-identical (including
-the event count) to a world without the subsystem.
+The rebalancer runs on the world's leader-elected control tick
+(:meth:`~repro.experiments.harness.CloudWorld.every_period`) instead of
+scheduling its own events, so an idle control plane adds **zero**
+simulator events and zero RNG draws — a world with a rebalancer that
+never migrates is bit-identical (including the event count) to a world
+without the subsystem.
 
 Every ``control_every``-th period the leader refreshes the health map
 (sticky crash marks + currently degraded NICs, both from
@@ -32,7 +29,7 @@ __all__ = ["Rebalancer"]
 
 
 class Rebalancer:
-    """Drives a migration policy off the VMM period ticks."""
+    """Drives a migration policy off the world's control tick."""
 
     def __init__(
         self, world: "CloudWorld", engine: "MigrationEngine", config: "MigrationConfig"
@@ -50,13 +47,10 @@ class Rebalancer:
         #: Sticky unhealthy-node marks in detection order (crashes stay
         #: marked after restart; degraded NICs while degraded).
         self.unhealthy: dict[int, None] = {}
-        self._tick_seen_ns = -1
-        self._ticks = 0
         self.control_rounds = 0
         self.migrations_requested = 0
         self.kicks = 0
-        for vmm in world.vmms:
-            vmm.period_hooks.append(self._on_period)
+        world.every_period(self._control, config.control_every)
 
     # ------------------------------------------------------------------
     @property
@@ -71,15 +65,6 @@ class Rebalancer:
         }
 
     # ------------------------------------------------------------------
-    def _on_period(self, now: int) -> None:
-        if now == self._tick_seen_ns:
-            return  # a lower-indexed live node already led this round
-        self._tick_seen_ns = now
-        self._ticks += 1
-        if self._ticks % self.cfg.control_every:
-            return
-        self._control(now)
-
     def kick(self, now: int) -> None:
         """Run an off-cycle control round immediately.
 

@@ -17,8 +17,9 @@ and starts a finite-round :class:`~repro.workloads.base.ParallelApp`.
 ``CloudWorld.teardown_cluster`` — node slots, VMM rosters, scheduler
 state and the world's VM/cluster lists are all reclaimed — then gives
 the wait queue a drain pass.  Queued tenants are also re-decided once
-per scheduling period (inside the existing VMM period tick, PR-5
-leader-election style, so the wait queue adds **zero** events).
+per scheduling period on the world's leader-elected control tick
+(:meth:`~repro.experiments.harness.CloudWorld.every_period`), so the
+wait queue adds **zero** events.
 
 Determinism: the tenant timeline is a pure function of the seed.  All
 service randomness comes from the dedicated :data:`~repro.service.
@@ -207,12 +208,8 @@ class CloudService:
         self.util_timeline: list[list[int]] = []
         self._hist: dict[int, int] = {}  # time-in-system, pow-2 ms buckets
         self._next_entry: Optional[dict] = None
-        self._tick_seen_ns = -1
         self._started = False
-        # Queue re-decision rides the existing period ticks (leader
-        # election, PR-5 style): zero events added by an idle queue.
-        for vmm in world.vmms:
-            vmm.period_hooks.append(self._on_period)
+        world.every_period(self._on_period)
 
     # ------------------------------------------------------------------
     # Arrival machinery
@@ -356,9 +353,6 @@ class CloudService:
                 break
 
     def _on_period(self, now: int) -> None:
-        if now == self._tick_seen_ns:
-            return  # a lower-indexed live node already led this round
-        self._tick_seen_ns = now
         if self.queue:
             self._drain_queue()
 

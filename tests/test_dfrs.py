@@ -289,6 +289,11 @@ def _compare_cell(mode, **kw):
     return run_dfrs_compare(mode=mode, **kw)
 
 
+def test_negative_solve_every_rejected():
+    with pytest.raises(ValueError, match="solve_every"):
+        DFRSConfig(solve_every=-1)
+
+
 def test_idle_controller_is_bit_identical_to_absence():
     base = _compare_cell("baseline")
     idle = _compare_cell("idle")

@@ -1,107 +1,21 @@
-"""Event-queue backends: BucketQueue unit behaviour, fire-and-forget
-``post_*`` scheduling, and heap-vs-bucket differential bit-identity.
+"""Event queue: fire-and-forget ``post_*`` scheduling and the profiler's
+queue-depth accounting.
 
-The engine-semantics suite (``test_engine.py``) already runs every
-contract test on both backends via the parametrized ``sim`` fixture;
-this module covers what that cannot: the calendar queue's internal
-epoch/resize machinery, the handle-free ``post_at``/``post_after`` API,
-and end-to-end differential runs of a full scenario under each backend.
+The engine-semantics suite (``test_engine.py``) covers the ``at`` /
+``after`` / cancel contract; this module covers the handle-free
+``post_at``/``post_after`` API and how the profiler samples queue depth.
 """
 
 import pytest
 
 from repro.obs.profiler import SimProfiler
-from repro.sim.engine import (
-    EVENT_QUEUE_KINDS,
-    BucketQueue,
-    SimulationError,
-    Simulator,
-)
-from repro.sim.rng import SimRNG
-
-
-# ----------------------------------------------------------------------
-# BucketQueue unit behaviour
-# ----------------------------------------------------------------------
-def test_bucket_queue_pops_in_time_seq_order():
-    q = BucketQueue(width=10, nbuckets=4)
-    entries = [(37, 0, "a"), (5, 1, "b"), (5, 2, "c"), (1000, 3, "d"), (37, 4, "e")]
-    for e in entries:
-        q.push(e)
-    assert len(q) == 5
-    assert [q.pop() for _ in range(5)] == sorted(entries)
-    assert len(q) == 0
-
-
-def test_bucket_queue_peek_does_not_consume():
-    q = BucketQueue(width=10, nbuckets=4)
-    q.push((25, 0, "x"))
-    assert q.peekentry() == (25, 0, "x")
-    assert q.peekentry() == (25, 0, "x")
-    assert len(q) == 1
-    assert q.pop() == (25, 0, "x")
-    assert q.peekentry() is None
-
-
-def test_bucket_queue_handles_epoch_collisions():
-    """Distant epochs hash to the same circular bucket; _advance must pick
-    only the entries of the epoch it lands on, keeping the rest queued."""
-    q = BucketQueue(width=10, nbuckets=4)
-    # epochs 1 and 5 both map to bucket index 1 (nbuckets=4)
-    q.push((12, 0, "early"))
-    q.push((53, 1, "late"))
-    assert q.pop() == (12, 0, "early")
-    assert q.pop() == (53, 1, "late")
-
-
-def test_bucket_queue_sparse_far_future_fallback():
-    """An epoch gap wider than the bucket array triggers the direct-min
-    fallback instead of scanning forever."""
-    q = BucketQueue(width=10, nbuckets=4)
-    q.push((10_000_000, 0, "far"))
-    q.push((20_000_000, 1, "farther"))
-    assert q.pop() == (10_000_000, 0, "far")
-    assert q.pop() == (20_000_000, 1, "farther")
-
-
-def test_bucket_queue_resize_preserves_order():
-    """Pushing past 2x nbuckets grows the array; order must survive."""
-    q = BucketQueue(width=8, nbuckets=2)
-    rng = SimRNG(42)
-    entries = [(int(rng.random() * 100_000), i, i) for i in range(200)]
-    for e in entries:
-        q.push(e)
-    assert q._n > 2  # the resize actually happened
-    assert [q.pop() for _ in range(len(entries))] == sorted(entries)
-
-
-def test_bucket_queue_rejects_bad_geometry():
-    with pytest.raises(SimulationError):
-        BucketQueue(width=0)
-    with pytest.raises(SimulationError):
-        BucketQueue(nbuckets=3)  # not a power of two
-    with pytest.raises(SimulationError):
-        BucketQueue(nbuckets=1)
-
-
-def test_unknown_queue_backend_rejected():
-    with pytest.raises(SimulationError):
-        Simulator(queue="splay")
-
-
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", "bucket")
-    assert Simulator().queue_kind == "bucket"
-    monkeypatch.delenv("REPRO_EVENT_QUEUE")
-    assert Simulator().queue_kind == "heap"
+from repro.sim.engine import SimulationError, Simulator
 
 
 # ----------------------------------------------------------------------
 # Fire-and-forget post_at / post_after
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("queue", EVENT_QUEUE_KINDS)
-def test_post_at_fires_in_fifo_order_with_at(queue):
-    sim = Simulator(queue=queue)
+def test_post_at_fires_in_fifo_order_with_at(sim):
     order = []
     # deliberate same-instant appends asserting at/post_at FIFO interleave
     sim.at(10, lambda: order.append("a"))  # repro: ignore[RPR040,RPR041]
@@ -113,9 +27,7 @@ def test_post_at_fires_in_fifo_order_with_at(queue):
     assert sim.events_processed == 4
 
 
-@pytest.mark.parametrize("queue", EVENT_QUEUE_KINDS)
-def test_post_rejects_past_and_negative(queue):
-    sim = Simulator(queue=queue)
+def test_post_rejects_past_and_negative(sim):
     sim.at(50, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
@@ -165,56 +77,3 @@ def test_profiler_depth_exact_with_posted_entries():
     sim.post_at(30, lambda: None)
     sim.run()
     assert prof.report()["max_heap_depth"] == 3
-
-
-# ----------------------------------------------------------------------
-# Differential: both backends are bit-identical
-# ----------------------------------------------------------------------
-def _churn(queue: str):
-    """A cancel-heavy, reschedule-heavy workload driven by a fixed RNG."""
-    sim = Simulator(queue=queue)
-    rng = SimRNG(7)
-    log = []
-    handles = []
-
-    def fire(i):
-        log.append((sim.now, i))
-        if rng.random() < 0.5:
-            j = len(handles)
-            handles.append(sim.after(int(rng.random() * 5_000), lambda: fire(j)))
-        if handles and rng.random() < 0.3:
-            handles[int(rng.random() * len(handles))].cancel()
-
-    for i in range(200):
-        t = int(rng.random() * 50_000)
-        handles.append(sim.at(t, lambda i=i: fire(i)))
-        if rng.random() < 0.2:
-            sim.post_at(t + 1, lambda i=i: log.append((sim.now, "post", i)))
-    sim.run()
-    return log, sim.now, sim.events_processed, sim.cancelled_popped
-
-
-def test_backends_bit_identical_on_churn_workload():
-    assert _churn("heap") == _churn("bucket")
-
-
-def test_backends_bit_identical_on_type_a_cell():
-    """Full-scenario differential: a sanitized evaluation-type-A cell must
-    produce the identical result dict — every metric *and* the event
-    count — on both queue backends."""
-    from repro.experiments.scenarios import run_type_a
-
-    kwargs = dict(
-        rounds=1, warmup_rounds=0, horizon_s=4.0, seed=0, sanitize=True
-    )
-    r_heap = run_type_a("is", "ATC", 2, event_queue="heap", **kwargs)
-    r_bucket = run_type_a("is", "ATC", 2, event_queue="bucket", **kwargs)
-    assert r_heap["events"] > 0
-    assert r_heap == r_bucket
-
-
-def test_world_config_event_queue_reaches_simulator():
-    from repro.experiments.harness import CloudWorld, WorldConfig
-
-    world = CloudWorld(WorldConfig(n_nodes=1, event_queue="bucket"))
-    assert world.sim.queue_kind == "bucket"

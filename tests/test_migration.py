@@ -38,6 +38,11 @@ def test_config_dict_round_trip():
     assert cfg.to_dict()["params"]["mem_bytes"] == 2 * MIB
 
 
+def test_control_every_below_one_rejected():
+    with pytest.raises(ValueError, match="control_every"):
+        MigrationConfig(policy="demix", control_every=0)
+
+
 def test_unknown_policy_rejected_at_world_construction():
     with pytest.raises(ValueError, match="unknown migration policy"):
         _world(policy="bogus")
@@ -258,6 +263,69 @@ def test_evacuate_drains_a_crashed_node_after_restart():
     assert 0 in w.rebalancer.unhealthy  # sticky even after the restart
     assert vm.node is w.cluster.nodes[1]
     assert w.migration_engine.completed == 1
+
+
+# ----------------------------------------------------------------------
+# Control tick: one leader-elected period hook drives every controller
+# ----------------------------------------------------------------------
+def test_control_tick_runs_each_controller_on_its_cadence_with_failover(monkeypatch):
+    from repro.dfrs.controller import DFRSConfig, DFRSController
+    from repro.faults import FaultEvent, FaultPlan
+    from repro.migration.rebalancer import Rebalancer
+    from repro.service.service import CloudService, ServiceConfig
+
+    # Record every round each controller runs, then run it as usual.
+    rounds: dict[str, list[int]] = {}
+    for name, cls, attr in (
+        ("rebalancer", Rebalancer, "_control"),
+        ("dfrs", DFRSController, "_control"),
+        ("service", CloudService, "_on_period"),
+    ):
+        def spy(self, now, _name=name, _real=getattr(cls, attr)):
+            rounds.setdefault(_name, []).append(now)
+            _real(self, now)
+
+        monkeypatch.setattr(cls, attr, spy)
+
+    down_ns, up_ns = 310 * MSEC, 610 * MSEC
+    plan = FaultPlan.of([
+        FaultEvent("node_crash", at_ns=down_ns, node=0, duration_ns=up_ns - down_ns),
+    ])
+    w = CloudWorld(WorldConfig(
+        n_nodes=3, scheduler="ATC", sanitize=True, faults=plan,
+        migration=MigrationConfig(policy="demix", control_every=2, params=SMALL),
+        dfrs=DFRSConfig(solve_every=3),
+        service=ServiceConfig(),
+    ))
+    # One control hook per VMM, after the ATC controller and sanitizer hooks.
+    assert [vmm.period_hooks.count(w._control_tick) for vmm in w.vmms] == [1, 1, 1]
+    assert all(vmm.period_hooks[-1] == w._control_tick for vmm in w.vmms)
+    # Period hooks run on live nodes only: the first to run at a
+    # timestamp is the node that led it.
+    leaders: dict[int, int] = {}
+    for vmm in w.vmms:
+        vmm.period_hooks.append(
+            lambda now, i=vmm.node.index: leaders.setdefault(now, i)
+        )
+    vc = w.virtual_cluster(3, name="a")
+    w.add_npb("lu", vc.vms, rounds=None, warmup_rounds=0, npb_class="A")
+    w.run(horizon_ns=1200 * MSEC)
+
+    ticks = sorted(leaders)
+    assert w.leader_ticks == len(ticks) == 40
+    assert [leaders[t] for t in ticks] == [
+        1 if down_ns < t < up_ns else 0 for t in ticks
+    ]
+    assert 1 in leaders.values()  # leadership failed over during the crash
+    for name, every in (("rebalancer", 2), ("dfrs", 3), ("service", 1)):
+        assert rounds[name] == ticks[every - 1::every], name
+        assert len(rounds[name]) == w.leader_ticks // every
+    assert w.rebalancer.kicks == 0
+
+    # Worlds without an active controller carry no control hook.
+    for cfg in (WorldConfig(n_nodes=3), WorldConfig(n_nodes=3, dfrs=DFRSConfig(solve_every=0))):
+        bare = CloudWorld(cfg)
+        assert all(bare._control_tick not in vmm.period_hooks for vmm in bare.vmms)
 
 
 # ----------------------------------------------------------------------

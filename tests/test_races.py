@@ -1,7 +1,7 @@
 """Order-dependence race detector (repro.analysis.races).
 
-Covers the engine tie-order plumbing (fifo/reversed on both queue
-backends, accounting phase), the SAN008 dynamic tracker (injected
+Covers the engine tie-order plumbing (fifo/reversed, accounting
+phase), the SAN008 dynamic tracker (injected
 non-commuting pair, causality and phase exclusions, observationality,
 clean arm/disarm), the tie-permutation differential, and the
 RunSpec.tie_order cache-key fold.
@@ -34,11 +34,11 @@ def _tracked(sim: Simulator) -> TieRaceTracker:
 # ----------------------------------------------------------------------
 # Engine: tie_order semantics
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("queue", ["heap", "bucket"])
+@pytest.mark.parametrize("queue", ["heap"])
 def test_tie_order_reversed_inverts_within_timestamp_only(queue):
     order: dict[str, list[str]] = {}
     for tie_order in ("fifo", "reversed"):
-        sim = Simulator(queue=queue, tie_order=tie_order)
+        sim = Simulator(tie_order=tie_order)
         seen: list[str] = []
         for label in ("a", "b", "c"):
             sim.at(100, lambda label=label: seen.append(label), cat="test")
@@ -59,12 +59,12 @@ def test_tie_order_validation_and_default():
 
 
 @pytest.mark.parametrize("tie_order", ["fifo", "reversed"])
-@pytest.mark.parametrize("queue", ["heap", "bucket"])
+@pytest.mark.parametrize("queue", ["heap"])
 def test_accounting_phase_runs_first_at_a_timestamp(queue, tie_order):
     """ACCOUNTING_CATS callbacks run before default-phase events at the
     same instant, regardless of insertion order and tie direction."""
     assert "vmm.period" in ACCOUNTING_CATS
-    sim = Simulator(queue=queue, tie_order=tie_order)
+    sim = Simulator(tie_order=tie_order)
     seen: list[str] = []
     # same-instant appends on purpose: the accounting phase *is* the
     # explicit ordering RPR040/041 asks for
