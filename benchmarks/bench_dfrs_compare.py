@@ -16,27 +16,15 @@ scales:
 * ``idle``     — CR plus a constructed-but-disabled controller
   (``solve_every=0``), the bit-identity control cell (small scale only).
 
-Regenerates: normalized parallel round time per cell (baseline = 1 at
-each scale).  Asserted invariants:
-
-* at BOTH scales the hybrid is no worse than the better single approach
-  within ``HYBRID_TOL`` (caps add a little enforcement overhead when the
-  per-host scheduler is already optimal — the tolerance documents that
-  overhead bound) and strictly beats the worse one;
-* the idle cell is bit-identical to the baseline, event count included.
+Emits the ``dfrs`` grid's table (parallel round time, baseline = 1 at
+each scale) and asserts its claims at both scales, the hybrid's
+``HYBRID_TOL`` and the idle cell's bit-identity included
+(repro.experiments.grids).
 """
 
-import pytest
+from repro.experiments.grids import DFRS_MODES, GRIDS
 
-from repro.experiments.scenarios import run_dfrs_compare
-
-from _common import emit, full_scale, run_once
-
-#: Hybrid may trail the better single approach by at most 2% — the
-#: measured cap-enforcement overhead is ~0.2-0.5%; anything past 2%
-#: means the caps are throttling what ATC accelerates (the failure mode
-#: cap renormalization used to cause).
-HYBRID_TOL = 1.02
+from _common import emit, full_scale, run_grid
 
 SMALL = dict(horizon_s=30.0 if full_scale() else 10.0)
 LARGE = dict(
@@ -46,66 +34,12 @@ LARGE = dict(
     n_nonparallel=2,
     horizon_s=24.0 if full_scale() else 8.0,
 )
-SCALES = {"small": SMALL, "large": LARGE}
-
-MODES = ["baseline", "atc", "dfrs", "hybrid"]
-CELLS = [("small", m) for m in MODES + ["idle"]] + [("large", m) for m in MODES]
-
-RESULTS: dict[tuple[str, str], dict] = {}
 
 
-@pytest.mark.parametrize("scale,mode", CELLS)
-def test_dfrs_cell(benchmark, scale, mode):
-    RESULTS[(scale, mode)] = run_once(
-        benchmark, run_dfrs_compare, mode=mode, seed=0, **SCALES[scale]
-    )
-
-
-def test_dfrs_compare_report(benchmark):
-    def report():
-        rows = []
-        for scale, mode in CELLS:
-            r = RESULTS[(scale, mode)]
-            base = RESULTS[(scale, "baseline")]["parallel_mean_round_ns"]
-            d = r.get("dfrs") or {}
-            rows.append((
-                f"{scale}/{mode}",
-                r["parallel_mean_round_ns"] / base,
-                r["parallel_mean_round_ns"] / 1e6,
-                r["np_mean_run_ns"] / 1e6,
-                d.get("solves", 0),
-                d.get("caps_applied", 0),
-                round(d.get("last_min_yield", 1.0), 3),
-            ))
-        emit(
-            "DFRS comparator — normalized parallel round time (baseline = 1)",
-            ["scale/mode", "normalized round", "round ms", "sphinx3 ms",
-             "solves", "caps", "min yield"],
-            rows,
-            name="dfrs_compare",
-        )
-        return {r[0]: r for r in rows}
-
-    rows = run_once(benchmark, report)
-
-    for scale in SCALES:
-        atc = rows[f"{scale}/atc"][1]
-        dfrs = rows[f"{scale}/dfrs"][1]
-        hybrid = rows[f"{scale}/hybrid"][1]
-        # Both single approaches must actually help over plain Credit...
-        assert atc < 1.0 and dfrs < 1.0, scale
-        # ...and the hybrid composes: no worse (within the documented
-        # enforcement-overhead tolerance) than the better of the two,
-        # strictly better than the worse.
-        assert hybrid <= min(atc, dfrs) * HYBRID_TOL, scale
-        assert hybrid < max(atc, dfrs), scale
-        # The cluster controller really ran in the cells that enable it.
-        assert rows[f"{scale}/dfrs"][4] > 0 and rows[f"{scale}/hybrid"][4] > 0
-
-    # Idle DFRS layer: bit-identical to absence, event count included.
-    base = RESULTS[("small", "baseline")]
-    idle = RESULTS[("small", "idle")]
-    assert idle["events"] == base["events"]
-    assert idle["parallel_mean_round_ns"] == base["parallel_mean_round_ns"]
-    assert idle["np_mean_run_ns"] == base["np_mean_run_ns"]
-    assert idle["dfrs"]["solves"] == 0
+def test_dfrs_compare(benchmark):
+    grid = GRIDS["dfrs"]
+    specs = (grid.cells(modes=DFRS_MODES + ("idle",), prefix="small", seed=0, **SMALL)
+             + grid.cells(prefix="large", seed=0, **LARGE))
+    results = run_grid(benchmark, specs)
+    emit(*grid.table(results), name="dfrs_compare")
+    assert grid.claims(results) == []

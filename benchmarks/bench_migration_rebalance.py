@@ -5,65 +5,27 @@ on a shared host — the worst case for Algorithm 2's per-host slice
 minimum, which drags *both* clusters down — plus one non-parallel
 tenant.  Cells:
 
-* ``pack/static``   — the mixed placement, never revisited (baseline);
-* ``spread/static`` — the paper's placement, as the static upper bound;
-* ``pack/demix``    — the bad placement *repaired online* by the
-  live-migration control plane (repro.migration).
+* ``migrate:static``        — the packed placement, never revisited
+  (baseline);
+* ``migrate:static@spread`` — the paper's placement, as the static upper
+  bound;
+* ``migrate:demix``         — the packed placement *repaired online* by
+  the live-migration control plane (repro.migration).
 
-Regenerates: normalized parallel round time per cell (pack/static = 1),
-with migration counts and total stop-and-copy downtime.  The rebalanced
-cell must beat its own static baseline.
+Emits the ``migrate`` grid's table (round time normalized to the packed
+static cell, migrations, downtime) and asserts its claims
+(repro.experiments.grids).
 """
 
-import pytest
+from repro.experiments.grids import GRIDS
 
-from repro.experiments.scenarios import run_migration_rebalance
-
-from _common import emit, full_scale, run_once
-
-CELLS = [("pack", "static"), ("spread", "static"), ("pack", "demix")]
-HORIZON = 30.0 if full_scale() else 10.0
-N_CLUSTERS = 2
-RESULTS: dict[tuple[str, str], dict] = {}
+from _common import emit, full_scale, run_grid
 
 
-@pytest.mark.parametrize("placement,policy", CELLS)
-def test_migration_cell(benchmark, placement, policy):
-    RESULTS[(placement, policy)] = run_once(
-        benchmark,
-        run_migration_rebalance,
-        policy=policy,
-        placement=placement,
-        n_clusters=N_CLUSTERS,
-        horizon_s=HORIZON,
-        seed=0,
-    )
-
-
-def test_migration_rebalance_report(benchmark):
-    def report():
-        base = RESULTS[("pack", "static")]["parallel_mean_round_ns"]
-        rows = []
-        for cell in CELLS:
-            r = RESULTS[cell]
-            mig = r.get("migration", {})
-            rows.append((
-                "/".join(cell),
-                r["parallel_mean_round_ns"] / base,
-                mig.get("completed", 0),
-                mig.get("downtime_total_ns", 0) / 1e6,
-            ))
-        emit(
-            "Migration rebalance — normalized parallel round time",
-            ["placement/policy", "normalized round", "migrations", "downtime ms"],
-            rows,
-            name="migration_rebalance",
-        )
-        return {r[0]: r for r in rows}
-
-    rows = run_once(benchmark, report)
-    # Online demixing must repair the packed placement...
-    assert rows["pack/demix"][1] < rows["pack/static"][1]
-    # ...by actually migrating (with a finite blackout), not by accident.
-    assert rows["pack/demix"][2] >= 1
-    assert rows["pack/demix"][3] > 0
+def test_migration_rebalance(benchmark):
+    grid = GRIDS["migrate"]
+    specs = grid.cells(policy="demix", bound="spread", placement="pack", n_clusters=2,
+                       horizon_s=30.0 if full_scale() else 10.0, seed=0)
+    results = run_grid(benchmark, specs)
+    emit(*grid.table(results), name="migration_rebalance")
+    assert grid.claims(results) == []

@@ -16,72 +16,25 @@ same rate); only the admission policy differs:
   clusters, otherwise queue and kick the demix rebalancer
   (repro.migration) to make room.
 
-Regenerates: completed tenants, rejections, queue peak and
-completed-tenant slowdown (time in system over the app's pure-compute
-bound) per policy.  Migration-aware admission must complete at least as
-many tenants as reject-on-full at strictly lower mean slowdown — i.e.
-placement-aware queueing beats shedding load and living with the mix.
+Emits the ``serve`` grid's table (completed tenants, rejections, queue
+peak, completed-tenant slowdown per policy) and asserts its claims
+(repro.experiments.grids): migration-aware admission completes at least
+as many tenants as reject-on-full at strictly lower mean slowdown.
 """
 
-import pytest
+from repro.experiments.grids import GRIDS
 
-from repro.experiments.scenarios import run_service
-
-from _common import emit, full_scale, run_once
-
-POLICIES = ["reject-on-full", "fcfs-queue", "migration-aware"]
-MAX_TENANTS = 24 if full_scale() else 12
-HORIZON = 120.0 if full_scale() else 60.0
-RATE_PER_S = 10.0
-RESULTS: dict[str, dict] = {}
+from _common import emit, full_scale, run_grid
 
 
-@pytest.mark.parametrize("admission", POLICIES)
-def test_service_cell(benchmark, admission):
-    RESULTS[admission] = run_once(
-        benchmark,
-        run_service,
-        admission=admission,
-        placement="pack",
-        n_nodes=3,
-        rate_per_s=RATE_PER_S,
-        max_tenants=MAX_TENANTS,
-        rounds=3,
-        horizon_s=HORIZON,
-        seed=0,
+def test_service_arrivals(benchmark):
+    grid = GRIDS["serve"]
+    specs = grid.cells(
+        admissions=("reject-on-full", "fcfs-queue", "migration-aware"),
+        placement="pack", n_nodes=3, rate_per_s=10.0,
+        max_tenants=24 if full_scale() else 12, rounds=3,
+        horizon_s=120.0 if full_scale() else 60.0, seed=0,
     )
-
-
-def test_service_arrivals_report(benchmark):
-    def report():
-        rows = []
-        for admission in POLICIES:
-            s = RESULTS[admission]["service"]
-            rows.append((
-                admission,
-                s["departed"],
-                s["rejected"],
-                s["queue_peak"],
-                s["wait_mean_ns"] / 1e6,
-                s["slowdown_mean"],
-                s["rebalancer_kicks"],
-            ))
-        emit(
-            "Service arrivals — admission policies at equal offered load "
-            f"({RATE_PER_S}/s, {MAX_TENANTS} tenants)",
-            ["admission", "completed", "rejected", "queue peak",
-             "mean wait ms", "mean slowdown", "kicks"],
-            rows,
-            name="service_arrivals",
-        )
-        return {r[0]: r for r in rows}
-
-    rows = run_once(benchmark, report)
-    # Every policy must complete work under pressure...
-    assert all(rows[p][1] >= 1 for p in POLICIES)
-    # ...reject-on-full must actually shed load at this offered rate...
-    assert rows["reject-on-full"][2] >= 1
-    # ...and migration-aware admission must beat it on completed-tenant
-    # slowdown without completing fewer tenants.
-    assert rows["migration-aware"][1] >= rows["reject-on-full"][1]
-    assert rows["migration-aware"][5] < rows["reject-on-full"][5]
+    results = run_grid(benchmark, specs)
+    emit(*grid.table(results), name="service_arrivals")
+    assert grid.claims(results) == []

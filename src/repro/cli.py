@@ -13,6 +13,7 @@ Examples::
     python -m repro migrate --policy demix --placement pack
     python -m repro dfrs --nodes 3 --horizon 10
     python -m repro serve --admission migration-aware --rate 3 --tenants 8
+    python -m repro check dfrs dfrs_a.json dfrs_b.json
     python -m repro trace --app is --slice 30
     python -m repro perf
     python -m repro lint src/repro benchmarks tests examples
@@ -31,32 +32,19 @@ results, violations reported as structured cell failures).
 are killed, the sweep continues) and ``--salvage PATH`` writes the
 structured partial-result report (:func:`repro.experiments.runner.salvage_report`).
 
-``chaos`` runs a baseline cell and a fault-injected cell
-(:mod:`repro.faults`) of the same world side by side; ``--faults``
-accepts ``random:N[:SEED]``, an inline JSON plan, or a plan file.
-``typea`` and ``sweep`` take the same ``--faults`` spec.
-
-``migrate`` runs the mixed-tenancy rebalancing scenario
-(:mod:`repro.migration`): a static-placement baseline cell next to a
-cell where the chosen policy (``demix`` / ``consolidate`` /
-``evacuate``) live-migrates VMs at runtime, reporting parallel round
-times, completed migrations and per-VM downtime.  It accepts the same
-``--faults`` spec (``evacuate`` drains crashed / degraded nodes).
-
-``dfrs`` runs the design-space comparator (:mod:`repro.dfrs`): the same
-mixed-tenancy cell under plain CR, the paper's ATC, cluster-level DFRS
-fractional allocation (per-VM caps/weights re-solved periodically from
-monitor signals), and the ATC+DFRS hybrid, printing one normalized
-table.  ``--moves`` additionally lets the DFRS controller relocate VMs
-through the live-migration engine.
-
-``serve`` runs the always-on service scenario (:mod:`repro.service`):
-tenants arrive as a stream (Poisson at ``--rate``, or ``--arrival trace``
-replaying ``--trace-file``), the ``--admission`` policy admits / queues /
-rejects each one, completed tenants are torn down with their capacity
-reclaimed, and the admission/SLO rollup plus a per-tenant table are
-printed.  ``migration-aware`` admission auto-attaches a demix rebalancer
-and kicks it under admission pressure.
+``chaos``, ``migrate``, ``dfrs``, ``serve`` and ``attack`` run the
+extension grids of :mod:`repro.experiments.grids`, which declares each
+grid's cells, derived table and claims: a clean cell next to the same
+cell under a ``--faults`` plan (:mod:`repro.faults`; ``random:N[:SEED]``,
+inline JSON or a plan file, also taken by ``typea`` and ``sweep``);
+static placement next to a live-migration ``--policy``
+(:mod:`repro.migration`); plain CR, ATC, cluster-level DFRS caps and the
+ATC+DFRS hybrid (:mod:`repro.dfrs`); a tenant arrival stream under an
+``--admission`` policy (:mod:`repro.service`); and yield-theft /
+tickle-storm attackers against the hardening knobs.  ``check GRID
+RESULTS.json [REPEAT.json]`` evaluates a grid's claims on a ``--json``
+export (exit 1 on any failed cell or claim) and, given a second export,
+requires equal spec/value lists.
 
 ``trace`` runs one traced type-A cell (:mod:`repro.obs.trace`) and writes
 a JSON-lines trace plus a Chrome ``trace_event`` file (open in Perfetto
@@ -84,8 +72,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
+from repro.experiments.grids import GRIDS, attack_metrics, load_results, repeat_diff
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
     RunSpec,
@@ -186,22 +176,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "(default random:3:1)")
     runner_opts(sp)
 
+    def mixed_world(sp):
+        """The packed mixed-tenancy world shared by ``migrate`` and ``dfrs``."""
+        sp.add_argument("--nodes", type=int, default=3)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--app", default="lu", choices=NPB_EXTENDED)
+        sp.add_argument("--placement", default="pack", metavar="POLICY",
+                        help="initial placement: spread, pack, striped, or "
+                        "random:SEED (default pack, which mixes clusters)")
+        sp.add_argument("--clusters", type=int, default=2, metavar="N",
+                        help="parallel virtual clusters (default 2)")
+        sp.add_argument("--vms-per-cluster", type=int, default=2, metavar="N")
+        sp.add_argument("--horizon", type=float, default=10.0, help="virtual seconds")
+
     sp = sub.add_parser("migrate", help="live-migration rebalancing vs static placement (repro.migration)")
     sp.add_argument("--scheduler", default="ATC", choices=scheduler_names())
-    sp.add_argument("--nodes", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--app", default="lu", choices=NPB_EXTENDED)
+    mixed_world(sp)
     sp.add_argument("--policy", default="demix",
                     choices=["demix", "consolidate", "evacuate", "none"],
                     help="rebalancing policy (default demix; 'none' attaches "
                     "the engine without a controller)")
-    sp.add_argument("--placement", default="pack", metavar="POLICY",
-                    help="initial placement: spread, pack, striped, or "
-                    "random:SEED (default pack, which mixes clusters)")
-    sp.add_argument("--clusters", type=int, default=2, metavar="N",
-                    help="parallel virtual clusters (default 2)")
-    sp.add_argument("--vms-per-cluster", type=int, default=2, metavar="N")
-    sp.add_argument("--horizon", type=float, default=10.0, help="virtual seconds")
     sp.add_argument("--faults", default=None, metavar="SPEC",
                     help="fault plan: random:N[:SEED], inline JSON, or a plan file")
     runner_opts(sp)
@@ -209,16 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dfrs", help="cluster-level fractional allocation vs "
                         "ATC: {CR, ATC, CR+DFRS, ATC+DFRS} on one mixed-"
                         "tenancy cell (repro.dfrs)")
-    sp.add_argument("--nodes", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--app", default="lu", choices=NPB_EXTENDED)
-    sp.add_argument("--placement", default="pack", metavar="POLICY",
-                    help="initial placement: spread, pack, striped, or "
-                    "random:SEED (default pack, which mixes clusters)")
-    sp.add_argument("--clusters", type=int, default=2, metavar="N",
-                    help="parallel virtual clusters (default 2)")
-    sp.add_argument("--vms-per-cluster", type=int, default=2, metavar="N")
-    sp.add_argument("--horizon", type=float, default=10.0, help="virtual seconds")
+    mixed_world(sp)
     sp.add_argument("--solve-every", type=int, default=4, metavar="N",
                     help="re-solve the fractional allocation every N "
                     "accounting periods (default 4)")
@@ -264,6 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="parallel victim application (default lu)")
     sp.add_argument("--horizon", type=float, default=6.0, help="virtual seconds")
     runner_opts(sp)
+
+    sp = sub.add_parser("check", help="evaluate an extension grid's claims on a "
+                        "--json export (repro.experiments.grids)")
+    sp.add_argument("grid", choices=sorted(GRIDS))
+    sp.add_argument("results", metavar="RESULTS.json",
+                    help="--json export of the grid's verb")
+    sp.add_argument("repeat", nargs="?", default=None, metavar="REPEAT.json",
+                    help="second export of the same run; its spec/value lists "
+                    "must equal RESULTS.json's")
 
     sp = sub.add_parser("probe", help="Fig. 4 packet-path hop decomposition")
     sp.add_argument("--scheduler", default="CR", choices=scheduler_names())
@@ -370,9 +364,16 @@ def _run_cells(args, specs: list[RunSpec], allow_partial: bool = False) -> Optio
         print(
             f"{stats['cells']} cells: {stats['ok']} ok "
             f"({stats['cached']} cached), {stats['failed']} failed, "
-            f"{stats['wall_s']:.2f}s simulated wall, {stats['events']} events",
+            f"{stats['wall_s']:.2f}s host cell wall time, {stats['events']} events",
             file=sys.stderr,
         )
+    if _report_failures(results) and not allow_partial:
+        return None
+    return results
+
+
+def _report_failures(results) -> list:
+    """Print each failed cell's structured error record; returns them."""
     failed = [r for r in results if not r.ok]
     for r in failed:
         err = r.error or {}
@@ -386,9 +387,7 @@ def _run_cells(args, specs: list[RunSpec], allow_partial: bool = False) -> Optio
                 f"  {v['code']} @t={v['time_ns']}: {v['message']}",
                 file=sys.stderr,
             )
-    if failed and not allow_partial:
-        return None
-    return results
+    return failed
 
 
 def _cmd_list() -> None:
@@ -397,6 +396,7 @@ def _cmd_list() -> None:
     print("experiments: typea, compare, sweep, mix, typeb, chaos, migrate, dfrs, serve, attack, probe")
     print("tools      : trace (structured tracing + Perfetto export), "
           "perf (self-profiling micro-suite), "
+          "check (extension-grid claims on a --json export), "
           "lint (static determinism checks; --list-rules for codes), "
           "races (same-timestamp order-dependence detector)")
 
@@ -546,39 +546,27 @@ def _cmd_typeb(args) -> int:
     return 0
 
 
+def _run_grid(args, name: str, allow_partial: bool = False, **params) -> Optional[list]:
+    """Run one :data:`~repro.experiments.grids.GRIDS` grid and print its
+    table; None when a cell failed (unless ``allow_partial``)."""
+    grid = GRIDS[name]
+    specs = [replace(s, sanitize=args.sanitize) for s in grid.cells(**params)]
+    results = _run_cells(args, specs, allow_partial=allow_partial)
+    if results is not None:
+        title, headers, rows = grid.table(results)
+        print(format_table(headers, rows, title=title))
+    return results
+
+
 def _cmd_chaos(args) -> int:
     faults = _parse_faults(args, args.horizon)
     if not faults:
         print("repro chaos: --faults resolved to an empty plan", file=sys.stderr)
         return 2
-    base = dict(
+    results = _run_grid(
+        args, "chaos", allow_partial=True, faults=faults,
         app_name=args.app, scheduler=args.scheduler, n_nodes=args.nodes,
-        rounds=args.rounds, warmup_rounds=1, seed=args.seed,
-        horizon_s=args.horizon,
-    )
-    specs = [
-        RunSpec("type_a", dict(base), label="chaos:baseline", sanitize=args.sanitize),
-        RunSpec("type_a", dict(base, faults=faults), label="chaos:faulted",
-                sanitize=args.sanitize),
-    ]
-    if not getattr(args, "salvage", None):
-        args.salvage = "chaos_salvage.json"
-    results = _run_cells(args, specs, allow_partial=True)
-    rows = []
-    for r in results:
-        if r.ok:
-            v = r.value
-            rows.append((r.spec.label, v["rounds_measured"], v["mean_round_ns"] / 1e6,
-                         v["avg_spin_ns"] / 1e6, v["all_done"], v["events"]))
-        else:
-            err = (r.error or {}).get("type", "?")
-            rows.append((r.spec.label, "-", "-", "-", f"FAILED:{err}", "-"))
-    print(
-        format_table(
-            ["cell", "rounds", "mean round (ms)", "avg spin (ms)", "done", "events"],
-            rows,
-            title=f"Chaos — {args.app} on {args.nodes} nodes, plan {args.faults}",
-        )
+        rounds=args.rounds, warmup_rounds=1, seed=args.seed, horizon_s=args.horizon,
     )
     faulted = next((r for r in results if r.spec.label == "chaos:faulted" and r.ok), None)
     if faulted is not None and "faults" in faulted.value:
@@ -596,94 +584,34 @@ def _cmd_chaos(args) -> int:
 
 def _cmd_migrate(args) -> int:
     faults = _parse_faults(args, args.horizon)
-    base = dict(
+    results = _run_grid(
+        args, "migrate", policy=args.policy,
         placement=args.placement, scheduler=args.scheduler, n_nodes=args.nodes,
         n_clusters=args.clusters, vms_per_cluster=args.vms_per_cluster,
         app_name=args.app, seed=args.seed, horizon_s=args.horizon,
+        **({"faults": faults} if faults else {}),
     )
-    if faults:
-        base["faults"] = faults
-    specs = [
-        RunSpec("migration_rebalance", dict(base, policy="static"),
-                label="migrate:static", sanitize=args.sanitize),
-        RunSpec("migration_rebalance", dict(base, policy=args.policy),
-                label=f"migrate:{args.policy}", sanitize=args.sanitize),
-    ]
-    results = _run_cells(args, specs)
     if results is None:
         return 1
-    rows = []
-    for r in results:
-        v = r.value
-        mig = v.get("migration", {})
-        rows.append((
-            r.spec.label, v["parallel_mean_round_ns"] / 1e6,
-            mig.get("completed", 0), mig.get("aborted", 0),
-            mig.get("downtime_total_ns", 0) / 1e6, v["events"],
-        ))
-    print(
-        format_table(
-            ["cell", "parallel round (ms)", "migrations", "aborted",
-             "downtime (ms)", "events"],
-            rows,
-            title=f"Migration rebalance — {args.app} x{args.clusters} clusters, "
-            f"{args.placement} placement on {args.nodes} nodes",
-        )
-    )
-    rebalanced = results[1].value
-    moved = {
-        vm: node for vm, node in rebalanced["final_nodes"].items()
-        if results[0].value["final_nodes"].get(vm) != node
-    }
+    static, rebalanced = (r.value["final_nodes"] for r in results)
+    moved = {vm: node for vm, node in rebalanced.items() if static.get(vm) != node}
     if moved:
         placed = ", ".join(f"{vm}->node{n}" for vm, n in sorted(moved.items()))
         print(f"moved: {placed}", file=sys.stderr)
     return 0
 
 
-DFRS_MODES = ("baseline", "atc", "dfrs", "hybrid")
-
-
 def _cmd_dfrs(args) -> int:
     dfrs = {"solve_every": args.solve_every, "headroom": args.headroom}
     if args.moves:
         dfrs["allow_moves"] = True
-    base = dict(
-        placement=args.placement, n_nodes=args.nodes,
+    results = _run_grid(
+        args, "dfrs", placement=args.placement, n_nodes=args.nodes,
         n_clusters=args.clusters, vms_per_cluster=args.vms_per_cluster,
-        app_name=args.app, seed=args.seed, horizon_s=args.horizon,
-        dfrs=dfrs,
+        app_name=args.app, seed=args.seed, horizon_s=args.horizon, dfrs=dfrs,
     )
-    specs = [
-        RunSpec("dfrs_compare", dict(base, mode=mode),
-                label=f"dfrs:{mode}", sanitize=args.sanitize)
-        for mode in DFRS_MODES
-    ]
-    results = _run_cells(args, specs)
     if results is None:
         return 1
-    base_round = results[0].value["parallel_mean_round_ns"]
-    rows = []
-    for mode, r in zip(DFRS_MODES, results):
-        v = r.value
-        d = v.get("dfrs", {})
-        rows.append((
-            mode, v["scheduler"],
-            v["parallel_mean_round_ns"] / 1e6,
-            v["parallel_mean_round_ns"] / base_round,
-            v["np_mean_run_ns"] / 1e6,
-            d.get("solves", "-"), d.get("caps_applied", "-"),
-            f"{d['last_min_yield']:.3f}" if d else "-",
-        ))
-    print(
-        format_table(
-            ["mode", "sched", "parallel round (ms)", "vs CR",
-             "sphinx3 (ms)", "solves", "caps", "min yield"],
-            rows,
-            title=f"DFRS comparator — {args.app} x{args.clusters} clusters, "
-            f"{args.placement} placement on {args.nodes} nodes",
-        )
-    )
     violations = sum(r.value.get("dfrs", {}).get("violations", 0) for r in results)
     if violations:
         print(f"SAN009: {violations} allocation-consistency violation(s)",
@@ -694,7 +622,7 @@ def _cmd_dfrs(args) -> int:
 
 def _cmd_serve(args) -> int:
     params = dict(
-        admission=args.admission, arrival=args.arrival, scheduler=args.scheduler,
+        arrival=args.arrival, scheduler=args.scheduler,
         n_nodes=args.nodes, placement=args.placement, rate_per_s=args.rate,
         max_tenants=args.tenants, rounds=args.rounds, seed=args.seed,
         horizon_s=args.horizon,
@@ -704,37 +632,14 @@ def _cmd_serve(args) -> int:
 
         with open(args.trace_file) as fh:
             params["service_trace"] = _json.load(fh)
-    spec = RunSpec("service", params, label=f"serve:{args.admission}",
-                   sanitize=args.sanitize)
-    results = _run_cells(args, [spec])
+    results = _run_grid(args, "serve", admissions=(args.admission,), **params)
     if results is None:
         return 1
-    s = results[0].value["service"]
-    rows = [
-        ("submitted", s["submitted"]),
-        ("admitted", s["admitted"]),
-        ("rejected", s["rejected"]),
-        ("departed", s["departed"]),
-        ("still running", s["running_now"]),
-        ("still queued", s["queued_now"]),
-        ("queue peak", s["queue_peak"]),
-        ("mean wait (ms)", f"{s['wait_mean_ns'] / 1e6:.3f}"),
-        ("mean slowdown", f"{s['slowdown_mean']:.3f}"),
-        ("rebalancer kicks", s["rebalancer_kicks"]),
-    ]
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=f"Service — {args.admission} admission, {args.arrival} "
-            f"arrivals on {args.nodes} nodes",
-        )
-    )
     tenant_rows = [
         (t["name"], t["app"], t["n_vms"], t["state"],
          "-" if t["wait_ns"] is None else f"{t['wait_ns'] / 1e6:.3f}",
          "-" if t["slowdown"] is None else f"{t['slowdown']:.3f}")
-        for t in s["tenants"]
+        for t in results[0].value["service"]["tenants"]
     ]
     if tenant_rows:
         print(
@@ -748,57 +653,39 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    scheds = [args.scheduler] if args.scheduler else ["CR", "ATC"]
-    specs = [
-        RunSpec("attack", dict(
-            scheduler=sched, hardened=hardened, attack=attack,
-            seed=args.seed, horizon_s=args.horizon, victim_app=args.app,
-        ), label="attack:{}:{}:{}".format(
-            sched, "hard" if hardened else "open", "atk" if attack else "clean"
-        ), sanitize=args.sanitize)
-        for sched in scheds
-        for hardened in (False, True)
-        for attack in (False, True)
-    ]
-    results = _run_cells(args, specs)
+    results = _run_grid(
+        args, "attack", schedulers=[args.scheduler] if args.scheduler else ["CR", "ATC"],
+        seed=args.seed, horizon_s=args.horizon, victim_app=args.app,
+    )
     if results is None:
         return 1
-    by = {
-        (r.value["scheduler"], r.value["hardened"], r.value["attack"]): r.value
-        for r in results
-    }
-    rows = []
-    for sched in scheds:
-        for hardened in (False, True):
-            clean = by[(sched, hardened, False)]
-            atk = by[(sched, hardened, True)]
-            slow = atk["victim_mean_round_ns"] / clean["victim_mean_round_ns"]
-            rows.append((
-                sched,
-                "hardened" if hardened else "unhardened",
-                f"{slow:.3f}",
-                f"{atk['thief']['gain']:.3f}",
-                atk["tickler"]["boost_preempts_inflicted"],
-                atk["victim_boost_preempts_suffered"],
-            ))
-    print(
-        format_table(
-            ["scheduler", "config", "victim slowdown", "thief gain",
-             "tickle preempts", "victim preempts"],
-            rows,
-            title=f"Adversarial tenancy — {args.app} victim (tick-sampled "
-            "accounting; gain = CPU consumed / CPU debited)",
-        )
-    )
-    for sched in scheds:
-        slow_u = (by[(sched, False, True)]["victim_mean_round_ns"]
-                  / by[(sched, False, False)]["victim_mean_round_ns"])
-        slow_h = (by[(sched, True, True)]["victim_mean_round_ns"]
-                  / by[(sched, True, False)]["victim_mean_round_ns"])
-        if slow_u > 1.0:
-            rec = (slow_u - slow_h) / (slow_u - 1.0)
-            print(f"{sched}: hardening recovers {rec:.0%} of the victim slowdown",
-                  file=sys.stderr)
+    for m in attack_metrics(results):
+        if m["recovered"] is not None:
+            print(f"{m['scheduler']}: hardening recovers {m['recovered']:.0%} "
+                  "of the victim slowdown", file=sys.stderr)
+    return 0
+
+
+def _cmd_check(args) -> int:
+    grid = GRIDS[args.grid]
+    results = load_results(args.results)
+    scenarios = sorted({r.spec.scenario for r in results})
+    if scenarios != [grid.scenario]:
+        failures = [f"{args.results} holds {scenarios} cells, not [{grid.scenario!r}]"]
+    elif _report_failures(results):
+        failures = [f"{args.results} holds failed cells"]
+    else:
+        title, headers, rows = grid.table(results)
+        print(format_table(headers, rows, title=title))
+        failures = grid.claims(results)
+    if args.repeat:
+        failures += repeat_diff(results, load_results(args.repeat))
+    for f in failures:
+        print(f"CHECK FAILED: {f}", file=sys.stderr)
+    if failures:
+        return 1
+    print(f"{args.grid}: {len(results)} cells ok, every claim holds"
+          + (", repeat identical" if args.repeat else ""))
     return 0
 
 
@@ -993,6 +880,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "dfrs": _cmd_dfrs,
         "serve": _cmd_serve,
         "attack": _cmd_attack,
+        "check": _cmd_check,
         "probe": _cmd_probe,
         "trace": _cmd_trace,
         "perf": _cmd_perf,

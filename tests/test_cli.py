@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -57,6 +59,67 @@ def test_probe_command(capsys):
     assert main(["probe", "--scheduler", "CR", "--probes", "10"]) == 0
     out = capsys.readouterr().out
     assert "end to end" in out
+
+
+GRID_VERBS = [
+    (["chaos", "--app", "is", "--rounds", "1", "--horizon", "2",
+      "--faults", "random:2:1"], "Chaos"),
+    (["migrate", "--horizon", "2"], "Migration rebalance"),
+    (["dfrs", "--horizon", "2"], "DFRS comparator"),
+    (["serve", "--horizon", "5", "--tenants", "2"], "Service"),
+    (["attack", "--scheduler", "CR", "--horizon", "1"], "Adversarial tenancy"),
+]
+
+
+@pytest.mark.parametrize("argv,title", GRID_VERBS, ids=[a[0] for a, _ in GRID_VERBS])
+def test_grid_verb_and_check(argv, title, tmp_path, capsys, monkeypatch):
+    """Each extension grid verb prints its table and writes no file it was
+    not asked for, and its short-horizon export satisfies the grid's
+    claims under ``repro check``."""
+    monkeypatch.chdir(tmp_path)
+    export = tmp_path / "results.json"
+    assert main(argv + ["--json", str(export)]) == 0
+    assert title in capsys.readouterr().out
+    assert not (tmp_path / "chaos_salvage.json").exists()
+    assert main(["check", argv[0], str(export)]) == 0
+    assert "every claim holds" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def dfrs_export(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dfrs") / "dfrs.json"
+    assert main(["dfrs", "--horizon", "2", "--no-cache", "--json", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _write(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_check_names_a_failed_claim(dfrs_export, tmp_path, capsys):
+    tampered = json.loads(json.dumps(dfrs_export))
+    by = {r["spec"]["label"]: r["value"] for r in tampered["results"]}
+    by["dfrs:hybrid"]["parallel_mean_round_ns"] = 2 * by["dfrs:baseline"]["parallel_mean_round_ns"]
+    assert main(["check", "dfrs", _write(tmp_path / "t.json", tampered)]) == 1
+    err = capsys.readouterr().err
+    assert "CHECK FAILED" in err and "hybrid" in err
+
+
+def test_check_repeat_names_the_differing_leaf(dfrs_export, tmp_path, capsys):
+    good = _write(tmp_path / "a.json", dfrs_export)
+    assert main(["check", "dfrs", good, good]) == 0
+    assert "repeat identical" in capsys.readouterr().out
+    repeat = json.loads(json.dumps(dfrs_export))
+    repeat["results"][2]["value"]["events"] += 1
+    assert main(["check", "dfrs", good, _write(tmp_path / "b.json", repeat)]) == 1
+    err = capsys.readouterr().err
+    assert "dfrs:dfrs" in err and "events" in err
+
+
+def test_check_rejects_another_grids_export(dfrs_export, tmp_path, capsys):
+    assert main(["check", "attack", _write(tmp_path / "a.json", dfrs_export)]) == 1
+    assert "dfrs_compare" in capsys.readouterr().err
 
 
 def test_extended_kernels_run():

@@ -311,14 +311,19 @@ def test_runspec_tie_order_folds_into_key_only_when_set():
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def test_cli_races_subcommand(capsys):
+def test_cli_races_subcommand(capsys, tmp_path):
+    import json
+
     from repro.cli import main
 
+    report = tmp_path / "races_report.json"
     rc = main([
         "races", "type_a", "--app", "ep", "--scheduler", "ATC",
         "--nodes", "1", "--rounds", "1", "--suspects", "0",
+        "--json", str(report),
     ])
     out = capsys.readouterr().out
     assert rc == 0
     assert "identical" in out
     assert "no confirmed order dependence" in out
+    assert json.loads(report.read_text())["schema"] == "repro.races/v1"
