@@ -47,6 +47,7 @@ fixed by the engine's accounting phase.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.sanitizer import SimSanitizer, Violation
@@ -54,8 +55,7 @@ from repro.cluster.node import PCPU
 from repro.guest.process import GuestProcess
 from repro.guest.spinlock import SpinBarrier, SpinLock
 from repro.hypervisor.vm import VCPU, VM
-from repro.sim import engine
-from repro.sim.engine import ACCOUNTING_CATS, Simulator
+from repro.sim.engine import ACCOUNTING_CATS, Simulator, simulator_hook
 
 __all__ = [
     "TRACKED_CLASSES",
@@ -434,19 +434,10 @@ def run_differential(
 
     fn = SCENARIOS[scenario]
     tracker = TieRaceTracker() if track else None
-    prev_hook = engine.on_simulator_created
-
-    if tracker is not None:
-        def _hook(sim: Simulator) -> None:
-            if prev_hook is not None:
-                prev_hook(sim)
-            tracker.attach(sim)
-
-        engine.on_simulator_created = _hook
     try:
-        forward = fn(**params, sanitize=sanitize, tie_order="fifo")
+        with simulator_hook(tracker.attach) if tracker is not None else nullcontext():
+            forward = fn(**params, sanitize=sanitize, tie_order="fifo")
     finally:
-        engine.on_simulator_created = prev_hook
         if tracker is not None:
             tracker.detach()
 

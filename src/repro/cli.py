@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fail if events/sec regresses vs this baseline.json")
     sp.add_argument("--tolerance", type=float, default=None,
                     help="allowed fractional regression for --check "
-                    "(default 0.15, or REPRO_PERF_TOLERANCE)")
+                    "(default 0.15)")
     sp.add_argument("--write-baseline", default=None, metavar="PATH",
                     help="record measured events/sec as the new baseline")
     sp.add_argument("--history", default=None, metavar="JSONL",
@@ -347,6 +347,8 @@ def _progress(done: int, total: int, result) -> None:
 def _run_cells(args, specs: list[RunSpec], allow_partial: bool = False) -> Optional[list]:
     """Execute cells through the shared runner; None when any cell failed
     (unless ``allow_partial``, which returns whatever settled)."""
+    if args.sanitize:
+        specs = [replace(spec, params={**spec.params, "sanitize": True}) for spec in specs]
     progress = _progress if (args.jobs > 1 or len(specs) > 1) else None
     results = run_sweep(
         specs,
@@ -421,7 +423,7 @@ def _cmd_typea(args) -> int:
     faults = _parse_faults(args, 300.0)
     if faults:
         params["faults"] = faults
-    spec = RunSpec("type_a", params, sanitize=args.sanitize)
+    spec = RunSpec("type_a", params)
     results = _run_cells(args, [spec])
     if results is None:
         return 1
@@ -442,7 +444,7 @@ def _cmd_compare(args) -> int:
         RunSpec("type_a", dict(
             app_name=args.app, scheduler=sched, n_nodes=args.nodes,
             rounds=args.rounds, warmup_rounds=1, seed=args.seed,
-        ), label=f"compare:{sched}", sanitize=args.sanitize)
+        ), label=f"compare:{sched}")
         for sched in COMPARE_SCHEDS
     ]
     results = _run_cells(args, specs)
@@ -477,7 +479,7 @@ def _cmd_sweep(args) -> int:
             app_name=args.app, slice_ms_values=[sm], n_nodes=args.nodes,
             rounds=2, warmup_rounds=1, npb_class=args.npb_class, seed=args.seed,
             **extra,
-        ), label=f"sweep:{args.app}@{sm}ms", sanitize=args.sanitize)
+        ), label=f"sweep:{args.app}@{sm}ms")
         for sm in slices
     ]
     results = _run_cells(args, specs)
@@ -503,7 +505,7 @@ def _cmd_mix(args) -> int:
     spec = RunSpec("small_mix", dict(
         scheduler=args.scheduler, seed=args.seed, horizon_s=args.horizon,
         atc_np_slice_ms=args.np_slice,
-    ), sanitize=args.sanitize)
+    ))
     results = _run_cells(args, [spec])
     if results is None:
         return 1
@@ -526,7 +528,7 @@ def _cmd_typeb(args) -> int:
     spec = RunSpec("type_b", dict(
         scheduler=args.scheduler, n_nodes=args.nodes, seed=args.seed,
         horizon_s=args.horizon,
-    ), sanitize=args.sanitize)
+    ))
     results = _run_cells(args, [spec])
     if results is None:
         return 1
@@ -550,8 +552,7 @@ def _run_grid(args, name: str, allow_partial: bool = False, **params) -> Optiona
     """Run one :data:`~repro.experiments.grids.GRIDS` grid and print its
     table; None when a cell failed (unless ``allow_partial``)."""
     grid = GRIDS[name]
-    specs = [replace(s, sanitize=args.sanitize) for s in grid.cells(**params)]
-    results = _run_cells(args, specs, allow_partial=allow_partial)
+    results = _run_cells(args, grid.cells(**params), allow_partial=allow_partial)
     if results is not None:
         title, headers, rows = grid.table(results)
         print(format_table(headers, rows, title=title))
@@ -668,7 +669,12 @@ def _cmd_attack(args) -> int:
 
 def _cmd_check(args) -> int:
     grid = GRIDS[args.grid]
-    results = load_results(args.results)
+    try:
+        results = load_results(args.results)
+        repeat = load_results(args.repeat) if args.repeat else None
+    except ValueError as exc:
+        print(f"repro check: {exc}", file=sys.stderr)
+        return 2
     scenarios = sorted({r.spec.scenario for r in results})
     if scenarios != [grid.scenario]:
         failures = [f"{args.results} holds {scenarios} cells, not [{grid.scenario!r}]"]
@@ -678,8 +684,8 @@ def _cmd_check(args) -> int:
         title, headers, rows = grid.table(results)
         print(format_table(headers, rows, title=title))
         failures = grid.claims(results)
-    if args.repeat:
-        failures += repeat_diff(results, load_results(args.repeat))
+    if repeat is not None:
+        failures += repeat_diff(results, repeat)
     for f in failures:
         print(f"CHECK FAILED: {f}", file=sys.stderr)
     if failures:

@@ -11,7 +11,6 @@ from repro.experiments.runner import (
     sweep_stats,
 )
 from repro.experiments.scenarios import (
-    full_scale,
     run_packet_path_probe,
     run_slice_sweep,
     run_small_mix,
@@ -32,7 +31,6 @@ __all__ = [
     "format_table",
     "to_csv",
     "to_markdown",
-    "full_scale",
     "run_packet_path_probe",
     "run_slice_sweep",
     "run_small_mix",

@@ -417,15 +417,35 @@ GRIDS = {
 # ----------------------------------------------------------------------
 def load_results(path) -> list[RunResult]:
     """Read a ``--json`` export (:func:`repro.experiments.runner.export_json`)
-    back into :class:`RunResult` objects."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return [
-        RunResult(spec=RunSpec(**r["spec"]), ok=r["ok"], value=r["value"],
-                  error=r["error"], wall_s=r["wall_s"], attempts=r["attempts"],
-                  cached=r["cached"])
-        for r in payload["results"]
-    ]
+    back into :class:`RunResult` objects.
+
+    Raises :class:`ValueError` naming ``path`` and the problem when the
+    file is unreadable, is not an export, or holds a cell record this
+    version cannot rebuild (e.g. a spec field that no longer exists)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from None
+    cells = payload.get("results") if isinstance(payload, dict) else None
+    if not isinstance(cells, list):
+        raise ValueError(f'{path} is not a --json export: no top-level "results" list')
+    results = []
+    for i, r in enumerate(cells):
+        try:
+            results.append(
+                RunResult(spec=RunSpec(**r["spec"]), ok=r["ok"], value=r["value"],
+                          error=r["error"], wall_s=r["wall_s"], attempts=r["attempts"],
+                          cached=r["cached"])
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                f"{path}: results[{i}] is not a cell record of this version: "
+                f"{type(exc).__name__}: {exc}"
+            ) from None
+    return results
 
 
 def repeat_diff(a: Sequence[RunResult], b: Sequence[RunResult]) -> list[str]:

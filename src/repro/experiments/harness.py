@@ -78,12 +78,11 @@ class WorldConfig:
     period_ns: int = 30 * MSEC
     #: Deterministic seed for all workload randomness.
     seed: int = 0
-    #: Tie-order mode among same-timestamp events: "fifo", "reversed", or
-    #: ``None`` to follow the ``REPRO_TIE_ORDER`` env var (default fifo).
+    #: Tie-order mode among same-timestamp events: "fifo" or "reversed".
     #: "reversed" is the race-detector differential mode (see
     #: :mod:`repro.analysis.races`): any metric difference between a fifo
     #: and a reversed run of the same world is a confirmed order-dependence.
-    tie_order: Optional[str] = None
+    tie_order: str = "fifo"
     #: PV-spinlock grace budget: CPU time a guest waiter spins before
     #: blocking on its event channel (None = spin forever; see
     #: repro.guest.kernel.GuestKernel).

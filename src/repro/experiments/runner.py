@@ -46,8 +46,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from repro.analysis.sanitizer import SanitizerViolationError
 from repro.experiments import scenarios
-from repro.sim import engine as sim_engine
-from repro.sim.engine import WatchdogExceeded, install_watchdog
+from repro.sim.engine import WatchdogExceeded, install_watchdog, simulator_hook
 
 __all__ = [
     "SCENARIOS",
@@ -131,22 +130,11 @@ class RunSpec:
     ``scenario`` names an entry of :data:`SCENARIOS`; ``params`` are its
     keyword arguments and must be JSON-serializable (they form the cache
     key).  ``label`` is only for progress display and defaults to a
-    compact rendering of the params.
-
-    ``sanitize`` runs the cell under the runtime invariant sanitizer
-    (:mod:`repro.analysis.sanitizer`).  The sanitizer's hooks are
-    read-only, so results are bit-identical either way; the flag is
-    folded into the cache key only when set, keeping existing cached
-    digests valid.
-
-    ``trace`` and ``profile`` attach the observability layers
-    (:mod:`repro.obs`): tracing adds a ``"trace"`` key (ring-buffer
-    summary + records) and profiling a ``"profile"`` key (wall-clock
-    self-profile) to the cell's value.  Like ``sanitize``, both are
-    read-only observation and fold into the cache key only when set —
-    but a profiled value embeds host wall-clock numbers, so profiled
-    cells are cached separately and their ``"profile"`` content is
-    machine-dependent.
+    compact rendering of the params.  Run-wide world options
+    (``sanitize``, ``trace``, ``profile``, ``faults``, ``tie_order``...)
+    are scenario keywords like any other: they travel in ``params`` and
+    so enter the cache key only when set.  A profiled value embeds host
+    wall-clock numbers, so its ``"profile"`` content is machine-dependent.
 
     ``max_sim_events`` / ``max_sim_ns`` arm a *simulated-time* watchdog
     (:func:`repro.sim.engine.install_watchdog`) on every simulator the
@@ -154,24 +142,13 @@ class RunSpec:
     :class:`~repro.sim.engine.WatchdogExceeded` instead of spinning until
     the host-side timeout kills it.  Folded into the cache key only when
     set.
-
-    ``tie_order`` selects the simulator's ordering among same-timestamp
-    events (``"fifo"``/``"reversed"``, see
-    :data:`repro.sim.engine.TIE_ORDERS`).  The race-detector differential
-    (:mod:`repro.analysis.races`) runs each cell once per tie order and
-    diffs the results.  Folded into the cache key only when set, so
-    existing cached digests of plain (fifo) cells stay valid.
     """
 
     scenario: str
     params: Mapping = field(default_factory=dict)
     label: str = ""
-    sanitize: bool = False
-    trace: bool = False
-    profile: bool = False
     max_sim_events: Optional[int] = None
     max_sim_ns: Optional[int] = None
-    tie_order: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -187,20 +164,10 @@ class RunSpec:
     def key(self) -> str:
         """Canonical JSON identity of the cell (scenario + params)."""
         payload = {"scenario": self.scenario, "params": self.params}
-        if self.sanitize:
-            # Only present when set, so pre-existing cache digests of
-            # unsanitized cells stay valid.
-            payload["sanitize"] = True
-        if self.trace:
-            payload["trace"] = True
-        if self.profile:
-            payload["profile"] = True
         if self.max_sim_events is not None:
             payload["max_sim_events"] = self.max_sim_events
         if self.max_sim_ns is not None:
             payload["max_sim_ns"] = self.max_sim_ns
-        if self.tie_order is not None:
-            payload["tie_order"] = self.tie_order
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def digest(self, salt: Optional[str] = None) -> str:
@@ -211,18 +178,10 @@ class RunSpec:
 
     def to_dict(self) -> dict:
         d = {"scenario": self.scenario, "params": dict(self.params), "label": self.label}
-        if self.sanitize:
-            d["sanitize"] = True
-        if self.trace:
-            d["trace"] = True
-        if self.profile:
-            d["profile"] = True
         if self.max_sim_events is not None:
             d["max_sim_events"] = self.max_sim_events
         if self.max_sim_ns is not None:
             d["max_sim_ns"] = self.max_sim_ns
-        if self.tie_order is not None:
-            d["tie_order"] = self.tie_order
         return d
 
 
@@ -264,35 +223,20 @@ class RunResult:
 def _execute_cell(spec: RunSpec, retries: int = 1) -> dict:
     """Run one cell with retry; always returns a plain (picklable) dict."""
     fn = SCENARIOS[spec.scenario]
-    kwargs = dict(spec.params)
-    if spec.sanitize:
-        kwargs["sanitize"] = True
-    if spec.trace:
-        kwargs["trace"] = True
-    if spec.profile:
-        kwargs["profile"] = True
-    if spec.tie_order is not None:
-        kwargs["tie_order"] = spec.tie_order
     attempts = 0
     last_exc: Optional[BaseException] = None
     # Host wall-clock (never feeds simulation state, so exempt from the
     # determinism lint).
     t0 = time.perf_counter()  # repro: ignore[RPR001]
-    prev_hook = sim_engine.on_simulator_created
-    if spec.max_sim_events is not None or spec.max_sim_ns is not None:
-        # Arm the runaway watchdog on every simulator the cell builds,
-        # chaining whatever hook (profiler attach, ...) is already there.
-        def _hook(sim, _prev=prev_hook) -> None:
-            if _prev is not None:
-                _prev(sim)
-            install_watchdog(sim, spec.max_sim_events, spec.max_sim_ns)
-
-        sim_engine.on_simulator_created = _hook
-    try:
+    # Arm the runaway watchdog (a no-op without budgets) on every
+    # simulator the cell builds.
+    with simulator_hook(
+        lambda sim: install_watchdog(sim, spec.max_sim_events, spec.max_sim_ns)
+    ):
         while attempts <= retries:
             attempts += 1
             try:
-                value = fn(**kwargs)
+                value = fn(**spec.params)
                 return {
                     "ok": True,
                     "value": value,
@@ -307,8 +251,6 @@ def _execute_cell(spec: RunSpec, retries: int = 1) -> dict:
                 break
             except Exception as exc:  # noqa: BLE001 - converted to a record
                 last_exc = exc
-    finally:
-        sim_engine.on_simulator_created = prev_hook
     error = {
         "type": type(last_exc).__name__,
         "message": str(last_exc),

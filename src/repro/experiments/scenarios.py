@@ -36,6 +36,13 @@ Setups reproduced:
   policy admits/queues/rejects them, and completed tenants are torn
   down with their resources reclaimed.  Compares admission policies at
   equal offered load.
+
+Run-wide options are declared once, as :class:`WorldConfig` fields
+(``sched_params``, ``sanitize``, ``trace``, ``profile``, ``faults``,
+``tie_order``...).  Every builder takes them as ``**world_opts`` and
+hands them to :func:`_world` unchanged, so a misspelled option raises
+``TypeError`` when the config is built, before any simulation.  A
+builder spells out only the parameters it inspects itself.
 """
 
 from __future__ import annotations
@@ -71,13 +78,7 @@ __all__ = [
     "run_service",
     "run_dfrs_compare",
     "run_attack",
-    "full_scale",
 ]
-
-
-def full_scale() -> bool:
-    """True when REPRO_FULL=1: run paper-scale sweeps (slow)."""
-    return os.environ.get("REPRO_FULL", "0") == "1"
 
 
 # ----------------------------------------------------------------------
@@ -85,44 +86,25 @@ def _world(
     n_nodes: int,
     scheduler: str,
     seed: int,
-    uniform_slice_ns: Optional[int] = None,
-    sched_params: Optional[SchedulerParams] = None,
-    vcpus_per_vm: int = 8,
-    vms_per_node: int = 4,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
     faults: Optional[Sequence[dict]] = None,
-    placement: str = "spread",
     migration: Optional[dict] = None,
     service: Optional[dict] = None,
     dfrs: Optional[dict] = None,
-    tie_order: Optional[str] = None,
+    **config,
 ) -> CloudWorld:
     # Fault plans, migration/service/DFRS configs travel through scenario
     # params as JSON dicts so they are picklable and fold into the sweep
-    # cache key automatically.
-    plan = FaultPlan.from_dicts(faults) if faults else None
+    # cache key automatically; every other option is a WorldConfig field.
     return CloudWorld(
         WorldConfig(
             n_nodes=n_nodes,
-            tie_order=tie_order,
-            vms_per_node=vms_per_node,
-            vcpus_per_vm=vcpus_per_vm,
             scheduler=scheduler,
-            sched_params=sched_params,
-            uniform_slice_ns=uniform_slice_ns,
             seed=seed,
-            sanitize=sanitize,
-            trace=trace,
-            trace_capacity=trace_capacity,
-            profile=profile,
-            faults=plan,
-            placement=placement,
+            faults=FaultPlan.from_dicts(faults) if faults else None,
             migration=MigrationConfig.from_dict(migration) if migration else None,
             service=ServiceConfig.from_dict(service) if service else None,
             dfrs=DFRSConfig.from_dict(dfrs) if dfrs is not None else None,
+            **config,
         )
     )
 
@@ -162,29 +144,19 @@ def run_type_a(
     seed: int = 0,
     vcpus_per_vm: int = 8,
     horizon_s: float = 300.0,
-    sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
     uniform_slice_ms: Optional[float] = None,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **world_opts,
 ) -> dict:
     """Evaluation type A (Figs. 1, 10): four identical virtual clusters,
     one VM per node each, all running ``app_name``.
 
     ``uniform_slice_ms`` forces a static guest slice (CR sweeps and the
-    ``repro trace`` CLI); ``trace``/``profile`` attach the observability
-    layers and fold their outputs into the result; ``faults`` is a fault
-    plan as dict list (:meth:`repro.faults.plan.FaultPlan.to_dicts`).
+    ``repro trace`` CLI).
     """
     world = _world(
-        n_nodes, scheduler, seed, sched_params=sched_params,
-        vcpus_per_vm=vcpus_per_vm, sanitize=sanitize,
+        n_nodes, scheduler, seed, vcpus_per_vm=vcpus_per_vm,
         uniform_slice_ns=None if uniform_slice_ms is None else ns_from_ms(uniform_slice_ms),
-        trace=trace, trace_capacity=trace_capacity, profile=profile, faults=faults,
-        tie_order=tie_order,
+        **world_opts,
     )
     apps = []
     for k in range(n_vclusters):
@@ -217,10 +189,7 @@ def run_table1_cell(
     seed: int = 0,
     horizon_s: float = 2.0,
     n_nodes: int = 32,
-    sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    profile: bool = False,
-    tie_order: Optional[str] = None,
+    **world_opts,
 ) -> dict:
     """One full-scale Table-I trace cell: the paper's exact 32-node /
     256-core evaluation-type-B platform (Section IV-B2).
@@ -237,9 +206,8 @@ def run_table1_cell(
 
     mix = paper_vc_mix()
     world = _world(
-        n_nodes, scheduler, seed, sched_params=sched_params,
-        vcpus_per_vm=mix.vcpus_per_vm, vms_per_node=4, sanitize=sanitize,
-        profile=profile, tie_order=tie_order,
+        n_nodes, scheduler, seed, vcpus_per_vm=mix.vcpus_per_vm, vms_per_node=4,
+        **world_opts,
     )
     rng = world.rng.substream(999)
     vc_apps = []
@@ -284,24 +252,22 @@ def run_slice_sweep(
     seed: int = 0,
     vcpus_per_vm: int = 8,
     horizon_s: float = 300.0,
-    sanitize: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **world_opts,
 ) -> dict:
     """Static slice sweep under CR (Figs. 5 and 8).
 
     Paper setup: two nodes, four VMs per node forming four identical
     two-VM virtual clusters.  Returns per-slice execution time, average
-    spinlock latency, LLC misses and context switches.  A ``faults`` plan
-    applies identically to every slice's world.
+    spinlock latency, LLC misses and context switches.  World options
+    (a ``faults`` plan, tracing...) apply identically to every slice's
+    world, and each row carries that world's observability outputs.
     """
     rows = []
     total_events = 0
     for sm in slice_ms_values:
         world = _world(
             n_nodes, "CR", seed, uniform_slice_ns=ns_from_ms(sm),
-            vcpus_per_vm=vcpus_per_vm, sanitize=sanitize, faults=faults,
-            tie_order=tie_order,
+            vcpus_per_vm=vcpus_per_vm, **world_opts,
         )
         apps = []
         for k in range(n_vclusters):
@@ -316,15 +282,18 @@ def run_slice_sweep(
         stats = cluster_stats(world.cluster)
         busy = max(1, stats["busy_ns"])
         rows.append(
-            {
-                "slice_ms": sm,
-                "mean_round_ns": mean(times),
-                "avg_spin_ns": mean([vm.kernel.avg_spin_ns for vm in world.vms]),
-                "llc_misses": stats["llc_misses"],
-                "miss_rate_per_ms": stats["llc_misses"] / (busy / MSEC),
-                "context_switches": stats["context_switches"],
-                "all_done": world.all_apps_done,
-            }
+            _attach_obs(
+                {
+                    "slice_ms": sm,
+                    "mean_round_ns": mean(times),
+                    "avg_spin_ns": mean([vm.kernel.avg_spin_ns for vm in world.vms]),
+                    "llc_misses": stats["llc_misses"],
+                    "miss_rate_per_ms": stats["llc_misses"] / (busy / MSEC),
+                    "context_switches": stats["context_switches"],
+                    "all_done": world.all_apps_done,
+                },
+                world,
+            )
         )
         total_events += world.sim.events_processed
     return {"app": app_name, "npb_class": npb_class, "rows": rows, "events": total_events}
@@ -337,13 +306,7 @@ def run_small_mix(
     uniform_slice_ms: Optional[float] = None,
     parallel_app: str = "lu",
     atc_np_slice_ms: Optional[float] = None,
-    sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **world_opts,
 ) -> dict:
     """Section II-A2 platform (Figs. 2 and 9): two nodes, four VMs each;
     three two-VM virtual clusters run ``parallel_app`` in the background,
@@ -354,17 +317,9 @@ def run_small_mix(
     under ATC (the ATC(6ms) variant of Section IV-C).
     """
     world = _world(
-        2,
-        scheduler,
-        seed,
+        2, scheduler, seed,
         uniform_slice_ns=None if uniform_slice_ms is None else ns_from_ms(uniform_slice_ms),
-        sched_params=sched_params,
-        sanitize=sanitize,
-        trace=trace,
-        trace_capacity=trace_capacity,
-        profile=profile,
-        faults=faults,
-        tie_order=tie_order,
+        **world_opts,
     )
     bg_apps = []
     for k in range(3):
@@ -415,22 +370,12 @@ def run_type_b(
     n_nodes: int = 8,
     seed: int = 0,
     horizon_s: float = 6.0,
-    sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **world_opts,
 ) -> dict:
     """Evaluation type B (Fig. 11): LLNL-trace virtual-cluster mix, every
     cluster running a random NPB kernel repeatedly;
     independent VMs run lu.B or is.B.  Per-VC mean round times returned."""
-    world = _world(
-        n_nodes, scheduler, seed, sched_params=sched_params, sanitize=sanitize,
-        trace=trace, trace_capacity=trace_capacity, profile=profile, faults=faults,
-        tie_order=tie_order,
-    )
+    world = _world(n_nodes, scheduler, seed, **world_opts)
     rng = world.rng.substream(999)
     mix = _scaled_vc_mix(world, rng)
     vc_apps = []
@@ -472,22 +417,12 @@ def run_type_b_mixed(
     seed: int = 0,
     horizon_s: float = 6.0,
     atc_np_slice_ms: Optional[float] = None,
-    sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **world_opts,
 ) -> dict:
     """Section IV-C (Figs. 12-14): type B clusters plus independent VMs
     running lu/is and the non-parallel suite.  One extra node hosts the
     httperf client (the paper drives web load from separate machines)."""
-    world = _world(
-        n_nodes + 1, scheduler, seed, sched_params=sched_params, sanitize=sanitize,
-        trace=trace, trace_capacity=trace_capacity, profile=profile, faults=faults,
-        tie_order=tie_order,
-    )
+    world = _world(n_nodes + 1, scheduler, seed, **world_opts)
     # keep the client node (last index) out of general placement
     world._node_vm_load[n_nodes] = world.config.vms_per_node - 1
     rng = world.rng.substream(999)
@@ -565,13 +500,7 @@ def run_packet_path_probe(
     seed: int = 0,
     horizon_s: float = 30.0,
     background_app: str = "lu",
-    sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **world_opts,
 ) -> dict:
     """Fig. 4: measure the four scheduling-wait overhead sources on the
     cross-VM packet path while parallel load keeps the hosts busy.
@@ -584,13 +513,7 @@ def run_packet_path_probe(
     world = _world(
         2, scheduler, seed,
         uniform_slice_ns=None if uniform_slice_ms is None else ns_from_ms(uniform_slice_ms),
-        sched_params=sched_params,
-        sanitize=sanitize,
-        trace=trace,
-        trace_capacity=trace_capacity,
-        profile=profile,
-        faults=faults,
-        tie_order=tie_order,
+        **world_opts,
     )
     for k in range(3):
         vc = world.virtual_cluster(n_vms=2, name=f"vc{k}")
@@ -647,13 +570,7 @@ def run_migration_rebalance(
     seed: int = 0,
     horizon_s: float = 10.0,
     migration: Optional[dict] = None,
-    sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **world_opts,
 ) -> dict:
     """Mixed-tenancy world under a live-migration rebalancing policy.
 
@@ -672,11 +589,10 @@ def run_migration_rebalance(
     overrides as a JSON-friendly dict (``control_every``, ``params``...).
     """
     world = _world(
-        n_nodes, scheduler, seed, sched_params=sched_params,
-        vcpus_per_vm=vcpus_per_vm, vms_per_node=vms_per_node,
-        sanitize=sanitize, trace=trace, trace_capacity=trace_capacity,
-        profile=profile, faults=faults, placement=placement, tie_order=tie_order,
+        n_nodes, scheduler, seed, vcpus_per_vm=vcpus_per_vm,
+        vms_per_node=vms_per_node, placement=placement,
         migration=None if policy == "static" else {"policy": policy, **(migration or {})},
+        **world_opts,
     )
     apps = []
     for k in range(n_clusters):
@@ -713,13 +629,7 @@ def run_dfrs_compare(
     seed: int = 0,
     horizon_s: float = 10.0,
     dfrs: Optional[dict] = None,
-    sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **world_opts,
 ) -> dict:
     """DFRS comparator cell: one mixed-tenancy packed world (the
     ``run_migration_rebalance`` shape) run under one point of the
@@ -757,11 +667,9 @@ def run_dfrs_compare(
             f"unknown dfrs_compare mode {mode!r}; choose from {sorted(modes)}"
         ) from None
     world = _world(
-        n_nodes, scheduler, seed, sched_params=sched_params,
-        vcpus_per_vm=vcpus_per_vm, vms_per_node=vms_per_node,
-        sanitize=sanitize, trace=trace, trace_capacity=trace_capacity,
-        profile=profile, faults=faults, placement=placement,
-        tie_order=tie_order, dfrs=dfrs_cfg,
+        n_nodes, scheduler, seed, vcpus_per_vm=vcpus_per_vm,
+        vms_per_node=vms_per_node, placement=placement, dfrs=dfrs_cfg,
+        **world_opts,
     )
     apps = []
     for k in range(n_clusters):
@@ -806,13 +714,7 @@ def run_service(
     seed: int = 0,
     horizon_s: float = 30.0,
     migration: Optional[dict] = None,
-    sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **world_opts,
 ) -> dict:
     """Always-on cloud service: streaming tenant arrivals under an
     online admission policy (:mod:`repro.service`).
@@ -842,11 +744,9 @@ def run_service(
         "npb_class": npb_class,
     }
     world = _world(
-        n_nodes, scheduler, seed, sched_params=sched_params,
-        vcpus_per_vm=vcpus_per_vm, vms_per_node=vms_per_node,
-        sanitize=sanitize, trace=trace, trace_capacity=trace_capacity,
-        profile=profile, faults=faults, placement=placement,
-        migration=migration, service=service, tie_order=tie_order,
+        n_nodes, scheduler, seed, vcpus_per_vm=vcpus_per_vm,
+        vms_per_node=vms_per_node, placement=placement,
+        migration=migration, service=service, **world_opts,
     )
     world.run(horizon_ns=round(horizon_s * SEC))
     return _attach_obs({
@@ -874,12 +774,7 @@ def run_attack(
     boost_rate_limit: int = 2,
     slice_floor_ms: float = 6.0,
     sched_params: Optional[SchedulerParams] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_capacity: int = 65536,
-    profile: bool = False,
-    faults: Optional[Sequence[dict]] = None,
-    tie_order: Optional[str] = None,
+    **world_opts,
 ) -> dict:
     """Adversarial-tenancy cell (DESIGN.md §15): one over-committed node
     hosting a parallel victim cluster, a non-parallel victim, and two
@@ -935,9 +830,7 @@ def run_attack(
             sched_params = CreditParams(**knobs)
     world = _world(
         n_nodes, scheduler, seed, sched_params=sched_params,
-        vcpus_per_vm=vcpus_per_vm, vms_per_node=4, sanitize=sanitize,
-        trace=trace, trace_capacity=trace_capacity, profile=profile,
-        faults=faults, tie_order=tie_order,
+        vcpus_per_vm=vcpus_per_vm, vms_per_node=4, **world_opts,
     )
     vc = world.virtual_cluster(n_vms=n_nodes, name="victim")
     victim = world.add_npb(victim_app, vc.vms, rounds=None, warmup_rounds=1,

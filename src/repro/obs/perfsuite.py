@@ -60,16 +60,15 @@ __all__ = [
     "write_baseline",
     "check_baseline",
     "append_history",
-    "default_tolerance",
+    "DEFAULT_TOLERANCE",
 ]
 
 #: Baseline-file schema version.
 BASELINE_VERSION = 1
 
 
-def default_tolerance() -> float:
-    """Allowed fractional events/sec drop vs baseline (CI gate)."""
-    return float(os.environ.get("REPRO_PERF_TOLERANCE", "0.15"))
+#: Allowed fractional events/sec drop vs baseline (CI gate).
+DEFAULT_TOLERANCE = 0.15
 
 
 def _merge(throughput: dict, detail: dict) -> dict:
@@ -303,7 +302,7 @@ def check_baseline(
     missing from the baseline are reported (the baseline must be refreshed
     when the suite grows); baseline cases not measured are ignored.
     """
-    tol = default_tolerance() if tolerance is None else tolerance
+    tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
     with Path(baseline_path).open("r", encoding="utf-8") as fh:
         baseline = json.load(fh)
     if baseline.get("version") != BASELINE_VERSION:

@@ -25,15 +25,12 @@ sweep cache folds the ``profile`` flag into the key only when set).
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
-
-from repro.sim import engine as _engine
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
-__all__ = ["SimProfiler", "profile_new_simulators"]
+__all__ = ["SimProfiler"]
 
 #: Category used for events scheduled without a ``cat`` tag.
 UNCATEGORIZED = "uncat"
@@ -112,29 +109,3 @@ class SimProfiler:
             "cancelled_popped": cancelled,
             "cancel_waste_ratio": (cancelled / pops) if pops else 0.0,
         }
-
-
-@contextmanager
-def profile_new_simulators(
-    clock: Optional[Callable[[], float]] = None,
-) -> Iterator[list[SimProfiler]]:
-    """Attach a :class:`SimProfiler` to every simulator constructed inside
-    the context (via :data:`repro.sim.engine.on_simulator_created`).
-
-    Yields the list of attached profilers, in construction order — this is
-    how the perf micro-suite profiles simulators created deep inside
-    scenario builders it does not control.
-    """
-    profilers: list[SimProfiler] = []
-    prev = _engine.on_simulator_created
-
-    def attach(sim: "Simulator") -> None:
-        if prev is not None:
-            prev(sim)
-        profilers.append(SimProfiler(sim, clock=clock))
-
-    _engine.on_simulator_created = attach
-    try:
-        yield profilers
-    finally:
-        _engine.on_simulator_created = prev

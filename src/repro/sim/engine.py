@@ -25,7 +25,7 @@ Design notes (following the repository's HPC-Python guidelines):
 
 from __future__ import annotations
 
-import os
+from contextlib import contextmanager
 from heapq import heappop, heappush
 from typing import Callable, Iterator, Optional
 
@@ -36,15 +36,38 @@ __all__ = [
     "WatchdogExceeded",
     "install_watchdog",
     "on_simulator_created",
+    "simulator_hook",
     "TIE_ORDERS",
     "ACCOUNTING_CATS",
 ]
 
 #: Optional callable invoked with every newly constructed :class:`Simulator`.
-#: The observability layer (:mod:`repro.obs.profiler`) uses this to attach a
-#: self-profiler to simulators created deep inside scenario builders without
-#: threading a reference through every call site.  ``None`` disables it.
+#: Lets the sweep runner's watchdog and the race tracker attach to
+#: simulators created deep inside scenario builders without threading a
+#: reference through every call site.  ``None`` disables it; install hooks
+#: with :func:`simulator_hook` rather than assigning it directly.
 on_simulator_created: Optional[Callable[["Simulator"], None]] = None
+
+
+@contextmanager
+def simulator_hook(hook: Callable[["Simulator"], None]) -> Iterator[None]:
+    """Call ``hook`` on every :class:`Simulator` constructed inside the
+    context, after any hook already installed by an enclosing context.
+    The previous hook is restored on exit, exception or not."""
+    global on_simulator_created
+    outer = on_simulator_created
+
+    def chained(sim: "Simulator") -> None:
+        if outer is not None:
+            outer(sim)
+        hook(sim)
+
+    on_simulator_created = chained
+    try:
+        yield
+    finally:
+        on_simulator_created = outer
+
 
 #: Recognized tie-order modes for events sharing a timestamp.  ``"fifo"``
 #: (default) pops simultaneous events in scheduling order; ``"reversed"``
@@ -190,9 +213,7 @@ class Simulator:
         "profiler",
     )
 
-    def __init__(self, tie_order: Optional[str] = None) -> None:
-        if tie_order is None:
-            tie_order = os.environ.get("REPRO_TIE_ORDER") or "fifo"
+    def __init__(self, tie_order: str = "fifo") -> None:
         if tie_order not in TIE_ORDERS:
             raise SimulationError(
                 f"unknown tie order {tie_order!r}; expected one of {TIE_ORDERS}"

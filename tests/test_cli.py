@@ -122,6 +122,33 @@ def test_check_rejects_another_grids_export(dfrs_export, tmp_path, capsys):
     assert "dfrs_compare" in capsys.readouterr().err
 
 
+def _check_input_error(capsys, path) -> str:
+    """``repro check`` on bad input exits 2 with a one-line message."""
+    assert main(["check", "dfrs", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro check: ") and path in err
+    assert "Traceback" not in err
+    return err
+
+
+def test_check_rejects_a_missing_file(tmp_path, capsys):
+    err = _check_input_error(capsys, str(tmp_path / "absent.json"))
+    assert "No such file" in err
+
+
+def test_check_rejects_a_json_list(tmp_path, capsys):
+    err = _check_input_error(capsys, _write(tmp_path / "list.json", []))
+    assert '"results"' in err
+
+
+def test_check_rejects_a_spec_with_an_unknown_key(dfrs_export, tmp_path, capsys):
+    # exports once carried ``sanitize`` as a top-level spec field
+    old = json.loads(json.dumps(dfrs_export))
+    old["results"][0]["spec"]["sanitize"] = True
+    err = _check_input_error(capsys, _write(tmp_path / "old.json", old))
+    assert "results[0]" in err and "sanitize" in err
+
+
 def test_extended_kernels_run():
     """ep (no communication) and ft (all-to-all) run end-to-end."""
     from repro.experiments.scenarios import run_type_a

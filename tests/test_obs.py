@@ -5,11 +5,11 @@ import json
 import pytest
 
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profiler import SimProfiler, profile_new_simulators
+from repro.obs.profiler import SimProfiler
 from repro.obs import perfsuite
 from repro.obs import trace as obstrace
 from repro.obs.trace import TraceLog, chrome_events, records_from_dicts
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, simulator_hook
 
 
 # ----------------------------------------------------------------------
@@ -276,18 +276,30 @@ def test_profiler_tracks_heap_depth_and_detach():
     assert prof.report()["events"] == 6  # counters still readable after detach
 
 
-def test_profile_new_simulators_attaches_and_restores():
+def test_simulator_hook_chains_in_order_and_restores():
     from repro.sim import engine as engine_mod
 
     before = engine_mod.on_simulator_created
-    with profile_new_simulators(clock=FakeClock()) as profs:
+    calls = []
+    profs = []
+
+    def attach_profiler(sim):
+        calls.append(("outer", sim))
+        profs.append(SimProfiler(sim, clock=FakeClock()))
+
+    with simulator_hook(attach_profiler):
         s1 = Simulator()
-        s2 = Simulator()
-        assert len(profs) == 2
-        assert s1.profiler is profs[0] and s2.profiler is profs[1]
+        with pytest.raises(RuntimeError, match="boom"):
+            with simulator_hook(lambda sim: calls.append(("inner", sim))):
+                s2 = Simulator()
+                raise RuntimeError("boom")
+        # the inner hook is gone after the exception; the outer one stays
+        s3 = Simulator()
+    assert calls == [("outer", s1), ("outer", s2), ("inner", s2), ("outer", s3)]
+    assert [s1.profiler, s2.profiler, s3.profiler] == profs
     assert engine_mod.on_simulator_created is before
-    s3 = Simulator()
-    assert s3.profiler is None
+    assert Simulator().profiler is None
+    assert len(calls) == 4
 
 
 # ----------------------------------------------------------------------

@@ -83,20 +83,19 @@ def test_trace_capacity_bounds_retained_records():
 def test_runspec_trace_profile_fold_into_key_only_when_set():
     params = {"app_name": "is", "scheduler": "CR", "n_nodes": 2}
     plain = RunSpec("type_a", params)
-    assert plain.digest() == RunSpec("type_a", params, trace=False, profile=False).digest()
-    traced = RunSpec("type_a", params, trace=True)
-    profiled = RunSpec("type_a", params, profile=True)
+    traced = RunSpec("type_a", dict(params, trace=True))
+    profiled = RunSpec("type_a", dict(params, profile=True))
     assert len({plain.digest(), traced.digest(), profiled.digest()}) == 3
     assert '"trace":true' in traced.key()
-    assert "trace" not in plain.key()
+    assert "trace" not in plain.key() and "profile" not in plain.key()
     d = traced.to_dict()
-    assert d["trace"] is True and "profile" not in d
+    assert d["params"]["trace"] is True and "profile" not in d["params"]
 
 
 def test_execute_cell_attaches_trace():
     spec = RunSpec("type_a", {"app_name": "is", "scheduler": "CR", "n_nodes": 2,
-                              "rounds": 1, "warmup_rounds": 0, "horizon_s": 4.0},
-                   trace=True)
+                              "rounds": 1, "warmup_rounds": 0, "horizon_s": 4.0,
+                              "trace": True})
     result = _execute_cell(spec)
     assert result["ok"]
     assert result["value"]["trace"]["total"] > 0

@@ -4,7 +4,7 @@ Covers the engine tie-order plumbing (fifo/reversed, accounting
 phase), the SAN008 dynamic tracker (injected
 non-commuting pair, causality and phase exclusions, observationality,
 clean arm/disarm), the tie-permutation differential, and the
-RunSpec.tie_order cache-key fold.
+``tie_order`` scenario param's cache-key fold.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from repro.analysis.races import (
     run_differential,
 )
 from repro.analysis.sanitizer import SimSanitizer
-from repro.experiments.runner import RunSpec
+from repro.experiments.harness import WorldConfig
+from repro.experiments.runner import RunSpec, _execute_cell
 from repro.experiments.scenarios import run_type_a
 from repro.guest.spinlock import SpinLock
-from repro.sim.engine import ACCOUNTING_CATS, SimulationError, Simulator
+from repro.sim.engine import ACCOUNTING_CATS, SimulationError, Simulator, simulator_hook
 
 SMALL = dict(app_name="ep", scheduler="ATC", n_nodes=1, rounds=1, warmup_rounds=0)
 
@@ -53,9 +54,17 @@ def test_tie_order_reversed_inverts_within_timestamp_only(queue):
 
 def test_tie_order_validation_and_default():
     assert Simulator().tie_order == "fifo"
+    assert WorldConfig().tie_order == "fifo"
     assert Simulator(tie_order="reversed").tie_order == "reversed"
     with pytest.raises(SimulationError):
         Simulator(tie_order="shuffled")
+
+
+def test_tie_order_ignores_environment(monkeypatch):
+    """Tie order changes results, so it comes only from the config (and
+    thus the cache key), never from the environment."""
+    monkeypatch.setenv("REPRO_TIE_ORDER", "reversed")
+    assert Simulator().tie_order == "fifo"
 
 
 @pytest.mark.parametrize("tie_order", ["fifo", "reversed"])
@@ -239,16 +248,12 @@ def test_only_one_tracker_at_a_time():
 
 def test_tracked_run_is_observational():
     """An armed run returns bit-identical results to a plain run."""
-    import repro.sim.engine as engine
-
     plain = run_type_a(**SMALL, sanitize=True)
     tracker = TieRaceTracker()
-    prev = engine.on_simulator_created
-    engine.on_simulator_created = tracker.attach
     try:
-        tracked = run_type_a(**SMALL, sanitize=True)
+        with simulator_hook(tracker.attach):
+            tracked = run_type_a(**SMALL, sanitize=True)
     finally:
-        engine.on_simulator_created = prev
         tracker.detach()
     assert diff_values(tracked, plain) == []
     assert tracked["events"] == plain["events"]
@@ -296,16 +301,18 @@ def test_differential_with_tracking_collects_suspects():
 
 
 # ----------------------------------------------------------------------
-# RunSpec.tie_order cache-key fold
+# tie_order as a scenario param: cache-key fold and hand-off
 # ----------------------------------------------------------------------
 def test_runspec_tie_order_folds_into_key_only_when_set():
     base = RunSpec("type_a", dict(SMALL))
-    explicit = RunSpec("type_a", dict(SMALL), tie_order="reversed")
-    assert base.key() != explicit.key()
-    assert "tie_order" not in base.to_dict()
-    assert explicit.to_dict()["tie_order"] == "reversed"
-    # unset tie_order leaves the historical key unchanged
-    assert RunSpec("type_a", dict(SMALL), tie_order=None).key() == base.key()
+    explicit = RunSpec("type_a", dict(SMALL, tie_order="reversed"))
+    assert "tie_order" not in base.key()
+    assert base.digest("salt") != explicit.digest("salt")
+    assert explicit.to_dict()["params"]["tie_order"] == "reversed"
+    seen = []
+    with simulator_hook(lambda sim: seen.append(sim.tie_order)):
+        assert _execute_cell(explicit)["ok"]
+    assert seen == ["reversed"]
 
 
 # ----------------------------------------------------------------------

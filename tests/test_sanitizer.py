@@ -194,15 +194,14 @@ def test_world_without_sanitize_has_no_sanitizer():
 
 
 def test_runspec_cache_key_backward_compatible():
-    plain = RunSpec("type_a", {"app_name": "is", "scheduler": "CR", "n_nodes": 2})
-    sane = RunSpec(
-        "type_a", {"app_name": "is", "scheduler": "CR", "n_nodes": 2}, sanitize=True
-    )
+    params = {"app_name": "is", "scheduler": "CR", "n_nodes": 2}
+    plain = RunSpec("type_a", params)
+    sane = RunSpec("type_a", dict(params, sanitize=True))
     assert "sanitize" not in plain.key()
     assert '"sanitize":true' in sane.key()
     assert plain.digest("salt") != sane.digest("salt")
-    assert "sanitize" not in plain.to_dict()
-    assert sane.to_dict()["sanitize"] is True
+    assert "sanitize" not in plain.to_dict()["params"]
+    assert sane.to_dict()["params"]["sanitize"] is True
 
 
 def test_execute_cell_reports_violations_without_retry(monkeypatch):
@@ -215,7 +214,7 @@ def test_execute_cell_reports_violations_without_retry(monkeypatch):
         )
 
     monkeypatch.setitem(SCENARIOS, "boom", boom)
-    payload = _execute_cell(RunSpec("boom", {}, sanitize=True), retries=3)
+    payload = _execute_cell(RunSpec("boom", {"sanitize": True}), retries=3)
     assert payload["ok"] is False
     assert payload["attempts"] == 1  # deterministic failure: no retry
     assert payload["error"]["type"] == "SanitizerViolationError"

@@ -5,14 +5,39 @@ import math
 import pytest
 
 from repro.experiments.reporting import format_normalized, format_table
+from repro.experiments.runner import SCENARIOS
 from repro.experiments.scenarios import (
     run_packet_path_probe,
     run_slice_sweep,
     run_small_mix,
+    run_table1_cell,
     run_type_a,
     run_type_b,
     run_type_b_mixed,
 )
+from repro.faults.plan import parse_fault_spec
+from repro.sim.units import SEC
+
+#: Every world-building scenario, and the arguments it requires.
+WORLD_SCENARIOS = {
+    **{name: fn for name, fn in SCENARIOS.items() if name != "fault_probe"},
+    "table1_cell": run_table1_cell,
+}
+REQUIRED_ARGS = {
+    "type_a": dict(app_name="is", scheduler="CR", n_nodes=1),
+    "slice_sweep": dict(app_name="is", slice_ms_values=[30]),
+    "small_mix": dict(scheduler="CR"),
+    "type_b": dict(scheduler="CR"),
+    "type_b_mixed": dict(scheduler="CR"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORLD_SCENARIOS))
+def test_scenario_rejects_unknown_world_option(name):
+    """World options pass through to WorldConfig by name, so a misspelled
+    one fails when the config is built, before any simulation."""
+    with pytest.raises(TypeError, match="sanitise"):
+        WORLD_SCENARIOS[name](**REQUIRED_ARGS.get(name, {}), sanitise=True)
 
 
 def test_type_a_returns_complete_result():
@@ -32,8 +57,16 @@ def test_slice_sweep_rows():
         assert row["all_done"]
         assert row["mean_round_ns"] > 0
         assert row["context_switches"] > 0
+        assert "faults" not in row and "trace" not in row
     # shorter slice -> lower spin latency
     assert r["rows"][1]["avg_spin_ns"] < r["rows"][0]["avg_spin_ns"]
+
+
+def test_slice_sweep_rows_carry_fault_stats():
+    plan = parse_fault_spec("random:2:1", 2, 2 * SEC).to_dicts()
+    r = run_slice_sweep("is", [30], n_nodes=2, rounds=1, warmup_rounds=0,
+                        horizon_s=2.0, faults=plan)
+    assert r["rows"][0]["faults"]["events"] == 2
 
 
 def test_small_mix_returns_all_metrics():
