@@ -83,8 +83,12 @@ class Disk:
 class PCPU:
     """One physical core.
 
-    The VMM mutates ``current``/``slice_end_ev``; this class only tracks
-    hardware-side state and counters.
+    The VMM mutates ``current``/``slice_end_ev``/``slice_end_ns``; this
+    class only tracks hardware-side state and counters.  ``slice_end_ns``
+    is the absolute deadline of the current dispatch's slice, written by
+    ``VMM.dispatch`` before the runner is notified; runners read it to
+    skip timers the slice expiry would cancel (see
+    :mod:`repro.hypervisor.vmm`).  It is stale while the PCPU is idle.
     """
 
     __slots__ = (
@@ -93,6 +97,7 @@ class PCPU:
         "cache",
         "current",
         "slice_end_ev",
+        "slice_end_ns",
         "run_start_ns",
         "context_switches",
         "busy_ns",
@@ -105,6 +110,7 @@ class PCPU:
         self.cache = PCPUCache(cache_params)
         self.current: Optional["VCPU"] = None
         self.slice_end_ev = None
+        self.slice_end_ns = 0
         self.run_start_ns = 0
         self.context_switches = 0
         self.busy_ns = 0

@@ -50,6 +50,7 @@ from repro.hypervisor.vm import VCPUState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.guest.kernel import GuestKernel
+    from repro.sim.engine import Event
 
 __all__ = [
     "GuestProcess",
@@ -70,6 +71,24 @@ Segment = tuple
 #: Max consecutive ``compute`` segments coalesced into one timer (bounds
 #: how far ahead of the clock a program generator body is executed).
 COMPUTE_BATCH_MAX = 1024
+
+
+class _PastSlice:
+    """Stand-in for a timer due after the running slice ends.
+
+    Such a timer can never fire: the slice expiry preempts the VCPU first,
+    and ``on_preempt`` cancels whatever handle it holds.  A non-``None``
+    handle is what tells ``on_preempt`` to settle partial progress, so
+    this one stands in for the timer without an entry in the event heap.
+    """
+
+    __slots__ = ()
+
+    def cancel(self) -> None:
+        pass
+
+
+PAST_SLICE = _PastSlice()
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +240,7 @@ class GuestProcess:
         if st in ("compute", "crit", "bar_crit"):
             self._remaining += overhead_ns
             self._work_started = now
-            self._work_ev = self.sim.after(self._remaining, self._work_done, cat="guest")
+            self._work_ev = self._arm(self._remaining, self._work_done)
         elif st in ("lock_spin", "bar_lock_spin", "bar_wait", "recv_spin"):
             if self._spin_resolved():
                 self._schedule_poll()
@@ -308,12 +327,10 @@ class GuestProcess:
         budget = self.kernel.spin_block_ns
         if budget is None:
             return  # pure spinning (no PV-block): burn the slice
-        remaining = budget - self._spin_cpu_used
         self._grace_started = now
-        if remaining <= 0:
-            self._grace_ev = self.sim.after(0, self._spin_block_timeout, cat="guest")
-        else:
-            self._grace_ev = self.sim.after(remaining, self._spin_block_timeout, cat="guest")
+        self._grace_ev = self._arm(
+            max(0, budget - self._spin_cpu_used), self._spin_block_timeout
+        )
 
     def _spin_block_timeout(self) -> None:
         self._grace_ev = None
@@ -476,10 +493,21 @@ class GuestProcess:
             raise ValueError(f"{self.name}: unknown segment {seg!r}")
 
     # ------------------------------------------------------------------
+    def _arm(self, delay: int, fn: Callable[[], None]) -> "Event | _PastSlice":
+        """Schedule a cancellable guest timer ``delay`` ns from now, or
+        return :data:`PAST_SLICE` if it would fire strictly after the
+        running slice's deadline (``pcpu.slice_end_ns``).  A timer that
+        ties with the deadline is armed: ``tie_order`` decides which of
+        the two runs first."""
+        deadline = self.sim.now + delay
+        if deadline > self.vcpu.pcpu.slice_end_ns:
+            return PAST_SLICE
+        return self.sim.at(deadline, fn, cat="guest")
+
     def _begin_work(self, ns: int) -> None:
         self._remaining = ns
         self._work_started = self.sim.now
-        self._work_ev = self.sim.after(ns, self._work_done, cat="guest")
+        self._work_ev = self._arm(ns, self._work_done)
 
     def _begin_crit(self, state: str) -> None:
         self.state = state

@@ -16,6 +16,10 @@ Runner protocol (duck-typed)::
 Runners *voluntarily* stop by calling ``vcpu.block()`` (never from inside
 ``on_dispatch`` — see the reentrancy note in :mod:`repro.hypervisor.vmm`).
 
+A VCPU with nothing attached holds the shared :data:`NO_RUNNER`: neutral
+cache sensitivity, no-op notifications.  Woken anyway, it keeps its PCPU
+until the slice expires, so the VMM never special-cases a missing runner.
+
 Scheduler bookkeeping fields (``credit``, ``prio``, ``rq`` …) live directly
 on the VCPU as plain slots to keep the hot path allocation-free; they are
 owned by whichever scheduler is installed on the node.
@@ -29,7 +33,7 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import PCPU, PhysicalNode
 
-__all__ = ["VCPUState", "VCPU", "VM"]
+__all__ = ["VCPUState", "VCPU", "VM", "NO_RUNNER"]
 
 
 class VCPUState(enum.IntEnum):
@@ -38,6 +42,24 @@ class VCPUState(enum.IntEnum):
     BLOCKED = 0
     RUNNABLE = 1
     RUNNING = 2
+
+
+class _NoRunner:
+    """The runner of a VCPU nothing is attached to (see :data:`NO_RUNNER`)."""
+
+    __slots__ = ()
+    cache_sensitivity = 1.0
+
+    def on_dispatch(self, now: int, overhead_ns: int) -> None:
+        pass
+
+    def on_preempt(self, now: int) -> None:
+        pass
+
+
+#: Shared default runner: every VCPU starts with it until the guest or
+#: dom0 layer attaches a real one.
+NO_RUNNER = _NoRunner()
 
 
 class VCPU:
@@ -67,7 +89,7 @@ class VCPU:
         self.vm = vm
         self.index = index
         self.state = VCPUState.BLOCKED
-        self.runner = None  # attached by the guest layer
+        self.runner = NO_RUNNER  # replaced by the guest / dom0 layer
         self.pcpu: Optional["PCPU"] = None
         self.rq: int = index % len(vm.node.pcpus)  # home run queue
         self.run_start_ns = 0

@@ -14,6 +14,17 @@ the same PCPU.  Guest processes honour this by resolving state changes in
 zero-delay follow-up events (see :mod:`repro.guest.process`).  The VMM
 itself only re-enters ``dispatch`` after fully unwinding the previous
 PCPU transaction.
+
+Before ``on_dispatch`` runs, ``dispatch`` has armed the slice timer and
+written its absolute deadline to ``pcpu.slice_end_ns``.  Every path that
+takes a running VCPU off its PCPU without the runner asking (slice
+expiry, ``preempt``, ``pause_vm``) calls ``runner.on_preempt`` first, and
+that call must settle the runner's partial progress and drop its pending
+timers.  A runner may therefore skip arming any timer that would fire
+strictly after ``pcpu.slice_end_ns``: such a timer could only ever be
+cancelled.  Guest processes do (see ``GuestProcess._arm``); a timer
+that ties with the deadline is still armed, because ``tie_order`` decides
+whether it or the slice expiry runs first.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ class VMM:
         "_period_started",
         "period_hooks",
         "total_context_switches",
+        "_slice_end_fns",
     )
 
     def __init__(
@@ -64,6 +76,9 @@ class VMM:
         #: scheduler's own accounting (ATC controller, CS trigger, ...).
         self.period_hooks: list[Callable[[int], None]] = []
         self.total_context_switches = 0
+        #: One slice-expiry callback per PCPU (indexed by ``pcpu.index``),
+        #: built once so a dispatch allocates no closure.
+        self._slice_end_fns = [self._slice_end_callback(p) for p in node.pcpus]
         self.scheduler = scheduler_factory(self)
 
     # ------------------------------------------------------------------
@@ -128,9 +143,8 @@ class VMM:
         pcpu.run_start_ns = now
 
         runner = vcpu.runner
-        sens = getattr(runner, "cache_sensitivity", 1.0)
         switched = pcpu.cache.last_key is not vcpu
-        penalty, misses = pcpu.cache.on_dispatch(now, vcpu, sens)
+        penalty, misses = pcpu.cache.on_dispatch(now, vcpu, runner.cache_sensitivity)
         overhead = 0
         if switched:
             pcpu.context_switches += 1
@@ -139,11 +153,11 @@ class VMM:
             vcpu.vm.llc_misses += misses
             vcpu.vm.llc_penalty_ns += penalty
 
-        pcpu.slice_end_ev = self.sim.after(
-            slice_ns, lambda p=pcpu: self._on_slice_end(p), cat="vmm.slice"
+        pcpu.slice_end_ns = deadline = now + slice_ns
+        pcpu.slice_end_ev = self.sim.at(
+            deadline, self._slice_end_fns[pcpu.index], cat="vmm.slice"
         )
-        if runner is not None:
-            runner.on_dispatch(now, overhead)
+        runner.on_dispatch(now, overhead)
 
     def _stop_current(self, pcpu: "PCPU", next_state: VCPUState) -> VCPU:
         """Common tail of every deschedule path: accounting + cache."""
@@ -167,18 +181,18 @@ class VMM:
         vcpu.vm.cpu_debited_ns += charged
         pcpu.busy_ns += ran
         pcpu.cache.on_undispatch(now, vcpu)
-        if charged != ran and obstrace.enabled:
-            obstrace.emit(
-                "sched.theft",
-                now,
-                node=self.node.index,
-                pcpu=pcpu.index,
-                vcpu=vcpu.name,
-                vm=vcpu.vm.name,
-                ran_ns=ran,
-                charged_ns=charged,
-            )
         if obstrace.enabled:
+            if charged != ran:
+                obstrace.emit(
+                    "sched.theft",
+                    now,
+                    node=self.node.index,
+                    pcpu=pcpu.index,
+                    vcpu=vcpu.name,
+                    vm=vcpu.vm.name,
+                    ran_ns=ran,
+                    charged_ns=charged,
+                )
             obstrace.emit(
                 "vcpu.state",
                 now,
@@ -195,6 +209,12 @@ class VMM:
         vcpu.pcpu = None
         pcpu.current = None
         return vcpu
+
+    def _slice_end_callback(self, pcpu: "PCPU") -> Callable[[], None]:
+        def slice_end() -> None:
+            self._on_slice_end(pcpu)
+
+        return slice_end
 
     def _on_slice_end(self, pcpu: "PCPU") -> None:
         vcpu = pcpu.current

@@ -19,6 +19,7 @@ def make_node_world(
     n_pcpus: int = 2,
     scheduler_factory=None,
     period_ns: int = 30 * MSEC,
+    tie_order: str = "fifo",
 ):
     """A minimal wired world: cluster + VMM + dom0 per node.
 
@@ -26,7 +27,7 @@ def make_node_world(
     """
     from repro.cluster.node import NodeParams
 
-    sim = Simulator()
+    sim = Simulator(tie_order=tie_order)
     cluster = build_cluster(sim, n_nodes, NodeParams(n_pcpus=n_pcpus))
     factory = scheduler_factory or (lambda vmm: CreditScheduler(vmm, CreditParams()))
     vmms = []

@@ -3,7 +3,10 @@ spin-then-block semantics."""
 
 import pytest
 
+from repro.experiments.scenarios import run_type_a
 from repro.guest.process import (
+    PAST_SLICE,
+    GuestProcess,
     barrier,
     call,
     compute,
@@ -15,6 +18,8 @@ from repro.guest.process import (
 )
 from repro.guest.spinlock import SpinBarrier, SpinLock
 from repro.hypervisor.vm import VCPUState
+from repro.hypervisor.vmm import VMM
+from repro.sim.engine import Event, simulator_hook
 from repro.sim.units import MSEC, USEC
 
 from tests.conftest import add_guest_vm, make_node_world
@@ -314,3 +319,137 @@ def test_messages_counters():
     assert tx.messages_sent == 3
     assert rx.messages_received == 3
     assert vm.total_io_events >= 6  # 3 sends + 3 deliveries
+
+
+# ----------------------------------------------------------------------
+# Slice-bounded timers: no guest timer is armed past the slice deadline
+# ----------------------------------------------------------------------
+SLICE = 1 * MSEC
+
+
+def one_pcpu_world(n_procs, tie_order="fifo", spin_block_ns=None):
+    """``n_procs`` processes sharing one PCPU under a 1 ms slice."""
+    sim, cluster, vmms = make_node_world(n_nodes=1, n_pcpus=1, tie_order=tie_order)
+    vm = add_guest_vm(vmms[0], n_procs, spin_block_ns=spin_block_ns)
+    vm.slice_ns = SLICE
+    return sim, vm, [vm.kernel.add_process() for _ in range(n_procs)]
+
+
+def _arm_unclipped(self, delay, fn):
+    return self.sim.at(self.sim.now + delay, fn, cat="guest")
+
+
+def run_contended(monkeypatch, clipped):
+    """Three processes sharing one PCPU: computes and critical
+    sections outlast the slice, and a 1.5 ms spin-grace budget outlasts
+    what is left of it, so work and grace timers both cross slice ends."""
+    with monkeypatch.context() as m:
+        if not clipped:
+            m.setattr(GuestProcess, "_arm", _arm_unclipped)
+        sim, vm, procs = one_pcpu_world(3, spin_block_ns=1500 * USEC)
+        lk = SpinLock("lk")
+        done = {}
+
+        def prog():
+            for _ in range(6):
+                yield compute(2300 * USEC)
+                yield lock(lk, 700 * USEC)
+
+        for p in procs:
+            p.load_program(prog())
+            p.on_done = lambda proc: done.setdefault(proc.index, sim.now)
+            p.start()
+        sim.run(until=200 * MSEC)
+    outcome = {
+        "done": done,
+        "spin": [p.total_spin_ns for p in procs],
+        "run": [p.vcpu.total_run_ns for p in procs],
+        "now": sim.now,
+        "events": sim.events_processed,
+    }
+    return outcome, sim
+
+
+def test_guest_timers_never_outlive_the_slice(monkeypatch):
+    """After every dispatch, each live guest timer is due no later than
+    its PCPU's slice deadline; longer work holds the stand-in instead."""
+    sim, vm, procs = one_pcpu_world(2)
+    overheads = {p.index: 0 for p in procs}
+    clipped = []
+    dispatch = VMM.dispatch
+    on_dispatch = GuestProcess.on_dispatch
+
+    def checked_dispatch(self, pcpu):
+        dispatch(self, pcpu)
+        for ev in sim.live_events():
+            if ev.cat == "guest":
+                assert ev.time <= ev.fn.__self__.vcpu.pcpu.slice_end_ns
+        if pcpu.current is not None:
+            clipped.append(pcpu.current.runner._work_ev is PAST_SLICE)
+
+    def counted_on_dispatch(self, now, overhead_ns):
+        if self.state == "compute":
+            overheads[self.index] += overhead_ns
+        on_dispatch(self, now, overhead_ns)
+
+    monkeypatch.setattr(VMM, "dispatch", checked_dispatch)
+    monkeypatch.setattr(GuestProcess, "on_dispatch", counted_on_dispatch)
+    done = {}
+    for p in procs:
+        p.load_program(iter([compute(5500 * USEC)]))
+        p.on_done = lambda proc: done.setdefault(proc.index, sim.now)
+        p.start()
+    sim.run(until=100 * MSEC)
+    assert sorted(done) == [0, 1]
+    assert any(clipped)
+    for p in procs:
+        # Preemptions settled progress from the clock: the CPU each VCPU
+        # got is exactly its work plus the overhead charged to it.
+        assert p.vcpu.total_run_ns == 5500 * USEC + overheads[p.index]
+        assert overheads[p.index] > 0
+
+
+def test_slice_bounded_timers_change_no_outcome(monkeypatch):
+    """Arming every guest timer unclipped gives the same completion
+    instants, spin and CPU totals and executed-event count."""
+    clipped, sim_clipped = run_contended(monkeypatch, clipped=True)
+    unclipped, sim_unclipped = run_contended(monkeypatch, clipped=False)
+    assert sorted(clipped["done"]) == [0, 1, 2]
+    assert max(clipped["spin"]) > 0
+    assert clipped == unclipped
+    assert sim_clipped.cancelled_popped < sim_unclipped.cancelled_popped
+
+
+@pytest.mark.parametrize("tie_order", ["fifo", "reversed"])
+def test_timer_due_exactly_at_slice_end_is_armed(tie_order):
+    """The rule is strict: work ending exactly at the deadline keeps its
+    real timer (the tie order decides which runs first); one nanosecond
+    more and it holds the stand-in."""
+    sim, vm, (p,) = one_pcpu_world(1, tie_order=tie_order)
+    done = []
+    p.load_program(iter([compute(SLICE)]))
+    p.on_done = lambda proc: done.append(sim.now)
+    p.start()
+    sim.run(until=0)
+    assert isinstance(p._work_ev, Event)
+    assert p._work_ev.time == p.vcpu.pcpu.slice_end_ns == SLICE
+    sim.run(until=10 * MSEC)
+    assert done == [SLICE]
+
+    sim, vm, (p,) = one_pcpu_world(1, tie_order=tie_order)
+    p.load_program(iter([compute(SLICE + 1)]))
+    p.start()
+    sim.run(until=0)
+    assert p._work_ev is PAST_SLICE
+
+
+def test_atc_cell_cancels_few_events():
+    """Under converged ATC slices, computes outlast most slices; arming
+    their timers anyway made ~58% of this cell's executed-event count
+    pop back out of the queue as cancelled entries."""
+    sims = []
+    with simulator_hook(sims.append):
+        r = run_type_a("lu", "ATC", 2, rounds=None, npb_class="A", horizon_s=1.0)
+    (sim,) = sims
+    assert r["rounds_measured"] > 0
+    assert sim.cancelled_popped < 0.05 * sim.events_processed

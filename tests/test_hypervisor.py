@@ -3,7 +3,7 @@
 import pytest
 
 from repro.guest.process import compute
-from repro.hypervisor.vm import VCPUState, VM
+from repro.hypervisor.vm import NO_RUNNER, VCPUState, VM
 from repro.sim.units import MSEC, USEC
 
 from tests.conftest import add_guest_vm, make_node_world
@@ -70,6 +70,28 @@ def test_wake_dispatches_on_idle_pcpu(single_node):
     sim.run()
     assert r.finished_at == 5 * USEC + r.overheads[0]
     assert vm.vcpus[0].state is VCPUState.BLOCKED
+
+
+def test_vcpu_without_runner_survives_slice_end_preempt_and_pause(single_node):
+    """A woken VCPU nothing is attached to holds its PCPU slice after
+    slice; every deschedule path tolerates it."""
+    sim, cluster, vmm = single_node
+    vm = VM(vmm.node, 1)
+    vmm.add_vm(vm)
+    vcpu = vm.vcpus[0]
+    assert vcpu.runner is NO_RUNNER
+    vcpu.wake()
+    sim.run(until=100 * MSEC)  # three 30 ms slice expiries
+    assert vcpu.state is VCPUState.RUNNING
+    assert vcpu.total_run_ns == 90 * MSEC
+    vmm.preempt(vcpu.pcpu)
+    assert vcpu.state is VCPUState.RUNNING  # re-picked: nothing else runs
+    vmm.pause_vm(vm)
+    assert vcpu.state is VCPUState.BLOCKED
+    vmm.resume_vm(vm)
+    sim.run(until=200 * MSEC)
+    assert vcpu.state is VCPUState.RUNNING
+    assert vcpu.total_run_ns == 190 * MSEC
 
 
 def test_block_requires_running(single_node):
