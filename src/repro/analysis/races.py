@@ -48,6 +48,7 @@ fixed by the engine's accounting phase.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.sanitizer import SimSanitizer, Violation
@@ -86,7 +87,11 @@ def _data_attrs(cls: type) -> frozenset:
 
 
 def _fn_label(fn) -> str:
-    """Stable human-readable label for a callback (qualname + instance)."""
+    """Stable human-readable label for a callback (qualname + instance).
+    A ``functools.partial`` (the VMM's per-PCPU slice-expiry callbacks)
+    is labelled by the callable it wraps."""
+    if isinstance(fn, partial):
+        fn = fn.func
     q = getattr(fn, "__qualname__", repr(fn))
     owner = getattr(fn, "__self__", None)
     if owner is not None:

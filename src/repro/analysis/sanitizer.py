@@ -16,6 +16,8 @@ simulations depend on:
   Credit-family scheduler, every VCPU's credit equals the clamped
   ``old + weight-share - consumed`` recomputed independently from the
   pre-period snapshot, and active shares sum to the period capacity.
+  Before the reset, each VM's cached ``period_run_ns`` (the total a
+  capped pick reads) must equal the sum over its VCPUs.
 * **SAN004 — slice sanity**: every dispatched slice is positive, and the
   ATC controller keeps parallel-VM slices within
   ``[min_threshold, default]``.
@@ -274,6 +276,7 @@ class SimSanitizer:
             orig_period = sched.on_period
 
             def on_period(now: int) -> None:
+                self._check_run_totals(vmm)
                 snapshot = self._credit_snapshot(vmm)
                 orig_period(now)
                 self._check_credit(vmm, sched, snapshot)
@@ -300,6 +303,19 @@ class SimSanitizer:
             for vm in vmm.vms
             for v in vm.vcpus
         ]
+
+    def _check_run_totals(self, vmm: "VMM") -> None:
+        for vm in vmm.vms:
+            vcpu_sum = sum(v.period_run_ns for v in vm.vcpus)
+            if vm.period_run_ns != vcpu_sum:
+                self.record(
+                    self.CREDIT,
+                    f"cached period run time of {vm.name} drifted: "
+                    f"{vm.period_run_ns} ns, its VCPUs ran {vcpu_sum} ns",
+                    vm=vm.name,
+                    cached_ns=vm.period_run_ns,
+                    vcpu_sum_ns=vcpu_sum,
+                )
 
     def _check_credit(self, vmm: "VMM", sched: CreditScheduler, snapshot) -> None:
         capacity = vmm.period_ns * len(vmm.node.pcpus)

@@ -360,13 +360,20 @@ def attack_metrics(results: Sequence[RunResult]) -> list[dict]:
     return out
 
 
+def _gain_text(gain: Optional[float]) -> str:
+    """A thief gain for tables and claim messages; ``None`` is a thief
+    that consumed CPU but was never debited (``gain_censored``)."""
+    return "censored" if gain is None else f"{gain:.3f}"
+
+
 def attack_table(results: Sequence[RunResult]) -> Table:
     rows = []
     for m in attack_metrics(results):
         for cfg, name in (("open", "unhardened"), ("hard", "hardened")):
             c = m[cfg]
             rec = m["recovered"] if cfg == "hard" else None
-            rows.append((m["cell"], name, c["slowdown"], c["gain"], c["tickle_preempts"],
+            gain = "censored" if c["gain"] is None else c["gain"]
+            rows.append((m["cell"], name, c["slowdown"], gain, c["tickle_preempts"],
                          c["victim_preempts"], "-" if rec is None else rec))
     return (
         "Adversarial tenancy — victim slowdown (attacked / clean round) and thief "
@@ -382,15 +389,18 @@ def attack_claims(results: Sequence[RunResult]) -> list[str]:
     for m in attack_metrics(results):
         o, h, rec = m["open"], m["hard"], m["recovered"]
         # The unhardened scheduler is exploitable: the thief banks more CPU
-        # than it is debited (an uncaught thief's inf gain counts) and the
-        # victim slows down.  Hardening takes the thief's free lunch away
-        # and recovers at least half of the victim slowdown.
+        # than it is debited (a censored gain -- a thief never debited at
+        # all -- counts) and the victim slows down.  Hardening takes the
+        # thief's free lunch away (a censored hardened gain fails both
+        # bounds) and recovers at least half of the victim slowdown.
+        og, hg = o["gain"], h["gain"]
         out += _failed(
             m["cell"],
-            (o["gain"] > 1.0, f"unhardened thief gain {o['gain']:.3f} not > 1"),
+            (og is None or og > 1.0, f"unhardened thief gain {_gain_text(og)} not > 1"),
             (o["slowdown"] > 1.0, f"unhardened victim slowdown {o['slowdown']:.3f} not > 1"),
-            (h["gain"] < o["gain"], f"hardened thief gain {h['gain']:.3f} not below unhardened"),
-            (h["gain"] <= 1.1, f"hardened thief gain {h['gain']:.3f} above 1.1"),
+            (hg is not None and (og is None or hg < og),
+             f"hardened thief gain {_gain_text(hg)} not below unhardened"),
+            (hg is not None and hg <= 1.1, f"hardened thief gain {_gain_text(hg)} above 1.1"),
             (h["slowdown"] < o["slowdown"],
              f"hardened victim slowdown {h['slowdown']:.3f} not below unhardened"),
             (rec is not None,

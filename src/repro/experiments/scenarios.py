@@ -800,7 +800,7 @@ def run_attack(
     from repro.core.config import ATCConfig
     from repro.schedulers.atc_sched import ATCParams
     from repro.schedulers.credit import CreditParams
-    from repro.workloads.attacks import ATTACK_RNG_KEY
+    from repro.workloads.attacks import ATTACK_RNG_KEY, theft_gain
 
     if scheduler not in ("CR", "ATC"):
         raise ValueError(f"run_attack supports CR/ATC, got {scheduler!r}")
@@ -864,9 +864,7 @@ def run_attack(
             "cycles": sum(a.cycles for a in thieves),
             "cpu_consumed_ns": thief_vm.cpu_consumed_ns,
             "cpu_debited_ns": thief_vm.cpu_debited_ns,
-            "gain": (thief_vm.cpu_consumed_ns / thief_vm.cpu_debited_ns
-                     if thief_vm.cpu_debited_ns > 0
-                     else (float("inf") if thief_vm.cpu_consumed_ns > 0 else 1.0)),
+            **theft_gain(thief_vm.cpu_consumed_ns, thief_vm.cpu_debited_ns),
         },
         "tickler": {
             "wakes": sum(a.wakes for a in ticklers),

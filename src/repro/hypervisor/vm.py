@@ -172,6 +172,7 @@ class VM:
         "total_io_events",
         "period_queue_wait_ns",
         "period_queue_waits",
+        "period_run_ns",
         # theft accounting (repro.workloads.attacks / DESIGN.md §15)
         "cpu_consumed_ns",
         "cpu_debited_ns",
@@ -231,6 +232,11 @@ class VM:
         #: instrumentation.
         self.period_queue_wait_ns = 0
         self.period_queue_waits = 0
+        #: Run time of all this VM's VCPUs this period: the running sum of
+        #: their ``period_run_ns``, kept by the VMM next to the per-VCPU
+        #: counters and reset with them at the accounting boundary, so a
+        #: capped pick reads its budget without re-summing the VCPUs.
+        self.period_run_ns = 0
         #: Theft accounting: CPU time this VM's VCPUs actually consumed vs
         #: what the scheduler debited against their credits.  Identical
         #: under exact accounting; a gap (consumed > debited) quantifies

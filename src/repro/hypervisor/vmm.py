@@ -29,6 +29,7 @@ whether it or the slice expiry runs first.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.hypervisor.vm import VCPU, VCPUState, VM
@@ -40,6 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 __all__ = ["VMM"]
+
+_BLOCKED = VCPUState.BLOCKED
+_RUNNABLE = VCPUState.RUNNABLE
+_RUNNING = VCPUState.RUNNING
 
 
 class VMM:
@@ -76,9 +81,10 @@ class VMM:
         #: scheduler's own accounting (ATC controller, CS trigger, ...).
         self.period_hooks: list[Callable[[int], None]] = []
         self.total_context_switches = 0
-        #: One slice-expiry callback per PCPU (indexed by ``pcpu.index``),
-        #: built once so a dispatch allocates no closure.
-        self._slice_end_fns = [self._slice_end_callback(p) for p in node.pcpus]
+        #: One slice-expiry callback per PCPU (indexed by ``pcpu.index``):
+        #: a ``partial`` of ``_on_slice_end``, built once so a dispatch
+        #: allocates nothing and the expiry adds no wrapper frame.
+        self._slice_end_fns = [partial(self._on_slice_end, p) for p in node.pcpus]
         self.scheduler = scheduler_factory(self)
 
     # ------------------------------------------------------------------
@@ -113,17 +119,19 @@ class VMM:
         if pcpu.current is not None:
             raise RuntimeError(f"dispatch on busy PCPU {pcpu!r}")
         picked = self.scheduler.pick_next(pcpu)
+        sim = self.sim
+        now = sim.now
         if picked is None:
-            pcpu.idle_since_ns = self.sim.now
+            pcpu.idle_since_ns = now
             return
         vcpu, slice_ns = picked
-        if vcpu.state is not VCPUState.RUNNABLE:
+        if vcpu.state is not _RUNNABLE:
             raise RuntimeError(f"picked {vcpu.name} in state {vcpu.state.name}")
-        now = self.sim.now
+        vm = vcpu.vm
         # Non-intrusive monitoring signal: how long the VCPU sat runnable.
         wait_ns = now - vcpu.wake_ns
-        vcpu.vm.period_queue_wait_ns += wait_ns
-        vcpu.vm.period_queue_waits += 1
+        vm.period_queue_wait_ns += wait_ns
+        vm.period_queue_waits += 1
         if obstrace.enabled:
             obstrace.emit(
                 "sched.dispatch",
@@ -131,54 +139,55 @@ class VMM:
                 node=self.node.index,
                 pcpu=pcpu.index,
                 vcpu=vcpu.name,
-                vm=vcpu.vm.name,
+                vm=vm.name,
                 slice_ns=slice_ns,
                 wait_ns=wait_ns,
             )
-        vcpu.state = VCPUState.RUNNING
+        vcpu.state = _RUNNING
         vcpu.pcpu = pcpu
-        vcpu.rq = pcpu.index
+        vcpu.rq = index = pcpu.index
         vcpu.run_start_ns = now
         pcpu.current = vcpu
         pcpu.run_start_ns = now
 
         runner = vcpu.runner
-        switched = pcpu.cache.last_key is not vcpu
-        penalty, misses = pcpu.cache.on_dispatch(now, vcpu, runner.cache_sensitivity)
+        cache = pcpu.cache
+        switched = cache.last_key is not vcpu
+        penalty, misses = cache.on_dispatch(now, vcpu, runner.cache_sensitivity)
         overhead = 0
         if switched:
             pcpu.context_switches += 1
             self.total_context_switches += 1
             overhead = self.node.params.ctx_switch_ns + penalty
-            vcpu.vm.llc_misses += misses
-            vcpu.vm.llc_penalty_ns += penalty
+            vm.llc_misses += misses
+            vm.llc_penalty_ns += penalty
 
         pcpu.slice_end_ns = deadline = now + slice_ns
-        pcpu.slice_end_ev = self.sim.at(
-            deadline, self._slice_end_fns[pcpu.index], cat="vmm.slice"
-        )
+        pcpu.slice_end_ev = sim.at(deadline, self._slice_end_fns[index], cat="vmm.slice")
         runner.on_dispatch(now, overhead)
 
     def _stop_current(self, pcpu: "PCPU", next_state: VCPUState) -> VCPU:
         """Common tail of every deschedule path: accounting + cache."""
         vcpu = pcpu.current
         now = self.sim.now
-        if pcpu.slice_end_ev is not None:
-            pcpu.slice_end_ev.cancel()
+        ev = pcpu.slice_end_ev
+        if ev is not None:
+            ev.cancel()
             pcpu.slice_end_ev = None
-        ran = now - vcpu.run_start_ns
+        start = vcpu.run_start_ns
+        ran = now - start
+        vm = vcpu.vm
         vcpu.total_run_ns += ran
         vcpu.period_run_ns += ran
+        vm.period_run_ns += ran
         # What the scheduler *debits* for this dispatch.  Exact accounting
         # charges ran; tick-sampled accounting (CreditParams.tick_accounting)
         # charges per tick boundary crossed — the charged/ran gap is the
         # theft-accounting signal of the adversarial-tenancy experiments.
-        charged = self.scheduler.charge_ns(
-            vcpu, vcpu.run_start_ns, now, voluntary=(next_state is VCPUState.BLOCKED)
-        )
+        charged = self.scheduler.charge_ns(vcpu, start, now, next_state is _BLOCKED)
         vcpu.period_charged_ns += charged
-        vcpu.vm.cpu_consumed_ns += ran
-        vcpu.vm.cpu_debited_ns += charged
+        vm.cpu_consumed_ns += ran
+        vm.cpu_debited_ns += charged
         pcpu.busy_ns += ran
         pcpu.cache.on_undispatch(now, vcpu)
         if obstrace.enabled:
@@ -189,7 +198,7 @@ class VMM:
                     node=self.node.index,
                     pcpu=pcpu.index,
                     vcpu=vcpu.name,
-                    vm=vcpu.vm.name,
+                    vm=vm.name,
                     ran_ns=ran,
                     charged_ns=charged,
                 )
@@ -199,22 +208,16 @@ class VMM:
                 node=self.node.index,
                 pcpu=pcpu.index,
                 vcpu=vcpu.name,
-                vm=vcpu.vm.name,
+                vm=vm.name,
                 to_state=next_state.name,
                 ran_ns=ran,
             )
         vcpu.state = next_state
-        if next_state is VCPUState.RUNNABLE:
+        if next_state is _RUNNABLE:
             vcpu.wake_ns = now  # run-queue wait starts now
         vcpu.pcpu = None
         pcpu.current = None
         return vcpu
-
-    def _slice_end_callback(self, pcpu: "PCPU") -> Callable[[], None]:
-        def slice_end() -> None:
-            self._on_slice_end(pcpu)
-
-        return slice_end
 
     def _on_slice_end(self, pcpu: "PCPU") -> None:
         vcpu = pcpu.current
@@ -222,7 +225,7 @@ class VMM:
             return
         pcpu.slice_end_ev = None
         vcpu.runner.on_preempt(self.sim.now)
-        self._stop_current(pcpu, VCPUState.RUNNABLE)
+        self._stop_current(pcpu, _RUNNABLE)
         self.scheduler.on_slice_expired(vcpu)
         self.dispatch(pcpu)
 
@@ -231,7 +234,7 @@ class VMM:
         pcpu = vcpu.pcpu
         if pcpu is None or pcpu.current is not vcpu:
             raise RuntimeError(f"block of non-running {vcpu.name}")
-        self._stop_current(pcpu, VCPUState.BLOCKED)
+        self._stop_current(pcpu, _BLOCKED)
         self.scheduler.on_block(vcpu)
         self.dispatch(pcpu)
 
@@ -246,7 +249,7 @@ class VMM:
             return
         vcpu = pcpu.current
         vcpu.runner.on_preempt(self.sim.now)
-        self._stop_current(pcpu, VCPUState.RUNNABLE)
+        self._stop_current(pcpu, _RUNNABLE)
         self.scheduler.on_preempted(vcpu)
         self.dispatch(pcpu)
 
@@ -280,15 +283,15 @@ class VMM:
         vm.paused = True
         freed: list["PCPU"] = []
         for vcpu in vm.vcpus:
-            if vcpu.state is VCPUState.RUNNING:
+            if vcpu.state is _RUNNING:
                 pcpu = vcpu.pcpu
                 vcpu.runner.on_preempt(self.sim.now)
-                self._stop_current(pcpu, VCPUState.BLOCKED)
+                self._stop_current(pcpu, _BLOCKED)
                 vcpu.wake_pending = True
                 freed.append(pcpu)
-            elif vcpu.state is VCPUState.RUNNABLE:
+            elif vcpu.state is _RUNNABLE:
                 self.scheduler.remove_queued(vcpu)
-                vcpu.state = VCPUState.BLOCKED
+                vcpu.state = _BLOCKED
                 vcpu.wake_pending = True
         if redispatch:
             for pcpu in freed:

@@ -411,29 +411,27 @@ class CreditScheduler(Scheduler):
         return vcpu
 
     # ------------------------------------------------------------------
-    # Xen-style per-VM cap enforcement (non-work-conserving)
+    # Picking under Xen-style per-VM caps (non-work-conserving)
     # ------------------------------------------------------------------
-    def _cap_remaining_ns(self, vm) -> Optional[int]:
-        """Unused CPU budget (ns) of ``vm``'s cap this period, or ``None``
-        for an uncapped VM.  The budget is ``cap * period * n_pcpus``
-        against the VM's aggregate ``period_run_ns`` — concurrent VCPUs
-        of one VM draw from the same pool, as with Xen's per-domain cap."""
-        cap = vm.cap
-        if cap is None:
-            return None
-        budget = int(cap * self.vmm.period_ns * len(self.vmm.node.pcpus))
-        return budget - sum(v.period_run_ns for v in vm.vcpus)
-
     def pick_next(self, pcpu: "PCPU") -> Optional[tuple["VCPU", int]]:
+        vmm = self.vmm
         while True:
             vcpu = self._pop_best(self.runqs[pcpu.index])
             if vcpu is None:
                 vcpu = self._steal(pcpu)
             if vcpu is None:
                 return None
-            remaining = self._cap_remaining_ns(vcpu.vm)
-            if remaining is None:
+            vm = vcpu.vm
+            cap = vm.cap
+            if cap is None:
                 return vcpu, self.slice_for(vcpu)
+            # Unused budget of the VM's cap this period: ``cap * period *
+            # n_pcpus`` against the VM's aggregate ``period_run_ns`` —
+            # concurrent VCPUs of one VM draw from the same pool, as with
+            # Xen's per-domain cap.  Keep the product's left-to-right
+            # association: ``cap * (period * n)`` can round differently
+            # and change ``int()``.
+            remaining = int(cap * vmm.period_ns * len(vmm.node.pcpus)) - vm.period_run_ns
             if remaining <= 0:
                 # Budget exhausted: park until the next accounting
                 # boundary even though the PCPU may go idle — the cap is
@@ -474,7 +472,8 @@ class CreditScheduler(Scheduler):
         return PRIO_UNDER if self._effective_credit(vcpu) > 0 else PRIO_OVER
 
     def on_slice_expired(self, vcpu: "VCPU") -> None:
-        vcpu.prio = self._credit_prio(vcpu)  # full slice used: boost expires
+        # Full slice used: boost expires (``_credit_prio``, inlined).
+        vcpu.prio = PRIO_UNDER if vcpu.credit - vcpu.period_charged_ns > 0 else PRIO_OVER
         self.runqs[vcpu.rq].append(vcpu)
         vcpu.queued = True
 
@@ -508,6 +507,8 @@ class CreditScheduler(Scheduler):
             v.period_charged_ns = 0
             if v.queued and v.prio != PRIO_BOOST:
                 v.prio = self._credit_prio(v)
+        for vm in vmm.vms:
+            vm.period_run_ns = 0
         # Cap budgets refreshed (period_run_ns reset above): re-queue the
         # VCPUs parked by cap exhaustion and restart any idled PCPUs.
         if self._parked:

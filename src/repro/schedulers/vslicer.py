@@ -59,8 +59,7 @@ class VSlicerScheduler(CreditScheduler):
         # Classify BEFORE credit accounting resets period_run_ns.
         for vm in self.vmm.guest_vms:
             wakes = sum(v.period_wakes for v in vm.vcpus)
-            used = sum(v.period_run_ns for v in vm.vcpus)
-            util = used / (period * max(1, len(vm.vcpus)))
+            util = vm.period_run_ns / (period * max(1, len(vm.vcpus)))
             for v in vm.vcpus:
                 v.period_wakes = 0
             if wakes >= p.ls_min_wakes and util <= p.ls_max_util:

@@ -11,6 +11,8 @@ same* workload realization.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 __all__ = ["SimRNG"]
@@ -46,16 +48,28 @@ class SimRNG:
         """Uniform integer in [lo, hi] nanoseconds."""
         return int(self._gen.integers(lo, hi + 1))
 
+    @staticmethod
+    def lognormal_params(mean_ns: int, cv: float) -> Optional[tuple[float, float]]:
+        """``(mu, sigma)`` of the lognormal :meth:`jittered_ns` draws from
+        for this mean and coefficient of variation, or ``None`` when the
+        duration is deterministic (``cv <= 0`` or ``mean_ns <= 0``).
+
+        Lets a caller that draws many durations of one shape compute the
+        parameters once and make plain ``generator.lognormal(mu, sigma)``
+        draws, bit-identical to repeated ``jittered_ns`` calls."""
+        if cv <= 0.0 or mean_ns <= 0:
+            return None
+        sigma2 = np.log1p(cv * cv)
+        return float(np.log(mean_ns) - 0.5 * sigma2), float(np.sqrt(sigma2))
+
     def jittered_ns(self, mean_ns: int, cv: float) -> int:
         """A positive duration with the given mean and coefficient of
         variation, drawn from a lognormal (heavy-ish tail, like real
         compute phases).  ``cv = 0`` returns the mean exactly."""
-        if cv <= 0.0 or mean_ns <= 0:
+        params = self.lognormal_params(mean_ns, cv)
+        if params is None:
             return max(0, int(mean_ns))
-        sigma2 = np.log1p(cv * cv)
-        mu = np.log(mean_ns) - 0.5 * sigma2
-        val = self._gen.lognormal(mean=mu, sigma=np.sqrt(sigma2))
-        return max(1, int(val))
+        return max(1, int(self._gen.lognormal(*params)))
 
     def exponential_ns(self, mean_ns: int) -> int:
         """Exponential inter-arrival time with the given mean (>=1 ns)."""

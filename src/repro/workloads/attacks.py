@@ -46,13 +46,25 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hypervisor.vm import VM
     from repro.sim.engine import Simulator
 
-__all__ = ["ATTACK_RNG_KEY", "YieldTheftApp", "TickleAbuseApp"]
+__all__ = ["ATTACK_RNG_KEY", "YieldTheftApp", "TickleAbuseApp", "theft_gain"]
 
 #: SimRNG spawn key of the attack layer (cf. faults 0xFA, service 0x5E).
 #: Everything adversarial — attacker jitter *and* the randomized tick
 #: phase the hardened scheduler draws — comes off this substream, so the
 #: clean configuration consumes no entropy from it.
 ATTACK_RNG_KEY = 0xA7
+
+
+def theft_gain(consumed_ns: int, debited_ns: int) -> dict:
+    """``gain`` (CPU consumed / CPU debited) and ``gain_censored``.
+
+    A VM that consumed CPU but was never debited has no finite gain: it
+    reports ``gain: None`` with ``gain_censored: True``, as the service
+    layer reports unfinished tenants through ``slowdown_censored``.  A VM
+    that consumed nothing reads ``1.0``."""
+    if debited_ns > 0:
+        return {"gain": consumed_ns / debited_ns, "gain_censored": False}
+    return {"gain": None if consumed_ns > 0 else 1.0, "gain_censored": consumed_ns > 0}
 
 
 class YieldTheftApp:
@@ -128,13 +140,12 @@ class YieldTheftApp:
 
     def results(self) -> dict:
         vm = self.vm
-        debited = vm.cpu_debited_ns
         return {
             "app": self.kind,
             "cycles": self.cycles,
             "cpu_consumed_ns": vm.cpu_consumed_ns,
-            "cpu_debited_ns": debited,
-            "gain": vm.cpu_consumed_ns / debited if debited > 0 else float("inf"),
+            "cpu_debited_ns": vm.cpu_debited_ns,
+            **theft_gain(vm.cpu_consumed_ns, vm.cpu_debited_ns),
         }
 
 

@@ -106,11 +106,22 @@ def bsp_rank_program(
     second barrier so siblings wait for the exchange (the communication
     step of the superstep), exactly the structure whose overheads
     Sections II-B1/II-B2 dissect.
+
+    ``rng`` is the rank-round's own substream and feeds nothing but the
+    compute-grain jitter, so the lognormal parameters are derived once
+    and each superstep makes the one scalar draw ``rng.jittered_ns``
+    would: the grains are bit-identical to calling it per superstep.
     """
     peers = _peer_indices(spec.pattern, vm_idx, len(vms))
     do_comm = local_idx == 0 and peers
+    params = SimRNG.lognormal_params(spec.grain_ns, spec.grain_cv)
+    if params is None:
+        fixed_grain = rng.jittered_ns(spec.grain_ns, spec.grain_cv)  # no draw
+    else:
+        mu, sigma = params
+        lognormal = rng.generator.lognormal
     for step in range(spec.supersteps):
-        yield compute(rng.jittered_ns(spec.grain_ns, spec.grain_cv))
+        yield compute(fixed_grain if params is None else max(1, int(lognormal(mu, sigma))))
         yield barrier(bar)
         if spec.comm_every <= 1 or (step % spec.comm_every) == 0:
             if do_comm:

@@ -11,6 +11,7 @@ of the hardening knobs at their defaults.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.experiments.scenarios import run_attack, run_type_a
 from repro.schedulers.credit import CreditParams
 from repro.sim.rng import SimRNG
 from repro.sim.units import MSEC, SEC
-from repro.workloads.attacks import ATTACK_RNG_KEY
+from repro.workloads.attacks import ATTACK_RNG_KEY, theft_gain
 
 from tests.conftest import add_guest_vm, make_node_world
 from tests.test_credit_scheduler import start_hog
@@ -134,6 +135,35 @@ def test_hardening_knobs_default_inert():
 # ----------------------------------------------------------------------
 # The attack itself
 # ----------------------------------------------------------------------
+def _nonfinite(value, path="result"):
+    """Paths of every NaN/inf float nested in ``value``."""
+    if isinstance(value, float):
+        return [] if math.isfinite(value) else [path]
+    if isinstance(value, dict):
+        return [m for k, v in value.items() for m in _nonfinite(v, f"{path}.{k}")]
+    if isinstance(value, (list, tuple)):
+        return [m for i, v in enumerate(value) for m in _nonfinite(v, f"{path}[{i}]")]
+    return []
+
+
+def test_theft_gain_is_defined_for_every_input():
+    assert theft_gain(6, 3) == {"gain": 2.0, "gain_censored": False}
+    assert theft_gain(0, 0) == {"gain": 1.0, "gain_censored": False}
+    assert theft_gain(5, 0) == {"gain": None, "gain_censored": True}
+
+
+def test_undebited_thief_reports_censored_gain_not_inf():
+    # 9 ms ends before the thief's first accounting tick: it has burnt
+    # CPU under tick-sampled debiting but never been charged.
+    r = run_attack(scheduler="CR", hardened=False, horizon_s=0.009, seed=0)
+    thief = r["thief"]
+    assert thief["cpu_consumed_ns"] > 0 and thief["cpu_debited_ns"] == 0
+    assert thief["gain"] is None and thief["gain_censored"] is True
+    # No round finished in 9 ms, so the victim means are NaN; the thief
+    # block itself must be finite.
+    assert _nonfinite(thief, "thief") == []
+
+
 def test_unhardened_thief_profits_and_hardened_does_not():
     open_cell = run_attack(**ATK)
     hard_cell = run_attack(**dict(ATK, hardened=True))

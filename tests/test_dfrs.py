@@ -231,6 +231,21 @@ def test_cap_bounds_vm_cpu_share():
     assert run_ns < 0.5 * horizon
 
 
+def test_cap_budget_keeps_left_to_right_float_association():
+    """The budget is ``int(cap * period * n_pcpus)`` evaluated left to
+    right.  ``cap * (period * n_pcpus)`` rounds differently for some
+    caps (0.009 on 3 PCPUs: 810000 vs 809999 ns) and would shift every
+    capped slice by a nanosecond."""
+    sim, cluster, vmms = make_node_world(n_pcpus=3)
+    vmm = vmms[0]
+    vm = add_guest_vm(vmm, 1, name="capped")
+    vm.cap = 0.009
+    assert int(vm.cap * (vmm.period_ns * 3)) == 809_999
+    vm.vcpus[0].wake()  # lands on an idle PCPU and is dispatched at once
+    pcpu = vm.vcpus[0].pcpu
+    assert pcpu.slice_end_ns - pcpu.run_start_ns == 810_000
+
+
 def test_cap_parks_are_counted_and_released():
     sim, cluster, vmms = make_node_world(n_pcpus=1)
     vmm = vmms[0]

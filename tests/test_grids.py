@@ -46,3 +46,22 @@ def test_attack_claims_when_the_victim_finishes_no_round():
     assert "attack:CR: hardening recovery undefined (unhardened slowdown nan)" in failures
     assert any("unhardened victim slowdown nan not > 1" in f for f in failures)
     assert any("hardened victim slowdown nan not below" in f for f in failures)
+
+
+def test_censored_thief_gain_keeps_the_claims_meaning():
+    """A never-debited unhardened thief still counts as gaining; a
+    never-debited hardened thief fails both hardened bounds."""
+    results = _attack_results(
+        lambda hardened, attack: 150.0 if attack and not hardened else 100.0
+    )
+    for r in results:
+        if r.spec.params["attack"] and not r.spec.params["hardened"]:
+            r.value["thief"] = {"gain": None, "gain_censored": True}
+    assert not any("thief gain" in f for f in ATTACK.claims(results))
+    assert ATTACK.table(results)[2][0][3] == "censored"
+    for r in results:
+        if r.spec.params["attack"] and r.spec.params["hardened"]:
+            r.value["thief"] = {"gain": None, "gain_censored": True}
+    failures = ATTACK.claims(results)
+    assert "attack:CR: hardened thief gain censored not below unhardened" in failures
+    assert "attack:CR: hardened thief gain censored above 1.1" in failures

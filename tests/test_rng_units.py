@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.rng import SimRNG
+from repro.workloads.base import BSPSpec, bsp_rank_program
 from repro.sim.units import (
     MSEC,
     SEC,
@@ -107,6 +108,54 @@ def test_jittered_nonpositive_mean():
     rng = SimRNG(3)
     assert rng.jittered_ns(0, 0.5) == 0
     assert rng.jittered_ns(-5, 0.5) == 0
+
+
+def _reference_jittered_ns(gen: np.random.Generator, mean_ns: int, cv: float) -> int:
+    """``jittered_ns`` spelled out: numpy-scalar lognormal parameters
+    recomputed on every call, then one scalar draw."""
+    if cv <= 0.0 or mean_ns <= 0:
+        return max(0, int(mean_ns))
+    sigma2 = np.log1p(cv * cv)
+    mu = np.log(mean_ns) - 0.5 * sigma2
+    return max(1, int(gen.lognormal(mean=mu, sigma=np.sqrt(sigma2))))
+
+
+_draw_shapes = dict(
+    seed=st.integers(0, 2**32 - 1),
+    key=st.tuples(st.integers(0, 63), st.integers(0, 63), st.integers(0, 7)),
+    mean_ns=st.one_of(st.integers(-1000, 0), st.integers(1, 10**10)),
+    cv=st.one_of(st.just(0.0), st.floats(-1.0, 3.0, allow_nan=False)),
+    n=st.integers(1, 40),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_draw_shapes)
+def test_lognormal_params_draws_equal_jittered_ns(seed, key, mean_ns, cv, n):
+    root = SimRNG(seed)
+    ref = root.substream(*key).generator
+    expected = [_reference_jittered_ns(ref, mean_ns, cv) for _ in range(n)]
+    calls = root.substream(*key)
+    assert [calls.jittered_ns(mean_ns, cv) for _ in range(n)] == expected
+    params = SimRNG.lognormal_params(mean_ns, cv)
+    if params is None:
+        assert cv <= 0.0 or mean_ns <= 0
+        assert [max(0, int(mean_ns))] * n == expected
+    else:
+        gen = root.substream(*key).generator
+        assert [max(1, int(gen.lognormal(*params))) for _ in range(n)] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_draw_shapes)
+def test_bsp_round_grains_equal_scalar_draws(seed, key, mean_ns, cv, n):
+    spec = BSPSpec("t", grain_ns=mean_ns, grain_cv=cv, supersteps=n,
+                   pattern="none", msg_bytes=0)
+    root = SimRNG(seed)
+    prog = bsp_rank_program(spec, [None], 0, 0, None, root.substream(*key))
+    grains = [seg[1] for seg in prog if seg[0] == "compute"]
+    ref = root.substream(*key).generator
+    assert grains == [_reference_jittered_ns(ref, mean_ns, cv) for _ in range(n)]
 
 
 def test_exponential_positive_and_mean():

@@ -5,10 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.sanitizer import SanitizerViolationError, SimSanitizer, Violation
+from repro.dfrs.controller import DFRSConfig
 from repro.experiments.harness import CloudWorld, WorldConfig
 from repro.experiments.runner import SCENARIOS, RunSpec, _execute_cell
-from repro.experiments.scenarios import run_type_a
+from repro.experiments.scenarios import run_dfrs_compare, run_type_a
 from repro.hypervisor.vm import VCPUState
+from repro.migration import MigrationConfig
 from repro.schedulers.atc_sched import ATCScheduler
 from repro.sim.engine import Simulator
 from repro.sim.units import MSEC
@@ -116,8 +118,54 @@ def test_correct_accounting_passes():
     for v in vm.vcpus:
         v.state = VCPUState.RUNNABLE
         v.period_run_ns = 5 * MSEC
+    vm.period_run_ns = 10 * MSEC
     vmms[0].scheduler.on_period(0)
     assert san.violations == []
+
+
+def test_cached_vm_run_total_drift_detected():
+    sim, cluster, vmms = make_node_world()
+    vm = add_guest_vm(vmms[0], n_vcpus=2)
+    san = SimSanitizer(sim, vmms)
+    for v in vm.vcpus:
+        v.state = VCPUState.RUNNABLE
+        v.period_run_ns = 5 * MSEC
+    vm.period_run_ns = 7 * MSEC  # the VCPUs ran 10 ms between them
+    vmms[0].scheduler.on_period(0)
+    drift = [v for v in san.violations if v.context.get("vm") == vm.name]
+    assert [v.code for v in drift] == ["SAN003"]
+    assert drift[0].context["cached_ns"] == 7 * MSEC
+    assert drift[0].context["vcpu_sum_ns"] == 10 * MSEC
+    assert vm.period_run_ns == 0  # checked before the reset, then reset
+
+
+def test_sanitized_dfrs_hybrid_demix_cell_is_clean():
+    # Caps park VCPUs every period, and demix hands two VMs off between
+    # nodes mid-period (stop-and-copy pause included).
+    r = run_dfrs_compare(
+        mode="hybrid", horizon_s=2.0, seed=0, sanitize=True,
+        migration={"policy": "demix"},
+    )
+    assert r["migration"]["completed"] >= 1
+
+
+def test_vm_run_totals_survive_handoff_and_mid_period_teardown():
+    world = CloudWorld(WorldConfig(
+        n_nodes=3, scheduler="ATC", vms_per_node=4, vcpus_per_vm=4,
+        placement="pack", dfrs=DFRSConfig(),
+        migration=MigrationConfig.from_dict({"policy": "demix"}),
+        sanitize=True,
+    ))
+    vcs = [world.virtual_cluster(n_vms=2, name=f"vc{k}") for k in range(2)]
+    for vc in vcs:
+        world.add_npb("lu", vc.vms, rounds=None, warmup_rounds=1)
+    world.add_cpu_app("sphinx3", world.new_vm(name="np0"))
+    world.run(horizon_ns=1507 * MSEC)  # 7 ms into a 30 ms period
+    assert world.migration_engine.stats["completed"] >= 1
+    world.teardown_cluster(vcs[1])
+    world.run(horizon_ns=300 * MSEC)  # raises on any violation
+    assert world.sanitizer.total_violations == 0
+    assert sum(vmm.scheduler.stat_cap_parks for vmm in world.vmms) > 0
 
 
 # ----------------------------------------------------------------------
