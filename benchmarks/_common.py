@@ -10,11 +10,13 @@ environment switch) — for paper-scale sweeps (slow: hours; the
 single-cell Table-I trace benchmark is the exception, sized to finish
 inside a CI smoke job even at full scale).
 
-Grid-shaped benchmarks declare their cells as ``RunSpec`` lists and
-execute them through the shared sweep runner
-(:mod:`repro.experiments.runner`): ``REPRO_JOBS=N`` fans the cells over N
-worker processes (bit-identical to serial), and ``REPRO_BENCH_CACHE=1``
-re-uses cached cells (off by default so benchmark timings stay honest).
+Grid benchmarks are shims over the grids declared in
+:mod:`repro.experiments.grids`: :func:`bench_grid` builds a grid's cells
+at the bench's scale, executes them through the shared sweep runner
+(:mod:`repro.experiments.runner`), emits the grid's table and asserts its
+claims.  ``REPRO_JOBS=N`` fans the cells over N worker processes
+(bit-identical to serial), and ``REPRO_BENCH_CACHE=1`` re-uses cached
+cells (off by default so benchmark timings stay honest).
 
 Benchmarks run each simulation exactly once through
 ``benchmark.pedantic`` (a cloud-scale discrete-event run is seconds long
@@ -31,16 +33,20 @@ import json
 import os
 import re
 
+from repro.experiments.grids import GRIDS
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_sweep
+from repro.workloads.npb import NPB_NAMES
 
 __all__ = [
     "full_scale",
     "fig_nodes",
     "fig_apps",
     "fig_slices_ms",
+    "type_b_scale",
     "run_once",
     "run_grid",
+    "bench_grid",
     "emit",
 ]
 
@@ -54,9 +60,9 @@ def fig_nodes() -> list[int]:
     return [2, 4, 8, 16, 32] if full_scale() else [2, 4]
 
 
-def fig_apps() -> list[str]:
-    """NPB kernels to sweep (all six at full scale)."""
-    return ["lu", "is", "sp", "bt", "mg", "cg"] if full_scale() else ["lu", "is", "cg"]
+def fig_apps(default=("lu", "is", "cg")) -> list[str]:
+    """NPB kernels to sweep: ``default``, or all six at full scale."""
+    return list(NPB_NAMES if full_scale() else default)
 
 
 def fig_slices_ms() -> list[float]:
@@ -64,6 +70,11 @@ def fig_slices_ms() -> list[float]:
     if full_scale():
         return [30, 24, 18, 12, 6, 1, 0.6, 0.3, 0.15, 0.1]
     return [30, 12, 6, 1, 0.3]
+
+
+def type_b_scale() -> dict:
+    """Platform size and horizon of the type-B figures (Figs. 11-14)."""
+    return dict(n_nodes=32, horizon_s=30.0) if full_scale() else dict(n_nodes=6, horizon_s=8.0)
 
 
 def run_once(benchmark, fn, *args, **kwargs):
@@ -90,6 +101,16 @@ def run_grid(benchmark, specs, jobs=None, use_cache=None):
     failed = [r for r in results if not r.ok]
     assert not failed, f"{len(failed)} cells failed; first: {failed[0].error}"
     return results
+
+
+def bench_grid(benchmark, grid: str, *cell_params: dict, name: str | None = None) -> None:
+    """Run a grid with one ``cells(**params)`` call per dict of
+    ``cell_params``, emit its table as ``BENCH_<name or grid>.json`` and
+    assert that every claim holds."""
+    g = GRIDS[grid]
+    results = run_grid(benchmark, [s for params in cell_params for s in g.cells(**params)])
+    emit(*g.table(results), name=name or grid)
+    assert g.claims(results) == []
 
 
 def _bench_name(title: str) -> str:

@@ -9,18 +9,12 @@
    workload (the paper's stated reason ATC beats DSS).
 """
 
-import dataclasses
-
-import pytest
-
 from repro.core.config import ATCConfig
 from repro.experiments.scenarios import run_type_a
 from repro.schedulers.atc_sched import ATCParams
 from repro.sim.units import ns_from_ms
 
 from _common import emit, run_once
-
-RESULTS: dict[str, float] = {}
 
 VARIANTS = {
     "paper(0.3ms)": ATCConfig(),
@@ -33,40 +27,22 @@ VARIANTS = {
 }
 
 
-@pytest.mark.parametrize("name", list(VARIANTS))
-def test_ablation_variant(benchmark, name):
-    params = ATCParams(atc=VARIANTS[name])
-    r = run_once(
-        benchmark,
-        run_type_a,
-        "lu",
-        "ATC",
-        2,
-        rounds=2,
-        warmup_rounds=1,
-        sched_params=params,
-    )
-    assert r["all_done"]
-    RESULTS[name] = r["mean_round_ns"]
-
-
-def test_ablation_baselines(benchmark):
-    def run_baselines():
+def test_ablation_atc(benchmark):
+    def run_cells():
+        times = {}
+        for name, atc in VARIANTS.items():
+            r = run_type_a("lu", "ATC", 2, rounds=2, warmup_rounds=1,
+                           sched_params=ATCParams(atc=atc))
+            assert r["all_done"], name
+            times[name] = r["mean_round_ns"]
         for sched in ("CR", "DSS"):
-            r = run_type_a("lu", sched, 2, rounds=2, warmup_rounds=1)
-            RESULTS[sched] = r["mean_round_ns"]
+            times[sched] = run_type_a("lu", sched, 2, rounds=2, warmup_rounds=1)["mean_round_ns"]
+        return times
 
-    run_once(benchmark, run_baselines)
-
-
-def test_ablation_report(benchmark):
-    def report():
-        base = RESULTS["CR"]
-        rows = [(k, v / base) for k, v in RESULTS.items()]
-        emit("ATC ablations — lu, normalized vs CR", ["variant", "normalized time"], rows)
-        return dict(rows)
-
-    rows = run_once(benchmark, report)
+    times = run_once(benchmark, run_cells)
+    rows = [(k, v / times["CR"]) for k, v in times.items()]
+    emit("ATC ablations — lu, normalized vs CR", ["variant", "normalized time"], rows)
+    rows = dict(rows)
     # every ATC variant still beats CR decisively
     for name in VARIANTS:
         assert rows[name] < 0.6, name

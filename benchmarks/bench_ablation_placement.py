@@ -11,55 +11,11 @@ The full placement registry is exercised: ``striped`` round-robins VMs
 over nodes by global index (clusters interleave instead of aligning) and
 ``random:SEED`` draws placements from a seeded RNG — both land between
 the spread/pack extremes, and the seed makes the "random" cell exactly
-reproducible.
+reproducible.  Regenerates the ``placement`` grid.
 """
 
-import pytest
-
-from repro.experiments.harness import CloudWorld, WorldConfig
-from repro.metrics.summary import mean
-from repro.sim.units import SEC
-
-from _common import emit, run_once
-
-PLACEMENTS = ("spread", "pack", "striped", "random:11")
-
-RESULTS: dict[tuple, float] = {}
+from _common import bench_grid
 
 
-def run_placement(scheduler: str, placement: str) -> float:
-    world = CloudWorld(WorldConfig(n_nodes=2, scheduler=scheduler, seed=5))
-    apps = []
-    for k in range(4):
-        vc = world.virtual_cluster(2, name=f"vc{k}", placement=placement)
-        apps.append(world.add_npb("lu", vc.vms, rounds=2, warmup_rounds=1))
-    world.run(horizon_ns=300 * SEC)
-    assert world.all_apps_done
-    return mean([t for a in apps for t in a.round_times])
-
-
-@pytest.mark.parametrize("placement", PLACEMENTS)
-@pytest.mark.parametrize("sched", ["CR", "ATC"])
-def test_placement_cell(benchmark, sched, placement):
-    RESULTS[(sched, placement)] = run_once(benchmark, run_placement, sched, placement)
-
-
-def test_placement_report(benchmark):
-    def report():
-        base = RESULTS[("CR", "spread")]
-        rows = [
-            (f"{s} / {p}", RESULTS[(s, p)] / base)
-            for s in ("CR", "ATC")
-            for p in PLACEMENTS
-        ]
-        emit(
-            "Ablation — lu round time by scheduler x placement (vs CR/spread)",
-            ["config", "normalized time"],
-            rows,
-        )
-        return {r[0]: r[1] for r in rows}
-
-    rows = run_once(benchmark, report)
-    # ATC helps under every placement in the registry
-    for p in PLACEMENTS:
-        assert rows[f"ATC / {p}"] < rows[f"CR / {p}"]
+def test_ablation_placement(benchmark):
+    bench_grid(benchmark, "placement", {})

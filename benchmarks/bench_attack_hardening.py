@@ -18,9 +18,7 @@ preemptions, recovered share) and asserts its claims at both scales
 (repro.experiments.grids).
 """
 
-from repro.experiments.grids import GRIDS
-
-from _common import emit, full_scale, run_grid
+from _common import bench_grid, full_scale
 
 SCALES = {
     "1-node": dict(n_nodes=1, horizon_s=8.0 if full_scale() else 4.0),
@@ -29,8 +27,6 @@ SCALES = {
 
 
 def test_attack_hardening(benchmark):
-    grid = GRIDS["attack"]
-    specs = [s for scale, p in SCALES.items() for s in grid.cells(prefix=scale, seed=0, **p)]
-    results = run_grid(benchmark, specs)
-    emit(*grid.table(results), name="attack_hardening")
-    assert grid.claims(results) == []
+    bench_grid(benchmark, "attack",
+               *(dict(prefix=scale, seed=0, **p) for scale, p in SCALES.items()),
+               name="attack_hardening")

@@ -22,9 +22,9 @@ each scale) and asserts its claims at both scales, the hybrid's
 (repro.experiments.grids).
 """
 
-from repro.experiments.grids import DFRS_MODES, GRIDS
+from repro.experiments.grids import DFRS_MODES
 
-from _common import emit, full_scale, run_grid
+from _common import bench_grid, full_scale
 
 SMALL = dict(horizon_s=30.0 if full_scale() else 10.0)
 LARGE = dict(
@@ -37,9 +37,6 @@ LARGE = dict(
 
 
 def test_dfrs_compare(benchmark):
-    grid = GRIDS["dfrs"]
-    specs = (grid.cells(modes=DFRS_MODES + ("idle",), prefix="small", seed=0, **SMALL)
-             + grid.cells(prefix="large", seed=0, **LARGE))
-    results = run_grid(benchmark, specs)
-    emit(*grid.table(results), name="dfrs_compare")
-    assert grid.claims(results) == []
+    bench_grid(benchmark, "dfrs",
+               dict(modes=DFRS_MODES + ("idle",), prefix="small", seed=0, **SMALL),
+               dict(prefix="large", seed=0, **LARGE), name="dfrs_compare")

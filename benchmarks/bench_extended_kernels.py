@@ -4,41 +4,11 @@
 synchronization, so no scheduler — ATC included — should change its
 execution time materially.  ``ft`` (3-D FFT) is the most
 communication-bound kernel and should gain at least as much as ``is``.
+Regenerates the ``kernels`` grid.
 """
 
-import pytest
-
-from repro.experiments.scenarios import run_type_a
-
-from _common import emit, run_once
-
-RESULTS: dict[tuple, float] = {}
+from _common import bench_grid
 
 
-@pytest.mark.parametrize("sched", ["CR", "ATC"])
-@pytest.mark.parametrize("app", ["ep", "ft", "is"])
-def test_extended_cell(benchmark, app, sched):
-    r = run_once(benchmark, run_type_a, app, sched, 2, rounds=2, warmup_rounds=1)
-    assert r["all_done"]
-    RESULTS[(app, sched)] = r["mean_round_ns"]
-
-
-def test_extended_report(benchmark):
-    def report():
-        rows = [
-            (app, RESULTS[(app, "ATC")] / RESULTS[(app, "CR")])
-            for app in ("ep", "ft", "is")
-        ]
-        emit(
-            "Extension — ep/ft under ATC, normalized to CR",
-            ["app", "ATC / CR"],
-            rows,
-        )
-        return dict(rows)
-
-    rows = run_once(benchmark, report)
-    # the control case: no synchronization -> no meaningful ATC effect
-    assert 0.9 <= rows["ep"] <= 1.1, rows["ep"]
-    # the FFT transposes gain at least as much as the paper's is kernel
-    assert rows["ft"] <= rows["is"] + 0.1
-    assert rows["ft"] < 0.75
+def test_extended_kernels(benchmark):
+    bench_grid(benchmark, "kernels", {})

@@ -4,51 +4,13 @@ Paper: the normalized execution time of ``lu`` under CS (vs CR) *rises*
 as the virtual cluster spans more hosts — CS gangs VCPUs per host but
 the cluster's VMs stay unsynchronized across hosts.
 
-Regenerates: normalized CS execution time at each cluster scale.
-Expected shape: CS < 1 everywhere, increasing with the number of nodes.
+Regenerates the ``fig01`` grid: normalized CS execution time at each
+cluster scale.  Expected shape: CS < 1 everywhere, increasing with the
+number of nodes.
 """
 
-import pytest
-
-from repro.experiments.scenarios import run_type_a
-
-from _common import emit, fig_nodes, run_once
-
-RESULTS: dict[int, dict[str, float]] = {}
+from _common import bench_grid, fig_nodes
 
 
-@pytest.mark.parametrize("n_nodes", fig_nodes())
-@pytest.mark.parametrize("sched", ["CR", "CS"])
-def test_fig01_lu_scaling(benchmark, sched, n_nodes):
-    r = run_once(
-        benchmark,
-        run_type_a,
-        "lu",
-        sched,
-        n_nodes,
-        rounds=2,
-        warmup_rounds=1,
-    )
-    assert r["all_done"], f"{sched}@{n_nodes} did not finish in the horizon"
-    RESULTS.setdefault(n_nodes, {})[sched] = r["mean_round_ns"]
-
-
-def test_fig01_report(benchmark):
-    def report():
-        rows = []
-        for n in sorted(RESULTS):
-            if {"CR", "CS"} <= set(RESULTS[n]):
-                rows.append((n, RESULTS[n]["CS"] / RESULTS[n]["CR"]))
-        emit(
-            "Figure 1 — lu: normalized execution time of CS vs CR by cluster scale",
-            ["nodes (VMs per VC)", "CS / CR"],
-            rows,
-        )
-        return rows
-
-    rows = run_once(benchmark, report)
-    assert rows, "parametrized benches did not run"
-    # CS helps at every scale but the advantage erodes with scale
-    assert all(v < 1.0 for _, v in rows)
-    if len(rows) >= 2:
-        assert rows[-1][1] >= rows[0][1] - 0.05
+def test_fig01_cs_scalability(benchmark):
+    bench_grid(benchmark, "fig01", dict(nodes=fig_nodes()))

@@ -4,39 +4,12 @@ Paper (Section II-A2 platform): under CS, ping RTT is ~1.75x CR's,
 sphinx3 runs ~1.11x longer, stream loses a little bandwidth, bonnie++ is
 roughly unaffected.
 
-Regenerates: the four non-parallel metrics under CR and CS, normalized.
+Regenerates the ``fig02`` grid: the four non-parallel metrics under CR
+and CS, normalized.
 """
 
-import pytest
-
-from repro.experiments.scenarios import run_small_mix
-
-from _common import emit, full_scale, run_once
-
-RESULTS: dict[str, dict] = {}
-HORIZON = 20.0 if full_scale() else 6.0
+from _common import bench_grid, full_scale
 
 
-@pytest.mark.parametrize("sched", ["CR", "CS"])
-def test_fig02_mix(benchmark, sched):
-    RESULTS[sched] = run_once(benchmark, run_small_mix, sched, horizon_s=HORIZON)
-
-
-def test_fig02_report(benchmark):
-    def report():
-        cr, cs = RESULTS["CR"], RESULTS["CS"]
-        rows = [
-            ("ping RTT (higher=worse)", cs["ping_mean_rtt_ns"] / cr["ping_mean_rtt_ns"]),
-            ("sphinx3 run time (higher=worse)", cs["sphinx3_mean_run_ns"] / cr["sphinx3_mean_run_ns"]),
-            ("stream bandwidth (lower=worse)", cs["stream_bandwidth_Bps"] / cr["stream_bandwidth_Bps"]),
-            ("bonnie++ throughput (lower=worse)", cs["bonnie_throughput_Bps"] / cr["bonnie_throughput_Bps"]),
-        ]
-        emit("Figure 2 — non-parallel apps under CS, normalized to CR", ["metric", "CS / CR"], rows)
-        return dict(rows)
-
-    rows = run_once(benchmark, report)
-    # paper shapes: ping and sphinx3 degrade, stream mildly, bonnie ~flat
-    assert rows["ping RTT (higher=worse)"] > 1.2
-    assert rows["sphinx3 run time (higher=worse)"] > 1.05
-    assert rows["stream bandwidth (lower=worse)"] < 1.05
-    assert rows["bonnie++ throughput (lower=worse)"] > 0.6
+def test_fig02_cs_nonparallel(benchmark):
+    bench_grid(benchmark, "fig02", dict(horizon_s=20.0 if full_scale() else 6.0))

@@ -14,14 +14,11 @@ separate the mechanisms:
   effect ATC exploits.
 """
 
-import pytest
-
 from repro.experiments.scenarios import run_packet_path_probe
 from repro.schedulers.credit import CreditParams
 
 from _common import emit, full_scale, run_once
 
-RESULTS: dict[str, dict] = {}
 N_PROBES = 200 if full_scale() else 50
 
 CASES = {
@@ -29,41 +26,21 @@ CASES = {
     "no-boost 30ms": dict(sched_params=CreditParams(boost=False)),
     "no-boost 0.3ms": dict(sched_params=CreditParams(boost=False), uniform_slice_ms=0.3),
 }
+HOPS = ("mean_netback_tx_wait_ns", "mean_wire_ns", "mean_netback_rx_wait_ns",
+        "mean_consume_wait_ns", "mean_end_to_end_ns")
 
 
-@pytest.mark.parametrize("case", list(CASES))
-def test_fig04_probe(benchmark, case):
-    RESULTS[case] = run_once(
-        benchmark, run_packet_path_probe, "CR", n_probes=N_PROBES, **CASES[case]
-    )
+def test_fig04_packet_path(benchmark):
+    def run_cases():
+        return {case: run_packet_path_probe("CR", n_probes=N_PROBES, **kw)
+                for case, kw in CASES.items()}
 
-
-def test_fig04_report(benchmark):
-    def report():
-        hops = (
-            "mean_netback_tx_wait_ns",
-            "mean_wire_ns",
-            "mean_netback_rx_wait_ns",
-            "mean_consume_wait_ns",
-            "mean_end_to_end_ns",
-        )
-        rows = []
-        for hop in hops:
-            rows.append(
-                (
-                    hop.replace("mean_", "").replace("_ns", ""),
-                    *(RESULTS[c][hop] / 1e3 for c in CASES),
-                )
-            )
-        emit(
-            "Figure 4 — cross-VM packet path hops (us)",
-            ["hop", *CASES],
-            rows,
-        )
-        return {r[0]: dict(zip(CASES, r[1:])) for r in rows}
-
-    rows = run_once(benchmark, report)
-    assert all(RESULTS[c]["probes"] > 0 for c in CASES)
+    probes = run_once(benchmark, run_cases)
+    rows = [(hop.replace("mean_", "").replace("_ns", ""), *(probes[c][hop] / 1e3 for c in CASES))
+            for hop in HOPS]
+    emit("Figure 4 — cross-VM packet path hops (us)", ["hop", *CASES], rows)
+    rows = {r[0]: dict(zip(CASES, r[1:])) for r in rows}
+    assert all(probes[c]["probes"] > 0 for c in CASES)
     # scheduling waits dominate the wire under stock CR with 30 ms slices
     sched_wait = rows["consume_wait"]["CR"] + rows["netback_rx_wait"]["CR"]
     assert sched_wait > rows["wire"]["CR"]

@@ -4,62 +4,13 @@ Paper (Section II-B): shortening the slice from 30 ms toward 0.1 ms
 monotonically reduces spinlock latency and improves every application
 (up to ~10x), with Pearson correlation between the two above 0.9.
 
-The (app x slice) grid is declared as ``RunSpec`` cells and executed
-through the shared sweep runner (``REPRO_JOBS=N`` parallelizes it).
-
-Regenerates: per-app rows of (slice, execution time, avg spin latency)
-plus the per-app Pearson coefficient.
+Regenerates the ``sweep`` grid (also ``repro sweep``): per-app rows of
+(slice, execution time, avg spin latency, context switches, LLC misses),
+with the Pearson claim checked per app.
 """
 
-from repro.experiments.runner import RunSpec
-from repro.metrics.summary import pearson
-
-from _common import emit, fig_apps, fig_slices_ms, run_grid, run_once
-
-SPECS = [
-    RunSpec(
-        "slice_sweep",
-        dict(app_name=app, slice_ms_values=[sm], rounds=2, warmup_rounds=1),
-        label=f"fig05:{app}@{sm}ms",
-    )
-    for app in fig_apps()
-    for sm in fig_slices_ms()
-]
-
-RESULTS: dict[str, list[dict]] = {}
+from _common import bench_grid, fig_apps, fig_slices_ms
 
 
-def test_fig05_sweep(benchmark):
-    for r in run_grid(benchmark, SPECS):
-        rows = RESULTS.setdefault(r.spec.params["app_name"], [])
-        rows.extend(r.value["rows"])
-
-
-def test_fig05_report(benchmark):
-    def report():
-        out = {}
-        for app, sweep_rows in RESULTS.items():
-            rows = [
-                (row["slice_ms"], row["mean_round_ns"] / 1e6, row["avg_spin_ns"] / 1e6)
-                for row in sweep_rows
-            ]
-            emit(
-                f"Figure 5 — {app}: performance & spinlock latency vs slice",
-                ["slice (ms)", "exec time (ms)", "avg spin latency (ms)"],
-                rows,
-                name=f"fig05_{app}",
-            )
-            times = [t for _, t, _ in rows]
-            spins = [s for _, _, s in rows]
-            out[app] = (times, spins, pearson(spins, times))
-            print(f"  {app}: pearson(spin, time) = {out[app][2]:.3f}")
-        return out
-
-    out = run_once(benchmark, report)
-    for app, (times, spins, corr) in out.items():
-        # spin latency decreases monotonically with the slice
-        assert spins == sorted(spins, reverse=True), app
-        # performance improves substantially from 30 ms to the shortest
-        assert times[-1] < times[0], app
-        # the paper's correlation claim
-        assert corr > 0.9, app
+def test_fig05_slice_sweep(benchmark):
+    bench_grid(benchmark, "sweep", dict(apps=fig_apps(), slices=fig_slices_ms()), name="fig05")

@@ -4,72 +4,19 @@ Paper: execution time does not keep falling as the slice shrinks —
 spinlock latency keeps decreasing but LLC misses from the extra context
 switches eventually dominate (inflection ~0.2 ms for lu.C).
 
-Regenerates: per-app rows of (slice, execution time, LLC miss rate,
-context switches) for short slices, and locates each app's inflection.
+Regenerates the ``fig08`` grid: per-app rows of (slice, execution time,
+LLC miss rate, context switches) for short slices, and checks that each
+app's inflection is interior.
 
 Known deviation (see EXPERIMENTS.md): our inflection sits at ~0.5 ms,
 about 2x to the right of the paper's, because the simulator's wake path
 saturates the benefit of sub-millisecond slices slightly earlier.
 """
 
-import pytest
-
-from repro.experiments.scenarios import run_slice_sweep
-
-from _common import emit, full_scale, run_once
+from _common import bench_grid, fig_apps
 
 SLICES_MS = [2, 1, 0.5, 0.4, 0.3, 0.2, 0.1, 0.03]
-APPS = ["lu", "is", "sp", "bt", "mg", "cg"] if full_scale() else ["lu", "cg"]
-RESULTS: dict[str, dict] = {}
 
 
-@pytest.mark.parametrize("app", APPS)
-def test_fig08_sweep(benchmark, app):
-    RESULTS[app] = run_once(
-        benchmark,
-        run_slice_sweep,
-        app,
-        SLICES_MS,
-        rounds=2,
-        warmup_rounds=1,
-        npb_class="C",
-    )
-
-
-def test_fig08_report(benchmark):
-    def report():
-        inflections = {}
-        for app, r in RESULTS.items():
-            rows = [
-                (
-                    row["slice_ms"],
-                    row["mean_round_ns"] / 1e6,
-                    row["miss_rate_per_ms"],
-                    row["context_switches"],
-                )
-                for row in r["rows"]
-            ]
-            emit(
-                f"Figure 8 — {app}.C: performance vs short slices",
-                ["slice (ms)", "exec time (ms)", "LLC misses / busy-ms", "ctx switches"],
-                rows,
-            )
-            best = min(rows, key=lambda t: t[1])
-            inflections[app] = (best[0], rows)
-            print(f"  {app}.C inflection (best slice): {best[0]} ms")
-        return inflections
-
-    inflections = run_once(benchmark, report)
-    for app, (best_slice, rows) in inflections.items():
-        # an interior optimum exists: both shrinking further and growing
-        # the slice from the optimum cost performance
-        slices = [s for s, *_ in rows]
-        assert best_slice not in (slices[0], slices[-1]), (
-            f"{app}: no interior inflection (best={best_slice})"
-        )
-        # LLC pressure grows as the slice shrinks
-        miss_rates = [m for _, _, m, _ in rows]
-        assert miss_rates[-2] > miss_rates[0]
-        # context switches grow monotonically as the slice shrinks
-        ctx = [c for *_, c in rows]
-        assert ctx[-1] > ctx[0]
+def test_fig08_inflection(benchmark):
+    bench_grid(benchmark, "fig08", dict(apps=fig_apps(["lu", "cg"]), slices=SLICES_MS))

@@ -4,54 +4,15 @@ Paper: as the (globally applied) slice shrinks, sphinx3 slows (context
 switches + cache), ping's RTT *improves* (more scheduling opportunities),
 and stream degrades slightly.
 
-Regenerates: the three metrics across a slice ladder under CR.
+Regenerates the ``fig09`` grid: the three metrics across a slice ladder
+under CR.
 """
 
-import pytest
+from _common import bench_grid, full_scale
 
-from repro.experiments.scenarios import run_small_mix
-
-from _common import emit, full_scale, run_once
-
-SLICES_MS = [30, 12, 6, 1, 0.3] if full_scale() else [30, 6, 0.3]
-HORIZON = 12.0 if full_scale() else 6.0
-RESULTS: dict[float, dict] = {}
+FULL = dict(slices=[30, 12, 6, 1, 0.3], horizon_s=12.0)
+DEFAULT = dict(slices=[30, 6, 0.3], horizon_s=6.0)
 
 
-@pytest.mark.parametrize("slice_ms", SLICES_MS)
-def test_fig09_sweep(benchmark, slice_ms):
-    RESULTS[slice_ms] = run_once(
-        benchmark,
-        run_small_mix,
-        "CR",
-        horizon_s=HORIZON,
-        uniform_slice_ms=slice_ms,
-    )
-
-
-def test_fig09_report(benchmark):
-    def report():
-        rows = [
-            (
-                sm,
-                RESULTS[sm]["sphinx3_mean_run_ns"] / 1e6,
-                RESULTS[sm]["ping_mean_rtt_ns"] / 1e6,
-                RESULTS[sm]["stream_bandwidth_Bps"] / 1e9,
-            )
-            for sm in SLICES_MS
-        ]
-        emit(
-            "Figure 9 — non-parallel apps vs uniform slice (CR)",
-            ["slice (ms)", "sphinx3 run (ms)", "ping RTT (ms)", "stream (GB/s)"],
-            rows,
-        )
-        return rows
-
-    rows = run_once(benchmark, report)
-    longest, shortest = rows[0], rows[-1]
-    # sphinx3 declines with very short slices
-    assert shortest[1] > longest[1]
-    # ping RTT improves with shorter slices
-    assert shortest[2] < longest[2]
-    # stream loses bandwidth to extra cache flushes
-    assert shortest[3] < longest[3] * 1.02
+def test_fig09_nonparallel_slice(benchmark):
+    bench_grid(benchmark, "fig09", FULL if full_scale() else DEFAULT)

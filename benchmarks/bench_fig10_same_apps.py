@@ -5,63 +5,13 @@ Paper: ATC achieves the best normalized execution time and the best
 scalability; CS sits between ATC and BS; BS's small advantage over CR
 erodes with scale; DSS lands between CR and ATC.
 
-The (app x approach x scale) grid is declared as ``RunSpec`` cells and
-executed through the shared sweep runner (``REPRO_JOBS=N`` parallelizes
-it).
-
-Regenerates: normalized execution time per (app, approach, scale).
+Regenerates the ``compare`` grid (also ``repro compare``): normalized
+execution time per (app, approach, scale).
 """
 
-from repro.experiments.runner import RunSpec
-
-from _common import emit, fig_nodes, full_scale, run_grid, run_once
-
-APPS = ["lu", "is", "sp", "bt", "mg", "cg"] if full_scale() else ["lu", "is"]
-SCHEDS = ["CR", "BS", "CS", "DSS", "ATC"]
-
-SPECS = [
-    RunSpec(
-        "type_a",
-        dict(app_name=app, scheduler=sched, n_nodes=n, rounds=2, warmup_rounds=1),
-        label=f"fig10:{app}/{sched}/{n}",
-    )
-    for app in APPS
-    for sched in SCHEDS
-    for n in fig_nodes()
-]
-
-RESULTS: dict[tuple, float] = {}
+from _common import bench_grid, fig_apps, fig_nodes
 
 
-def test_fig10_grid(benchmark):
-    for r in run_grid(benchmark, SPECS):
-        p = r.spec.params
-        assert r.value["all_done"], f"{p['app_name']}/{p['scheduler']}/{p['n_nodes']} incomplete"
-        RESULTS[(p["app_name"], p["scheduler"], p["n_nodes"])] = r.value["mean_round_ns"]
-
-
-def test_fig10_report(benchmark):
-    def report():
-        norm = {}
-        for (app, sched, n), t in RESULTS.items():
-            norm[(app, sched, n)] = t / RESULTS[(app, "CR", n)]
-        for app in APPS:
-            rows = []
-            for n in fig_nodes():
-                rows.append((n, *(round(norm[(app, s, n)], 3) for s in SCHEDS)))
-            emit(
-                f"Figure 10 — {app}: normalized execution time",
-                ["nodes", *SCHEDS],
-                rows,
-                name=f"fig10_{app}",
-            )
-        return norm
-
-    norm = run_once(benchmark, report)
-    for app in APPS:
-        for n in fig_nodes():
-            # ATC is the best approach at every cell
-            others = [norm[(app, s, n)] for s in SCHEDS if s != "ATC"]
-            assert norm[(app, "ATC", n)] <= min(others) + 1e-9, (app, n)
-            # and beats CR by at least the paper's minimum factor band
-            assert norm[(app, "ATC", n)] < 0.75, (app, n)
+def test_fig10_same_apps(benchmark):
+    bench_grid(benchmark, "compare", dict(apps=fig_apps(["lu", "is"]), nodes=fig_nodes()),
+               name="fig10")

@@ -4,68 +4,13 @@ approaches, parallel applications only.
 Paper: ATC best (e.g. sp in VC1: ATC 0.25, DSS 0.45, CS 0.49, BS 0.9 vs
 CR 1.0); trends mirror Fig. 10.
 
-The per-approach cells are declared as ``RunSpec``\\ s and executed
-through the shared sweep runner (``REPRO_JOBS=N`` parallelizes them).
-
-Regenerates: per-VC normalized mean round times under every approach
-(normalized against CR on the *same* VC/app assignment — the seed fixes
-the trace draw across approaches).
+Regenerates the ``fig11`` grid: per-VC normalized mean round times under
+every approach (normalized against CR on the *same* VC/app assignment —
+the seed fixes the trace draw across approaches).
 """
 
-import math
-
-from repro.experiments.runner import RunSpec
-
-from _common import emit, full_scale, run_grid, run_once
-
-SCHEDS = ["CR", "BS", "CS", "DSS", "ATC"]
-N_NODES = 32 if full_scale() else 6
-HORIZON = 30.0 if full_scale() else 8.0
-
-SPECS = [
-    RunSpec(
-        "type_b",
-        dict(scheduler=sched, n_nodes=N_NODES, horizon_s=HORIZON, seed=11),
-        label=f"fig11:{sched}",
-    )
-    for sched in SCHEDS
-]
-
-RESULTS: dict[str, dict] = {}
+from _common import bench_grid, type_b_scale
 
 
-def test_fig11_grid(benchmark):
-    for r in run_grid(benchmark, SPECS):
-        RESULTS[r.spec.params["scheduler"]] = r.value
-
-
-def test_fig11_report(benchmark):
-    def report():
-        vcs = [vc["vc"] for vc in RESULTS["CR"]["vcs"]]
-        rows = []
-        norms = {}
-        for i, vc in enumerate(vcs):
-            base = RESULTS["CR"]["vcs"][i]["mean_round_ns"]
-            row = [f"{vc} ({RESULTS['CR']['vcs'][i]['app']}, {RESULTS['CR']['vcs'][i]['n_vms']} VMs)"]
-            for s in SCHEDS:
-                cell = RESULTS[s]["vcs"][i]["mean_round_ns"]
-                val = cell / base if base == base and cell == cell else float("nan")
-                norms[(vc, s)] = val
-                row.append(round(val, 3) if val == val else "n/a")
-            rows.append(tuple(row))
-        emit(
-            "Figure 11 — type B mix: normalized execution time per VC",
-            ["VC", *SCHEDS],
-            rows,
-            name="fig11",
-        )
-        return norms
-
-    norms = run_once(benchmark, report)
-    atc_cells = [v for (vc, s), v in norms.items() if s == "ATC" and math.isfinite(v)]
-    cr_cells = [v for (vc, s), v in norms.items() if s == "CR" and math.isfinite(v)]
-    assert atc_cells, "no measurable VCs"
-    # ATC accelerates the mix overall
-    assert sum(atc_cells) / len(atc_cells) < 0.6
-    # every approach's assignment matches CR's (same seed -> same trace)
-    assert all(abs(v - 1.0) < 1e-9 for v in cr_cells)
+def test_fig11_mixed_parallel(benchmark):
+    bench_grid(benchmark, "fig11", type_b_scale())

@@ -5,60 +5,12 @@ Paper: ATC(30ms) best; DSS is *inferior to CS* here (the opposite of the
 parallel-only Fig. 11) because latency-insensitive VMs keep long slices
 under DSS and delay the parallel VMs queued behind them; VS trails DSS.
 
-Regenerates: mean normalized parallel round time per approach, including
-both ATC variants.
+Regenerates the ``fig12`` grid: mean normalized parallel round time per
+approach, including both ATC variants.
 """
 
-import math
-
-import pytest
-
-from repro.experiments.scenarios import run_type_b_mixed
-
-from _common import emit, full_scale, run_once
-
-SCHEDS = ["CR", "BS", "CS", "DSS", "VS", "ATC"]
-N_NODES = 32 if full_scale() else 6
-HORIZON = 30.0 if full_scale() else 8.0
-RESULTS: dict[str, dict] = {}
+from _common import bench_grid, type_b_scale
 
 
-@pytest.mark.parametrize("sched", SCHEDS)
-def test_fig12_run(benchmark, sched):
-    RESULTS[sched] = run_once(
-        benchmark, run_type_b_mixed, sched, n_nodes=N_NODES, horizon_s=HORIZON, seed=12
-    )
-
-
-def test_fig12_atc6(benchmark):
-    RESULTS["ATC(6ms)"] = run_once(
-        benchmark,
-        run_type_b_mixed,
-        "ATC",
-        n_nodes=N_NODES,
-        horizon_s=HORIZON,
-        seed=12,
-        atc_np_slice_ms=6.0,
-    )
-
-
-def _mean_parallel(r) -> float:
-    vals = [vc["mean_round_ns"] for vc in r["vcs"] if math.isfinite(vc["mean_round_ns"])]
-    return sum(vals) / len(vals) if vals else float("nan")
-
-
-def test_fig12_report(benchmark):
-    def report():
-        base = _mean_parallel(RESULTS["CR"])
-        rows = [(s, _mean_parallel(RESULTS[s]) / base) for s in [*SCHEDS, "ATC(6ms)"]]
-        emit(
-            "Figure 12 — parallel apps in mixed tenancy: normalized vs CR",
-            ["approach", "mean normalized round time"],
-            rows,
-        )
-        return dict(rows)
-
-    rows = run_once(benchmark, report)
-    # ATC is the best approach for the parallel applications
-    assert rows["ATC"] <= min(v for k, v in rows.items() if k not in ("ATC", "ATC(6ms)"))
-    assert rows["ATC"] < 0.7
+def test_fig12_mixed_tenancy(benchmark):
+    bench_grid(benchmark, "fig12", type_b_scale())

@@ -5,65 +5,11 @@ Paper: bonnie++ is roughly unaffected by any approach; stream loses a
 little under CS and ATC(6ms); the web server collapses under CS (~35% of
 CR) but improves under VS / DSS / ATC(6ms) (higher scheduling frequency).
 
-Regenerates: the three metrics normalized to CR.
+Regenerates the ``fig13`` grid: the three metrics normalized to CR.
 """
 
-import pytest
-
-from repro.experiments.scenarios import run_type_b_mixed
-
-from _common import emit, full_scale, run_once
-
-SCHEDS = ["CR", "BS", "CS", "DSS", "VS", "ATC"]
-N_NODES = 32 if full_scale() else 6
-HORIZON = 30.0 if full_scale() else 8.0
-RESULTS: dict[str, dict] = {}
+from _common import bench_grid, type_b_scale
 
 
-@pytest.mark.parametrize("sched", SCHEDS)
-def test_fig13_run(benchmark, sched):
-    RESULTS[sched] = run_once(
-        benchmark, run_type_b_mixed, sched, n_nodes=N_NODES, horizon_s=HORIZON, seed=13
-    )
-
-
-def test_fig13_atc6(benchmark):
-    RESULTS["ATC(6ms)"] = run_once(
-        benchmark,
-        run_type_b_mixed,
-        "ATC",
-        n_nodes=N_NODES,
-        horizon_s=HORIZON,
-        seed=13,
-        atc_np_slice_ms=6.0,
-    )
-
-
-def test_fig13_report(benchmark):
-    def report():
-        cr = RESULTS["CR"]
-        rows = []
-        for s in [*SCHEDS, "ATC(6ms)"]:
-            r = RESULTS[s]
-            rows.append(
-                (
-                    s,
-                    r["bonnie_throughput_Bps"] / cr["bonnie_throughput_Bps"],
-                    r["stream_bandwidth_Bps"] / cr["stream_bandwidth_Bps"],
-                    cr["webserver_mean_response_ns"] / r["webserver_mean_response_ns"],
-                )
-            )
-        emit(
-            "Figure 13 — non-parallel apps, normalized to CR (higher = better)",
-            ["approach", "bonnie++ tput", "stream bw", "web responsiveness"],
-            rows,
-        )
-        return {r[0]: r[1:] for r in rows}
-
-    rows = run_once(benchmark, report)
-    # bonnie++ roughly unaffected everywhere
-    assert all(v[0] > 0.45 for v in rows.values())
-    # web server suffers under CS...
-    assert rows["CS"][2] < rows["CR"][2]
-    # ...and ATC(30ms) does not hurt it
-    assert rows["ATC"][2] > 0.8 * rows["CR"][2]
+def test_fig13_nonparallel_mix(benchmark):
+    bench_grid(benchmark, "fig13", type_b_scale())

@@ -4,63 +4,12 @@ mixed tenancy scenario.
 Paper: CS and ATC(6ms) degrade CPU-intensive apps (preemption / context
 switches); BS, VS, DSS and ATC(30ms) approximate CR.
 
-Regenerates: per-app normalized run times for every approach.
+Regenerates the ``fig14`` grid: per-app normalized run times for every
+approach.
 """
 
-import pytest
-
-from repro.experiments.scenarios import run_type_b_mixed
-
-from _common import emit, full_scale, run_once
-
-SCHEDS = ["CR", "BS", "CS", "DSS", "VS", "ATC"]
-N_NODES = 32 if full_scale() else 6
-HORIZON = 30.0 if full_scale() else 8.0
-RESULTS: dict[str, dict] = {}
+from _common import bench_grid, type_b_scale
 
 
-@pytest.mark.parametrize("sched", SCHEDS)
-def test_fig14_run(benchmark, sched):
-    RESULTS[sched] = run_once(
-        benchmark, run_type_b_mixed, sched, n_nodes=N_NODES, horizon_s=HORIZON, seed=14
-    )
-
-
-def test_fig14_atc6(benchmark):
-    RESULTS["ATC(6ms)"] = run_once(
-        benchmark,
-        run_type_b_mixed,
-        "ATC",
-        n_nodes=N_NODES,
-        horizon_s=HORIZON,
-        seed=14,
-        atc_np_slice_ms=6.0,
-    )
-
-
-def test_fig14_report(benchmark):
-    def report():
-        cr = RESULTS["CR"]
-        rows = []
-        for s in [*SCHEDS, "ATC(6ms)"]:
-            r = RESULTS[s]
-            rows.append(
-                (
-                    s,
-                    r["gcc_mean_run_ns"] / cr["gcc_mean_run_ns"],
-                    r["bzip2_mean_run_ns"] / cr["bzip2_mean_run_ns"],
-                    r["sphinx3_mean_run_ns"] / cr["sphinx3_mean_run_ns"],
-                )
-            )
-        emit(
-            "Figure 14 — CPU-intensive apps, run time normalized to CR (1.0 = unaffected)",
-            ["approach", "gcc", "bzip2", "sphinx3"],
-            rows,
-        )
-        return {r[0]: r[1:] for r in rows}
-
-    rows = run_once(benchmark, report)
-    # ATC with the default non-parallel slice approximates CR
-    assert all(v < 1.25 for v in rows["ATC"])
-    # ATC(6ms) visibly costs CPU-bound apps more than ATC(30ms)
-    assert sum(rows["ATC(6ms)"]) > sum(rows["ATC"])
+def test_fig14_cpu_intensive(benchmark):
+    bench_grid(benchmark, "fig14", type_b_scale())

@@ -1,62 +1,14 @@
 """Headline claim (abstract / Section IV): ATC obtains 1.5-10x performance
 gains for parallel applications over CR and the other approaches.
 
-The (app x approach) grid is declared as ``RunSpec`` cells and executed
-through the shared sweep runner (``REPRO_JOBS=N`` parallelizes it).
-
-Regenerates: ATC's speedup factor over CR, CS and BS for each NPB kernel
-at the default scale, and checks the 1.5-10x band against CR.
+Regenerates the ``headline`` grid: ATC's speedup factor over CR, CS and
+BS for each NPB kernel at the default scale, and checks the 1.5-10x band
+against CR.
 """
 
-from repro.experiments.runner import RunSpec
-
-from _common import emit, fig_apps, full_scale, run_grid, run_once
-
-SCHEDS = ["CR", "CS", "BS", "ATC"]
-N_NODES = 8 if full_scale() else 2
-
-SPECS = [
-    RunSpec(
-        "type_a",
-        dict(app_name=app, scheduler=sched, n_nodes=N_NODES, rounds=2, warmup_rounds=1),
-        label=f"headline:{app}/{sched}",
-    )
-    for app in fig_apps()
-    for sched in SCHEDS
-]
-
-RESULTS: dict[tuple, float] = {}
+from _common import bench_grid, fig_apps, full_scale
 
 
-def test_headline_grid(benchmark):
-    for r in run_grid(benchmark, SPECS):
-        p = r.spec.params
-        assert r.value["all_done"], f"{p['app_name']}/{p['scheduler']} incomplete"
-        RESULTS[(p["app_name"], p["scheduler"])] = r.value["mean_round_ns"]
-
-
-def test_headline_report(benchmark):
-    def report():
-        rows = []
-        for app in fig_apps():
-            atc = RESULTS[(app, "ATC")]
-            rows.append(
-                (
-                    app,
-                    RESULTS[(app, "CR")] / atc,
-                    RESULTS[(app, "CS")] / atc,
-                    RESULTS[(app, "BS")] / atc,
-                )
-            )
-        emit(
-            "Headline — ATC speedup factors (x) per application",
-            ["app", "vs CR", "vs CS", "vs BS"],
-            rows,
-            name="headline_gain",
-        )
-        return {r[0]: r[1:] for r in rows}
-
-    rows = run_once(benchmark, report)
-    for app, (vs_cr, vs_cs, vs_bs) in rows.items():
-        assert 1.5 <= vs_cr <= 12.0, f"{app}: vs CR {vs_cr:.2f}x outside the paper band"
-        assert vs_cs > 1.0 and vs_bs > 1.0, app
+def test_headline_gain(benchmark):
+    bench_grid(benchmark, "headline", dict(apps=fig_apps(), nodes=[8 if full_scale() else 2]),
+               name="headline_gain")

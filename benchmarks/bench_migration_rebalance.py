@@ -17,15 +17,10 @@ static cell, migrations, downtime) and asserts its claims
 (repro.experiments.grids).
 """
 
-from repro.experiments.grids import GRIDS
-
-from _common import emit, full_scale, run_grid
+from _common import bench_grid, full_scale
 
 
 def test_migration_rebalance(benchmark):
-    grid = GRIDS["migrate"]
-    specs = grid.cells(policy="demix", bound="spread", placement="pack", n_clusters=2,
-                       horizon_s=30.0 if full_scale() else 10.0, seed=0)
-    results = run_grid(benchmark, specs)
-    emit(*grid.table(results), name="migration_rebalance")
-    assert grid.claims(results) == []
+    bench_grid(benchmark, "migrate", dict(policy="demix", bound="spread", placement="pack",
+                                          n_clusters=2, horizon_s=30.0 if full_scale() else 10.0,
+                                          seed=0), name="migration_rebalance")

@@ -22,19 +22,13 @@ peak, completed-tenant slowdown per policy) and asserts its claims
 as many tenants as reject-on-full at strictly lower mean slowdown.
 """
 
-from repro.experiments.grids import GRIDS
-
-from _common import emit, full_scale, run_grid
+from _common import bench_grid, full_scale
 
 
 def test_service_arrivals(benchmark):
-    grid = GRIDS["serve"]
-    specs = grid.cells(
+    bench_grid(benchmark, "serve", dict(
         admissions=("reject-on-full", "fcfs-queue", "migration-aware"),
         placement="pack", n_nodes=3, rate_per_s=10.0,
         max_tenants=24 if full_scale() else 12, rounds=3,
         horizon_s=120.0 if full_scale() else 60.0, seed=0,
-    )
-    results = run_grid(benchmark, specs)
-    emit(*grid.table(results), name="service_arrivals")
-    assert grid.claims(results) == []
+    ), name="service_arrivals")

@@ -4,58 +4,17 @@ time-slice threshold.
 Paper: over slices {0.5, 0.4, 0.3, 0.2, 0.1, 0.03} ms the metric values
 are {0.034, 0.020, 0.018, 0.049, 0.039, 0.069}, picking 0.3 ms.
 
-Regenerates: the same table from our own class-C sweeps (we add 1.0 and
-2.0 ms so the optimum is interior at our resolution).  Known deviation:
-our optimum lands at ~0.4-0.5 ms (see bench_fig08 / EXPERIMENTS.md); the
-performance difference between 0.3 and 0.5 ms is under 1%, so ATC's
-0.3 ms threshold is effectively equivalent.
+Regenerates the ``eq1`` grid: the same table from our own class-C sweeps
+(we add 1.0 and 2.0 ms so the optimum is interior at our resolution).
+Known deviation: our optimum lands at ~0.4-0.5 ms (see bench_fig08 /
+EXPERIMENTS.md); the performance difference between 0.3 and 0.5 ms is
+under 1%, so ATC's 0.3 ms threshold is effectively equivalent.
 """
 
-import pytest
-
-from repro.core.threshold import ThresholdStudy
-from repro.experiments.scenarios import run_slice_sweep
-from repro.sim.units import ns_from_ms
-
-from _common import emit, full_scale, run_once
+from _common import bench_grid, fig_apps
 
 SLICES_MS = [2.0, 1.0, 0.5, 0.4, 0.3, 0.2, 0.1, 0.03]
-APPS = ["lu", "is", "sp", "bt", "mg", "cg"] if full_scale() else ["lu", "is", "cg"]
-MEASURED: dict[str, dict] = {}
 
 
-@pytest.mark.parametrize("app", APPS)
-def test_euclidean_sweep(benchmark, app):
-    MEASURED[app] = run_once(
-        benchmark,
-        run_slice_sweep,
-        app,
-        SLICES_MS,
-        rounds=2,
-        warmup_rounds=1,
-        npb_class="C",
-    )
-
-
-def test_euclidean_report(benchmark):
-    def solve():
-        study = ThresholdStudy([ns_from_ms(s) for s in SLICES_MS], list(MEASURED))
-        for app, r in MEASURED.items():
-            for row in r["rows"]:
-                study.record(app, ns_from_ms(row["slice_ms"]), row["mean_round_ns"])
-        best, metrics = study.solve()
-        rows = [(s, metrics[ns_from_ms(s)]) for s in SLICES_MS]
-        emit(
-            "Eq. 1 — Euclidean metric by candidate minimum time-slice threshold",
-            ["slice (ms)", "D(O, P)"],
-            rows,
-        )
-        print(f"  chosen threshold: {best / 1e6:.2f} ms (paper: 0.30 ms)")
-        return best, metrics
-
-    best, metrics = run_once(benchmark, solve)
-    # the optimum is a sub-millisecond slice in the paper's ballpark
-    assert ns_from_ms(0.2) <= best <= ns_from_ms(1.0)
-    # and 0.3 ms (the paper's choice) is within a whisker of optimal
-    near = metrics[ns_from_ms(0.3)] - metrics[best]
-    assert near < 0.05
+def test_table_euclidean(benchmark):
+    bench_grid(benchmark, "eq1", dict(apps=fig_apps(), slices=SLICES_MS))

@@ -21,6 +21,6 @@ def pytest_addoption(parser):
 
 def pytest_configure(config):
     if config.getoption("--full-scale", default=False):
-        # _common.full_scale() and every grid helper read the environment,
-        # so the flag also reaches sweep worker subprocesses.
+        # _common.full_scale() and the bench scale helpers read the
+        # environment, so the flag also reaches sweep worker subprocesses.
         os.environ["REPRO_FULL"] = "1"

@@ -32,7 +32,8 @@ results, violations reported as structured cell failures).
 are killed, the sweep continues) and ``--salvage PATH`` writes the
 structured partial-result report (:func:`repro.experiments.runner.salvage_report`).
 
-``chaos``, ``migrate``, ``dfrs``, ``serve`` and ``attack`` run the
+``compare`` and ``sweep`` run the paper's Fig. 10 and Fig. 5 grids, and
+``chaos``, ``migrate``, ``dfrs``, ``serve`` and ``attack`` the
 extension grids of :mod:`repro.experiments.grids`, which declares each
 grid's cells, derived table and claims: a clean cell next to the same
 cell under a ``--faults`` plan (:mod:`repro.faults`; ``random:N[:SEED]``,
@@ -42,9 +43,9 @@ static placement next to a live-migration ``--policy``
 ATC+DFRS hybrid (:mod:`repro.dfrs`); a tenant arrival stream under an
 ``--admission`` policy (:mod:`repro.service`); and yield-theft /
 tickle-storm attackers against the hardening knobs.  ``check GRID
-RESULTS.json [REPEAT.json]`` evaluates a grid's claims on a ``--json``
-export (exit 1 on any failed cell or claim) and, given a second export,
-requires equal spec/value lists.
+RESULTS.json [REPEAT.json]`` evaluates any grid's claims, the paper
+figures' included, on a ``--json`` export (exit 1 on any failed cell or
+claim) and, given a second export, requires equal spec/value lists.
 
 ``trace`` runs one traced type-A cell (:mod:`repro.obs.trace`) and writes
 a JSON-lines trace plus a Chrome ``trace_event`` file (open in Perfetto
@@ -91,8 +92,6 @@ from repro.workloads.npb import NPB_EXTENDED
 
 __all__ = ["main", "build_parser"]
 
-COMPARE_SCHEDS = ("CR", "BS", "CS", "DSS", "ATC")
-
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``repro`` argument parser (one subcommand per experiment)."""
@@ -138,12 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fault plan: random:N[:SEED], inline JSON, or a plan file")
     runner_opts(sp)
 
-    sp = sub.add_parser("compare", help="type A under every approach, normalized")
+    sp = sub.add_parser("compare", help="type A under every approach, normalized (Fig. 10)")
     common(sp, app=True)
     sp.add_argument("--rounds", type=int, default=2)
     runner_opts(sp)
 
-    sp = sub.add_parser("sweep", help="static slice sweep under CR (Figs. 5, 8)")
+    sp = sub.add_parser("sweep", help="static slice sweep under CR (Fig. 5)")
     sp.add_argument("--app", default="lu", choices=NPB_EXTENDED)
     sp.add_argument("--nodes", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
@@ -250,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--horizon", type=float, default=6.0, help="virtual seconds")
     runner_opts(sp)
 
-    sp = sub.add_parser("check", help="evaluate an extension grid's claims on a "
-                        "--json export (repro.experiments.grids)")
+    sp = sub.add_parser("check", help="evaluate a grid's claims on a --json export "
+                        "(repro.experiments.grids)")
     sp.add_argument("grid", choices=sorted(GRIDS))
     sp.add_argument("results", metavar="RESULTS.json",
                     help="--json export of the grid's verb")
@@ -398,7 +397,7 @@ def _cmd_list() -> None:
     print("experiments: typea, compare, sweep, mix, typeb, chaos, migrate, dfrs, serve, attack, probe")
     print("tools      : trace (structured tracing + Perfetto export), "
           "perf (self-profiling micro-suite), "
-          "check (extension-grid claims on a --json export), "
+          "check (grid claims on a --json export), "
           "lint (static determinism checks; --list-rules for codes), "
           "races (same-timestamp order-dependence detector)")
 
@@ -440,29 +439,9 @@ def _cmd_typea(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    specs = [
-        RunSpec("type_a", dict(
-            app_name=args.app, scheduler=sched, n_nodes=args.nodes,
-            rounds=args.rounds, warmup_rounds=1, seed=args.seed,
-        ), label=f"compare:{sched}")
-        for sched in COMPARE_SCHEDS
-    ]
-    results = _run_cells(args, specs)
-    if results is None:
-        return 1
-    base = results[0].value["mean_round_ns"]
-    rows = [
-        (sched, r.value["mean_round_ns"] / 1e6, r.value["mean_round_ns"] / base)
-        for sched, r in zip(COMPARE_SCHEDS, results)
-    ]
-    print(
-        format_table(
-            ["scheduler", "mean round (ms)", "normalized vs CR"],
-            rows,
-            title=f"Type A comparison — {args.app} on {args.nodes} nodes",
-        )
-    )
-    return 0
+    results = _run_grid(args, "compare", apps=[args.app], nodes=[args.nodes],
+                        rounds=args.rounds, seed=args.seed)
+    return 0 if results is not None else 1
 
 
 def _cmd_sweep(args) -> int:
@@ -473,32 +452,10 @@ def _cmd_sweep(args) -> int:
               file=sys.stderr)
         return 2
     faults = _parse_faults(args, 300.0)
-    extra = {"faults": faults} if faults else {}
-    specs = [
-        RunSpec("slice_sweep", dict(
-            app_name=args.app, slice_ms_values=[sm], n_nodes=args.nodes,
-            rounds=2, warmup_rounds=1, npb_class=args.npb_class, seed=args.seed,
-            **extra,
-        ), label=f"sweep:{args.app}@{sm}ms")
-        for sm in slices
-    ]
-    results = _run_cells(args, specs)
-    if results is None:
-        return 1
-    rows = [
-        (row["slice_ms"], row["mean_round_ns"] / 1e6, row["avg_spin_ns"] / 1e6,
-         row["context_switches"], row["llc_misses"])
-        for r in results
-        for row in r.value["rows"]
-    ]
-    print(
-        format_table(
-            ["slice (ms)", "round (ms)", "spin (ms)", "ctx switches", "LLC misses"],
-            rows,
-            title=f"Slice sweep — {args.app}.{args.npb_class} (CR)",
-        )
-    )
-    return 0
+    results = _run_grid(args, "sweep", apps=[args.app], slices=slices, n_nodes=args.nodes,
+                        npb_class=args.npb_class, seed=args.seed,
+                        **({"faults": faults} if faults else {}))
+    return 0 if results is not None else 1
 
 
 def _cmd_mix(args) -> int:

@@ -1,14 +1,16 @@
-"""Extension experiment grids, each declared exactly once.
+"""The paper's figures and the extension experiments as grids, each
+declared exactly once.
 
 A grid is several :class:`RunSpec` cells whose results only mean something
 side by side (DESIGN.md §4 "Experiment grids").  Each :class:`Grid` pairs
 ``cells(**params)``, which builds the specs with the labels and params
-``repro <verb>`` has always exported; ``table(results)``, the derived
+``repro <verb>`` and the benches export; ``table(results)``, the derived
 metrics as ``(title, headers, rows)``; and ``claims(results)``, failure
 messages that are empty when every claim holds.  Each claim is a
 comparison that is false for NaN, so an undefined metric fails it.  Cells
 whose params differ only in a grid's own axes form one group with its own
-baseline, which lets a bench sweep a grid at several scales.
+baseline, which lets a bench sweep a grid at several scales.  Grids read
+no environment: the benches choose the scale.
 """
 
 from __future__ import annotations
@@ -16,9 +18,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
+from repro.core.threshold import ThresholdStudy
 from repro.experiments.runner import RunResult, RunSpec
+from repro.metrics.summary import pearson
+from repro.sim.units import ns_from_ms
 
 __all__ = [
     "Grid",
@@ -46,7 +52,7 @@ Table = tuple[str, list[str], list[tuple]]
 
 @dataclass(frozen=True)
 class Grid:
-    """One extension experiment: its cells, derived table and claims."""
+    """One experiment: its cells, derived table and claims."""
 
     name: str
     scenario: str
@@ -77,10 +83,14 @@ def _groups(results: Sequence[RunResult], *axes: str) -> list[dict[tuple, RunRes
     """
     groups: dict[str, dict[tuple, RunResult]] = {}
     for r in results:
-        rest = {k: v for k, v in r.spec.params.items() if k not in axes}
-        key = json.dumps(rest, sort_keys=True, default=str)
-        groups.setdefault(key, {})[tuple(r.spec.params.get(a) for a in axes)] = r
+        groups.setdefault(_rest(r, axes), {})[tuple(r.spec.params.get(a) for a in axes)] = r
     return list(groups.values())
+
+
+def _rest(r: RunResult, axes: Sequence[str]) -> str:
+    """Canonical JSON of a cell's params outside ``axes``: its group key."""
+    return json.dumps({k: v for k, v in r.spec.params.items() if k not in axes},
+                      sort_keys=True, default=str)
 
 
 def _normalized(results: Sequence[RunResult], *axes: str) -> list[dict[tuple, tuple]]:
@@ -410,6 +420,432 @@ def attack_claims(results: Sequence[RunResult]) -> list[str]:
     return out
 
 
+# ======================================================================
+# The paper's figures (DESIGN.md §4 experiment index)
+# ======================================================================
+#: Approaches of the type-A and type-B comparisons (Figs. 10 and 11).
+TYPE_A_SCHEDS = ("CR", "BS", "CS", "DSS", "ATC")
+#: Approaches of the mixed-tenancy figures (Figs. 12-14), which add ATC(6ms).
+MIXED_SCHEDS = ("CR", "BS", "CS", "DSS", "VS", "ATC")
+#: Placement ablation: the whole placement registry.
+PLACEMENTS = ("spread", "pack", "striped", "random:11")
+
+
+def _approach(r: RunResult) -> str:
+    """A cell's scheduler, with ATC's non-parallel slice when set: ``ATC(6ms)``."""
+    p = r.spec.params
+    ms = p.get("atc_np_slice_ms")
+    return p["scheduler"] if ms is None else f"{p['scheduler']}({ms:g}ms)"
+
+
+def _by_approach(results: Sequence[RunResult]) -> list[tuple[dict, dict[str, dict]]]:
+    """:func:`_groups` over the approach axes: per group, its first cell's
+    params and each approach's value in cell order.  The builders put the
+    baseline (CR) first."""
+    return [(next(iter(g.values())).spec.params, {_approach(r): r.value for r in g.values()})
+            for g in _groups(results, "scheduler", "atc_np_slice_ms")]
+
+
+def _norm(g: dict[str, dict], approach: str, base: Optional[str] = None,
+          key: str = "mean_round_ns") -> float:
+    """``value[key]`` of ``approach`` over that of ``base`` (default: the
+    group's baseline) in a :func:`_by_approach` group; NaN if either is missing."""
+    v, b = (g.get(a, {}).get(key, math.nan) for a in (approach, base or next(iter(g))))
+    return _ratio(v, b)
+
+
+def _all_done(results: Sequence[RunResult]) -> list[str]:
+    return [f"{r.spec.label}: did not finish in the horizon"
+            for r in results if r.value.get("all_done") is not True]
+
+
+# ---- type A: four identical clusters (Figs. 1, 10, headline, kernels, placement)
+def type_a_cells(prefix: str, schedulers: Sequence[str], apps: Sequence[str] = ("lu",),
+                 nodes: Sequence[int] = (2,), **params) -> list[RunSpec]:
+    """Per app and scale, one type-A cell per scheduler; the first
+    scheduler is the group's baseline."""
+    return [RunSpec("type_a", {"rounds": 2, "warmup_rounds": 1, **params, "app_name": app,
+                               "scheduler": s, "n_nodes": n}, label=f"{prefix}:{app}/{s}/{n}")
+            for app in apps for n in nodes for s in schedulers]
+
+
+def fig01_table(results: Sequence[RunResult]) -> Table:
+    return ("Figure 1 — lu: normalized execution time of CS vs CR by cluster scale",
+            ["nodes (VMs per VC)", "CS / CR"],
+            [(p["n_nodes"], _norm(g, "CS")) for p, g in _by_approach(results)])
+
+
+def fig01_claims(results: Sequence[RunResult]) -> list[str]:
+    # CS helps at every scale, but the advantage erodes with scale.
+    cs = [v for _, v in fig01_table(results)[2]]
+    return _all_done(results) + _failed(
+        "fig01", (bool(cs) and all(v < 1.0 for v in cs), f"CS/CR {cs} not below 1 at every scale"),
+        (len(cs) < 2 or cs[-1] >= cs[0] - 0.05, f"CS/CR {cs} falls by more than 0.05 with scale"))
+
+
+def compare_table(results: Sequence[RunResult]) -> Table:
+    groups = _by_approach(results)
+    scheds = list(dict.fromkeys(a for _, g in groups for a in g))
+    return ("Figure 10 — type A: execution time normalized to CR", ["app", "nodes", *scheds],
+            [(p["app_name"], p["n_nodes"], *(round(_norm(g, s), 3) for s in scheds))
+             for p, g in groups])
+
+
+def compare_claims(results: Sequence[RunResult]) -> list[str]:
+    # ATC is the best approach in every cell, by at least the paper's
+    # minimum factor over CR.
+    out = _all_done(results)
+    for p, g in _by_approach(results):
+        atc = _norm(g, "ATC")
+        out += _failed(f"compare:{p['app_name']}/{p['n_nodes']}",
+                       (all(atc <= _norm(g, a) + 1e-9 for a in g if a != "ATC"),
+                        f"ATC {atc:.3f}x CR is not the best approach"),
+                       (atc < 0.75, f"ATC {atc:.3f}x CR, not below 0.75"))
+    return out
+
+
+def headline_table(results: Sequence[RunResult]) -> Table:
+    return ("Headline — ATC speedup factors (x) per application",
+            ["app", "vs CR", "vs CS", "vs BS"],
+            [(p["app_name"], *(_norm(g, s, "ATC") for s in ("CR", "CS", "BS")))
+             for p, g in _by_approach(results)])
+
+
+def headline_claims(results: Sequence[RunResult]) -> list[str]:
+    out = _all_done(results)
+    for app, cr, cs, bs in headline_table(results)[2]:
+        out += _failed(f"headline:{app}",
+                       (1.5 <= cr <= 12.0, f"{cr:.2f}x vs CR outside the paper band [1.5, 12]"),
+                       (cs > 1.0 and bs > 1.0, f"{cs:.2f}x vs CS / {bs:.2f}x vs BS, not both > 1"))
+    return out
+
+
+def kernels_table(results: Sequence[RunResult]) -> Table:
+    return ("Extension — ep/ft under ATC, normalized to CR", ["app", "ATC / CR"],
+            [(p["app_name"], _norm(g, "ATC")) for p, g in _by_approach(results)])
+
+
+def kernels_claims(results: Sequence[RunResult]) -> list[str]:
+    # ep has no synchronization: the control case ATC must leave alone.
+    # The FFT transposes gain at least as much as the paper's is kernel.
+    norm = dict(kernels_table(results)[2])
+    ep, ft, is_ = (norm.get(a, math.nan) for a in ("ep", "ft", "is"))
+    return _all_done(results) + _failed(
+        "kernels", (0.9 <= ep <= 1.1, f"ep ATC/CR {ep:.3f} outside [0.9, 1.1]"),
+        (ft <= is_ + 0.1, f"ft ATC/CR {ft:.3f} more than 0.1 above is's {is_:.3f}"),
+        (ft < 0.75, f"ft ATC/CR {ft:.3f}, not below 0.75"))
+
+
+def placement_cells(placements: Sequence[str] = PLACEMENTS, seed: int = 5,
+                    **params) -> list[RunSpec]:
+    return [s for p in placements for s in type_a_cells(f"placement:{p}", ("CR", "ATC"),
+                                                        placement=p, seed=seed, **params)]
+
+
+def placement_table(results: Sequence[RunResult]) -> Table:
+    base = results[0].value["mean_round_ns"] if results else math.nan  # CR / spread
+    time = {(r.spec.params["scheduler"], r.spec.params.get("placement")): r.value["mean_round_ns"]
+            for r in results}
+    return ("Ablation — lu round time by scheduler x placement (vs CR/spread)",
+            ["config", "normalized time"],
+            [(f"{s} / {p}", _ratio(time.get((s, p), math.nan), base))
+             for s in ("CR", "ATC") for p in dict.fromkeys(p for _, p in time)])
+
+
+def placement_claims(results: Sequence[RunResult]) -> list[str]:
+    # ATC helps under every placement in the registry.
+    norm = dict(placement_table(results)[2])
+    return _all_done(results) + [
+        f"placement:{p}: ATC {norm[f'ATC / {p}']:.3f} not below CR {norm[f'CR / {p}']:.3f}"
+        for p in dict.fromkeys(r.spec.params.get("placement") for r in results)
+        if not norm[f"ATC / {p}"] < norm[f"CR / {p}"]]
+
+
+# ---- static slice sweeps under CR (Figs. 5, 8, Eq. 1)
+def slice_cells(prefix: str, slices: Sequence[float], apps: Sequence[str] = ("lu",),
+                **params) -> list[RunSpec]:
+    """One slice-sweep cell, and so one world, per (app, slice)."""
+    return [RunSpec("slice_sweep", {"rounds": 2, "warmup_rounds": 1, **params, "app_name": app,
+                                    "slice_ms_values": [sm]}, label=f"{prefix}:{app}@{sm}ms")
+            for app in apps for sm in slices]
+
+
+def _sweeps(results: Sequence[RunResult]) -> list[tuple[str, list[dict]]]:
+    """The per-slice cells joined into one sweep per group: its app and
+    its rows in cell order."""
+    sweeps: dict[str, tuple[str, list[dict]]] = {}
+    for r in results:
+        sweeps.setdefault(_rest(r, ("slice_ms_values",)),
+                          (r.spec.params["app_name"], []))[1].extend(r.value["rows"])
+    return list(sweeps.values())
+
+
+def _series(rows: list[dict], key: str, scale: float = 1.0) -> list[float]:
+    return [row[key] / scale for row in rows]
+
+
+def sweep_table(results: Sequence[RunResult]) -> Table:
+    return ("Slice sweep (Figure 5) — execution time and spinlock latency vs slice under CR",
+            ["app", "slice (ms)", "exec time (ms)", "avg spin latency (ms)", "ctx switches",
+             "LLC misses"],
+            [(app, row["slice_ms"], _ms(row["mean_round_ns"]), _ms(row["avg_spin_ns"]),
+              row["context_switches"], row["llc_misses"])
+             for app, rows in _sweeps(results) for row in rows])
+
+
+def sweep_claims(results: Sequence[RunResult]) -> list[str]:
+    # Spin latency falls monotonically with the slice, performance improves
+    # from the longest slice to the shortest, and the two correlate.
+    out = []
+    for app, rows in _sweeps(results):
+        times, spins = _series(rows, "mean_round_ns", 1e6), _series(rows, "avg_spin_ns", 1e6)
+        try:
+            corr = pearson(spins, times)
+        except ValueError:  # fewer than two slices, or no variance
+            corr = math.nan
+        out += _failed(f"sweep:{app}",
+                       (all(a >= b for a, b in zip(spins, spins[1:])),
+                        "spin latency does not fall monotonically with the slice"),
+                       (times[-1] < times[0], "the shortest slice is not faster than the longest"),
+                       (corr > 0.9, f"pearson(spin, time) = {corr:.3f}, not above 0.9"))
+    return out
+
+
+def fig08_table(results: Sequence[RunResult]) -> Table:
+    return ("Figure 8 — class C: performance vs short slices",
+            ["app", "slice (ms)", "exec time (ms)", "LLC misses / busy-ms", "ctx switches"],
+            [(app, row["slice_ms"], _ms(row["mean_round_ns"]), row["miss_rate_per_ms"],
+              row["context_switches"]) for app, rows in _sweeps(results) for row in rows])
+
+
+def fig08_claims(results: Sequence[RunResult]) -> list[str]:
+    # An interior optimum exists: shrinking further and growing the slice
+    # from it both cost performance.  LLC pressure and context switches
+    # grow as the slice shrinks.
+    out = []
+    for app, rows in _sweeps(results):
+        slices, times = _series(rows, "slice_ms"), _series(rows, "mean_round_ns", 1e6)
+        miss, ctx = _series(rows, "miss_rate_per_ms"), _series(rows, "context_switches")
+        best = slices[times.index(min(times))]
+        out += _failed(f"fig08:{app}",
+                       (all(map(math.isfinite, times)) and best not in (slices[0], slices[-1]),
+                        f"no interior inflection (best slice {best} ms)"),
+                       (len(miss) > 1 and miss[-2] > miss[0],
+                        "the LLC miss rate does not grow as the slice shrinks"),
+                       (ctx[-1] > ctx[0], "context switches do not grow as the slice shrinks"))
+    return out
+
+
+def _euclid(results: Sequence[RunResult]) -> tuple[list[float], Optional[int], dict[int, float]]:
+    """Eq. 1 over the sweeps: the candidate slices (ms), the chosen
+    threshold (ns) and the metric per slice (ns); ``None`` and ``{}``
+    when the sweeps do not cover every (app, slice) pair."""
+    sweeps = _sweeps(results)
+    slices = list(dict.fromkeys(row["slice_ms"] for _, rows in sweeps for row in rows))
+    try:
+        study = ThresholdStudy([ns_from_ms(s) for s in slices], [app for app, _ in sweeps])
+        for app, rows in sweeps:
+            for row in rows:
+                study.record(app, ns_from_ms(row["slice_ms"]), row["mean_round_ns"])
+        return (slices, *study.solve())
+    except ValueError:
+        return slices, None, {}
+
+
+def eq1_table(results: Sequence[RunResult]) -> Table:
+    slices, _, metrics = _euclid(results)
+    return ("Eq. 1 — Euclidean metric by candidate minimum time-slice threshold",
+            ["slice (ms)", "D(O, P)"], [(s, metrics.get(ns_from_ms(s), math.nan)) for s in slices])
+
+
+def eq1_claims(results: Sequence[RunResult]) -> list[str]:
+    # The optimum is a sub-millisecond slice in the paper's ballpark, and
+    # the paper's 0.3 ms is within a whisker of it.
+    _, best, metrics = _euclid(results)
+    defined = bool(metrics) and all(map(math.isfinite, metrics.values()))
+    near = metrics.get(ns_from_ms(0.3), math.nan) - metrics.get(best, math.nan)
+    return _failed("eq1", (defined and ns_from_ms(0.2) <= best <= ns_from_ms(1.0),
+                           f"chosen threshold {_ms(best) if defined else math.nan} ms outside "
+                           "[0.2, 1.0] ms"),
+                   (near < 0.05, f"D(0.3 ms) is {near:.3f} above the optimum's, not within 0.05"))
+
+
+# ---- Section II-A2 small mix (Figs. 2, 9)
+def mix_cells(prefix: str, schedulers: Sequence[str] = ("CR",),
+              slices: Sequence[Optional[float]] = (None,), **params) -> list[RunSpec]:
+    """One small-mix cell per scheduler and uniform slice (``None``: the
+    scheduler's own)."""
+    return [RunSpec("small_mix", dict(params, scheduler=s, uniform_slice_ms=sm),
+                    label=f"{prefix}:{s}" + ("" if sm is None else f"@{sm}ms"))
+            for s in schedulers for sm in slices]
+
+
+FIG02_METRICS = (
+    ("ping RTT (higher=worse)", "ping_mean_rtt_ns"),
+    ("sphinx3 run time (higher=worse)", "sphinx3_mean_run_ns"),
+    ("stream bandwidth (lower=worse)", "stream_bandwidth_Bps"),
+    ("bonnie++ throughput (lower=worse)", "bonnie_throughput_Bps"),
+)
+
+
+def fig02_table(results: Sequence[RunResult]) -> Table:
+    return ("Figure 2 — non-parallel apps under CS, normalized to CR", ["metric", "CS / CR"],
+            [(name, _norm(g, "CS", "CR", key))
+             for _, g in _by_approach(results) for name, key in FIG02_METRICS])
+
+
+def fig02_claims(results: Sequence[RunResult]) -> list[str]:
+    # Paper shapes: ping and sphinx3 degrade, stream mildly, bonnie++ ~flat.
+    out = []
+    for _, g in _by_approach(results):
+        ping, sphinx, stream, bonnie = (_norm(g, "CS", "CR", key) for _, key in FIG02_METRICS)
+        out += _failed("fig02", (ping > 1.2, f"CS ping RTT {ping:.3f}x CR, not above 1.2"),
+                       (sphinx > 1.05, f"CS sphinx3 run time {sphinx:.3f}x CR, not above 1.05"),
+                       (stream < 1.05, f"CS stream bandwidth {stream:.3f}x CR, not below 1.05"),
+                       (bonnie > 0.6, f"CS bonnie++ throughput {bonnie:.3f}x CR, not above 0.6"))
+    return out
+
+
+def _fig09_sweeps(results: Sequence[RunResult]) -> list[list[tuple]]:
+    return [[(sm, _ms(r.value["sphinx3_mean_run_ns"]), _ms(r.value["ping_mean_rtt_ns"]),
+              r.value["stream_bandwidth_Bps"] / 1e9) for (sm,), r in g.items()]
+            for g in _groups(results, "uniform_slice_ms")]
+
+
+def fig09_table(results: Sequence[RunResult]) -> Table:
+    return ("Figure 9 — non-parallel apps vs uniform slice (CR)",
+            ["slice (ms)", "sphinx3 run (ms)", "ping RTT (ms)", "stream (GB/s)"],
+            [row for rows in _fig09_sweeps(results) for row in rows])
+
+
+def fig09_claims(results: Sequence[RunResult]) -> list[str]:
+    # Very short slices slow sphinx3, improve ping's RTT and cost stream
+    # bandwidth to extra cache flushes.
+    out = []
+    for rows in _fig09_sweeps(results):
+        longest, shortest = rows[0], rows[-1]
+        out += _failed("fig09",
+                       (shortest[1] > longest[1], "sphinx3 not slower at the shortest slice"),
+                       (shortest[2] < longest[2], "ping RTT not better at the shortest slice"),
+                       (shortest[3] < longest[3] * 1.02, "stream gains at the shortest slice"))
+    return out
+
+
+# ---- type B: LLNL-trace cluster mix (Fig. 11) and mixed tenancy (Figs. 12-14)
+def type_b_cells(scenario: str, prefix: str, schedulers: Sequence[str],
+                 np_slices: Sequence[float] = (), **params) -> list[RunSpec]:
+    """One cell per scheduler, then one ATC cell per administrator slice
+    for the non-parallel VMs (the paper's ATC(6ms))."""
+    return [RunSpec(scenario, dict(params, scheduler=s), label=f"{prefix}:{s}")
+            for s in schedulers] + [
+        RunSpec(scenario, dict(params, scheduler="ATC", atc_np_slice_ms=ms),
+                label=f"{prefix}:ATC({ms:g}ms)") for ms in np_slices]
+
+
+def _fig11_norms(results: Sequence[RunResult]) -> list[tuple[str, dict[str, float]]]:
+    """Per VC of each group's baseline cell, every approach's mean round
+    over the baseline's (the seed fixes the trace draw across approaches)."""
+    out = []
+    for _, g in _by_approach(results):
+        vcs = {a: v["vcs"] for a, v in g.items()}
+        for i, vc in enumerate(next(iter(vcs.values()))):
+            out.append((f"{vc['vc']} ({vc['app']}, {vc['n_vms']} VMs)",
+                        {a: _ratio(v[i]["mean_round_ns"] if i < len(v) else math.nan,
+                                   vc["mean_round_ns"]) for a, v in vcs.items()}))
+    return out
+
+
+def fig11_table(results: Sequence[RunResult]) -> Table:
+    norms = _fig11_norms(results)
+    approaches = list(dict.fromkeys(a for _, n in norms for a in n))
+    return ("Figure 11 — type B mix: normalized execution time per VC", ["VC", *approaches],
+            [(vc, *(round(v, 3) if v == v else "n/a"
+                    for v in (n.get(a, math.nan) for a in approaches))) for vc, n in norms])
+
+
+def fig11_claims(results: Sequence[RunResult]) -> list[str]:
+    # ATC accelerates the mix overall; CR's cells are their own baseline.
+    norms = [(a, v) for _, n in _fig11_norms(results) for a, v in n.items() if math.isfinite(v)]
+    atc = [v for a, v in norms if a == "ATC"]
+    mean_atc = sum(atc) / len(atc) if atc else math.nan
+    return _failed("fig11", (bool(atc), "no measurable VCs"),
+                   (mean_atc < 0.6, f"mean ATC VC round {mean_atc:.3f}x CR, not below 0.6"),
+                   (all(abs(v - 1.0) < 1e-9 for a, v in norms if a == "CR"),
+                    "a CR cell is not 1.0x its own baseline"))
+
+
+def _mean_parallel(v: dict) -> float:
+    vals = [vc["mean_round_ns"] for vc in v["vcs"] if math.isfinite(vc["mean_round_ns"])]
+    return sum(vals) / len(vals) if vals else math.nan
+
+
+#: Figs. 12-14: (title, per metric (header, fn(value, CR's value))).
+MIXED_FIGURES = {
+    12: ("Figure 12 — parallel apps in mixed tenancy: normalized vs CR", [
+        ("mean normalized round time",
+         lambda v, cr: _ratio(_mean_parallel(v), _mean_parallel(cr)))]),
+    13: ("Figure 13 — non-parallel apps, normalized to CR (higher = better)", [
+        ("bonnie++ tput", lambda v, cr: _ratio(v["bonnie_throughput_Bps"],
+                                               cr["bonnie_throughput_Bps"])),
+        ("stream bw", lambda v, cr: _ratio(v["stream_bandwidth_Bps"], cr["stream_bandwidth_Bps"])),
+        ("web responsiveness", lambda v, cr: _ratio(cr["webserver_mean_response_ns"],
+                                                    v["webserver_mean_response_ns"]))]),
+    14: ("Figure 14 — CPU-intensive apps, run time normalized to CR (1.0 = unaffected)", [
+        (app, lambda v, cr, app=app: _ratio(v[f"{app}_mean_run_ns"], cr[f"{app}_mean_run_ns"]))
+        for app in ("gcc", "bzip2", "sphinx3")]),
+}
+
+
+def _mixed(fig: int, results: Sequence[RunResult]) -> list[dict[str, tuple]]:
+    """Per group, each approach's Fig. ``fig`` metrics against the baseline's."""
+    metrics = MIXED_FIGURES[fig][1]
+    return [{a: tuple(fn(v, next(iter(g.values()))) for _, fn in metrics) for a, v in g.items()}
+            for _, g in _by_approach(results)]
+
+
+def _mixed_table(fig: int) -> Callable[[Sequence[RunResult]], Table]:
+    title, metrics = MIXED_FIGURES[fig]
+    return lambda results: (title, ["approach", *(h for h, _ in metrics)],
+                            [(a, *vals) for g in _mixed(fig, results) for a, vals in g.items()])
+
+
+def fig12_claims(results: Sequence[RunResult]) -> list[str]:
+    # ATC is the best approach for the parallel applications.
+    nan, out = (math.nan,), []
+    for g in _mixed(12, results):
+        atc = g.get("ATC", nan)[0]
+        out += _failed("fig12", (all(atc <= v for a, (v,) in g.items()
+                                     if a not in ("ATC", "ATC(6ms)")),
+                                 f"ATC {atc:.3f}x CR is not the best approach"),
+                       (atc < 0.7, f"ATC {atc:.3f}x CR, not below 0.7"))
+    return out
+
+
+def fig13_claims(results: Sequence[RunResult]) -> list[str]:
+    # bonnie++ is roughly unaffected everywhere; the web server suffers
+    # under CS, and ATC(30ms) does not hurt it.
+    nan, out = (math.nan,) * 3, []
+    for g in _mixed(13, results):
+        cr, cs, atc = (g.get(a, nan)[2] for a in ("CR", "CS", "ATC"))
+        out += _failed("fig13", (all(v[0] > 0.45 for v in g.values()),
+                                 "bonnie++ throughput at or below 0.45x CR"),
+                       (cs < cr, f"CS web responsiveness {cs:.3f}x CR, not below CR"),
+                       (atc > 0.8 * cr, f"ATC web responsiveness {atc:.3f}x CR, not above 0.8x CR"))
+    return out
+
+
+def fig14_claims(results: Sequence[RunResult]) -> list[str]:
+    # ATC with the default non-parallel slice approximates CR; ATC(6ms)
+    # visibly costs CPU-bound apps more.
+    nan, out = (math.nan,) * 3, []
+    for g in _mixed(14, results):
+        atc, atc6 = g.get("ATC", nan), g.get("ATC(6ms)", nan)
+        out += _failed("fig14", (all(v < 1.25 for v in atc), "ATC run times "
+                                 f"{'/'.join(f'{v:.3f}' for v in atc)} not all below 1.25x CR"),
+                       (sum(atc6) > sum(atc), "ATC(6ms) costs CPU-bound apps no more than ATC"))
+    return out
+
+
 GRIDS = {
     g.name: g
     for g in (
@@ -418,6 +854,32 @@ GRIDS = {
         Grid("dfrs", "dfrs_compare", dfrs_cells, dfrs_table, dfrs_claims),
         Grid("serve", "service", serve_cells, serve_table, serve_claims),
         Grid("attack", "attack", attack_cells, attack_table, attack_claims),
+        Grid("fig01", "type_a", partial(type_a_cells, prefix="fig01", schedulers=("CR", "CS")),
+             fig01_table, fig01_claims),
+        Grid("fig02", "small_mix", partial(mix_cells, prefix="fig02", schedulers=("CR", "CS")),
+             fig02_table, fig02_claims),
+        Grid("sweep", "slice_sweep", partial(slice_cells, prefix="sweep"),
+             sweep_table, sweep_claims),
+        Grid("fig08", "slice_sweep", partial(slice_cells, prefix="fig08", npb_class="C"),
+             fig08_table, fig08_claims),
+        Grid("eq1", "slice_sweep", partial(slice_cells, prefix="eq1", npb_class="C"),
+             eq1_table, eq1_claims),
+        Grid("fig09", "small_mix", partial(mix_cells, prefix="fig09"), fig09_table, fig09_claims),
+        Grid("compare", "type_a", partial(type_a_cells, prefix="compare", schedulers=TYPE_A_SCHEDS),
+             compare_table, compare_claims),
+        Grid("fig11", "type_b", partial(type_b_cells, "type_b", "fig11", TYPE_A_SCHEDS, seed=11),
+             fig11_table, fig11_claims),
+        *(Grid(f"fig{n}", "type_b_mixed", partial(type_b_cells, "type_b_mixed", f"fig{n}",
+                                                  MIXED_SCHEDS, np_slices=(6.0,), seed=n),
+               _mixed_table(n), claims)
+          for n, claims in ((12, fig12_claims), (13, fig13_claims), (14, fig14_claims))),
+        Grid("headline", "type_a",
+             partial(type_a_cells, prefix="headline", schedulers=("CR", "CS", "BS", "ATC")),
+             headline_table, headline_claims),
+        Grid("kernels", "type_a", partial(type_a_cells, prefix="kernels", schedulers=("CR", "ATC"),
+                                          apps=("ep", "ft", "is")),
+             kernels_table, kernels_claims),
+        Grid("placement", "type_a", placement_cells, placement_table, placement_claims),
     )
 }
 

@@ -130,6 +130,10 @@ class WorldConfig:
     net_params: NetworkParams = field(default_factory=NetworkParams)
     dom0_params: Dom0Params = field(default_factory=Dom0Params)
 
+    def __post_init__(self) -> None:
+        if self.uniform_slice_ns is not None and self.uniform_slice_ns <= 0:
+            raise ValueError(f"uniform_slice_ns must be > 0, got {self.uniform_slice_ns}")
+
 
 class CloudWorld:
     """A fully wired simulated cloud platform."""

@@ -43,6 +43,18 @@ def test_sweep_command(capsys):
     assert "30" in out and "1" in out
 
 
+def test_sweep_rejects_a_non_positive_slice(capsys):
+    assert main(["sweep", "--app", "is", "--slices", " -1", "--no-cache"]) == 1
+    assert "ValueError: uniform_slice_ns must be > 0" in capsys.readouterr().err
+
+
+def test_check_reports_a_one_slice_sweep(tmp_path, capsys):
+    export = str(tmp_path / "one.json")
+    assert main(["sweep", "--app", "is", "--slices", "30", "--no-cache", "--json", export]) == 0
+    assert main(["check", "sweep", export]) == 1
+    assert "CHECK FAILED: sweep:is: pearson(spin, time) = nan" in capsys.readouterr().err
+
+
 def test_mix_command(capsys):
     assert main(["mix", "--scheduler", "CR", "--horizon", "2"]) == 0
     out = capsys.readouterr().out
@@ -68,6 +80,8 @@ GRID_VERBS = [
     (["dfrs", "--horizon", "2"], "DFRS comparator"),
     (["serve", "--horizon", "5", "--tenants", "2"], "Service"),
     (["attack", "--scheduler", "CR", "--horizon", "1"], "Adversarial tenancy"),
+    (["sweep", "--app", "is", "--slices", "30,6"], "Slice sweep"),
+    (["compare", "--app", "is", "--rounds", "1"], "Figure 10"),
 ]
 
 

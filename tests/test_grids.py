@@ -1,9 +1,11 @@
-"""Extension grid declarations (repro.experiments.grids): claims report
+"""Grid declarations (repro.experiments.grids): claims report violated,
 undefined or NaN metrics as named failures instead of raising."""
 
 from __future__ import annotations
 
 import math
+
+import pytest
 
 from repro.experiments.grids import GRIDS, attack_recovered
 from repro.experiments.runner import RunResult
@@ -65,3 +67,110 @@ def test_censored_thief_gain_keeps_the_claims_meaning():
     failures = ATTACK.claims(results)
     assert "attack:CR: hardened thief gain censored not below unhardened" in failures
     assert "attack:CR: hardened thief gain censored above 1.1" in failures
+
+
+# ----------------------------------------------------------------------
+# The paper's figure grids, one synthetic value builder per scenario family
+# ----------------------------------------------------------------------
+MIX_KEYS = ("ping_mean_rtt_ns", "sphinx3_mean_run_ns", "stream_bandwidth_Bps",
+            "bonnie_throughput_Bps")
+MIXED_KEYS = ("bonnie_throughput_Bps", "stream_bandwidth_Bps", "webserver_mean_response_ns",
+              "gcc_mean_run_ns", "bzip2_mean_run_ns", "sphinx3_mean_run_ns")
+
+
+def _vcs(round_ns):
+    return [{"vc": "VC1", "app": "lu", "n_vms": 2, "mean_round_ns": round_ns}]
+
+
+def _sweep_row(spec, round_ns, spin_ns, ctx=100, miss_rate=1.0):
+    return {"rows": [{"slice_ms": spec.params["slice_ms_values"][0], "mean_round_ns": round_ns,
+                      "avg_spin_ns": spin_ns, "context_switches": ctx, "llc_misses": 10,
+                      "miss_rate_per_ms": miss_rate}]}
+
+
+NAN = math.nan
+NAN_VALUES = {
+    "type_a": lambda s: {"mean_round_ns": NAN, "all_done": True},
+    "slice_sweep": lambda s: _sweep_row(s, NAN, NAN, miss_rate=NAN),
+    "small_mix": lambda s: dict.fromkeys(MIX_KEYS, NAN),
+    "type_b": lambda s: {"vcs": _vcs(NAN)},
+    "type_b_mixed": lambda s: {"vcs": _vcs(NAN), **dict.fromkeys(MIXED_KEYS, NAN)},
+}
+FIGURES = {
+    "fig01": dict(nodes=(2, 4)), "fig02": {}, "sweep": dict(slices=(30, 6, 1)),
+    "fig08": dict(slices=(2, 1, 0.5, 0.3)), "eq1": dict(apps=("lu", "cg"), slices=(1, 0.3, 0.2)),
+    "fig09": dict(slices=(30, 0.3)), "compare": {}, "fig11": {}, "fig12": {}, "fig13": {},
+    "fig14": {}, "headline": {}, "kernels": {}, "placement": {},
+}
+
+
+def _results(name, value, **params) -> list[RunResult]:
+    return [RunResult(spec=s, ok=True, value=value(s)) for s in GRIDS[name].cells(**params)]
+
+
+def test_every_paper_figure_is_a_grid():
+    assert set(FIGURES) <= set(GRIDS)
+    assert {GRIDS[n].scenario for n in FIGURES} == set(NAN_VALUES)
+
+
+@pytest.mark.parametrize("name", sorted(FIGURES))
+def test_figure_claims_fail_on_nan_metrics(name):
+    grid = GRIDS[name]
+    results = _results(name, NAN_VALUES[grid.scenario], **FIGURES[name])
+    grid.table(results)
+    failures = grid.claims(results)
+    assert failures and all(f.startswith(name) for f in failures), failures
+
+
+def _type_a(times):
+    return lambda s: {"mean_round_ns": times[s.params["scheduler"]], "all_done": True}
+
+
+def test_type_a_claims_name_the_violation():
+    good = {"CR": 100.0, "BS": 90.0, "CS": 80.0, "DSS": 95.0, "ATC": 40.0}
+    assert GRIDS["compare"].claims(_results("compare", _type_a(good))) == []
+    failures = GRIDS["compare"].claims(_results("compare", _type_a({**good, "ATC": 85.0})))
+    assert failures == ["compare:lu/2: ATC 0.850x CR is not the best approach",
+                        "compare:lu/2: ATC 0.850x CR, not below 0.75"]
+
+
+def test_slice_sweep_claims_name_the_violation():
+    def sweep(spins):  # round time proportional to spin latency
+        return lambda s: _sweep_row(s, 100.0 * spins[s.params["slice_ms_values"][0]],
+                                    spins[s.params["slice_ms_values"][0]])
+
+    assert GRIDS["sweep"].claims(_results("sweep", sweep({30: 3.0, 6: 2.0, 1: 1.0}),
+                                          slices=(30, 6, 1))) == []
+    failures = GRIDS["sweep"].claims(_results("sweep", sweep({30: 3.0, 6: 4.0, 1: 1.0}),
+                                              slices=(30, 6, 1)))
+    assert failures == ["sweep:lu: spin latency does not fall monotonically with the slice"]
+
+
+def test_one_slice_sweep_fails_the_correlation_claim():
+    """pearson raises on one point; the claim reports it instead."""
+    results = _results("sweep", lambda s: _sweep_row(s, 300.0, 30.0), slices=(30,))
+    assert "sweep:lu: pearson(spin, time) = nan, not above 0.9" in GRIDS["sweep"].claims(results)
+
+
+def test_small_mix_claims_name_the_violation():
+    def mix(bonnie):
+        cs = dict(zip(MIX_KEYS, (2.0, 1.2, 0.9, bonnie)))
+        return lambda s: cs if s.params["scheduler"] == "CS" else dict.fromkeys(MIX_KEYS, 1.0)
+
+    assert GRIDS["fig02"].claims(_results("fig02", mix(1.0))) == []
+    assert GRIDS["fig02"].claims(_results("fig02", mix(0.5))) == [
+        "fig02: CS bonnie++ throughput 0.500x CR, not above 0.6"]
+
+
+def test_mixed_tenancy_claims_name_the_violation():
+    def mixed(atc_gcc):
+        def value(s):
+            run = {"ATC": atc_gcc, "ATC(6ms)": 130.0}.get(s.label.split(":")[1], 100.0)
+            return {"vcs": _vcs(100.0), **dict.fromkeys(MIXED_KEYS, 100.0),
+                    "gcc_mean_run_ns": run}
+        return value
+
+    assert GRIDS["fig14"].claims(_results("fig14", mixed(110.0))) == []
+    assert GRIDS["fig14"].claims(_results("fig14", mixed(130.0))) == [
+        "fig14: ATC run times 1.300/1.000/1.000 not all below 1.25x CR",
+        "fig14: ATC(6ms) costs CPU-bound apps no more than ATC"]

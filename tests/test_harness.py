@@ -59,6 +59,14 @@ def test_uniform_slice_applied_to_guests():
     assert vm.slice_ns == ns_from_ms(5)
 
 
+@pytest.mark.parametrize("slice_ns", [0, -ns_from_ms(1)])
+def test_non_positive_uniform_slice_is_rejected(slice_ns):
+    # a zero slice used to livelock at t=0; a negative one failed deep in
+    # the engine
+    with pytest.raises(ValueError, match="uniform_slice_ns"):
+        WorldConfig(uniform_slice_ns=slice_ns)
+
+
 def test_run_stops_when_tracked_apps_finish():
     w = CloudWorld(WorldConfig(n_nodes=2, seed=1))
     vc = w.virtual_cluster(2)
