@@ -486,8 +486,10 @@ def fig01_claims(results: Sequence[RunResult]) -> list[str]:
 def compare_table(results: Sequence[RunResult]) -> Table:
     groups = _by_approach(results)
     scheds = list(dict.fromkeys(a for _, g in groups for a in g))
-    return ("Figure 10 — type A: execution time normalized to CR", ["app", "nodes", *scheds],
-            [(p["app_name"], p["n_nodes"], *(round(_norm(g, s), 3) for s in scheds))
+    return ("Figure 10 — type A: execution time normalized to CR (and mean round in ms)",
+            ["app", "nodes", *scheds, *(f"{s} (ms)" for s in scheds)],
+            [(p["app_name"], p["n_nodes"], *(round(_norm(g, s), 3) for s in scheds),
+              *(_ms(g.get(s, {}).get("mean_round_ns", math.nan)) for s in scheds))
              for p, g in groups])
 
 
@@ -536,29 +538,37 @@ def kernels_claims(results: Sequence[RunResult]) -> list[str]:
         (ft < 0.75, f"ft ATC/CR {ft:.3f}, not below 0.75"))
 
 
-def placement_cells(placements: Sequence[str] = PLACEMENTS, seed: int = 5,
-                    **params) -> list[RunSpec]:
-    return [s for p in placements for s in type_a_cells(f"placement:{p}", ("CR", "ATC"),
-                                                        placement=p, seed=seed, **params)]
+def placement_cells(**params) -> list[RunSpec]:
+    return [s for p in PLACEMENTS for s in type_a_cells(f"placement:{p}", ("CR", "ATC"),
+                                                        placement=p, seed=5, **params)]
+
+
+def _placements(results: Sequence[RunResult]) -> list[dict[tuple, float]]:
+    """Per :func:`_groups` group, each (scheduler, placement) cell's round
+    time over that of its group's CR/spread cell (NaN when it is missing)."""
+    out = []
+    for g in _groups(results, "scheduler", "placement"):
+        base = g.get(("CR", "spread"))
+        base_ns = base.value["mean_round_ns"] if base else math.nan
+        out.append({k: _ratio(r.value["mean_round_ns"], base_ns) for k, r in g.items()})
+    return out
 
 
 def placement_table(results: Sequence[RunResult]) -> Table:
-    base = results[0].value["mean_round_ns"] if results else math.nan  # CR / spread
-    time = {(r.spec.params["scheduler"], r.spec.params.get("placement")): r.value["mean_round_ns"]
-            for r in results}
     return ("Ablation — lu round time by scheduler x placement (vs CR/spread)",
             ["config", "normalized time"],
-            [(f"{s} / {p}", _ratio(time.get((s, p), math.nan), base))
-             for s in ("CR", "ATC") for p in dict.fromkeys(p for _, p in time)])
+            [(f"{s} / {p}", norm.get((s, p), math.nan)) for norm in _placements(results)
+             for s in ("CR", "ATC") for p in dict.fromkeys(p for _, p in norm)])
 
 
 def placement_claims(results: Sequence[RunResult]) -> list[str]:
     # ATC helps under every placement in the registry.
-    norm = dict(placement_table(results)[2])
-    return _all_done(results) + [
-        f"placement:{p}: ATC {norm[f'ATC / {p}']:.3f} not below CR {norm[f'CR / {p}']:.3f}"
-        for p in dict.fromkeys(r.spec.params.get("placement") for r in results)
-        if not norm[f"ATC / {p}"] < norm[f"CR / {p}"]]
+    out = _all_done(results)
+    for norm in _placements(results):
+        for p in dict.fromkeys(p for _, p in norm):
+            atc, cr = norm.get(("ATC", p), math.nan), norm.get(("CR", p), math.nan)
+            out += _failed(f"placement:{p}", (atc < cr, f"ATC {atc:.3f} not below CR {cr:.3f}"))
+    return out
 
 
 # ---- static slice sweeps under CR (Figs. 5, 8, Eq. 1)
@@ -585,7 +595,9 @@ def _series(rows: list[dict], key: str, scale: float = 1.0) -> list[float]:
 
 
 def sweep_table(results: Sequence[RunResult]) -> Table:
-    return ("Slice sweep (Figure 5) — execution time and spinlock latency vs slice under CR",
+    classes = "/".join(dict.fromkeys(str(r.value.get("npb_class", "?")) for r in results))
+    return (f"Slice sweep (Figure 5), class {classes} — execution time and spinlock latency "
+            "vs slice under CR",
             ["app", "slice (ms)", "exec time (ms)", "avg spin latency (ms)", "ctx switches",
              "LLC misses"],
             [(app, row["slice_ms"], _ms(row["mean_round_ns"]), _ms(row["avg_spin_ns"]),

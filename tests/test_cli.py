@@ -39,7 +39,7 @@ def test_typea_command(capsys):
 def test_sweep_command(capsys):
     assert main(["sweep", "--app", "is", "--slices", "30,1"]) == 0
     out = capsys.readouterr().out
-    assert "Slice sweep" in out
+    assert "Slice sweep (Figure 5), class B" in out
     assert "30" in out and "1" in out
 
 

@@ -134,6 +134,28 @@ def test_type_a_claims_name_the_violation():
                         "compare:lu/2: ATC 0.850x CR, not below 0.75"]
 
 
+def test_compare_table_keeps_the_mean_round_times():
+    times = {"CR": 100e6, "BS": 90e6, "CS": 80e6, "DSS": 95e6, "ATC": 40e6}
+    _, headers, rows = GRIDS["compare"].table(_results("compare", _type_a(times)))
+    assert headers[-5:] == ["CR (ms)", "BS (ms)", "CS (ms)", "DSS (ms)", "ATC (ms)"]
+    assert rows == [("lu", 2, 1.0, 0.9, 0.8, 0.95, 0.4, 100.0, 90.0, 80.0, 95.0, 40.0)]
+
+
+def test_placement_baseline_is_cr_spread_in_any_cell_order():
+    def value(s):
+        p = s.params
+        return {"mean_round_ns": (2.0 if p["scheduler"] == "CR" else 1.0)
+                * (1.0 if p["placement"] == "spread" else 3.0), "all_done": True}
+
+    results = _results("placement", value)
+    norm = dict(GRIDS["placement"].table(results)[2])
+    assert norm == dict(GRIDS["placement"].table(results[::-1])[2])
+    assert norm["CR / spread"] == 1.0 and norm["ATC / pack"] == 1.5
+    assert GRIDS["placement"].claims(results[::-1]) == []
+    no_base = [r for r in results if r.spec.params["placement"] != "spread"]
+    assert "placement:pack: ATC nan not below CR nan" in GRIDS["placement"].claims(no_base)
+
+
 def test_slice_sweep_claims_name_the_violation():
     def sweep(spins):  # round time proportional to spin latency
         return lambda s: _sweep_row(s, 100.0 * spins[s.params["slice_ms_values"][0]],
