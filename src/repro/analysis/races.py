@@ -331,6 +331,7 @@ def _patch_classes() -> None:
     saved = _saved_methods
 
     orig_at = Simulator.at
+    orig_rearm = Simulator.rearm
     orig_post_at = Simulator.post_at
 
     def at(self, time, fn, cat=None):
@@ -339,16 +340,22 @@ def _patch_classes() -> None:
             tr._on_schedule(int(time), fn, cat)
         return orig_at(self, time, fn, cat)
 
+    def rearm(self, ev, time):
+        tr = _active
+        if tr is not None and self is tr.sim:
+            tr._on_schedule(int(time), ev.fn, ev.cat)
+        return orig_rearm(self, ev, time)
+
     def post_at(self, time, fn, cat=None):
         tr = _active
         if tr is not None and self is tr.sim:
             tr._on_schedule(int(time), fn, cat)
         return orig_post_at(self, time, fn, cat)
 
-    saved.append((Simulator, "at", orig_at, True))
-    saved.append((Simulator, "post_at", orig_post_at, True))
-    Simulator.at = at
-    Simulator.post_at = post_at
+    for name, orig, patched in (("at", orig_at, at), ("rearm", orig_rearm, rearm),
+                                ("post_at", orig_post_at, post_at)):
+        saved.append((Simulator, name, orig, True))
+        setattr(Simulator, name, patched)
 
     for cls in TRACKED_CLASSES:
         attrs = _data_attrs(cls)

@@ -61,9 +61,9 @@ class Grid:
     claims: Callable[[Sequence[RunResult]], list[str]]
 
 
-def _ratio(value: float, base: float) -> float:
-    """``value / base``; NaN when the base is zero or NaN."""
-    return value / base if base else math.nan
+def _ratio(value: Optional[float], base: Optional[float]) -> float:
+    """``value / base``; NaN when either is ``None`` or the base is 0 or NaN."""
+    return value / base if base and value is not None else math.nan
 
 
 def _ms(ns: float) -> float:

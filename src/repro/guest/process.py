@@ -47,10 +47,10 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional
 from repro.guest.spinlock import SpinBarrier, SpinLock
 from repro.hypervisor.dom0 import Packet
 from repro.hypervisor.vm import VCPUState
+from repro.sim.engine import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.guest.kernel import GuestKernel
-    from repro.sim.engine import Event
 
 __all__ = [
     "GuestProcess",
@@ -160,6 +160,9 @@ class GuestProcess:
         "_work_started",
         "_work_ev",
         "_poll_ev",
+        "_work_timer",
+        "_poll_timer",
+        "_grace_timer",
         "_spin_start",
         "_spin_kind",
         "_spin_cpu_used",
@@ -196,8 +199,13 @@ class GuestProcess:
         self.state = "init"
         self._remaining = 0
         self._work_started = 0
+        # One handle per timer, re-armed in place; ``_work_ev``/``_poll_ev``/
+        # ``_grace_ev`` hold it (or PAST_SLICE) while armed, else None.
         self._work_ev = None
         self._poll_ev = None
+        self._work_timer = Event(fn=self._work_done, cat="guest")
+        self._poll_timer = Event(fn=self._poll, cat="guest")
+        self._grace_timer = Event(fn=self._spin_block_timeout, cat="guest")
         self._spin_start = 0
         self._spin_kind = ""
         self._spin_cpu_used = 0
@@ -240,7 +248,7 @@ class GuestProcess:
         if st in ("compute", "crit", "bar_crit"):
             self._remaining += overhead_ns
             self._work_started = now
-            self._work_ev = self._arm(self._remaining, self._work_done)
+            self._work_ev = self._arm(self._remaining, self._work_timer)
         elif st in ("lock_spin", "bar_lock_spin", "bar_wait", "recv_spin"):
             if self._spin_resolved():
                 self._schedule_poll()
@@ -310,7 +318,7 @@ class GuestProcess:
 
     def _schedule_poll(self) -> None:
         if self._poll_ev is None:
-            self._poll_ev = self.sim.after(0, self._poll, cat="guest")
+            self._poll_ev = self.sim.rearm(self._poll_timer, self.sim.now)
 
     # ------------------------------------------------------------------
     # Spin-then-block mechanics
@@ -328,9 +336,7 @@ class GuestProcess:
         if budget is None:
             return  # pure spinning (no PV-block): burn the slice
         self._grace_started = now
-        self._grace_ev = self._arm(
-            max(0, budget - self._spin_cpu_used), self._spin_block_timeout
-        )
+        self._grace_ev = self._arm(max(0, budget - self._spin_cpu_used), self._grace_timer)
 
     def _spin_block_timeout(self) -> None:
         self._grace_ev = None
@@ -493,8 +499,8 @@ class GuestProcess:
             raise ValueError(f"{self.name}: unknown segment {seg!r}")
 
     # ------------------------------------------------------------------
-    def _arm(self, delay: int, fn: Callable[[], None]) -> "Event | _PastSlice":
-        """Schedule a cancellable guest timer ``delay`` ns from now, or
+    def _arm(self, delay: int, timer: Event) -> "Event | _PastSlice":
+        """Re-arm ``timer`` to fire ``delay`` ns from now and return it, or
         return :data:`PAST_SLICE` if it would fire strictly after the
         running slice's deadline (``pcpu.slice_end_ns``).  A timer that
         ties with the deadline is armed: ``tie_order`` decides which of
@@ -502,12 +508,12 @@ class GuestProcess:
         deadline = self.sim.now + delay
         if deadline > self.vcpu.pcpu.slice_end_ns:
             return PAST_SLICE
-        return self.sim.at(deadline, fn, cat="guest")
+        return self.sim.rearm(timer, deadline)
 
     def _begin_work(self, ns: int) -> None:
         self._remaining = ns
         self._work_started = self.sim.now
-        self._work_ev = self._arm(ns, self._work_done)
+        self._work_ev = self._arm(ns, self._work_timer)
 
     def _begin_crit(self, state: str) -> None:
         self.state = state

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.hypervisor.vm import VCPUState, VM
 from repro.obs import trace as obstrace
+from repro.sim.engine import Event
 from repro.sim.units import USEC
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -104,7 +105,8 @@ class _Dom0Worker:
     its VCPU when the queue drains.
     """
 
-    __slots__ = ("sim", "dom0", "vcpu", "cur_cost", "cur_fn", "_ev", "_started", "_block_ev", "_epoch")
+    __slots__ = ("sim", "dom0", "vcpu", "cur_cost", "cur_fn", "_ev", "_started", "_block_ev",
+                 "_epoch", "_finish_timer", "_block_timer")
     cache_sensitivity = 0.3  # kernel net path: modest cache footprint
 
     def __init__(self, sim, dom0: "Dom0", vcpu) -> None:
@@ -117,6 +119,9 @@ class _Dom0Worker:
         self._started = 0
         self._block_ev = None
         self._epoch = 0  # bumped on every dispatch/preempt (reentrancy guard)
+        # One handle per timer, re-armed in place; ``_ev``/``_block_ev`` hold it while armed.
+        self._finish_timer = Event(fn=self._finish, cat="dom0")
+        self._block_timer = Event(fn=self._idle_block, cat="dom0")
 
     # Runner protocol ---------------------------------------------------
     def on_dispatch(self, now: int, overhead_ns: int) -> None:
@@ -127,13 +132,13 @@ class _Dom0Worker:
         if self.cur_fn is not None:
             self.cur_cost += overhead_ns
             self._started = now
-            self._ev = self.sim.after(self.cur_cost, self._finish, cat="dom0")
+            self._ev = self.sim.rearm(self._finish_timer, now + self.cur_cost)
         elif self.dom0.queue:
             self._start_next(overhead_ns)
         else:
             # Dispatched with nothing to do (can happen when work was
             # consumed by a sibling worker); block in a follow-up event.
-            self._block_ev = self.sim.after(0, self._idle_block, cat="dom0")
+            self._block_ev = self.sim.rearm(self._block_timer, now)
 
     def on_preempt(self, now: int) -> None:
         self._epoch += 1
@@ -155,8 +160,8 @@ class _Dom0Worker:
         cost, fn = self.dom0.queue.popleft()
         self.cur_cost = cost + overhead_ns
         self.cur_fn = fn
-        self._started = self.sim.now
-        self._ev = self.sim.after(self.cur_cost, self._finish, cat="dom0")
+        self._started = now = self.sim.now
+        self._ev = self.sim.rearm(self._finish_timer, now + self.cur_cost)
 
     def _finish(self) -> None:
         self._ev = None

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.hypervisor.vm import VCPU, VCPUState, VM
 from repro.obs import trace as obstrace
+from repro.sim.engine import Event
 from repro.sim.units import MSEC
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,7 +61,7 @@ class VMM:
         "_period_started",
         "period_hooks",
         "total_context_switches",
-        "_slice_end_fns",
+        "_slice_timers",
     )
 
     def __init__(
@@ -81,10 +82,10 @@ class VMM:
         #: scheduler's own accounting (ATC controller, CS trigger, ...).
         self.period_hooks: list[Callable[[int], None]] = []
         self.total_context_switches = 0
-        #: One slice-expiry callback per PCPU (indexed by ``pcpu.index``):
-        #: a ``partial`` of ``_on_slice_end``, built once so a dispatch
-        #: allocates nothing and the expiry adds no wrapper frame.
-        self._slice_end_fns = [partial(self._on_slice_end, p) for p in node.pcpus]
+        #: One slice-expiry timer per PCPU (indexed by ``pcpu.index``), re-armed by
+        #: every dispatch, which so allocates nothing; the ``partial`` adds no frame.
+        self._slice_timers = [Event(fn=partial(self._on_slice_end, p), cat="vmm.slice")
+                              for p in node.pcpus]
         self.scheduler = scheduler_factory(self)
 
     # ------------------------------------------------------------------
@@ -163,7 +164,7 @@ class VMM:
             vm.llc_penalty_ns += penalty
 
         pcpu.slice_end_ns = deadline = now + slice_ns
-        pcpu.slice_end_ev = sim.at(deadline, self._slice_end_fns[index], cat="vmm.slice")
+        pcpu.slice_end_ev = sim.rearm(self._slice_timers[index], deadline)
         runner.on_dispatch(now, overhead)
 
     def _stop_current(self, pcpu: "PCPU", next_state: VCPUState) -> VCPU:

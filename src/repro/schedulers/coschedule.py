@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.hypervisor.vm import VCPUState
 from repro.schedulers.credit import CreditParams, CreditScheduler
 from repro.sim.units import MSEC
 
@@ -31,6 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hypervisor.vmm import VMM
 
 __all__ = ["CoScheduleParams", "CoScheduler"]
+
+_RUNNABLE = VCPUState.RUNNABLE
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,7 @@ class CoScheduler(CreditScheduler):
         self._co_vm = vm
         self._co_until = (now // gang + 1) * gang  # lease ends at the slot boundary
         self.gangs_triggered += 1
-        runnable = [v for v in vm.vcpus if v.state.value == 1]  # RUNNABLE
+        runnable = [v for v in vm.vcpus if v.state is _RUNNABLE]
         if not runnable:
             return
         need = len(runnable)

@@ -22,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.hypervisor.vm import VCPUState
 from repro.obs import trace as obstrace
 from repro.sim.units import MSEC
 
@@ -39,6 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hypervisor.vmm import VMM
 
 __all__ = ["CreditParams", "CreditScheduler"]
+
+_BLOCKED = VCPUState.BLOCKED
 
 
 @dataclass(frozen=True)
@@ -495,7 +498,7 @@ class CreditScheduler(Scheduler):
         period = vmm.period_ns
         capacity = period * len(vmm.node.pcpus)
         vcpus = [v for vm in vmm.vms for v in vm.vcpus]
-        active = [v.state.value != 0 or v.period_run_ns > 0 for v in vcpus]
+        active = [v.state is not _BLOCKED or v.period_run_ns > 0 for v in vcpus]
         total_w = sum(v.vm.weight for v, act in zip(vcpus, active) if act) or 1.0
         cap = self.params.credit_cap_periods * capacity
         for v, act in zip(vcpus, active):

@@ -1,12 +1,12 @@
 """Discrete-event simulation engine.
 
 A minimal, fast event-queue kernel in the style of classic DES libraries:
-events are ``(time, sequence, callback)`` tuples kept in a binary heap
-(:mod:`heapq`).  The sequence number breaks ties deterministically (FIFO
-among simultaneous events), which keeps whole-cluster simulations
-bit-reproducible for a given seed.  Queue entries are plain tuples, so
-every sift comparison is a C-level tuple compare; the ``Event`` handle
-rides in slot 2 and is never compared.
+events are ``(time, key, callback)`` tuples kept in a binary heap
+(:mod:`heapq`).  The key (phase and sequence number in one int) breaks
+ties deterministically (FIFO among simultaneous events), which keeps
+whole-cluster simulations bit-reproducible for a given seed.  Queue
+entries are plain tuples, so every sift comparison is a C-level tuple
+compare; the ``Event`` handle rides in slot 2 and is never compared.
 
 Design notes (following the repository's HPC-Python guidelines):
 
@@ -15,10 +15,14 @@ Design notes (following the repository's HPC-Python guidelines):
 * cancellation is O(1): a cancelled event stays in the queue but is
   skipped when popped (lazy deletion), which is far cheaper than heap
   surgery for the preemption-heavy scheduler workloads simulated here;
+* a timer owner (a PCPU's slice expiry, a guest's work/spin/poll timers,
+  a dom0 worker) keeps one :class:`Event` and re-arms it in place
+  (:meth:`Simulator.rearm`): no handle per arming, and no push when the
+  handle's queued entry sorts no later — it moves to the live key on pop;
 * fire-and-forget callbacks that are never cancelled can skip the
   ``Event`` handle entirely via :meth:`Simulator.post_at` /
   :meth:`Simulator.post_after` — the queue entry is then a bare
-  ``(time, seq, fn, cat)`` tuple with no per-event object allocation;
+  ``(time, key, fn, cat)`` tuple with no per-event object allocation;
 * callbacks receive no arguments; closures or ``functools.partial`` bind
   whatever context they need.  This keeps the queue entries small.
 """
@@ -149,27 +153,33 @@ def install_watchdog(
 class Event:
     """A handle to a scheduled callback.
 
-    Instances are returned by :meth:`Simulator.at` / :meth:`Simulator.after`
-    and can be cancelled.  A cancelled event is skipped by the main loop.
+    :meth:`Simulator.at` / :meth:`Simulator.after` return a fresh, armed
+    handle.  A handle built directly (``Event(fn=..., cat=...)``) is
+    unarmed until :meth:`Simulator.rearm`, which can arm it again any
+    number of times: after it fired or was cancelled, or while it is
+    pending (superseding the pending arming).  ``time`` and ``seq`` are
+    the live arming's due time and queue key; ``fn`` is kept across
+    firing and cancel.
     """
 
-    __slots__ = ("time", "seq", "fn", "cancelled", "cat")
+    __slots__ = ("time", "seq", "fn", "cancelled", "cat", "entry")
 
-    def __init__(
-        self, time: int, seq: int, fn: Callable[[], None], cat: Optional[str] = None
-    ) -> None:
+    def __init__(self, time: int = 0, seq: int = 0, fn: Optional[Callable[[], None]] = None,
+                 cat: Optional[str] = None) -> None:
         self.time = time
         self.seq = seq
-        self.fn: Optional[Callable[[], None]] = fn
+        self.fn = fn
         self.cancelled = False
         #: Profiling category tag (``"guest"``, ``"dom0"``, ``"vmm.slice"``,
         #: ...); purely observational — never read by the event loop itself.
         self.cat = cat
+        #: The queue entry standing for this handle (``None``: none is);
+        #: its key may sort before the live ``(time, seq)`` (see ``_stale``).
+        self.entry: Optional[tuple] = None
 
     def cancel(self) -> None:
-        """Cancel the event; it will not fire.  Idempotent."""
+        """Cancel the event; it will not fire (until re-armed).  Idempotent."""
         self.cancelled = True
-        self.fn = None  # break reference cycles / free closure early
 
     # Ordering ------------------------------------------------------------
     # Queue entries are tuples keyed by (time, seq), so the queue never
@@ -261,13 +271,35 @@ class Simulator:
                 f"cannot schedule event at t={time} before now={self.now}"
             )
         time = int(time)
-        ev = Event(time, self._seq, fn, cat)
         key = self._seqsign * self._seq
         if cat not in ACCOUNTING_CATS:
             key += _PHASE_STRIDE
-        entry = (time, key, ev)
         self._seq += 1
+        ev = Event(time, key, fn, cat)
+        ev.entry = entry = (time, key, ev)
         heappush(self._heap, entry)
+        return ev
+
+    def rearm(self, ev: Event, time: int) -> Event:
+        """Arm ``ev`` at absolute time ``time`` (int ns), superseding any
+        pending arming, and return it.  It takes one sequence number and
+        fires exactly where a fresh :meth:`at` would; if the handle's
+        queued entry sorts no later, nothing is pushed (see :meth:`_stale`)."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule event at t={time} before now={self.now}"
+            )
+        key = self._seqsign * self._seq
+        if ev.cat not in ACCOUNTING_CATS:
+            key += _PHASE_STRIDE
+        self._seq += 1
+        ev.time = time
+        ev.seq = key
+        ev.cancelled = False
+        entry = ev.entry
+        if entry is None or time < entry[0] or (time == entry[0] and key < entry[1]):
+            ev.entry = entry = (time, key, ev)
+            heappush(self._heap, entry)
         return ev
 
     def after(self, delay: int, fn: Callable[[], None], cat: Optional[str] = None) -> Event:
@@ -312,45 +344,36 @@ class Simulator:
         """
         self._stopped = True
 
+    def _stale(self, entry: tuple) -> None:
+        """Retire a popped handle entry that does not fire as keyed: drop it
+        if the handle was cancelled or re-armed earlier, else re-push it at
+        the live ``(time, seq)``.  Counts once in :attr:`cancelled_popped`."""
+        self.cancelled_popped += 1
+        ev = entry[2]
+        if entry is ev.entry:
+            if ev.cancelled:
+                ev.entry = None
+            else:
+                ev.entry = entry = (ev.time, ev.seq, ev)
+                heappush(self._heap, entry)
+
     def peek(self) -> Optional[int]:
         """Time of the next pending (non-cancelled) event, or ``None``."""
         heap = self._heap
         while heap:
             entry = heap[0]
             ev = entry[2]
-            if ev.__class__ is Event and ev.cancelled:
-                heappop(heap)
-                self.cancelled_popped += 1
+            if ev.__class__ is Event and (ev.cancelled or entry[1] != ev.seq):
+                self._stale(heappop(heap))
                 continue
             return entry[0]
         return None
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if queue empty."""
-        heap = self._heap
-        while heap:
-            entry = heappop(heap)
-            ev = entry[2]
-            if ev.__class__ is Event:
-                if ev.cancelled:
-                    self.cancelled_popped += 1
-                    continue
-                fn = ev.fn
-                ev.fn = None
-            else:
-                fn = ev
-            self.now = entry[0]
-            if self.trace is not None:
-                self.trace(self.now, fn)
-            if self.profiler is None:
-                fn()
-            else:
-                self.profiler.run_event(
-                    ev.cat if ev.__class__ is Event else entry[3], fn, len(heap) + 1
-                )
-            self.events_processed += 1
-            return True
-        return False
+        done = self.events_processed
+        self.run(max_events=1)
+        return self.events_processed > done
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` (ns) is reached, or
@@ -375,14 +398,14 @@ class Simulator:
             entry = heappop(heap)
             ev = entry[2]
             if ev.__class__ is Event:
-                if ev.cancelled:
-                    self.cancelled_popped += 1
+                if ev.cancelled or entry[1] != ev.seq:
+                    self._stale(entry)
                     continue
                 if until is not None and entry[0] > until:
                     heappush(heap, entry)
                     break
+                ev.entry = None
                 fn = ev.fn
-                ev.fn = None
             else:
                 if until is not None and entry[0] > until:
                     heappush(heap, entry)
@@ -419,13 +442,14 @@ class Simulator:
         """
         for entry in self._heap:
             ev = entry[2]
-            if ev.__class__ is Event and not ev.cancelled:
+            if ev.__class__ is Event and entry is ev.entry and not ev.cancelled:
                 yield ev
 
     def pending(self) -> int:
-        """Number of non-cancelled events still queued (O(n); tests only)."""
+        """Number of events still due to fire (O(n); tests only)."""
         return sum(
-            1 for entry in self._heap if not (entry[2].__class__ is Event and entry[2].cancelled)
+            1 for entry in self._heap
+            if entry[2].__class__ is not Event or entry is entry[2].entry and not entry[2].cancelled
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

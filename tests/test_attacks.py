@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -159,9 +161,18 @@ def test_undebited_thief_reports_censored_gain_not_inf():
     thief = r["thief"]
     assert thief["cpu_consumed_ns"] > 0 and thief["cpu_debited_ns"] == 0
     assert thief["gain"] is None and thief["gain_censored"] is True
-    # No round finished in 9 ms, so the victim means are NaN; the thief
-    # block itself must be finite.
     assert _nonfinite(thief, "thief") == []
+
+
+def test_too_short_attack_cell_reports_undefined_means_not_nan():
+    """No victim round and no non-parallel run finish in 9 ms: both
+    means are ``None``, and e2e's ``nonfinite`` check finds nothing."""
+    e2e = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "workloads.py"
+    nonfinite = runpy.run_path(str(e2e))["nonfinite"]
+    r = run_attack(scheduler="CR", hardened=False, horizon_s=0.009, seed=0)
+    assert r["victim_rounds"] == 0
+    assert r["victim_mean_round_ns"] is None and r["np_mean_run_ns"] is None
+    assert nonfinite(r) == []
 
 
 def test_unhardened_thief_profits_and_hardened_does_not():

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from repro.experiments.grids import GRIDS, attack_recovered
+from repro.experiments.grids import GRIDS, attack_metrics, attack_recovered
 from repro.experiments.runner import RunResult
 
 ATTACK = GRIDS["attack"]
@@ -32,6 +32,17 @@ def test_attack_recovered_is_undefined_without_slowdown():
     assert attack_recovered(0.9, 0.8) is None
     assert attack_recovered(math.nan, 1.0) is None
     assert attack_recovered(3.0, 2.0) == 0.5
+
+
+def test_attack_metrics_treat_an_undefined_round_as_nan():
+    """A cell whose victim finished no round reports ``None``; the
+    slowdown built from it is NaN and the claims name the failure."""
+    results = _attack_results(lambda hardened, attack: None if attack else 100.0)
+    (m,) = attack_metrics(results)
+    assert math.isnan(m["open"]["slowdown"]) and math.isnan(m["hard"]["slowdown"])
+    assert m["recovered"] is None
+    failures = ATTACK.claims(results)
+    assert "attack:CR: hardening recovery undefined (unhardened slowdown nan)" in failures
 
 
 def test_attack_claims_when_attack_does_not_slow_the_victim():

@@ -335,8 +335,8 @@ def one_pcpu_world(n_procs, tie_order="fifo", spin_block_ns=None):
     return sim, vm, [vm.kernel.add_process() for _ in range(n_procs)]
 
 
-def _arm_unclipped(self, delay, fn):
-    return self.sim.at(self.sim.now + delay, fn, cat="guest")
+def _arm_unclipped(self, delay, timer):
+    return self.sim.rearm(timer, self.sim.now + delay)
 
 
 def run_contended(monkeypatch, clipped):
@@ -431,7 +431,8 @@ def test_timer_due_exactly_at_slice_end_is_armed(tie_order):
     p.on_done = lambda proc: done.append(sim.now)
     p.start()
     sim.run(until=0)
-    assert isinstance(p._work_ev, Event)
+    assert isinstance(p._work_timer, Event)
+    assert p._work_ev is p._work_timer  # the owner's one handle, re-armed
     assert p._work_ev.time == p.vcpu.pcpu.slice_end_ns == SLICE
     sim.run(until=10 * MSEC)
     assert done == [SLICE]
