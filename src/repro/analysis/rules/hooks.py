@@ -14,7 +14,11 @@ instant:
 * two appends to the same ``X.period_hooks`` list (period hooks all run
   at the period boundary), or
 * two ``sim.at/after/post_at/post_after`` calls whose time argument has
-  the identical expression AST.
+  the identical expression AST, or
+* two ``sim.rearm(handle, time)`` calls whose time (the second argument)
+  has the identical expression AST; the callback is the ``fn=`` of the
+  ``Event(...)`` the owning class assigns to ``self.<handle>`` (a list of
+  handles, ``self.<handles>[i]``, counts as the handle).
 
 Cross-module registrations (e.g. the ATC controller and the sanitizer
 each appending one period hook from different files) are out of static
@@ -77,14 +81,53 @@ def _iter_scopes(tree: ast.Module):
                 stack.append((child, owner))
 
 
+def _handle_callbacks(tree: ast.Module) -> dict:
+    """``{class: {attr: fn}}``: the ``fn=`` of each ``Event(...)`` a class
+    assigns to ``self.<attr>``, alone or as a list comprehension's element."""
+    out: dict = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+                continue
+            attr, value = _self_attr(node.targets[0]), node.value
+            if isinstance(value, ast.ListComp):
+                value = value.elt
+            if not (
+                attr
+                and isinstance(value, ast.Call)
+                and (dotted_name(value.func) or [""])[-1] == "Event"
+            ):
+                continue
+            for kw in value.keywords:
+                if kw.arg == "fn":
+                    out.setdefault(cls.name, {})[attr] = kw.value
+    return out
+
+
+def _self_attr(expr: ast.AST) -> Optional[str]:
+    """``attr`` of ``self.attr`` or ``self.attr[...]``, else None."""
+    if isinstance(expr, ast.Subscript):
+        expr = expr.value
+    if (
+        isinstance(expr, ast.Attribute)
+        and isinstance(expr.value, ast.Name)
+        and expr.value.id == "self"
+    ):
+        return expr.attr
+    return None
+
+
 def _collect_groups(
-    fn: ast.AST, owner: Optional[str], effects: ModuleEffects
+    fn: ast.AST, owner: Optional[str], effects: ModuleEffects, handles: dict
 ) -> dict:
     """Group same-instant registrations in one function's direct scope.
 
     Key ``("period", <receiver>)`` groups ``<receiver>.period_hooks
     .append(cb)`` calls; key ``("at", <receiver>, <method>, <time-ast>)``
-    groups scheduling calls with an identical time expression.
+    groups scheduling calls (and re-arms of the handles in ``handles``,
+    ``attr -> fn``) with an identical time expression.
     """
     groups: dict = {}
     stack = list(ast.iter_child_nodes(fn))
@@ -111,6 +154,15 @@ def _collect_groups(
             key = ("at", recv, func.attr, ast.dump(node.args[0]))
             cb = node.args[1]
             where = f"{func.attr}({ast.unparse(node.args[0])})"
+        elif (
+            func.attr == "rearm"
+            and len(node.args) == 2
+            and _self_attr(node.args[0]) in handles
+        ):
+            recv = ast.dump(func.value)
+            key = ("at", recv, func.attr, ast.dump(node.args[1]))
+            cb = handles[_self_attr(node.args[0])]
+            where = f"rearm({ast.unparse(node.args[0])}, {ast.unparse(node.args[1])})"
         else:
             continue
         summary = effects.resolve_callback(cb, owner_class=owner)
@@ -144,8 +196,10 @@ class SameTimeWriteOverlapRule(Rule):
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
         effects = ModuleEffects(tree)
+        handles = _handle_callbacks(tree)
         for fn, owner in _iter_scopes(tree):
-            for a, b in _pairs(_collect_groups(fn, owner, effects)):
+            groups = _collect_groups(fn, owner, effects, handles.get(owner, {}))
+            for a, b in _pairs(groups):
                 if a.summary is None or b.summary is None:
                     continue
                 ww, rw = a.summary.overlap(b.summary)
@@ -177,8 +231,10 @@ class ClosureCaptureRaceRule(Rule):
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
         effects = ModuleEffects(tree)
+        handles = _handle_callbacks(tree)
         for fn, owner in _iter_scopes(tree):
-            for a, b in _pairs(_collect_groups(fn, owner, effects)):
+            groups = _collect_groups(fn, owner, effects, handles.get(owner, {}))
+            for a, b in _pairs(groups):
                 if a.summary is None or b.summary is None:
                     continue
                 for reader, writer in ((a, b), (b, a)):

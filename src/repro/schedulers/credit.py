@@ -495,22 +495,34 @@ class CreditScheduler(Scheduler):
         # the ones every observer (SAN003 included) reads after it.
         self.apply_pending_allocations()
         vmm = self.vmm
-        period = vmm.period_ns
-        capacity = period * len(vmm.node.pcpus)
-        vcpus = [v for vm in vmm.vms for v in vm.vcpus]
-        active = [v.state is not _BLOCKED or v.period_run_ns > 0 for v in vcpus]
-        total_w = sum(v.vm.weight for v, act in zip(vcpus, active) if act) or 1.0
+        vms = vmm.vms
+        capacity = vmm.period_ns * len(vmm.node.pcpus)
+        # A VCPU is active if it is not blocked or ran this period; the
+        # weight total adds one term per active VCPU, in VCPU order.
+        total_w = sum(
+            vm.weight for vm in vms for v in vm.vcpus
+            if v.state is not _BLOCKED or v.period_run_ns > 0
+        ) or 1.0
         cap = self.params.credit_cap_periods * capacity
-        for v, act in zip(vcpus, active):
-            share = capacity * (v.vm.weight / total_w) if act else 0.0
-            # Debit what was *charged* (== consumed under exact
-            # accounting; tick-sampled under ``tick_accounting``).
-            v.credit = min(cap, max(-cap, v.credit + share - v.period_charged_ns))
-            v.period_run_ns = 0
-            v.period_charged_ns = 0
-            if v.queued and v.prio != PRIO_BOOST:
-                v.prio = self._credit_prio(v)
-        for vm in vmm.vms:
+        floor = -cap
+        for vm in vms:
+            share = capacity * (vm.weight / total_w)
+            for v in vm.vcpus:
+                # Debit what was *charged* (== consumed under exact
+                # accounting; tick-sampled under ``tick_accounting``).
+                active = v.state is not _BLOCKED or v.period_run_ns > 0
+                credit = v.credit + (share if active else 0.0) - v.period_charged_ns
+                # ``min(cap, max(-cap, credit))``, ties and NaN included.
+                if not credit > floor:
+                    credit = floor
+                if not credit < cap:
+                    credit = cap
+                v.credit = credit
+                v.period_run_ns = 0
+                v.period_charged_ns = 0
+                if v.queued and v.prio != PRIO_BOOST:
+                    # ``_credit_prio`` with the charge just reset.
+                    v.prio = PRIO_UNDER if credit > 0 else PRIO_OVER
             vm.period_run_ns = 0
         # Cap budgets refreshed (period_run_ns reset above): re-queue the
         # VCPUs parked by cap exhaustion and restart any idled PCPUs.

@@ -3,10 +3,13 @@
 Every stochastic element of the simulation (compute-grain jitter, workload
 selection, trace synthesis) draws from a :class:`SimRNG`, which wraps a
 seeded :class:`numpy.random.Generator`.  Sub-streams derived with
-:meth:`SimRNG.substream` give each entity its own independent, reproducible
-stream, so that adding an entity never perturbs the draws of the others —
+:meth:`SimRNG.substream` are keyed by the root seed and the keys of that
+one call, so drawing from one entity's stream never perturbs another's —
 a requirement for meaningful A/B comparisons between schedulers on *the
-same* workload realization.
+same* workload realization.  A sub-stream's own keys are *not* part of its
+children's key: ``rng.substream(1).substream(0, 0, 0)`` and
+``rng.substream(2).substream(0, 0, 0)`` are one stream, so only distinct
+key tuples give distinct streams.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ __all__ = ["SimRNG"]
 
 
 class SimRNG:
-    """Seeded random source with cheap deterministic sub-streams."""
+    """Seeded random source with cheap deterministic sub-streams keyed by
+    ``(root seed, keys)``."""
 
     __slots__ = ("seed", "_gen")
 
@@ -29,11 +33,13 @@ class SimRNG:
 
     # ------------------------------------------------------------------
     def substream(self, *keys: int) -> "SimRNG":
-        """Derive an independent stream keyed by ``keys``.
+        """Derive the stream keyed by the root ``seed`` and ``keys``.
 
         The same ``(seed, keys)`` always yields the same stream; different
-        keys yield statistically independent streams (via SeedSequence
-        spawning semantics).
+        key tuples yield statistically independent streams (SeedSequence
+        spawn keys).  The keys this stream was derived with are not
+        included, so ``self.substream(*keys)`` is the root's
+        ``substream(*keys)`` whatever stream ``self`` is.
         """
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(int(k) for k in keys))
         child = SimRNG.__new__(SimRNG)

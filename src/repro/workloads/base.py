@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from repro.guest.process import Segment, barrier, compute, recv, send
+from repro.guest.process import Segment, barrier, recv, send
 from repro.guest.spinlock import SpinBarrier
 from repro.sim.rng import SimRNG
 
@@ -108,22 +108,26 @@ def bsp_rank_program(
     Sections II-B1/II-B2 dissect.
 
     ``rng`` is the rank-round's own substream and feeds nothing but the
-    compute-grain jitter, so the lognormal parameters are derived once
-    and each superstep makes the one scalar draw ``rng.jittered_ns``
-    would: the grains are bit-identical to calling it per superstep.
+    compute-grain jitter, so the whole round's grains are one vectorised
+    lognormal draw at the first segment: bit-identical to one scalar
+    ``rng.jittered_ns`` per superstep, since numpy fills an array with the
+    same per-sample draws.  The stream is dropped once drawn.
     """
     peers = _peer_indices(spec.pattern, vm_idx, len(vms))
     do_comm = local_idx == 0 and peers
+    steps = max(0, spec.supersteps)
     params = SimRNG.lognormal_params(spec.grain_ns, spec.grain_cv)
-    if params is None:
-        fixed_grain = rng.jittered_ns(spec.grain_ns, spec.grain_cv)  # no draw
+    if params is None:  # deterministic grain (>= 0): no draw, no floor
+        floor, grains = 0, [rng.jittered_ns(spec.grain_ns, spec.grain_cv)] * steps
     else:
-        mu, sigma = params
-        lognormal = rng.generator.lognormal
-    for step in range(spec.supersteps):
-        yield compute(fixed_grain if params is None else max(1, int(lognormal(mu, sigma))))
-        yield barrier(bar)
-        if spec.comm_every <= 1 or (step % spec.comm_every) == 0:
+        floor, grains = 1, rng.generator.lognormal(*params, size=steps)
+    del rng
+    sync = barrier(bar)
+    comm_every = spec.comm_every
+    for step, g in enumerate(grains):
+        yield ("compute", max(floor, int(g)))
+        yield sync
+        if comm_every <= 1 or (step % comm_every) == 0:
             if do_comm:
                 nmsg = 0
                 for p in peers:
@@ -135,7 +139,7 @@ def bsp_rank_program(
                 # Hard global sync (all-to-all transposes): every rank
                 # waits for the exchange.  Pipelined kernels skip this —
                 # rank 0 rejoins at the next superstep's barrier.
-                yield barrier(bar)
+                yield sync
 
 
 class ParallelApp:
@@ -152,7 +156,6 @@ class ParallelApp:
         rounds: Optional[int] = None,
         warmup_rounds: int = 0,
         name: Optional[str] = None,
-        program_factory: Optional[Callable[..., Iterator[Segment]]] = None,
     ) -> None:
         """``rounds=None`` repeats forever (background load); otherwise the
         app stops after ``rounds`` *measured* rounds (warm-up excluded)."""
@@ -167,7 +170,6 @@ class ParallelApp:
         self.rounds_completed = 0
         self.finished = False
         self.on_complete: Optional[Callable[["ParallelApp"], None]] = None
-        self._program_factory = program_factory or bsp_rank_program
         self._round_start = 0
         self._pending_ranks = 0
         self._procs: list["GuestProcess"] = []
@@ -201,10 +203,9 @@ class ParallelApp:
         self._pending_ranks = len(self._procs)
         for proc, (vm_idx, local) in zip(self._procs, self._locations):
             rng = self.rng.substream(vm_idx, local, self.rounds_completed)
-            prog = self._program_factory(
-                self.spec, self.vms, vm_idx, local, self._bars[vm_idx], rng
+            proc.load_program(
+                bsp_rank_program(self.spec, self.vms, vm_idx, local, self._bars[vm_idx], rng)
             )
-            proc.load_program(prog)
 
     def _rank_done(self, proc: "GuestProcess") -> None:
         self._pending_ranks -= 1

@@ -1,5 +1,7 @@
 """Tests for the Credit scheduler model (CR)."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.guest.process import compute
 from repro.hypervisor.vm import VCPUState, VM
 from repro.schedulers.base import PRIO_BOOST, PRIO_OVER, PRIO_UNDER
@@ -476,3 +478,122 @@ def test_clamp_boundary_tracks_mid_run_weight_change():
     # Second boundary: both already at/above the clamp; neither exceeds it.
     assert va.credit == cap
     assert vb.credit == cap
+
+
+# ----------------------------------------------------------------------
+# on_period against the plain list/zip accounting loop
+# ----------------------------------------------------------------------
+def _reference_on_period(sched, now):
+    """``CreditScheduler.on_period`` as a list/zip loop over all VCPUs:
+    the reference the one-pass accounting must match bit for bit."""
+    sched.apply_pending_allocations()
+    vmm = sched.vmm
+    capacity = vmm.period_ns * len(vmm.node.pcpus)
+    vcpus = [v for vm in vmm.vms for v in vm.vcpus]
+    active = [v.state is not VCPUState.BLOCKED or v.period_run_ns > 0 for v in vcpus]
+    total_w = sum(v.vm.weight for v, act in zip(vcpus, active) if act) or 1.0
+    cap = sched.params.credit_cap_periods * capacity
+    for v, act in zip(vcpus, active):
+        share = capacity * (v.vm.weight / total_w) if act else 0.0
+        v.credit = min(cap, max(-cap, v.credit + share - v.period_charged_ns))
+        v.period_run_ns = 0
+        v.period_charged_ns = 0
+        if v.queued and v.prio != PRIO_BOOST:
+            v.prio = sched._credit_prio(v)
+    for vm in vmm.vms:
+        vm.period_run_ns = 0
+    if sched._parked:
+        parked, sched._parked = sched._parked, []
+        for v in parked:
+            v.prio = sched._credit_prio(v)
+            sched.runqs[v.rq].append(v)
+            v.queued = True
+        for pcpu in vmm.node.pcpus:
+            if pcpu.current is None:
+                vmm.kick(pcpu)
+
+
+_PERIOD = 30 * MSEC
+_vcpu_shapes = st.fixed_dictionaries(dict(
+    state=st.sampled_from([VCPUState.BLOCKED, VCPUState.RUNNABLE, VCPUState.RUNNING]),
+    run_ns=st.one_of(st.just(0), st.integers(1, 2 * _PERIOD)),
+    charged_ns=st.one_of(st.just(0), st.integers(1, 4 * _PERIOD)),
+    # Credit as a multiple of +-cap plus an offset: lands on, just inside
+    # and just outside the clamp as well as anywhere in between.
+    credit=st.tuples(
+        st.sampled_from([-1.0, 1.0, 0.0, 0.5, -0.999999]),
+        st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_nan=False)),
+    ),
+    prio=st.sampled_from([PRIO_BOOST, PRIO_UNDER, PRIO_OVER]),
+    place=st.sampled_from(["queued", "parked"]),
+    rq=st.integers(0, 3),
+))
+_weights = st.one_of(st.floats(0.01, 100.0), st.integers(1, 512))
+_caps = st.one_of(st.none(), st.floats(0.01, 1.0))
+_vm_shapes = st.fixed_dictionaries(dict(
+    weight=_weights,
+    cap=_caps,
+    staged_weight=st.one_of(st.none(), _weights),
+    staged_cap=st.one_of(st.just("keep"), _caps),
+    vcpus=st.lists(_vcpu_shapes, min_size=1, max_size=4),
+))
+
+
+def _period_world(shape):
+    """A node whose VCPU bookkeeping is set straight from ``shape``."""
+    sim, vmm = _boundary_world(shape["cap_periods"], shape["n_pcpus"])
+    sched = vmm.scheduler
+    cap = shape["cap_periods"] * vmm.period_ns * shape["n_pcpus"]
+    for i, vs in enumerate(shape["vms"]):
+        vm = VM(vmm.node, len(vs["vcpus"]), name=f"g{i}", weight=vs["weight"])
+        vmm.add_vm(vm)
+        vm.cap = vs["cap"]
+        if vs["staged_weight"] is not None:
+            sched.set_vm_weight(vm, vs["staged_weight"])
+        if vs["staged_cap"] != "keep":
+            sched.set_vm_cap(vm, vs["staged_cap"])
+        for v, d in zip(vm.vcpus, vs["vcpus"]):
+            v.state = d["state"]
+            v.period_run_ns = d["run_ns"]
+            v.period_charged_ns = d["charged_ns"]
+            vm.period_run_ns += d["run_ns"]
+            mult, offset = d["credit"]
+            v.credit = mult * cap + offset
+            v.prio = d["prio"]
+            v.rq = d["rq"] % shape["n_pcpus"]
+            if d["state"] is VCPUState.RUNNABLE:
+                if d["place"] == "queued":
+                    sched.runqs[v.rq].append(v)
+                    v.queued = True
+                else:
+                    sched._parked.append(v)
+    return vmm
+
+
+def _period_state(vmm):
+    sched = vmm.scheduler
+    vcpus = [
+        (v.name, repr(v.credit), type(v.credit), v.prio, v.queued, v.rq,
+         v.period_run_ns, v.period_charged_ns)
+        for vm in vmm.vms for v in vm.vcpus
+    ]
+    vms = [(vm.name, repr(vm.weight), repr(vm.cap), vm.period_run_ns) for vm in vmm.vms]
+    queues = [[v.name for v in q] for q in sched.runqs]
+    running = [p.current and p.current.name for p in vmm.node.pcpus]
+    return vcpus, vms, queues, [v.name for v in sched._parked], running
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.fixed_dictionaries(dict(
+    n_pcpus=st.integers(1, 4),
+    cap_periods=st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+    vms=st.lists(_vm_shapes, min_size=1, max_size=4),
+)))
+def test_on_period_matches_the_list_zip_loop(shape):
+    new, ref = _period_world(shape), _period_world(shape)
+    # The second boundary starts from what the first one left (unparked
+    # VCPUs dispatched on idle PCPUs, staged allocations applied).
+    for now in (new.period_ns, 2 * new.period_ns):
+        new.scheduler.on_period(now)
+        _reference_on_period(ref.scheduler, now)
+        assert _period_state(new) == _period_state(ref)

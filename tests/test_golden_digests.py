@@ -43,6 +43,9 @@ CHURN = [
 CELLS = {
     "lu_atc": lambda tie: run_type_a("lu", "ATC", n_nodes=2, rounds=2, seed=0, tie_order=tie),
     "lu_cr": lambda tie: run_type_a("lu", "CR", n_nodes=2, rounds=2, seed=0, tie_order=tie),
+    # ``is``: all-to-all across four VMs with a hard sync, so ranks cross
+    # the VM barrier twice per superstep (``lu`` is a ring, crossing once).
+    "is_cr": lambda tie: run_type_a("is", "CR", n_nodes=4, rounds=2, seed=0, tie_order=tie),
     "dfrs_hybrid": lambda tie: run_dfrs_compare(
         mode="hybrid", horizon_s=2.0, seed=1, tie_order=tie
     ),
@@ -61,6 +64,8 @@ GOLDEN = {
     ("lu_atc", "reversed"): ("ec53edb6d7b5d91be12f77e968d0412cae5c5a118e5304c5a89a06fadbd8c0a2", 63380),
     ("lu_cr", "fifo"): ("8d59b208bd5ba53321a140664e1d254dca90d835161fe3174a2abefcbd9f303d", 22135),
     ("lu_cr", "reversed"): ("49d79319a24ae9a81c1c93935ad6b84b7da41bdaf0e1b31fe3d644a3a12f85c7", 22134),
+    ("is_cr", "fifo"): ("776ef6f66c4732d239bf0f4e23ca669264545ddb74516d4f6497c462bbb25fec", 19940),
+    ("is_cr", "reversed"): ("c2220cc3070bba39f2619d20a046663d094c7c29061e7e2453dd19ba48aeb477", 19874),
     ("dfrs_hybrid", "fifo"): ("cedcb01878c39e45c1440de89c84ca13e39f001fd0d5cea1f496b90e897dddb9", 49061),
     ("dfrs_hybrid", "reversed"): ("c08a59ffbf0187f0a19315f84f8a1e458dc0c0741ca085710546dc5e7062f479", 49033),
     ("lu_atc_faults", "fifo"): ("c770c58bd7e30a5b43c8053e4dcac1ed127086246a33153305dd95c622158b3d", 64067),

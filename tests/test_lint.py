@@ -277,6 +277,41 @@ def test_rpr040_pragma_suppresses():
     assert "RPR040" not in codes(src)
 
 
+REARM_PAIR = """
+class Node:
+    def __init__(self, sim, n):
+        self.sim = sim
+        self._a = Event(fn=self._fire_a, cat="x")
+        self._bs = [Event(fn=partial(self._fire_b, i), cat="x") for i in range(n)]
+
+    def _fire_a(self):
+        self.vm.slice_ns = 1
+
+    def _fire_b(self, i):
+        self.vm.slice_ns = 2
+
+    def arm(self, t):
+        self.sim.rearm(self._a, t)
+        self.sim.rearm(self._bs[0], t)
+"""
+
+
+def test_same_time_rearm_overlap_flagged():
+    # The callbacks are the ``fn=`` of the handles' ``Event(...)``; a
+    # list of handles indexed at the re-arm resolves like one handle.
+    assert "RPR040" in codes(REARM_PAIR)
+
+
+def test_disjoint_same_time_rearms_ok():
+    src = REARM_PAIR.replace("self.vm.slice_ns = 2", "self.vm.period_ns = 2")
+    assert "RPR040" not in codes(src)
+
+
+def test_different_time_rearms_ok():
+    src = REARM_PAIR.replace("self.sim.rearm(self._bs[0], t)", "self.sim.rearm(self._bs[0], t + 1)")
+    assert "RPR040" not in codes(src)
+
+
 CLOSURE_PAIR = """
 def setup(sim, vmm):
     stats = {"n": 0}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.rng import SimRNG
-from repro.workloads.base import BSPSpec, bsp_rank_program
+from repro.workloads.base import BSPSpec, _peer_indices, bsp_rank_program
 from repro.sim.units import (
     MSEC,
     SEC,
@@ -146,16 +146,51 @@ def test_lognormal_params_draws_equal_jittered_ns(seed, key, mean_ns, cv, n):
         assert [max(1, int(gen.lognormal(*params))) for _ in range(n)] == expected
 
 
+def _reference_rank_program(spec, vms, vm_idx, local_idx, bar, gen):
+    """One BSP rank-round spelled out with one scalar grain draw per
+    superstep and fresh segment tuples throughout."""
+    peers = _peer_indices(spec.pattern, vm_idx, len(vms))
+    for step in range(spec.supersteps):
+        yield ("compute", _reference_jittered_ns(gen, spec.grain_ns, spec.grain_cv))
+        yield ("barrier", bar)
+        if spec.comm_every <= 1 or step % spec.comm_every == 0:
+            if local_idx == 0 and peers:
+                nmsg = 0
+                for p in peers:
+                    for _ in range(spec.msgs_per_peer):
+                        yield ("send", vms[p], 0, spec.msg_bytes, step)
+                        nmsg += 1
+                yield ("recv", nmsg)
+            if peers and spec.hard_comm_sync:
+                yield ("barrier", bar)
+
+
 @settings(max_examples=60, deadline=None)
-@given(**_draw_shapes)
-def test_bsp_round_grains_equal_scalar_draws(seed, key, mean_ns, cv, n):
-    spec = BSPSpec("t", grain_ns=mean_ns, grain_cv=cv, supersteps=n,
-                   pattern="none", msg_bytes=0)
+@given(
+    **_draw_shapes,
+    pattern=st.sampled_from(["none", "ring", "alltoall"]),
+    comm_every=st.integers(0, 3),
+    hard_comm_sync=st.booleans(),
+    msgs_per_peer=st.integers(1, 2),
+    n_vms=st.integers(1, 4),
+    where=st.tuples(st.integers(0, 3), st.integers(0, 1)),
+)
+def test_bsp_round_grains_equal_scalar_draws(
+    seed, key, mean_ns, cv, n, pattern, comm_every, hard_comm_sync, msgs_per_peer, n_vms, where
+):
+    spec = BSPSpec("t", grain_ns=mean_ns, grain_cv=cv, supersteps=n, pattern=pattern,
+                   msg_bytes=64, msgs_per_peer=msgs_per_peer, comm_every=comm_every,
+                   hard_comm_sync=hard_comm_sync)
+    vms = [f"vm{i}" for i in range(n_vms)]
+    vm_idx, local_idx = where[0] % n_vms, where[1]
+    bar = object()
     root = SimRNG(seed)
-    prog = bsp_rank_program(spec, [None], 0, 0, None, root.substream(*key))
-    grains = [seg[1] for seg in prog if seg[0] == "compute"]
-    ref = root.substream(*key).generator
-    assert grains == [_reference_jittered_ns(ref, mean_ns, cv) for _ in range(n)]
+    segs = list(bsp_rank_program(spec, vms, vm_idx, local_idx, bar, root.substream(*key)))
+    ref = _reference_rank_program(
+        spec, vms, vm_idx, local_idx, bar, root.substream(*key).generator
+    )
+    assert segs == list(ref)
+    assert all(type(seg[1]) is int for seg in segs if seg[0] == "compute")
 
 
 def test_exponential_positive_and_mean():
