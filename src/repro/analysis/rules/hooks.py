@@ -18,7 +18,9 @@ instant:
 * two ``sim.rearm(handle, time)`` calls whose time (the second argument)
   has the identical expression AST; the callback is the ``fn=`` of the
   ``Event(...)`` the owning class assigns to ``self.<handle>`` (a list of
-  handles, ``self.<handles>[i]``, counts as the handle).
+  handles, ``self.<handles>[i]``, counts as the handle).  A call of a
+  method running ``rearm(<param>, <param>)`` counts as a re-arm of the
+  arguments it passes, if every call of it in the class passes a handle.
 
 Cross-module registrations (e.g. the ATC controller and the sanitizer
 each appending one period hook from different files) are out of static
@@ -106,6 +108,38 @@ def _handle_callbacks(tree: ast.Module) -> dict:
     return out
 
 
+def _rearm_helpers(tree: ast.Module, handles: dict) -> dict:
+    """``{class: {method: (params, handle param, time param, receiver)}}``:
+    methods running ``<receiver>.rearm(<param>, <param>)``, each call passing a handle."""
+    out: dict = {}
+    for cls in (c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)):
+        found = {}
+        for fn in (f for f in cls.body if isinstance(f, ast.FunctionDef)):
+            params = [a.arg for a in fn.args.args[1:]]
+            for node in ast.walk(fn):
+                if _is_rearm(node) and all(getattr(a, "id", None) in params for a in node.args):
+                    found[fn.name] = (params, node.args[0].id, node.args[1].id, ast.dump(node.func.value))
+        for node in ast.walk(cls):
+            name = _self_attr(node.func) if isinstance(node, ast.Call) else None
+            if name in found:
+                params, handle, time, _ = found[name]
+                bound = _bind(params, node)
+                if time not in bound or _self_attr(bound.get(handle)) not in handles.get(cls.name, {}):
+                    del found[name]
+        out[cls.name] = found
+    return out
+
+
+def _is_rearm(node: ast.AST) -> bool:
+    func = getattr(node, "func", None)  # only an ast.Call has one
+    return isinstance(func, ast.Attribute) and func.attr == "rearm" and len(node.args) == 2
+
+
+def _bind(params: list, call: ast.Call) -> dict:
+    """Parameter name -> argument expression of ``call``."""
+    return {**dict(zip(params, call.args)), **{k.arg: k.value for k in call.keywords}}
+
+
 def _self_attr(expr: ast.AST) -> Optional[str]:
     """``attr`` of ``self.attr`` or ``self.attr[...]``, else None."""
     if isinstance(expr, ast.Subscript):
@@ -120,14 +154,14 @@ def _self_attr(expr: ast.AST) -> Optional[str]:
 
 
 def _collect_groups(
-    fn: ast.AST, owner: Optional[str], effects: ModuleEffects, handles: dict
+    fn: ast.AST, owner: Optional[str], effects: ModuleEffects, handles: dict, helpers: dict
 ) -> dict:
     """Group same-instant registrations in one function's direct scope.
 
     Key ``("period", <receiver>)`` groups ``<receiver>.period_hooks
     .append(cb)`` calls; key ``("at", <receiver>, <method>, <time-ast>)``
-    groups scheduling calls (and re-arms of the handles in ``handles``,
-    ``attr -> fn``) with an identical time expression.
+    groups scheduling calls (and re-arms, direct or through ``helpers``, of
+    the handles in ``handles``, ``attr -> fn``) with an identical time.
     """
     groups: dict = {}
     stack = list(ast.iter_child_nodes(fn))
@@ -154,15 +188,18 @@ def _collect_groups(
             key = ("at", recv, func.attr, ast.dump(node.args[0]))
             cb = node.args[1]
             where = f"{func.attr}({ast.unparse(node.args[0])})"
-        elif (
-            func.attr == "rearm"
-            and len(node.args) == 2
-            and _self_attr(node.args[0]) in handles
-        ):
-            recv = ast.dump(func.value)
-            key = ("at", recv, func.attr, ast.dump(node.args[1]))
-            cb = handles[_self_attr(node.args[0])]
-            where = f"rearm({ast.unparse(node.args[0])}, {ast.unparse(node.args[1])})"
+        elif _is_rearm(node) or _self_attr(func) in helpers:
+            if _is_rearm(node):
+                (handle, time), recv = node.args, ast.dump(func.value)
+            else:
+                params, handle, time, recv = helpers[func.attr]
+                bound = _bind(params, node)
+                handle, time = bound[handle], bound[time]
+            if _self_attr(handle) not in handles:
+                continue
+            key = ("at", recv, "rearm", ast.dump(time))
+            cb = handles[_self_attr(handle)]
+            where = f"rearm({ast.unparse(handle)}, {ast.unparse(time)})"
         else:
             continue
         summary = effects.resolve_callback(cb, owner_class=owner)
@@ -170,18 +207,24 @@ def _collect_groups(
     return groups
 
 
-def _pairs(groups: dict):
-    for regs in groups.values():
-        if len(regs) < 2:
-            continue
-        # Registration order == source order == execution order claim.
-        regs = sorted(regs, key=lambda r: (r.node.lineno, r.node.col_offset))
-        for i in range(len(regs)):
-            for j in range(i + 1, len(regs)):
-                a, b = regs[i], regs[j]
-                if ast.dump(a.callback_expr) == ast.dump(b.callback_expr):
-                    continue  # same callback re-registered: not a pair race
-                yield a, b
+def _pairs(tree: ast.Module):
+    """Pairs of same-instant registrations in one scope whose callbacks
+    both resolve, in registration order."""
+    effects = ModuleEffects(tree)
+    handles = _handle_callbacks(tree)
+    helpers = _rearm_helpers(tree, handles)
+    for fn, owner in _iter_scopes(tree):
+        groups = _collect_groups(fn, owner, effects, handles.get(owner, {}), helpers.get(owner, {}))
+        for regs in groups.values():
+            # Registration order == source order == execution order claim.
+            regs = sorted(regs, key=lambda r: (r.node.lineno, r.node.col_offset))
+            for i, a in enumerate(regs):
+                for b in regs[i + 1:]:
+                    if a.summary is None or b.summary is None:
+                        continue
+                    if ast.dump(a.callback_expr) == ast.dump(b.callback_expr):
+                        continue  # same callback re-registered: not a pair race
+                    yield a, b
 
 
 class SameTimeWriteOverlapRule(Rule):
@@ -195,28 +238,22 @@ class SameTimeWriteOverlapRule(Rule):
     )
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        effects = ModuleEffects(tree)
-        handles = _handle_callbacks(tree)
-        for fn, owner in _iter_scopes(tree):
-            groups = _collect_groups(fn, owner, effects, handles.get(owner, {}))
-            for a, b in _pairs(groups):
-                if a.summary is None or b.summary is None:
-                    continue
-                ww, rw = a.summary.overlap(b.summary)
-                conflict = ww or rw
-                if not conflict:
-                    continue
-                kind = "write-write" if ww else "read-write"
-                yield ctx.finding(
-                    self.code,
-                    f"callbacks {_callback_label(a.callback_expr, a.summary)!r} "
-                    f"and {_callback_label(b.callback_expr, b.summary)!r} are "
-                    f"both registered for the same instant ({b.where}) with a "
-                    f"{kind} overlap on attribute(s) "
-                    f"{', '.join(sorted(conflict))}; same-timestamp execution "
-                    f"order is unspecified — merge them or order explicitly",
-                    b.node,
-                )
+        for a, b in _pairs(tree):
+            ww, rw = a.summary.overlap(b.summary)
+            conflict = ww or rw
+            if not conflict:
+                continue
+            kind = "write-write" if ww else "read-write"
+            yield ctx.finding(
+                self.code,
+                f"callbacks {_callback_label(a.callback_expr, a.summary)!r} "
+                f"and {_callback_label(b.callback_expr, b.summary)!r} are "
+                f"both registered for the same instant ({b.where}) with a "
+                f"{kind} overlap on attribute(s) "
+                f"{', '.join(sorted(conflict))}; same-timestamp execution "
+                f"order is unspecified — merge them or order explicitly",
+                b.node,
+            )
 
 
 class ClosureCaptureRaceRule(Rule):
@@ -230,25 +267,19 @@ class ClosureCaptureRaceRule(Rule):
     )
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        effects = ModuleEffects(tree)
-        handles = _handle_callbacks(tree)
-        for fn, owner in _iter_scopes(tree):
-            groups = _collect_groups(fn, owner, effects, handles.get(owner, {}))
-            for a, b in _pairs(groups):
-                if a.summary is None or b.summary is None:
+        for a, b in _pairs(tree):
+            for reader, writer in ((a, b), (b, a)):
+                shared = reader.summary.captures & writer.summary.writes
+                if not shared:
                     continue
-                for reader, writer in ((a, b), (b, a)):
-                    shared = reader.summary.captures & writer.summary.writes
-                    if not shared:
-                        continue
-                    yield ctx.finding(
-                        self.code,
-                        f"callback "
-                        f"{_callback_label(reader.callback_expr, reader.summary)!r} "
-                        f"captures {', '.join(sorted(shared))!s}, which "
-                        f"same-instant sibling "
-                        f"{_callback_label(writer.callback_expr, writer.summary)!r} "
-                        f"writes; what the closure observes depends on "
-                        f"unspecified tie-break order",
-                        reader.node,
-                    )
+                yield ctx.finding(
+                    self.code,
+                    f"callback "
+                    f"{_callback_label(reader.callback_expr, reader.summary)!r} "
+                    f"captures {', '.join(sorted(shared))!s}, which "
+                    f"same-instant sibling "
+                    f"{_callback_label(writer.callback_expr, writer.summary)!r} "
+                    f"writes; what the closure observes depends on "
+                    f"unspecified tie-break order",
+                    reader.node,
+                )

@@ -93,8 +93,3 @@ class PCPUCache:
     def on_undispatch(self, now: int, key: object) -> None:
         """Record that ``key`` stops running at ``now`` (slice end/block)."""
         self._last_seen[key] = now
-
-    def reset_counters(self) -> None:
-        """Zero the cumulative miss/penalty counters (per-experiment)."""
-        self.total_miss_count = 0
-        self.total_penalty_ns = 0

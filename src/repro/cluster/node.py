@@ -101,7 +101,6 @@ class PCPU:
         "run_start_ns",
         "context_switches",
         "busy_ns",
-        "idle_since_ns",
     )
 
     def __init__(self, index: int, node: "PhysicalNode", cache_params: CacheParams) -> None:
@@ -114,7 +113,6 @@ class PCPU:
         self.run_start_ns = 0
         self.context_switches = 0
         self.busy_ns = 0
-        self.idle_since_ns = 0
 
     @property
     def is_idle(self) -> bool:

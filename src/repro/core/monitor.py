@@ -23,7 +23,7 @@ __all__ = ["SpinLatencyMonitor"]
 class SpinLatencyMonitor:
     """Per-node monitor: VM → rolling Algorithm-1 history."""
 
-    __slots__ = ("cfg", "states", "series")
+    __slots__ = ("cfg", "states", "series", "_queue_wait_seen")
 
     def __init__(self, cfg: ATCConfig) -> None:
         self.cfg = cfg
@@ -31,6 +31,8 @@ class SpinLatencyMonitor:
         #: Optional recorded (time, vm name, avg latency, slice) tuples for
         #: experiment reporting; populated when ``record_series`` is used.
         self.series: list[tuple[int, str, float, int]] = []
+        #: vmid -> the VM's queue-wait ledger ``(ns, count)`` at our last read.
+        self._queue_wait_seen: dict[int, tuple[int, int]] = {}
 
     def state_for(self, vm: "VM") -> ATCVmState:
         st = self.states.get(vm.vmid)
@@ -40,14 +42,16 @@ class SpinLatencyMonitor:
         return st
 
     def end_period(self, vm: "VM", current_slice_ns: int, now: int = -1, record: bool = False) -> ATCVmState:
-        """Drain the VM's period latency signal into its history.
+        """Add the VM's latency signal for the period just ended to its history.
 
-        ``monitor_mode="guest"`` reads the in-kernel spinlock tracing (the
-        paper's intrusive method); ``"queuewait"`` reads the VMM's own
-        run-queue-wait accounting (the non-intrusive future-work variant).
+        ``monitor_mode="guest"`` drains the in-kernel spinlock tracing (the
+        paper's intrusive method); ``"queuewait"`` reads the growth of the
+        VMM's run-queue-wait ledger (the non-intrusive future-work variant).
         """
         if self.cfg.monitor_mode == "queuewait":
-            total_ns, count = vm.drain_period_queue_wait()
+            seen_ns, seen_n = self._queue_wait_seen.get(vm.vmid, (0, 0))
+            self._queue_wait_seen[vm.vmid] = cur = (vm.total_queue_wait_ns, vm.total_queue_waits)
+            total_ns, count = cur[0] - seen_ns, cur[1] - seen_n
         else:
             total_ns, count = vm.kernel.drain_period_spin() if vm.kernel else (0, 0)
         avg = (total_ns / count) if count else 0.0

@@ -87,10 +87,8 @@ class DFRSController:
         self.sim = world.sim
         self.cfg = config
         #: Cumulative-signal snapshots per vmid from the previous solve:
-        #: ``(cpu_consumed_ns, spin_total_ns, queue_wait_ns)``.  Deltas
-        #: against these estimate the need over the last interval; a
-        #: counter that shrank (another consumer drained it) clamps to
-        #: its current value instead of going negative.
+        #: ``(cpu_consumed_ns, spin_total_ns, total_queue_wait_ns)``.  Deltas
+        #: against these estimate the need over the last interval.
         self._last_sig: dict[int, tuple[int, int, int]] = {}
         self._last_solve_ns = 0
         #: Last published (cap, weight) per vmid, for the SAN009 check.
@@ -132,22 +130,16 @@ class DFRSController:
 
         Signals: the ``cpu_consumed_ns`` ledger (satisfied demand) plus
         :data:`WAIT_FACTOR` times spin and run-queue-wait time (unmet
-        demand).  All are read as deltas of cumulative counters; the
-        queue-wait counter is period-scoped on some configurations
-        (ATC's monitor drains it), so a shrinking counter clamps its
-        delta to the current value rather than going negative.
+        demand).  All three are cumulative counters, read as deltas.
         """
         interval = max(1, now - self._last_solve_ns)
         needs: list[VMNeed] = []
         for vm in self.world.vms:
             kernel = vm.kernel
             spin = kernel.total_spin_ns if kernel else 0
-            qwait = vm.period_queue_wait_ns
-            sig = (vm.cpu_consumed_ns, spin, qwait)
+            sig = (vm.cpu_consumed_ns, spin, vm.total_queue_wait_ns)
             last = self._last_sig.get(vm.vmid, (0, 0, 0))
-            d_cpu, d_spin, d_wait = (
-                cur - prev if cur >= prev else cur for cur, prev in zip(sig, last)
-            )
+            d_cpu, d_spin, d_wait = (cur - prev for cur, prev in zip(sig, last))
             self._last_sig[vm.vmid] = sig
             n_pcpus = len(vm.node.pcpus)
             ceil = min(len(vm.vcpus), n_pcpus) / n_pcpus

@@ -73,22 +73,12 @@ Segment = tuple
 COMPUTE_BATCH_MAX = 1024
 
 
-class _PastSlice:
-    """Stand-in for a timer due after the running slice ends.
-
-    Such a timer can never fire: the slice expiry preempts the VCPU first,
-    and ``on_preempt`` cancels whatever handle it holds.  A non-``None``
-    handle is what tells ``on_preempt`` to settle partial progress, so
-    this one stands in for the timer without an entry in the event heap.
-    """
-
-    __slots__ = ()
-
-    def cancel(self) -> None:
-        pass
-
-
-PAST_SLICE = _PastSlice()
+#: Stand-in for a timer due after the running slice ends.  Such a timer
+#: can never fire: the slice expiry preempts the VCPU first, and
+#: ``on_preempt`` drops whatever handle it holds.  A non-``None`` handle is
+#: what tells ``on_preempt`` to settle partial progress, so this one, never
+#: armed, stands in for the timer without an entry in the event heap.
+PAST_SLICE = Event(cat="guest")
 
 
 # ----------------------------------------------------------------------
@@ -246,9 +236,9 @@ class GuestProcess:
     def on_dispatch(self, now: int, overhead_ns: int) -> None:
         st = self.state
         if st in ("compute", "crit", "bar_crit"):
-            self._remaining += overhead_ns
+            self._remaining = remaining = self._remaining + overhead_ns
             self._work_started = now
-            self._work_ev = self._arm(self._remaining, self._work_timer)
+            self._work_ev = self._arm(now + remaining, self._work_timer)
         elif st in ("lock_spin", "bar_lock_spin", "bar_wait", "recv_spin"):
             if self._spin_resolved():
                 self._schedule_poll()
@@ -265,11 +255,14 @@ class GuestProcess:
 
     def on_preempt(self, now: int) -> None:
         if self._work_ev is not None:
-            self._work_ev.cancel()
+            if self._work_ev is not PAST_SLICE:
+                self._work_ev.cancel()
             self._work_ev = None
-            self._remaining = max(0, self._remaining - (now - self._work_started))
+            remaining = self._remaining - (now - self._work_started)
+            self._remaining = remaining if remaining > 0 else 0
         if self._grace_ev is not None:
-            self._grace_ev.cancel()
+            if self._grace_ev is not PAST_SLICE:
+                self._grace_ev.cancel()
             self._grace_ev = None
             self._spin_cpu_used += now - self._grace_started
         if self._poll_ev is not None:
@@ -336,7 +329,7 @@ class GuestProcess:
         if budget is None:
             return  # pure spinning (no PV-block): burn the slice
         self._grace_started = now
-        self._grace_ev = self._arm(max(0, budget - self._spin_cpu_used), self._grace_timer)
+        self._grace_ev = self._arm(now + max(0, budget - self._spin_cpu_used), self._grace_timer)
 
     def _spin_block_timeout(self) -> None:
         self._grace_ev = None
@@ -499,21 +492,20 @@ class GuestProcess:
             raise ValueError(f"{self.name}: unknown segment {seg!r}")
 
     # ------------------------------------------------------------------
-    def _arm(self, delay: int, timer: Event) -> "Event | _PastSlice":
-        """Re-arm ``timer`` to fire ``delay`` ns from now and return it, or
-        return :data:`PAST_SLICE` if it would fire strictly after the
-        running slice's deadline (``pcpu.slice_end_ns``).  A timer that
+    def _arm(self, deadline: int, timer: Event) -> Event:
+        """Re-arm ``timer`` to fire at ``deadline`` (absolute ns) and return
+        it, or return :data:`PAST_SLICE` if it would fire strictly after
+        the running slice's deadline (``pcpu.slice_end_ns``).  A timer that
         ties with the deadline is armed: ``tie_order`` decides which of
         the two runs first."""
-        deadline = self.sim.now + delay
         if deadline > self.vcpu.pcpu.slice_end_ns:
             return PAST_SLICE
         return self.sim.rearm(timer, deadline)
 
     def _begin_work(self, ns: int) -> None:
         self._remaining = ns
-        self._work_started = self.sim.now
-        self._work_ev = self._arm(ns, self._work_timer)
+        self._work_started = now = self.sim.now
+        self._work_ev = self._arm(now + ns, self._work_timer)
 
     def _begin_crit(self, state: str) -> None:
         self.state = state

@@ -170,8 +170,8 @@ class VM:
         "llc_penalty_ns",
         "period_io_events",
         "total_io_events",
-        "period_queue_wait_ns",
-        "period_queue_waits",
+        "total_queue_wait_ns",
+        "total_queue_waits",
         "period_run_ns",
         # theft accounting (repro.workloads.attacks / DESIGN.md §15)
         "cpu_consumed_ns",
@@ -226,12 +226,12 @@ class VM:
         self.llc_penalty_ns = 0
         self.period_io_events = 0
         self.total_io_events = 0
-        #: Run-queue wait accounting (RUNNABLE -> RUNNING latency), kept by
-        #: the VMM.  This is the *non-intrusive* synchronization-pressure
-        #: signal of the paper's future work: observable without guest
-        #: instrumentation.
-        self.period_queue_wait_ns = 0
-        self.period_queue_waits = 0
+        #: Cumulative run-queue wait (RUNNABLE -> RUNNING latency) and
+        #: dispatch count, kept by the VMM: the *non-intrusive* synchronization-
+        #: pressure signal of the paper's future work.  Its readers (ATC's
+        #: queue-wait monitor, DFRS) take deltas; nothing resets it.
+        self.total_queue_wait_ns = 0
+        self.total_queue_waits = 0
         #: Run time of all this VM's VCPUs this period: the running sum of
         #: their ``period_run_ns``, kept by the VMM next to the per-VCPU
         #: counters and reset with them at the accounting boundary, so a
@@ -263,13 +263,6 @@ class VM:
         n = self.period_io_events
         self.period_io_events = 0
         return n
-
-    def drain_period_queue_wait(self) -> tuple[int, int]:
-        """(total run-queue wait ns, dispatch count) this period; resets."""
-        stats = (self.period_queue_wait_ns, self.period_queue_waits)
-        self.period_queue_wait_ns = 0
-        self.period_queue_waits = 0
-        return stats
 
     def deliver(self, packet) -> None:
         """Final step of the Fig. 4 receive path: dom0 copied the packet to

@@ -60,8 +60,9 @@ class VMM:
         "period_ns",
         "_period_started",
         "period_hooks",
-        "total_context_switches",
         "_slice_timers",
+        "_ctx_switch_ns",
+        "_exact_charge",
     )
 
     def __init__(
@@ -81,12 +82,14 @@ class VMM:
         #: Extra callables invoked each scheduling period *after* the
         #: scheduler's own accounting (ATC controller, CS trigger, ...).
         self.period_hooks: list[Callable[[int], None]] = []
-        self.total_context_switches = 0
+        self._ctx_switch_ns = node.params.ctx_switch_ns
         #: One slice-expiry timer per PCPU (indexed by ``pcpu.index``), re-armed by
         #: every dispatch, which so allocates nothing; the ``partial`` adds no frame.
         self._slice_timers = [Event(fn=partial(self._on_slice_end, p), cat="vmm.slice")
                               for p in node.pcpus]
         self.scheduler = scheduler_factory(self)
+        #: Debit the run time itself unless ``charge_ns`` samples ticks.
+        self._exact_charge = not getattr(self.scheduler.params, "tick_accounting", False)
 
     # ------------------------------------------------------------------
     # Topology
@@ -120,19 +123,18 @@ class VMM:
         if pcpu.current is not None:
             raise RuntimeError(f"dispatch on busy PCPU {pcpu!r}")
         picked = self.scheduler.pick_next(pcpu)
+        if picked is None:
+            return
         sim = self.sim
         now = sim.now
-        if picked is None:
-            pcpu.idle_since_ns = now
-            return
         vcpu, slice_ns = picked
         if vcpu.state is not _RUNNABLE:
             raise RuntimeError(f"picked {vcpu.name} in state {vcpu.state.name}")
         vm = vcpu.vm
         # Non-intrusive monitoring signal: how long the VCPU sat runnable.
         wait_ns = now - vcpu.wake_ns
-        vm.period_queue_wait_ns += wait_ns
-        vm.period_queue_waits += 1
+        vm.total_queue_wait_ns += wait_ns
+        vm.total_queue_waits += 1
         if obstrace.enabled:
             obstrace.emit(
                 "sched.dispatch",
@@ -158,8 +160,7 @@ class VMM:
         overhead = 0
         if switched:
             pcpu.context_switches += 1
-            self.total_context_switches += 1
-            overhead = self.node.params.ctx_switch_ns + penalty
+            overhead = self._ctx_switch_ns + penalty
             vm.llc_misses += misses
             vm.llc_penalty_ns += penalty
 
@@ -185,7 +186,8 @@ class VMM:
         # charges ran; tick-sampled accounting (CreditParams.tick_accounting)
         # charges per tick boundary crossed — the charged/ran gap is the
         # theft-accounting signal of the adversarial-tenancy experiments.
-        charged = self.scheduler.charge_ns(vcpu, start, now, next_state is _BLOCKED)
+        charged = ran if self._exact_charge else self.scheduler.charge_ns(
+            vcpu, start, now, next_state is _BLOCKED)
         vcpu.period_charged_ns += charged
         vm.cpu_consumed_ns += ran
         vm.cpu_debited_ns += charged

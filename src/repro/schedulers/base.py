@@ -117,16 +117,6 @@ class Scheduler(abc.ABC):
     def on_period(self, now: int) -> None:
         """Called once per VMM scheduling period (default: nothing)."""
 
-    def charge_ns(self, vcpu: "VCPU", start: int, end: int, voluntary: bool = False) -> int:
-        """CPU time to *debit* for a dispatch that ran ``[start, end)``.
-
-        The default is exact accounting (charged == ran).  The credit
-        scheduler overrides this under ``CreditParams.tick_accounting`` to
-        model Xen's tick-sampled debiting; ``voluntary`` marks a
-        block/yield deschedule (the ``deboost_on_yield`` hardening knob
-        charges those exactly)."""
-        return end - start
-
     # -- policy ------------------------------------------------------------
     def slice_for(self, vcpu: "VCPU") -> int:
         """Time slice for a VCPU: per-VM override or scheduler default."""

@@ -425,9 +425,11 @@ class CreditScheduler(Scheduler):
             if vcpu is None:
                 return None
             vm = vcpu.vm
+            # ``slice_for``, inlined (no subclass overrides it).
+            slice_ns = vm.slice_ns if vm.slice_ns is not None else self.params.slice_ns
             cap = vm.cap
             if cap is None:
-                return vcpu, self.slice_for(vcpu)
+                return vcpu, slice_ns
             # Unused budget of the VM's cap this period: ``cap * period *
             # n_pcpus`` against the VM's aggregate ``period_run_ns`` —
             # concurrent VCPUs of one VM draw from the same pool, as with
@@ -443,9 +445,10 @@ class CreditScheduler(Scheduler):
                 self._parked.append(vcpu)
                 self.stat_cap_parks += 1
                 continue
-            # Truncate the slice so the dispatch cannot overrun the
-            # budget (floor 1 ns: a dispatched slice must be positive).
-            return vcpu, max(1, min(self.slice_for(vcpu), remaining))
+            # Truncate the slice so the dispatch cannot overrun the budget, with
+            # a 1 ns floor: ``max(1, min(slice_ns, remaining))``, ties included.
+            slice_ns = remaining if remaining < slice_ns else slice_ns
+            return vcpu, slice_ns if slice_ns > 1 else 1
 
     def remove_queued(self, vcpu: "VCPU") -> None:
         """Remove a queued RUNNABLE VCPU from the run queues without

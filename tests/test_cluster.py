@@ -1,7 +1,9 @@
 """Tests for the physical substrate: cache model, fabric, nodes, disk."""
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cache import CacheParams, PCPUCache
 from repro.cluster.network import Fabric, NetworkParams
@@ -56,15 +58,13 @@ def test_sensitivity_scales_penalty():
     assert pen_hi == 4 * pen_lo
 
 
-def test_counters_accumulate_and_reset():
+def test_counters_accumulate():
     c = PCPUCache()
-    c.on_dispatch(0, "a")
+    pen_a, miss_a = c.on_dispatch(0, "a")
     c.on_undispatch(5, "a")
-    c.on_dispatch(5, "b")
-    assert c.total_penalty_ns > 0
-    assert c.total_miss_count > 0
-    c.reset_counters()
-    assert c.total_penalty_ns == 0 and c.total_miss_count == 0
+    pen_b, miss_b = c.on_dispatch(5, "b")
+    assert c.total_penalty_ns == pen_a + pen_b > 0
+    assert c.total_miss_count == miss_a + miss_b > 0
 
 
 @given(st.integers(min_value=0, max_value=10**12))
@@ -77,6 +77,60 @@ def test_penalty_never_exceeds_refill(away):
     c.on_undispatch(2 + away, "b")
     pen, _ = c.on_dispatch(2 + away, "a")
     assert 0 <= pen <= p.refill_ns
+
+
+def _reference_penalty(p, last_key, last_seen, now, key, sensitivity):
+    """The module docstring's warmth formula, written out as plainly as
+    possible: the reference ``on_dispatch`` must match bit for bit."""
+    if key is last_key:
+        return 0, 0
+    if key not in last_seen:
+        warm = 0.0
+    elif now - last_seen[key] >= 64 * p.decay_tau_ns:
+        warm = 0.0
+    else:
+        warm = math.exp(-(now - last_seen[key]) / p.decay_tau_ns)
+    penalty = int(p.refill_ns * sensitivity * (1.0 - warm))
+    return penalty, penalty // p.miss_cost_ns
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.builds(
+        CacheParams,
+        refill_ns=st.integers(1, 10**6),
+        decay_tau_ns=st.integers(1, 10**8),
+        miss_cost_ns=st.integers(1, 10**4),
+    ),
+    st.data(),
+)
+def test_on_dispatch_matches_the_formula(p, data):
+    keys = ["a", "b", "c", "d"]
+    c = PCPUCache(p)
+    last_key, last_seen = None, {}
+    total_pen = total_miss = 0
+    now = data.draw(st.integers(0, 10**9))
+    for _ in range(data.draw(st.integers(1, 12))):
+        key = data.draw(st.sampled_from(keys))
+        if key in last_seen:
+            # An away time of k taus and change, k = 0..70: warmth is
+            # visible in the penalty up to ~37 taus, then cut off at 64.
+            tau = p.decay_tau_ns
+            away = data.draw(st.integers(0, 70)) * tau + data.draw(st.integers(-2, tau))
+            now = max(now, last_seen[key] + away)
+        sens = data.draw(st.one_of(
+            st.sampled_from([0.1, 0.3, 1 / 3, 0.7, 1.0, 2.5]), st.floats(0.0, 16.0),
+        ))
+        want = _reference_penalty(p, last_key, last_seen, now, key, sens)
+        assert c.on_dispatch(now, key, sens) == want
+        last_key = key
+        total_pen += want[0]
+        total_miss += want[1]
+        now += data.draw(st.integers(0, 10 * p.decay_tau_ns))
+        c.on_undispatch(now, key)
+        last_seen[key] = now
+        assert (c.total_penalty_ns, c.total_miss_count) == (total_pen, total_miss)
+        assert c._last_seen == last_seen and c.last_key is last_key
 
 
 # ----------------------------------------------------------------------

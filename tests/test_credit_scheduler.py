@@ -36,6 +36,26 @@ def test_slice_for_per_vm_override(single_node):
     assert sched.slice_for(vm.vcpus[0]) == 5 * MSEC
 
 
+def test_pick_next_slice_is_slice_for():
+    # ``CreditScheduler.pick_next`` inlines ``slice_for``: no approach may
+    # override it, and an uncapped pick must hand out exactly its slice.
+    from repro.schedulers.base import Scheduler
+    from repro.schedulers.registry import SCHEDULERS
+
+    assert all(cls.slice_for is Scheduler.slice_for for cls in SCHEDULERS.values())
+    sim, cluster, vmms = make_node_world(n_pcpus=1)
+    vmm = vmms[0]
+    vm = add_guest_vm(vmm, 1)
+    sched = vmm.scheduler
+    for slice_ns in (None, 5 * MSEC):
+        vm.slice_ns = slice_ns
+        vcpu = vm.vcpus[0]
+        vcpu.state = VCPUState.RUNNABLE
+        sched.runqs[0].append(vcpu)
+        vcpu.queued = True
+        assert sched.pick_next(vmm.node.pcpus[0]) == (vcpu, sched.slice_for(vcpu))
+
+
 def test_wake_prefers_idle_pcpu(single_node):
     sim, cluster, vmm = single_node
     a = add_guest_vm(vmm, 1, name="a")

@@ -407,3 +407,41 @@ def test_dfrs_auto_engine_uses_per_vcpu_footprint():
     world = CloudWorld(cfg)
     assert world.migration_engine is not None
     assert world.migration_engine.params.mem_bytes_per_vcpu > 0
+
+
+def test_wait_delta_does_not_depend_on_the_atc_monitor_mode(monkeypatch):
+    """DFRS reads run-queue wait as deltas of the VM's cumulative ledger,
+    which ATC's ``queuewait`` monitor reads too.  With ATC's slice pinned
+    (minimum threshold == default) the monitor mode cannot steer the run,
+    so the wait DFRS sees over every solve interval must be the same in
+    both modes: reading the ledger must not drain it."""
+    from repro.core.config import ATCConfig
+    from repro.schedulers.atc_sched import ATCParams
+
+    plain = DFRSController._estimate_needs
+
+    def run(mode):
+        deltas = []
+
+        def spy(self, now):
+            before = dict(self._last_sig)
+            needs = plain(self, now)
+            # In VM order: vmids differ between the two worlds.
+            deltas.append([
+                sig[2] - before.get(vmid, (0, 0, 0))[2]
+                for vmid, sig in sorted(self._last_sig.items())
+            ])
+            return needs
+
+        monkeypatch.setattr(DFRSController, "_estimate_needs", spy)
+        atc = ATCConfig(monitor_mode=mode, min_threshold_ns=30 * MSEC)
+        r = _compare_cell("hybrid", horizon_s=1.0, sched_params=ATCParams(atc=atc))
+        return r, deltas
+
+    guest, guest_deltas = run("guest")
+    queuewait, queuewait_deltas = run("queuewait")
+    assert guest["dfrs"]["solves"] == len(guest_deltas) > 1
+    assert sum(map(sum, guest_deltas)) > 0
+    assert all(d >= 0 for step in guest_deltas for d in step)
+    assert queuewait_deltas == guest_deltas
+    assert queuewait["events"] == guest["events"]

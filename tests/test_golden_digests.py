@@ -19,7 +19,7 @@ import json
 
 import pytest
 
-from repro.experiments.scenarios import run_dfrs_compare, run_service, run_type_a
+from repro.experiments.scenarios import run_attack, run_dfrs_compare, run_service, run_type_a
 from repro.sim.units import MSEC
 
 #: A ``vm_pause`` and a ``node_crash`` (the ``chaos`` grid's ``faults=``
@@ -56,6 +56,23 @@ CELLS = {
         arrival="trace", service_trace=CHURN, scheduler="CR", n_nodes=3, rounds=20,
         npb_class="A", horizon_s=6.0, migration={"policy": "demix"}, seed=0, tie_order=tie,
     ),
+    # The only cells with ``tick_accounting`` (the VMM calls ``charge_ns``);
+    # the hardened one also charges voluntary yields exactly
+    # (``deboost_on_yield``).
+    "attack_tick": lambda tie: run_attack(
+        scheduler="CR", hardened=False, attack=True, seed=3, horizon_s=0.5, tie_order=tie
+    ),
+    "attack_hardened": lambda tie: run_attack(
+        scheduler="CR", hardened=True, attack=True, seed=3, horizon_s=0.5, tie_order=tie
+    ),
+    # The Credit subclasses: CS overrides ``pick_next`` and calls
+    # ``slice_for``, BS overrides ``on_slice_expired``.
+    **{
+        f"lu_{s.lower()}": (lambda s: lambda tie: run_type_a(
+            "lu", s, n_nodes=2, rounds=2, seed=0, tie_order=tie
+        ))(s)
+        for s in ("CS", "BS", "DSS", "VS")
+    },
 }
 
 #: (cell, tie order) -> (sha256 of the canonical result JSON, events).
@@ -72,6 +89,18 @@ GOLDEN = {
     ("lu_atc_faults", "reversed"): ("bf9607c64fada7d71ff8e290235ae8d766d2bbe7e861eef0c3749924b84784ab", 63979),
     ("service_migrate", "fifo"): ("e23a8ba5f144d2782ed7794cb09a97c1383890f5b687ed9cb0bde7100bca659d", 64669),
     ("service_migrate", "reversed"): ("178e04c46c89206d161b72252e2971f0600afe7209009bdde714a6bb24c5321c", 66993),
+    ("attack_tick", "fifo"): ("425a2582ba6727456fc37b0942a37ea9a473510988fa86c3e2523d2d418cc166", 7005),
+    ("attack_tick", "reversed"): ("110425d761a0d61dbd100616c137bed13de38982fedc40e73fb8bf110986af6f", 6681),
+    ("attack_hardened", "fifo"): ("0087b09d009cbc6b500f2e991f7ea321226e9c468993773918c5a9442e614e31", 7155),
+    ("attack_hardened", "reversed"): ("845e320d4da138ac996c88461ddbe340788e95bf6e5d2db679be0f24dd5845ff", 7194),
+    ("lu_cs", "fifo"): ("f53bc3c7a6fa81a4650c46c07c5f6871223c29d6af8add56e31549c32d83492a", 20173),
+    ("lu_cs", "reversed"): ("1dd77071b829b68d059a22494b81ea613e819c8149d9c6f27e9d91c6a39e336b", 20199),
+    ("lu_bs", "fifo"): ("6750a8705f5c42bc704781df443ede71f09111a09bedeb5c9a8e1e730cab2434", 21694),
+    ("lu_bs", "reversed"): ("af03600025a6c266b7a62d0caba2153ab573986198ce3e05df7e55c214a081a0", 21658),
+    ("lu_dss", "fifo"): ("9e6eb9028f576e1e8befb0646b81c09626926874d2294967da8c224e32ee45a6", 23955),
+    ("lu_dss", "reversed"): ("ec033e4437f19308601c121f82177a4e2e02147f577bb6083b01b56476c8aad1", 23953),
+    ("lu_vs", "fifo"): ("52a911fd32025a3cb8c85a993ceed60985b31a57d0f34224ea1a78893317d993", 30068),
+    ("lu_vs", "reversed"): ("0d4fd57fd1317a6c4b507e772ef043747cfad6c6bc6b870cfefc2e3e9336c48b", 29574),
 }
 
 

@@ -335,8 +335,8 @@ def one_pcpu_world(n_procs, tie_order="fifo", spin_block_ns=None):
     return sim, vm, [vm.kernel.add_process() for _ in range(n_procs)]
 
 
-def _arm_unclipped(self, delay, timer):
-    return self.sim.rearm(timer, self.sim.now + delay)
+def _arm_unclipped(self, deadline, timer):
+    return self.sim.rearm(timer, deadline)
 
 
 def run_contended(monkeypatch, clipped):

@@ -312,6 +312,44 @@ def test_different_time_rearms_ok():
     assert "RPR040" not in codes(src)
 
 
+REARM_HELPER = """
+class Proc:
+    def __init__(self, sim):
+        self.sim = sim
+        self._a = Event(fn=self._fire_a, cat="x")
+        self._b = Event(fn=self._fire_b, cat="x")
+
+    def _fire_a(self):
+        self.vm.slice_ns = 1
+
+    def _fire_b(self):
+        self.vm.slice_ns = 2
+
+    def _arm(self, deadline, timer):
+        if deadline > self.limit:
+            return None
+        return self.sim.rearm(timer, deadline)
+
+    def arm(self, now):
+        self._arm(now + 5, self._a)
+        self._arm(deadline=now + 5, timer=self._b)
+"""
+
+
+def test_same_time_rearms_through_a_helper_flagged():
+    # Every call site passes a handle for ``timer``, so each ``_arm``
+    # call is a re-arm of that handle at the call's ``deadline``.
+    assert "RPR040" in codes(REARM_HELPER)
+
+
+def test_helper_passed_a_non_handle_is_not_resolved():
+    src = REARM_HELPER + (
+        "\n    def arm_any(self, ev, t):\n"
+        "        self._arm(t, ev)\n"
+    )
+    assert "RPR040" not in codes(src)
+
+
 CLOSURE_PAIR = """
 def setup(sim, vmm):
     stats = {"n": 0}

@@ -37,23 +37,32 @@ def test_vmm_accounts_queue_wait():
     vmm.start()
     sim.run(until=300 * MSEC)
     # with two hogs sharing one PCPU, both accumulate run-queue waits
+    mon = SpinLatencyMonitor(ATCConfig(monitor_mode="queuewait"))
     for vm in vms:
-        total, count = vm.drain_period_queue_wait()
+        total, count = vm.total_queue_wait_ns, vm.total_queue_waits
         assert count > 0
         assert total > 0
-        # and draining resets
-        assert vm.drain_period_queue_wait() == (0, 0)
+        # the monitor reads the whole ledger once, then nothing new ...
+        assert mon.end_period(vm, 30 * MSEC).latencies == [total / count]
+        assert mon.end_period(vm, 30 * MSEC).latencies[-1] == 0.0
+        # ... and reading leaves the cumulative ledger untouched
+        assert (vm.total_queue_wait_ns, vm.total_queue_waits) == (total, count)
 
 
 def test_monitor_reads_queue_wait_in_queuewait_mode():
     sim, cluster, vmms = make_node_world()
     vm = add_guest_vm(vmms[0], 1)
-    vm.period_queue_wait_ns = 5 * USEC
-    vm.period_queue_waits = 2
+    vm.total_queue_wait_ns = 5 * USEC
+    vm.total_queue_waits = 2
     vm.kernel.record_spin_wait(999_999, "lock")  # must be ignored
     mon = SpinLatencyMonitor(ATCConfig(monitor_mode="queuewait"))
     st = mon.end_period(vm, 30 * MSEC)
     assert st.latencies == [2500.0]
+    # the next period reads only what the ledger gained since
+    vm.total_queue_wait_ns += 9 * USEC
+    vm.total_queue_waits += 3
+    st = mon.end_period(vm, 30 * MSEC)
+    assert st.latencies == [2500.0, 3000.0]
 
 
 def test_nonintrusive_atc_accelerates_like_guest_mode():
