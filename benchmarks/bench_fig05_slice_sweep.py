@@ -4,7 +4,7 @@ Paper (Section II-B): shortening the slice from 30 ms toward 0.1 ms
 monotonically reduces spinlock latency and improves every application
 (up to ~10x), with Pearson correlation between the two above 0.9.
 
-Regenerates the ``sweep`` grid (also ``repro sweep``): per-app rows of
+Regenerates the ``sweep`` grid (also ``repro run sweep``): per-app rows of
 (slice, execution time, avg spin latency, context switches, LLC misses),
 with the Pearson claim checked per app.
 """

@@ -5,7 +5,7 @@ Paper: ATC achieves the best normalized execution time and the best
 scalability; CS sits between ATC and BS; BS's small advantage over CR
 erodes with scale; DSS lands between CR and ATC.
 
-Regenerates the ``compare`` grid (also ``repro compare``): normalized
+Regenerates the ``compare`` grid (also ``repro run compare``): normalized
 execution time per (app, approach, scale).
 """
 

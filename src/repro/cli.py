@@ -4,15 +4,13 @@ Examples::
 
     python -m repro list
     python -m repro typea --app lu --scheduler ATC --nodes 2
-    python -m repro compare --app lu --nodes 2 --jobs 5
-    python -m repro sweep --app lu --slices 30,6,1,0.3 --jobs 4
+    python -m repro run compare --set apps=lu --set nodes=2 --jobs 5
+    python -m repro run sweep --set apps=lu --set slices=30,6,1,0.3 --jobs 4
+    python -m repro run chaos --set app_name=is --set faults=random:3:1
+    python -m repro run dfrs --set horizon_s=10 --json dfrs_a.json
     python -m repro mix --scheduler ATC --np-slice 6
     python -m repro typeb --scheduler ATC --nodes 6
     python -m repro probe --scheduler CR
-    python -m repro chaos --app is --nodes 2 --faults random:3:1
-    python -m repro migrate --policy demix --placement pack
-    python -m repro dfrs --nodes 3 --horizon 10
-    python -m repro serve --admission migration-aware --rate 3 --tenants 8
     python -m repro check dfrs dfrs_a.json dfrs_b.json
     python -m repro trace --app is --slice 30
     python -m repro perf
@@ -20,8 +18,8 @@ Examples::
     python -m repro races
     python -m repro races type_a --app lu --scheduler CR --nodes 2
 
-Sweep-shaped commands (``sweep``, ``compare``, ``typea``, ``typeb``,
-``mix``) execute through :mod:`repro.experiments.runner`: ``--jobs N``
+``run``, ``typea``, ``typeb`` and ``mix`` execute their cells through
+:mod:`repro.experiments.runner`: ``--jobs N``
 fans the independent cells over N worker processes (bit-identical to
 serial), results are cached under ``.repro_cache/`` (``--no-cache`` to
 bypass), ``--json PATH`` exports the full result set, and ``--sanitize``
@@ -32,20 +30,16 @@ results, violations reported as structured cell failures).
 are killed, the sweep continues) and ``--salvage PATH`` writes the
 structured partial-result report (:func:`repro.experiments.runner.salvage_report`).
 
-``compare`` and ``sweep`` run the paper's Fig. 10 and Fig. 5 grids, and
-``chaos``, ``migrate``, ``dfrs``, ``serve`` and ``attack`` the
-extension grids of :mod:`repro.experiments.grids`, which declares each
-grid's cells, derived table and claims: a clean cell next to the same
-cell under a ``--faults`` plan (:mod:`repro.faults`; ``random:N[:SEED]``,
-inline JSON or a plan file, also taken by ``typea`` and ``sweep``);
-static placement next to a live-migration ``--policy``
-(:mod:`repro.migration`); plain CR, ATC, cluster-level DFRS caps and the
-ATC+DFRS hybrid (:mod:`repro.dfrs`); a tenant arrival stream under an
-``--admission`` policy (:mod:`repro.service`); and yield-theft /
-tickle-storm attackers against the hardening knobs.  ``check GRID
-RESULTS.json [REPEAT.json]`` evaluates any grid's claims, the paper
-figures' included, on a ``--json`` export (exit 1 on any failed cell or
-claim) and, given a second export, requires equal spec/value lists.
+``run GRID`` runs one grid of :mod:`repro.experiments.grids` (the paper's
+figures and the chaos, migrate, dfrs, serve and attack extensions) and
+prints its table and detail tables.  Each ``--set KEY=VALUE`` is a
+keyword of the grid's ``cells()``, its scenario builder or the world
+options the builder forwards, typed by the first annotation declared for
+it (``faults`` takes a :mod:`repro.faults` spec: ``random:N[:SEED]``,
+inline JSON or a plan file).  ``check GRID RESULTS.json [REPEAT.json]``
+evaluates a grid's claims on a ``--json`` export (exit 1 on any failed
+cell or claim) and, given a second export, requires equal spec/value
+lists.
 
 ``trace`` runs one traced type-A cell (:mod:`repro.obs.trace`) and writes
 a JSON-lines trace plus a Chrome ``trace_event`` file (open in Perfetto
@@ -76,9 +70,11 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from repro.experiments.grids import GRIDS, attack_metrics, load_results, repeat_diff
+from repro.experiments.grids import (GRIDS, fault_dicts, grid_settings, load_results,
+                                    repeat_diff, settable)
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
+    SCENARIOS,
     RunSpec,
     export_json,
     run_sweep,
@@ -87,7 +83,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scenarios import run_packet_path_probe
 from repro.schedulers.registry import scheduler_names
-from repro.service.admission import admission_names
 from repro.workloads.npb import NPB_EXTENDED
 
 __all__ = ["main", "build_parser"]
@@ -122,34 +117,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the structured salvage report (healthy + "
                         "failed cells) as JSON")
 
-    def common(sp, app=True):
-        sp.add_argument("--scheduler", default="ATC", choices=scheduler_names())
-        sp.add_argument("--nodes", type=int, default=2)
-        sp.add_argument("--seed", type=int, default=0)
-        if app:
-            sp.add_argument("--app", default="lu", choices=NPB_EXTENDED)
-
     sp = sub.add_parser("typea", help="evaluation type A (Figs. 1, 10)")
-    common(sp)
-    sp.add_argument("--rounds", type=int, default=2)
-    sp.add_argument("--npb-class", default="B", choices=["A", "B", "C"])
-    sp.add_argument("--faults", default=None, metavar="SPEC",
-                    help="fault plan: random:N[:SEED], inline JSON, or a plan file")
-    runner_opts(sp)
-
-    sp = sub.add_parser("compare", help="type A under every approach, normalized (Fig. 10)")
-    common(sp, app=True)
-    sp.add_argument("--rounds", type=int, default=2)
-    runner_opts(sp)
-
-    sp = sub.add_parser("sweep", help="static slice sweep under CR (Fig. 5)")
-    sp.add_argument("--app", default="lu", choices=NPB_EXTENDED)
+    sp.add_argument("--scheduler", default="ATC", choices=scheduler_names())
     sp.add_argument("--nodes", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--slices", default="30,12,6,1,0.3", help="comma-separated ms values")
+    sp.add_argument("--app", default="lu", choices=NPB_EXTENDED)
+    sp.add_argument("--rounds", type=int, default=2)
     sp.add_argument("--npb-class", default="B", choices=["A", "B", "C"])
     sp.add_argument("--faults", default=None, metavar="SPEC",
                     help="fault plan: random:N[:SEED], inline JSON, or a plan file")
+    runner_opts(sp)
+
+    sp = sub.add_parser("run", help="run one grid of repro.experiments.grids "
+                        "and print its tables")
+    sp.add_argument("grid", choices=sorted(GRIDS))
+    sp.add_argument("--set", action="append", default=[], dest="sets", metavar="KEY=VALUE",
+                    help="a keyword of the grid's cells(), its scenario builder or "
+                    "the world options (repeatable)")
     runner_opts(sp)
 
     sp = sub.add_parser("mix", help="parallel + non-parallel coexistence (Figs. 2, 9)")
@@ -166,94 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--horizon", type=float, default=8.0)
     runner_opts(sp)
 
-    sp = sub.add_parser("chaos", help="fault-injected run vs clean baseline (repro.faults)")
-    common(sp)
-    sp.add_argument("--rounds", type=int, default=6)
-    sp.add_argument("--horizon", type=float, default=12.0, help="virtual seconds")
-    sp.add_argument("--faults", default="random:3:1", metavar="SPEC",
-                    help="fault plan: random:N[:SEED], inline JSON, or a plan file "
-                    "(default random:3:1)")
-    runner_opts(sp)
-
-    def mixed_world(sp):
-        """The packed mixed-tenancy world shared by ``migrate`` and ``dfrs``."""
-        sp.add_argument("--nodes", type=int, default=3)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--app", default="lu", choices=NPB_EXTENDED)
-        sp.add_argument("--placement", default="pack", metavar="POLICY",
-                        help="initial placement: spread, pack, striped, or "
-                        "random:SEED (default pack, which mixes clusters)")
-        sp.add_argument("--clusters", type=int, default=2, metavar="N",
-                        help="parallel virtual clusters (default 2)")
-        sp.add_argument("--vms-per-cluster", type=int, default=2, metavar="N")
-        sp.add_argument("--horizon", type=float, default=10.0, help="virtual seconds")
-
-    sp = sub.add_parser("migrate", help="live-migration rebalancing vs static placement (repro.migration)")
-    sp.add_argument("--scheduler", default="ATC", choices=scheduler_names())
-    mixed_world(sp)
-    sp.add_argument("--policy", default="demix",
-                    choices=["demix", "consolidate", "evacuate", "none"],
-                    help="rebalancing policy (default demix; 'none' attaches "
-                    "the engine without a controller)")
-    sp.add_argument("--faults", default=None, metavar="SPEC",
-                    help="fault plan: random:N[:SEED], inline JSON, or a plan file")
-    runner_opts(sp)
-
-    sp = sub.add_parser("dfrs", help="cluster-level fractional allocation vs "
-                        "ATC: {CR, ATC, CR+DFRS, ATC+DFRS} on one mixed-"
-                        "tenancy cell (repro.dfrs)")
-    mixed_world(sp)
-    sp.add_argument("--solve-every", type=int, default=4, metavar="N",
-                    help="re-solve the fractional allocation every N "
-                    "accounting periods (default 4)")
-    sp.add_argument("--headroom", type=float, default=1.25,
-                    help="cap slack multiplier over the solved allocation "
-                    "(default 1.25)")
-    sp.add_argument("--moves", action="store_true",
-                    help="let DFRS relocate VMs through the live-migration "
-                    "engine (off by default)")
-    runner_opts(sp)
-
-    sp = sub.add_parser("serve", help="always-on service: streaming tenant "
-                        "arrivals under online admission (repro.service)")
-    sp.add_argument("--scheduler", default="ATC", choices=scheduler_names())
-    sp.add_argument("--nodes", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--admission", default="fcfs-queue", choices=admission_names(),
-                    help="admission policy (default fcfs-queue)")
-    sp.add_argument("--arrival", default="poisson", choices=["poisson", "trace"],
-                    help="arrival source (trace replays --trace-file)")
-    sp.add_argument("--rate", type=float, default=2.0, metavar="PER_S",
-                    help="Poisson arrival rate, tenants per virtual second "
-                    "(default 2.0)")
-    sp.add_argument("--tenants", type=int, default=6, metavar="N",
-                    help="total tenants to generate (default 6)")
-    sp.add_argument("--rounds", type=int, default=1,
-                    help="NPB rounds each tenant runs (default 1)")
-    sp.add_argument("--placement", default="pack", metavar="POLICY",
-                    help="initial placement policy (default pack)")
-    sp.add_argument("--trace-file", default=None, metavar="PATH",
-                    help="JSON arrival trace for --arrival trace: a list of "
-                    '{"at_ms", "n_vms", "app", "rounds"} dicts')
-    sp.add_argument("--horizon", type=float, default=30.0, help="virtual seconds")
-    runner_opts(sp)
-
-    sp = sub.add_parser("attack", help="adversarial tenancy: yield-theft + "
-                        "tickle-storm attackers vs hardening knobs "
-                        "(repro.workloads.attacks, DESIGN.md §15)")
-    sp.add_argument("--scheduler", default=None, choices=["CR", "ATC"],
-                    help="restrict the grid to one scheduler (default: both)")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--app", default="lu", choices=NPB_EXTENDED,
-                    help="parallel victim application (default lu)")
-    sp.add_argument("--horizon", type=float, default=6.0, help="virtual seconds")
-    runner_opts(sp)
-
     sp = sub.add_parser("check", help="evaluate a grid's claims on a --json export "
                         "(repro.experiments.grids)")
     sp.add_argument("grid", choices=sorted(GRIDS))
     sp.add_argument("results", metavar="RESULTS.json",
-                    help="--json export of the grid's verb")
+                    help="--json export of `repro run GRID`")
     sp.add_argument("repeat", nargs="?", default=None, metavar="REPEAT.json",
                     help="second export of the same run; its spec/value lists "
                     "must equal RESULTS.json's")
@@ -343,9 +244,8 @@ def _progress(done: int, total: int, result) -> None:
     )
 
 
-def _run_cells(args, specs: list[RunSpec], allow_partial: bool = False) -> Optional[list]:
-    """Execute cells through the shared runner; None when any cell failed
-    (unless ``allow_partial``, which returns whatever settled)."""
+def _run_cells(args, specs: list[RunSpec]) -> Optional[list]:
+    """Execute cells through the shared runner; None when any cell failed."""
     if args.sanitize:
         specs = [replace(spec, params={**spec.params, "sanitize": True}) for spec in specs]
     progress = _progress if (args.jobs > 1 or len(specs) > 1) else None
@@ -368,7 +268,7 @@ def _run_cells(args, specs: list[RunSpec], allow_partial: bool = False) -> Optio
             f"{stats['wall_s']:.2f}s host cell wall time, {stats['events']} events",
             file=sys.stderr,
         )
-    if _report_failures(results) and not allow_partial:
+    if _report_failures(results):
         return None
     return results
 
@@ -394,7 +294,8 @@ def _report_failures(results) -> list:
 def _cmd_list() -> None:
     print("schedulers :", ", ".join(scheduler_names()))
     print("NPB kernels:", ", ".join(NPB_EXTENDED), "(classes A/B/C)")
-    print("experiments: typea, compare, sweep, mix, typeb, chaos, migrate, dfrs, serve, attack, probe")
+    print("grids      :", ", ".join(GRIDS), "(repro run GRID [--set KEY=VALUE ...])")
+    print("experiments: typea, mix, typeb, probe")
     print("tools      : trace (structured tracing + Perfetto export), "
           "perf (self-profiling micro-suite), "
           "check (grid claims on a --json export), "
@@ -402,24 +303,12 @@ def _cmd_list() -> None:
           "races (same-timestamp order-dependence detector)")
 
 
-def _parse_faults(args, horizon_s: float) -> Optional[list]:
-    """``--faults`` spec -> plan dict list for scenario params (or None)."""
-    spec = getattr(args, "faults", None)
-    if not spec:
-        return None
-    from repro.faults.plan import parse_fault_spec
-    from repro.sim.units import SEC
-
-    plan = parse_fault_spec(spec, args.nodes, round(horizon_s * SEC))
-    return plan.to_dicts() if plan else None
-
-
 def _cmd_typea(args) -> int:
     params = dict(
         app_name=args.app, scheduler=args.scheduler, n_nodes=args.nodes,
         rounds=args.rounds, warmup_rounds=1, npb_class=args.npb_class, seed=args.seed,
     )
-    faults = _parse_faults(args, 300.0)
+    faults = fault_dicts(args.faults, {"n_nodes": args.nodes}, SCENARIOS["type_a"])
     if faults:
         params["faults"] = faults
     spec = RunSpec("type_a", params)
@@ -436,26 +325,6 @@ def _cmd_typea(args) -> int:
         )
     )
     return 0
-
-
-def _cmd_compare(args) -> int:
-    results = _run_grid(args, "compare", apps=[args.app], nodes=[args.nodes],
-                        rounds=args.rounds, seed=args.seed)
-    return 0 if results is not None else 1
-
-
-def _cmd_sweep(args) -> int:
-    try:
-        slices = [float(s) for s in args.slices.split(",")]
-    except ValueError:
-        print(f"repro sweep: --slices expects comma-separated ms values, got {args.slices!r}",
-              file=sys.stderr)
-        return 2
-    faults = _parse_faults(args, 300.0)
-    results = _run_grid(args, "sweep", apps=[args.app], slices=slices, n_nodes=args.nodes,
-                        npb_class=args.npb_class, seed=args.seed,
-                        **({"faults": faults} if faults else {}))
-    return 0 if results is not None else 1
 
 
 def _cmd_mix(args) -> int:
@@ -491,8 +360,7 @@ def _cmd_typeb(args) -> int:
         return 1
     r = results[0].value
     rows = [
-        (vc["vc"], vc["app"], vc["n_vms"], vc["rounds"],
-         vc["mean_round_ns"] / 1e6 if vc["mean_round_ns"] == vc["mean_round_ns"] else "n/a")
+        (vc["vc"], vc["app"], vc["n_vms"], vc["rounds"], vc["mean_round_ns"] / 1e6)
         for vc in r["vcs"]
     ]
     print(
@@ -505,122 +373,24 @@ def _cmd_typeb(args) -> int:
     return 0
 
 
-def _run_grid(args, name: str, allow_partial: bool = False, **params) -> Optional[list]:
-    """Run one :data:`~repro.experiments.grids.GRIDS` grid and print its
-    table; None when a cell failed (unless ``allow_partial``)."""
-    grid = GRIDS[name]
-    results = _run_cells(args, grid.cells(**params), allow_partial=allow_partial)
-    if results is not None:
-        title, headers, rows = grid.table(results)
+def _print_tables(grid, results) -> None:
+    """A grid's main table, then its detail tables."""
+    for title, headers, rows in (grid.table(results), *grid.details(results)):
         print(format_table(headers, rows, title=title))
-    return results
 
 
-def _cmd_chaos(args) -> int:
-    faults = _parse_faults(args, args.horizon)
-    if not faults:
-        print("repro chaos: --faults resolved to an empty plan", file=sys.stderr)
-        return 2
-    results = _run_grid(
-        args, "chaos", allow_partial=True, faults=faults,
-        app_name=args.app, scheduler=args.scheduler, n_nodes=args.nodes,
-        rounds=args.rounds, warmup_rounds=1, seed=args.seed, horizon_s=args.horizon,
-    )
-    faulted = next((r for r in results if r.spec.label == "chaos:faulted" and r.ok), None)
-    if faulted is not None and "faults" in faulted.value:
-        fs = faulted.value["faults"]
-        inj = ", ".join(f"{k}x{n}" for k, n in sorted(fs["injected"].items())) or "none"
-        healed = sum(fs["healed"].values())
-        print(
-            f"faults: {fs['events']} planned, injected [{inj}], {healed} healed; "
-            f"net: {fs['messages_dropped']} dropped, {fs['retransmits']} retransmits, "
-            f"{fs['messages_lost']} lost",
-            file=sys.stderr,
-        )
-    return 0 if all(r.ok for r in results) else 1
-
-
-def _cmd_migrate(args) -> int:
-    faults = _parse_faults(args, args.horizon)
-    results = _run_grid(
-        args, "migrate", policy=args.policy,
-        placement=args.placement, scheduler=args.scheduler, n_nodes=args.nodes,
-        n_clusters=args.clusters, vms_per_cluster=args.vms_per_cluster,
-        app_name=args.app, seed=args.seed, horizon_s=args.horizon,
-        **({"faults": faults} if faults else {}),
-    )
-    if results is None:
-        return 1
-    static, rebalanced = (r.value["final_nodes"] for r in results)
-    moved = {vm: node for vm, node in rebalanced.items() if static.get(vm) != node}
-    if moved:
-        placed = ", ".join(f"{vm}->node{n}" for vm, n in sorted(moved.items()))
-        print(f"moved: {placed}", file=sys.stderr)
-    return 0
-
-
-def _cmd_dfrs(args) -> int:
-    dfrs = {"solve_every": args.solve_every, "headroom": args.headroom}
-    if args.moves:
-        dfrs["allow_moves"] = True
-    results = _run_grid(
-        args, "dfrs", placement=args.placement, n_nodes=args.nodes,
-        n_clusters=args.clusters, vms_per_cluster=args.vms_per_cluster,
-        app_name=args.app, seed=args.seed, horizon_s=args.horizon, dfrs=dfrs,
-    )
-    if results is None:
-        return 1
-    violations = sum(r.value.get("dfrs", {}).get("violations", 0) for r in results)
-    if violations:
-        print(f"SAN009: {violations} allocation-consistency violation(s)",
+def _cmd_run(args) -> int:
+    grid = GRIDS[args.grid]
+    try:
+        specs = grid.cells(**grid_settings(grid, args.sets))
+    except ValueError as exc:
+        print(f"repro run: {args.grid}: {exc}; settable keys: {', '.join(settable(grid))}",
               file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_serve(args) -> int:
-    params = dict(
-        arrival=args.arrival, scheduler=args.scheduler,
-        n_nodes=args.nodes, placement=args.placement, rate_per_s=args.rate,
-        max_tenants=args.tenants, rounds=args.rounds, seed=args.seed,
-        horizon_s=args.horizon,
-    )
-    if args.trace_file:
-        import json as _json
-
-        with open(args.trace_file) as fh:
-            params["service_trace"] = _json.load(fh)
-    results = _run_grid(args, "serve", admissions=(args.admission,), **params)
+        return 2
+    results = _run_cells(args, specs)
     if results is None:
         return 1
-    tenant_rows = [
-        (t["name"], t["app"], t["n_vms"], t["state"],
-         "-" if t["wait_ns"] is None else f"{t['wait_ns'] / 1e6:.3f}",
-         "-" if t["slowdown"] is None else f"{t['slowdown']:.3f}")
-        for t in results[0].value["service"]["tenants"]
-    ]
-    if tenant_rows:
-        print(
-            format_table(
-                ["tenant", "app", "vms", "state", "wait (ms)", "slowdown"],
-                tenant_rows,
-                title="Tenants",
-            )
-        )
-    return 0
-
-
-def _cmd_attack(args) -> int:
-    results = _run_grid(
-        args, "attack", schedulers=[args.scheduler] if args.scheduler else ["CR", "ATC"],
-        seed=args.seed, horizon_s=args.horizon, victim_app=args.app,
-    )
-    if results is None:
-        return 1
-    for m in attack_metrics(results):
-        if m["recovered"] is not None:
-            print(f"{m['scheduler']}: hardening recovers {m['recovered']:.0%} "
-                  "of the victim slowdown", file=sys.stderr)
+    _print_tables(grid, results)
     return 0
 
 
@@ -638,8 +408,7 @@ def _cmd_check(args) -> int:
     elif _report_failures(results):
         failures = [f"{args.results} holds failed cells"]
     else:
-        title, headers, rows = grid.table(results)
-        print(format_table(headers, rows, title=title))
+        _print_tables(grid, results)
         failures = grid.claims(results)
     if repeat is not None:
         failures += repeat_diff(results, repeat)
@@ -834,15 +603,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     handlers = {
         "typea": _cmd_typea,
-        "compare": _cmd_compare,
-        "sweep": _cmd_sweep,
+        "run": _cmd_run,
         "mix": _cmd_mix,
         "typeb": _cmd_typeb,
-        "chaos": _cmd_chaos,
-        "migrate": _cmd_migrate,
-        "dfrs": _cmd_dfrs,
-        "serve": _cmd_serve,
-        "attack": _cmd_attack,
         "check": _cmd_check,
         "probe": _cmd_probe,
         "trace": _cmd_trace,

@@ -101,7 +101,7 @@ class DFRSController:
         self.last_min_yield = 1.0
         self.last_mean_yield = 1.0
         #: SAN009 violations found when no sanitizer is attached
-        #: (strings; tests assert empty) — the MigrationEngine pattern.
+        #: (strings; any one fails the cell) — the MigrationEngine pattern.
         self.violations: list[str] = []
         if config.solve_every:
             world.every_period(self._control, config.solve_every)

@@ -4,7 +4,7 @@ declared exactly once.
 A grid is several :class:`RunSpec` cells whose results only mean something
 side by side (DESIGN.md §4 "Experiment grids").  Each :class:`Grid` pairs
 ``cells(**params)``, which builds the specs with the labels and params
-``repro <verb>`` and the benches export; ``table(results)``, the derived
+``repro run`` and the benches export; ``table(results)``, the derived
 metrics as ``(title, headers, rows)``; and ``claims(results)``, failure
 messages that are empty when every claim holds.  Each claim is a
 comparison that is false for NaN, so an undefined metric fails it.  Cells
@@ -15,16 +15,22 @@ no environment: the benches choose the scale.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
+from collections.abc import Sequence as AbcSequence
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from repro.core.threshold import ThresholdStudy
-from repro.experiments.runner import RunResult, RunSpec
+from repro.experiments.harness import WorldConfig
+from repro.experiments.runner import SCENARIOS, RunResult, RunSpec
+from repro.experiments.scenarios import _world
+from repro.faults.plan import parse_fault_spec
 from repro.metrics.summary import pearson
-from repro.sim.units import ns_from_ms
+from repro.sim.units import SEC, ns_from_ms
 
 __all__ = [
     "Grid",
@@ -33,8 +39,11 @@ __all__ = [
     "HYBRID_TOL",
     "attack_metrics",
     "attack_recovered",
+    "fault_dicts",
+    "grid_settings",
     "load_results",
     "repeat_diff",
+    "settable",
 ]
 
 #: DFRS comparator modes every dfrs grid group must hold; ``baseline``
@@ -52,13 +61,14 @@ Table = tuple[str, list[str], list[tuple]]
 
 @dataclass(frozen=True)
 class Grid:
-    """One experiment: its cells, derived table and claims."""
+    """One experiment: its cells, derived table, claims and detail tables."""
 
     name: str
     scenario: str
     cells: Callable[..., list[RunSpec]]
     table: Callable[[Sequence[RunResult]], Table]
     claims: Callable[[Sequence[RunResult]], list[str]]
+    details: Callable[[Sequence[RunResult]], list[Table]] = lambda results: []
 
 
 def _ratio(value: Optional[float], base: Optional[float]) -> float:
@@ -107,28 +117,33 @@ def _normalized(results: Sequence[RunResult], *axes: str) -> list[dict[tuple, tu
 # ----------------------------------------------------------------------
 # chaos: clean baseline vs the same type-A cell under a fault plan
 # ----------------------------------------------------------------------
-def chaos_cells(faults: list, **params) -> list[RunSpec]:
+def chaos_cells(faults: list, app_name: str = "lu", scheduler: str = "ATC", n_nodes: int = 2,
+                rounds: int = 6, horizon_s: float = 12.0, **params) -> list[RunSpec]:
+    params = dict(params, app_name=app_name, scheduler=scheduler, n_nodes=n_nodes,
+                  rounds=rounds, horizon_s=horizon_s)
     return [
-        RunSpec("type_a", dict(params), label="chaos:baseline"),
+        RunSpec("type_a", params, label="chaos:baseline"),
         RunSpec("type_a", dict(params, faults=faults), label="chaos:faulted"),
     ]
 
 
 def chaos_table(results: Sequence[RunResult]) -> Table:
-    rows = []
-    for r in results:
-        if r.ok:
-            v = r.value
-            rows.append((r.spec.label, v["rounds_measured"], _ms(v["mean_round_ns"]),
-                         _ms(v["avg_spin_ns"]), v["all_done"], v["events"]))
-        else:
-            err = (r.error or {}).get("type", "?")
-            rows.append((r.spec.label, "-", "-", "-", f"FAILED:{err}", "-"))
     return (
         "Chaos — clean baseline vs the same type-A cell under a fault plan",
         ["cell", "rounds", "mean round (ms)", "avg spin (ms)", "done", "events"],
-        rows,
+        [(r.spec.label, r.value["rounds_measured"], _ms(r.value["mean_round_ns"]),
+          _ms(r.value["avg_spin_ns"]), r.value["all_done"], r.value["events"]) for r in results],
     )
+
+
+def chaos_details(results: Sequence[RunResult]) -> list[Table]:
+    """The fault injector's statistics of each faulted cell."""
+    rows = [(r.spec.label, fs["events"],
+             ", ".join(f"{k}x{n}" for k, n in sorted(fs["injected"].items())) or "none",
+             sum(fs["healed"].values()), fs["messages_dropped"], fs["retransmits"],
+             fs["messages_lost"]) for r in results if (fs := r.value.get("faults"))]
+    return [("Faults", ["cell", "planned", "injected", "healed", "dropped", "retransmits", "lost"],
+             rows)] if rows else []
 
 
 def chaos_claims(results: Sequence[RunResult]) -> list[str]:
@@ -178,6 +193,19 @@ def migrate_table(results: Sequence[RunResult]) -> Table:
          "downtime (ms)", "events"],
         rows,
     )
+
+
+def migrate_details(results: Sequence[RunResult]) -> list[Table]:
+    """The VMs each rebalancing policy left on another node than its
+    group's static baseline did."""
+    rows = []
+    for g in _groups(results, "policy", "placement"):
+        static, *others = g.values()
+        for r in others:
+            if r.spec.params["policy"] != "static":
+                rows += [(r.spec.label, vm, f"node{n}") for vm, n in sorted(r.value["final_nodes"].items())
+                         if static.value["final_nodes"].get(vm) != n]
+    return [("Moved VMs", ["cell", "vm", "moved to"], rows)] if rows else []
 
 
 def migrate_claims(results: Sequence[RunResult]) -> list[str]:
@@ -234,8 +262,7 @@ def dfrs_table(results: Sequence[RunResult]) -> Table:
 
 
 def dfrs_claims(results: Sequence[RunResult]) -> list[str]:
-    out = [f"{r.spec.label}: SAN009 allocation-consistency violations"
-           for r in results if r.value.get("dfrs", {}).get("violations", 0)]
+    out = []
     for g in _normalized(results, "mode"):
         by = {mode: cell for (mode,), cell in g.items()}
         where = next(iter(by.values()))[0].spec.label.rsplit(":", 1)[0]
@@ -295,6 +322,17 @@ def serve_table(results: Sequence[RunResult]) -> Table:
          "queued", "queue peak", "mean wait (ms)", "mean slowdown", "kicks"],
         rows,
     )
+
+
+def serve_details(results: Sequence[RunResult]) -> list[Table]:
+    """Each cell's tenants: state, queueing wait and slowdown."""
+    return [("Tenants" if len(results) == 1 else f"Tenants — {r.spec.label}",
+             ["tenant", "app", "vms", "state", "wait (ms)", "slowdown"],
+             [(t["name"], t["app"], t["n_vms"], t["state"],
+               "-" if t["wait_ns"] is None else _ms(t["wait_ns"]),
+               "-" if t["slowdown"] is None else t["slowdown"])
+              for t in r.value["service"]["tenants"]])
+            for r in results if r.value["service"]["tenants"]]
 
 
 def serve_claims(results: Sequence[RunResult]) -> list[str]:
@@ -572,8 +610,8 @@ def placement_claims(results: Sequence[RunResult]) -> list[str]:
 
 
 # ---- static slice sweeps under CR (Figs. 5, 8, Eq. 1)
-def slice_cells(prefix: str, slices: Sequence[float], apps: Sequence[str] = ("lu",),
-                **params) -> list[RunSpec]:
+def slice_cells(prefix: str, slices: Sequence[float] = (30.0, 12.0, 6.0, 1.0, 0.3),
+                apps: Sequence[str] = ("lu",), **params) -> list[RunSpec]:
     """One slice-sweep cell, and so one world, per (app, slice)."""
     return [RunSpec("slice_sweep", {"rounds": 2, "warmup_rounds": 1, **params, "app_name": app,
                                     "slice_ms_values": [sm]}, label=f"{prefix}:{app}@{sm}ms")
@@ -771,8 +809,7 @@ def fig11_table(results: Sequence[RunResult]) -> Table:
     norms = _fig11_norms(results)
     approaches = list(dict.fromkeys(a for _, n in norms for a in n))
     return ("Figure 11 — type B mix: normalized execution time per VC", ["VC", *approaches],
-            [(vc, *(round(v, 3) if v == v else "n/a"
-                    for v in (n.get(a, math.nan) for a in approaches))) for vc, n in norms])
+            [(vc, *(round(n.get(a, math.nan), 3) for a in approaches)) for vc, n in norms])
 
 
 def fig11_claims(results: Sequence[RunResult]) -> list[str]:
@@ -861,10 +898,11 @@ def fig14_claims(results: Sequence[RunResult]) -> list[str]:
 GRIDS = {
     g.name: g
     for g in (
-        Grid("chaos", "type_a", chaos_cells, chaos_table, chaos_claims),
-        Grid("migrate", "migration_rebalance", migrate_cells, migrate_table, migrate_claims),
+        Grid("chaos", "type_a", chaos_cells, chaos_table, chaos_claims, chaos_details),
+        Grid("migrate", "migration_rebalance", migrate_cells, migrate_table, migrate_claims,
+             migrate_details),
         Grid("dfrs", "dfrs_compare", dfrs_cells, dfrs_table, dfrs_claims),
-        Grid("serve", "service", serve_cells, serve_table, serve_claims),
+        Grid("serve", "service", serve_cells, serve_table, serve_claims, serve_details),
         Grid("attack", "attack", attack_cells, attack_table, attack_claims),
         Grid("fig01", "type_a", partial(type_a_cells, prefix="fig01", schedulers=("CR", "CS")),
              fig01_table, fig01_claims),
@@ -894,6 +932,86 @@ GRIDS = {
         Grid("placement", "type_a", placement_cells, placement_table, placement_claims),
     )
 }
+
+
+# ----------------------------------------------------------------------
+# repro run GRID --set KEY=VALUE
+# ----------------------------------------------------------------------
+def _declared(*fns: Callable) -> dict[str, tuple]:
+    """Each named parameter of ``fns``: its first annotation and first
+    default (``inspect.Parameter.empty`` when none declares one)."""
+    keys: dict[str, tuple] = {}
+    for fn in fns:
+        hints = get_type_hints(getattr(fn, "func", fn))
+        for k, p in inspect.signature(fn).parameters.items():
+            if p.kind is not p.VAR_KEYWORD:
+                hint, default = keys.get(k, (None, p.empty))
+                keys[k] = (hint or hints.get(k), p.default if default is p.empty else default)
+    return keys
+
+
+def settable(grid: Grid) -> dict[str, object]:
+    """``repro run``'s keys for ``grid`` and their first annotations:
+    those its ``cells()`` or scenario builder declares, and the world
+    options builders forward (:class:`WorldConfig` fields and ``_world``'s
+    config dicts, less the positionals each builder passes itself)."""
+    own = (grid.cells, SCENARIOS[grid.scenario])
+    fixed = {k for k, (_, d) in _declared(_world).items()
+             if d is inspect.Parameter.empty} - set(_declared(*own))
+    return {k: hint for k, (hint, _) in sorted(_declared(*own, _world, WorldConfig).items())
+            if k not in fixed}
+
+
+def fault_dicts(spec: str, values: dict, *fns: Callable) -> Optional[list]:
+    """A ``--faults`` spec (:func:`~repro.faults.plan.parse_fault_spec`)
+    as scenario params, drawn against the cells' ``n_nodes`` and
+    ``horizon_s``: given in ``values``, else the first default declared by
+    ``fns`` (cells, then scenario builder), ``_world`` or :class:`WorldConfig`."""
+    declared = _declared(*fns, _world, WorldConfig)
+    n_nodes, horizon_s = (values.get(k, declared[k][1]) for k in ("n_nodes", "horizon_s"))
+    plan = parse_fault_spec(spec, n_nodes, round(horizon_s * SEC))
+    return plan.to_dicts() if plan else None
+
+
+def _typed(text: str, hint):
+    """One ``--set`` value by its annotation: a scalar as itself, ``none``
+    for an Optional, a comma list for a sequence of scalars, and any other
+    config as inline JSON or the contents of a JSON file."""
+    args = [a for a in get_args(hint) if a is not type(None)]
+    if get_origin(hint) is Union:
+        return None if text == "none" else _typed(text, args[0])
+    if hint is bool:
+        return {"true": True, "false": False}[text]
+    if hint in (int, float, str):
+        return hint(text)
+    if get_origin(hint) is AbcSequence and (
+            args[0] in (bool, int, float, str) or get_origin(args[0]) is Union):
+        return [_typed(part, args[0]) for part in text.split(",")]
+    return json.loads(text if text.lstrip()[:1] in ("[", "{")
+                      else Path(text).read_text(encoding="utf-8"))
+
+
+def grid_settings(grid: Grid, pairs: Sequence[str]) -> dict:
+    """``KEY=VALUE`` strings as typed ``grid.cells()`` keyword arguments;
+    :class:`ValueError` for an unknown key, a malformed value or a missing
+    required ``cells()`` argument."""
+    keys = settable(grid)
+    texts = dict(pair.partition("=")[::2] for pair in pairs)
+    unknown = [k for k in texts if k not in keys]
+    missing = [k for k, p in inspect.signature(grid.cells).parameters.items()
+               if p.default is p.empty and p.kind is not p.VAR_KEYWORD and k not in texts]
+    if unknown or missing:
+        raise ValueError(f"unknown key {unknown[0]!r}" if unknown
+                         else f"missing required key {missing[0]!r}")
+    out: dict = {}
+    # faults last: its plan is drawn against the n_nodes and horizon_s set
+    for key in sorted(texts, key=lambda k: k == "faults"):
+        try:
+            out[key] = (fault_dicts(texts[key], out, grid.cells, SCENARIOS[grid.scenario])
+                        if key == "faults" else _typed(texts[key], keys[key]))
+        except (ValueError, KeyError, TypeError, OSError) as exc:
+            raise ValueError(f"bad value for {key}: {exc}") from None
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 from typing import Mapping, Sequence
 
 from repro.metrics.summary import normalize_map
@@ -16,11 +17,16 @@ __all__ = [
 ]
 
 
+def _cell(c) -> str:
+    """A table cell: floats to 3 decimals, ``None`` and NaN as ``n/a``."""
+    if c is None or (isinstance(c, float) and math.isnan(c)):
+        return "n/a"
+    return f"{c:.3f}" if isinstance(c, float) else str(c)
+
+
 def format_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> str:
     """Render an aligned ASCII table."""
-    cells = [[str(h) for h in headers]] + [
-        [f"{c:.3f}" if isinstance(c, float) else str(c) for c in row] for row in rows
-    ]
+    cells = [[str(h) for h in headers]] + [[_cell(c) for c in row] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
     lines = []
     if title:
@@ -80,7 +86,7 @@ def to_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 def to_markdown(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> str:
     """Serialize a result table as a GitHub-flavoured Markdown table."""
-    cells = [[f"{c:.3f}" if isinstance(c, float) else str(c) for c in row] for row in rows]
+    cells = [[_cell(c) for c in row] for row in rows]
     lines = []
     if title:
         lines.append(f"**{title}**")

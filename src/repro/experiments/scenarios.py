@@ -51,6 +51,7 @@ import os
 import time
 from typing import Optional, Sequence
 
+from repro.analysis.sanitizer import SanitizerViolationError, SimSanitizer, Violation
 from repro.dfrs.controller import DFRSConfig
 from repro.experiments.harness import CloudWorld, WorldConfig
 from repro.faults.plan import FaultPlan
@@ -115,7 +116,17 @@ def _attach_obs(result: dict, world: CloudWorld) -> dict:
     Only adds keys when the corresponding layer was enabled, so results of
     plain runs are byte-identical with and without this call (the traced-run
     bit-identity regression tests compare everything *except* these keys).
+
+    A violation the migration engine (SAN007) or the DFRS controller
+    (SAN009) found with no sanitizer attached fails the cell as in a
+    sanitized run (:class:`~repro.analysis.sanitizer.SanitizerViolationError`).
     """
+    found = [Violation(code, world.sim.now, message)
+             for code, layer in ((SimSanitizer.MIGRATION, world.migration_engine),
+                                 (SimSanitizer.DFRS, world.dfrs))
+             if layer is not None for message in layer.violations]
+    if found:
+        raise SanitizerViolationError(found)
     if world.tracelog is not None:
         result["trace"] = world.tracelog.summary(include_records=True)
     if world.profiler is not None:

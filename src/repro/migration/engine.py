@@ -197,7 +197,7 @@ class MigrationEngine:
         #: Completion (or abort) time per VM name, for cooldown checks.
         self.last_migrated_ns: dict[str, int] = {}
         #: SAN007-style window violations found by the engine itself when
-        #: no sanitizer is attached (strings; tests assert empty).
+        #: no sanitizer is attached (strings; any one fails the cell).
         self.violations: list[str] = []
 
     # ------------------------------------------------------------------

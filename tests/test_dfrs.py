@@ -382,6 +382,23 @@ def test_san009_detects_tampered_cap():
     assert any("weight" in v for v in ctl.violations)
 
 
+def test_unsanitized_allocation_mismatch_fails_the_cell(monkeypatch):
+    from repro.experiments.runner import RunSpec, run_sweep
+
+    check = DFRSController._check_applied
+
+    def broken(self, now):
+        check(self, now)
+        self._violate(f"synthetic mismatch at t={now}")
+
+    monkeypatch.setattr(DFRSController, "_check_applied", broken)
+    spec = RunSpec("dfrs_compare", {"mode": "dfrs", "horizon_s": 0.5})
+    [r] = run_sweep([spec], use_cache=False)
+    assert not r.ok and r.error["type"] == "SanitizerViolationError"
+    assert "SAN009" in r.error["message"] and "synthetic mismatch" in r.error["message"]
+    assert {v["code"] for v in r.error["violations"]} == {"SAN009"}
+
+
 def test_dfrs_moves_ride_the_migration_engine():
     # Packed placement on 3 nodes concentrates every VM on node 0;
     # allow_moves lets the controller shed load through the engine, and

@@ -356,6 +356,24 @@ def test_engine_reports_window_breaks_through_sanitizer():
     assert w2.migration_engine.violations == ["no sanitizer attached"]
 
 
+def test_unsanitized_window_break_fails_the_cell(monkeypatch):
+    from repro.experiments.runner import RunSpec, run_sweep
+    from repro.migration.engine import MigrationEngine
+
+    init = MigrationEngine.__init__
+
+    def broken(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._violate("synthetic break")
+
+    monkeypatch.setattr(MigrationEngine, "__init__", broken)
+    spec = RunSpec("migration_rebalance", {"policy": "demix", "horizon_s": 0.2})
+    [r] = run_sweep([spec], use_cache=False)
+    assert not r.ok and r.error["type"] == "SanitizerViolationError"
+    assert "SAN007" in r.error["message"] and "synthetic break" in r.error["message"]
+    assert [v["code"] for v in r.error["violations"]] == ["SAN007"]
+
+
 # ----------------------------------------------------------------------
 # Scenario-level acceptance: bit-identity, demixing, sanitized runs
 # ----------------------------------------------------------------------

@@ -14,6 +14,12 @@ def test_format_table_floats_and_strings():
     assert "7" in out
 
 
+def test_undefined_cells_render_as_n_a():
+    out = format_table(["a", "b", "c"], [[None, float("nan"), 0.5]])
+    assert out.splitlines()[2].split(" | ") == ["n/a", "n/a", "0.500"]
+    assert "| n/a | n/a | 0.500 |" in to_markdown(["a", "b", "c"], [[None, float("nan"), 0.5]])
+
+
 def test_format_table_title_optional():
     out = format_table(["x"], [[1]])
     assert not out.startswith("\n")

@@ -120,7 +120,7 @@ def test_sweep_stats_and_export(tmp_path):
 def test_cli_jobs_matches_serial(tmp_path, capsys):
     from repro.cli import main
 
-    argv = ["sweep", "--app", "is", "--slices", "30,6", "--no-cache"]
+    argv = ["run", "sweep", "--set", "apps=is", "--set", "slices=30,6", "--no-cache"]
     assert main(argv) == 0
     serial = capsys.readouterr().out
     assert main(argv + ["--jobs", "2"]) == 0
@@ -133,7 +133,8 @@ def test_cli_json_export_and_cache(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     out = tmp_path / "results.json"
-    argv = ["typea", "--app", "is", "--rounds", "1", "--json", str(out)]
+    argv = ["run", "compare", "--set", "apps=is", "--set", "schedulers=CR", "--set", "rounds=1",
+            "--json", str(out)]
     assert main(argv) == 0
     cold = json.loads(out.read_text())
     assert cold["results"][0]["cached"] is False
