@@ -13,7 +13,6 @@ Examples::
     python -m repro probe --scheduler CR
     python -m repro check dfrs dfrs_a.json dfrs_b.json
     python -m repro trace --app is --slice 30
-    python -m repro perf
     python -m repro lint src/repro benchmarks tests examples
     python -m repro races
     python -m repro races type_a --app lu --scheduler CR --nodes 2
@@ -36,7 +35,9 @@ prints its table and detail tables.  Each ``--set KEY=VALUE`` is a
 keyword of the grid's ``cells()``, its scenario builder or the world
 options the builder forwards, typed by the first annotation declared for
 it (``faults`` takes a :mod:`repro.faults` spec: ``random:N[:SEED]``,
-inline JSON or a plan file).  ``check GRID RESULTS.json [REPEAT.json]``
+inline JSON or a plan file).  A key the grid sets itself (``compare``'s
+``scheduler``) or a config class (``sched_params``) exits 2 before any
+cell runs.  ``check GRID RESULTS.json [REPEAT.json]``
 evaluates a grid's claims on a ``--json`` export (exit 1 on any failed
 cell or claim) and, given a second export, requires equal spec/value
 lists.
@@ -45,11 +46,6 @@ lists.
 a JSON-lines trace plus a Chrome ``trace_event`` file (open in Perfetto
 or ``chrome://tracing``).  Tracing is read-only: a traced run is
 bit-identical to an untraced one.
-
-``perf`` runs the simulator self-profiling micro-suite
-(:mod:`repro.obs.perfsuite`): events/sec, per-category callback
-attribution and cancelled-event waste, written as ``BENCH_perf_*.json``
-and optionally gated against ``benchmarks/perf/baseline.json``.
 
 ``lint`` runs the static determinism checker
 (:mod:`repro.analysis.lint`) over the given paths.
@@ -70,7 +66,7 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from repro.experiments.grids import (GRIDS, fault_dicts, grid_settings, load_results,
+from repro.experiments.grids import (GRIDS, fault_dicts, grid_cells, load_results,
                                     repeat_diff, settable)
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
@@ -181,26 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="trace_out/trace", metavar="PREFIX",
                     help="output prefix: writes PREFIX.jsonl and PREFIX.trace.json")
 
-    sp = sub.add_parser("perf", help="simulator self-profiling micro-suite (BENCH_perf_*.json)")
-    sp.add_argument("--cases", default=None, metavar="NAMES",
-                    help="comma-separated case names (default: all)")
-    sp.add_argument("--quick", action="store_true",
-                    help="scaled-down workloads (CI smoke / tests)")
-    sp.add_argument("--out", default="benchmarks/perf/results", metavar="DIR",
-                    help="directory for BENCH_perf_*.json")
-    sp.add_argument("--check", default=None, metavar="BASELINE",
-                    help="fail if events/sec regresses vs this baseline.json")
-    sp.add_argument("--tolerance", type=float, default=None,
-                    help="allowed fractional regression for --check "
-                    "(default 0.15)")
-    sp.add_argument("--write-baseline", default=None, metavar="PATH",
-                    help="record measured events/sec as the new baseline")
-    sp.add_argument("--history", default=None, metavar="JSONL",
-                    help="append one events/sec trend line per run "
-                    "(e.g. benchmarks/perf/history.jsonl)")
-    sp.add_argument("--label", default=None,
-                    help="run label for --history (default: $GITHUB_SHA or 'local')")
-
     sp = sub.add_parser("lint", help="static determinism lint (RPR rules)")
     sp.add_argument("paths", nargs="*",
                     default=["src/repro", "benchmarks", "tests", "examples"],
@@ -297,10 +273,14 @@ def _cmd_list() -> None:
     print("grids      :", ", ".join(GRIDS), "(repro run GRID [--set KEY=VALUE ...])")
     print("experiments: typea, mix, typeb, probe")
     print("tools      : trace (structured tracing + Perfetto export), "
-          "perf (self-profiling micro-suite), "
           "check (grid claims on a --json export), "
           "lint (static determinism checks; --list-rules for codes), "
           "races (same-timestamp order-dependence detector)")
+
+
+def _per(value, unit: float):
+    """``value / unit``; ``None`` (printed as n/a) for a metric with no sample."""
+    return None if value is None else value / unit
 
 
 def _cmd_typea(args) -> int:
@@ -308,7 +288,11 @@ def _cmd_typea(args) -> int:
         app_name=args.app, scheduler=args.scheduler, n_nodes=args.nodes,
         rounds=args.rounds, warmup_rounds=1, npb_class=args.npb_class, seed=args.seed,
     )
-    faults = fault_dicts(args.faults, {"n_nodes": args.nodes}, SCENARIOS["type_a"])
+    try:
+        faults = fault_dicts(args.faults, {"n_nodes": args.nodes}, SCENARIOS["type_a"])
+    except ValueError as exc:
+        print(f"repro typea: bad --faults: {exc}", file=sys.stderr)
+        return 2
     if faults:
         params["faults"] = faults
     spec = RunSpec("type_a", params)
@@ -319,8 +303,8 @@ def _cmd_typea(args) -> int:
     print(
         format_table(
             ["app", "scheduler", "nodes", "mean round (ms)", "avg spin (ms)", "done"],
-            [(r["app"], r["scheduler"], r["n_nodes"], r["mean_round_ns"] / 1e6,
-              r["avg_spin_ns"] / 1e6, r["all_done"])],
+            [(r["app"], r["scheduler"], r["n_nodes"], _per(r["mean_round_ns"], 1e6),
+              _per(r["avg_spin_ns"], 1e6), r["all_done"])],
             title="Evaluation type A",
         )
     )
@@ -337,11 +321,11 @@ def _cmd_mix(args) -> int:
         return 1
     r = results[0].value
     rows = [
-        ("parallel mean round (ms)", r["parallel_mean_round_ns"] / 1e6),
-        ("sphinx3 run (ms)", r["sphinx3_mean_run_ns"] / 1e6),
-        ("stream bandwidth (GB/s)", r["stream_bandwidth_Bps"] / 1e9),
-        ("bonnie++ throughput (MB/s)", r["bonnie_throughput_Bps"] / 1e6),
-        ("ping RTT (ms)", r["ping_mean_rtt_ns"] / 1e6),
+        ("parallel mean round (ms)", _per(r["parallel_mean_round_ns"], 1e6)),
+        ("sphinx3 run (ms)", _per(r["sphinx3_mean_run_ns"], 1e6)),
+        ("stream bandwidth (GB/s)", _per(r["stream_bandwidth_Bps"], 1e9)),
+        ("bonnie++ throughput (MB/s)", _per(r["bonnie_throughput_Bps"], 1e6)),
+        ("ping RTT (ms)", _per(r["ping_mean_rtt_ns"], 1e6)),
     ]
     title = f"Mixed tenancy — {args.scheduler}"
     if args.np_slice is not None:
@@ -360,7 +344,7 @@ def _cmd_typeb(args) -> int:
         return 1
     r = results[0].value
     rows = [
-        (vc["vc"], vc["app"], vc["n_vms"], vc["rounds"], vc["mean_round_ns"] / 1e6)
+        (vc["vc"], vc["app"], vc["n_vms"], vc["rounds"], _per(vc["mean_round_ns"], 1e6))
         for vc in r["vcs"]
     ]
     print(
@@ -382,7 +366,7 @@ def _print_tables(grid, results) -> None:
 def _cmd_run(args) -> int:
     grid = GRIDS[args.grid]
     try:
-        specs = grid.cells(**grid_settings(grid, args.sets))
+        specs = grid_cells(grid, args.sets)
     except ValueError as exc:
         print(f"repro run: {args.grid}: {exc}; settable keys: {', '.join(settable(grid))}",
               file=sys.stderr)
@@ -426,11 +410,11 @@ def _cmd_probe(args) -> int:
                               n_probes=args.probes, seed=args.seed,
                               sanitize=args.sanitize)
     rows = [
-        ("netback tx wait", r["mean_netback_tx_wait_ns"] / 1e3),
-        ("wire", r["mean_wire_ns"] / 1e3),
-        ("netback rx wait", r["mean_netback_rx_wait_ns"] / 1e3),
-        ("guest consume wait", r["mean_consume_wait_ns"] / 1e3),
-        ("end to end", r["mean_end_to_end_ns"] / 1e3),
+        ("netback tx wait", _per(r["mean_netback_tx_wait_ns"], 1e3)),
+        ("wire", _per(r["mean_wire_ns"], 1e3)),
+        ("netback rx wait", _per(r["mean_netback_rx_wait_ns"], 1e3)),
+        ("guest consume wait", _per(r["mean_consume_wait_ns"], 1e3)),
+        ("end to end", _per(r["mean_end_to_end_ns"], 1e3)),
     ]
     print(
         format_table(
@@ -470,60 +454,6 @@ def _cmd_trace(args) -> int:
     )
     print(f"JSON-lines : {jsonl_path}")
     print(f"trace_event: {chrome_path}  (open in Perfetto / chrome://tracing)")
-    return 0
-
-
-def _cmd_perf(args) -> int:
-    from repro.obs import perfsuite
-
-    names = None if args.cases is None else args.cases.split(",")
-    try:
-        results = perfsuite.run_suite(names, quick=args.quick)
-    except KeyError as exc:
-        print(f"repro perf: {exc.args[0]}", file=sys.stderr)
-        return 2
-    rows = [
-        (r["name"], r["events"], f"{r['events_per_sec']:,.0f}", r["wall_s"],
-         r["max_heap_depth"], f"{r['cancel_waste_ratio']:.3f}")
-        for r in results
-    ]
-    print(
-        format_table(
-            ["case", "events", "events/sec", "wall (s)", "max heap", "cancel waste"],
-            rows,
-            title="Simulator self-profile" + (" (quick)" if args.quick else ""),
-        )
-    )
-    for r in results:
-        cat_rows = [
-            (cat, c["calls"], c["wall_s"] * 1e3)
-            for cat, c in sorted(
-                r["categories"].items(), key=lambda kv: -kv[1]["wall_s"]
-            )
-        ]
-        print()
-        print(
-            format_table(
-                ["category", "calls", "wall (ms)"],
-                cat_rows,
-                title=f"{r['name']} — per-category callback attribution",
-            )
-        )
-    paths = perfsuite.write_results(results, args.out)
-    print()
-    for p in paths:
-        print(f"wrote {p}")
-    if args.write_baseline:
-        print(f"wrote {perfsuite.write_baseline(results, args.write_baseline)}")
-    if args.history:
-        print(f"appended {perfsuite.append_history(results, args.history, label=args.label)}")
-    if args.check:
-        failures = perfsuite.check_baseline(results, args.check, tolerance=args.tolerance)
-        if failures:
-            for f in failures:
-                print(f"PERF REGRESSION: {f}", file=sys.stderr)
-            return 1
-        print(f"perf check vs {args.check}: ok")
     return 0
 
 
@@ -609,7 +539,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "check": _cmd_check,
         "probe": _cmd_probe,
         "trace": _cmd_trace,
-        "perf": _cmd_perf,
         "lint": _cmd_lint,
         "races": _cmd_races,
     }

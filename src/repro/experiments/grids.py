@@ -40,6 +40,7 @@ __all__ = [
     "attack_metrics",
     "attack_recovered",
     "fault_dicts",
+    "grid_cells",
     "grid_settings",
     "load_results",
     "repeat_diff",
@@ -76,8 +77,8 @@ def _ratio(value: Optional[float], base: Optional[float]) -> float:
     return value / base if base and value is not None else math.nan
 
 
-def _ms(ns: float) -> float:
-    return ns / 1e6
+def _ms(ns: Optional[float]) -> Optional[float]:
+    return None if ns is None else ns / 1e6
 
 
 def _failed(where: str, *claims: tuple[bool, str]) -> list[str]:
@@ -302,7 +303,7 @@ def dfrs_claims(results: Sequence[RunResult]) -> list[str]:
 # ----------------------------------------------------------------------
 def serve_cells(admissions: Sequence[str] = ("fcfs-queue",), **params) -> list[RunSpec]:
     return [
-        RunSpec("service", dict(admission=a, **params), label=f"serve:{a}")
+        RunSpec("service", dict(params, admission=a), label=f"serve:{a}")
         for a in admissions
     ]
 
@@ -366,7 +367,7 @@ def serve_claims(results: Sequence[RunResult]) -> list[str]:
 def attack_cells(schedulers: Sequence[str] = ("CR", "ATC"), prefix: str = "attack",
                  **params) -> list[RunSpec]:
     return [
-        RunSpec("attack", dict(scheduler=sched, hardened=hardened, attack=attack, **params),
+        RunSpec("attack", dict(params, scheduler=sched, hardened=hardened, attack=attack),
                 label="{}:{}:{}:{}".format(prefix, sched, "hard" if hardened else "open",
                                            "atk" if attack else "clean"))
         for sched in schedulers
@@ -578,7 +579,7 @@ def kernels_claims(results: Sequence[RunResult]) -> list[str]:
 
 def placement_cells(**params) -> list[RunSpec]:
     return [s for p in PLACEMENTS for s in type_a_cells(f"placement:{p}", ("CR", "ATC"),
-                                                        placement=p, seed=5, **params)]
+                                                        **{**params, "placement": p, "seed": 5})]
 
 
 def _placements(results: Sequence[RunResult]) -> list[dict[tuple, float]]:
@@ -629,7 +630,7 @@ def _sweeps(results: Sequence[RunResult]) -> list[tuple[str, list[dict]]]:
 
 
 def _series(rows: list[dict], key: str, scale: float = 1.0) -> list[float]:
-    return [row[key] / scale for row in rows]
+    return [_ratio(row[key], scale) for row in rows]
 
 
 def sweep_table(results: Sequence[RunResult]) -> Table:
@@ -698,7 +699,7 @@ def _euclid(results: Sequence[RunResult]) -> tuple[list[float], Optional[int], d
             for row in rows:
                 study.record(app, ns_from_ms(row["slice_ms"]), row["mean_round_ns"])
         return (slices, *study.solve())
-    except ValueError:
+    except (ValueError, TypeError):  # a cell without a measured round
         return slices, None, {}
 
 
@@ -757,8 +758,9 @@ def fig02_claims(results: Sequence[RunResult]) -> list[str]:
 
 
 def _fig09_sweeps(results: Sequence[RunResult]) -> list[list[tuple]]:
-    return [[(sm, _ms(r.value["sphinx3_mean_run_ns"]), _ms(r.value["ping_mean_rtt_ns"]),
-              r.value["stream_bandwidth_Bps"] / 1e9) for (sm,), r in g.items()]
+    return [[(sm, _ratio(r.value["sphinx3_mean_run_ns"], 1e6),
+              _ratio(r.value["ping_mean_rtt_ns"], 1e6),
+              _ratio(r.value["stream_bandwidth_Bps"], 1e9)) for (sm,), r in g.items()]
             for g in _groups(results, "uniform_slice_ms")]
 
 
@@ -824,7 +826,7 @@ def fig11_claims(results: Sequence[RunResult]) -> list[str]:
 
 
 def _mean_parallel(v: dict) -> float:
-    vals = [vc["mean_round_ns"] for vc in v["vcs"] if math.isfinite(vc["mean_round_ns"])]
+    vals = [vc["mean_round_ns"] for vc in v["vcs"] if vc["mean_round_ns"] is not None]
     return sum(vals) / len(vals) if vals else math.nan
 
 
@@ -966,17 +968,22 @@ def fault_dicts(spec: str, values: dict, *fns: Callable) -> Optional[list]:
     """A ``--faults`` spec (:func:`~repro.faults.plan.parse_fault_spec`)
     as scenario params, drawn against the cells' ``n_nodes`` and
     ``horizon_s``: given in ``values``, else the first default declared by
-    ``fns`` (cells, then scenario builder), ``_world`` or :class:`WorldConfig`."""
+    ``fns`` (cells, then scenario builder), ``_world`` or :class:`WorldConfig`.
+    :class:`ValueError` for a malformed or unreadable plan."""
     declared = _declared(*fns, _world, WorldConfig)
     n_nodes, horizon_s = (values.get(k, declared[k][1]) for k in ("n_nodes", "horizon_s"))
-    plan = parse_fault_spec(spec, n_nodes, round(horizon_s * SEC))
+    try:
+        plan = parse_fault_spec(spec, n_nodes, round(horizon_s * SEC))
+    except (TypeError, KeyError, OSError) as exc:
+        raise ValueError(f"bad fault plan: {exc}") from None
     return plan.to_dicts() if plan else None
 
 
 def _typed(text: str, hint):
     """One ``--set`` value by its annotation: a scalar as itself, ``none``
-    for an Optional, a comma list for a sequence of scalars, and any other
-    config as inline JSON or the contents of a JSON file."""
+    for an Optional, a comma list for a sequence of scalars, a dict or
+    list as inline JSON or the contents of a JSON file.  A config class
+    such as :class:`~repro.schedulers.base.SchedulerParams` has no form."""
     args = [a for a in get_args(hint) if a is not type(None)]
     if get_origin(hint) is Union:
         return None if text == "none" else _typed(text, args[0])
@@ -987,8 +994,25 @@ def _typed(text: str, hint):
     if get_origin(hint) is AbcSequence and (
             args[0] in (bool, int, float, str) or get_origin(args[0]) is Union):
         return [_typed(part, args[0]) for part in text.split(",")]
+    if isinstance(hint, type) and hint not in (dict, list):
+        raise ValueError(f"{hint.__name__} has no --set form")
     return json.loads(text if text.lstrip()[:1] in ("[", "{")
                       else Path(text).read_text(encoding="utf-8"))
+
+
+def grid_cells(grid: Grid, pairs: Sequence[str]) -> list[RunSpec]:
+    """``grid.cells()`` under ``KEY=VALUE`` strings (:func:`grid_settings`);
+    :class:`ValueError` also for a key that is not a ``cells()`` parameter
+    and whose value does not reach every cell's params unchanged, because
+    the grid sets that key itself."""
+    settings = grid_settings(grid, pairs)
+    specs = grid.cells(**settings)
+    own = inspect.signature(grid.cells).parameters
+    fixed = [k for k, v in settings.items() if k not in own
+             and any(k not in s.params or s.params[k] != v for s in specs)]
+    if fixed:
+        raise ValueError(f"key {fixed[0]!r} is set by the grid itself")
+    return specs
 
 
 def grid_settings(grid: Grid, pairs: Sequence[str]) -> dict:

@@ -865,10 +865,9 @@ def run_attack(
         "hardened": hardened,
         "attack": attack,
         "victim_app": victim_app,
-        # None (undefined, like a censored gain) when no round/run completed.
-        "victim_mean_round_ns": victim.mean_round_ns if victim.round_times else None,
+        "victim_mean_round_ns": victim.mean_round_ns,
         "victim_rounds": len(victim.round_times),
-        "np_mean_run_ns": np_app.mean_run_ns if np_app.run_times else None,
+        "np_mean_run_ns": np_app.mean_run_ns,
         "victim_boost_preempts_suffered": sum(
             vm.boost_preempts_suffered for vm in victim_vms
         ),

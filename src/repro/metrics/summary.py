@@ -10,15 +10,16 @@ coefficients are larger than 0.9").
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 __all__ = ["mean", "normalized", "normalize_map", "pearson", "geomean"]
 
 
-def mean(xs: Sequence[float]) -> float:
-    """Arithmetic mean; NaN for empty input."""
-    if not xs:
-        return float("nan")
+def mean(xs: Sequence[Optional[float]]) -> Optional[float]:
+    """Arithmetic mean; ``None`` (no sample) for empty input or when any
+    element is ``None``."""
+    if not xs or None in xs:
+        return None
     return sum(xs) / len(xs)
 
 

@@ -14,8 +14,8 @@ state (an observed run is bit-identical to an unobserved one):
 * :mod:`repro.obs.profiler` — a wall-clock profiler for the simulator
   itself: events/sec, per-category callback time (keyed off the ``cat``
   tag of :meth:`repro.sim.engine.Simulator.at`), heap depth, and
-  cancelled-event waste.  :mod:`repro.obs.perfsuite` turns it into the
-  ``BENCH_perf_*.json`` micro-suite that CI tracks.
+  cancelled-event waste.  ``profile=True`` runs and the end-to-end
+  benchmark's per-category split (``benchmarks/e2e``) read it.
 """
 
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry

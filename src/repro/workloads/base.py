@@ -233,10 +233,11 @@ class ParallelApp:
 
     # ------------------------------------------------------------------
     @property
-    def mean_round_ns(self) -> float:
-        """Mean measured round time (the paper's 'execution time')."""
+    def mean_round_ns(self) -> Optional[float]:
+        """Mean measured round time (the paper's 'execution time');
+        ``None`` before the first measured round."""
         if not self.round_times:
-            return float("nan")
+            return None
         return sum(self.round_times) / len(self.round_times)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -103,9 +103,9 @@ class CpuApp:
         self.proc.start()
 
     @property
-    def mean_run_ns(self) -> float:
+    def mean_run_ns(self) -> Optional[float]:
         if not self.run_times:
-            return float("nan")
+            return None
         return sum(self.run_times) / len(self.run_times)
 
     def results(self) -> dict:
@@ -130,10 +130,10 @@ class StreamApp(CpuApp):
         self.name = f"stream@{vm.name}"
 
     @property
-    def bandwidth_Bps(self) -> float:
+    def bandwidth_Bps(self) -> Optional[float]:
         m = self.mean_run_ns
-        if m != m:  # NaN
-            return float("nan")
+        if m is None:
+            return None
         return self.PASS_BYTES / s_from_ns(m)
 
     def results(self) -> dict:
@@ -172,9 +172,9 @@ class BonnieApp:
         self.proc.start()
 
     @property
-    def throughput_Bps(self) -> float:
+    def throughput_Bps(self) -> Optional[float]:
         if not self.pass_times:
-            return float("nan")
+            return None
         mean = sum(self.pass_times) / len(self.pass_times)
         return self.REQ_BYTES * self.REQS_PER_PASS / s_from_ns(mean)
 
@@ -230,9 +230,9 @@ class PingApp:
         self.proc.start()
 
     @property
-    def mean_rtt_ns(self) -> float:
+    def mean_rtt_ns(self) -> Optional[float]:
         if not self.rtts:
-            return float("nan")
+            return None
         return sum(self.rtts) / len(self.rtts)
 
     def results(self) -> dict:
@@ -296,9 +296,9 @@ class WebServerApp:
         self.client.start()
 
     @property
-    def mean_response_ns(self) -> float:
+    def mean_response_ns(self) -> Optional[float]:
         if not self.response_times:
-            return float("nan")
+            return None
         return sum(self.response_times) / len(self.response_times)
 
     def results(self) -> dict:

@@ -168,6 +168,40 @@ def test_run_rejects_bad_settings_before_any_cell(sets, why, capsys, monkeypatch
     assert "settable keys: app_name, " in err and "Traceback" not in err
 
 
+def test_run_rejects_a_key_the_grid_sets_itself(capsys, monkeypatch):
+    """compare's scheduler axis would silently replace ``scheduler=ATC``."""
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("a cell ran"))
+    assert main(_run("compare", "scheduler=ATC", "apps=is")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro run: compare: key 'scheduler' is set by the grid itself")
+    assert "settable keys: " in err and err.count("\n") == 1
+
+
+def test_run_rejects_a_config_class_value(capsys, monkeypatch):
+    """A JSON dict cannot stand in for SchedulerParams; fail before any cell."""
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("a cell ran"))
+    assert main(_run("kernels", 'sched_params={"slice_ns": 1000000}')) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro run: kernels: bad value for sched_params: "
+                          "SchedulerParams has no --set form")
+    assert "settable keys: " in err and err.count("\n") == 1
+
+
+def test_typea_rejects_a_malformed_fault_plan(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("a cell ran"))
+    plan = json.dumps([{"t_ns": 1000, "kind": "node_crash", "node": 0}])
+    assert main(["typea", "--faults", plan]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro typea: bad --faults: ") and "t_ns" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_single_cell_verbs_print_a_metric_with_no_sample_as_n_a(capsys):
+    assert main(["mix", "--horizon", "0.005", "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("| n/a") == 5
+
+
 @pytest.fixture(scope="module")
 def dfrs_export(tmp_path_factory):
     path = tmp_path_factory.mktemp("dfrs") / "dfrs.json"

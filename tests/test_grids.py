@@ -8,6 +8,7 @@ import math
 import pytest
 
 from repro.experiments.grids import GRIDS, attack_metrics, attack_recovered
+from repro.experiments.reporting import format_table
 from repro.experiments.runner import RunResult
 
 ATTACK = GRIDS["attack"]
@@ -129,6 +130,26 @@ def test_figure_claims_fail_on_nan_metrics(name):
     grid = GRIDS[name]
     results = _results(name, NAN_VALUES[grid.scenario], **FIGURES[name])
     grid.table(results)
+    failures = grid.claims(results)
+    assert failures and all(f.startswith(name) for f in failures), failures
+
+
+#: A metric with no sample is None (no round, run or packet measured).
+NONE_VALUES = {
+    "type_a": lambda s: {"mean_round_ns": None, "all_done": True},
+    "slice_sweep": lambda s: _sweep_row(s, None, None),
+    "small_mix": lambda s: dict.fromkeys(MIX_KEYS, None),
+    "type_b": lambda s: {"vcs": _vcs(None)},
+    "type_b_mixed": lambda s: {"vcs": _vcs(None), **dict.fromkeys(MIXED_KEYS, None)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIGURES))
+def test_figure_claims_fail_on_metrics_without_a_sample(name):
+    grid = GRIDS[name]
+    results = _results(name, NONE_VALUES[grid.scenario], **FIGURES[name])
+    title, headers, rows = grid.table(results)
+    format_table(headers, rows, title=title)
     failures = grid.claims(results)
     assert failures and all(f.startswith(name) for f in failures), failures
 

@@ -53,7 +53,7 @@ def test_stream_bandwidth_nan_before_any_pass():
     sim, cluster, vmms = make_node_world(n_pcpus=2)
     vm = add_guest_vm(vmms[0], 1)
     app = StreamApp(sim, vm, SimRNG(0))
-    assert app.bandwidth_Bps != app.bandwidth_Bps  # NaN
+    assert app.bandwidth_Bps is None  # no sample: undefined, not NaN
 
 
 def test_bonnie_throughput_bounded_by_disk():

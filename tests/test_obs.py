@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profiler import SimProfiler
-from repro.obs import perfsuite
 from repro.obs import trace as obstrace
 from repro.obs.trace import TraceLog, chrome_events, records_from_dicts
 from repro.sim.engine import Simulator, simulator_hook
@@ -300,53 +299,3 @@ def test_simulator_hook_chains_in_order_and_restores():
     assert engine_mod.on_simulator_created is before
     assert Simulator().profiler is None
     assert len(calls) == 4
-
-
-# ----------------------------------------------------------------------
-# Perf suite plumbing (no simulation: synthetic results)
-# ----------------------------------------------------------------------
-def _fake_result(name, eps):
-    return {"name": name, "events": 100, "events_per_sec": eps, "wall_s": 1.0,
-            "callback_s": 0.5, "categories": {}, "max_heap_depth": 1,
-            "cancelled_popped": 0, "cancel_waste_ratio": 0.0}
-
-
-def test_check_baseline_passes_within_tolerance(tmp_path):
-    results = [_fake_result("engine", 80_000)]
-    base = tmp_path / "baseline.json"
-    perfsuite.write_baseline([_fake_result("engine", 100_000)], base)
-    assert perfsuite.check_baseline(results, base, tolerance=0.30) == []
-
-
-def test_check_baseline_fails_on_regression(tmp_path):
-    results = [_fake_result("engine", 60_000)]
-    base = tmp_path / "baseline.json"
-    perfsuite.write_baseline([_fake_result("engine", 100_000)], base)
-    failures = perfsuite.check_baseline(results, base, tolerance=0.30)
-    assert len(failures) == 1
-    assert "engine" in failures[0]
-
-
-def test_check_baseline_reports_missing_case(tmp_path):
-    base = tmp_path / "baseline.json"
-    perfsuite.write_baseline([_fake_result("engine", 100_000)], base)
-    failures = perfsuite.check_baseline([_fake_result("newcase", 1.0)], base)
-    assert any("newcase" in f for f in failures)
-
-
-def test_write_results_emits_bench_files(tmp_path):
-    paths = perfsuite.write_results([_fake_result("engine", 1.0)], tmp_path)
-    assert [p.name for p in paths] == ["BENCH_perf_engine.json"]
-    doc = json.loads(paths[0].read_text())
-    assert doc["name"] == "engine" and doc["events_per_sec"] == 1.0
-
-
-def test_run_suite_rejects_unknown_case():
-    with pytest.raises(KeyError):
-        perfsuite.run_suite(["nope"])
-
-
-def test_checked_in_baseline_covers_all_cases():
-    doc = json.loads(open("benchmarks/perf/baseline.json").read())
-    assert doc["version"] == perfsuite.BASELINE_VERSION
-    assert set(doc["cases"]) == set(perfsuite.CASES)

@@ -1,5 +1,5 @@
 """Integration tests for the observability layer: engine hooks, bit-identity,
-cache-key folding, and the ``repro trace`` / ``repro perf`` CLI verbs."""
+cache-key folding, and the ``repro trace`` CLI verb."""
 
 from __future__ import annotations
 
@@ -121,39 +121,3 @@ def test_trace_command(tmp_path, capsys):
     doc = json.loads((tmp_path / "tr.trace.json").read_text())
     phases = {e["ph"] for e in doc["traceEvents"]}
     assert {"B", "E", "M"} <= phases
-
-
-def test_perf_command_quick(tmp_path, capsys):
-    out_dir = tmp_path / "perf"
-    rc = main(["perf", "--quick", "--cases", "engine", "--out", str(out_dir)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "events/sec" in out or "events per sec" in out
-    doc = json.loads((out_dir / "BENCH_perf_engine.json").read_text())
-    assert doc["events_per_sec"] > 0 and doc["events"] > 0
-
-
-def test_perf_command_check_failure(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({
-        "version": 1,
-        "cases": {"engine": {"events_per_sec": 1e15}},
-    }))
-    rc = main(["perf", "--quick", "--cases", "engine",
-               "--out", str(tmp_path / "out"), "--check", str(baseline)])
-    assert rc == 1
-    assert "PERF REGRESSION" in capsys.readouterr().err
-
-
-def test_perf_command_write_baseline(tmp_path):
-    base = tmp_path / "base.json"
-    rc = main(["perf", "--quick", "--cases", "engine",
-               "--out", str(tmp_path / "out"), "--write-baseline", str(base)])
-    assert rc == 0
-    doc = json.loads(base.read_text())
-    assert doc["version"] == 1 and "engine" in doc["cases"]
-
-
-def test_perf_command_unknown_case(tmp_path, capsys):
-    rc = main(["perf", "--quick", "--cases", "bogus", "--out", str(tmp_path)])
-    assert rc == 2

@@ -82,6 +82,29 @@ def test_small_mix_returns_all_metrics():
     assert r["ping_samples"] > 0
 
 
+def _nonfinite(value, path="result"):
+    """Paths of every NaN/inf float nested in ``value``."""
+    if isinstance(value, float):
+        return [] if math.isfinite(value) else [path]
+    if isinstance(value, dict):
+        return [m for k, v in value.items() for m in _nonfinite(v, f"{path}.{k}")]
+    if isinstance(value, (list, tuple)):
+        return [m for i, v in enumerate(value) for m in _nonfinite(v, f"{path}[{i}]")]
+    return []
+
+
+def test_a_metric_with_no_sample_is_none_not_nan():
+    """A horizon too short for any round, run or packet leaves every
+    mean undefined: None, never NaN."""
+    a = run_type_a("lu", "ATC", n_nodes=2, horizon_s=0.005)
+    mix = run_small_mix("ATC", horizon_s=0.005)
+    assert _nonfinite(a) == [] and _nonfinite(mix) == []
+    assert a["mean_round_ns"] is None
+    assert all(mix[k] is None for k in (
+        "parallel_mean_round_ns", "sphinx3_mean_run_ns", "stream_bandwidth_Bps",
+        "bonnie_throughput_Bps", "ping_mean_rtt_ns"))
+
+
 def test_small_mix_uniform_slice_mode():
     r = run_small_mix("CR", horizon_s=1.0, uniform_slice_ms=6.0)
     assert r["uniform_slice_ms"] == 6.0

@@ -200,7 +200,8 @@ def test_virtual_cluster_accessors(single_node):
 # ----------------------------------------------------------------------
 def test_mean_and_empty():
     assert mean([1, 2, 3]) == 2
-    assert math.isnan(mean([]))
+    assert mean([]) is None  # no sample: undefined, not NaN
+    assert mean([1.0, None]) is None
 
 
 def test_geomean():

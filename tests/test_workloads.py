@@ -206,4 +206,4 @@ def test_mean_round_nan_without_rounds():
     sim, cluster, vmms = make_node_world(n_pcpus=2)
     vm = add_guest_vm(vmms[0], 2, is_parallel=True)
     app = ParallelApp(sim, tiny_spec(), [vm], SimRNG(0), rounds=1)
-    assert app.mean_round_ns != app.mean_round_ns  # NaN
+    assert app.mean_round_ns is None  # no sample: undefined, not NaN
