@@ -12,23 +12,23 @@ Run:  python examples/adaptive_timeslice_study.py [app]
 
 import sys
 
-from repro.experiments import CloudWorld, WorldConfig, format_table, run_slice_sweep
+from repro.experiments import CloudWorld, WorldConfig, format_table, run_type_a
 from repro.metrics.summary import pearson
 from repro.schedulers.atc_sched import ATCParams
 from repro.sim.units import SEC, ms_from_ns
 
 
 def static_sweep(app: str) -> None:
-    result = run_slice_sweep(app, [30, 12, 6, 1, 0.3], rounds=2, warmup_rounds=1)
-    rows = [
-        (
-            row["slice_ms"],
-            round(row["mean_round_ns"] / 1e6, 1),
-            round(row["avg_spin_ns"] / 1e6, 3),
-            row["context_switches"],
-        )
-        for row in result["rows"]
-    ]
+    rows = []
+    for slice_ms in (30, 12, 6, 1, 0.3):
+        cell = run_type_a(app, "CR", n_nodes=2, rounds=2, warmup_rounds=1,
+                          uniform_slice_ms=slice_ms)
+        rows.append((
+            slice_ms,
+            round(cell["mean_round_ns"] / 1e6, 1),
+            round(cell["avg_spin_ns"] / 1e6, 3),
+            cell["cluster"]["context_switches"],
+        ))
     print(
         format_table(
             ["slice (ms)", "round (ms)", "spin latency (ms)", "ctx switches"],

@@ -23,7 +23,7 @@ __all__ = ["SpinLatencyMonitor"]
 class SpinLatencyMonitor:
     """Per-node monitor: VM → rolling Algorithm-1 history."""
 
-    __slots__ = ("cfg", "states", "series", "_queue_wait_seen")
+    __slots__ = ("cfg", "states", "series")
 
     def __init__(self, cfg: ATCConfig) -> None:
         self.cfg = cfg
@@ -31,8 +31,6 @@ class SpinLatencyMonitor:
         #: Optional recorded (time, vm name, avg latency, slice) tuples for
         #: experiment reporting; populated when ``record_series`` is used.
         self.series: list[tuple[int, str, float, int]] = []
-        #: vmid -> the VM's queue-wait ledger ``(ns, count)`` at our last read.
-        self._queue_wait_seen: dict[int, tuple[int, int]] = {}
 
     def state_for(self, vm: "VM") -> ATCVmState:
         st = self.states.get(vm.vmid)
@@ -46,11 +44,12 @@ class SpinLatencyMonitor:
 
         ``monitor_mode="guest"`` drains the in-kernel spinlock tracing (the
         paper's intrusive method); ``"queuewait"`` reads the growth of the
-        VMM's run-queue-wait ledger (the non-intrusive future-work variant).
+        VMM's run-queue-wait ledger since ``vm.queue_wait_read`` (the
+        non-intrusive future-work variant).
         """
         if self.cfg.monitor_mode == "queuewait":
-            seen_ns, seen_n = self._queue_wait_seen.get(vm.vmid, (0, 0))
-            self._queue_wait_seen[vm.vmid] = cur = (vm.total_queue_wait_ns, vm.total_queue_waits)
+            seen_ns, seen_n = vm.queue_wait_read
+            vm.queue_wait_read = cur = (vm.total_queue_wait_ns, vm.total_queue_waits)
             total_ns, count = cur[0] - seen_ns, cur[1] - seen_n
         else:
             total_ns, count = vm.kernel.drain_period_spin() if vm.kernel else (0, 0)

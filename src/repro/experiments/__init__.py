@@ -12,7 +12,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scenarios import (
     run_packet_path_probe,
-    run_slice_sweep,
     run_small_mix,
     run_type_a,
     run_type_b,
@@ -32,7 +31,6 @@ __all__ = [
     "to_csv",
     "to_markdown",
     "run_packet_path_probe",
-    "run_slice_sweep",
     "run_small_mix",
     "run_type_a",
     "run_type_b",

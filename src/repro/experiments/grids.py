@@ -30,7 +30,7 @@ from repro.experiments.runner import SCENARIOS, RunResult, RunSpec
 from repro.experiments.scenarios import _world
 from repro.faults.plan import parse_fault_spec
 from repro.metrics.summary import pearson
-from repro.sim.units import SEC, ns_from_ms
+from repro.sim.units import MSEC, SEC, ns_from_ms
 
 __all__ = [
     "Grid",
@@ -612,20 +612,27 @@ def placement_claims(results: Sequence[RunResult]) -> list[str]:
 
 # ---- static slice sweeps under CR (Figs. 5, 8, Eq. 1)
 def slice_cells(prefix: str, slices: Sequence[float] = (30.0, 12.0, 6.0, 1.0, 0.3),
-                apps: Sequence[str] = ("lu",), **params) -> list[RunSpec]:
-    """One slice-sweep cell, and so one world, per (app, slice)."""
-    return [RunSpec("slice_sweep", {"rounds": 2, "warmup_rounds": 1, **params, "app_name": app,
-                                    "slice_ms_values": [sm]}, label=f"{prefix}:{app}@{sm}ms")
+                apps: Sequence[str] = ("lu",), n_nodes: int = 2, npb_class: str = "B",
+                **params) -> list[RunSpec]:
+    """One CR type-A cell at a uniform slice, and so one world, per (app, slice)."""
+    return [RunSpec("type_a", {"rounds": 2, "warmup_rounds": 1, **params, "app_name": app,
+                               "scheduler": "CR", "n_nodes": n_nodes, "npb_class": npb_class,
+                               "uniform_slice_ms": sm}, label=f"{prefix}:{app}@{sm}ms")
             for app in apps for sm in slices]
 
 
 def _sweeps(results: Sequence[RunResult]) -> list[tuple[str, list[dict]]]:
     """The per-slice cells joined into one sweep per group: its app and
-    its rows in cell order."""
+    one row per cell in cell order, with the cluster rollup's LLC misses
+    and context switches and the misses per busy millisecond."""
     sweeps: dict[str, tuple[str, list[dict]]] = {}
     for r in results:
-        sweeps.setdefault(_rest(r, ("slice_ms_values",)),
-                          (r.spec.params["app_name"], []))[1].extend(r.value["rows"])
+        p, v, c = r.spec.params, r.value, r.value["cluster"]
+        row = {"slice_ms": p["uniform_slice_ms"], "mean_round_ns": v["mean_round_ns"],
+               "avg_spin_ns": v["avg_spin_ns"], "llc_misses": c["llc_misses"],
+               "miss_rate_per_ms": c["llc_misses"] / (max(1, c["busy_ns"]) / MSEC),
+               "context_switches": c["context_switches"]}
+        sweeps.setdefault(_rest(r, ("uniform_slice_ms",)), (p["app_name"], []))[1].append(row)
     return list(sweeps.values())
 
 
@@ -634,7 +641,7 @@ def _series(rows: list[dict], key: str, scale: float = 1.0) -> list[float]:
 
 
 def sweep_table(results: Sequence[RunResult]) -> Table:
-    classes = "/".join(dict.fromkeys(str(r.value.get("npb_class", "?")) for r in results))
+    classes = "/".join(dict.fromkeys(str(r.spec.params["npb_class"]) for r in results))
     return (f"Slice sweep (Figure 5), class {classes} — execution time and spinlock latency "
             "vs slice under CR",
             ["app", "slice (ms)", "exec time (ms)", "avg spin latency (ms)", "ctx switches",
@@ -910,11 +917,11 @@ GRIDS = {
              fig01_table, fig01_claims),
         Grid("fig02", "small_mix", partial(mix_cells, prefix="fig02", schedulers=("CR", "CS")),
              fig02_table, fig02_claims),
-        Grid("sweep", "slice_sweep", partial(slice_cells, prefix="sweep"),
+        Grid("sweep", "type_a", partial(slice_cells, prefix="sweep"),
              sweep_table, sweep_claims),
-        Grid("fig08", "slice_sweep", partial(slice_cells, prefix="fig08", npb_class="C"),
+        Grid("fig08", "type_a", partial(slice_cells, prefix="fig08", npb_class="C"),
              fig08_table, fig08_claims),
-        Grid("eq1", "slice_sweep", partial(slice_cells, prefix="eq1", npb_class="C"),
+        Grid("eq1", "type_a", partial(slice_cells, prefix="eq1", npb_class="C"),
              eq1_table, eq1_claims),
         Grid("fig09", "small_mix", partial(mix_cells, prefix="fig09"), fig09_table, fig09_claims),
         Grid("compare", "type_a", partial(type_a_cells, prefix="compare", schedulers=TYPE_A_SCHEDS),
@@ -952,16 +959,39 @@ def _declared(*fns: Callable) -> dict[str, tuple]:
     return keys
 
 
-def settable(grid: Grid) -> dict[str, object]:
-    """``repro run``'s keys for ``grid`` and their first annotations:
+def _has_form(hint) -> bool:
+    """Whether ``--set`` can spell a value of ``hint``: a config class such
+    as :class:`~repro.schedulers.base.SchedulerParams` has no form."""
+    if get_origin(hint) is Union:
+        hint = next(a for a in get_args(hint) if a is not type(None))
+    return not isinstance(hint, type) or hint in (bool, int, float, str, dict, list)
+
+
+def _keys(grid: Grid) -> dict[str, object]:
+    """Every key ``--set`` may name on ``grid`` and its first annotation:
     those its ``cells()`` or scenario builder declares, and the world
     options builders forward (:class:`WorldConfig` fields and ``_world``'s
-    config dicts, less the positionals each builder passes itself)."""
+    config dicts, less the positionals each builder passes itself and the
+    config classes)."""
     own = (grid.cells, SCENARIOS[grid.scenario])
     fixed = {k for k, (_, d) in _declared(_world).items()
              if d is inspect.Parameter.empty} - set(_declared(*own))
     return {k: hint for k, (hint, _) in sorted(_declared(*own, _world, WorldConfig).items())
-            if k not in fixed}
+            if k not in fixed and _has_form(hint)}
+
+
+def settable(grid: Grid) -> dict[str, object]:
+    """:func:`_keys` less those ``grid.cells()`` writes itself (such as
+    ``compare``'s ``scheduler``): a probe passed for each of them does not
+    reach every cell's params unchanged.  ``repro run`` lists these."""
+    own = inspect.signature(grid.cells).parameters
+    keys = _keys(grid)
+    probe = "\0probe"
+    specs = grid.cells(**{k: probe for k in keys if k not in own},
+                       **{k: probe for k, p in own.items()
+                          if p.default is p.empty and p.kind is not p.VAR_KEYWORD})
+    return {k: hint for k, hint in keys.items()
+            if k in own or all(s.params.get(k) == probe for s in specs)}
 
 
 def fault_dicts(spec: str, values: dict, *fns: Callable) -> Optional[list]:
@@ -982,8 +1012,7 @@ def fault_dicts(spec: str, values: dict, *fns: Callable) -> Optional[list]:
 def _typed(text: str, hint):
     """One ``--set`` value by its annotation: a scalar as itself, ``none``
     for an Optional, a comma list for a sequence of scalars, a dict or
-    list as inline JSON or the contents of a JSON file.  A config class
-    such as :class:`~repro.schedulers.base.SchedulerParams` has no form."""
+    list as inline JSON or the contents of a JSON file."""
     args = [a for a in get_args(hint) if a is not type(None)]
     if get_origin(hint) is Union:
         return None if text == "none" else _typed(text, args[0])
@@ -994,8 +1023,6 @@ def _typed(text: str, hint):
     if get_origin(hint) is AbcSequence and (
             args[0] in (bool, int, float, str) or get_origin(args[0]) is Union):
         return [_typed(part, args[0]) for part in text.split(",")]
-    if isinstance(hint, type) and hint not in (dict, list):
-        raise ValueError(f"{hint.__name__} has no --set form")
     return json.loads(text if text.lstrip()[:1] in ("[", "{")
                       else Path(text).read_text(encoding="utf-8"))
 
@@ -1019,7 +1046,7 @@ def grid_settings(grid: Grid, pairs: Sequence[str]) -> dict:
     """``KEY=VALUE`` strings as typed ``grid.cells()`` keyword arguments;
     :class:`ValueError` for an unknown key, a malformed value or a missing
     required ``cells()`` argument."""
-    keys = settable(grid)
+    keys = _keys(grid)
     texts = dict(pair.partition("=")[::2] for pair in pairs)
     unknown = [k for k in texts if k not in keys]
     missing = [k for k, p in inspect.signature(grid.cells).parameters.items()

@@ -495,13 +495,5 @@ class CloudWorld:
             self.sanitizer.check()
 
     @property
-    def metrics(self):
-        """Live :class:`~repro.obs.registry.MetricsRegistry` for the whole
-        world (cluster / per-node / per-VM, callback gauges)."""
-        from repro.metrics.collectors import world_registry
-
-        return world_registry(self)
-
-    @property
     def all_apps_done(self) -> bool:
         return all(a.finished for a in self.apps)

@@ -11,7 +11,6 @@ from repro.metrics.summary import normalize_map
 __all__ = [
     "format_table",
     "format_normalized",
-    "format_metrics",
     "to_csv",
     "to_markdown",
 ]
@@ -48,28 +47,6 @@ def format_normalized(results: Mapping[str, float], baseline: str = "CR", title:
     """
     rows = list(normalize_map(results, baseline).items())
     return format_table(["approach", f"normalized vs {baseline}"], rows, title=title)
-
-
-def format_metrics(registry, prefix: str = "", title: str = "") -> str:
-    """Render a :class:`~repro.obs.registry.MetricsRegistry` snapshot (or a
-    snapshot dict) as a metric/value table.
-
-    Composite values (histogram dicts, nested node lists) are summarized by
-    their size rather than dumped inline; use the snapshot itself for the
-    full structure.
-    """
-    if hasattr(registry, "snapshot"):
-        snap = registry.snapshot(prefix)
-    else:
-        snap = {k: v for k, v in registry.items() if k.startswith(prefix)}
-    rows = []
-    for name, value in snap.items():
-        if isinstance(value, dict):
-            value = f"<{len(value)} fields>"
-        elif isinstance(value, list):
-            value = f"<{len(value)} entries>"
-        rows.append((name, value))
-    return format_table(["metric", "value"], rows, title=title)
 
 
 def to_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:

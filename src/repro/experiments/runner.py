@@ -67,7 +67,6 @@ __all__ = [
 #: callable out of the spec keeps specs picklable and content-hashable.
 SCENARIOS: dict[str, Callable[..., dict]] = {
     "type_a": scenarios.run_type_a,
-    "slice_sweep": scenarios.run_slice_sweep,
     "small_mix": scenarios.run_small_mix,
     "type_b": scenarios.run_type_b,
     "type_b_mixed": scenarios.run_type_b_mixed,

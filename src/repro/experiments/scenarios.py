@@ -10,9 +10,9 @@ Setups reproduced:
 
 * ``run_type_a`` — Section IV-B1 (Figs. 1, 10): N nodes, four identical
   virtual clusters of one VM per node, all running the same NPB kernel.
-* ``run_slice_sweep`` — Section II-B / III-B (Figs. 5, 8): the static
-  time-slice sweep under CR, returning execution time, average spinlock
-  latency, LLC misses and context switches per slice.
+  Under CR with ``uniform_slice_ms`` it is also one point of Section
+  II-B / III-B's static time-slice sweep (Figs. 5, 8): the cell's
+  ``cluster`` rollup carries its LLC misses and context switches.
 * ``run_small_mix`` — Section II-A2 (Figs. 2, 9): two nodes, three
   2-VM virtual clusters plus two non-parallel VMs running bonnie++,
   sphinx3, stream and ping.
@@ -69,7 +69,6 @@ from repro.workloads.traces import synthesize_vc_mix
 __all__ = [
     "run_type_a",
     "run_table1_cell",
-    "run_slice_sweep",
     "run_small_mix",
     "run_type_b",
     "run_type_b_mixed",
@@ -161,8 +160,8 @@ def run_type_a(
     """Evaluation type A (Figs. 1, 10): four identical virtual clusters,
     one VM per node each, all running ``app_name``.
 
-    ``uniform_slice_ms`` forces a static guest slice (CR sweeps and the
-    ``repro trace`` CLI).
+    ``uniform_slice_ms`` forces a static guest slice: under CR, one point
+    of the slice sweeps (Figs. 5, 8, Eq. 1), and the ``repro trace`` CLI.
     """
     world = _world(
         n_nodes, scheduler, seed, vcpus_per_vm=vcpus_per_vm,
@@ -250,64 +249,6 @@ def run_table1_cell(
         "sim_time_ns": world.sim.now,
         "events": world.sim.events_processed,
     }, world)
-
-
-def run_slice_sweep(
-    app_name: str,
-    slice_ms_values: Sequence[float],
-    n_nodes: int = 2,
-    rounds: int = 2,
-    warmup_rounds: int = 1,
-    n_vclusters: int = 4,
-    npb_class: str = "B",
-    seed: int = 0,
-    vcpus_per_vm: int = 8,
-    horizon_s: float = 300.0,
-    **world_opts,
-) -> dict:
-    """Static slice sweep under CR (Figs. 5 and 8).
-
-    Paper setup: two nodes, four VMs per node forming four identical
-    two-VM virtual clusters.  Returns per-slice execution time, average
-    spinlock latency, LLC misses and context switches.  World options
-    (a ``faults`` plan, tracing...) apply identically to every slice's
-    world, and each row carries that world's observability outputs.
-    """
-    rows = []
-    total_events = 0
-    for sm in slice_ms_values:
-        world = _world(
-            n_nodes, "CR", seed, uniform_slice_ns=ns_from_ms(sm),
-            vcpus_per_vm=vcpus_per_vm, **world_opts,
-        )
-        apps = []
-        for k in range(n_vclusters):
-            vc = world.virtual_cluster(n_vms=n_nodes, name=f"vc{k}")
-            apps.append(
-                world.add_npb(
-                    app_name, vc.vms, rounds=rounds, warmup_rounds=warmup_rounds, npb_class=npb_class
-                )
-            )
-        world.run(horizon_ns=round(horizon_s * SEC))
-        times = [t for a in apps for t in a.round_times]
-        stats = cluster_stats(world.cluster)
-        busy = max(1, stats["busy_ns"])
-        rows.append(
-            _attach_obs(
-                {
-                    "slice_ms": sm,
-                    "mean_round_ns": mean(times),
-                    "avg_spin_ns": mean([vm.kernel.avg_spin_ns for vm in world.vms]),
-                    "llc_misses": stats["llc_misses"],
-                    "miss_rate_per_ms": stats["llc_misses"] / (busy / MSEC),
-                    "context_switches": stats["context_switches"],
-                    "all_done": world.all_apps_done,
-                },
-                world,
-            )
-        )
-        total_events += world.sim.events_processed
-    return {"app": app_name, "npb_class": npb_class, "rows": rows, "events": total_events}
 
 
 def run_small_mix(

@@ -172,6 +172,7 @@ class VM:
         "total_io_events",
         "total_queue_wait_ns",
         "total_queue_waits",
+        "queue_wait_read",
         "period_run_ns",
         # theft accounting (repro.workloads.attacks / DESIGN.md §15)
         "cpu_consumed_ns",
@@ -232,6 +233,10 @@ class VM:
         #: queue-wait monitor, DFRS) take deltas; nothing resets it.
         self.total_queue_wait_ns = 0
         self.total_queue_waits = 0
+        #: That ledger at the ATC queue-wait monitor's last read.  It lives
+        #: here, not on the monitor, so it moves with a migrating VM and the
+        #: new host reads only the waits since the old host's last read.
+        self.queue_wait_read = (0, 0)
         #: Run time of all this VM's VCPUs this period: the running sum of
         #: their ``period_run_ns``, kept by the VMM next to the per-VCPU
         #: counters and reset with them at the accounting boundary, so a

@@ -1,224 +1,46 @@
 """Aggregation of the instrumentation scattered through the simulation.
 
-Most counters live on the objects that own them (guest kernels hold spin
-latency, PCPUs hold context switches and LLC misses, apps hold round
-times).  These helpers expose them through
-:class:`~repro.obs.registry.MetricsRegistry` callback gauges — each stat
-name is bound to a zero-argument reader evaluated at snapshot time — and
-roll them up per VM / node / world for reporting: the analog of reading
-Xenoprof and the paper's in-kernel monitor after a run.
-
-``vm_stats`` / ``node_stats`` / ``cluster_stats`` keep their historical
-plain-dict shapes (they are simply registry snapshots), so everything
-downstream — ``experiments/reporting.py``, the benches, cached sweep
-results — is unchanged.  Callers who want live, queryable metrics use the
-``*_registry`` builders directly (``CloudWorld.metrics`` merges them all
-under ``vm.<name>.`` / ``node.<i>.`` / ``cluster.`` prefixes).
+Most counters live on the objects that own them (PCPUs hold context
+switches, busy time and their cache's LLC misses, nodes hold disk
+traffic, the fabric holds message counts).  These helpers read them once,
+after a run, into plain dicts per node and per cluster: the analog of
+reading Xenoprof after a run.  Subsystems with a rollup of their own
+(live migration, DFRS, the always-on service) expose it as ``.stats``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.obs.registry import MetricsRegistry
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import Cluster
-    from repro.hypervisor.vm import VM
 
-__all__ = [
-    "vm_registry",
-    "node_registry",
-    "cluster_registry",
-    "dfrs_registry",
-    "migration_registry",
-    "service_registry",
-    "world_registry",
-    "vm_stats",
-    "node_stats",
-    "cluster_stats",
-]
-
-
-def vm_registry(vm: "VM") -> MetricsRegistry:
-    """Per-VM metrics: spin latency, LLC misses, CPU time, I/O events."""
-    reg = MetricsRegistry()
-    k = vm.kernel
-    reg.register("vm", lambda: vm.name)
-    reg.register("is_parallel", lambda: vm.is_parallel)
-    reg.register("cpu_ns", lambda: sum(v.total_run_ns for v in vm.vcpus))
-    reg.register("llc_misses", lambda: vm.llc_misses)
-    reg.register("llc_penalty_ns", lambda: vm.llc_penalty_ns)
-    reg.register("io_events", lambda: vm.total_io_events)
-    reg.register("spin_total_ns", lambda: k.total_spin_ns if k else 0)
-    reg.register("spin_waits", lambda: k.total_spin_count if k else 0)
-    reg.register("avg_spin_ns", lambda: k.avg_spin_ns if k else 0.0)
-    reg.register("spin_by_kind", lambda: dict(k.spin_by_kind) if k else {})
-    # Theft accounting (repro.workloads.attacks / DESIGN.md §15): consumed
-    # vs debited diverge only under tick-sampled accounting.
-    reg.register("cpu_consumed_ns", lambda: vm.cpu_consumed_ns)
-    reg.register("cpu_debited_ns", lambda: vm.cpu_debited_ns)
-    reg.register("boost_preempts_inflicted", lambda: vm.boost_preempts_inflicted)
-    reg.register("boost_preempts_suffered", lambda: vm.boost_preempts_suffered)
-    return reg
-
-
-def node_registry(node) -> MetricsRegistry:
-    """Per-node metrics: context switches, busy time, cache totals."""
-    reg = MetricsRegistry()
-    reg.register("node", lambda: node.index)
-    reg.register(
-        "context_switches", lambda: sum(p.context_switches for p in node.pcpus)
-    )
-    reg.register("busy_ns", lambda: sum(p.busy_ns for p in node.pcpus))
-    reg.register(
-        "llc_misses", lambda: sum(p.cache.total_miss_count for p in node.pcpus)
-    )
-    reg.register(
-        "llc_penalty_ns", lambda: sum(p.cache.total_penalty_ns for p in node.pcpus)
-    )
-    reg.register("disk_requests", lambda: node.disk.requests)
-    reg.register("disk_bytes", lambda: node.disk.bytes_moved)
-    return reg
-
-
-def cluster_registry(cluster: "Cluster") -> MetricsRegistry:
-    """Whole-cluster rollup, including fabric traffic."""
-    reg = MetricsRegistry()
-    reg.register("n_nodes", lambda: len(cluster.nodes))
-    reg.register(
-        "context_switches",
-        lambda: sum(p.context_switches for n in cluster.nodes for p in n.pcpus),
-    )
-    reg.register(
-        "busy_ns", lambda: sum(p.busy_ns for n in cluster.nodes for p in n.pcpus)
-    )
-    reg.register(
-        "llc_misses",
-        lambda: sum(p.cache.total_miss_count for n in cluster.nodes for p in n.pcpus),
-    )
-    reg.register("messages_sent", lambda: cluster.fabric.messages_sent)
-    reg.register("bytes_sent", lambda: cluster.fabric.bytes_sent)
-    reg.register("nodes", lambda: [node_stats(n) for n in cluster.nodes])
-    return reg
-
-
-def service_registry(service) -> MetricsRegistry:
-    """Always-on service rollup (repro.service): admission counters, the
-    wait queue, and the completed-tenant wait/slowdown aggregates."""
-    reg = MetricsRegistry()
-    reg.register("submitted", lambda: service.submitted)
-    reg.register("admitted", lambda: service.admitted)
-    reg.register("rejected", lambda: service.rejected)
-    reg.register("departed", lambda: service.departed)
-    reg.register("queued_now", lambda: len(service.queue))
-    reg.register("queue_peak", lambda: service.queue_peak)
-    reg.register("running_now", lambda: len(service.running))
-    reg.register("running_vms", lambda: sum(t.n_vms for t in service.running.values()))
-    reg.register("rebalancer_kicks", lambda: service.rebalancer_kicks)
-    reg.register(
-        "wait_mean_ns",
-        lambda: (
-            sum(w) // len(w)
-            if (w := [t.wait_ns for t in service.tenants if t.wait_ns is not None])
-            else 0
-        ),
-    )
-    reg.register(
-        "slowdown_mean",
-        lambda: (
-            sum(s) / len(s)
-            if (s := [t.slowdown for t in service.tenants if t.slowdown is not None])
-            else 0.0
-        ),
-    )
-    # Admitted-but-not-departed tenants are censored observations: their
-    # slowdown is unknown at snapshot time, not zero.  Report the count so
-    # the mean above can be read as conditional-on-completion.
-    reg.register(
-        "slowdown_censored",
-        lambda: sum(
-            1
-            for t in service.tenants
-            if t.admit_ns is not None and t.depart_ns is None
-        ),
-    )
-    return reg
-
-
-def dfrs_registry(controller) -> MetricsRegistry:
-    """DFRS rollup (repro.dfrs): solve/publish counters, the last solve's
-    yield summary, and the SAN009 self-check tally."""
-    reg = MetricsRegistry()
-    reg.register("solve_every", lambda: controller.cfg.solve_every)
-    reg.register("solves", lambda: controller.solves)
-    reg.register("caps_applied", lambda: controller.caps_applied)
-    reg.register("weights_applied", lambda: controller.weights_applied)
-    reg.register("moves_requested", lambda: controller.moves_requested)
-    reg.register("last_min_yield", lambda: controller.last_min_yield)
-    reg.register("last_mean_yield", lambda: controller.last_mean_yield)
-    reg.register("violations", lambda: len(controller.violations))
-    return reg
-
-
-def migration_registry(engine) -> MetricsRegistry:
-    """Live-migration rollup (repro.migration).  ``downtime_ns`` is the
-    per-VM accumulated stop-and-copy blackout, conserved against the
-    engine's recorded pause intervals."""
-    reg = MetricsRegistry()
-    reg.register("started", lambda: engine.started)
-    reg.register("completed", lambda: engine.completed)
-    reg.register("aborted", lambda: engine.aborted)
-    reg.register("in_flight", lambda: len(engine.active))
-    reg.register("precopy_rounds", lambda: engine.precopy_rounds)
-    reg.register("bytes_copied", lambda: engine.bytes_copied)
-    reg.register(
-        "downtime_total_ns", lambda: sum(engine.downtime_by_vm.values())
-    )
-    reg.register(
-        "downtime_ns",
-        lambda: {k: engine.downtime_by_vm[k] for k in sorted(engine.downtime_by_vm)},
-    )
-    return reg
-
-
-def world_registry(world) -> MetricsRegistry:
-    """One registry for a whole :class:`~repro.experiments.harness.CloudWorld`:
-    cluster metrics under ``cluster.``, each node under ``node.<i>.``, each
-    guest VM under ``vm.<name>.``, and — when the world has a migration
-    engine — its rollup under ``migration.``.  Values are live (callback
-    gauges), so the registry can be built once and snapshotted at any time."""
-    reg = MetricsRegistry()
-    reg.merge(cluster_registry(world.cluster), prefix="cluster.")
-    for node in world.cluster.nodes:
-        reg.merge(node_registry(node), prefix=f"node.{node.index}.")
-    for vm in world.vms:
-        reg.merge(vm_registry(vm), prefix=f"vm.{vm.name}.")
-    engine = getattr(world, "migration_engine", None)
-    if engine is not None:
-        reg.merge(migration_registry(engine), prefix="migration.")
-    service = getattr(world, "service", None)
-    if service is not None:
-        reg.merge(service_registry(service), prefix="service.")
-    dfrs = getattr(world, "dfrs", None)
-    if dfrs is not None:
-        reg.merge(dfrs_registry(dfrs), prefix="dfrs.")
-    return reg
-
-
-# ----------------------------------------------------------------------
-# Historical plain-dict views (registry snapshots)
-# ----------------------------------------------------------------------
-def vm_stats(vm: "VM") -> dict:
-    """Per-VM counters as a plain dict (a ``vm_registry`` snapshot)."""
-    return vm_registry(vm).snapshot()
+__all__ = ["node_stats", "cluster_stats"]
 
 
 def node_stats(node) -> dict:
-    """Per-node counters as a plain dict (a ``node_registry`` snapshot)."""
-    return node_registry(node).snapshot()
+    """Per-node counters: context switches, busy time, cache and disk totals."""
+    pcpus = node.pcpus
+    return {
+        "node": node.index,
+        "context_switches": sum(p.context_switches for p in pcpus),
+        "busy_ns": sum(p.busy_ns for p in pcpus),
+        "llc_misses": sum(p.cache.total_miss_count for p in pcpus),
+        "llc_penalty_ns": sum(p.cache.total_penalty_ns for p in pcpus),
+        "disk_requests": node.disk.requests,
+        "disk_bytes": node.disk.bytes_moved,
+    }
 
 
 def cluster_stats(cluster: "Cluster") -> dict:
-    """Whole-cluster rollup as a plain dict (a ``cluster_registry`` snapshot)."""
-    return cluster_registry(cluster).snapshot()
+    """Whole-cluster rollup, including fabric traffic and each node's stats."""
+    pcpus = [p for n in cluster.nodes for p in n.pcpus]
+    return {
+        "n_nodes": len(cluster.nodes),
+        "context_switches": sum(p.context_switches for p in pcpus),
+        "busy_ns": sum(p.busy_ns for p in pcpus),
+        "llc_misses": sum(p.cache.total_miss_count for p in pcpus),
+        "messages_sent": cluster.fabric.messages_sent,
+        "bytes_sent": cluster.fabric.bytes_sent,
+        "nodes": [node_stats(n) for n in cluster.nodes],
+    }

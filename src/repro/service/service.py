@@ -30,8 +30,8 @@ events, so enabling it leaves a run bit-identical — event count
 included — to one without it (regression-tested in
 ``tests/test_service.py``).
 
-Service-level telemetry (``CloudService.stats``, also composed into
-``world_registry`` under the ``service.`` prefix): admit/reject/queue
+Service-level telemetry (``CloudService.stats``, a scenario result's
+``service`` dict): admit/reject/queue
 counts, per-tenant wait and slowdown, a time-in-system histogram, and a
 cluster-utilization timeline sampled at every admit/depart.  Slowdown is
 the tenant's time in system normalized by its app's pure-compute lower

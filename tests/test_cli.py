@@ -177,14 +177,37 @@ def test_run_rejects_a_key_the_grid_sets_itself(capsys, monkeypatch):
     assert "settable keys: " in err and err.count("\n") == 1
 
 
+#: Per grid, keys its cells() write themselves, with a value to try for each.
+GRID_SET_KEYS = {
+    "compare": {"scheduler": "ATC", "app_name": "is", "n_nodes": "4"},
+    "fig09": {"scheduler": "ATC", "uniform_slice_ms": "6"},
+    "attack": {"scheduler": "ATC"},
+}
+
+
+@pytest.mark.parametrize("grid", sorted(GRID_SET_KEYS))
+def test_settable_keys_leave_out_the_keys_the_grid_sets(grid, capsys):
+    """The settable keys line lists only keys ``repro run`` accepts."""
+    fixed = GRID_SET_KEYS[grid]
+    for key, value in fixed.items():
+        assert main(_run(grid, f"{key}={value}")) == 2
+        err = capsys.readouterr().err
+        assert f"key {key!r} is set by the grid itself" in err
+        listed = err.rpartition("settable keys: ")[2].strip().split(", ")
+        assert "seed" in listed and not set(fixed) & set(listed)
+
+
 def test_run_rejects_a_config_class_value(capsys, monkeypatch):
-    """A JSON dict cannot stand in for SchedulerParams; fail before any cell."""
+    """A config class such as SchedulerParams has no --set form: its key
+    is unknown and the settable keys do not list it; fail before any cell."""
     monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("a cell ran"))
     assert main(_run("kernels", 'sched_params={"slice_ns": 1000000}')) == 2
     err = capsys.readouterr().err
-    assert err.startswith("repro run: kernels: bad value for sched_params: "
-                          "SchedulerParams has no --set form")
+    assert err.startswith("repro run: kernels: unknown key 'sched_params'")
     assert "settable keys: " in err and err.count("\n") == 1
+    listed = err.rpartition("settable keys: ")[2]
+    for key in ("sched_params", "node_params", "net_params", "dom0_params"):
+        assert key not in listed
 
 
 def test_typea_rejects_a_malformed_fault_plan(capsys, monkeypatch):

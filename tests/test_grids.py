@@ -94,16 +94,15 @@ def _vcs(round_ns):
     return [{"vc": "VC1", "app": "lu", "n_vms": 2, "mean_round_ns": round_ns}]
 
 
-def _sweep_row(spec, round_ns, spin_ns, ctx=100, miss_rate=1.0):
-    return {"rows": [{"slice_ms": spec.params["slice_ms_values"][0], "mean_round_ns": round_ns,
-                      "avg_spin_ns": spin_ns, "context_switches": ctx, "llc_misses": 10,
-                      "miss_rate_per_ms": miss_rate}]}
+def _type_a_cell(round_ns, spin_ns, ctx=100, llc_misses=10):
+    """A type-A value: 10 LLC misses over 10 busy ms are 1.0 per ms."""
+    return {"mean_round_ns": round_ns, "avg_spin_ns": spin_ns, "all_done": True,
+            "cluster": {"context_switches": ctx, "llc_misses": llc_misses, "busy_ns": 10_000_000}}
 
 
 NAN = math.nan
 NAN_VALUES = {
-    "type_a": lambda s: {"mean_round_ns": NAN, "all_done": True},
-    "slice_sweep": lambda s: _sweep_row(s, NAN, NAN, miss_rate=NAN),
+    "type_a": lambda s: _type_a_cell(NAN, NAN, llc_misses=NAN),
     "small_mix": lambda s: dict.fromkeys(MIX_KEYS, NAN),
     "type_b": lambda s: {"vcs": _vcs(NAN)},
     "type_b_mixed": lambda s: {"vcs": _vcs(NAN), **dict.fromkeys(MIXED_KEYS, NAN)},
@@ -136,8 +135,7 @@ def test_figure_claims_fail_on_nan_metrics(name):
 
 #: A metric with no sample is None (no round, run or packet measured).
 NONE_VALUES = {
-    "type_a": lambda s: {"mean_round_ns": None, "all_done": True},
-    "slice_sweep": lambda s: _sweep_row(s, None, None),
+    "type_a": lambda s: _type_a_cell(None, None),
     "small_mix": lambda s: dict.fromkeys(MIX_KEYS, None),
     "type_b": lambda s: {"vcs": _vcs(None)},
     "type_b_mixed": lambda s: {"vcs": _vcs(None), **dict.fromkeys(MIXED_KEYS, None)},
@@ -190,8 +188,8 @@ def test_placement_baseline_is_cr_spread_in_any_cell_order():
 
 def test_slice_sweep_claims_name_the_violation():
     def sweep(spins):  # round time proportional to spin latency
-        return lambda s: _sweep_row(s, 100.0 * spins[s.params["slice_ms_values"][0]],
-                                    spins[s.params["slice_ms_values"][0]])
+        return lambda s: _type_a_cell(100.0 * spins[s.params["uniform_slice_ms"]],
+                                      spins[s.params["uniform_slice_ms"]])
 
     assert GRIDS["sweep"].claims(_results("sweep", sweep({30: 3.0, 6: 2.0, 1: 1.0}),
                                           slices=(30, 6, 1))) == []
@@ -202,7 +200,7 @@ def test_slice_sweep_claims_name_the_violation():
 
 def test_one_slice_sweep_fails_the_correlation_claim():
     """pearson raises on one point; the claim reports it instead."""
-    results = _results("sweep", lambda s: _sweep_row(s, 300.0, 30.0), slices=(30,))
+    results = _results("sweep", lambda s: _type_a_cell(300.0, 30.0), slices=(30,))
     assert "sweep:lu: pearson(spin, time) = nan, not above 0.9" in GRIDS["sweep"].claims(results)
 
 

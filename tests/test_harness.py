@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.harness import CloudWorld, WorldConfig
-from repro.metrics.collectors import cluster_stats, node_stats, vm_stats
+from repro.metrics.collectors import cluster_stats, node_stats
 from repro.sim.units import MSEC, SEC, ns_from_ms
 
 
@@ -116,10 +116,10 @@ def test_collectors_over_world():
     assert cs["messages_sent"] > 0
     ns = node_stats(w.cluster.nodes[0])
     assert ns["context_switches"] > 0
-    vs = vm_stats(vc.vms[0])
-    assert vs["is_parallel"] is True
-    assert vs["cpu_ns"] > 0
-    assert vs["spin_waits"] >= 0
+    vm = vc.vms[0]
+    assert vm.is_parallel is True
+    assert sum(v.total_run_ns for v in vm.vcpus) > 0
+    assert vm.kernel.total_spin_count >= 0
 
 
 def test_nonparallel_builders():

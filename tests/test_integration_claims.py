@@ -9,37 +9,39 @@ non-parallel apps), these fail.
 import pytest
 
 from repro.experiments.harness import CloudWorld, WorldConfig
-from repro.experiments.scenarios import run_slice_sweep, run_small_mix, run_type_a
+from repro.experiments.scenarios import run_small_mix, run_type_a
 from repro.metrics.summary import mean, pearson
 from repro.sim.units import SEC
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    """One shared CR slice sweep for lu (the paper's Fig. 5 core)."""
-    return run_slice_sweep("lu", [30, 6, 1, 0.3], n_nodes=2, rounds=2, warmup_rounds=1)
+    """One shared CR slice sweep for lu (the paper's Fig. 5 core): one
+    type-A cell per uniform slice."""
+    return [run_type_a("lu", "CR", n_nodes=2, rounds=2, warmup_rounds=1, uniform_slice_ms=sm)
+            for sm in (30, 6, 1, 0.3)]
 
 
 def test_shorter_slices_reduce_spin_latency(sweep):
-    spins = [row["avg_spin_ns"] for row in sweep["rows"]]
+    spins = [row["avg_spin_ns"] for row in sweep]
     assert spins == sorted(spins, reverse=True), spins
 
 
 def test_shorter_slices_improve_parallel_performance(sweep):
-    rounds = [row["mean_round_ns"] for row in sweep["rows"]]
+    rounds = [row["mean_round_ns"] for row in sweep]
     assert rounds[-1] < rounds[0] / 3  # >= 3x faster at 0.3 ms than 30 ms
 
 
 def test_spin_latency_correlates_with_performance(sweep):
     """Section II-B: Pearson correlation between spinlock latency and
     execution time above 0.9 across the slice sweep."""
-    spins = [row["avg_spin_ns"] for row in sweep["rows"]]
-    rounds = [row["mean_round_ns"] for row in sweep["rows"]]
+    spins = [row["avg_spin_ns"] for row in sweep]
+    rounds = [row["mean_round_ns"] for row in sweep]
     assert pearson(spins, rounds) > 0.9
 
 
 def test_shorter_slices_increase_context_switches(sweep):
-    ctx = [row["context_switches"] for row in sweep["rows"]]
+    ctx = [row["cluster"]["context_switches"] for row in sweep]
     assert ctx[-1] > 2 * ctx[0]
 
 

@@ -107,11 +107,11 @@ def test_downtime_is_conserved_against_pause_intervals():
     assert len(intervals) == 1 and intervals[0][1] > intervals[0][0]
     total = sum(b - a for a, b in intervals)
     assert eng.downtime_by_vm["g0"] == total > 0
-    # The registry gauge reports the same conserved total.
-    snap = w.metrics.snapshot()
-    assert snap["migration.downtime_total_ns"] == total
-    assert snap["migration.downtime_ns"] == {"g0": total}
-    assert snap["migration.completed"] == 1 and snap["migration.in_flight"] == 0
+    # The engine's rollup reports the same conserved total.
+    s = eng.stats
+    assert s["downtime_total_ns"] == total
+    assert s["downtime_ns"] == {"g0": total}
+    assert s["completed"] == 1 and len(eng.active) == 0
 
 
 def test_start_rejects_structural_misuse():

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profiler import SimProfiler
 from repro.obs import trace as obstrace
 from repro.obs.trace import TraceLog, chrome_events, records_from_dicts
@@ -150,82 +149,6 @@ def test_write_chrome_trace_file(tmp_path):
     assert "traceEvents" in doc
     assert doc["displayTimeUnit"] == "ms"
     assert len(doc["traceEvents"]) > 5
-
-
-# ----------------------------------------------------------------------
-# MetricsRegistry
-# ----------------------------------------------------------------------
-def test_counter_monotonic():
-    c = Counter("x")
-    c.inc()
-    c.inc(4)
-    assert c.read() == 5
-    with pytest.raises(ValueError):
-        c.inc(-1)
-
-
-def test_gauge_set():
-    g = Gauge("x")
-    assert g.read() == 0
-    g.set(3.5)
-    assert g.read() == 3.5
-
-
-def test_histogram_buckets_and_overflow():
-    h = Histogram("x", bounds=[10, 100])
-    for v in (5, 10, 11, 500):
-        h.observe(v)
-    r = h.read()
-    assert r["bounds"] == [10, 100]
-    assert r["counts"] == [2, 1, 1]  # <=10, <=100, overflow
-    assert r["count"] == 4 and r["sum"] == 526
-
-
-def test_histogram_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        Histogram("x", bounds=[])
-    with pytest.raises(ValueError):
-        Histogram("x", bounds=[10, 5])
-
-
-def test_registry_get_or_create_and_kind_mismatch():
-    reg = MetricsRegistry()
-    c = reg.counter("a")
-    assert reg.counter("a") is c
-    with pytest.raises(TypeError):
-        reg.gauge("a")
-    with pytest.raises(ValueError):
-        reg.histogram("h")  # first use needs bounds
-    h = reg.histogram("h", bounds=[1])
-    assert reg.histogram("h") is h
-
-
-def test_registry_callback_and_snapshot_order():
-    reg = MetricsRegistry()
-    reg.counter("z.first").inc(1)
-    state = {"v": 10}
-    reg.register("a.second", lambda: state["v"])
-    reg.gauge("m.third").set(2)
-    snap = reg.snapshot()
-    assert list(snap) == ["z.first", "a.second", "m.third"]  # registration order
-    assert snap["a.second"] == 10
-    state["v"] = 11
-    assert reg.snapshot()["a.second"] == 11  # live, not copied
-    with pytest.raises(ValueError):
-        reg.register("z.first", lambda: 0)
-
-
-def test_registry_prefix_and_merge():
-    inner = MetricsRegistry()
-    inner.counter("hits").inc(3)
-    outer = MetricsRegistry()
-    outer.gauge("own").set(1)
-    outer.merge(inner, prefix="vm.a.")
-    assert outer.snapshot("vm.a.") == {"vm.a.hits": 3}
-    inner.counter("hits").inc()  # merged metrics stay live
-    assert outer.snapshot()["vm.a.hits"] == 4
-    with pytest.raises(ValueError):
-        outer.merge(inner, prefix="vm.a.")
 
 
 # ----------------------------------------------------------------------

@@ -83,3 +83,40 @@ def test_nonintrusive_atc_accelerates_like_guest_mode():
     # both converge to the minimum threshold and perform comparably
     assert qw_slices == guest_slices == {ATCConfig().min_threshold_ns}
     assert qw_time < 1.3 * guest_time
+
+
+def test_migrated_vm_is_read_from_the_old_hosts_last_read(monkeypatch):
+    """A VM that arrives by live migration keeps its read baseline: the
+    new host's first period sees only the waits since the old host's
+    last read, not the VM's whole ledger."""
+    from repro.migration import MigrationConfig, MigrationParams
+    from repro.migration.engine import MIB
+
+    reads = []  # (monitor, ledger ns, ledger count, latency) per read of the migrant
+    end_period = SpinLatencyMonitor.end_period
+
+    def spy(self, vm, *args):
+        st = end_period(self, vm, *args)
+        if vm.name == "vc0.vm0":
+            reads.append((self, vm.total_queue_wait_ns, vm.total_queue_waits, st.latencies[-1]))
+        return st
+
+    monkeypatch.setattr(SpinLatencyMonitor, "end_period", spy)
+    world = CloudWorld(WorldConfig(
+        n_nodes=2, scheduler="ATC", seed=0,
+        sched_params=ATCParams(atc=ATCConfig(monitor_mode="queuewait")),
+        migration=MigrationConfig(params=MigrationParams(mem_bytes=2 * MIB))))
+    vc = world.virtual_cluster(2, name="vc0", node_indices=[0, 0])
+    world.add_npb("is", vc.vms, rounds=None, warmup_rounds=0)
+    world.run(horizon_ns=300 * MSEC)
+    vm = vc.vms[0]
+    old, new = (world.vmms[i].scheduler.controller.monitor for i in (0, 1))
+    assert world.migration_engine.start(vm, 1)
+    world.run(horizon_ns=300 * MSEC)
+    assert vm.node is world.cluster.nodes[1]
+
+    _, seen_ns, seen_n, _ = [r for r in reads if r[0] is old][-1]
+    assert seen_n > 0 and seen_ns > 0  # the old host read accumulated waits
+    _, ns, n, latency = next(r for r in reads if r[0] is new)
+    assert n > seen_n
+    assert latency == (ns - seen_ns) / (n - seen_n)

@@ -83,7 +83,8 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
 
 
 def test_worker_failure_yields_structured_record(tmp_path):
-    bad = RunSpec("slice_sweep", {"app_name": "not-a-kernel", "slice_ms_values": [6]})
+    bad = RunSpec("type_a", {"app_name": "not-a-kernel", "scheduler": "CR", "n_nodes": 2,
+                             "uniform_slice_ms": 6})
     specs = [CELLS[0], bad, CELLS[1]]
     results = run_sweep(specs, jobs=2, use_cache=False)
     assert [r.ok for r in results] == [True, False, True]  # sweep survives

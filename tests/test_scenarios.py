@@ -8,7 +8,6 @@ from repro.experiments.reporting import format_normalized, format_table
 from repro.experiments.runner import SCENARIOS
 from repro.experiments.scenarios import (
     run_packet_path_probe,
-    run_slice_sweep,
     run_small_mix,
     run_table1_cell,
     run_type_a,
@@ -25,7 +24,6 @@ WORLD_SCENARIOS = {
 }
 REQUIRED_ARGS = {
     "type_a": dict(app_name="is", scheduler="CR", n_nodes=1),
-    "slice_sweep": dict(app_name="is", slice_ms_values=[30]),
     "small_mix": dict(scheduler="CR"),
     "type_b": dict(scheduler="CR"),
     "type_b_mixed": dict(scheduler="CR"),
@@ -51,22 +49,23 @@ def test_type_a_returns_complete_result():
 
 
 def test_slice_sweep_rows():
-    r = run_slice_sweep("is", [30, 1], n_nodes=2, rounds=1, warmup_rounds=0)
-    assert len(r["rows"]) == 2
-    for row in r["rows"]:
+    """A CR type-A cell at a uniform slice is one point of the slice sweep."""
+    rows = [run_type_a("is", "CR", n_nodes=2, rounds=1, warmup_rounds=0, uniform_slice_ms=sm)
+            for sm in (30, 1)]
+    for row in rows:
         assert row["all_done"]
         assert row["mean_round_ns"] > 0
-        assert row["context_switches"] > 0
+        assert row["cluster"]["context_switches"] > 0
         assert "faults" not in row and "trace" not in row
     # shorter slice -> lower spin latency
-    assert r["rows"][1]["avg_spin_ns"] < r["rows"][0]["avg_spin_ns"]
+    assert rows[1]["avg_spin_ns"] < rows[0]["avg_spin_ns"]
 
 
 def test_slice_sweep_rows_carry_fault_stats():
     plan = parse_fault_spec("random:2:1", 2, 2 * SEC).to_dicts()
-    r = run_slice_sweep("is", [30], n_nodes=2, rounds=1, warmup_rounds=0,
-                        horizon_s=2.0, faults=plan)
-    assert r["rows"][0]["faults"]["events"] == 2
+    r = run_type_a("is", "CR", n_nodes=2, rounds=1, warmup_rounds=0, uniform_slice_ms=30,
+                   horizon_s=2.0, faults=plan)
+    assert r["faults"]["events"] == 2
 
 
 def test_small_mix_returns_all_metrics():

@@ -214,9 +214,6 @@ def test_slowdown_counts_censored_tenants():
     assert s["admitted"] == 1 and s["departed"] == 0
     assert s["slowdown_censored"] == 1
     assert s["slowdown_mean"] == 0.0  # no completed observation yet
-    from repro.metrics.collectors import service_registry
-
-    assert service_registry(w.service).snapshot()["slowdown_censored"] == 1
     w.run(horizon_ns=60 * SEC)  # let the tenant finish
     s = w.service.stats
     assert s["departed"] == 1
@@ -290,16 +287,15 @@ def test_service_trace_kinds_emitted():
 
 
 def test_world_registry_exposes_service_metrics():
-    from repro.metrics.collectors import world_registry
-
+    """The service's one rollup, ``stats``, reads the live counters."""
     svc = ServiceConfig(arrival="trace", admission="fcfs-queue",
                         trace=(dict(TWO_VM, at_ms=0.0),))
     w = _service_world(n_nodes=1, vms_per_node=2, service=svc)
     w.run(horizon_ns=30 * SEC)
-    snap = world_registry(w).snapshot()
-    assert snap["service.departed"] == 1
-    assert snap["service.submitted"] == 1
-    assert snap["service.queued_now"] == 0
+    s = w.service.stats
+    assert s["departed"] == 1
+    assert s["submitted"] == 1
+    assert s["queued_now"] == 0
 
 
 # ----------------------------------------------------------------------
