@@ -16,16 +16,7 @@ result cache and the process-pool fan-out of
   conservation and sane ATC slice/latency values.  Enable it with
   ``--sanitize`` on the sweep-shaped CLI commands or
   ``RunSpec(..., sanitize=True)``.
+
+The package imports neither module, so a sanitized scenario run does not
+load the lint framework; import from the submodules.
 """
-
-from repro.analysis.lint import Finding, lint_paths, lint_source
-from repro.analysis.sanitizer import SanitizerViolationError, SimSanitizer, Violation
-
-__all__ = [
-    "Finding",
-    "lint_paths",
-    "lint_source",
-    "SanitizerViolationError",
-    "SimSanitizer",
-    "Violation",
-]

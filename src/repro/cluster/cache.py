@@ -56,40 +56,43 @@ class CacheParams:
 class PCPUCache:
     """Per-PCPU cache state: who ran last, and when each VCPU last ran here.
 
-    Keys are opaque hashables identifying VCPUs (identity is fine).
+    Keys are opaque hashables identifying VCPUs (identity is fine).  The
+    time ``last_key`` left is kept in ``left_ns`` (the VMM writes it at
+    every deschedule) and filed under that key at the next switch: until
+    another key runs, nothing reads it.
     """
 
-    __slots__ = ("params", "last_key", "_last_seen", "total_miss_count", "total_penalty_ns")
+    __slots__ = ("params", "last_key", "left_ns", "_last_seen", "total_miss_count",
+                 "total_penalty_ns")
 
     def __init__(self, params: CacheParams | None = None) -> None:
         self.params = params or CacheParams()
         self.last_key: object | None = None
+        self.left_ns: int = 0
         self._last_seen: dict[object, int] = {}
         self.total_miss_count: int = 0
         self.total_penalty_ns: int = 0
 
-    def on_dispatch(self, now: int, key: object, sensitivity: float = 1.0) -> tuple[int, int]:
-        """Record that ``key`` starts running at ``now``.
+    def on_dispatch(self, now: int, key: object, sensitivity: float = 1.0) -> int:
+        """Switch this PCPU from ``last_key`` to ``key`` at ``now`` and
+        return the refill penalty (ns) ``key`` pays.
 
-        Returns ``(penalty_ns, miss_count)`` the dispatched VCPU must pay.
+        Only a real switch calls this: back to back, the same key's cache
+        is still hot and costs nothing.
         """
         p = self.params
-        if key is self.last_key:
-            # Back-to-back slices of the same VCPU: the cache is still hot.
-            return 0, 0
-        last = self._last_seen.get(key)
+        last_seen = self._last_seen
+        prev = self.last_key
+        if prev is not None:
+            last_seen[prev] = self.left_ns
+        last = last_seen.get(key)
         if last is None:
             warm = 0.0  # never ran here: fully cold
         else:
             away = now - last
             warm = math.exp(-away / p.decay_tau_ns) if away < 64 * p.decay_tau_ns else 0.0
         penalty = int(p.refill_ns * sensitivity * (1.0 - warm))
-        misses = penalty // p.miss_cost_ns
         self.last_key = key
         self.total_penalty_ns += penalty
-        self.total_miss_count += misses
-        return penalty, misses
-
-    def on_undispatch(self, now: int, key: object) -> None:
-        """Record that ``key`` stops running at ``now`` (slice end/block)."""
-        self._last_seen[key] = now
+        self.total_miss_count += penalty // p.miss_cost_ns
+        return penalty

@@ -1,15 +1,10 @@
 """Experiment harness: the CloudWorld facade, per-figure scenario
-builders, the parallel sweep runner, and plain-text reporting."""
+builders and plain-text reporting.  The parallel sweep runner is
+:mod:`repro.experiments.runner`; import it from there (it pulls in
+``multiprocessing``, which a single scenario run does not need)."""
 
 from repro.experiments.harness import CloudWorld, WorldConfig
 from repro.experiments.reporting import format_normalized, format_table, to_csv, to_markdown
-from repro.experiments.runner import (
-    RunResult,
-    RunSpec,
-    export_json,
-    run_sweep,
-    sweep_stats,
-)
 from repro.experiments.scenarios import (
     run_packet_path_probe,
     run_small_mix,
@@ -21,11 +16,6 @@ from repro.experiments.scenarios import (
 __all__ = [
     "CloudWorld",
     "WorldConfig",
-    "RunResult",
-    "RunSpec",
-    "export_json",
-    "run_sweep",
-    "sweep_stats",
     "format_normalized",
     "format_table",
     "to_csv",

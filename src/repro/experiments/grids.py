@@ -15,6 +15,7 @@ no environment: the benches choose the scale.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import json
 import math
@@ -967,15 +968,26 @@ def _has_form(hint) -> bool:
     return not isinstance(hint, type) or hint in (bool, int, float, str, dict, list)
 
 
+def _world_keywords(builder: Callable) -> set[str]:
+    """The keywords ``builder`` passes to ``_world`` by name, read from its
+    source (``run_type_a``'s ``uniform_slice_ns``, ``run_attack``'s
+    ``vms_per_node``): the same key in ``**world_opts`` would be a second
+    value for it."""
+    tree = ast.parse(inspect.getsource(builder))
+    return {kw.arg for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_world"
+            for kw in call.keywords if kw.arg is not None}
+
+
 def _keys(grid: Grid) -> dict[str, object]:
     """Every key ``--set`` may name on ``grid`` and its first annotation:
     those its ``cells()`` or scenario builder declares, and the world
     options builders forward (:class:`WorldConfig` fields and ``_world``'s
-    config dicts, less the positionals each builder passes itself and the
-    config classes)."""
+    config dicts, less the positionals and keywords each builder passes
+    itself and the config classes)."""
     own = (grid.cells, SCENARIOS[grid.scenario])
-    fixed = {k for k, (_, d) in _declared(_world).items()
-             if d is inspect.Parameter.empty} - set(_declared(*own))
+    fixed = ({k for k, (_, d) in _declared(_world).items() if d is inspect.Parameter.empty}
+             | _world_keywords(SCENARIOS[grid.scenario])) - set(_declared(*own))
     return {k: hint for k, (hint, _) in sorted(_declared(*own, _world, WorldConfig).items())
             if k not in fixed and _has_form(hint)}
 

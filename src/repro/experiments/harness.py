@@ -306,10 +306,10 @@ class CloudWorld:
         packets addressed to it latch harmlessly instead of corrupting
         scheduler state; it is then dropped from every roster: the VMM's
         VM list, the per-node load, vmid-keyed scheduler state (vSlicer's
-        LS set) and the world VM list.  An in-flight migration of the VM
-        is aborted.  The host census changed, so the per-host slice
-        minimum (Algorithm 2) is re-run immediately, exactly as after a
-        migration handoff.
+        LS set, the ATC monitor's history) and the world VM list.  An
+        in-flight migration of the VM is aborted.  The host census
+        changed, so the per-host slice minimum (Algorithm 2) is re-run
+        immediately, exactly as after a migration handoff.
         """
         if vm.is_dom0:
             raise ValueError(f"{vm.name}: dom0 cannot be torn down")
@@ -317,15 +317,27 @@ class CloudWorld:
             self.migration_engine.cancel(vm, reason="teardown")
         vmm = vm.node.vmm
         vmm.pause_vm(vm)  # never resumed: late wakes stay latched forever
-        vmm.vms.remove(vm)
-        self._node_vm_load[vm.node.index] -= 1
-        ls = getattr(vmm.scheduler, "ls_vms", None)
-        if ls is not None:
-            ls.pop(vm.vmid, None)
+        self._unhost_vm(vm)
         self.vms.remove(vm)
         controller = getattr(vmm.scheduler, "controller", None)
         if controller is not None and not vmm.node.crashed:
             controller.on_period(self.sim.now)
+
+    def _unhost_vm(self, vm: VM) -> None:
+        """Drop ``vm`` from its current host: the VMM's VM list, the
+        per-node load and the vmid-keyed scheduler state (vSlicer's LS
+        set, the ATC monitor's Algorithm-1 history).  Teardown and a
+        migration handoff both leave a host through here."""
+        vmm = vm.node.vmm
+        vmm.vms.remove(vm)
+        self._node_vm_load[vm.node.index] -= 1
+        sched = vmm.scheduler
+        ls = getattr(sched, "ls_vms", None)
+        if ls is not None:
+            ls.pop(vm.vmid, None)
+        controller = getattr(sched, "controller", None)
+        if controller is not None:
+            controller.monitor.states.pop(vm.vmid, None)
 
     def teardown_cluster(self, vc: VirtualCluster) -> None:
         """Tear down every VM of a virtual cluster and deregister it."""

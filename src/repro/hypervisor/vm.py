@@ -166,8 +166,6 @@ class VM:
         "paused",
         "pause_depth",
         "kernel",
-        "llc_misses",
-        "llc_penalty_ns",
         "period_io_events",
         "total_io_events",
         "total_queue_wait_ns",
@@ -223,8 +221,6 @@ class VM:
         self.paused = False
         self.pause_depth = 0
         self.kernel = None  # attached by repro.guest.kernel.GuestKernel
-        self.llc_misses = 0
-        self.llc_penalty_ns = 0
         self.period_io_events = 0
         self.total_io_events = 0
         #: Cumulative run-queue wait (RUNNABLE -> RUNNING latency) and

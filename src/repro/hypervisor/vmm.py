@@ -1,10 +1,27 @@
-"""The per-node virtual machine monitor: dispatch machinery.
+"""The per-node virtual machine monitor: the context-switch transaction.
 
 One :class:`VMM` runs on each physical node.  It owns the node's VMs
 (including dom0), drives the installed scheduler, and performs the actual
 PCPU context switches: charging the direct switch cost and the LLC refill
 penalty (:mod:`repro.cluster.cache`), arming the slice timer, and notifying
 runners.
+
+The switch transaction
+----------------------
+Every context switch is one :meth:`VMM.dispatch` call.  Given the cause
+the running VCPU leaves for (:data:`EXPIRE` from the slice timer,
+:data:`PREEMPT`, :data:`BLOCK` or :data:`PAUSE`), it settles that VCPU
+(``runner.on_preempt`` unless the runner blocked itself, then the one
+deschedule accounting of run time, debit, PCPU busy time and the cache
+leave time), hands it to the scheduler hook for the cause
+(``on_slice_expired``, ``on_preempted`` or ``on_block``; a pause requeues
+nothing and stops there), picks the next VCPU and starts it.  A real
+switch, and only that, costs ``ctx_switch_ns`` plus the refill penalty
+``PCPUCache.on_dispatch`` returns.  Scheduler and runner hooks are looked
+up on their instances at each call, so per-instance wrappers (the
+sanitizer's) see every switch.  Each PCPU's slice timer calls
+``dispatch`` as bound when the VMM is built: wrap ``VMM.dispatch`` before
+building a world to observe expiries.
 
 Reentrancy contract
 -------------------
@@ -41,7 +58,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import PCPU, PhysicalNode
     from repro.sim.engine import Simulator
 
-__all__ = ["VMM"]
+__all__ = ["VMM", "EXPIRE", "PREEMPT", "BLOCK", "PAUSE"]
+
+#: Why :meth:`VMM.dispatch` takes the running VCPU off its PCPU.  The
+#: first two leave it RUNNABLE, the last two BLOCKED.
+EXPIRE, PREEMPT, BLOCK, PAUSE = range(4)
 
 _BLOCKED = VCPUState.BLOCKED
 _RUNNABLE = VCPUState.RUNNABLE
@@ -85,7 +106,7 @@ class VMM:
         self._ctx_switch_ns = node.params.ctx_switch_ns
         #: One slice-expiry timer per PCPU (indexed by ``pcpu.index``), re-armed by
         #: every dispatch, which so allocates nothing; the ``partial`` adds no frame.
-        self._slice_timers = [Event(fn=partial(self._on_slice_end, p), cat="vmm.slice")
+        self._slice_timers = [Event(fn=partial(self.dispatch, p, EXPIRE), cat="vmm.slice")
                               for p in node.pcpus]
         self.scheduler = scheduler_factory(self)
         #: Debit the run time itself unless ``charge_ns`` samples ticks.
@@ -116,17 +137,90 @@ class VMM:
         self.sim.post_after(self.period_ns, self._period_tick, cat="vmm.period")
 
     # ------------------------------------------------------------------
-    # Dispatch transactions
+    # The switch transaction
     # ------------------------------------------------------------------
-    def dispatch(self, pcpu: "PCPU") -> None:
-        """Pick the next VCPU for an idle PCPU and start it."""
-        if pcpu.current is not None:
-            raise RuntimeError(f"dispatch on busy PCPU {pcpu!r}")
-        picked = self.scheduler.pick_next(pcpu)
-        if picked is None:
-            return
+    def dispatch(self, pcpu: "PCPU", cause: Optional[int] = None) -> None:
+        """Switch ``pcpu``: settle the VCPU it runs and hand it to the
+        scheduler hook for ``cause``, then pick the next VCPU and start it.
+
+        ``cause`` is why the running VCPU leaves (:data:`EXPIRE`,
+        :data:`PREEMPT`, :data:`BLOCK` or :data:`PAUSE`); ``None`` starts
+        an idle PCPU, and a cause given for an idle PCPU is ignored.  A
+        pause only settles: the VCPU is not requeued and nothing is picked.
+        """
         sim = self.sim
         now = sim.now
+        sched = self.scheduler
+        vcpu = pcpu.current
+        if vcpu is not None:
+            if cause is None:
+                raise RuntimeError(f"dispatch on busy PCPU {pcpu!r}")
+            ev = pcpu.slice_end_ev
+            if ev is not None:
+                if cause != EXPIRE:  # an expiry's timer has just fired
+                    ev.cancel()
+                pcpu.slice_end_ev = None
+            if cause != BLOCK:  # a block is the runner's own request
+                vcpu.runner.on_preempt(now)
+            # Deschedule accounting, the one definition for every cause.
+            state = _RUNNABLE if cause < BLOCK else _BLOCKED
+            start = vcpu.run_start_ns
+            ran = now - start
+            vm = vcpu.vm
+            vcpu.total_run_ns += ran
+            vcpu.period_run_ns += ran
+            vm.period_run_ns += ran
+            # What the scheduler *debits* for this dispatch.  Exact accounting
+            # charges ran; tick-sampled accounting (CreditParams.tick_accounting)
+            # charges per tick boundary crossed — the charged/ran gap is the
+            # theft-accounting signal of the adversarial-tenancy experiments.
+            charged = ran if self._exact_charge else sched.charge_ns(
+                vcpu, start, now, state is _BLOCKED)
+            vcpu.period_charged_ns += charged
+            vm.cpu_consumed_ns += ran
+            vm.cpu_debited_ns += charged
+            pcpu.busy_ns += ran
+            pcpu.cache.left_ns = now
+            if obstrace.enabled:
+                if charged != ran:
+                    obstrace.emit(
+                        "sched.theft",
+                        now,
+                        node=self.node.index,
+                        pcpu=pcpu.index,
+                        vcpu=vcpu.name,
+                        vm=vm.name,
+                        ran_ns=ran,
+                        charged_ns=charged,
+                    )
+                obstrace.emit(
+                    "vcpu.state",
+                    now,
+                    node=self.node.index,
+                    pcpu=pcpu.index,
+                    vcpu=vcpu.name,
+                    vm=vm.name,
+                    to_state=state.name,
+                    ran_ns=ran,
+                )
+            vcpu.state = state
+            vcpu.pcpu = None
+            pcpu.current = None
+            # Requeue through the scheduler's hook for the cause.
+            if cause == EXPIRE:
+                vcpu.wake_ns = now  # run-queue wait starts now
+                sched.on_slice_expired(vcpu)
+            elif cause == PREEMPT:
+                vcpu.wake_ns = now
+                sched.on_preempted(vcpu)
+            elif cause == BLOCK:
+                sched.on_block(vcpu)
+            else:
+                return
+
+        picked = sched.pick_next(pcpu)
+        if picked is None:
+            return
         vcpu, slice_ns = picked
         if vcpu.state is not _RUNNABLE:
             raise RuntimeError(f"picked {vcpu.name} in state {vcpu.state.name}")
@@ -155,91 +249,21 @@ class VMM:
 
         runner = vcpu.runner
         cache = pcpu.cache
-        switched = cache.last_key is not vcpu
-        penalty, misses = cache.on_dispatch(now, vcpu, runner.cache_sensitivity)
         overhead = 0
-        if switched:
+        if cache.last_key is not vcpu:
             pcpu.context_switches += 1
-            overhead = self._ctx_switch_ns + penalty
-            vm.llc_misses += misses
-            vm.llc_penalty_ns += penalty
+            overhead = self._ctx_switch_ns + cache.on_dispatch(now, vcpu, runner.cache_sensitivity)
 
         pcpu.slice_end_ns = deadline = now + slice_ns
         pcpu.slice_end_ev = sim.rearm(self._slice_timers[index], deadline)
         runner.on_dispatch(now, overhead)
-
-    def _stop_current(self, pcpu: "PCPU", next_state: VCPUState) -> VCPU:
-        """Common tail of every deschedule path: accounting + cache."""
-        vcpu = pcpu.current
-        now = self.sim.now
-        ev = pcpu.slice_end_ev
-        if ev is not None:
-            ev.cancel()
-            pcpu.slice_end_ev = None
-        start = vcpu.run_start_ns
-        ran = now - start
-        vm = vcpu.vm
-        vcpu.total_run_ns += ran
-        vcpu.period_run_ns += ran
-        vm.period_run_ns += ran
-        # What the scheduler *debits* for this dispatch.  Exact accounting
-        # charges ran; tick-sampled accounting (CreditParams.tick_accounting)
-        # charges per tick boundary crossed — the charged/ran gap is the
-        # theft-accounting signal of the adversarial-tenancy experiments.
-        charged = ran if self._exact_charge else self.scheduler.charge_ns(
-            vcpu, start, now, next_state is _BLOCKED)
-        vcpu.period_charged_ns += charged
-        vm.cpu_consumed_ns += ran
-        vm.cpu_debited_ns += charged
-        pcpu.busy_ns += ran
-        pcpu.cache.on_undispatch(now, vcpu)
-        if obstrace.enabled:
-            if charged != ran:
-                obstrace.emit(
-                    "sched.theft",
-                    now,
-                    node=self.node.index,
-                    pcpu=pcpu.index,
-                    vcpu=vcpu.name,
-                    vm=vm.name,
-                    ran_ns=ran,
-                    charged_ns=charged,
-                )
-            obstrace.emit(
-                "vcpu.state",
-                now,
-                node=self.node.index,
-                pcpu=pcpu.index,
-                vcpu=vcpu.name,
-                vm=vm.name,
-                to_state=next_state.name,
-                ran_ns=ran,
-            )
-        vcpu.state = next_state
-        if next_state is _RUNNABLE:
-            vcpu.wake_ns = now  # run-queue wait starts now
-        vcpu.pcpu = None
-        pcpu.current = None
-        return vcpu
-
-    def _on_slice_end(self, pcpu: "PCPU") -> None:
-        vcpu = pcpu.current
-        if vcpu is None:  # pragma: no cover - cancelled races are defensive
-            return
-        pcpu.slice_end_ev = None
-        vcpu.runner.on_preempt(self.sim.now)
-        self._stop_current(pcpu, _RUNNABLE)
-        self.scheduler.on_slice_expired(vcpu)
-        self.dispatch(pcpu)
 
     def vcpu_block(self, vcpu: VCPU) -> None:
         """Voluntary block of the currently running VCPU (from its runner)."""
         pcpu = vcpu.pcpu
         if pcpu is None or pcpu.current is not vcpu:
             raise RuntimeError(f"block of non-running {vcpu.name}")
-        self._stop_current(pcpu, _BLOCKED)
-        self.scheduler.on_block(vcpu)
-        self.dispatch(pcpu)
+        self.dispatch(pcpu, BLOCK)
 
     def preempt(self, pcpu: "PCPU") -> None:
         """Involuntarily deschedule whatever runs on ``pcpu`` and re-pick.
@@ -247,14 +271,7 @@ class VMM:
         Used for wake-time boost preemption (Credit) and co-scheduling
         (CS).  The descheduled VCPU is returned to the run queues.
         """
-        if pcpu.current is None:
-            self.dispatch(pcpu)
-            return
-        vcpu = pcpu.current
-        vcpu.runner.on_preempt(self.sim.now)
-        self._stop_current(pcpu, _RUNNABLE)
-        self.scheduler.on_preempted(vcpu)
-        self.dispatch(pcpu)
+        self.dispatch(pcpu, PREEMPT)
 
     def on_vcpu_wake(self, vcpu: VCPU) -> None:
         """A blocked VCPU became runnable; let the scheduler place it."""
@@ -288,8 +305,7 @@ class VMM:
         for vcpu in vm.vcpus:
             if vcpu.state is _RUNNING:
                 pcpu = vcpu.pcpu
-                vcpu.runner.on_preempt(self.sim.now)
-                self._stop_current(pcpu, _BLOCKED)
+                self.dispatch(pcpu, PAUSE)
                 vcpu.wake_pending = True
                 freed.append(pcpu)
             elif vcpu.state is _RUNNABLE:

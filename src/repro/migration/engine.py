@@ -342,13 +342,7 @@ class MigrationEngine:
             m.abort_ev = None
         src_vmm = world.vmms[m.src]
         dst_vmm = world.vmms[m.dst]
-        # Deregister from the source: VMM roster, per-node load, and any
-        # vmid-keyed scheduler state (vSlicer's LS set).
-        src_vmm.vms.remove(vm)
-        world._node_vm_load[m.src] -= 1
-        ls = getattr(src_vmm.scheduler, "ls_vms", None)
-        if ls is not None:
-            ls.pop(vm.vmid, None)
+        world._unhost_vm(vm)
         # Re-home: node pointer and VCPU run-queue homes.
         vm.node = dst_node
         for i, vcpu in enumerate(vm.vcpus):

@@ -197,6 +197,24 @@ def test_settable_keys_leave_out_the_keys_the_grid_sets(grid, capsys):
         assert "seed" in listed and not set(fixed) & set(listed)
 
 
+@pytest.mark.parametrize("grid,key,value", [
+    ("compare", "uniform_slice_ns", "1000000"),  # run_type_a derives it
+    ("attack", "vms_per_node", "4"),  # run_attack pins it
+])
+def test_run_rejects_a_world_key_the_builder_passes_itself(grid, key, value, capsys,
+                                                          monkeypatch):
+    """A world option the scenario builder passes to ``_world`` itself
+    cannot also come through ``**world_opts``: the key is unknown and not
+    listed, and ``repro run`` exits 2 before any cell."""
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("a cell ran"))
+    assert main(_run(grid, f"{key}={value}")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro run: {grid}: unknown key {key!r}")
+    assert "settable keys: " in err and err.count("\n") == 1
+    listed = err.rpartition("settable keys: ")[2].strip().split(", ")
+    assert "seed" in listed and key not in listed
+
+
 def test_run_rejects_a_config_class_value(capsys, monkeypatch):
     """A config class such as SchedulerParams has no --set form: its key
     is unknown and the settable keys do not list it; fail before any cell."""

@@ -18,53 +18,77 @@ from repro.sim.units import MSEC, USEC
 # ----------------------------------------------------------------------
 def test_first_dispatch_pays_full_refill():
     c = PCPUCache(CacheParams(refill_ns=30 * USEC, decay_tau_ns=2 * MSEC, miss_cost_ns=100))
-    pen, misses = c.on_dispatch(0, "v1", 1.0)
+    pen = c.on_dispatch(0, "v1", 1.0)
     assert pen == 30 * USEC
-    assert misses == pen // 100
+    assert c.total_miss_count == pen // 100
+    assert c.last_key == "v1"
+
+
+def _switch(c, now, key, sensitivity=1.0):
+    """Dispatch ``key`` the way the VMM does: ``on_dispatch`` only on a
+    real switch.  Returns the penalty paid."""
+    return 0 if key is c.last_key else c.on_dispatch(now, key, sensitivity)
 
 
 def test_back_to_back_same_vcpu_is_free():
     c = PCPUCache()
     c.on_dispatch(0, "v1")
-    c.on_undispatch(10, "v1")
-    pen, misses = c.on_dispatch(10, "v1")
-    assert pen == 0 and misses == 0
+    c.left_ns = 10
+    before = (c.total_penalty_ns, c.total_miss_count, dict(c._last_seen))
+    assert c.last_key == "v1"
+    assert _switch(c, 10, "v1") == 0
+    assert (c.total_penalty_ns, c.total_miss_count, c._last_seen) == before
 
 
 def test_warmth_decays_with_absence():
     p = CacheParams(refill_ns=30 * USEC, decay_tau_ns=1 * MSEC)
     c = PCPUCache(p)
     c.on_dispatch(0, "v1")
-    c.on_undispatch(100, "v1")
+    c.left_ns = 100
     c.on_dispatch(100, "v2")
-    c.on_undispatch(200, "v2")
-    pen_short, _ = c.on_dispatch(200, "v1")  # away 100 ns: nearly warm
+    c.left_ns = 200
+    pen_short = c.on_dispatch(200, "v1")  # away 100 ns: nearly warm
 
     c2 = PCPUCache(p)
     c2.on_dispatch(0, "v1")
-    c2.on_undispatch(100, "v1")
+    c2.left_ns = 100
     c2.on_dispatch(100, "v2")
-    c2.on_undispatch(10 * MSEC, "v2")
-    pen_long, _ = c2.on_dispatch(10 * MSEC, "v1")  # away 10 ms: cold
+    c2.left_ns = 10 * MSEC
+    pen_long = c2.on_dispatch(10 * MSEC, "v1")  # away 10 ms: cold
     assert pen_short < pen_long
     assert pen_long == pytest.approx(p.refill_ns, rel=0.01)
 
 
+def test_leave_time_is_filed_at_the_next_switch():
+    """The leave time of ``last_key`` is recorded lazily: a re-dispatch of
+    the same key moves it on, and the switch to another key files the
+    latest one under the key that left."""
+    c = PCPUCache()
+    c.on_dispatch(0, "a")
+    c.left_ns = 5
+    assert _switch(c, 7, "a") == 0  # back to back: still hot
+    c.left_ns = 9
+    assert c._last_seen == {}
+    c.on_dispatch(12, "b")
+    assert c._last_seen == {"a": 9} and c.last_key == "b"
+
+
 def test_sensitivity_scales_penalty():
     c = PCPUCache(CacheParams(refill_ns=30 * USEC))
-    pen_lo, _ = c.on_dispatch(0, "a", 0.5)
+    pen_lo = c.on_dispatch(0, "a", 0.5)
     c2 = PCPUCache(CacheParams(refill_ns=30 * USEC))
-    pen_hi, _ = c2.on_dispatch(0, "a", 2.0)
+    pen_hi = c2.on_dispatch(0, "a", 2.0)
     assert pen_hi == 4 * pen_lo
 
 
 def test_counters_accumulate():
-    c = PCPUCache()
-    pen_a, miss_a = c.on_dispatch(0, "a")
-    c.on_undispatch(5, "a")
-    pen_b, miss_b = c.on_dispatch(5, "b")
+    p = CacheParams()
+    c = PCPUCache(p)
+    pen_a = c.on_dispatch(0, "a")
+    c.left_ns = 5
+    pen_b = c.on_dispatch(5, "b")
     assert c.total_penalty_ns == pen_a + pen_b > 0
-    assert c.total_miss_count == miss_a + miss_b > 0
+    assert c.total_miss_count == pen_a // p.miss_cost_ns + pen_b // p.miss_cost_ns > 0
 
 
 @given(st.integers(min_value=0, max_value=10**12))
@@ -72,10 +96,10 @@ def test_penalty_never_exceeds_refill(away):
     p = CacheParams(refill_ns=30 * USEC, decay_tau_ns=2 * MSEC)
     c = PCPUCache(p)
     c.on_dispatch(0, "a")
-    c.on_undispatch(1, "a")
+    c.left_ns = 1
     c.on_dispatch(1, "b")
-    c.on_undispatch(2 + away, "b")
-    pen, _ = c.on_dispatch(2 + away, "a")
+    c.left_ns = 2 + away
+    pen = c.on_dispatch(2 + away, "a")
     assert 0 <= pen <= p.refill_ns
 
 
@@ -122,15 +146,17 @@ def test_on_dispatch_matches_the_formula(p, data):
             st.sampled_from([0.1, 0.3, 1 / 3, 0.7, 1.0, 2.5]), st.floats(0.0, 16.0),
         ))
         want = _reference_penalty(p, last_key, last_seen, now, key, sens)
-        assert c.on_dispatch(now, key, sens) == want
+        assert _switch(c, now, key, sens) == want[0]
         last_key = key
         total_pen += want[0]
         total_miss += want[1]
         now += data.draw(st.integers(0, 10 * p.decay_tau_ns))
-        c.on_undispatch(now, key)
+        c.left_ns = now
         last_seen[key] = now
         assert (c.total_penalty_ns, c.total_miss_count) == (total_pen, total_miss)
-        assert c._last_seen == last_seen and c.last_key is last_key
+        # The departure record: filed entries plus the pending leave time.
+        assert {**c._last_seen, c.last_key: c.left_ns} == last_seen
+        assert c.last_key is last_key
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ import json
 import pytest
 
 from repro.experiments.scenarios import run_attack, run_dfrs_compare, run_service, run_type_a
+from repro.schedulers.atc_sched import ATCParams
 from repro.sim.units import MSEC
 
 #: A ``vm_pause`` and a ``node_crash`` (the ``chaos`` grid's ``faults=``
@@ -116,3 +117,23 @@ def test_cell_result_is_bit_identical(cell, tie):
     digest, events = GOLDEN[(cell, tie)]
     assert result["events"] == events
     assert result_digest(result) == digest
+
+
+def test_trace_record_stream_is_bit_identical():
+    """The result digests above leave out ``trace``; this pins the whole
+    record stream of a small ATC cell with tick-sampled accounting, so the
+    deschedule and dispatch records (``sched.theft``, ``vcpu.state``,
+    ``sched.dispatch``) of every cause are covered: slice expiries, boost
+    preemptions, blocks and a VM pause."""
+    result = run_type_a(
+        "lu", "ATC", n_nodes=2, rounds=1, warmup_rounds=1, n_vclusters=4, vcpus_per_vm=4,
+        seed=0, faults=[FAULTS[0]], sched_params=ATCParams(tick_accounting=True),
+        trace=True, trace_capacity=1 << 16,
+    )
+    trace = result["trace"]
+    assert trace["dropped"] == 0 and trace["total"] == 11603
+    assert {k: trace["by_kind"][k] for k in ("sched.dispatch", "sched.theft", "vcpu.state")} == {
+        "sched.dispatch": 2902, "sched.theft": 2885, "vcpu.state": 2918}
+    text = json.dumps(trace["records"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a11e1c7e31b096d1e5cf5dc09a3d593fe10f2f9889599dd6263a6a0f4a348852")

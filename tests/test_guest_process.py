@@ -373,14 +373,13 @@ def run_contended(monkeypatch, clipped):
 def test_guest_timers_never_outlive_the_slice(monkeypatch):
     """After every dispatch, each live guest timer is due no later than
     its PCPU's slice deadline; longer work holds the stand-in instead."""
-    sim, vm, procs = one_pcpu_world(2)
-    overheads = {p.index: 0 for p in procs}
+    overheads = {}
     clipped = []
     dispatch = VMM.dispatch
     on_dispatch = GuestProcess.on_dispatch
 
-    def checked_dispatch(self, pcpu):
-        dispatch(self, pcpu)
+    def checked_dispatch(self, pcpu, cause=None):
+        dispatch(self, pcpu, cause)
         for ev in sim.live_events():
             if ev.cat == "guest":
                 assert ev.time <= ev.fn.__self__.vcpu.pcpu.slice_end_ns
@@ -389,11 +388,14 @@ def test_guest_timers_never_outlive_the_slice(monkeypatch):
 
     def counted_on_dispatch(self, now, overhead_ns):
         if self.state == "compute":
-            overheads[self.index] += overhead_ns
+            overheads[self.index] = overheads.get(self.index, 0) + overhead_ns
         on_dispatch(self, now, overhead_ns)
 
+    # Patched before the world is built: each PCPU's slice timer binds
+    # ``dispatch`` at construction, so expiries go through the check too.
     monkeypatch.setattr(VMM, "dispatch", checked_dispatch)
     monkeypatch.setattr(GuestProcess, "on_dispatch", counted_on_dispatch)
+    sim, vm, procs = one_pcpu_world(2)
     done = {}
     for p in procs:
         p.load_program(iter([compute(5500 * USEC)]))

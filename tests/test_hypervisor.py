@@ -160,14 +160,21 @@ def test_same_vcpu_redispatch_has_no_overhead(single_node):
     # Runner that blocks briefly and resumes on the same (otherwise idle)
     # PCPU: the second dispatch must be free.
     r = attach_stub(sim, vm, work_ns=MSEC)
-    vm.vcpus[0].wake()
+    vcpu = vm.vcpus[0]
+    vcpu.wake()
+    pcpu = vcpu.pcpu
     sim.run()
     first_overhead = r.overheads[0]
+    penalty = pcpu.cache.total_penalty_ns
+    assert pcpu.cache.left_ns == r.finished_at  # the stop is recorded
     r._remaining = MSEC
-    vm.vcpus[0].wake()
+    vcpu.wake()
+    assert vcpu.pcpu is pcpu  # the same PCPU, nothing ran in between
     sim.run()
     assert first_overhead > 0
     assert r.overheads[1] == 0
+    # Not a switch: no switch count, and the cache model is not consulted.
+    assert pcpu.context_switches == 1 and pcpu.cache.total_penalty_ns == penalty
 
 
 def test_preempt_mid_slice_preserves_progress(single_node):

@@ -70,6 +70,29 @@ def test_precopy_migration_re_homes_the_vm():
     assert eng.violations == []
 
 
+def test_leaving_a_host_drops_the_vms_atc_history():
+    """Under ATC a VM's Algorithm-1 history belongs to the host that
+    measured it: a completed migration and a teardown each drop it from
+    the monitor of the host the VM left."""
+    w = _world(scheduler="ATC")
+    moved = w.new_vm(name="g0", node_idx=0, is_parallel=True)
+    gone = w.new_vm(name="g1", node_idx=0, is_parallel=True)
+    w.run(horizon_ns=100 * MSEC)  # a few periods of history on node 0
+    old = w.vmms[0].scheduler.controller.monitor
+    new = w.vmms[1].scheduler.controller.monitor
+    assert moved.vmid in old.states and gone.vmid in old.states
+
+    assert w.migration_engine.start(moved, 1)
+    w.run(horizon_ns=1 * SEC)
+    assert w.migration_engine.completed == 1 and moved.node is w.cluster.nodes[1]
+    assert moved.vmid not in old.states and moved.vmid in new.states
+    assert gone.vmid in old.states
+
+    w.teardown_vm(gone)
+    assert gone.vmid not in old.states
+    assert old.states == {}
+
+
 def test_dirty_residue_drives_extra_precopy_rounds():
     # A tight stop threshold forces a second (small) copy round.
     params = MigrationParams(mem_bytes=2 * MIB, stop_copy_threshold_bytes=64 * 1024)

@@ -9,7 +9,9 @@ from repro.dfrs.controller import DFRSConfig
 from repro.experiments.harness import CloudWorld, WorldConfig
 from repro.experiments.runner import SCENARIOS, RunSpec, _execute_cell
 from repro.experiments.scenarios import run_dfrs_compare, run_type_a
+from repro.guest.process import compute
 from repro.hypervisor.vm import VCPUState
+from repro.hypervisor.vmm import EXPIRE, VMM
 from repro.migration import MigrationConfig
 from repro.schedulers.atc_sched import ATCScheduler
 from repro.sim.engine import Simulator
@@ -88,6 +90,45 @@ def test_legal_wake_not_flagged():
     vcpu.state = VCPUState.RUNNABLE
     vmm.scheduler.on_wake(vcpu)
     assert san.violations == []
+
+
+def test_wrappers_run_once_per_slice_expiry(monkeypatch):
+    """An expiry settles, requeues and picks inside one ``VMM.dispatch``;
+    the hooks are looked up on the scheduler instance at each call, so
+    the sanitizer's ``on_slice_expired`` and ``pick_next`` wrappers each
+    run exactly once per expiry."""
+    calls = {"on_slice_expired": 0, "pick_next": 0}
+    expect_alive = SimSanitizer._expect_alive
+
+    def counted(self, where, vmm):
+        if where in calls:
+            calls[where] += 1
+        expect_alive(self, where, vmm)
+
+    per_expiry = []
+    dispatch = VMM.dispatch
+
+    def observed(self, pcpu, cause=None):
+        before = dict(calls)
+        dispatch(self, pcpu, cause)
+        if cause == EXPIRE:
+            per_expiry.append({k: calls[k] - before[k] for k in calls})
+
+    monkeypatch.setattr(SimSanitizer, "_expect_alive", counted)
+    # Before the world is built: each slice timer binds ``dispatch`` then.
+    monkeypatch.setattr(VMM, "dispatch", observed)
+    sim, cluster, vmms = make_node_world(n_pcpus=1)
+    san = SimSanitizer(sim, vmms)
+    for _ in range(2):
+        vm = add_guest_vm(vmms[0])
+        vm.slice_ns = MSEC
+        proc = vm.kernel.add_process()
+        proc.load_program(iter([compute(10 * MSEC)]))
+        proc.start()
+    sim.run(until=100 * MSEC)
+    san.check()
+    assert len(per_expiry) >= 15
+    assert all(d == {"on_slice_expired": 1, "pick_next": 1} for d in per_expiry)
 
 
 # ----------------------------------------------------------------------
