@@ -40,7 +40,7 @@ _FORBIDDEN_PREFIXES = ("random.", "secrets.")
 
 #: numpy's legacy global-state RNG API (np.random.seed / np.random.rand
 #: ...).  The seeded Generator API (default_rng(seed), SeedSequence) is
-#: what SimRNG wraps and is allowed.
+#: allowed.
 _NUMPY_LEGACY = {
     "seed",
     "random",

@@ -2,49 +2,51 @@
 
 Every stochastic element of the simulation (compute-grain jitter, workload
 selection, trace synthesis) draws from a :class:`SimRNG`, which wraps a
-seeded :class:`numpy.random.Generator`.  Sub-streams derived with
-:meth:`SimRNG.substream` are keyed by the root seed and the keys of that
-one call, so drawing from one entity's stream never perturbs another's —
-a requirement for meaningful A/B comparisons between schedulers on *the
-same* workload realization.  A sub-stream's own keys are *not* part of its
-children's key: ``rng.substream(1).substream(0, 0, 0)`` and
-``rng.substream(2).substream(0, 0, 0)`` are one stream, so only distinct
-key tuples give distinct streams.
+seeded :class:`random.Random`.  A stream is named by the root seed and its
+key path from the root: :meth:`SimRNG.substream` appends its keys to the
+parent's path, so ``rng.substream(a).substream(b)`` is
+``rng.substream(a, b)`` and streams with different paths are independent.
+Drawing from one entity's stream never perturbs another's — a requirement
+for meaningful A/B comparisons between schedulers on *the same* workload
+realization.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
+import random
 from typing import Optional
-
-import numpy as np
 
 __all__ = ["SimRNG"]
 
 
 class SimRNG:
     """Seeded random source with cheap deterministic sub-streams keyed by
-    ``(root seed, keys)``."""
+    ``(root seed, key path)``."""
 
-    __slots__ = ("seed", "_gen")
+    __slots__ = ("seed", "path", "_gen")
 
     def __init__(self, seed: int = 0) -> None:
-        self.seed = int(seed)
-        self._gen = np.random.default_rng(np.random.SeedSequence(self.seed))
+        self._derive(int(seed), ())
+
+    def _derive(self, seed: int, path: tuple[int, ...]) -> None:
+        # blake2b, not hash(): hash() of a str varies with PYTHONHASHSEED.
+        digest = hashlib.blake2b(repr((seed, path)).encode(), digest_size=32).digest()
+        self.seed = seed
+        self.path = path
+        self._gen = random.Random(digest)  # repro: ignore[RPR001]
 
     # ------------------------------------------------------------------
     def substream(self, *keys: int) -> "SimRNG":
-        """Derive the stream keyed by the root ``seed`` and ``keys``.
+        """Derive the stream whose path is this stream's path plus ``keys``.
 
-        The same ``(seed, keys)`` always yields the same stream; different
-        key tuples yield statistically independent streams (SeedSequence
-        spawn keys).  The keys this stream was derived with are not
-        included, so ``self.substream(*keys)`` is the root's
-        ``substream(*keys)`` whatever stream ``self`` is.
+        The same ``(seed, path)`` always yields the same stream; different
+        paths yield independent streams.  Deriving draws nothing from
+        ``self``.
         """
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(int(k) for k in keys))
         child = SimRNG.__new__(SimRNG)
-        child.seed = self.seed
-        child._gen = np.random.default_rng(ss)
+        child._derive(self.seed, self.path + tuple(int(k) for k in keys))
         return child
 
     # ------------------------------------------------------------------
@@ -52,21 +54,17 @@ class SimRNG:
     # ------------------------------------------------------------------
     def uniform_ns(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] nanoseconds."""
-        return int(self._gen.integers(lo, hi + 1))
+        return self._gen.randint(lo, hi)
 
     @staticmethod
     def lognormal_params(mean_ns: int, cv: float) -> Optional[tuple[float, float]]:
         """``(mu, sigma)`` of the lognormal :meth:`jittered_ns` draws from
         for this mean and coefficient of variation, or ``None`` when the
-        duration is deterministic (``cv <= 0`` or ``mean_ns <= 0``).
-
-        Lets a caller that draws many durations of one shape compute the
-        parameters once and make plain ``generator.lognormal(mu, sigma)``
-        draws, bit-identical to repeated ``jittered_ns`` calls."""
+        duration is deterministic (``cv <= 0`` or ``mean_ns <= 0``)."""
         if cv <= 0.0 or mean_ns <= 0:
             return None
-        sigma2 = np.log1p(cv * cv)
-        return float(np.log(mean_ns) - 0.5 * sigma2), float(np.sqrt(sigma2))
+        sigma2 = math.log1p(cv * cv)
+        return math.log(mean_ns) - 0.5 * sigma2, math.sqrt(sigma2)
 
     def jittered_ns(self, mean_ns: int, cv: float) -> int:
         """A positive duration with the given mean and coefficient of
@@ -75,26 +73,32 @@ class SimRNG:
         params = self.lognormal_params(mean_ns, cv)
         if params is None:
             return max(0, int(mean_ns))
-        return max(1, int(self._gen.lognormal(*params)))
+        return max(1, int(self._gen.lognormvariate(*params)))
+
+    def jittered_list(self, mean_ns: int, cv: float, n: int) -> list[int]:
+        """``n`` :meth:`jittered_ns` draws as a list, with the lognormal
+        parameters computed once (a BSP round's compute grains)."""
+        params = self.lognormal_params(mean_ns, cv)
+        if params is None:
+            return [max(0, int(mean_ns))] * n
+        mu, sigma = params
+        draw = self._gen.lognormvariate
+        return [max(1, int(draw(mu, sigma))) for _ in range(n)]
 
     def exponential_ns(self, mean_ns: int) -> int:
         """Exponential inter-arrival time with the given mean (>=1 ns)."""
-        return max(1, int(self._gen.exponential(mean_ns)))
+        return max(1, int(self._gen.expovariate(1.0 / mean_ns)))
 
     def choice(self, seq, p=None):
         """Choose an element of ``seq`` (optionally with probabilities)."""
-        idx = self._gen.choice(len(seq), p=p)
-        return seq[int(idx)]
+        if p is None:
+            return seq[self._gen.randrange(len(seq))]
+        return seq[self._gen.choices(range(len(seq)), weights=p)[0]]
 
     def random(self) -> float:
         """Uniform float in [0, 1)."""
-        return float(self._gen.random())
+        return self._gen.random()
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         self._gen.shuffle(items)
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """The underlying numpy Generator (for vectorized draws)."""
-        return self._gen

@@ -48,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ATTACK_RNG_KEY", "YieldTheftApp", "TickleAbuseApp", "theft_gain"]
 
-#: SimRNG spawn key of the attack layer (cf. faults 0xFA, service 0x5E).
+#: SimRNG substream key of the attack layer (cf. faults 0xFA, service 0x5E).
 #: Everything adversarial — attacker jitter *and* the randomized tick
 #: phase the hardened scheduler draws — comes off this substream, so the
 #: clean configuration consumes no entropy from it.

@@ -108,24 +108,18 @@ def bsp_rank_program(
     Sections II-B1/II-B2 dissect.
 
     ``rng`` is the rank-round's own substream and feeds nothing but the
-    compute-grain jitter, so the whole round's grains are one vectorised
-    lognormal draw at the first segment: bit-identical to one scalar
-    ``rng.jittered_ns`` per superstep, since numpy fills an array with the
-    same per-sample draws.  The stream is dropped once drawn.
+    compute-grain jitter, so the whole round's grains are drawn as one
+    :meth:`SimRNG.jittered_list` at the first segment, and the stream is
+    dropped once drawn.
     """
     peers = _peer_indices(spec.pattern, vm_idx, len(vms))
     do_comm = local_idx == 0 and peers
-    steps = max(0, spec.supersteps)
-    params = SimRNG.lognormal_params(spec.grain_ns, spec.grain_cv)
-    if params is None:  # deterministic grain (>= 0): no draw, no floor
-        floor, grains = 0, [rng.jittered_ns(spec.grain_ns, spec.grain_cv)] * steps
-    else:
-        floor, grains = 1, rng.generator.lognormal(*params, size=steps)
+    grains = rng.jittered_list(spec.grain_ns, spec.grain_cv, spec.supersteps)
     del rng
     sync = barrier(bar)
     comm_every = spec.comm_every
     for step, g in enumerate(grains):
-        yield ("compute", max(floor, int(g)))
+        yield ("compute", g)
         yield sync
         if comm_every <= 1 or (step % comm_every) == 0:
             if do_comm:

@@ -92,7 +92,9 @@ GRID_RUNS = [
     (_run("chaos", "app_name=is", "rounds=1", "horizon_s=2", "faults=random:2:1"),
      ["Chaos", "Faults"]),
     (_run("migrate", "horizon_s=2"), ["Migration rebalance", "Moved VMs"]),
-    (_run("dfrs", "horizon_s=2"), ["DFRS comparator"]),
+    # dfrs at its default 10 s horizon: at 2 s its claims hold on some
+    # seeds and fail on others.
+    (_run("dfrs"), ["DFRS comparator"]),
     (_run("serve", "horizon_s=5", "max_tenants=2"), ["Service", "Tenants"]),
     (_run("attack", "schedulers=CR", "horizon_s=1"), ["Adversarial tenancy"]),
     (_run("sweep", "apps=is", "slices=30,6"), ["Slice sweep"]),
@@ -246,7 +248,7 @@ def test_single_cell_verbs_print_a_metric_with_no_sample_as_n_a(capsys):
 @pytest.fixture(scope="module")
 def dfrs_export(tmp_path_factory):
     path = tmp_path_factory.mktemp("dfrs") / "dfrs.json"
-    assert main(["run", "dfrs", "--set", "horizon_s=2", "--no-cache", "--json", str(path)]) == 0
+    assert main(["run", "dfrs", "--no-cache", "--json", str(path)]) == 0
     return json.loads(path.read_text())
 
 

@@ -29,12 +29,13 @@ from repro.sim.units import MSEC
 #: timer too.
 FAULTS = [
     {"kind": "vm_pause", "at_ns": 20 * MSEC, "node": 0, "duration_ns": 20 * MSEC},
-    {"kind": "node_crash", "at_ns": 102_149_341, "node": 1, "duration_ns": 30 * MSEC},
+    {"kind": "node_crash", "at_ns": 101_943_453, "node": 1, "duration_ns": 30 * MSEC},
 ]
 
-#: Eight tenants arriving in the first 0.6 s; the demix rebalancer
-#: completes a live migration, whose stop-and-copy pauses running VCPUs
-#: with armed work timers.
+#: Eight tenants arriving in the first 0.6 s.  Under fifo order the demix
+#: rebalancer completes two live migrations, and the second one's
+#: stop-and-copy pauses running VCPUs with armed work timers; under
+#: reversed order it starts none.
 CHURN = [
     {"at_ms": at, "n_vms": n, "app": app}
     for at, n, app in [(0, 4, "lu"), (50, 2, "is"), (100, 4, "is"), (150, 2, "lu"),
@@ -78,30 +79,30 @@ CELLS = {
 
 #: (cell, tie order) -> (sha256 of the canonical result JSON, events).
 GOLDEN = {
-    ("lu_atc", "fifo"): ("5113e2bf76e99f4177dd4c72517009829a87726de7e707b8d2e71cc7515140b3", 67566),
-    ("lu_atc", "reversed"): ("ec53edb6d7b5d91be12f77e968d0412cae5c5a118e5304c5a89a06fadbd8c0a2", 63380),
-    ("lu_cr", "fifo"): ("8d59b208bd5ba53321a140664e1d254dca90d835161fe3174a2abefcbd9f303d", 22135),
-    ("lu_cr", "reversed"): ("49d79319a24ae9a81c1c93935ad6b84b7da41bdaf0e1b31fe3d644a3a12f85c7", 22134),
-    ("is_cr", "fifo"): ("776ef6f66c4732d239bf0f4e23ca669264545ddb74516d4f6497c462bbb25fec", 19940),
-    ("is_cr", "reversed"): ("c2220cc3070bba39f2619d20a046663d094c7c29061e7e2453dd19ba48aeb477", 19874),
-    ("dfrs_hybrid", "fifo"): ("cedcb01878c39e45c1440de89c84ca13e39f001fd0d5cea1f496b90e897dddb9", 49061),
-    ("dfrs_hybrid", "reversed"): ("c08a59ffbf0187f0a19315f84f8a1e458dc0c0741ca085710546dc5e7062f479", 49033),
-    ("lu_atc_faults", "fifo"): ("c770c58bd7e30a5b43c8053e4dcac1ed127086246a33153305dd95c622158b3d", 64067),
-    ("lu_atc_faults", "reversed"): ("bf9607c64fada7d71ff8e290235ae8d766d2bbe7e861eef0c3749924b84784ab", 63979),
-    ("service_migrate", "fifo"): ("e23a8ba5f144d2782ed7794cb09a97c1383890f5b687ed9cb0bde7100bca659d", 64669),
-    ("service_migrate", "reversed"): ("178e04c46c89206d161b72252e2971f0600afe7209009bdde714a6bb24c5321c", 66993),
-    ("attack_tick", "fifo"): ("425a2582ba6727456fc37b0942a37ea9a473510988fa86c3e2523d2d418cc166", 7005),
-    ("attack_tick", "reversed"): ("110425d761a0d61dbd100616c137bed13de38982fedc40e73fb8bf110986af6f", 6681),
-    ("attack_hardened", "fifo"): ("0087b09d009cbc6b500f2e991f7ea321226e9c468993773918c5a9442e614e31", 7155),
-    ("attack_hardened", "reversed"): ("845e320d4da138ac996c88461ddbe340788e95bf6e5d2db679be0f24dd5845ff", 7194),
-    ("lu_cs", "fifo"): ("f53bc3c7a6fa81a4650c46c07c5f6871223c29d6af8add56e31549c32d83492a", 20173),
-    ("lu_cs", "reversed"): ("1dd77071b829b68d059a22494b81ea613e819c8149d9c6f27e9d91c6a39e336b", 20199),
-    ("lu_bs", "fifo"): ("6750a8705f5c42bc704781df443ede71f09111a09bedeb5c9a8e1e730cab2434", 21694),
-    ("lu_bs", "reversed"): ("af03600025a6c266b7a62d0caba2153ab573986198ce3e05df7e55c214a081a0", 21658),
-    ("lu_dss", "fifo"): ("9e6eb9028f576e1e8befb0646b81c09626926874d2294967da8c224e32ee45a6", 23955),
-    ("lu_dss", "reversed"): ("ec033e4437f19308601c121f82177a4e2e02147f577bb6083b01b56476c8aad1", 23953),
-    ("lu_vs", "fifo"): ("52a911fd32025a3cb8c85a993ceed60985b31a57d0f34224ea1a78893317d993", 30068),
-    ("lu_vs", "reversed"): ("0d4fd57fd1317a6c4b507e772ef043747cfad6c6bc6b870cfefc2e3e9336c48b", 29574),
+    ("lu_atc", "fifo"): ("d8c563975b1e9d0ad36a4e2dc91b41e0ff242b7b609edfbbb039ea458682f8ec", 63673),
+    ("lu_atc", "reversed"): ("4738d0abce83a38b65b018f8c188cb0dbf3c79905ab882028ff2c6f4ae791f15", 63679),
+    ("lu_cr", "fifo"): ("164d52259c75dfe8d2e3857c0f118ff29a1379d23d44a30daafe006b4e6f54bb", 22229),
+    ("lu_cr", "reversed"): ("e189c9b17f93f8aeb62b285d3d81b44a5733d91eaa64e7bc83fe8da75911bbc2", 22194),
+    ("is_cr", "fifo"): ("1a33140aba58678ad7fbbf973d436da52acd7dee7bb29bb72e182910daa0ca7d", 19911),
+    ("is_cr", "reversed"): ("15dcfeba7dbcc92e492c3c588b76e4f8e24730f278faa9c57b6be32259b0bf94", 19862),
+    ("dfrs_hybrid", "fifo"): ("498907861bdc6f1ab99c427d327c51847d3854d26ef9510b188bf226c0d77e0b", 48262),
+    ("dfrs_hybrid", "reversed"): ("89e808753f8016fcac84d7d0cc21da4eff9f52cd90b574ad2d5a3e8b554c48fb", 48992),
+    ("lu_atc_faults", "fifo"): ("777d9fbcaaa74628a2100a04cf0688ee90dc16742f4b435b6524fb3f40ac77cb", 64210),
+    ("lu_atc_faults", "reversed"): ("b9d729f011724e8b96ef99a246ca61cb9f8bf1af4c2d78795654e3f4c78fc61b", 64210),
+    ("service_migrate", "fifo"): ("2183b2ea2d836ff17511c4c7aa9d15a5076f856be88e47fe00f186800589392b", 75272),
+    ("service_migrate", "reversed"): ("88c489b1fef88f1c32b2d92d4bbc17fcf0f7b40976e174432af70a4b767f3e7a", 79180),
+    ("attack_tick", "fifo"): ("04bbcf44e3460b68f43e3b50b90e08b13d00660b4294c5c29ff9e6ded58eb60b", 6873),
+    ("attack_tick", "reversed"): ("81f7fd2717e56f44ad4cdcbbb9162a5af57167a94cd870190458ffa361372b53", 5558),
+    ("attack_hardened", "fifo"): ("d587787d7d0b1c5484c0e06f310e1bd769cf0f6912bd4114efa79b694b1bc819", 7125),
+    ("attack_hardened", "reversed"): ("85b3c441dade293ec6642ade54bf8bc946fb3797e395115ecd8faf79044728ca", 7362),
+    ("lu_cs", "fifo"): ("abdbc242eee7e8bc3c2810283da5dfcd28d34e533ecd4ad94d0ef584445ae9c1", 20342),
+    ("lu_cs", "reversed"): ("7ab8c8bce30717ccaa6058dc8355dab5e86195ad28294adae25b099a55696e25", 20336),
+    ("lu_bs", "fifo"): ("70b1e8756d3af494662692e7608ece87354fc10c33e68524a22caf0e7f62d4ad", 21536),
+    ("lu_bs", "reversed"): ("9184111fb29fe324157675aba11ba60859279719d541c7a8be009f41ec2b56f9", 21638),
+    ("lu_dss", "fifo"): ("c8879eab9812e753882a1cfbb17d774e6beecc044936068d1077fb8fc9a91b01", 24093),
+    ("lu_dss", "reversed"): ("ad9d639e05f3e0b4c99f1e4855f9bac3ef511f53fa54233c9aa3cc9f8efb9642", 24125),
+    ("lu_vs", "fifo"): ("451ccfb4e1786f4ecb1c652acf2554c5b03b76dd569bb5bed2ffd44581f6a5f2", 29521),
+    ("lu_vs", "reversed"): ("52f91c8924329e1e195b88c80115d6bbf2216078edfb60bb20319f38853c14c9", 30388),
 }
 
 
@@ -131,9 +132,9 @@ def test_trace_record_stream_is_bit_identical():
         trace=True, trace_capacity=1 << 16,
     )
     trace = result["trace"]
-    assert trace["dropped"] == 0 and trace["total"] == 11603
+    assert trace["dropped"] == 0 and trace["total"] == 10843
     assert {k: trace["by_kind"][k] for k in ("sched.dispatch", "sched.theft", "vcpu.state")} == {
-        "sched.dispatch": 2902, "sched.theft": 2885, "vcpu.state": 2918}
+        "sched.dispatch": 2655, "sched.theft": 2629, "vcpu.state": 2671}
     text = json.dumps(trace["records"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "a11e1c7e31b096d1e5cf5dc09a3d593fe10f2f9889599dd6263a6a0f4a348852")
+        "4e7fbd6680a9fdc503cea2385ffcf3d43b51c4667a8d811985405c7d11563d3c")

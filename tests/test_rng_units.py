@@ -1,6 +1,10 @@
 """Tests for the deterministic RNG and time units."""
 
-import numpy as np
+import hashlib
+import math
+import random
+import statistics
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -92,10 +96,27 @@ def test_distinct_substreams_differ():
     assert root.substream(1).random() != root.substream(2).random()
 
 
+def test_nested_substreams_with_different_parents_differ():
+    a = SimRNG(0).substream(1).substream(0, 0, 0)
+    b = SimRNG(0).substream(2).substream(0, 0, 0)
+    assert [a.random() for _ in range(4)] != [b.random() for _ in range(4)]
+
+
+_key_paths = st.lists(st.integers(0, 2**16), max_size=4).map(tuple)
+
+
+@given(seed=st.integers(0, 2**32 - 1), a=_key_paths, b=_key_paths)
+def test_chained_substreams_equal_one_call_with_the_joined_path(seed, a, b):
+    chained = SimRNG(seed).substream(*a).substream(*b)
+    joined = SimRNG(seed).substream(*a, *b)
+    assert chained.path == joined.path == a + b
+    assert [chained.random() for _ in range(4)] == [joined.random() for _ in range(4)]
+
+
 def test_jittered_mean_is_close():
     rng = SimRNG(3)
     draws = [rng.jittered_ns(1_000_000, 0.2) for _ in range(4000)]
-    assert np.mean(draws) == pytest.approx(1_000_000, rel=0.05)
+    assert statistics.mean(draws) == pytest.approx(1_000_000, rel=0.05)
     assert all(d >= 1 for d in draws)
 
 
@@ -110,14 +131,21 @@ def test_jittered_nonpositive_mean():
     assert rng.jittered_ns(-5, 0.5) == 0
 
 
-def _reference_jittered_ns(gen: np.random.Generator, mean_ns: int, cv: float) -> int:
-    """``jittered_ns`` spelled out: numpy-scalar lognormal parameters
-    recomputed on every call, then one scalar draw."""
+def _reference_stream(seed: int, path: tuple) -> random.Random:
+    """The generator of ``SimRNG(seed).substream(*path)``, derived here
+    from its definition: a BLAKE2b digest of ``repr((seed, path))``."""
+    digest = hashlib.blake2b(repr((seed, path)).encode(), digest_size=32).digest()
+    return random.Random(digest)  # repro: ignore[RPR001]
+
+
+def _reference_jittered_ns(gen: random.Random, mean_ns: int, cv: float) -> int:
+    """``jittered_ns`` spelled out: lognormal parameters recomputed on
+    every call, then one scalar draw."""
     if cv <= 0.0 or mean_ns <= 0:
         return max(0, int(mean_ns))
-    sigma2 = np.log1p(cv * cv)
-    mu = np.log(mean_ns) - 0.5 * sigma2
-    return max(1, int(gen.lognormal(mean=mu, sigma=np.sqrt(sigma2))))
+    sigma2 = math.log1p(cv * cv)
+    mu = math.log(mean_ns) - 0.5 * sigma2
+    return max(1, int(gen.lognormvariate(mu, math.sqrt(sigma2))))
 
 
 _draw_shapes = dict(
@@ -133,17 +161,18 @@ _draw_shapes = dict(
 @given(**_draw_shapes)
 def test_lognormal_params_draws_equal_jittered_ns(seed, key, mean_ns, cv, n):
     root = SimRNG(seed)
-    ref = root.substream(*key).generator
+    ref = _reference_stream(seed, key)
     expected = [_reference_jittered_ns(ref, mean_ns, cv) for _ in range(n)]
     calls = root.substream(*key)
     assert [calls.jittered_ns(mean_ns, cv) for _ in range(n)] == expected
+    assert root.substream(*key).jittered_list(mean_ns, cv, n) == expected
     params = SimRNG.lognormal_params(mean_ns, cv)
     if params is None:
         assert cv <= 0.0 or mean_ns <= 0
         assert [max(0, int(mean_ns))] * n == expected
     else:
-        gen = root.substream(*key).generator
-        assert [max(1, int(gen.lognormal(*params))) for _ in range(n)] == expected
+        gen = _reference_stream(seed, key)
+        assert [max(1, int(gen.lognormvariate(*params))) for _ in range(n)] == expected
 
 
 def _reference_rank_program(spec, vms, vm_idx, local_idx, bar, gen):
@@ -186,9 +215,7 @@ def test_bsp_round_grains_equal_scalar_draws(
     bar = object()
     root = SimRNG(seed)
     segs = list(bsp_rank_program(spec, vms, vm_idx, local_idx, bar, root.substream(*key)))
-    ref = _reference_rank_program(
-        spec, vms, vm_idx, local_idx, bar, root.substream(*key).generator
-    )
+    ref = _reference_rank_program(spec, vms, vm_idx, local_idx, bar, _reference_stream(seed, key))
     assert segs == list(ref)
     assert all(type(seg[1]) is int for seg in segs if seg[0] == "compute")
 
@@ -197,7 +224,7 @@ def test_exponential_positive_and_mean():
     rng = SimRNG(9)
     draws = [rng.exponential_ns(50_000) for _ in range(4000)]
     assert min(draws) >= 1
-    assert np.mean(draws) == pytest.approx(50_000, rel=0.1)
+    assert statistics.mean(draws) == pytest.approx(50_000, rel=0.1)
 
 
 def test_uniform_bounds():
