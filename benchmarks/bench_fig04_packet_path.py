@@ -17,9 +17,10 @@ separate the mechanisms:
 from repro.experiments.scenarios import run_packet_path_probe
 from repro.schedulers.credit import CreditParams
 
-from _common import emit, full_scale, run_once
+from _common import emit, run_once
 
-N_PROBES = 200 if full_scale() else 50
+#: The paper's probe count (a run of 50 probes takes as long).
+N_PROBES = 200
 
 CASES = {
     "CR": dict(),

@@ -31,7 +31,9 @@ structured partial-result report (:func:`repro.experiments.runner.salvage_report
 
 ``run GRID`` runs one grid of :mod:`repro.experiments.grids` (the paper's
 figures and the chaos, migrate, dfrs, serve and attack extensions) and
-prints its table and detail tables.  Each ``--set KEY=VALUE`` is a
+prints its table and detail tables.  Its ``cells()`` defaults are the
+figure at the default scale; ``--full-scale`` applies the grid's
+``paper_scale`` params beneath any ``--set``.  Each ``--set KEY=VALUE`` is a
 keyword of the grid's ``cells()``, its scenario builder or the world
 options the builder forwards, typed by the first annotation declared for
 it (``faults`` takes a :mod:`repro.faults` spec: ``random:N[:SEED]``,
@@ -130,6 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--set", action="append", default=[], dest="sets", metavar="KEY=VALUE",
                     help="a keyword of the grid's cells(), its scenario builder or "
                     "the world options (repeatable)")
+    sp.add_argument("--full-scale", action="store_true",
+                    help="run the grid at the paper's scale (its paper_scale "
+                    "params, beneath any --set; slow: hours)")
     runner_opts(sp)
 
     sp = sub.add_parser("mix", help="parallel + non-parallel coexistence (Figs. 2, 9)")
@@ -366,7 +371,7 @@ def _print_tables(grid, results) -> None:
 def _cmd_run(args) -> int:
     grid = GRIDS[args.grid]
     try:
-        specs = grid_cells(grid, args.sets)
+        specs = grid_cells(grid, args.sets, full_scale=args.full_scale)
     except ValueError as exc:
         print(f"repro run: {args.grid}: {exc}; settable keys: {', '.join(settable(grid))}",
               file=sys.stderr)

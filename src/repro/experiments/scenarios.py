@@ -207,10 +207,10 @@ def run_table1_cell(
     Uses :func:`repro.workloads.traces.paper_vc_mix` — one 256-VCPU
     virtual cluster, two 128s, three 64s, one 32 and three 16s (90 VMs)
     plus 30 independent 8-VCPU VMs: 128 VMs on 32 nodes, 4 VMs/node.
-    This is the cell the perf work targets: it only fits a CI smoke job
+    This is the cell the perf work targets: it only fits a CI job
     because the engine overhead per event is low enough.  ``horizon_s``
-    bounds the simulated time (CI smoke uses a short horizon; REPRO_FULL
-    benchmarks run it long enough for every VC to finish rounds).
+    bounds the simulated time; the default 2 s is long enough for the
+    virtual clusters to finish rounds (``bench_table1_trace.py``).
     """
     from repro.workloads.traces import paper_vc_mix
 

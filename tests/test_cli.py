@@ -6,7 +6,7 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
-from repro.experiments.grids import GRIDS, grid_settings
+from repro.experiments.grids import GRIDS, grid_cells, grid_settings
 
 
 def test_parser_requires_command():
@@ -95,10 +95,11 @@ GRID_RUNS = [
     # dfrs at its default 10 s horizon: at 2 s its claims hold on some
     # seeds and fail on others.
     (_run("dfrs"), ["DFRS comparator"]),
-    (_run("serve", "horizon_s=5", "max_tenants=2"), ["Service", "Tenants"]),
+    (_run("serve", "admissions=fcfs-queue", "rate_per_s=2", "rounds=1", "horizon_s=5",
+          "max_tenants=2"), ["Service", "Tenants"]),
     (_run("attack", "schedulers=CR", "horizon_s=1"), ["Adversarial tenancy"]),
     (_run("sweep", "apps=is", "slices=30,6"), ["Slice sweep"]),
-    (_run("compare", "apps=is", "rounds=1"), ["Figure 10"]),
+    (_run("compare", "apps=is", "nodes=2", "rounds=1"), ["Figure 10"]),
 ]
 
 
@@ -123,7 +124,7 @@ def test_grid_verb_and_check(argv, titles, tmp_path, capsys, monkeypatch):
 def test_every_grid_builds_its_cells_through_set(name):
     grid = GRIDS[name]
     sets = ["horizon_s=1"] + (["faults=random:1"] if name == "chaos" else [])
-    specs = grid.cells(**grid_settings(grid, sets))
+    specs = grid_cells(grid, sets)
     assert specs and all(s.scenario == grid.scenario and s.params["horizon_s"] == 1.0
                          for s in specs)
 
@@ -139,8 +140,8 @@ def test_set_values_are_typed_by_their_annotation(tmp_path):
     horizon = _settings("dfrs", "horizon_s=4")["horizon_s"]
     assert horizon == 4.0 and isinstance(horizon, float)
     assert _settings("sweep", "slices=30,6")["slices"] == [30.0, 6.0]
-    assert [s.label for s in GRIDS["sweep"].cells(**_settings("sweep", "slices=30,6"))] == [
-        "sweep:lu@30.0ms", "sweep:lu@6.0ms"]
+    assert [s.label for s in GRIDS["sweep"].cells(**_settings("sweep", "apps=lu", "slices=30,6"))
+            ] == ["sweep:lu@30.0ms", "sweep:lu@6.0ms"]
     assert _settings("attack", "schedulers=CR")["schedulers"] == ["CR"]
     assert _settings("dfrs", 'dfrs={"allow_moves": true}')["dfrs"] == {"allow_moves": True}
     assert _settings("fig09", "slices=30,none")["slices"] == [30.0, None]
@@ -151,6 +152,9 @@ def test_set_values_are_typed_by_their_annotation(tmp_path):
     assert _settings("serve", f"service_trace={path}")["service_trace"] == trace
     assert _settings("chaos", "faults=random:3:1")["faults"] == parse_fault_spec(
         "random:3:1", 2, 12 * SEC).to_dicts()
+    # drawn against the n_nodes and horizon_s a grid's partial sets (fig11: 6 nodes, 8 s)
+    assert _settings("fig11", "faults=random:3:1")["faults"] == parse_fault_spec(
+        "random:3:1", 6, 8 * SEC).to_dicts()
 
 
 @pytest.mark.parametrize("sets,why", [

@@ -1,7 +1,8 @@
 """Every ``python -m repro ...`` command the repository documents or runs
-in CI must parse: README.md's fenced blocks, the workflows' ``run:``
-steps (with their matrix templates filled in) and the verify skill's
-fenced blocks.  A deleted verb or flag cannot survive in any of them."""
+in CI must parse: the fenced blocks of README.md, EXPERIMENTS.md,
+DESIGN.md and the verify skill, and the workflows' ``run:`` steps (with
+their matrix templates filled in).  A deleted verb or flag cannot survive
+in any of them."""
 
 from __future__ import annotations
 
@@ -79,7 +80,8 @@ def _workflow_scripts(path: Path) -> list[str]:
 
 
 SOURCES = {
-    "README.md": lambda: [_fenced(ROOT / "README.md")],
+    **{doc: (lambda doc=doc: [_fenced(ROOT / doc)])
+       for doc in ("README.md", "EXPERIMENTS.md", "DESIGN.md")},
     ".claude/skills/verify/SKILL.md": lambda: [_fenced(ROOT / ".claude/skills/verify/SKILL.md")],
     **{f".github/workflows/{p.name}": (lambda p=p: _workflow_scripts(p))
        for p in sorted((ROOT / ".github" / "workflows").glob("*.yml"))},
@@ -105,7 +107,7 @@ echo python -m repro-not-this
 @pytest.mark.parametrize("source", sorted(SOURCES))
 def test_documented_commands_parse(source):
     commands = [argv for script in SOURCES[source]() for argv in _commands(script)]
-    if source.endswith(("README.md", "SKILL.md", "ci.yml")):
+    if source.endswith(("README.md", "EXPERIMENTS.md", "SKILL.md", "ci.yml")):
         assert commands, f"no `{MARKER.strip()}` command found in {source}"
     parser, bad = build_parser(), []
     for argv in commands:

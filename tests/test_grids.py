@@ -159,14 +159,16 @@ def _type_a(times):
 def test_type_a_claims_name_the_violation():
     good = {"CR": 100.0, "BS": 90.0, "CS": 80.0, "DSS": 95.0, "ATC": 40.0}
     assert GRIDS["compare"].claims(_results("compare", _type_a(good))) == []
-    failures = GRIDS["compare"].claims(_results("compare", _type_a({**good, "ATC": 85.0})))
+    failures = GRIDS["compare"].claims(_results("compare", _type_a({**good, "ATC": 85.0}),
+                                                apps=("lu",), nodes=(2,)))
     assert failures == ["compare:lu/2: ATC 0.850x CR is not the best approach",
                         "compare:lu/2: ATC 0.850x CR, not below 0.75"]
 
 
 def test_compare_table_keeps_the_mean_round_times():
     times = {"CR": 100e6, "BS": 90e6, "CS": 80e6, "DSS": 95e6, "ATC": 40e6}
-    _, headers, rows = GRIDS["compare"].table(_results("compare", _type_a(times)))
+    _, headers, rows = GRIDS["compare"].table(_results("compare", _type_a(times),
+                                                       apps=("lu",), nodes=(2,)))
     assert headers[-5:] == ["CR (ms)", "BS (ms)", "CS (ms)", "DSS (ms)", "ATC (ms)"]
     assert rows == [("lu", 2, 1.0, 0.9, 0.8, 0.95, 0.4, 100.0, 90.0, 80.0, 95.0, 40.0)]
 
@@ -194,7 +196,7 @@ def test_slice_sweep_claims_name_the_violation():
     assert GRIDS["sweep"].claims(_results("sweep", sweep({30: 3.0, 6: 2.0, 1: 1.0}),
                                           slices=(30, 6, 1))) == []
     failures = GRIDS["sweep"].claims(_results("sweep", sweep({30: 3.0, 6: 4.0, 1: 1.0}),
-                                              slices=(30, 6, 1)))
+                                              apps=("lu",), slices=(30, 6, 1)))
     assert failures == ["sweep:lu: spin latency does not fall monotonically with the slice"]
 
 
