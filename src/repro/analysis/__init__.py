@@ -14,8 +14,8 @@ result cache and the process-pool fan-out of
   that hooks the simulator and schedulers and asserts event-time
   monotonicity, legal VCPU state-machine transitions, per-period credit
   conservation and sane ATC slice/latency values.  Enable it with
-  ``--sanitize`` on the sweep-shaped CLI commands or
-  ``RunSpec(..., sanitize=True)``.
+  ``repro run GRID --set sanitize=true`` (``--sanitize`` on ``repro
+  probe``) or a ``"sanitize": True`` cell param.
 
 The package imports neither module, so a sanitized scenario run does not
 load the lint framework; import from the submodules.

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.analysis.sanitizer import SimSanitizer, Violation
 from repro.cluster.node import PCPU
@@ -57,6 +57,9 @@ from repro.guest.process import GuestProcess
 from repro.guest.spinlock import SpinBarrier, SpinLock
 from repro.hypervisor.vm import VCPU, VM
 from repro.sim.engine import ACCOUNTING_CATS, Simulator, simulator_hook
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.runner import RunSpec
 
 __all__ = [
     "TRACKED_CLASSES",
@@ -448,12 +451,12 @@ def run_differential(
     tracker = TieRaceTracker() if track else None
     try:
         with simulator_hook(tracker.attach) if tracker is not None else nullcontext():
-            forward = fn(**params, sanitize=sanitize, tie_order="fifo")
+            forward = fn(**{**params, "sanitize": sanitize, "tie_order": "fifo"})
     finally:
         if tracker is not None:
             tracker.detach()
 
-    reverse = fn(**params, sanitize=sanitize, tie_order="reversed")
+    reverse = fn(**{**params, "sanitize": sanitize, "tie_order": "reversed"})
     confirmed = diff_values(forward, reverse)
     return {
         "scenario": scenario,
@@ -468,33 +471,35 @@ def run_differential(
     }
 
 
-#: Default cells for ``repro races``: type-A cells covering both the
-#: paper's baseline (CR) and its contribution (ATC) that are expected to
-#: be tie-order invariant — every same-timestamp group commutes.  Richer
-#: contended cells (e.g. lock-heavy ``lu`` across 2+ shared nodes) carry
-#: the inherent wake-vs-dispatch simultaneity documented in the module
-#: docstring and are *expected* to report confirmed differences when run
-#: explicitly.
-DEFAULT_CELLS: tuple[dict, ...] = (
-    {"scenario": "type_a", "params": {"app_name": "ep", "scheduler": "ATC", "n_nodes": 2, "rounds": 2, "warmup_rounds": 1}},
-    {"scenario": "type_a", "params": {"app_name": "ep", "scheduler": "CR", "n_nodes": 2, "rounds": 2, "warmup_rounds": 1}},
-    {"scenario": "type_a", "params": {"app_name": "bt", "scheduler": "ATC", "n_nodes": 2, "rounds": 2, "warmup_rounds": 1}},
-    {"scenario": "type_a", "params": {"app_name": "lu", "scheduler": "ATC", "n_nodes": 1, "rounds": 2, "warmup_rounds": 1}},
+#: Default cells for ``repro races``, as ``(grid, --set values)`` pairs:
+#: type-A cells covering both the paper's baseline (CR) and its
+#: contribution (ATC) that are expected to be tie-order invariant — every
+#: same-timestamp group commutes.  Richer contended cells (e.g. lock-heavy
+#: ``lu`` across 2+ shared nodes) carry the inherent wake-vs-dispatch
+#: simultaneity documented in the module docstring and are *expected* to
+#: report confirmed differences when run explicitly.
+DEFAULT_CELLS: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("compare", ("apps=ep", "schedulers=ATC,CR", "nodes=2")),
+    ("compare", ("apps=bt", "schedulers=ATC", "nodes=2")),
+    ("compare", ("apps=lu", "schedulers=ATC", "nodes=1")),
 )
 
 
-def races_report(cells: Optional[Sequence[dict]] = None, track: bool = True) -> dict:
-    """Run the differential over ``cells`` (default :data:`DEFAULT_CELLS`).
+def races_report(specs: Optional[Sequence[RunSpec]] = None, track: bool = True) -> dict:
+    """Run the differential over ``specs`` (default: the cells of
+    :data:`DEFAULT_CELLS`), each report labelled by its spec's label.
 
     Returns ``{"schema", "cells": [per-cell reports], "confirmed_total",
     "suspects_total", "clean"}`` — ``clean`` is True when no cell showed
     a confirmed order dependence (suspects alone do not fail a run; they
     are heuristic leads for inspection).
     """
-    reports = [
-        run_differential(c["scenario"], dict(c["params"]), track=track)
-        for c in (DEFAULT_CELLS if cells is None else cells)
-    ]
+    from repro.experiments.grids import GRIDS, grid_cells
+
+    if specs is None:
+        specs = [s for grid, sets in DEFAULT_CELLS for s in grid_cells(GRIDS[grid], sets)]
+    reports = [{"label": s.label, **run_differential(s.scenario, s.params, track=track)}
+               for s in specs]
     confirmed_total = sum(len(r["confirmed"]) for r in reports)
     return {
         "schema": "repro.races/v1",

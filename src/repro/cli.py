@@ -3,46 +3,45 @@
 Examples::
 
     python -m repro list
-    python -m repro typea --app lu --scheduler ATC --nodes 2
+    python -m repro run compare --set apps=lu --set schedulers=ATC --set nodes=2
     python -m repro run compare --set apps=lu --set nodes=2 --jobs 5
     python -m repro run sweep --set apps=lu --set slices=30,6,1,0.3 --jobs 4
     python -m repro run chaos --set app_name=is --set faults=random:3:1
     python -m repro run dfrs --set horizon_s=10 --json dfrs_a.json
-    python -m repro mix --scheduler ATC --np-slice 6
-    python -m repro typeb --scheduler ATC --nodes 6
+    python -m repro run fig02 --set schedulers=ATC --set atc_np_slice_ms=6
+    python -m repro run fig11 --set schedulers=ATC --set n_nodes=6
     python -m repro probe --scheduler CR
     python -m repro check dfrs dfrs_a.json dfrs_b.json
     python -m repro trace --app is --slice 30
     python -m repro lint src/repro benchmarks tests examples
     python -m repro races
-    python -m repro races type_a --app lu --scheduler CR --nodes 2
-
-``run``, ``typea``, ``typeb`` and ``mix`` execute their cells through
-:mod:`repro.experiments.runner`: ``--jobs N``
-fans the independent cells over N worker processes (bit-identical to
-serial), results are cached under ``.repro_cache/`` (``--no-cache`` to
-bypass), ``--json PATH`` exports the full result set, and ``--sanitize``
-runs every cell under the runtime invariant sanitizer
-(:mod:`repro.analysis.sanitizer` — read-only hooks, bit-identical
-results, violations reported as structured cell failures).
-``--cell-timeout S`` bounds each cell's host wall clock (hung workers
-are killed, the sweep continues) and ``--salvage PATH`` writes the
-structured partial-result report (:func:`repro.experiments.runner.salvage_report`).
+    python -m repro races compare --set apps=lu --set schedulers=CR --set nodes=2
 
 ``run GRID`` runs one grid of :mod:`repro.experiments.grids` (the paper's
 figures and the chaos, migrate, dfrs, serve and attack extensions) and
-prints its table and detail tables.  Its ``cells()`` defaults are the
-figure at the default scale; ``--full-scale`` applies the grid's
-``paper_scale`` params beneath any ``--set``.  Each ``--set KEY=VALUE`` is a
-keyword of the grid's ``cells()``, its scenario builder or the world
-options the builder forwards, typed by the first annotation declared for
-it (``faults`` takes a :mod:`repro.faults` spec: ``random:N[:SEED]``,
-inline JSON or a plan file).  A key the grid sets itself (``compare``'s
-``scheduler``) or a config class (``sched_params``) exits 2 before any
-cell runs.  ``check GRID RESULTS.json [REPEAT.json]``
-evaluates a grid's claims on a ``--json`` export (exit 1 on any failed
-cell or claim) and, given a second export, requires equal spec/value
-lists.
+prints its table and detail tables; the detail tables carry each cell's
+absolute values, so a one-scheduler run is a single cell.  Its
+``cells()`` defaults are the figure at the default scale;
+``--full-scale`` applies the grid's ``paper_scale`` params beneath any
+``--set``.  Each ``--set KEY=VALUE`` is a keyword of the grid's
+``cells()``, its scenario builder or the world options the builder
+forwards, typed by the first annotation declared for it (``faults``
+takes a :mod:`repro.faults` spec: ``random:N[:SEED]``, inline JSON or a
+plan file; ``sanitize=true`` runs every cell under the runtime invariant
+sanitizer of :mod:`repro.analysis.sanitizer`, with bit-identical
+results and violations reported as structured cell failures).  A key
+the grid sets itself (``compare``'s ``scheduler``) or a config class
+(``sched_params``) exits 2 before any cell runs.  The cells execute
+through :mod:`repro.experiments.runner`: ``--jobs N`` fans them over N
+worker processes (bit-identical to serial), results are cached under
+``.repro_cache/`` (``--no-cache`` to bypass), ``--json PATH`` exports
+the full result set, ``--cell-timeout S`` bounds each cell's host wall
+clock (hung workers are killed, the sweep continues) and ``--salvage
+PATH`` writes the structured partial-result report
+(:func:`repro.experiments.runner.salvage_report`).
+``check GRID RESULTS.json [REPEAT.json]`` evaluates a grid's claims on a
+``--json`` export (exit 1 on any failed cell or claim) and, given a
+second export, requires equal spec/value lists.
 
 ``trace`` runs one traced type-A cell (:mod:`repro.obs.trace`) and writes
 a JSON-lines trace plus a Chrome ``trace_event`` file (open in Perfetto
@@ -57,7 +56,8 @@ bit-identical to an untraced one.
 ``fifo`` and ``reversed`` — and the result dicts are diffed; any leaf
 difference is a *confirmed* order dependence (exit 1).  The forward run
 also records SAN008 tie-group suspects (heuristic non-commuting
-same-timestamp pairs) unless ``--no-track``.  Without a scenario it
+same-timestamp pairs) unless ``--no-track``.  Its cells are a grid's,
+named as for ``run`` (``races GRID --set KEY=VALUE``); without a grid it
 checks the curated invariant cell list.
 """
 
@@ -65,20 +65,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from typing import Optional, Sequence
 
-from repro.experiments.grids import (GRIDS, fault_dicts, grid_cells, load_results,
-                                    repeat_diff, settable)
+from repro.experiments.grids import GRIDS, grid_cells, load_results, repeat_diff, settable
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import (
-    SCENARIOS,
-    RunSpec,
-    export_json,
-    run_sweep,
-    sweep_stats,
-    write_salvage,
-)
+from repro.experiments.runner import export_json, run_sweep, sweep_stats, write_salvage
 from repro.experiments.scenarios import run_packet_path_probe
 from repro.schedulers.registry import scheduler_names
 from repro.workloads.npb import NPB_EXTENDED
@@ -98,34 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list schedulers, kernels and experiments")
 
-    def runner_opts(sp):
-        sp.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for independent cells (default 1)")
-        sp.add_argument("--no-cache", action="store_true",
-                        help="bypass the on-disk result cache (.repro_cache/)")
-        sp.add_argument("--json", metavar="PATH", default=None,
-                        help="export the full sweep results as JSON")
-        sp.add_argument("--sanitize", action="store_true",
-                        help="run cells under the runtime invariant sanitizer "
-                        "(bit-identical results; violations fail the cell)")
-        sp.add_argument("--cell-timeout", type=float, default=None, metavar="S",
-                        help="host wall-clock budget per cell; overdue workers "
-                        "are killed and the cell fails, the sweep continues")
-        sp.add_argument("--salvage", metavar="PATH", default=None,
-                        help="write the structured salvage report (healthy + "
-                        "failed cells) as JSON")
-
-    sp = sub.add_parser("typea", help="evaluation type A (Figs. 1, 10)")
-    sp.add_argument("--scheduler", default="ATC", choices=scheduler_names())
-    sp.add_argument("--nodes", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--app", default="lu", choices=NPB_EXTENDED)
-    sp.add_argument("--rounds", type=int, default=2)
-    sp.add_argument("--npb-class", default="B", choices=["A", "B", "C"])
-    sp.add_argument("--faults", default=None, metavar="SPEC",
-                    help="fault plan: random:N[:SEED], inline JSON, or a plan file")
-    runner_opts(sp)
-
     sp = sub.add_parser("run", help="run one grid of repro.experiments.grids "
                         "and print its tables")
     sp.add_argument("grid", choices=sorted(GRIDS))
@@ -135,21 +98,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--full-scale", action="store_true",
                     help="run the grid at the paper's scale (its paper_scale "
                     "params, beneath any --set; slow: hours)")
-    runner_opts(sp)
-
-    sp = sub.add_parser("mix", help="parallel + non-parallel coexistence (Figs. 2, 9)")
-    sp.add_argument("--scheduler", default="ATC", choices=scheduler_names())
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--horizon", type=float, default=6.0, help="virtual seconds")
-    sp.add_argument("--np-slice", type=float, default=None, help="admin slice (ms) for non-parallel VMs under ATC")
-    runner_opts(sp)
-
-    sp = sub.add_parser("typeb", help="LLNL-trace cluster mix (Fig. 11)")
-    sp.add_argument("--scheduler", default="ATC", choices=scheduler_names())
-    sp.add_argument("--nodes", type=int, default=6)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--horizon", type=float, default=8.0)
-    runner_opts(sp)
+    sp.add_argument("--jobs", type=int, default=1, metavar="N",
+                    help="worker processes for independent cells (default 1)")
+    sp.add_argument("--no-cache", action="store_true",
+                    help="bypass the on-disk result cache (.repro_cache/)")
+    sp.add_argument("--json", metavar="PATH", default=None,
+                    help="export the full sweep results as JSON")
+    sp.add_argument("--cell-timeout", type=float, default=None, metavar="S",
+                    help="host wall-clock budget per cell; overdue workers "
+                    "are killed and the cell fails, the sweep continues")
+    sp.add_argument("--salvage", metavar="PATH", default=None,
+                    help="write the structured salvage report (healthy + "
+                    "failed cells) as JSON")
 
     sp = sub.add_parser("check", help="evaluate a grid's claims on a --json export "
                         "(repro.experiments.grids)")
@@ -198,14 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="order-dependence detector: forward/reversed tie-order "
         "differential + SAN008 tie-group tracking (repro.analysis.races)",
     )
-    sp.add_argument("scenario", nargs="?", default=None,
-                    help="scenario to check (e.g. type_a); default: the "
-                    "curated invariant cell list")
-    sp.add_argument("--app", default="ep", choices=NPB_EXTENDED)
-    sp.add_argument("--scheduler", default="ATC", choices=scheduler_names())
-    sp.add_argument("--nodes", type=int, default=2)
-    sp.add_argument("--rounds", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("grid", nargs="?", default=None, choices=sorted(GRIDS),
+                    help="grid whose cells to check; default: the curated "
+                    "invariant cell list (repro.analysis.races.DEFAULT_CELLS)")
+    sp.add_argument("--set", action="append", default=[], dest="sets", metavar="KEY=VALUE",
+                    help="a setting of the grid's cells, as for `repro run` (repeatable)")
     sp.add_argument("--no-track", action="store_true",
                     help="skip SAN008 attribute tracking; run only the "
                     "forward/reversed metric differential (faster)")
@@ -223,35 +180,6 @@ def _progress(done: int, total: int, result) -> None:
         f"[{done}/{total}] {result.spec.label}: {state} ({result.wall_s:.2f}s)",
         file=sys.stderr,
     )
-
-
-def _run_cells(args, specs: list[RunSpec]) -> Optional[list]:
-    """Execute cells through the shared runner; None when any cell failed."""
-    if args.sanitize:
-        specs = [replace(spec, params={**spec.params, "sanitize": True}) for spec in specs]
-    progress = _progress if (args.jobs > 1 or len(specs) > 1) else None
-    results = run_sweep(
-        specs,
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        progress=progress,
-        cell_timeout_s=getattr(args, "cell_timeout", None),
-    )
-    if args.json:
-        export_json(results, args.json)
-    if getattr(args, "salvage", None):
-        print(f"salvage report: {write_salvage(results, args.salvage)}", file=sys.stderr)
-    stats = sweep_stats(results)
-    if len(specs) > 1:
-        print(
-            f"{stats['cells']} cells: {stats['ok']} ok "
-            f"({stats['cached']} cached), {stats['failed']} failed, "
-            f"{stats['wall_s']:.2f}s host cell wall time, {stats['events']} events",
-            file=sys.stderr,
-        )
-    if _report_failures(results):
-        return None
-    return results
 
 
 def _report_failures(results) -> list:
@@ -276,7 +204,7 @@ def _cmd_list() -> None:
     print("schedulers :", ", ".join(scheduler_names()))
     print("NPB kernels:", ", ".join(NPB_EXTENDED), "(classes A/B/C)")
     print("grids      :", ", ".join(GRIDS), "(repro run GRID [--set KEY=VALUE ...])")
-    print("experiments: typea, mix, typeb, probe")
+    print("experiments: probe (Fig. 4 packet path; every other figure is a grid)")
     print("tools      : trace (structured tracing + Perfetto export), "
           "check (grid claims on a --json export), "
           "lint (static determinism checks; --list-rules for codes), "
@@ -286,80 +214,6 @@ def _cmd_list() -> None:
 def _per(value, unit: float):
     """``value / unit``; ``None`` (printed as n/a) for a metric with no sample."""
     return None if value is None else value / unit
-
-
-def _cmd_typea(args) -> int:
-    params = dict(
-        app_name=args.app, scheduler=args.scheduler, n_nodes=args.nodes,
-        rounds=args.rounds, warmup_rounds=1, npb_class=args.npb_class, seed=args.seed,
-    )
-    try:
-        faults = fault_dicts(args.faults, {"n_nodes": args.nodes}, SCENARIOS["type_a"])
-    except ValueError as exc:
-        print(f"repro typea: bad --faults: {exc}", file=sys.stderr)
-        return 2
-    if faults:
-        params["faults"] = faults
-    spec = RunSpec("type_a", params)
-    results = _run_cells(args, [spec])
-    if results is None:
-        return 1
-    r = results[0].value
-    print(
-        format_table(
-            ["app", "scheduler", "nodes", "mean round (ms)", "avg spin (ms)", "done"],
-            [(r["app"], r["scheduler"], r["n_nodes"], _per(r["mean_round_ns"], 1e6),
-              _per(r["avg_spin_ns"], 1e6), r["all_done"])],
-            title="Evaluation type A",
-        )
-    )
-    return 0
-
-
-def _cmd_mix(args) -> int:
-    spec = RunSpec("small_mix", dict(
-        scheduler=args.scheduler, seed=args.seed, horizon_s=args.horizon,
-        atc_np_slice_ms=args.np_slice,
-    ))
-    results = _run_cells(args, [spec])
-    if results is None:
-        return 1
-    r = results[0].value
-    rows = [
-        ("parallel mean round (ms)", _per(r["parallel_mean_round_ns"], 1e6)),
-        ("sphinx3 run (ms)", _per(r["sphinx3_mean_run_ns"], 1e6)),
-        ("stream bandwidth (GB/s)", _per(r["stream_bandwidth_Bps"], 1e9)),
-        ("bonnie++ throughput (MB/s)", _per(r["bonnie_throughput_Bps"], 1e6)),
-        ("ping RTT (ms)", _per(r["ping_mean_rtt_ns"], 1e6)),
-    ]
-    title = f"Mixed tenancy — {args.scheduler}"
-    if args.np_slice is not None:
-        title += f" (non-parallel slice {args.np_slice} ms)"
-    print(format_table(["metric", "value"], rows, title=title))
-    return 0
-
-
-def _cmd_typeb(args) -> int:
-    spec = RunSpec("type_b", dict(
-        scheduler=args.scheduler, n_nodes=args.nodes, seed=args.seed,
-        horizon_s=args.horizon,
-    ))
-    results = _run_cells(args, [spec])
-    if results is None:
-        return 1
-    r = results[0].value
-    rows = [
-        (vc["vc"], vc["app"], vc["n_vms"], vc["rounds"], _per(vc["mean_round_ns"], 1e6))
-        for vc in r["vcs"]
-    ]
-    print(
-        format_table(
-            ["VC", "app", "VMs", "rounds", "mean round (ms)"],
-            rows,
-            title=f"Type B (LLNL trace mix) — {args.scheduler} on {args.nodes} nodes",
-        )
-    )
-    return 0
 
 
 def _print_tables(grid, results) -> None:
@@ -376,8 +230,26 @@ def _cmd_run(args) -> int:
         print(f"repro run: {args.grid}: {exc}; settable keys: {', '.join(settable(grid))}",
               file=sys.stderr)
         return 2
-    results = _run_cells(args, specs)
-    if results is None:
+    results = run_sweep(
+        specs,
+        jobs=args.jobs,
+        use_cache=not args.no_cache,
+        progress=_progress if (args.jobs > 1 or len(specs) > 1) else None,
+        cell_timeout_s=args.cell_timeout,
+    )
+    if args.json:
+        export_json(results, args.json)
+    if args.salvage:
+        print(f"salvage report: {write_salvage(results, args.salvage)}", file=sys.stderr)
+    stats = sweep_stats(results)
+    if len(specs) > 1:
+        print(
+            f"{stats['cells']} cells: {stats['ok']} ok "
+            f"({stats['cached']} cached), {stats['failed']} failed, "
+            f"{stats['wall_s']:.2f}s host cell wall time, {stats['events']} events",
+            file=sys.stderr,
+        )
+    if _report_failures(results):
         return 1
     _print_tables(grid, results)
     return 0
@@ -475,30 +347,23 @@ def _cmd_races(args) -> int:
 
     from repro.analysis.races import races_report
 
-    if args.scenario is None:
-        cells = None
-    else:
-        params = dict(
-            app_name=args.app, scheduler=args.scheduler, n_nodes=args.nodes,
-            rounds=args.rounds, warmup_rounds=1, seed=args.seed,
-        )
-        cells = [{"scenario": args.scenario, "params": params}]
-    try:
-        report = races_report(cells, track=not args.no_track)
-    except KeyError as exc:
-        print(f"repro races: unknown scenario {exc.args[0]!r}", file=sys.stderr)
+    if args.grid is None and args.sets:
+        print("repro races: --set needs a GRID", file=sys.stderr)
         return 2
-    rows = []
-    for cell in report["cells"]:
-        p = cell["params"]
-        label = ":".join(
-            str(p[k]) for k in ("app_name", "scheduler", "n_nodes") if k in p
-        ) or cell["scenario"]
-        rows.append((
-            f"{cell['scenario']}:{label}",
-            "identical" if cell["identical"] else f"{len(cell['confirmed'])} DIFFS",
-            cell["suspects_total"], len(cell["suspects"]), cell["groups_checked"],
-        ))
+    specs = None
+    if args.grid is not None:
+        grid = GRIDS[args.grid]
+        try:
+            specs = grid_cells(grid, args.sets)
+        except ValueError as exc:
+            print(f"repro races: {args.grid}: {exc}; settable keys: "
+                  f"{', '.join(settable(grid))}", file=sys.stderr)
+            return 2
+    report = races_report(specs, track=not args.no_track)
+    rows = [(cell["label"],
+             "identical" if cell["identical"] else f"{len(cell['confirmed'])} DIFFS",
+             cell["suspects_total"], len(cell["suspects"]), cell["groups_checked"])
+            for cell in report["cells"]]
     print(
         format_table(
             ["cell", "forward vs reversed", "suspects", "distinct", "tie groups"],
@@ -509,7 +374,7 @@ def _cmd_races(args) -> int:
     for cell in report["cells"]:
         for d in cell["confirmed"][:20]:
             print(
-                f"CONFIRMED {cell['scenario']}: {d['path']}: "
+                f"CONFIRMED {cell['label']}: {d['path']}: "
                 f"forward={d['forward']} reversed={d['reversed']}",
                 file=sys.stderr,
             )
@@ -537,10 +402,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _cmd_list()
         return 0
     handlers = {
-        "typea": _cmd_typea,
         "run": _cmd_run,
-        "mix": _cmd_mix,
-        "typeb": _cmd_typeb,
         "check": _cmd_check,
         "probe": _cmd_probe,
         "trace": _cmd_trace,

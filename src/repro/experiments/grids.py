@@ -43,7 +43,6 @@ __all__ = [
     "HYBRID_TOL",
     "attack_metrics",
     "attack_recovered",
-    "fault_dicts",
     "grid_cells",
     "grid_settings",
     "load_results",
@@ -83,8 +82,13 @@ def _ratio(value: Optional[float], base: Optional[float]) -> float:
     return value / base if base and value is not None else math.nan
 
 
+def _per(value: Optional[float], unit: float) -> Optional[float]:
+    """``value / unit``; ``None`` (printed as n/a) for a metric with no sample."""
+    return None if value is None else value / unit
+
+
 def _ms(ns: Optional[float]) -> Optional[float]:
-    return None if ns is None else ns / 1e6
+    return _per(ns, 1e6)
 
 
 def _failed(where: str, *claims: tuple[bool, str]) -> list[str]:
@@ -242,7 +246,7 @@ def migrate_claims(results: Sequence[RunResult]) -> list[str]:
 # ----------------------------------------------------------------------
 # dfrs: {CR, ATC, CR+DFRS, ATC+DFRS} on one normalized axis
 # ----------------------------------------------------------------------
-def dfrs_cells(modes: Sequence[str] = (*DFRS_MODES, "idle"), prefix: str = "dfrs",
+def dfrs_cells(prefix: str, modes: Sequence[str] = (*DFRS_MODES, "idle"),
                **params) -> list[RunSpec]:
     return [
         RunSpec("dfrs_compare", dict(params, mode=mode), label=f"{prefix}:{mode}")
@@ -372,7 +376,7 @@ def serve_claims(results: Sequence[RunResult]) -> list[str]:
 # ----------------------------------------------------------------------
 # attack: {scheduler} x {open, hardened} x {clean, attacked}
 # ----------------------------------------------------------------------
-def attack_cells(schedulers: Sequence[str] = ("CR", "ATC"), prefix: str = "attack",
+def attack_cells(prefix: str, schedulers: Sequence[str] = ("CR", "ATC"),
                  **params) -> list[RunSpec]:
     return [
         RunSpec("attack", dict(params, scheduler=sched, hardened=hardened, attack=attack),
@@ -538,6 +542,13 @@ def compare_table(results: Sequence[RunResult]) -> Table:
             [(p["app_name"], p["n_nodes"], *(round(_norm(g, s), 3) for s in scheds),
               *(_ms(g.get(s, {}).get("mean_round_ns", math.nan)) for s in scheds))
              for p, g in groups])
+
+
+def compare_details(results: Sequence[RunResult]) -> list[Table]:
+    """Each cell's absolute mean round, average spin latency and completion."""
+    return [("Type A — per cell", ["cell", "mean round (ms)", "avg spin (ms)", "done"],
+             [(r.spec.label, _ms(r.value["mean_round_ns"]), _ms(r.value["avg_spin_ns"]),
+               r.value["all_done"]) for r in results])]
 
 
 def compare_claims(results: Sequence[RunResult]) -> list[str]:
@@ -754,6 +765,18 @@ FIG02_METRICS = (
 )
 
 
+def mix_details(results: Sequence[RunResult]) -> list[Table]:
+    """Each cell's absolute small-mix metrics."""
+    rows = []
+    for r in results:
+        v = r.value
+        rows.append((r.spec.label, _ms(v["parallel_mean_round_ns"]), _ms(v["sphinx3_mean_run_ns"]),
+                     _per(v["stream_bandwidth_Bps"], 1e9), _per(v["bonnie_throughput_Bps"], 1e6),
+                     _ms(v["ping_mean_rtt_ns"])))
+    return [("Small mix — per cell", ["cell", "parallel round (ms)", "sphinx3 run (ms)",
+                                      "stream (GB/s)", "bonnie++ (MB/s)", "ping RTT (ms)"], rows)]
+
+
 def fig02_table(results: Sequence[RunResult]) -> Table:
     return ("Figure 2 — non-parallel apps under CS, normalized to CR", ["metric", "CS / CR"],
             [(name, _norm(g, "CS", "CR", key))
@@ -809,21 +832,33 @@ def type_b_cells(scenario: str, prefix: str, schedulers: Sequence[str],
                 label=f"{prefix}:ATC({ms:g}ms)") for ms in np_slices]
 
 
-def _fig11_norms(results: Sequence[RunResult]) -> list[tuple[str, dict[str, float]]]:
-    """Per VC of each group's baseline cell, every approach's mean round
-    over the baseline's (the seed fixes the trace draw across approaches)."""
+def _per_vc(results: Sequence[RunResult],
+            metric: Callable[[Optional[float], Optional[float]], Optional[float]]
+            ) -> list[tuple[str, dict[str, Optional[float]]]]:
+    """Per VC of each group's baseline cell, ``metric(round, baseline's
+    round)`` for every approach's mean round on that VC (the round is
+    ``None`` when the approach has no such VC; the seed fixes the trace
+    draw across approaches)."""
     out = []
     for _, g in _by_approach(results):
         vcs = {a: v["vcs"] for a, v in g.items()}
         for i, vc in enumerate(next(iter(vcs.values()))):
             out.append((f"{vc['vc']} ({vc['app']}, {vc['n_vms']} VMs)",
-                        {a: _ratio(v[i]["mean_round_ns"] if i < len(v) else math.nan,
+                        {a: metric(v[i]["mean_round_ns"] if i < len(v) else None,
                                    vc["mean_round_ns"]) for a, v in vcs.items()}))
     return out
 
 
+def vc_details(results: Sequence[RunResult]) -> list[Table]:
+    """Per VC, every approach's absolute mean round."""
+    rounds = _per_vc(results, lambda ns, _: _ms(ns))
+    approaches = list(dict.fromkeys(a for _, n in rounds for a in n))
+    return [("Mean round (ms) per VC", ["VC", *approaches],
+             [(vc, *(n.get(a) for a in approaches)) for vc, n in rounds])]
+
+
 def fig11_table(results: Sequence[RunResult]) -> Table:
-    norms = _fig11_norms(results)
+    norms = _per_vc(results, _ratio)
     approaches = list(dict.fromkeys(a for _, n in norms for a in n))
     return ("Figure 11 — type B mix: normalized execution time per VC", ["VC", *approaches],
             [(vc, *(round(n.get(a, math.nan), 3) for a in approaches)) for vc, n in norms])
@@ -831,7 +866,7 @@ def fig11_table(results: Sequence[RunResult]) -> Table:
 
 def fig11_claims(results: Sequence[RunResult]) -> list[str]:
     # ATC accelerates the mix overall; CR's cells are their own baseline.
-    norms = [(a, v) for _, n in _fig11_norms(results) for a, v in n.items() if math.isfinite(v)]
+    norms = [(a, v) for _, n in _per_vc(results, _ratio) for a, v in n.items() if math.isfinite(v)]
     atc = [v for a, v in norms if a == "ATC"]
     mean_atc = sum(atc) / len(atc) if atc else math.nan
     return _failed("fig11", (bool(atc), "no measurable VCs"),
@@ -934,7 +969,7 @@ GRIDS = {
         # Plain Credit (the 1.0 mark), ATC, CR plus the DFRS cap/weight
         # controller, ATC plus DFRS, and a constructed-but-disabled
         # controller (solve_every=0), the bit-identity control cell.
-        Grid("dfrs", "dfrs_compare", partial(dfrs_cells, horizon_s=10.0, seed=0),
+        Grid("dfrs", "dfrs_compare", partial(dfrs_cells, "dfrs", horizon_s=10.0, seed=0),
              dfrs_table, dfrs_claims, paper_scale={"horizon_s": 30.0}),
         # One Poisson tenant stream, offered well above what 3 packed
         # nodes absorb at once, under each admission policy.
@@ -946,18 +981,18 @@ GRIDS = {
         # A victim cluster beside yield-theft and tickle-storm attackers on
         # tick-sampled accounting: stock knobs vs deboost-on-yield, a BOOST
         # rate limit, a randomized tick phase and (ATC) the slice floor.
-        Grid("attack", "attack", partial(attack_cells, n_nodes=1, horizon_s=4.0, seed=0),
+        Grid("attack", "attack", partial(attack_cells, "attack", n_nodes=1, horizon_s=4.0, seed=0),
              attack_table, attack_claims, paper_scale={"horizon_s": 8.0}),
         # CS gangs each VM's VCPUs on its host, but a cluster's VMs on
         # different hosts stay unsynchronized, so CS's gain erodes as the
         # cluster spans more hosts.
-        Grid("fig01", "type_a", partial(type_a_cells, prefix="fig01", schedulers=("CR", "CS"),
+        Grid("fig01", "type_a", partial(type_a_cells, "fig01", schedulers=("CR", "CS"),
                                         nodes=(2, 4)),
              fig01_table, fig01_claims, paper_scale={"nodes": PAPER_NODES}),
         Grid("fig02", "small_mix",
-             partial(mix_cells, prefix="fig02", schedulers=("CR", "CS"), horizon_s=6.0),
-             fig02_table, fig02_claims, paper_scale={"horizon_s": 20.0}),
-        Grid("sweep", "type_a", partial(slice_cells, prefix="sweep", apps=("lu", "is", "cg")),
+             partial(mix_cells, "fig02", schedulers=("CR", "CS"), horizon_s=6.0),
+             fig02_table, fig02_claims, mix_details, paper_scale={"horizon_s": 20.0}),
+        Grid("sweep", "type_a", partial(slice_cells, "sweep", apps=("lu", "is", "cg")),
              sweep_table, sweep_claims,
              paper_scale={"apps": PAPER_APPS, "slices": PAPER_SLICES_MS}),
         # Known deviation (EXPERIMENTS.md): the inflection sits at ~0.5 ms,
@@ -965,40 +1000,40 @@ GRIDS = {
         # simulator's wake path saturates the benefit of sub-millisecond
         # slices slightly earlier.
         Grid("fig08", "type_a",
-             partial(slice_cells, prefix="fig08", npb_class="C", apps=("lu", "cg"),
+             partial(slice_cells, "fig08", npb_class="C", apps=("lu", "cg"),
                      slices=(2, 1, 0.5, 0.4, 0.3, 0.2, 0.1, 0.03)),
              fig08_table, fig08_claims, paper_scale={"apps": PAPER_APPS}),
         # The paper's candidates {0.5 ... 0.03} ms plus 1.0 and 2.0 ms, so
         # the optimum is interior at our resolution.
         Grid("eq1", "type_a",
-             partial(slice_cells, prefix="eq1", npb_class="C", apps=("lu", "is", "cg"),
+             partial(slice_cells, "eq1", npb_class="C", apps=("lu", "is", "cg"),
                      slices=(2.0, 1.0, 0.5, 0.4, 0.3, 0.2, 0.1, 0.03)),
              eq1_table, eq1_claims, paper_scale={"apps": PAPER_APPS}),
         Grid("fig09", "small_mix",
-             partial(mix_cells, prefix="fig09", slices=(30, 6, 0.3), horizon_s=6.0),
-             fig09_table, fig09_claims,
+             partial(mix_cells, "fig09", slices=(30, 6, 0.3), horizon_s=6.0),
+             fig09_table, fig09_claims, mix_details,
              paper_scale={"slices": (30, 12, 6, 1, 0.3), "horizon_s": 12.0}),
-        Grid("compare", "type_a", partial(type_a_cells, prefix="compare", schedulers=TYPE_A_SCHEDS,
+        Grid("compare", "type_a", partial(type_a_cells, "compare", schedulers=TYPE_A_SCHEDS,
                                           apps=("lu", "is"), nodes=(2, 4)),
-             compare_table, compare_claims,
+             compare_table, compare_claims, compare_details,
              paper_scale={"apps": PAPER_APPS, "nodes": PAPER_NODES}),
         # The seed fixes the trace draw across approaches, so each VC is
         # normalized against CR on the same VC/app assignment.
-        Grid("fig11", "type_b", partial(type_b_cells, "type_b", "fig11", TYPE_A_SCHEDS, seed=11,
-                                        n_nodes=6, horizon_s=8.0),
-             fig11_table, fig11_claims, paper_scale=TYPE_B_PAPER),
+        Grid("fig11", "type_b", partial(type_b_cells, "type_b", "fig11", schedulers=TYPE_A_SCHEDS,
+                                        seed=11, n_nodes=6, horizon_s=8.0),
+             fig11_table, fig11_claims, vc_details, paper_scale=TYPE_B_PAPER),
         *(Grid(f"fig{n}", "type_b_mixed", partial(type_b_cells, "type_b_mixed", f"fig{n}",
-                                                  MIXED_SCHEDS, np_slices=(6.0,), seed=n,
-                                                  n_nodes=6, horizon_s=8.0),
-               _mixed_table(n), claims, paper_scale=TYPE_B_PAPER)
+                                                  schedulers=MIXED_SCHEDS, np_slices=(6.0,),
+                                                  seed=n, n_nodes=6, horizon_s=8.0),
+               _mixed_table(n), claims, vc_details, paper_scale=TYPE_B_PAPER)
           for n, claims in ((12, fig12_claims), (13, fig13_claims), (14, fig14_claims))),
         Grid("headline", "type_a",
-             partial(type_a_cells, prefix="headline", schedulers=("CR", "CS", "BS", "ATC"),
+             partial(type_a_cells, "headline", schedulers=("CR", "CS", "BS", "ATC"),
                      apps=("lu", "is", "cg")),
              headline_table, headline_claims, paper_scale={"apps": PAPER_APPS, "nodes": (8,)}),
         # ep has no synchronization, the control no scheduler should move;
         # ft's all-to-all transposes are the most communication-bound.
-        Grid("kernels", "type_a", partial(type_a_cells, prefix="kernels", schedulers=("CR", "ATC"),
+        Grid("kernels", "type_a", partial(type_a_cells, "kernels", schedulers=("CR", "ATC"),
                                           apps=("ep", "ft", "is")),
              kernels_table, kernels_claims),
         # The whole placement registry: striped interleaves clusters over
@@ -1074,21 +1109,6 @@ def settable(grid: Grid) -> dict[str, object]:
             if k in own or all(s.params.get(k) == probe for s in specs)}
 
 
-def fault_dicts(spec: str, values: dict, *fns: Callable) -> Optional[list]:
-    """A ``--faults`` spec (:func:`~repro.faults.plan.parse_fault_spec`)
-    as scenario params, drawn against the cells' ``n_nodes`` and
-    ``horizon_s``: given in ``values``, else the first default declared by
-    ``fns`` (cells, then scenario builder), ``_world`` or :class:`WorldConfig`.
-    :class:`ValueError` for a malformed or unreadable plan."""
-    declared = _declared(*fns, _world, WorldConfig)
-    n_nodes, horizon_s = (values.get(k, declared[k][1]) for k in ("n_nodes", "horizon_s"))
-    try:
-        plan = parse_fault_spec(spec, n_nodes, round(horizon_s * SEC))
-    except (TypeError, KeyError, OSError) as exc:
-        raise ValueError(f"bad fault plan: {exc}") from None
-    return plan.to_dicts() if plan else None
-
-
 def _typed(text: str, hint):
     """One ``--set`` value by its annotation: a scalar as itself, ``none``
     for an Optional, a comma list for a sequence of scalars, a dict or
@@ -1136,11 +1156,17 @@ def grid_settings(grid: Grid, pairs: Sequence[str]) -> dict:
         raise ValueError(f"unknown key {unknown[0]!r}" if unknown
                          else f"missing required key {missing[0]!r}")
     out: dict = {}
-    # faults last: its plan is drawn against the n_nodes and horizon_s set
+    # faults last: its plan (a repro.faults spec) is drawn against the
+    # n_nodes and horizon_s set, else the first default declared for them
+    declared = _declared(grid.cells, SCENARIOS[grid.scenario], _world, WorldConfig)
     for key in sorted(texts, key=lambda k: k == "faults"):
         try:
-            out[key] = (fault_dicts(texts[key], out, grid.cells, SCENARIOS[grid.scenario])
-                        if key == "faults" else _typed(texts[key], keys[key]))
+            if key != "faults":
+                out[key] = _typed(texts[key], keys[key])
+                continue
+            n_nodes, horizon_s = (out.get(k, declared[k][1]) for k in ("n_nodes", "horizon_s"))
+            plan = parse_fault_spec(texts[key], n_nodes, round(horizon_s * SEC))
+            out[key] = plan.to_dicts() if plan else None
         except (ValueError, KeyError, TypeError, OSError) as exc:
             raise ValueError(f"bad value for {key}: {exc}") from None
     return out

@@ -16,12 +16,12 @@ def test_parser_requires_command():
 
 def test_parser_rejects_unknown_scheduler():
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["typea", "--scheduler", "FIFO"])
+        build_parser().parse_args(["trace", "--scheduler", "FIFO"])
 
 
 def test_parser_rejects_unknown_app():
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["typea", "--app", "linpack"])
+        build_parser().parse_args(["trace", "--app", "linpack"])
 
 
 def test_list_command(capsys):
@@ -32,7 +32,7 @@ def test_list_command(capsys):
 
 
 @pytest.mark.parametrize("verb", ["compare", "sweep", "chaos", "migrate", "dfrs", "serve",
-                                  "attack"])
+                                  "attack", "typea", "mix", "typeb"])
 def test_grid_verbs_are_gone(verb):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([verb])
@@ -40,10 +40,12 @@ def test_grid_verbs_are_gone(verb):
 
 
 def test_typea_command(capsys):
-    assert main(["typea", "--app", "is", "--scheduler", "CR", "--rounds", "1"]) == 0
+    """One type-A cell is a one-scheduler compare run; its detail table
+    carries the absolute values the normalized table cannot."""
+    assert main(_run("compare", "apps=is", "schedulers=CR", "nodes=2", "rounds=1")) == 0
     out = capsys.readouterr().out
-    assert "Evaluation type A" in out
-    assert "is" in out
+    assert "Type A — per cell" in out
+    assert "compare:is/CR/2 | " in out and "avg spin (ms)" in out
 
 
 def test_sweep_command(capsys):
@@ -67,15 +69,16 @@ def test_check_reports_a_one_slice_sweep(tmp_path, capsys):
 
 
 def test_mix_command(capsys):
-    assert main(["mix", "--scheduler", "CR", "--horizon", "2"]) == 0
+    assert main(_run("fig02", "schedulers=CR", "horizon_s=2")) == 0
     out = capsys.readouterr().out
-    assert "ping RTT" in out
+    assert "Small mix — per cell" in out and "fig02:CR | " in out and "ping RTT (ms)" in out
 
 
 def test_typeb_command(capsys):
-    assert main(["typeb", "--scheduler", "CR", "--nodes", "4", "--horizon", "2"]) == 0
+    assert main(_run("fig11", "schedulers=CR", "n_nodes=4", "seed=0")) == 0
     out = capsys.readouterr().out
-    assert "LLNL trace mix" in out
+    details = out.partition("Mean round (ms) per VC")[2]
+    assert "Figure 11" in out and "VC1 (" in details and "n/a" not in details
 
 
 def test_probe_command(capsys):
@@ -237,16 +240,16 @@ def test_run_rejects_a_config_class_value(capsys, monkeypatch):
 def test_typea_rejects_a_malformed_fault_plan(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("a cell ran"))
     plan = json.dumps([{"t_ns": 1000, "kind": "node_crash", "node": 0}])
-    assert main(["typea", "--faults", plan]) == 2
+    assert main(_run("compare", f"faults={plan}")) == 2
     err = capsys.readouterr().err
-    assert err.startswith("repro typea: bad --faults: ") and "t_ns" in err
+    assert err.startswith("repro run: compare: bad value for faults: ") and "t_ns" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_single_cell_verbs_print_a_metric_with_no_sample_as_n_a(capsys):
-    assert main(["mix", "--horizon", "0.005", "--no-cache"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("| n/a") == 5
+    assert main(_run("fig02", "schedulers=CR", "horizon_s=0.005") + ["--no-cache"]) == 0
+    details = capsys.readouterr().out.partition("Small mix — per cell")[2]
+    assert details.count("| n/a") == 5
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,8 @@
 in CI must parse: the fenced blocks of README.md, EXPERIMENTS.md,
 DESIGN.md and the verify skill, and the workflows' ``run:`` steps (with
 their matrix templates filled in).  A deleted verb or flag cannot survive
-in any of them."""
+in any of them, and each ``run GRID`` or ``races GRID`` command's
+``--set`` values must build the grid's cells (no cell runs)."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser
+from repro.experiments.grids import GRIDS, grid_cells, settable
 
 ROOT = Path(__file__).resolve().parent.parent
 MARKER = "python -m repro "
@@ -91,7 +93,7 @@ SOURCES = {
 def test_command_extraction_handles_continuations_and_shell_syntax():
     script = """
 $ python -m repro races            # a comment
-PYTHONPATH=src python -m repro typea --faults '[{"at_ns": 1,
+PYTHONPATH=src python -m repro run compare --set 'faults=[{"at_ns": 1,
     "kind": "vm_pause"}]' 2>/dev/null | tail
 python -m repro trace --app is \\
     --slice 30 > out.txt
@@ -99,7 +101,7 @@ echo python -m repro-not-this
 """
     assert _commands(script) == [
         ["races"],
-        ["typea", "--faults", '[{"at_ns": 1,\n    "kind": "vm_pause"}]'],
+        ["run", "compare", "--set", 'faults=[{"at_ns": 1,\n    "kind": "vm_pause"}]'],
         ["trace", "--app", "is", "--slice", "30"],
     ]
 
@@ -112,7 +114,38 @@ def test_documented_commands_parse(source):
     parser, bad = build_parser(), []
     for argv in commands:
         try:
-            parser.parse_args(argv)
+            args = parser.parse_args(argv)
         except SystemExit:
             bad.append(f"repro {shlex.join(argv)}")
-    assert not bad, f"{source}: commands that do not parse: {bad}"
+            continue
+        if args.command in ("run", "races") and args.grid is not None:
+            try:
+                _resolve(args)
+            except ValueError as exc:
+                bad.append(f"repro {shlex.join(argv)}: {exc}")
+    assert not bad, f"{source}: commands that do not parse or resolve: {bad}"
+
+
+def _resolve(args) -> None:
+    """Build the cells of a parsed ``run``/``races`` command.  A
+    ``faults=`` plan file the reader is asked to write first (none is in
+    the repository) is checked for its key only."""
+    grid, sets = GRIDS[args.grid], []
+    for pair in args.sets:
+        key, _, value = pair.partition("=")
+        if key == "faults" and not value.startswith(("random:", "[", "{")) \
+                and not (ROOT / value).exists():
+            if key not in settable(grid):
+                raise ValueError(f"unknown key {key!r}")
+        else:
+            sets.append(pair)
+    grid_cells(grid, sets, full_scale=getattr(args, "full_scale", False))
+
+
+def test_a_set_the_grid_owns_fails_resolution():
+    """A documented ``--set`` that parses but names a key the grid sets
+    itself is caught."""
+    args = build_parser().parse_args(
+        ["run", "migrate", "--set", "policy=demix", "--set", "placement=pack"])
+    with pytest.raises(ValueError, match="'placement' is set by the grid itself"):
+        _resolve(args)

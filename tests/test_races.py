@@ -325,12 +325,43 @@ def test_cli_races_subcommand(capsys, tmp_path):
 
     report = tmp_path / "races_report.json"
     rc = main([
-        "races", "type_a", "--app", "ep", "--scheduler", "ATC",
-        "--nodes", "1", "--rounds", "1", "--suspects", "0",
+        "races", "compare", "--set", "apps=ep", "--set", "schedulers=ATC",
+        "--set", "nodes=1", "--set", "rounds=1", "--set", "sanitize=true", "--suspects", "0",
         "--json", str(report),
     ])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "identical" in out
+    assert "compare:ep/ATC/1 | identical" in out
     assert "no confirmed order dependence" in out
-    assert json.loads(report.read_text())["schema"] == "repro.races/v1"
+    doc = json.loads(report.read_text())
+    assert doc["schema"] == "repro.races/v1"
+    assert [c["label"] for c in doc["cells"]] == ["compare:ep/ATC/1"]
+
+
+def test_default_cells_are_grid_cells():
+    """The curated cells come through ``grid_cells``: ep ATC/CR and bt ATC
+    at 2 nodes, lu ATC at 1 node, two measured rounds after one warm-up."""
+    from repro.analysis.races import DEFAULT_CELLS
+    from repro.experiments.grids import GRIDS, grid_cells
+
+    specs = [s for grid, sets in DEFAULT_CELLS for s in grid_cells(GRIDS[grid], sets)]
+    assert [(s.scenario, s.params) for s in specs] == [
+        ("type_a", {"app_name": app, "scheduler": sched, "n_nodes": n, "rounds": 2,
+                    "warmup_rounds": 1})
+        for app, sched, n in (("ep", "ATC", 2), ("ep", "CR", 2), ("bt", "ATC", 2),
+                              ("lu", "ATC", 1))]
+
+
+@pytest.mark.parametrize("argv,why", [
+    (["races", "--set", "apps=ep"], "repro races: --set needs a GRID"),
+    (["races", "compare", "--set", "scheduler=CR"],
+     "repro races: compare: key 'scheduler' is set by the grid itself"),
+])
+def test_cli_races_rejects_bad_cells_before_any_run(argv, why, capsys, monkeypatch):
+    from repro.analysis import races
+    from repro.cli import main
+
+    monkeypatch.setattr(races, "run_differential", lambda *a, **k: pytest.fail("a cell ran"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(why) and err.count("\n") == 1
