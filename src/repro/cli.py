@@ -10,7 +10,7 @@ Examples::
     python -m repro run dfrs --set horizon_s=10 --json dfrs_a.json
     python -m repro run fig02 --set schedulers=ATC --set atc_np_slice_ms=6
     python -m repro run fig11 --set schedulers=ATC --set n_nodes=6
-    python -m repro probe --scheduler CR
+    python -m repro run fig04 --set scheduler=ATC --set n_probes=50
     python -m repro check dfrs dfrs_a.json dfrs_b.json
     python -m repro trace --app is --slice 30
     python -m repro lint src/repro benchmarks tests examples
@@ -18,7 +18,8 @@ Examples::
     python -m repro races compare --set apps=lu --set schedulers=CR --set nodes=2
 
 ``run GRID`` runs one grid of :mod:`repro.experiments.grids` (the paper's
-figures and the chaos, migrate, dfrs, serve and attack extensions) and
+figures, Table I and the ATC ablation, and the chaos, migrate, dfrs,
+serve and attack extensions) and
 prints its table and detail tables; the detail tables carry each cell's
 absolute values, so a one-scheduler run is a single cell.  Its
 ``cells()`` defaults are the figure at the default scale;
@@ -27,11 +28,12 @@ absolute values, so a one-scheduler run is a single cell.  Its
 ``cells()``, its scenario builder or the world options the builder
 forwards, typed by the first annotation declared for it (``faults``
 takes a :mod:`repro.faults` spec: ``random:N[:SEED]``, inline JSON or a
-plan file; ``sanitize=true`` runs every cell under the runtime invariant
+plan file; ``sched_params`` a JSON dict of the cell scheduler's
+parameters; ``sanitize=true`` runs every cell under the runtime invariant
 sanitizer of :mod:`repro.analysis.sanitizer`, with bit-identical
 results and violations reported as structured cell failures).  A key
 the grid sets itself (``compare``'s ``scheduler``) or a config class
-(``sched_params``) exits 2 before any cell runs.  The cells execute
+(``node_params``) exits 2 before any cell runs.  The cells execute
 through :mod:`repro.experiments.runner`: ``--jobs N`` fans them over N
 worker processes (bit-identical to serial), results are cached under
 ``.repro_cache/`` (``--no-cache`` to bypass), ``--json PATH`` exports
@@ -70,7 +72,6 @@ from typing import Optional, Sequence
 from repro.experiments.grids import GRIDS, grid_cells, load_results, repeat_diff, settable
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import export_json, run_sweep, sweep_stats, write_salvage
-from repro.experiments.scenarios import run_packet_path_probe
 from repro.schedulers.registry import scheduler_names
 from repro.workloads.npb import NPB_EXTENDED
 
@@ -119,14 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("repeat", nargs="?", default=None, metavar="REPEAT.json",
                     help="second export of the same run; its spec/value lists "
                     "must equal RESULTS.json's")
-
-    sp = sub.add_parser("probe", help="Fig. 4 packet-path hop decomposition")
-    sp.add_argument("--scheduler", default="CR", choices=scheduler_names())
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--probes", type=int, default=50)
-    sp.add_argument("--slice", type=float, default=None, help="uniform slice (ms)")
-    sp.add_argument("--sanitize", action="store_true",
-                    help="run under the runtime invariant sanitizer")
 
     sp = sub.add_parser("trace", help="traced run: JSON-lines + Chrome trace_event export")
     sp.add_argument("--app", default="is", choices=NPB_EXTENDED)
@@ -204,16 +197,10 @@ def _cmd_list() -> None:
     print("schedulers :", ", ".join(scheduler_names()))
     print("NPB kernels:", ", ".join(NPB_EXTENDED), "(classes A/B/C)")
     print("grids      :", ", ".join(GRIDS), "(repro run GRID [--set KEY=VALUE ...])")
-    print("experiments: probe (Fig. 4 packet path; every other figure is a grid)")
     print("tools      : trace (structured tracing + Perfetto export), "
           "check (grid claims on a --json export), "
           "lint (static determinism checks; --list-rules for codes), "
           "races (same-timestamp order-dependence detector)")
-
-
-def _per(value, unit: float):
-    """``value / unit``; ``None`` (printed as n/a) for a metric with no sample."""
-    return None if value is None else value / unit
 
 
 def _print_tables(grid, results) -> None:
@@ -279,27 +266,6 @@ def _cmd_check(args) -> int:
         return 1
     print(f"{args.grid}: {len(results)} cells ok, every claim holds"
           + (", repeat identical" if args.repeat else ""))
-    return 0
-
-
-def _cmd_probe(args) -> int:
-    r = run_packet_path_probe(args.scheduler, uniform_slice_ms=args.slice,
-                              n_probes=args.probes, seed=args.seed,
-                              sanitize=args.sanitize)
-    rows = [
-        ("netback tx wait", _per(r["mean_netback_tx_wait_ns"], 1e3)),
-        ("wire", _per(r["mean_wire_ns"], 1e3)),
-        ("netback rx wait", _per(r["mean_netback_rx_wait_ns"], 1e3)),
-        ("guest consume wait", _per(r["mean_consume_wait_ns"], 1e3)),
-        ("end to end", _per(r["mean_end_to_end_ns"], 1e3)),
-    ]
-    print(
-        format_table(
-            ["hop", "mean (us)"],
-            rows,
-            title=f"Packet-path probe — {args.scheduler} ({r['probes']} probes)",
-        )
-    )
     return 0
 
 
@@ -404,7 +370,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {
         "run": _cmd_run,
         "check": _cmd_check,
-        "probe": _cmd_probe,
         "trace": _cmd_trace,
         "lint": _cmd_lint,
         "races": _cmd_races,

@@ -125,6 +125,15 @@ def _normalized(results: Sequence[RunResult], *axes: str) -> list[dict[tuple, tu
     return out
 
 
+def _cases(results: Sequence[RunResult], *axes: str) -> list[dict[str, RunResult]]:
+    """:func:`_groups`, each cell keyed by its case name, the label past the
+    grid's prefix: these axes hold ``sched_params`` dicts, which key nothing."""
+    groups: dict[str, dict[str, RunResult]] = {}
+    for r in results:
+        groups.setdefault(_rest(r, axes), {})[r.spec.label.partition(":")[2]] = r
+    return list(groups.values())
+
+
 # ----------------------------------------------------------------------
 # chaos: clean baseline vs the same type-A cell under a fault plan
 # ----------------------------------------------------------------------
@@ -629,6 +638,67 @@ def placement_claims(results: Sequence[RunResult]) -> list[str]:
     return out
 
 
+#: The ATC design choices DESIGN.md calls out, as ``ATCConfig`` overrides:
+#: the printed pseudo-code ("paper") vs the prose reading of Algorithm 1's
+#: falling-latency case, the Section III-B floor (0.3 ms) vs none (0.03 ms)
+#: vs a conservative one (1 ms), and the paper's future work, the VMM's
+#: own run-queue-wait accounting driving Algorithm 1 with no guest
+#: instrumentation.  DSS, per-VM slices, stands in for giving up
+#: Algorithm 2's host-wide minimum.
+ATC_VARIANTS = {
+    "paper(0.3ms)": {},
+    "prose(0.3ms)": {"trend_policy": "prose"},
+    "no-floor(0.03ms)": {"min_threshold_ns": ns_from_ms(0.03), "beta_ns": ns_from_ms(0.03)},
+    "floor(1ms)": {"min_threshold_ns": ns_from_ms(1.0), "beta_ns": ns_from_ms(0.5)},
+    "non-intrusive": {"monitor_mode": "queuewait"},
+}
+
+
+def ablation_cells(**params) -> list[RunSpec]:
+    """One type-A cell under CR (the baseline), DSS, then ATC per variant."""
+    params = {"rounds": 2, "warmup_rounds": 1, **params}
+    return [RunSpec("type_a", dict(params, scheduler=s), label=f"ablation:{s}")
+            for s in ("CR", "DSS")] + [
+        RunSpec("type_a", dict(params, scheduler="ATC", sched_params={"atc": atc}),
+                label=f"ablation:{name}") for name, atc in ATC_VARIANTS.items()]
+
+
+def _ablations(results: Sequence[RunResult]) -> list[dict[str, float]]:
+    """Per :func:`_cases` group, each case's round time over its CR cell's."""
+    out = []
+    for g in _cases(results, "scheduler", "sched_params"):
+        base = g["CR"].value["mean_round_ns"] if "CR" in g else math.nan
+        out.append({c: _ratio(r.value["mean_round_ns"], base) for c, r in g.items()})
+    return out
+
+
+def ablation_table(results: Sequence[RunResult]) -> Table:
+    apps = "/".join(dict.fromkeys(str(r.spec.params.get("app_name")) for r in results))
+    return (f"ATC ablations — {apps}, normalized vs CR", ["variant", "normalized time"],
+            [row for norm in _ablations(results) for row in norm.items()])
+
+
+def ablation_claims(results: Sequence[RunResult]) -> list[str]:
+    out = _all_done([r for r in results if r.spec.params["scheduler"] == "ATC"])
+    for norm in _ablations(results):
+        paper, dss, floor, quiet = (norm.get(c, math.nan) for c in
+                                    ("paper(0.3ms)", "DSS", "floor(1ms)", "non-intrusive"))
+        out += _failed(
+            "ablation",
+            # every ATC variant still beats CR decisively
+            *((norm.get(v, math.nan) < 0.6, f"{v} {norm.get(v, math.nan):.3f}x CR, not below 0.6")
+              for v in ATC_VARIANTS),
+            # the adaptive controller (host-uniform min slice) beats per-VM DSS
+            (paper < dss, f"paper(0.3ms) {paper:.3f}x CR, not below DSS's {dss:.3f}"),
+            # a conservative 1 ms floor gives up some of the gain
+            (floor >= paper - 0.02,
+             f"floor(1ms) {floor:.3f}x CR, more than 0.02 below paper(0.3ms)'s {paper:.3f}"),
+            # the non-intrusive monitor performs on par with guest tracing
+            (abs(quiet - paper) < 0.1,
+             f"non-intrusive {quiet:.3f}x CR, not within 0.1 of paper(0.3ms)'s {paper:.3f}"))
+    return out
+
+
 # ---- static slice sweeps under CR (Figs. 5, 8, Eq. 1)
 def slice_cells(prefix: str, slices: Sequence[float] = (30.0, 12.0, 6.0, 1.0, 0.3),
                 apps: Sequence[str] = ("lu",), n_nodes: int = 2, npb_class: str = "B",
@@ -821,6 +891,66 @@ def fig09_claims(results: Sequence[RunResult]) -> list[str]:
     return out
 
 
+# ---- cross-VM packet path (Fig. 4)
+#: Fig. 4's hops in path order, then the whole path.
+HOPS = ("netback_tx_wait", "wire", "netback_rx_wait", "consume_wait", "end_to_end")
+
+
+def fig04_cells(scheduler: str = "CR", **params) -> list[RunSpec]:
+    """The scheduler as it is; without wake boosting, so every overhead
+    source becomes a run-queue wait bounded by the slices of the VMs ahead
+    (the paper's ``sum(TimeSlice_i)``); and the same at a uniform 0.3 ms
+    slice, the effect ATC exploits."""
+    params = dict(params, scheduler=scheduler)
+    no_boost = dict(params, sched_params={"boost": False})
+    return [RunSpec("packet_path_probe", p, label=f"fig04:{case}") for case, p in (
+        (scheduler, params), ("no-boost 30ms", no_boost),
+        ("no-boost 0.3ms", dict(no_boost, uniform_slice_ms=0.3)))]
+
+
+def _hops(results: Sequence[RunResult]) -> list[dict[str, dict]]:
+    """Per :func:`_cases` group, each case's probe count and hop means (µs;
+    NaN without a probe)."""
+    return [{c: {"probes": r.value["probes"],
+                 **{h: _ratio(r.value[f"mean_{h}_ns"], 1e3) for h in HOPS}} for c, r in g.items()}
+            for g in _cases(results, "sched_params", "uniform_slice_ms")]
+
+
+def fig04_table(results: Sequence[RunResult]) -> Table:
+    groups = _hops(results)
+    cases = list(dict.fromkeys(c for g in groups for c in g))
+    return ("Figure 4 — cross-VM packet path hops (us)", ["hop", *cases],
+            [(h, *(g.get(c, {}).get(h, math.nan) for c in cases)) for g in groups for h in HOPS])
+
+
+def fig04_claims(results: Sequence[RunResult]) -> list[str]:
+    out = []
+    for g in _hops(results):
+        base = next(iter(g))
+        cr, nb30, nb03 = (g.get(c, dict.fromkeys(HOPS, math.nan))
+                          for c in (base, "no-boost 30ms", "no-boost 0.3ms"))
+        sched_wait = cr["consume_wait"] + cr["netback_rx_wait"]
+        wires = [v["wire"] for v in g.values()]
+        out += _failed(
+            "fig04",
+            *((v["probes"] > 0, f"{c}: no probe arrived") for c, v in g.items()),
+            # scheduling waits dominate the wire under stock CR with 30 ms slices
+            (sched_wait > cr["wire"], f"{base} scheduling waits {sched_wait:.1f} us, "
+             f"not above the wire's {cr['wire']:.1f} us"),
+            # without boost, the waits explode at 30 ms slices...
+            (nb30["end_to_end"] > 2 * cr["end_to_end"],
+             f"no-boost 30ms end to end {_ratio(nb30['end_to_end'], cr['end_to_end']):.3f}x "
+             f"{base}, not above 2"),
+            # ...and shrink dramatically when every slice ahead in the queue is short
+            (nb03["end_to_end"] < 0.2 * nb30["end_to_end"],
+             f"no-boost 0.3ms end to end {_ratio(nb03['end_to_end'], nb30['end_to_end']):.3f}x "
+             "no-boost 30ms, not below 0.2"),
+            # the wire itself is slice-independent
+            (all(map(math.isfinite, wires)) and max(wires) < 3 * min(wires),
+             f"wire times {'/'.join(f'{w:.1f}' for w in wires)} us differ by 3x or more"))
+    return out
+
+
 # ---- type B: LLNL-trace cluster mix (Fig. 11) and mixed tenancy (Figs. 12-14)
 def type_b_cells(scenario: str, prefix: str, schedulers: Sequence[str],
                  np_slices: Sequence[float] = (), **params) -> list[RunSpec]:
@@ -947,6 +1077,39 @@ def fig14_claims(results: Sequence[RunResult]) -> list[str]:
     return out
 
 
+def table1_table(results: Sequence[RunResult]) -> Table:
+    rows = []
+    for r in results:
+        v = r.value
+        indep = v["n_vms"] - sum(vc["n_vms"] for vc in v["vcs"])
+        rows += [(r.spec.label, vc["vc"], vc["n_vms"], vc["app"], vc["rounds"]) for vc in v["vcs"]]
+        rows.append((r.spec.label, f"independents ({indep} VMs)", indep, "lu/is",
+                     v["independent_rounds"]))
+    return ("Table I — trace cell: rounds done per virtual cluster",
+            ["cell", "virtual cluster", "VMs", "app", "rounds done"], rows)
+
+
+def table1_details(results: Sequence[RunResult]) -> list[Table]:
+    """Each cell's platform and event count."""
+    return [("Table I — per cell", ["cell", "nodes", "VMs", "VCPUs", "events"],
+             [(r.spec.label, r.value["n_nodes"], r.value["n_vms"], r.value["total_vcpus"],
+               r.value["events"]) for r in results])]
+
+
+def table1_claims(results: Sequence[RunResult]) -> list[str]:
+    out = []
+    for r in results:
+        v = r.value
+        rounds = sum(vc["rounds"] for vc in v["vcs"])
+        out += _failed(
+            r.spec.label,
+            *((v[k] == n, f"{k} {v[k]}, not {n}")
+              for k, n in (("n_nodes", 32), ("n_vms", 128), ("total_vcpus", 1024))),
+            # the virtual clusters must have made visible progress in the horizon
+            (rounds >= 5, f"the virtual clusters finished {rounds} rounds, fewer than 5"))
+    return out
+
+
 #: The paper's scales: its six NPB kernels, type-A cluster sizes and the
 #: type-B platform.
 PAPER_APPS = tuple(NPB_NAMES)
@@ -992,6 +1155,8 @@ GRIDS = {
         Grid("fig02", "small_mix",
              partial(mix_cells, "fig02", schedulers=("CR", "CS"), horizon_s=6.0),
              fig02_table, fig02_claims, mix_details, paper_scale={"horizon_s": 20.0}),
+        Grid("fig04", "packet_path_probe", partial(fig04_cells, n_probes=200),
+             fig04_table, fig04_claims),
         Grid("sweep", "type_a", partial(slice_cells, "sweep", apps=("lu", "is", "cg")),
              sweep_table, sweep_claims,
              paper_scale={"apps": PAPER_APPS, "slices": PAPER_SLICES_MS}),
@@ -1017,6 +1182,10 @@ GRIDS = {
                                           apps=("lu", "is"), nodes=(2, 4)),
              compare_table, compare_claims, compare_details,
              paper_scale={"apps": PAPER_APPS, "nodes": PAPER_NODES}),
+        # The paper's exact 32-node type-B platform (one cell; no smaller scale).
+        Grid("table1", "table1_cell", partial(type_b_cells, "table1_cell", "table1",
+                                              schedulers=("ATC",), horizon_s=2.0),
+             table1_table, table1_claims, table1_details),
         # The seed fixes the trace draw across approaches, so each VC is
         # normalized against CR on the same VC/app assignment.
         Grid("fig11", "type_b", partial(type_b_cells, "type_b", "fig11", schedulers=TYPE_A_SCHEDS,
@@ -1040,6 +1209,8 @@ GRIDS = {
         # nodes by global VM index, and random:SEED draws a reproducible
         # placement; both land between spread and pack.
         Grid("placement", "type_a", placement_cells, placement_table, placement_claims),
+        Grid("ablation", "type_a", partial(ablation_cells, app_name="lu", n_nodes=2),
+             ablation_table, ablation_claims, compare_details),
     )
 }
 
@@ -1065,7 +1236,8 @@ def _declared(*fns: Callable) -> dict[str, tuple]:
 
 def _has_form(hint) -> bool:
     """Whether ``--set`` can spell a value of ``hint``: a config class such
-    as :class:`~repro.schedulers.base.SchedulerParams` has no form."""
+    as :class:`~repro.cluster.node.NodeParams` has no form (``sched_params``
+    is a dict, which ``_world`` turns into the scheduler's params)."""
     if get_origin(hint) is Union:
         hint = next(a for a in get_args(hint) if a is not type(None))
     return not isinstance(hint, type) or hint in (bool, int, float, str, dict, list)

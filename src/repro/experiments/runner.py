@@ -67,6 +67,7 @@ __all__ = [
 #: callable out of the spec keeps specs picklable and content-hashable.
 SCENARIOS: dict[str, Callable[..., dict]] = {
     "type_a": scenarios.run_type_a,
+    "table1_cell": scenarios.run_table1_cell,
     "small_mix": scenarios.run_small_mix,
     "type_b": scenarios.run_type_b,
     "type_b_mixed": scenarios.run_type_b_mixed,

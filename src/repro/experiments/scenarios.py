@@ -1,10 +1,10 @@
 """Scenario builders: one function per paper experiment setup.
 
 Each builder constructs the paper's platform shape, runs it, and returns a
-plain dict of measurements.  The benchmark files in ``benchmarks/`` call
-these with scaled-down defaults (fewer nodes / rounds, same over-commit
-ratio) — see DESIGN.md §4; normalized execution time is a ratio, so the
-paper's *shapes* survive the scaling.
+plain dict of measurements.  The grids of :mod:`repro.experiments.grids`
+call these with scaled-down defaults (fewer nodes / rounds, same
+over-commit ratio) — see DESIGN.md §4; normalized execution time is a
+ratio, so the paper's *shapes* survive the scaling.
 
 Setups reproduced:
 
@@ -21,6 +21,8 @@ Setups reproduced:
 * ``run_type_b_mixed`` — Section IV-C (Figs. 12-14): type B placement
   where independent VMs run a mix of NPB and non-parallel applications
   (web server driven from a dedicated client node).
+* ``run_table1_cell`` — Table I: the paper's exact 32-node type-B
+  platform and virtual-cluster mix, one cell.
 * ``run_packet_path_probe`` — Fig. 4: per-hop timestamps of cross-VM
   messages under load, splitting the four scheduling-wait overheads.
 * ``run_migration_rebalance`` — mixed-tenancy world (Fig. 12/13-style)
@@ -41,7 +43,11 @@ Run-wide options are declared once, as :class:`WorldConfig` fields
 (``sched_params``, ``sanitize``, ``trace``, ``profile``, ``faults``,
 ``tie_order``...).  Every builder takes them as ``**world_opts`` and
 hands them to :func:`_world` unchanged, so a misspelled option raises
-``TypeError`` when the config is built, before any simulation.  A
+``TypeError`` when the config is built, before any simulation.
+``sched_params`` travels as a JSON dict of the scheduler's parameter
+fields (``{"boost": false}``, ``{"atc": {"trend_policy": "prose"}}``),
+which :func:`_world` turns into the scheduler's
+:class:`~repro.schedulers.base.SchedulerParams` subclass.  A
 builder spells out only the parameters it inspects itself.
 """
 
@@ -60,11 +66,11 @@ from repro.service.service import ServiceConfig
 from repro.guest.process import recv_block, send
 from repro.metrics.collectors import cluster_stats
 from repro.metrics.summary import mean
-from repro.schedulers.base import SchedulerParams
+from repro.schedulers.registry import DEFAULT_PARAMS
 from repro.sim.rng import SimRNG
 from repro.sim.units import MSEC, SEC, ns_from_ms
 from repro.workloads.npb import NPB_NAMES, npb_spec
-from repro.workloads.traces import synthesize_vc_mix
+from repro.workloads.traces import paper_vc_mix, synthesize_vc_mix
 
 __all__ = [
     "run_type_a",
@@ -86,20 +92,24 @@ def _world(
     n_nodes: int,
     scheduler: str,
     seed: int,
+    sched_params: Optional[dict] = None,
     faults: Optional[Sequence[dict]] = None,
     migration: Optional[dict] = None,
     service: Optional[dict] = None,
     dfrs: Optional[dict] = None,
     **config,
 ) -> CloudWorld:
-    # Fault plans, migration/service/DFRS configs travel through scenario
-    # params as JSON dicts so they are picklable and fold into the sweep
-    # cache key automatically; every other option is a WorldConfig field.
+    # Scheduler overrides, fault plans and migration/service/DFRS configs
+    # travel through scenario params as JSON dicts so they are picklable
+    # and fold into the sweep cache key automatically; every other option
+    # is a WorldConfig field.
     return CloudWorld(
         WorldConfig(
             n_nodes=n_nodes,
             scheduler=scheduler,
             seed=seed,
+            sched_params=(DEFAULT_PARAMS[scheduler].from_dict(sched_params)
+                          if sched_params is not None else None),
             faults=FaultPlan.from_dicts(faults) if faults else None,
             migration=MigrationConfig.from_dict(migration) if migration else None,
             service=ServiceConfig.from_dict(service) if service else None,
@@ -210,10 +220,8 @@ def run_table1_cell(
     This is the cell the perf work targets: it only fits a CI job
     because the engine overhead per event is low enough.  ``horizon_s``
     bounds the simulated time; the default 2 s is long enough for the
-    virtual clusters to finish rounds (``bench_table1_trace.py``).
+    virtual clusters to finish rounds (the ``table1`` grid).
     """
-    from repro.workloads.traces import paper_vc_mix
-
     mix = paper_vc_mix()
     world = _world(
         n_nodes, scheduler, seed, vcpus_per_vm=mix.vcpus_per_vm, vms_per_node=4,
@@ -725,7 +733,7 @@ def run_attack(
     n_attack_procs: int = 4,
     boost_rate_limit: int = 2,
     slice_floor_ms: float = 6.0,
-    sched_params: Optional[SchedulerParams] = None,
+    sched_params: Optional[dict] = None,
     **world_opts,
 ) -> dict:
     """Adversarial-tenancy cell (DESIGN.md §15): one over-committed node
@@ -749,8 +757,6 @@ def run_attack(
     *attacker gain* (``cpu_consumed_ns / cpu_debited_ns``) from the
     {clean, attack} × {hardened, unhardened} grid per scheduler.
     """
-    from repro.core.config import ATCConfig
-    from repro.schedulers.atc_sched import ATCParams
     from repro.schedulers.credit import CreditParams
     from repro.workloads.attacks import ATTACK_RNG_KEY, theft_gain
 
@@ -765,21 +771,15 @@ def run_attack(
         if hardened:
             tick = CreditParams.tick_ns
             phase = SimRNG(seed).substream(ATTACK_RNG_KEY, 0xF0).uniform_ns(0, tick - 1)
-        knobs = dict(
+        sched_params = dict(
             tick_accounting=True,
             deboost_on_yield=hardened,
             boost_rate_limit=boost_rate_limit if hardened else 0,
             tick_phase_ns=phase,
         )
         if scheduler == "ATC":
-            sched_params = ATCParams(
-                atc=ATCConfig(
-                    slice_floor_ns=ns_from_ms(slice_floor_ms) if hardened else 0
-                ),
-                **knobs,
-            )
-        else:
-            sched_params = CreditParams(**knobs)
+            sched_params["atc"] = {
+                "slice_floor_ns": ns_from_ms(slice_floor_ms) if hardened else 0}
     world = _world(
         n_nodes, scheduler, seed, sched_params=sched_params,
         vcpus_per_vm=vcpus_per_vm, vms_per_node=4, **world_opts,

@@ -15,6 +15,7 @@ import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.core.config import ATCConfig
 from repro.sim.units import MSEC
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,6 +38,12 @@ class SchedulerParams:
     slice_ns: int = 30 * MSEC
     #: Enable wake-time BOOST priority (credit-family schedulers).
     boost: bool = True
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SchedulerParams":
+        """``cls`` from a JSON dict of its fields (the ``sched_params``
+        scenario param); a nested ``atc`` dict becomes :class:`ATCConfig`."""
+        return cls(**{k: ATCConfig(**v) if k == "atc" else v for k, v in d.items()})
 
 
 class Scheduler(abc.ABC):

@@ -81,10 +81,15 @@ def test_typeb_command(capsys):
     assert "Figure 11" in out and "VC1 (" in details and "n/a" not in details
 
 
-def test_probe_command(capsys):
-    assert main(["probe", "--scheduler", "CR", "--probes", "10"]) == 0
+def test_fig04_command(capsys):
+    """Fig. 4 is a grid; ``scheduler`` and ``n_probes`` set what the
+    deleted ``probe`` verb's flags did."""
+    assert main(_run("fig04", "scheduler=ATC", "n_probes=10", "horizon_s=1")) == 0
     out = capsys.readouterr().out
-    assert "end to end" in out
+    assert "Figure 4" in out and "| ATC " in out and "end_to_end" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["probe"])
+    assert exc.value.code == 2
 
 
 def _run(grid, *sets):
@@ -147,6 +152,7 @@ def test_set_values_are_typed_by_their_annotation(tmp_path):
             ] == ["sweep:lu@30.0ms", "sweep:lu@6.0ms"]
     assert _settings("attack", "schedulers=CR")["schedulers"] == ["CR"]
     assert _settings("dfrs", 'dfrs={"allow_moves": true}')["dfrs"] == {"allow_moves": True}
+    assert _settings("kernels", 'sched_params={"atc": {}}')["sched_params"] == {"atc": {}}
     assert _settings("fig09", "slices=30,none")["slices"] == [30.0, None]
     assert _settings("dfrs", "sanitize=true")["sanitize"] is True
     trace = [{"at_ms": 0, "n_vms": 2, "app": "is", "rounds": 1}]
@@ -225,16 +231,18 @@ def test_run_rejects_a_world_key_the_builder_passes_itself(grid, key, value, cap
 
 
 def test_run_rejects_a_config_class_value(capsys, monkeypatch):
-    """A config class such as SchedulerParams has no --set form: its key
-    is unknown and the settable keys do not list it; fail before any cell."""
+    """A config class such as NodeParams has no --set form: its key is
+    unknown and the settable keys do not list it; fail before any cell.
+    ``sched_params`` is a JSON dict and is listed."""
     monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("a cell ran"))
-    assert main(_run("kernels", 'sched_params={"slice_ns": 1000000}')) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("repro run: kernels: unknown key 'sched_params'")
-    assert "settable keys: " in err and err.count("\n") == 1
-    listed = err.rpartition("settable keys: ")[2]
-    for key in ("sched_params", "node_params", "net_params", "dom0_params"):
-        assert key not in listed
+    for key in ("node_params", "net_params", "dom0_params"):
+        assert main(_run("kernels", f'{key}={{"n_pcpus": 4}}')) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro run: kernels: unknown key {key!r}")
+        assert "settable keys: " in err and err.count("\n") == 1
+        listed = err.rpartition("settable keys: ")[2].strip().split(", ")
+        assert "sched_params" in listed
+        assert not {"node_params", "net_params", "dom0_params"} & set(listed)
 
 
 def test_typea_rejects_a_malformed_fault_plan(capsys, monkeypatch):

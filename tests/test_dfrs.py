@@ -431,8 +431,6 @@ def test_wait_delta_does_not_depend_on_the_atc_monitor_mode(monkeypatch):
     (minimum threshold == default) the monitor mode cannot steer the run,
     so the wait DFRS sees over every solve interval must be the same in
     both modes: reading the ledger must not drain it."""
-    from repro.core.config import ATCConfig
-    from repro.schedulers.atc_sched import ATCParams
 
     plain = DFRSController._estimate_needs
 
@@ -450,8 +448,8 @@ def test_wait_delta_does_not_depend_on_the_atc_monitor_mode(monkeypatch):
             return needs
 
         monkeypatch.setattr(DFRSController, "_estimate_needs", spy)
-        atc = ATCConfig(monitor_mode=mode, min_threshold_ns=30 * MSEC)
-        r = _compare_cell("hybrid", horizon_s=1.0, sched_params=ATCParams(atc=atc))
+        atc = {"monitor_mode": mode, "min_threshold_ns": 30 * MSEC}
+        r = _compare_cell("hybrid", horizon_s=1.0, sched_params={"atc": atc})
         return r, deltas
 
     guest, guest_deltas = run("guest")

@@ -20,7 +20,6 @@ import json
 import pytest
 
 from repro.experiments.scenarios import run_attack, run_dfrs_compare, run_service, run_type_a
-from repro.schedulers.atc_sched import ATCParams
 from repro.sim.units import MSEC
 
 #: A ``vm_pause`` and a ``node_crash`` (the ``chaos`` grid's ``faults=``
@@ -128,7 +127,7 @@ def test_trace_record_stream_is_bit_identical():
     preemptions, blocks and a VM pause."""
     result = run_type_a(
         "lu", "ATC", n_nodes=2, rounds=1, warmup_rounds=1, n_vclusters=4, vcpus_per_vm=4,
-        seed=0, faults=[FAULTS[0]], sched_params=ATCParams(tick_accounting=True),
+        seed=0, faults=[FAULTS[0]], sched_params={"tick_accounting": True},
         trace=True, trace_capacity=1 << 16,
     )
     trace = result["trace"]

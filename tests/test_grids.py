@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from repro.experiments.grids import GRIDS, attack_metrics, attack_recovered
+from repro.experiments.grids import GRIDS, HOPS, attack_metrics, attack_recovered
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import RunResult
 
@@ -100,8 +100,20 @@ def _type_a_cell(round_ns, spin_ns, ctx=100, llc_misses=10):
             "cluster": {"context_switches": ctx, "llc_misses": llc_misses, "busy_ns": 10_000_000}}
 
 
+def _probe_cell(n, hop_ns):
+    return {"probes": n, **{f"mean_{h}_ns": hop_ns for h in HOPS}}
+
+
+def _table1_cell(rounds, round_ns):
+    """Table I's platform with one VC and the independents."""
+    return {"n_nodes": 32, "n_vms": 128, "total_vcpus": 1024, "events": 0,
+            "vcs": [dict(_vcs(round_ns)[0], rounds=rounds)], "independent_rounds": rounds}
+
+
 NAN = math.nan
 NAN_VALUES = {
+    "packet_path_probe": lambda s: _probe_cell(NAN, NAN),
+    "table1_cell": lambda s: _table1_cell(NAN, NAN),
     "type_a": lambda s: _type_a_cell(NAN, NAN, llc_misses=NAN),
     "small_mix": lambda s: dict.fromkeys(MIX_KEYS, NAN),
     "type_b": lambda s: {"vcs": _vcs(NAN)},
@@ -111,7 +123,8 @@ FIGURES = {
     "fig01": dict(nodes=(2, 4)), "fig02": {}, "sweep": dict(slices=(30, 6, 1)),
     "fig08": dict(slices=(2, 1, 0.5, 0.3)), "eq1": dict(apps=("lu", "cg"), slices=(1, 0.3, 0.2)),
     "fig09": dict(slices=(30, 0.3)), "compare": {}, "fig11": {}, "fig12": {}, "fig13": {},
-    "fig14": {}, "headline": {}, "kernels": {}, "placement": {},
+    "fig14": {}, "headline": {}, "kernels": {}, "placement": {}, "fig04": {}, "table1": {},
+    "ablation": {},
 }
 
 
@@ -135,6 +148,8 @@ def test_figure_claims_fail_on_nan_metrics(name):
 
 #: A metric with no sample is None (no round, run or packet measured).
 NONE_VALUES = {
+    "packet_path_probe": lambda s: _probe_cell(0, None),
+    "table1_cell": lambda s: _table1_cell(0, None),
     "type_a": lambda s: _type_a_cell(None, None),
     "small_mix": lambda s: dict.fromkeys(MIX_KEYS, None),
     "type_b": lambda s: {"vcs": _vcs(None)},
@@ -228,3 +243,32 @@ def test_mixed_tenancy_claims_name_the_violation():
     assert GRIDS["fig14"].claims(_results("fig14", mixed(130.0))) == [
         "fig14: ATC run times 1.300/1.000/1.000 not all below 1.25x CR",
         "fig14: ATC(6ms) costs CPU-bound apps no more than ATC"]
+
+
+def test_fig04_claims_name_the_violation():
+    """The bench's Fig. 4 asserts: waits dominate the wire, no-boost
+    waits explode at 30 ms slices and shrink at 0.3 ms."""
+    def probe(e2e):
+        return lambda s: dict(_probe_cell(200, 100.0), mean_end_to_end_ns=e2e[s.label])
+
+    good = {"fig04:CR": 1000.0, "fig04:no-boost 30ms": 3000.0, "fig04:no-boost 0.3ms": 500.0}
+    assert GRIDS["fig04"].claims(_results("fig04", probe(good))) == []
+    slow = {**good, "fig04:no-boost 0.3ms": 900.0}
+    assert GRIDS["fig04"].claims(_results("fig04", probe(slow))) == ["fig04: no-boost 0.3ms end to end 0.300x no-boost 30ms, not below 0.2"]
+
+
+def test_ablation_normalizes_to_cr_and_names_the_violation():
+    rounds = {"CR": 100.0, "DSS": 40.0, "paper(0.3ms)": 20.0, "prose(0.3ms)": 21.0,
+              "no-floor(0.03ms)": 27.0, "floor(1ms)": 22.0, "non-intrusive": 20.0}
+
+    def value(times):
+        return lambda s: {"mean_round_ns": times[s.label.partition(":")[2]], "all_done": True}
+
+    results = _results("ablation", value(rounds))
+    assert [s.params.get("sched_params") for s in GRIDS["ablation"].cells()][:3] == [
+        None, None, {"atc": {}}]
+    assert dict(GRIDS["ablation"].table(results)[2])["paper(0.3ms)"] == 0.2
+    assert GRIDS["ablation"].claims(results) == []
+    assert GRIDS["ablation"].claims(_results("ablation", value({**rounds, "DSS": 15.0}))) == [
+        "ablation: paper(0.3ms) 0.200x CR, not below DSS's 0.150"]
+

@@ -57,14 +57,14 @@ def lhp_latency(slice_ns: int) -> int:
 
 
 def test_lhp_latency_spans_multiple_slices():
-    slice_ns = 10 * MSEC
-    wait = lhp_latency(slice_ns)
-    # waiter spun across at least two competitor slices (Fig. 3 shows 3)
-    assert wait >= 2 * slice_ns
+    # waiter spun across at least two competitor slices (Fig. 3 shows 3),
+    # at every slice length
+    for slice_ns in (10 * MSEC, 5 * MSEC, 1 * MSEC):
+        assert lhp_latency(slice_ns) >= 2 * slice_ns
 
 
 def test_lhp_latency_scales_with_slice_length():
-    w_long = lhp_latency(10 * MSEC)
-    w_short = lhp_latency(1 * MSEC)
+    w_long, w_mid, w_short = (lhp_latency(s * MSEC) for s in (10, 5, 1))
     # shortening the slice shrinks the LHP-induced spinlock latency
+    assert w_long > w_mid > w_short
     assert w_short < w_long / 3

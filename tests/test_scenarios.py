@@ -9,7 +9,6 @@ from repro.experiments.runner import SCENARIOS
 from repro.experiments.scenarios import (
     run_packet_path_probe,
     run_small_mix,
-    run_table1_cell,
     run_type_a,
     run_type_b,
     run_type_b_mixed,
@@ -18,10 +17,7 @@ from repro.faults.plan import parse_fault_spec
 from repro.sim.units import SEC
 
 #: Every world-building scenario, and the arguments it requires.
-WORLD_SCENARIOS = {
-    **{name: fn for name, fn in SCENARIOS.items() if name != "fault_probe"},
-    "table1_cell": run_table1_cell,
-}
+WORLD_SCENARIOS = {name: fn for name, fn in SCENARIOS.items() if name != "fault_probe"}
 REQUIRED_ARGS = {
     "type_a": dict(app_name="is", scheduler="CR", n_nodes=1),
     "small_mix": dict(scheduler="CR"),

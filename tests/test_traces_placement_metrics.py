@@ -1,5 +1,6 @@
 """Tests for LLNL trace synthesis (Table I), placement, and metrics."""
 
+import collections
 import math
 
 import pytest
@@ -42,6 +43,17 @@ def test_paper_mix_is_the_section_ivb2_configuration():
     # sum to 784 VCPUs = 98 VMs (and 98 + 30 independents = 128, matching
     # the stated platform) — the printed "ninety" is a truncation.
     assert sum(mix.cluster_sizes_vms) == 98
+
+
+def test_synthesized_sizes_follow_table1():
+    """Over 200 draws, small virtual clusters are drawn more often than
+    large ones, as in Table I (64 VCPUs: 12.6% of jobs, 32: 4.5%)."""
+    counts = collections.Counter(
+        s for seed in range(200)
+        for s in synthesize_vc_mix(128, 8, SimRNG(seed), min_vcpus=16,
+                                   max_vcpus=256).cluster_sizes_vcpus)
+    assert counts[16] > counts[256]
+    assert counts[64] > counts[32]
 
 
 def test_synthesize_respects_budget_and_sizes():
