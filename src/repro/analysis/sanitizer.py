@@ -58,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from repro.hypervisor.vm import VCPUState
+from repro.hypervisor.vm import BLOCKED, RUNNABLE, VCPUState
 from repro.schedulers.atc_sched import ATCScheduler
 from repro.schedulers.credit import CreditScheduler
 
@@ -228,7 +228,7 @@ class SimSanitizer:
         def on_wake(vcpu: "VCPU") -> None:
             self._expect_alive("on_wake", vmm)
             self._expect_resident("on_wake", vcpu, vmm)
-            self._expect_state("on_wake", vcpu, VCPUState.RUNNABLE)
+            self._expect_state("on_wake", vcpu, RUNNABLE)
             orig_wake(vcpu)
 
         def pick_next(pcpu):
@@ -237,7 +237,7 @@ class SimSanitizer:
             if picked is not None:
                 vcpu, slice_ns = picked
                 self._expect_resident("pick_next", vcpu, vmm)
-                self._expect_state("pick_next", vcpu, VCPUState.RUNNABLE)
+                self._expect_state("pick_next", vcpu, RUNNABLE)
                 if slice_ns <= 0:
                     self.record(
                         self.SLICE,
@@ -251,19 +251,19 @@ class SimSanitizer:
         def on_slice_expired(vcpu: "VCPU") -> None:
             self._expect_alive("on_slice_expired", vmm)
             self._expect_resident("on_slice_expired", vcpu, vmm)
-            self._expect_state("on_slice_expired", vcpu, VCPUState.RUNNABLE)
+            self._expect_state("on_slice_expired", vcpu, RUNNABLE)
             orig_expired(vcpu)
 
         def on_preempted(vcpu: "VCPU") -> None:
             self._expect_alive("on_preempted", vmm)
             self._expect_resident("on_preempted", vcpu, vmm)
-            self._expect_state("on_preempted", vcpu, VCPUState.RUNNABLE)
+            self._expect_state("on_preempted", vcpu, RUNNABLE)
             orig_preempted(vcpu)
 
         def on_block(vcpu: "VCPU") -> None:
             self._expect_alive("on_block", vmm)
             self._expect_resident("on_block", vcpu, vmm)
-            self._expect_state("on_block", vcpu, VCPUState.BLOCKED)
+            self._expect_state("on_block", vcpu, BLOCKED)
             orig_block(vcpu)
 
         sched.on_wake = on_wake

@@ -953,12 +953,19 @@ def fig04_claims(results: Sequence[RunResult]) -> list[str]:
 
 # ---- type B: LLNL-trace cluster mix (Fig. 11) and mixed tenancy (Figs. 12-14)
 def type_b_cells(scenario: str, prefix: str, schedulers: Sequence[str],
-                 np_slices: Sequence[float] = (), **params) -> list[RunSpec]:
-    """One cell per scheduler, then one ATC cell per administrator slice
-    for the non-parallel VMs (the paper's ATC(6ms))."""
+                 **params) -> list[RunSpec]:
+    """One cell per scheduler."""
     return [RunSpec(scenario, dict(params, scheduler=s), label=f"{prefix}:{s}")
-            for s in schedulers] + [
-        RunSpec(scenario, dict(params, scheduler="ATC", atc_np_slice_ms=ms),
+            for s in schedulers]
+
+
+def mixed_cells(prefix: str, schedulers: Sequence[str], np_slices: Sequence[float] = (),
+                **params) -> list[RunSpec]:
+    """Mixed tenancy (Figs. 12-14): :func:`type_b_cells`, then one ATC cell
+    per administrator slice for the non-parallel VMs (the paper's
+    ATC(6ms)).  Only this scenario takes that slice."""
+    return type_b_cells("type_b_mixed", prefix, schedulers, **params) + [
+        RunSpec("type_b_mixed", dict(params, scheduler="ATC", atc_np_slice_ms=ms),
                 label=f"{prefix}:ATC({ms:g}ms)") for ms in np_slices]
 
 
@@ -1191,7 +1198,7 @@ GRIDS = {
         Grid("fig11", "type_b", partial(type_b_cells, "type_b", "fig11", schedulers=TYPE_A_SCHEDS,
                                         seed=11, n_nodes=6, horizon_s=8.0),
              fig11_table, fig11_claims, vc_details, paper_scale=TYPE_B_PAPER),
-        *(Grid(f"fig{n}", "type_b_mixed", partial(type_b_cells, "type_b_mixed", f"fig{n}",
+        *(Grid(f"fig{n}", "type_b_mixed", partial(mixed_cells, f"fig{n}",
                                                   schedulers=MIXED_SCHEDS, np_slices=(6.0,),
                                                   seed=n, n_nodes=6, horizon_s=8.0),
                _mixed_table(n), claims, vc_details, paper_scale=TYPE_B_PAPER)

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.guest.spinlock import SpinBarrier, SpinLock
 from repro.hypervisor.dom0 import Packet
-from repro.hypervisor.vm import VCPUState
+from repro.hypervisor.vm import BLOCKED, RUNNING
 from repro.sim.engine import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -301,9 +301,9 @@ class GuestProcess:
             self._unstamped.clear()
 
     def _try_resume(self) -> None:
-        if self.vcpu.state is VCPUState.RUNNING:
+        if self.vcpu.state is RUNNING:
             self._schedule_poll()
-        elif self.vcpu.state is VCPUState.BLOCKED:
+        elif self.vcpu.state is BLOCKED:
             # The spinner exhausted its grace budget and blocked on the
             # event channel (PV-spinlock style): wake it now.
             self.vcpu.wake()
@@ -329,11 +329,12 @@ class GuestProcess:
         if budget is None:
             return  # pure spinning (no PV-block): burn the slice
         self._grace_started = now
-        self._grace_ev = self._arm(now + max(0, budget - self._spin_cpu_used), self._grace_timer)
+        left = budget - self._spin_cpu_used
+        self._grace_ev = self._arm(now + left if left > 0 else now, self._grace_timer)
 
     def _spin_block_timeout(self) -> None:
         self._grace_ev = None
-        if self.vcpu.state is not VCPUState.RUNNING:
+        if self.vcpu.state is not RUNNING:
             return
         if self.state not in ("lock_spin", "bar_lock_spin", "bar_wait", "recv_spin"):
             return  # stale timer: the wait already resolved
@@ -351,7 +352,7 @@ class GuestProcess:
         self._spin_kind = kind
         self._spin_start = self.sim.now
         self._spin_cpu_used = 0
-        if self.vcpu.state is VCPUState.RUNNING:
+        if self.vcpu.state is RUNNING:
             self._start_grace_timer(self.sim.now)
 
     def _end_spin(self) -> None:
@@ -364,7 +365,7 @@ class GuestProcess:
     # ------------------------------------------------------------------
     def _poll(self) -> None:
         self._poll_ev = None
-        if self.vcpu.state is not VCPUState.RUNNING:
+        if self.vcpu.state is not RUNNING:
             return
         if self._grace_ev is not None:
             self._grace_ev.cancel()
@@ -435,7 +436,7 @@ class GuestProcess:
                 continue
             if k == "send":
                 self._do_send(seg)
-                if self.vcpu.state is not VCPUState.RUNNING:
+                if self.vcpu.state is not RUNNING:
                     return  # the wake preempted us; resume at next dispatch
                 continue
             if k == "recv":
@@ -514,7 +515,7 @@ class GuestProcess:
     def _advance_if_running(self) -> None:
         """Continue the program, unless a wake we just caused preempted our
         own VCPU — in that case resume at the next dispatch."""
-        if self.vcpu.state is VCPUState.RUNNING:
+        if self.vcpu.state is RUNNING:
             self._advance()
         else:
             self.state = "ready"

@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.hypervisor.vm import VCPUState, VM
+from repro.hypervisor.vm import BLOCKED, RUNNING, VM
 from repro.obs import trace as obstrace
 from repro.sim.engine import Event
 from repro.sim.units import USEC
@@ -153,7 +153,7 @@ class _Dom0Worker:
     # Internals ----------------------------------------------------------
     def _idle_block(self) -> None:
         self._block_ev = None
-        if self.vcpu.state is VCPUState.RUNNING and self.cur_fn is None and not self.dom0.queue:
+        if self.vcpu.state is RUNNING and self.cur_fn is None and not self.dom0.queue:
             self.vcpu.block()
 
     def _start_next(self, overhead_ns: int = 0) -> None:
@@ -174,7 +174,7 @@ class _Dom0Worker:
             # Preempted (and possibly already re-dispatched with the next
             # job) during fn(): the new dispatch owns the worker now.
             return
-        if self.vcpu.state is not VCPUState.RUNNING:
+        if self.vcpu.state is not RUNNING:
             return  # pragma: no cover - preempt without redispatch
         if self.dom0.queue:
             self._start_next()
@@ -228,7 +228,7 @@ class Dom0:
         self.queue.append((cost_ns, fn))
         # Event-channel notification: wake a blocked dom0 VCPU.
         for vcpu in self.vm.vcpus:
-            if vcpu.state is VCPUState.BLOCKED:
+            if vcpu.state is BLOCKED:
                 vcpu.wake()
                 break
 

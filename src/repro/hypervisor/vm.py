@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import PCPU, PhysicalNode
 
-__all__ = ["VCPUState", "VCPU", "VM", "NO_RUNNER"]
+__all__ = ["VCPUState", "BLOCKED", "RUNNABLE", "RUNNING", "VCPU", "VM", "NO_RUNNER"]
 
 
 class VCPUState(enum.IntEnum):
@@ -42,6 +42,15 @@ class VCPUState(enum.IntEnum):
     BLOCKED = 0
     RUNNABLE = 1
     RUNNING = 2
+
+
+#: The members bound once as module globals: loading a global is several
+#: times cheaper than loading a member through the Enum class, and the
+#: wake, block and dispatch paths test the state on every event.  Every
+#: module compares states against these.
+BLOCKED = VCPUState.BLOCKED
+RUNNABLE = VCPUState.RUNNABLE
+RUNNING = VCPUState.RUNNING
 
 
 class _NoRunner:
@@ -88,7 +97,7 @@ class VCPU:
     def __init__(self, vm: "VM", index: int) -> None:
         self.vm = vm
         self.index = index
-        self.state = VCPUState.BLOCKED
+        self.state = BLOCKED
         self.runner = NO_RUNNER  # replaced by the guest / dom0 layer
         self.pcpu: Optional["PCPU"] = None
         self.rq: int = index % len(vm.node.pcpus)  # home run queue
@@ -124,8 +133,8 @@ class VCPU:
         if self.vm.paused:
             self.wake_pending = True
             return
-        if self.state is VCPUState.BLOCKED:
-            self.state = VCPUState.RUNNABLE
+        if self.state is BLOCKED:
+            self.state = RUNNABLE
             self.period_wakes += 1
             self.wake_ns = self.vm.node.sim.now
             self.vm.node.vmm.on_vcpu_wake(self)
@@ -136,7 +145,7 @@ class VCPU:
         Must be called by the runner *while RUNNING*, from its own event
         (never from inside ``on_dispatch``).
         """
-        if self.state is not VCPUState.RUNNING:
+        if self.state is not RUNNING:
             raise RuntimeError(f"{self.name}: block() while {self.state.name}")
         self.vm.node.vmm.vcpu_block(self)
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.hypervisor.vm import VCPU, VCPUState, VM
+from repro.hypervisor.vm import BLOCKED, RUNNABLE, RUNNING, VCPU, VM
 from repro.obs import trace as obstrace
 from repro.sim.engine import Event
 from repro.sim.units import MSEC
@@ -63,10 +63,6 @@ __all__ = ["VMM", "EXPIRE", "PREEMPT", "BLOCK", "PAUSE"]
 #: Why :meth:`VMM.dispatch` takes the running VCPU off its PCPU.  The
 #: first two leave it RUNNABLE, the last two BLOCKED.
 EXPIRE, PREEMPT, BLOCK, PAUSE = range(4)
-
-_BLOCKED = VCPUState.BLOCKED
-_RUNNABLE = VCPUState.RUNNABLE
-_RUNNING = VCPUState.RUNNING
 
 
 class VMM:
@@ -163,7 +159,7 @@ class VMM:
             if cause != BLOCK:  # a block is the runner's own request
                 vcpu.runner.on_preempt(now)
             # Deschedule accounting, the one definition for every cause.
-            state = _RUNNABLE if cause < BLOCK else _BLOCKED
+            state = RUNNABLE if cause < BLOCK else BLOCKED
             start = vcpu.run_start_ns
             ran = now - start
             vm = vcpu.vm
@@ -175,7 +171,7 @@ class VMM:
             # charges per tick boundary crossed — the charged/ran gap is the
             # theft-accounting signal of the adversarial-tenancy experiments.
             charged = ran if self._exact_charge else sched.charge_ns(
-                vcpu, start, now, state is _BLOCKED)
+                vcpu, start, now, state is BLOCKED)
             vcpu.period_charged_ns += charged
             vm.cpu_consumed_ns += ran
             vm.cpu_debited_ns += charged
@@ -222,7 +218,7 @@ class VMM:
         if picked is None:
             return
         vcpu, slice_ns = picked
-        if vcpu.state is not _RUNNABLE:
+        if vcpu.state is not RUNNABLE:
             raise RuntimeError(f"picked {vcpu.name} in state {vcpu.state.name}")
         vm = vcpu.vm
         # Non-intrusive monitoring signal: how long the VCPU sat runnable.
@@ -240,7 +236,7 @@ class VMM:
                 slice_ns=slice_ns,
                 wait_ns=wait_ns,
             )
-        vcpu.state = _RUNNING
+        vcpu.state = RUNNING
         vcpu.pcpu = pcpu
         vcpu.rq = index = pcpu.index
         vcpu.run_start_ns = now
@@ -303,14 +299,14 @@ class VMM:
         vm.paused = True
         freed: list["PCPU"] = []
         for vcpu in vm.vcpus:
-            if vcpu.state is _RUNNING:
+            if vcpu.state is RUNNING:
                 pcpu = vcpu.pcpu
                 self.dispatch(pcpu, PAUSE)
                 vcpu.wake_pending = True
                 freed.append(pcpu)
-            elif vcpu.state is _RUNNABLE:
+            elif vcpu.state is RUNNABLE:
                 self.scheduler.remove_queued(vcpu)
-                vcpu.state = _BLOCKED
+                vcpu.state = BLOCKED
                 vcpu.wake_pending = True
         if redispatch:
             for pcpu in freed:

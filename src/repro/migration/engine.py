@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.hypervisor.vm import VCPUState, VM
+from repro.hypervisor.vm import BLOCKED, VM
 from repro.obs import trace as obstrace
 from repro.sim.units import MSEC, SEC, USEC
 
@@ -332,7 +332,7 @@ class MigrationEngine:
         # SAN007 window integrity: the VM must have stayed frozen for the
         # whole stop-and-copy phase (a node restart force-clearing the
         # pause depth would break this).
-        if not vm.paused or any(v.state is not VCPUState.BLOCKED for v in vm.vcpus):
+        if not vm.paused or any(v.state is not BLOCKED for v in vm.vcpus):
             self._violate(
                 f"{vm.name}: stop-and-copy window broken at t={now} "
                 f"(paused={vm.paused})"

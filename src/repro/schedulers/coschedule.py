@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.hypervisor.vm import VCPUState
+from repro.hypervisor.vm import RUNNABLE
 from repro.schedulers.credit import CreditParams, CreditScheduler
 from repro.sim.units import MSEC
 
@@ -32,8 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hypervisor.vmm import VMM
 
 __all__ = ["CoScheduleParams", "CoScheduler"]
-
-_RUNNABLE = VCPUState.RUNNABLE
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,7 @@ class CoScheduler(CreditScheduler):
         self._co_vm = vm
         self._co_until = (now // gang + 1) * gang  # lease ends at the slot boundary
         self.gangs_triggered += 1
-        runnable = [v for v in vm.vcpus if v.state is _RUNNABLE]
+        runnable = [v for v in vm.vcpus if v.state is RUNNABLE]
         if not runnable:
             return
         need = len(runnable)

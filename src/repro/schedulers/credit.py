@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.hypervisor.vm import VCPUState
+from repro.hypervisor.vm import BLOCKED
 from repro.obs import trace as obstrace
 from repro.sim.units import MSEC
 
@@ -40,8 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hypervisor.vmm import VMM
 
 __all__ = ["CreditParams", "CreditScheduler"]
-
-_BLOCKED = VCPUState.BLOCKED
 
 
 @dataclass(frozen=True)
@@ -198,15 +196,12 @@ class CreditScheduler(Scheduler):
         for p in pcpus:
             if p.current is None:
                 return p.index
-        # least loaded; prefer the home queue on ties (cache affinity)
+        # least loaded (the first such queue); prefer the home queue on
+        # ties (cache affinity)
         home = vcpu.rq
-        best = home
-        best_load = len(self.runqs[home])
-        for i, q in enumerate(self.runqs):
-            if len(q) < best_load:
-                best = i
-                best_load = len(q)
-        return best
+        loads = list(map(len, self.runqs))
+        least = min(loads)
+        return loads.index(least) if least < loads[home] else home
 
     def on_wake(self, vcpu: "VCPU") -> None:
         vcpu.prio = self._wake_prio(vcpu)
@@ -504,7 +499,7 @@ class CreditScheduler(Scheduler):
         # weight total adds one term per active VCPU, in VCPU order.
         total_w = sum(
             vm.weight for vm in vms for v in vm.vcpus
-            if v.state is not _BLOCKED or v.period_run_ns > 0
+            if v.state is not BLOCKED or v.period_run_ns > 0
         ) or 1.0
         cap = self.params.credit_cap_periods * capacity
         floor = -cap
@@ -513,7 +508,7 @@ class CreditScheduler(Scheduler):
             for v in vm.vcpus:
                 # Debit what was *charged* (== consumed under exact
                 # accounting; tick-sampled under ``tick_accounting``).
-                active = v.state is not _BLOCKED or v.period_run_ns > 0
+                active = v.state is not BLOCKED or v.period_run_ns > 0
                 credit = v.credit + (share if active else 0.0) - v.period_charged_ns
                 # ``min(cap, max(-cap, credit))``, ties and NaN included.
                 if not credit > floor:

@@ -6,7 +6,7 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
-from repro.experiments.grids import GRIDS, grid_cells, grid_settings
+from repro.experiments.grids import GRIDS, grid_cells, grid_settings, settable
 
 
 def test_parser_requires_command():
@@ -228,6 +228,23 @@ def test_run_rejects_a_world_key_the_builder_passes_itself(grid, key, value, cap
     assert "settable keys: " in err and err.count("\n") == 1
     listed = err.rpartition("settable keys: ")[2].strip().split(", ")
     assert "seed" in listed and key not in listed
+
+
+@pytest.mark.parametrize("grid,sets", [
+    ("fig11", ("schedulers=CR", "np_slices=6", "n_nodes=4", "horizon_s=1")),
+    ("table1", ("np_slices=6",)),
+])
+def test_np_slices_is_offered_only_where_a_cell_takes_it(grid, sets, capsys, monkeypatch):
+    """Only fig12-14's mixed-tenancy scenario takes the administrator
+    slice of the ATC(6ms) cell; elsewhere ``np_slices`` is an unknown key
+    and ``repro run`` exits 2 before any cell."""
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("a cell ran"))
+    assert main(["run", grid, "--no-cache", *(a for s in sets for a in ("--set", s))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro run: {grid}: unknown key 'np_slices'")
+    assert "settable keys: " in err and err.count("\n") == 1
+    assert "np_slices" not in err.rpartition("settable keys: ")[2].strip().split(", ")
+    assert "np_slices" in settable(GRIDS["fig12"])
 
 
 def test_run_rejects_a_config_class_value(capsys, monkeypatch):

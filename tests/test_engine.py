@@ -117,6 +117,28 @@ def test_max_events(sim):
     assert sim.events_processed == 4
 
 
+@pytest.mark.parametrize("observed", [False, True], ids=["unobserved", "observed"])
+def test_max_events_zero_runs_nothing(sim, observed):
+    if observed:
+        sim.trace = lambda t, fn: None
+    fired = []
+    for t in (10, 20, 30):
+        sim.post_at(t, lambda t=t: fired.append(t))
+    sim.run(max_events=0)
+    assert fired == [] and sim.events_processed == 0 and sim.now == 0
+    sim.run(until=5, max_events=0)  # nothing due by 5: the clock still lands
+    assert sim.now == 5 and sim.pending() == 3
+    sim.run(max_events=1)
+    assert fired == [10] and sim.events_processed == 1
+
+
+def test_negative_max_events_rejected(sim):
+    sim.at(10, lambda: None)
+    with pytest.raises(SimulationError, match="negative event budget"):
+        sim.run(max_events=-1)
+    assert sim.events_processed == 0 and sim.pending() == 1
+
+
 def test_step_single_event(sim):
     fired = []
     sim.at(5, lambda: fired.append(1))
