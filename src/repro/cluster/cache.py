@@ -59,20 +59,14 @@ class PCPUCache:
     Keys are opaque hashables identifying VCPUs (identity is fine).  The
     time ``last_key`` left is kept in ``left_ns`` (the VMM writes it at
     every deschedule) and filed under that key at the next switch: until
-    another key runs, nothing reads it.  The parameters ``on_dispatch``
-    reads are copied into slots once (``params`` is frozen).
+    another key runs, nothing reads it.
     """
 
-    __slots__ = ("params", "_tau_ns", "_cold_ns", "_refill_ns", "_miss_cost_ns",
-                 "last_key", "left_ns", "_last_seen", "total_miss_count", "total_penalty_ns")
+    __slots__ = ("params", "last_key", "left_ns", "_last_seen", "total_miss_count",
+                 "total_penalty_ns")
 
     def __init__(self, params: CacheParams | None = None) -> None:
-        self.params = p = params or CacheParams()
-        self._tau_ns = p.decay_tau_ns
-        #: Away this long or longer, a VCPU's warmth is 0.
-        self._cold_ns = 64 * p.decay_tau_ns
-        self._refill_ns = p.refill_ns
-        self._miss_cost_ns = p.miss_cost_ns
+        self.params = params or CacheParams()
         self.last_key: object | None = None
         self.left_ns: int = 0
         self._last_seen: dict[object, int] = {}
@@ -86,6 +80,7 @@ class PCPUCache:
         Only a real switch calls this: back to back, the same key's cache
         is still hot and costs nothing.
         """
+        p = self.params
         last_seen = self._last_seen
         prev = self.last_key
         if prev is not None:
@@ -95,9 +90,9 @@ class PCPUCache:
             warm = 0.0  # never ran here: fully cold
         else:
             away = now - last
-            warm = math.exp(-away / self._tau_ns) if away < self._cold_ns else 0.0
-        penalty = int(self._refill_ns * sensitivity * (1.0 - warm))
+            warm = math.exp(-away / p.decay_tau_ns) if away < 64 * p.decay_tau_ns else 0.0
+        penalty = int(p.refill_ns * sensitivity * (1.0 - warm))
         self.last_key = key
         self.total_penalty_ns += penalty
-        self.total_miss_count += penalty // self._miss_cost_ns
+        self.total_miss_count += penalty // p.miss_cost_ns
         return penalty

@@ -329,8 +329,7 @@ class GuestProcess:
         if budget is None:
             return  # pure spinning (no PV-block): burn the slice
         self._grace_started = now
-        left = budget - self._spin_cpu_used
-        self._grace_ev = self._arm(now + left if left > 0 else now, self._grace_timer)
+        self._grace_ev = self._arm(now + max(0, budget - self._spin_cpu_used), self._grace_timer)
 
     def _spin_block_timeout(self) -> None:
         self._grace_ev = None

@@ -196,12 +196,15 @@ class CreditScheduler(Scheduler):
         for p in pcpus:
             if p.current is None:
                 return p.index
-        # least loaded (the first such queue); prefer the home queue on
-        # ties (cache affinity)
+        # least loaded; prefer the home queue on ties (cache affinity)
         home = vcpu.rq
-        loads = list(map(len, self.runqs))
-        least = min(loads)
-        return loads.index(least) if least < loads[home] else home
+        best = home
+        best_load = len(self.runqs[home])
+        for i, q in enumerate(self.runqs):
+            if len(q) < best_load:
+                best = i
+                best_load = len(q)
+        return best
 
     def on_wake(self, vcpu: "VCPU") -> None:
         vcpu.prio = self._wake_prio(vcpu)

@@ -159,11 +159,10 @@ class Event:
     number of times: after it fired or was cancelled, or while it is
     pending (superseding the pending arming).  ``time`` and ``seq`` are
     the live arming's due time and queue key; ``fn`` is kept across
-    firing and cancel.  ``cat`` is set once, here: the queue-key phase
-    offset derived from it is computed at construction, not per arming.
+    firing and cancel.
     """
 
-    __slots__ = ("time", "seq", "fn", "cancelled", "cat", "phase", "entry")
+    __slots__ = ("time", "seq", "fn", "cancelled", "cat", "entry")
 
     def __init__(self, time: int = 0, seq: int = 0, fn: Optional[Callable[[], None]] = None,
                  cat: Optional[str] = None) -> None:
@@ -174,9 +173,6 @@ class Event:
         #: Profiling category tag (``"guest"``, ``"dom0"``, ``"vmm.slice"``,
         #: ...); purely observational — never read by the event loop itself.
         self.cat = cat
-        #: Queue-key offset of ``cat``'s phase: 0 for the accounting phase,
-        #: ``_PHASE_STRIDE`` for every other event.
-        self.phase = 0 if cat in ACCOUNTING_CATS else _PHASE_STRIDE
         #: The queue entry standing for this handle (``None``: none is);
         #: its key may sort before the live ``(time, seq)`` (see ``_stale``).
         self.entry: Optional[tuple] = None
@@ -207,7 +203,7 @@ class Simulator:
         Current simulation time in integer nanoseconds.
     events_processed:
         Number of callbacks executed so far (skipped/cancelled events do
-        not count).  An unobserved :meth:`run` updates it when it returns.
+        not count).
     tie_order:
         How simultaneous events are ordered: ``"fifo"`` (default) or
         ``"reversed"`` (the race-detector differential mode — see
@@ -223,9 +219,8 @@ class Simulator:
         "events_processed",
         "cancelled_popped",
         "_stopped",
-        "_leave",
-        "_trace",
-        "_profiler",
+        "trace",
+        "profiler",
     )
 
     def __init__(self, tie_order: str = "fifo") -> None:
@@ -250,42 +245,16 @@ class Simulator:
         #: Cancelled events lazily discarded when popped (waste metric).
         self.cancelled_popped: int = 0
         self._stopped = False
-        #: Set by :meth:`stop` and by attaching an observer: the unobserved
-        #: loop's one per-event check (see :meth:`run`).
-        self._leave = False
-        self._trace: Optional[Callable[[int, Callable[[], None]], None]] = None
-        self._profiler = None
+        #: Optional callable(time, fn) invoked before each event; used by
+        #: the runtime sanitizer, tests and debugging tools.  ``None``
+        #: disables tracing (default).
+        self.trace: Optional[Callable[[int, Callable[[], None]], None]] = None
+        #: Optional :class:`repro.obs.profiler.SimProfiler`; when set, the
+        #: loop routes each callback through ``profiler.run_event`` so
+        #: wall-clock time is attributed per category.  ``None`` = off.
+        self.profiler = None
         if on_simulator_created is not None:
             on_simulator_created(self)
-
-    # ------------------------------------------------------------------
-    # Observers
-    # ------------------------------------------------------------------
-    @property
-    def trace(self) -> Optional[Callable[[int, Callable[[], None]], None]]:
-        """Optional callable(time, fn) invoked before each event; used by
-        the runtime sanitizer, the race tracker, the watchdog, tests and
-        debugging tools.  ``None`` disables tracing (default)."""
-        return self._trace
-
-    @trace.setter
-    def trace(self, fn: Optional[Callable[[int, Callable[[], None]], None]]) -> None:
-        self._trace = fn
-        if fn is not None:
-            self._leave = True
-
-    @property
-    def profiler(self):
-        """Optional :class:`repro.obs.profiler.SimProfiler`; when set, the
-        loop routes each callback through ``profiler.run_event`` so
-        wall-clock time is attributed per category.  ``None`` = off."""
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, profiler) -> None:
-        self._profiler = profiler
-        if profiler is not None:
-            self._leave = True
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -302,9 +271,11 @@ class Simulator:
                 f"cannot schedule event at t={time} before now={self.now}"
             )
         time = int(time)
-        ev = Event(time, 0, fn, cat)
-        ev.seq = key = self._seqsign * self._seq + ev.phase
+        key = self._seqsign * self._seq
+        if cat not in ACCOUNTING_CATS:
+            key += _PHASE_STRIDE
         self._seq += 1
+        ev = Event(time, key, fn, cat)
         ev.entry = entry = (time, key, ev)
         heappush(self._heap, entry)
         return ev
@@ -318,7 +289,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
-        key = self._seqsign * self._seq + ev.phase
+        key = self._seqsign * self._seq
+        if ev.cat not in ACCOUNTING_CATS:
+            key += _PHASE_STRIDE
         self._seq += 1
         ev.time = time
         ev.seq = key
@@ -370,7 +343,6 @@ class Simulator:
         subsequent :meth:`run` resumes exactly where the stop happened.
         """
         self._stopped = True
-        self._leave = True
 
     def _stale(self, entry: tuple) -> None:
         """Retire a popped handle entry that does not fire as keyed: drop it
@@ -417,73 +389,15 @@ class Simulator:
         clock stays at the last processed event so the next ``run`` call
         resumes without skipping them.  A :meth:`stop` likewise leaves
         ``now`` at the last processed event.
-
-        The loop is chosen once per call.  With neither :attr:`trace` nor
-        :attr:`profiler` set, an unobserved loop runs the events with no
-        per-event observer check; it keeps the event count in a local, so
-        :attr:`events_processed` is brought up to date when it exits
-        (inside its callbacks it reads the count at the start of the
-        call, which is also the base a watchdog or profiler built there
-        takes).  Otherwise the observed loop runs, calling the observers
-        around each event.  An observer attached from inside a callback
-        ends the unobserved loop after that callback, and the observed
-        loop runs every later event of the call.
         """
         if max_events is not None and max_events < 0:
             raise SimulationError(f"negative event budget {max_events}")
         self._stopped = False
-        if max_events != 0:
-            if self._trace is None and self._profiler is None:
-                ran = self._run_unobserved(until, max_events)
-                if ran is not None:
-                    self._run_observed(until, None if max_events is None else max_events - ran)
-            else:
-                self._run_observed(until, max_events)
-        if until is not None and self.now < until and not self._stopped:
-            nxt = self.peek()
-            if nxt is None or nxt > until:
-                self.now = until
-
-    def _run_unobserved(self, until: Optional[int], max_events: Optional[int]) -> Optional[int]:
-        """:meth:`run`'s loop with no observer attached.  Returns the number
-        of events run if it ended because an observer was attached (the
-        observed loop takes over from there), else ``None``: the run is
-        over.  The count is written back on every exit, exception included."""
         # The hot loop pops eagerly and pushes the one over-deadline entry
-        # back — cheaper than peek-then-pop per event.
-        heap = self._heap
-        processed = 0
-        self._leave = False
-        try:
-            while heap and not self._leave:
-                entry = heappop(heap)
-                ev = entry[2]
-                if ev.__class__ is Event:
-                    if ev.cancelled or entry[1] != ev.seq:
-                        self._stale(entry)
-                        continue
-                    if until is not None and entry[0] > until:
-                        heappush(heap, entry)
-                        return None
-                    ev.entry = None
-                    fn = ev.fn
-                else:
-                    if until is not None and entry[0] > until:
-                        heappush(heap, entry)
-                        return None
-                    fn = ev
-                self.now = entry[0]
-                fn()
-                processed += 1
-                if max_events is not None and processed >= max_events:
-                    return None
-            return processed if self._leave and not self._stopped else None
-        finally:
-            self.events_processed += processed
-
-    def _run_observed(self, until: Optional[int], max_events: Optional[int]) -> None:
-        """:meth:`run`'s loop with the observers called around each event."""
-        heap = self._heap
+        # back — cheaper than peek-then-pop per event.  A zero budget gets
+        # an empty queue to loop over, so the budget is tested only after
+        # an event has run.
+        heap = self._heap if max_events != 0 else []
         processed = 0
         while heap and not self._stopped:
             entry = heappop(heap)
@@ -503,20 +417,24 @@ class Simulator:
                     break
                 fn = ev
             self.now = entry[0]
-            if self._trace is not None:
-                self._trace(self.now, fn)
-            if self._profiler is None:
+            if self.trace is not None:
+                self.trace(self.now, fn)
+            if self.profiler is None:
                 fn()
             else:
                 # cat is only needed for attribution; read it lazily so the
-                # unprofiled path skips the extra attribute/index load.
-                self._profiler.run_event(
+                # unprofiled hot path skips the extra attribute/index load.
+                self.profiler.run_event(
                     ev.cat if ev.__class__ is Event else entry[3], fn, len(heap) + 1
                 )
             self.events_processed += 1
             processed += 1
             if max_events is not None and processed >= max_events:
                 break
+        if until is not None and self.now < until and not self._stopped:
+            nxt = self.peek()
+            if nxt is None or nxt > until:
+                self.now = until
 
     # ------------------------------------------------------------------
     # Introspection

@@ -83,7 +83,7 @@ class SimRNG:
             return [max(0, int(mean_ns))] * n
         mu, sigma = params
         draw = self._gen.lognormvariate
-        return [ns if (ns := int(draw(mu, sigma))) > 1 else 1 for _ in range(n)]
+        return [max(1, int(draw(mu, sigma))) for _ in range(n)]
 
     def exponential_ns(self, mean_ns: int) -> int:
         """Exponential inter-arrival time with the given mean (>=1 ns)."""

@@ -117,10 +117,7 @@ def test_max_events(sim):
     assert sim.events_processed == 4
 
 
-@pytest.mark.parametrize("observed", [False, True], ids=["unobserved", "observed"])
-def test_max_events_zero_runs_nothing(sim, observed):
-    if observed:
-        sim.trace = lambda t, fn: None
+def test_max_events_zero_runs_nothing(sim):
     fired = []
     for t in (10, 20, 30):
         sim.post_at(t, lambda t=t: fired.append(t))
