@@ -12,7 +12,9 @@ Run:  python examples/adaptive_timeslice_study.py [app]
 
 import sys
 
-from repro.experiments import CloudWorld, WorldConfig, format_table, run_type_a
+from repro.experiments.harness import CloudWorld, WorldConfig
+from repro.experiments.reporting import format_table
+from repro.experiments.scenarios import run_type_a
 from repro.metrics.summary import pearson
 from repro.schedulers.atc_sched import ATCParams
 from repro.sim.units import SEC, ms_from_ns

@@ -10,7 +10,8 @@ administrator interface to give them 6 ms slices.
 Run:  python examples/mixed_tenancy.py
 """
 
-from repro.experiments import format_table, run_small_mix
+from repro.experiments.reporting import format_table
+from repro.experiments.scenarios import run_small_mix
 
 
 def main() -> None:

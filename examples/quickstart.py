@@ -9,7 +9,7 @@ Adaptive Time-slice Control, and prints the speedup.
 Run:  python examples/quickstart.py
 """
 
-from repro.experiments import CloudWorld, WorldConfig
+from repro.experiments.harness import CloudWorld, WorldConfig
 from repro.sim.units import SEC, ms_from_ns
 
 

@@ -12,7 +12,8 @@ Run:  python examples/trace_driven_cloud.py [n_nodes]
 import math
 import sys
 
-from repro.experiments import format_table, run_type_b
+from repro.experiments.reporting import format_table
+from repro.experiments.scenarios import run_type_b
 
 
 def main() -> None:

@@ -59,12 +59,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.hypervisor.vm import BLOCKED, RUNNABLE, VCPUState
-from repro.schedulers.atc_sched import ATCScheduler
 from repro.schedulers.credit import CreditScheduler
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hypervisor.vm import VCPU
     from repro.hypervisor.vmm import VMM
+    from repro.schedulers.atc_sched import ATCScheduler
     from repro.sim.engine import Simulator
 
 __all__ = ["Violation", "SanitizerViolationError", "SimSanitizer"]
@@ -283,7 +283,7 @@ class SimSanitizer:
 
             sched.on_period = on_period
 
-        if isinstance(sched, ATCScheduler):
+        if getattr(sched, "controller", None) is not None:  # ATC
             # Appended after the ATC controller's own hook (installed at
             # scheduler construction), so it sees the applied slices.
             vmm.period_hooks.append(lambda now, vmm=vmm, sched=sched: self._check_atc(vmm, sched))

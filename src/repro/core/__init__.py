@@ -5,25 +5,8 @@
 * :class:`~repro.core.monitor.SpinLatencyMonitor` — the per-period
   spinlock-latency signal (Fig. 6).
 * :mod:`~repro.core.threshold` — the Eq. 1 minimum-threshold exploration.
+
+The package imports none of its modules, so a scheduler that needs only
+:mod:`repro.core.config` does not load the controller or the Eq. 1
+study; import from the submodules.
 """
-
-from repro.core.atc import ATCVmState, compute_time_slice
-from repro.core.config import ATCConfig
-from repro.core.controller import ATCController
-from repro.core.diagnostics import ConvergenceReport, analyze_slice_trace, settling_time
-from repro.core.monitor import SpinLatencyMonitor
-from repro.core.threshold import ThresholdStudy, euclidean_metric, optimal_threshold
-
-__all__ = [
-    "ATCConfig",
-    "ATCVmState",
-    "compute_time_slice",
-    "ATCController",
-    "ConvergenceReport",
-    "analyze_slice_trace",
-    "settling_time",
-    "SpinLatencyMonitor",
-    "ThresholdStudy",
-    "euclidean_metric",
-    "optimal_threshold",
-]

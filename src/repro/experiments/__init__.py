@@ -1,28 +1,11 @@
-"""Experiment harness: the CloudWorld facade, per-figure scenario
-builders and plain-text reporting.  The parallel sweep runner is
-:mod:`repro.experiments.runner`; import it from there (it pulls in
-``multiprocessing``, which a single scenario run does not need)."""
+"""Experiment harness: the CloudWorld facade
+(:mod:`repro.experiments.harness`), per-figure scenario builders
+(:mod:`repro.experiments.scenarios`), plain-text reporting
+(:mod:`repro.experiments.reporting`), the parallel sweep runner
+(:mod:`repro.experiments.runner`) and the figure grids
+(:mod:`repro.experiments.grids`).
 
-from repro.experiments.harness import CloudWorld, WorldConfig
-from repro.experiments.reporting import format_normalized, format_table, to_csv, to_markdown
-from repro.experiments.scenarios import (
-    run_packet_path_probe,
-    run_small_mix,
-    run_type_a,
-    run_type_b,
-    run_type_b_mixed,
-)
-
-__all__ = [
-    "CloudWorld",
-    "WorldConfig",
-    "format_normalized",
-    "format_table",
-    "to_csv",
-    "to_markdown",
-    "run_packet_path_probe",
-    "run_small_mix",
-    "run_type_a",
-    "run_type_b",
-    "run_type_b_mixed",
-]
+The package imports none of them, so a scenario run loads neither the
+reporting nor the runner's ``multiprocessing``; import from the
+submodules.
+"""

@@ -28,11 +28,14 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from repro.core.threshold import ThresholdStudy
+from repro.dfrs.controller import DFRSConfig
 from repro.experiments.harness import WorldConfig
 from repro.experiments.runner import SCENARIOS, RunResult, RunSpec
 from repro.experiments.scenarios import _world
-from repro.faults.plan import parse_fault_spec
+from repro.faults.plan import FaultPlan, parse_fault_spec
 from repro.metrics.summary import pearson
+from repro.migration.engine import MigrationConfig
+from repro.service.service import ServiceConfig
 from repro.sim.units import MSEC, SEC, ns_from_ms
 from repro.workloads.npb import NPB_NAMES
 
@@ -1225,6 +1228,13 @@ GRIDS = {
 # ----------------------------------------------------------------------
 # repro run GRID --set KEY=VALUE
 # ----------------------------------------------------------------------
+#: The optional subsystems' config classes that :class:`WorldConfig`'s
+#: annotations name: the harness imports each only where it builds the
+#: subsystem, so its annotations resolve against these.
+_CONFIG_CLASSES = {cls.__name__: cls
+                   for cls in (DFRSConfig, FaultPlan, MigrationConfig, ServiceConfig)}
+
+
 def _declared(*fns: Callable) -> dict[str, tuple]:
     """Each named parameter of ``fns``: its first annotation and first
     default (``inspect.Parameter.empty`` when none declares one).  A
@@ -1232,7 +1242,7 @@ def _declared(*fns: Callable) -> dict[str, tuple]:
     as parameters with that default."""
     empty, keys = inspect.Parameter.empty, {}
     for fn in fns:
-        hints = get_type_hints(getattr(fn, "func", fn))
+        hints = get_type_hints(getattr(fn, "func", fn), localns=_CONFIG_CLASSES)
         params = {k: p.default for k, p in inspect.signature(fn).parameters.items()
                   if p.kind is not p.VAR_KEYWORD}
         for k, value in {**getattr(fn, "keywords", {}), **params}.items():

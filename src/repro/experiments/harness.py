@@ -17,42 +17,39 @@ Typical use (see ``examples/quickstart.py``)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.analysis.sanitizer import SimSanitizer
 from repro.cluster.network import NetworkParams
-from repro.faults.inject import FaultInjector
-from repro.faults.plan import FaultPlan
-from repro.obs.profiler import SimProfiler
-from repro.obs.trace import TraceLog
 from repro.cluster.node import NodeParams
 from repro.cluster.topology import Cluster, build_cluster
-from repro.dfrs.controller import DFRSConfig, DFRSController
 from repro.guest.kernel import GuestKernel
 from repro.hypervisor.dom0 import Dom0, Dom0Params
 from repro.hypervisor.vm import VM
 from repro.hypervisor.vmm import VMM
-from repro.migration.engine import MigrationConfig, MigrationEngine, per_vcpu_params
-from repro.migration.rebalancer import Rebalancer
+from repro.obs.trace import TraceLog
 from repro.schedulers.base import SchedulerParams
 from repro.schedulers.registry import make_scheduler_factory
-from repro.service.service import CloudService, ServiceConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import SimRNG
 from repro.sim.units import MSEC, SEC
 from repro.virtcluster.cluster import VirtualCluster
 from repro.virtcluster.placement import place
-from repro.workloads.attacks import ATTACK_RNG_KEY, TickleAbuseApp, YieldTheftApp
 from repro.workloads.base import BSPSpec, ParallelApp
-from repro.workloads.nonparallel import (
-    CPU_APP_SPECS,
-    BonnieApp,
-    CpuApp,
-    PingApp,
-    StreamApp,
-    WebServerApp,
-)
 from repro.workloads.npb import npb_spec
+
+# An optional subsystem is imported where CloudWorld builds it (the
+# __init__ branch or add_* method), so a world loads only what it uses.
+if TYPE_CHECKING:
+    from repro.analysis.sanitizer import SimSanitizer
+    from repro.dfrs.controller import DFRSConfig, DFRSController
+    from repro.faults.inject import FaultInjector
+    from repro.faults.plan import FaultPlan
+    from repro.migration.engine import MigrationConfig, MigrationEngine
+    from repro.migration.rebalancer import Rebalancer
+    from repro.obs.profiler import SimProfiler
+    from repro.service.service import CloudService, ServiceConfig
+    from repro.workloads.attacks import TickleAbuseApp, YieldTheftApp
+    from repro.workloads.nonparallel import BonnieApp, CpuApp, PingApp, StreamApp, WebServerApp
 
 __all__ = ["WorldConfig", "CloudWorld"]
 
@@ -133,6 +130,8 @@ class WorldConfig:
     def __post_init__(self) -> None:
         if self.uniform_slice_ns is not None and self.uniform_slice_ns <= 0:
             raise ValueError(f"uniform_slice_ns must be > 0, got {self.uniform_slice_ns}")
+        if self.period_ns <= 0:
+            raise ValueError(f"period_ns must be > 0, got {self.period_ns}")
 
 
 class CloudWorld:
@@ -152,18 +151,24 @@ class CloudWorld:
             vmm = VMM(self.sim, node, factory, period_ns=cfg.period_ns)
             Dom0(self.sim, vmm, self.cluster.fabric, cfg.dom0_params)
             self.vmms.append(vmm)
-        self.sanitizer: Optional[SimSanitizer] = (
-            SimSanitizer(self.sim, self.vmms) if cfg.sanitize else None
-        )
+        self.sanitizer: Optional[SimSanitizer] = None
+        if cfg.sanitize:
+            from repro.analysis.sanitizer import SimSanitizer
+
+            self.sanitizer = SimSanitizer(self.sim, self.vmms)
         self.tracelog: Optional[TraceLog] = (
             TraceLog(capacity=cfg.trace_capacity) if cfg.trace else None
         )
-        self.profiler: Optional[SimProfiler] = (
-            SimProfiler(self.sim) if cfg.profile else None
-        )
-        self.fault_injector: Optional[FaultInjector] = (
-            FaultInjector(self, cfg.faults) if cfg.faults else None
-        )
+        self.profiler: Optional[SimProfiler] = None
+        if cfg.profile:
+            from repro.obs.profiler import SimProfiler
+
+            self.profiler = SimProfiler(self.sim)
+        self.fault_injector: Optional[FaultInjector] = None
+        if cfg.faults:
+            from repro.faults.inject import FaultInjector
+
+            self.fault_injector = FaultInjector(self, cfg.faults)
         self._node_vm_load = [0] * cfg.n_nodes
         self._rng_key = 0
         self.vms: list[VM] = []
@@ -177,22 +182,31 @@ class CloudWorld:
         self.migration_engine: Optional[MigrationEngine] = None
         self.rebalancer: Optional[Rebalancer] = None
         if cfg.migration is not None:
+            from repro.migration.engine import MigrationEngine
+            from repro.migration.rebalancer import Rebalancer
+
             self.migration_engine = MigrationEngine(self, cfg.migration.params)
             if cfg.migration.policy != "none":
                 self.rebalancer = Rebalancer(self, self.migration_engine, cfg.migration)
         self.dfrs: Optional[DFRSController] = None
         if cfg.dfrs is not None:
+            from repro.dfrs.controller import DFRSController
+
             if cfg.dfrs.allow_moves and self.migration_engine is None:
                 # DFRS relocations go through the standard engine; attach
                 # one (no rebalancer) when the config demands moves but no
                 # migration control plane was requested.  DFRS moves VMs
                 # of very different shapes, so the footprint scales with
                 # VCPU count.
+                from repro.migration.engine import MigrationEngine, per_vcpu_params
+
                 self.migration_engine = MigrationEngine(self, per_vcpu_params())
             self.dfrs = DFRSController(self, cfg.dfrs)
-        self.service: Optional[CloudService] = (
-            CloudService(self, cfg.service) if cfg.service is not None else None
-        )
+        self.service: Optional[CloudService] = None
+        if cfg.service is not None:
+            from repro.service.service import CloudService
+
+            self.service = CloudService(self, cfg.service)
         self.apps: list[ParallelApp] = []  # tracked (finite-round) jobs
         self.background: list = []  # infinite jobs and non-parallel apps
         self._started = False
@@ -431,22 +445,32 @@ class CloudWorld:
         return app
 
     def add_cpu_app(self, name: str, vm: VM) -> CpuApp:
+        from repro.workloads.nonparallel import CPU_APP_SPECS, CpuApp
+
         return self._register_background(
             CpuApp(self.sim, vm, CPU_APP_SPECS[name], self._next_rng())
         )
 
     def add_stream(self, vm: VM) -> StreamApp:
+        from repro.workloads.nonparallel import StreamApp
+
         return self._register_background(StreamApp(self.sim, vm, self._next_rng()))
 
     def add_bonnie(self, vm: VM) -> BonnieApp:
+        from repro.workloads.nonparallel import BonnieApp
+
         return self._register_background(BonnieApp(self.sim, vm, self._next_rng()))
 
     def add_ping(self, vm: VM, peer_vm: VM, interval_ns: int = 10 * MSEC) -> PingApp:
+        from repro.workloads.nonparallel import PingApp
+
         return self._register_background(
             PingApp(self.sim, vm, peer_vm, self._next_rng(), interval_ns=interval_ns)
         )
 
     def add_webserver(self, server_vm: VM, client_vm: VM, **kw) -> WebServerApp:
+        from repro.workloads.nonparallel import WebServerApp
+
         return self._register_background(
             WebServerApp(self.sim, server_vm, client_vm, self._next_rng(), **kw)
         )
@@ -457,10 +481,14 @@ class CloudWorld:
     # build no attackers consume zero attack entropy and the honest apps'
     # draw sequences are unperturbed by attackers being added or removed.
     def add_yield_theft(self, vm: VM, stream: int = 0, **kw) -> YieldTheftApp:
+        from repro.workloads.attacks import ATTACK_RNG_KEY, YieldTheftApp
+
         rng = self.rng.substream(ATTACK_RNG_KEY, stream)
         return self._register_background(YieldTheftApp(self.sim, vm, rng, **kw))
 
     def add_tickle_abuse(self, vm: VM, stream: int = 0, **kw) -> TickleAbuseApp:
+        from repro.workloads.attacks import ATTACK_RNG_KEY, TickleAbuseApp
+
         rng = self.rng.substream(ATTACK_RNG_KEY, stream)
         return self._register_background(TickleAbuseApp(self.sim, vm, rng, **kw))
 

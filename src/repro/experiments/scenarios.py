@@ -57,20 +57,14 @@ import os
 import time
 from typing import Optional, Sequence
 
-from repro.analysis.sanitizer import SanitizerViolationError, SimSanitizer, Violation
-from repro.dfrs.controller import DFRSConfig
 from repro.experiments.harness import CloudWorld, WorldConfig
-from repro.faults.plan import FaultPlan
-from repro.migration.engine import MigrationConfig
-from repro.service.service import ServiceConfig
 from repro.guest.process import recv_block, send
 from repro.metrics.collectors import cluster_stats
 from repro.metrics.summary import mean
-from repro.schedulers.registry import DEFAULT_PARAMS
+from repro.schedulers.registry import params_class
 from repro.sim.rng import SimRNG
 from repro.sim.units import MSEC, SEC, ns_from_ms
 from repro.workloads.npb import NPB_NAMES, npb_spec
-from repro.workloads.traces import paper_vc_mix, synthesize_vc_mix
 
 __all__ = [
     "run_type_a",
@@ -102,21 +96,27 @@ def _world(
     # Scheduler overrides, fault plans and migration/service/DFRS configs
     # travel through scenario params as JSON dicts so they are picklable
     # and fold into the sweep cache key automatically; every other option
-    # is a WorldConfig field.
-    return CloudWorld(
-        WorldConfig(
-            n_nodes=n_nodes,
-            scheduler=scheduler,
-            seed=seed,
-            sched_params=(DEFAULT_PARAMS[scheduler].from_dict(sched_params)
-                          if sched_params is not None else None),
-            faults=FaultPlan.from_dicts(faults) if faults else None,
-            migration=MigrationConfig.from_dict(migration) if migration else None,
-            service=ServiceConfig.from_dict(service) if service else None,
-            dfrs=DFRSConfig.from_dict(dfrs) if dfrs is not None else None,
-            **config,
-        )
-    )
+    # is a WorldConfig field.  A subsystem's config class is imported only
+    # when its dict is given.
+    if sched_params is not None:
+        config["sched_params"] = params_class(scheduler).from_dict(sched_params)
+    if faults:
+        from repro.faults.plan import FaultPlan
+
+        config["faults"] = FaultPlan.from_dicts(faults)
+    if migration:
+        from repro.migration.engine import MigrationConfig
+
+        config["migration"] = MigrationConfig.from_dict(migration)
+    if service:
+        from repro.service.service import ServiceConfig
+
+        config["service"] = ServiceConfig.from_dict(service)
+    if dfrs is not None:
+        from repro.dfrs.controller import DFRSConfig
+
+        config["dfrs"] = DFRSConfig.from_dict(dfrs)
+    return CloudWorld(WorldConfig(n_nodes=n_nodes, scheduler=scheduler, seed=seed, **config))
 
 
 def _attach_obs(result: dict, world: CloudWorld) -> dict:
@@ -130,12 +130,15 @@ def _attach_obs(result: dict, world: CloudWorld) -> dict:
     (SAN009) found with no sanitizer attached fails the cell as in a
     sanitized run (:class:`~repro.analysis.sanitizer.SanitizerViolationError`).
     """
-    found = [Violation(code, world.sim.now, message)
-             for code, layer in ((SimSanitizer.MIGRATION, world.migration_engine),
-                                 (SimSanitizer.DFRS, world.dfrs))
-             if layer is not None for message in layer.violations]
-    if found:
-        raise SanitizerViolationError(found)
+    if any(layer is not None and layer.violations
+           for layer in (world.migration_engine, world.dfrs)):
+        from repro.analysis.sanitizer import SanitizerViolationError, SimSanitizer, Violation
+
+        raise SanitizerViolationError([
+            Violation(code, world.sim.now, message)
+            for code, layer in ((SimSanitizer.MIGRATION, world.migration_engine),
+                                (SimSanitizer.DFRS, world.dfrs))
+            if layer is not None for message in layer.violations])
     if world.tracelog is not None:
         result["trace"] = world.tracelog.summary(include_records=True)
     if world.profiler is not None:
@@ -222,6 +225,8 @@ def run_table1_cell(
     bounds the simulated time; the default 2 s is long enough for the
     virtual clusters to finish rounds (the ``table1`` grid).
     """
+    from repro.workloads.traces import paper_vc_mix
+
     mix = paper_vc_mix()
     world = _world(
         n_nodes, scheduler, seed, vcpus_per_vm=mix.vcpus_per_vm, vms_per_node=4,
@@ -317,6 +322,8 @@ def run_small_mix(
 
 def _scaled_vc_mix(world: CloudWorld, rng: SimRNG, reserve_vms: int = 0):
     """Build a Table-I-distributed VC mix filling the world's capacity."""
+    from repro.workloads.traces import synthesize_vc_mix
+
     total = world.config.n_nodes * world.config.vms_per_node - reserve_vms
     return synthesize_vc_mix(
         total, world.config.vcpus_per_vm, rng,

@@ -13,13 +13,7 @@ state (an observed run is bit-identical to an unobserved one):
   tag of :meth:`repro.sim.engine.Simulator.at`), heap depth, and
   cancelled-event waste.  ``profile=True`` runs and the end-to-end
   benchmark's per-category split (``benchmarks/e2e``) read it.
+
+The package imports neither module, so the simulator's
+``from repro.obs import trace`` does not load the profiler.
 """
-
-from repro.obs.trace import TraceLog, TraceRecord
-from repro.obs.profiler import SimProfiler
-
-__all__ = [
-    "TraceLog",
-    "TraceRecord",
-    "SimProfiler",
-]

@@ -1,47 +1,8 @@
 """VMM scheduler models: CR (Credit), CS (Co-Scheduling), BS (Balance
 Scheduling), DSS (Dynamic Switching-frequency Scaling), VS (vSlicer) and
-ATC (the paper's Adaptive Time-slice Control)."""
+ATC (the paper's Adaptive Time-slice Control).
 
-from repro.schedulers.atc_sched import ATCParams, ATCScheduler
-from repro.schedulers.balance import BalanceParams, BalanceScheduler
-from repro.schedulers.base import (
-    PRIO_BOOST,
-    PRIO_OVER,
-    PRIO_UNDER,
-    Scheduler,
-    SchedulerParams,
-)
-from repro.schedulers.coschedule import CoScheduleParams, CoScheduler
-from repro.schedulers.credit import CreditParams, CreditScheduler
-from repro.schedulers.dss import DSSParams, DSSScheduler
-from repro.schedulers.registry import (
-    DEFAULT_PARAMS,
-    SCHEDULERS,
-    make_scheduler_factory,
-    scheduler_names,
-)
-from repro.schedulers.vslicer import VSlicerParams, VSlicerScheduler
-
-__all__ = [
-    "PRIO_BOOST",
-    "PRIO_UNDER",
-    "PRIO_OVER",
-    "Scheduler",
-    "SchedulerParams",
-    "CreditParams",
-    "CreditScheduler",
-    "CoScheduleParams",
-    "CoScheduler",
-    "BalanceParams",
-    "BalanceScheduler",
-    "DSSParams",
-    "DSSScheduler",
-    "VSlicerParams",
-    "VSlicerScheduler",
-    "ATCParams",
-    "ATCScheduler",
-    "SCHEDULERS",
-    "DEFAULT_PARAMS",
-    "make_scheduler_factory",
-    "scheduler_names",
-]
+The package imports none of them: import a scheduler from its module, or
+look one up by name through :mod:`repro.schedulers.registry`, which
+imports only the approach a world builds.
+"""

@@ -4,38 +4,31 @@
 :class:`repro.hypervisor.vmm.VMM`'s ``scheduler_factory`` argument, so
 experiment harnesses can be driven by the scheduler's short name exactly
 as the figures label them (CR, CS, BS, DSS, VS, ATC).
+
+An approach's module is imported when the approach is first looked up
+by name, so a world loads only the scheduler it builds.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Type
+import importlib
+from typing import TYPE_CHECKING, Callable, Type
 
-from repro.schedulers.atc_sched import ATCParams, ATCScheduler
-from repro.schedulers.balance import BalanceParams, BalanceScheduler
-from repro.schedulers.base import Scheduler, SchedulerParams
-from repro.schedulers.coschedule import CoScheduleParams, CoScheduler
-from repro.schedulers.credit import CreditParams, CreditScheduler
-from repro.schedulers.dss import DSSParams, DSSScheduler
-from repro.schedulers.vslicer import VSlicerParams, VSlicerScheduler
+if TYPE_CHECKING:
+    from repro.schedulers.base import Scheduler, SchedulerParams
 
-__all__ = ["SCHEDULERS", "DEFAULT_PARAMS", "make_scheduler_factory", "scheduler_names"]
+__all__ = ["SCHEDULERS", "make_scheduler_factory", "params_class", "scheduler_class",
+           "scheduler_names"]
 
-SCHEDULERS: dict[str, Type[Scheduler]] = {
-    "CR": CreditScheduler,
-    "CS": CoScheduler,
-    "BS": BalanceScheduler,
-    "DSS": DSSScheduler,
-    "VS": VSlicerScheduler,
-    "ATC": ATCScheduler,
-}
-
-DEFAULT_PARAMS: dict[str, Type[SchedulerParams]] = {
-    "CR": CreditParams,
-    "CS": CoScheduleParams,
-    "BS": BalanceParams,
-    "DSS": DSSParams,
-    "VS": VSlicerParams,
-    "ATC": ATCParams,
+#: Approach name -> (module in :mod:`repro.schedulers`, scheduler class,
+#: its parameter class), in the paper's presentation order.
+SCHEDULERS: dict[str, tuple[str, str, str]] = {
+    "CR": ("credit", "CreditScheduler", "CreditParams"),
+    "CS": ("coschedule", "CoScheduler", "CoScheduleParams"),
+    "BS": ("balance", "BalanceScheduler", "BalanceParams"),
+    "DSS": ("dss", "DSSScheduler", "DSSParams"),
+    "VS": ("vslicer", "VSlicerScheduler", "VSlicerParams"),
+    "ATC": ("atc_sched", "ATCScheduler", "ATCParams"),
 }
 
 
@@ -48,18 +41,36 @@ def scheduler_names() -> list[str]:
     return list(SCHEDULERS)
 
 
-def make_scheduler_factory(
-    name: str, params: SchedulerParams | None = None
-) -> Callable[[object], Scheduler]:
-    """Build a per-VMM scheduler factory for the named approach."""
+def _lookup(name: str, index: int) -> type:
     try:
-        cls = SCHEDULERS[name]
+        module, *classes = SCHEDULERS[name]
     except KeyError:
         raise KeyError(
             f"unknown scheduler {name!r}; choose from {sorted(SCHEDULERS)}"
         ) from None
-    if params is not None and not isinstance(params, DEFAULT_PARAMS[name]):
+    return getattr(importlib.import_module(f"repro.schedulers.{module}"), classes[index])
+
+
+def scheduler_class(name: str) -> Type[Scheduler]:
+    """The named approach's :class:`~repro.schedulers.base.Scheduler`
+    subclass; :class:`KeyError` for an unknown name."""
+    return _lookup(name, 0)
+
+
+def params_class(name: str) -> Type[SchedulerParams]:
+    """The named approach's :class:`~repro.schedulers.base.SchedulerParams`
+    subclass; :class:`KeyError` for an unknown name."""
+    return _lookup(name, 1)
+
+
+def make_scheduler_factory(
+    name: str, params: SchedulerParams | None = None
+) -> Callable[[object], Scheduler]:
+    """Build a per-VMM scheduler factory for the named approach."""
+    cls = scheduler_class(name)
+    expected = params_class(name)
+    if params is not None and not isinstance(params, expected):
         raise TypeError(
-            f"{name} expects {DEFAULT_PARAMS[name].__name__}, got {type(params).__name__}"
+            f"{name} expects {expected.__name__}, got {type(params).__name__}"
         )
     return lambda vmm: cls(vmm, params)

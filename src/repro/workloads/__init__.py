@@ -1,45 +1,6 @@
-"""Workload models: NPB kernels (BSP), non-parallel apps, LLNL trace mix."""
+"""Workload models: NPB kernels (BSP), non-parallel apps, LLNL trace mix.
 
-from repro.workloads.attacks import ATTACK_RNG_KEY, TickleAbuseApp, YieldTheftApp
-from repro.workloads.base import BSPSpec, ParallelApp, bsp_rank_program
-from repro.workloads.nonparallel import (
-    BonnieApp,
-    CPU_APP_SPECS,
-    CpuApp,
-    CpuAppSpec,
-    PingApp,
-    StreamApp,
-    WebServerApp,
-)
-from repro.workloads.npb import CLASS_SCALES, NPB_EXTENDED, NPB_NAMES, NPB_SPECS, npb_spec
-from repro.workloads.traces import (
-    ATLAS_TABLE1,
-    VCMix,
-    paper_vc_mix,
-    synthesize_vc_mix,
-)
-
-__all__ = [
-    "ATTACK_RNG_KEY",
-    "TickleAbuseApp",
-    "YieldTheftApp",
-    "BSPSpec",
-    "ParallelApp",
-    "bsp_rank_program",
-    "BonnieApp",
-    "CPU_APP_SPECS",
-    "CpuApp",
-    "CpuAppSpec",
-    "PingApp",
-    "StreamApp",
-    "WebServerApp",
-    "CLASS_SCALES",
-    "NPB_EXTENDED",
-    "NPB_NAMES",
-    "NPB_SPECS",
-    "npb_spec",
-    "ATLAS_TABLE1",
-    "VCMix",
-    "paper_vc_mix",
-    "synthesize_vc_mix",
-]
+The package imports none of its modules: a world loads the non-parallel,
+adversarial and trace-mix models only where it builds them.  Import from
+the submodules.
+"""

@@ -60,6 +60,17 @@ def test_sweep_rejects_a_non_positive_slice(capsys):
     assert "ValueError: uniform_slice_ns must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("period_ns", ["0", "-5"])
+def test_compare_rejects_a_non_positive_period(capsys, period_ns):
+    # Unchecked, a zero period livelocks at t=0 (each period tick posts
+    # the next at the same instant) and a negative one fails only inside
+    # VMM.start.
+    argv = _run("compare", "apps=is", "schedulers=CR", "nodes=1", "rounds=1",
+                f"period_ns={period_ns}")
+    assert main(argv + ["--no-cache"]) == 1
+    assert f"ValueError: period_ns must be > 0, got {period_ns}" in capsys.readouterr().err
+
+
 def test_check_reports_a_one_slice_sweep(tmp_path, capsys):
     export = str(tmp_path / "one.json")
     assert main(["run", "sweep", "--set", "apps=is", "--set", "slices=30", "--no-cache",

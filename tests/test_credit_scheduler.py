@@ -40,9 +40,9 @@ def test_pick_next_slice_is_slice_for():
     # ``CreditScheduler.pick_next`` inlines ``slice_for``: no approach may
     # override it, and an uncapped pick must hand out exactly its slice.
     from repro.schedulers.base import Scheduler
-    from repro.schedulers.registry import SCHEDULERS
+    from repro.schedulers.registry import scheduler_class, scheduler_names
 
-    assert all(cls.slice_for is Scheduler.slice_for for cls in SCHEDULERS.values())
+    assert all(scheduler_class(n).slice_for is Scheduler.slice_for for n in scheduler_names())
     sim, cluster, vmms = make_node_world(n_pcpus=1)
     vmm = vmms[0]
     vm = add_guest_vm(vmm, 1)

@@ -57,10 +57,10 @@ def test_atc_scheduler_in_registry_is_wired():
 
 
 def test_vslicer_registry_roundtrip():
-    from repro.schedulers.registry import SCHEDULERS
+    from repro.schedulers.registry import scheduler_class
     from repro.schedulers.vslicer import VSlicerScheduler
 
-    assert SCHEDULERS["VS"] is VSlicerScheduler
+    assert scheduler_class("VS") is VSlicerScheduler
 
 
 def test_world_config_frozen():

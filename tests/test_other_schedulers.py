@@ -5,12 +5,14 @@ import pytest
 from repro.guest.process import compute, recv_block, send, sleep
 from repro.hypervisor.vm import VCPUState
 from repro.schedulers.balance import BalanceParams, BalanceScheduler
+from repro.schedulers.base import Scheduler, SchedulerParams
 from repro.schedulers.coschedule import CoScheduleParams, CoScheduler
 from repro.schedulers.dss import DSSParams, DSSScheduler
 from repro.schedulers.registry import (
-    DEFAULT_PARAMS,
     SCHEDULERS,
     make_scheduler_factory,
+    params_class,
+    scheduler_class,
     scheduler_names,
 )
 from repro.schedulers.vslicer import VSlicerParams, VSlicerScheduler
@@ -36,7 +38,9 @@ def start_hogs(vm, n=None):
 # ----------------------------------------------------------------------
 def test_registry_contains_paper_approaches():
     assert set(scheduler_names()) == {"CR", "CS", "BS", "DSS", "VS", "ATC"}
-    assert set(SCHEDULERS) == set(DEFAULT_PARAMS)
+    for name in scheduler_names():
+        assert issubclass(scheduler_class(name), Scheduler)
+        assert issubclass(params_class(name), SchedulerParams)
 
 
 def test_scheduler_names_derives_from_registry():
