@@ -96,3 +96,15 @@ class PCPUCache:
         self.total_penalty_ns += penalty
         self.total_miss_count += penalty // p.miss_cost_ns
         return penalty
+
+    def forget(self, keys) -> None:
+        """Drop ``keys`` (the VCPUs of a torn-down VM) from this PCPU.
+
+        Exact for keys that never run again: a dropped ``last_key`` only
+        goes unfiled, and the next dispatch is a real switch either way.
+        """
+        last_seen = self._last_seen
+        for key in keys:
+            last_seen.pop(key, None)
+            if self.last_key is key:
+                self.last_key = None

@@ -323,7 +323,10 @@ class CloudWorld:
         LS set, the ATC monitor's history) and the world VM list.  An
         in-flight migration of the VM is aborted.  The host census
         changed, so the per-host slice minimum (Algorithm 2) is re-run
-        immediately, exactly as after a migration handoff.
+        immediately, exactly as after a migration handoff.  Every node
+        then forgets the VM's VCPUs (each PCPU's cache history and the
+        scheduler's per-VCPU bookkeeping), since a VM that migrated left
+        them on every host it ran on: a torn-down VM is unreachable.
         """
         if vm.is_dom0:
             raise ValueError(f"{vm.name}: dom0 cannot be torn down")
@@ -333,6 +336,10 @@ class CloudWorld:
         vmm.pause_vm(vm)  # never resumed: late wakes stay latched forever
         self._unhost_vm(vm)
         self.vms.remove(vm)
+        for host in self.vmms:
+            host.scheduler.forget_vm(vm)
+            for pcpu in host.node.pcpus:
+                pcpu.cache.forget(vm.vcpus)
         controller = getattr(vmm.scheduler, "controller", None)
         if controller is not None and not vmm.node.crashed:
             controller.on_period(self.sim.now)

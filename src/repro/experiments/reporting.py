@@ -1,8 +1,7 @@
-"""Plain-text / CSV / Markdown tables for experiment output."""
+"""Plain-text tables for experiment output."""
 
 from __future__ import annotations
 
-import io
 import math
 from typing import Mapping, Sequence
 
@@ -11,8 +10,6 @@ from repro.metrics.summary import normalize_map
 __all__ = [
     "format_table",
     "format_normalized",
-    "to_csv",
-    "to_markdown",
 ]
 
 
@@ -47,29 +44,3 @@ def format_normalized(results: Mapping[str, float], baseline: str = "CR", title:
     """
     rows = list(normalize_map(results, baseline).items())
     return format_table(["approach", f"normalized vs {baseline}"], rows, title=title)
-
-
-def to_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """Serialize a result table as CSV (RFC-4180 quoting)."""
-    import csv
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(headers)
-    for row in rows:
-        w.writerow(row)
-    return buf.getvalue()
-
-
-def to_markdown(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> str:
-    """Serialize a result table as a GitHub-flavoured Markdown table."""
-    cells = [[_cell(c) for c in row] for row in rows]
-    lines = []
-    if title:
-        lines.append(f"**{title}**")
-        lines.append("")
-    lines.append("| " + " | ".join(str(h) for h in headers) + " |")
-    lines.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in cells:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Optional, Sequence
 
-__all__ = ["mean", "normalized", "normalize_map", "pearson", "geomean"]
+__all__ = ["mean", "normalized", "normalize_map", "pearson"]
 
 
 def mean(xs: Sequence[Optional[float]]) -> Optional[float]:
@@ -21,15 +21,6 @@ def mean(xs: Sequence[Optional[float]]) -> Optional[float]:
     if not xs or None in xs:
         return None
     return sum(xs) / len(xs)
-
-
-def geomean(xs: Sequence[float]) -> float:
-    """Geometric mean; NaN for empty input, requires positives."""
-    if not xs:
-        return float("nan")
-    if any(x <= 0 for x in xs):
-        raise ValueError("geomean requires positive values")
-    return math.exp(sum(math.log(x) for x in xs) / len(xs))
 
 
 def normalized(value: float, baseline: float) -> float:

@@ -33,6 +33,7 @@ simulation clock.  An idle engine schedules no events.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from repro.hypervisor.vm import BLOCKED, VM
@@ -243,8 +244,10 @@ class MigrationEngine:
         m.remaining = m.mem_bytes
         self.active[vm.vmid] = m
         self.started += 1
+        # Keyed by vmid, not closed over ``m``: a cancelled handle stays
+        # queued until due, and must not keep the VM alive that long.
         m.abort_ev = self.sim.after(
-            self.params.abort_timeout_ns, lambda: self._abort(m, "timeout"), cat="migration"
+            self.params.abort_timeout_ns, partial(self._timeout, vm.vmid), cat="migration"
         )
         if obstrace.enabled:
             obstrace.emit(
@@ -407,6 +410,9 @@ class MigrationEngine:
             return False
         self._abort(m, reason)
         return True
+
+    def _timeout(self, vmid: int) -> None:
+        self._abort(self.active[vmid], "timeout")
 
     def _abort(self, m: Migration, reason: str) -> None:
         if m.done:

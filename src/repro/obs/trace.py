@@ -80,10 +80,11 @@ tracks and a dom0 packet track per node).
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
-from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover
+    from pathlib import Path
 
 __all__ = [
     "TraceRecord",
@@ -251,6 +252,9 @@ def emit(kind: str, t: int, **args) -> None:
 # ----------------------------------------------------------------------
 def write_jsonl(records: Iterable[TraceRecord], path) -> Path:
     """One JSON object per line: ``{"kind", "t", ...fields}``."""
+    import json
+    from pathlib import Path
+
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -389,6 +393,9 @@ def chrome_events(records: Sequence[TraceRecord]) -> list[dict]:
 
 def write_chrome_trace(records: Sequence[TraceRecord], path) -> Path:
     """Write a Chrome ``trace_event`` file (Perfetto / chrome://tracing)."""
+    import json
+    from pathlib import Path
+
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)

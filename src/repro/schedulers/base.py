@@ -86,6 +86,11 @@ class Scheduler(abc.ABC):
         only clears the bookkeeping flag."""
         vcpu.queued = False
 
+    def forget_vm(self, vm: "VM") -> None:
+        """Drop whatever this scheduler still holds of a torn-down ``vm``
+        (default: nothing).  The VM never runs again, so nothing it
+        drops is ever read."""
+
     # -- cluster-scope allocation hooks -----------------------------------
     def set_vm_cap(self, vm: "VM", cap: Optional[float]) -> None:
         """Stage a per-VM CPU cap (fraction of host capacity; ``None`` =

@@ -36,7 +36,7 @@ from repro.schedulers.base import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import PCPU
-    from repro.hypervisor.vm import VCPU
+    from repro.hypervisor.vm import VCPU, VM
     from repro.hypervisor.vmm import VMM
 
 __all__ = ["CreditParams", "CreditScheduler"]
@@ -468,6 +468,11 @@ class CreditScheduler(Scheduler):
                     q.remove(vcpu)
                     break
         vcpu.queued = False
+
+    def forget_vm(self, vm: "VM") -> None:
+        counted = self._tickle_counted
+        for index in [i for i, (cur, _) in counted.items() if cur.vm is vm]:
+            del counted[index]
 
     # ------------------------------------------------------------------
     # Requeue paths

@@ -320,6 +320,7 @@ class CloudService:
         self.departed += 1
         self.running.pop(t.tid, None)
         self.world.teardown_cluster(t.vc)
+        t.vc = t.app = None  # the record keeps only its numbers
         ms = (now - t.submit_ns) // MSEC
         bucket = 1
         while bucket <= ms:

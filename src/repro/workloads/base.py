@@ -17,6 +17,7 @@ cluster.  :class:`ParallelApp` coordinates one such job:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
@@ -108,15 +109,24 @@ def bsp_rank_program(
     Sections II-B1/II-B2 dissect.
 
     ``rng`` is the rank-round's own substream and feeds nothing but the
-    compute-grain jitter, so the whole round's grains are drawn as one
-    :meth:`SimRNG.jittered_list` at the first segment, and the stream is
-    dropped once drawn.
+    compute-grain jitter, so the whole round's grains are drawn here, as
+    one :meth:`SimRNG.jittered_list`, when the round loads; the returned
+    step generator holds the grains, not the stream.  They are kept as
+    an ``array('q')``: 8 bytes a grain, not a list slot and an int.
     """
     peers = _peer_indices(spec.pattern, vm_idx, len(vms))
-    do_comm = local_idx == 0 and peers
-    grains = rng.jittered_list(spec.grain_ns, spec.grain_cv, spec.supersteps)
-    del rng
-    sync = barrier(bar)
+    grains = array("q", rng.jittered_list(spec.grain_ns, spec.grain_cv, spec.supersteps))
+    return _bsp_steps(spec, vms, peers, local_idx == 0 and bool(peers), grains, barrier(bar))
+
+
+def _bsp_steps(
+    spec: BSPSpec,
+    vms: Sequence["VM"],
+    peers: list[int],
+    do_comm: bool,
+    grains: "array[int]",
+    sync: Segment,
+) -> Iterator[Segment]:
     comm_every = spec.comm_every
     for step, g in enumerate(grains):
         yield ("compute", g)

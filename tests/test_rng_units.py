@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import statistics
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,6 +219,27 @@ def test_bsp_round_grains_equal_scalar_draws(
     ref = _reference_rank_program(spec, vms, vm_idx, local_idx, bar, _reference_stream(seed, key))
     assert segs == list(ref)
     assert all(type(seg[1]) is int for seg in segs if seg[0] == "compute")
+
+
+@pytest.mark.parametrize("local_idx", [0, 1])
+def test_bsp_rank_program_draws_its_grains_when_called(local_idx):
+    # The round's grains are drawn when the round loads, before the first
+    # segment, and the program keeps neither the stream nor its generator:
+    # a loaded rank-round holds no parked Mersenne Twister state.
+    spec = BSPSpec("t", grain_ns=MSEC, grain_cv=0.4, supersteps=12, pattern="ring",
+                   msg_bytes=64, comm_every=2, hard_comm_sync=True)
+    vms, bar, path = ["vm0", "vm1", "vm2"], object(), (1, local_idx, 2)
+    rng = SimRNG(7).substream(*path)
+    gen = weakref.ref(rng._gen)
+    program = bsp_rank_program(spec, vms, 1, local_idx, bar, rng)
+    drawn = _reference_stream(7, path)
+    for _ in range(spec.supersteps):
+        _reference_jittered_ns(drawn, spec.grain_ns, spec.grain_cv)
+    assert rng._gen.getstate() == drawn.getstate()
+    del rng
+    assert gen() is None
+    ref = _reference_rank_program(spec, vms, 1, local_idx, bar, _reference_stream(7, path))
+    assert list(program) == list(ref)
 
 
 def test_exponential_positive_and_mean():

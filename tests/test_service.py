@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -22,11 +23,11 @@ from repro.sim.rng import SimRNG
 from repro.sim.units import MSEC, SEC
 
 
-def _service_world(n_nodes=1, vms_per_node=2, seed=0, service=None, **kw):
+def _service_world(n_nodes=1, vms_per_node=2, seed=0, service=None, scheduler="ATC", **kw):
     return CloudWorld(
         WorldConfig(
             n_nodes=n_nodes, vms_per_node=vms_per_node, vcpus_per_vm=4,
-            scheduler="ATC", seed=seed, placement="pack", service=service, **kw,
+            scheduler=scheduler, seed=seed, placement="pack", service=service, **kw,
         )
     )
 
@@ -267,6 +268,42 @@ def test_departed_tenants_leak_nothing():
             assert not ls
         for q in getattr(vmm.scheduler, "runqs", []):
             assert not list(q)  # no orphaned tenant VCPUs queued anywhere
+
+
+@pytest.mark.parametrize("scheduler", ["ATC", "CR"])
+def test_departed_tenants_become_unreachable(scheduler):
+    # t1 shares a host with t2 until the demix rebalancer moves it to the
+    # free fourth node, so a departed VM has run on two hosts.  A second
+    # after departing, no VM, VCPU or guest process of a tenant may still
+    # be reachable: not through the cache history of a host it left, a
+    # queued migration timer, the scheduler or the tenant record.
+    from repro.guest.process import GuestProcess
+    from repro.hypervisor.vm import VCPU, VM
+    from repro.migration.engine import MigrationConfig
+
+    trace = tuple(
+        {"at_ms": at_ms, "n_vms": n_vms, "app": app, "rounds": rounds}
+        for at_ms, n_vms, app, rounds in [
+            (0.0, 2, "is", 8), (1.0, 1, "is", 40), (2.0, 2, "lu", 4),
+            (3.0, 1, "is", 8), (1200.0, 2, "is", 2),
+        ]
+    )
+    svc = ServiceConfig(arrival="trace", admission="fcfs-queue", trace=trace)
+    w = _service_world(n_nodes=4, vms_per_node=2, service=svc, scheduler=scheduler,
+                       migration=MigrationConfig(policy="demix"))
+    w.run(horizon_ns=3 * SEC)
+    assert w.migration_engine.completed >= 1
+    gone = {t.name for t in w.service.tenants
+            if t.depart_ns is not None and t.depart_ns <= w.sim.now - SEC}
+    assert len(gone) == 5
+
+    def tenant(obj):
+        return (obj if isinstance(obj, VM) else obj.vm).name.split(".")[0]
+
+    gc.collect()
+    live = [repr(o) for o in gc.get_objects()
+            if isinstance(o, (VM, VCPU, GuestProcess)) and tenant(o) in gone]
+    assert live == []
 
 
 def test_teardown_refuses_dom0():

@@ -1,12 +1,11 @@
 """Tests for LLNL trace synthesis (Table I), placement, and metrics."""
 
 import collections
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.metrics.summary import geomean, mean, normalize_map, normalized, pearson
+from repro.metrics.summary import mean, normalize_map, normalized, pearson
 from repro.sim.rng import SimRNG
 from repro.virtcluster.cluster import VirtualCluster
 from repro.virtcluster.placement import (
@@ -214,13 +213,6 @@ def test_mean_and_empty():
     assert mean([1, 2, 3]) == 2
     assert mean([]) is None  # no sample: undefined, not NaN
     assert mean([1.0, None]) is None
-
-
-def test_geomean():
-    assert geomean([1, 4]) == pytest.approx(2.0)
-    assert math.isnan(geomean([]))
-    with pytest.raises(ValueError):
-        geomean([1, -1])
 
 
 def test_normalized_and_map():
