@@ -12,7 +12,7 @@ Public API layers:
 * :mod:`repro.workloads` — NPB models, non-parallel apps, LLNL trace mix.
 * :mod:`repro.virtcluster` — virtual-cluster construction and placement.
 * :mod:`repro.migration` — pre-copy live migration + rebalancing policies.
-* :mod:`repro.metrics` — collectors and normalized-performance summaries.
+* :mod:`repro.metrics` — collectors and summary statistics (means, Pearson).
 * :mod:`repro.experiments` — per-figure scenario builders and harness.
 
 Most users start from :class:`repro.experiments.harness.CloudWorld` (or a

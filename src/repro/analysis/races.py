@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.analysis.sanitizer import SimSanitizer, Violation
 from repro.cluster.node import PCPU
@@ -150,16 +150,12 @@ class TieRaceTracker:
         self._group_time = -1
         #: id(fn) -> set of same-timestamp ancestor ids (zero-delay chains).
         self._ancestors: dict[int, set] = {}
-        #: id(fn) -> [cat, refcount] recorded at schedule time; consumed at
-        #: pop time to classify the event's phase.
-        self._cats: dict[int, list] = {}
         self._obj_labels: dict[int, str] = {}
         self._obj_counter = 0
         #: Reentrancy guard: label computation may invoke ``name``
         #: properties that read other tracked attributes; those reads are
         #: tracker-internal and must be neither recorded nor re-labelled.
         self._labeling = False
-        self._prev_trace: Optional[Callable] = None
         self._seen_pairs: set = set()
 
     # ------------------------------------------------------------------
@@ -178,17 +174,7 @@ class TieRaceTracker:
         self.sim = sim
         self._group_time = -1
         self._ancestors.clear()
-        self._cats.clear()
-        self._prev_trace = sim.trace
-
-        prev = self._prev_trace
-
-        def trace(now: int, fn) -> None:
-            if prev is not None:
-                prev(now, fn)
-            self._on_pop(now, fn)
-
-        sim.trace = trace
+        sim.observe(self._on_pop)
 
     def detach(self) -> None:
         """Flush the final tie group and restore all patched classes."""
@@ -201,37 +187,24 @@ class TieRaceTracker:
         _unpatch_classes()
 
     # ------------------------------------------------------------------
-    # Hooks (called from the patched schedule methods / trace)
+    # Hooks (called from the patched schedule methods / the event point)
     # ------------------------------------------------------------------
-    def _on_schedule(self, time: int, fn, cat: Optional[str]) -> None:
-        key = id(fn)  # repro: ignore[RPR010] -- identity token, never ordered or persisted
-        rec = self._cats.get(key)
-        if rec is not None and rec[0] == cat:
-            rec[1] += 1
-        else:
-            self._cats[key] = [cat, 1]
+    def _on_schedule(self, time: int, fn) -> None:
         cur = self.cur
         if cur is not None and time == self.sim.now:
             # Zero-delay child: causally ordered after everything the
             # current event is ordered after, plus the current event.
+            key = id(fn)  # repro: ignore[RPR010] -- identity token, never ordered or persisted
             parent = id(cur.fn)  # repro: ignore[RPR010] -- identity token, pinned by the event record
             anc = self._ancestors.get(key)
             lineage = self._ancestors.get(parent)
             fresh = {parent} if lineage is None else lineage | {parent}
             self._ancestors[key] = fresh if anc is None else anc | fresh
 
-    def _on_pop(self, now: int, fn) -> None:
+    def _on_pop(self, now: int, fn, cat: Optional[str], depth: int) -> None:
         if now != self._group_time:
             self._flush()
             self._group_time = now
-        key = id(fn)  # repro: ignore[RPR010] -- identity token, never ordered or persisted
-        cat = None
-        rec = self._cats.get(key)
-        if rec is not None:
-            cat = rec[0]
-            rec[1] -= 1
-            if rec[1] <= 0:
-                del self._cats[key]
         phase = 0 if cat in ACCOUNTING_CATS else 1
         ev = _EventRec(fn, _fn_label(fn), phase)
         self._group.append(ev)
@@ -340,19 +313,19 @@ def _patch_classes() -> None:
     def at(self, time, fn, cat=None):
         tr = _active
         if tr is not None and self is tr.sim:
-            tr._on_schedule(int(time), fn, cat)
+            tr._on_schedule(int(time), fn)
         return orig_at(self, time, fn, cat)
 
     def rearm(self, ev, time):
         tr = _active
         if tr is not None and self is tr.sim:
-            tr._on_schedule(int(time), ev.fn, ev.cat)
+            tr._on_schedule(int(time), ev.fn)
         return orig_rearm(self, ev, time)
 
     def post_at(self, time, fn, cat=None):
         tr = _active
         if tr is not None and self is tr.sim:
-            tr._on_schedule(int(time), fn, cat)
+            tr._on_schedule(int(time), fn)
         return orig_post_at(self, time, fn, cat)
 
     for name, orig, patched in (("at", orig_at, at), ("rearm", orig_rearm, rearm),

@@ -1,10 +1,11 @@
 """Runtime simulation sanitizer: opt-in invariant checks for the DES core.
 
-The sanitizer installs *read-only* hooks on a wired world — the
-simulator's :attr:`~repro.sim.engine.Simulator.trace` callback, wrappers
-around each node scheduler's decision entry points, and a VMM period
-hook — and asserts the invariants that bit-reproducible scheduling
-simulations depend on:
+The sanitizer subscribes, read-only, to a wired world's observation
+points — each event of the simulator
+(:meth:`~repro.sim.engine.Simulator.observe`) and each VMM's switch, wake
+and period decision points (the VMM's ``observer``; see
+:mod:`repro.hypervisor.vmm`) — and asserts the invariants that
+bit-reproducible scheduling simulations depend on:
 
 * **SAN001 — event-time monotonicity**: the event loop never executes a
   callback at a time earlier than the previous one.
@@ -59,6 +60,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.hypervisor.vm import BLOCKED, RUNNABLE, VCPUState
+from repro.hypervisor.vmm import BLOCK, EXPIRE, PREEMPT
 from repro.schedulers.credit import CreditScheduler
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -106,9 +108,9 @@ class SanitizerViolationError(RuntimeError):
 
 
 class SimSanitizer:
-    """Install invariant hooks on a simulator + its VMMs.
+    """Subscribe invariant checks to a simulator + its VMMs.
 
-    All hooks are read-only: the sanitized run processes the same events
+    Every check only reads: the sanitized run processes the same events
     in the same order with the same results as an unsanitized one.
     ``max_violations`` bounds memory on a badly broken run; further
     violations are counted but not stored.
@@ -122,12 +124,17 @@ class SimSanitizer:
     CRASHED = "SAN006"
     MIGRATION = "SAN007"
     #: Emitted by :class:`repro.analysis.races.TieRaceTracker`, not by the
-    #: hooks below: a non-commuting pair of same-timestamp events.
+    #: checks below: a non-commuting pair of same-timestamp events.
     RACE = "SAN008"
     #: Emitted by :class:`repro.dfrs.controller.DFRSController`: the
     #: caps/weights a host applied do not match the last published solve,
     #: or a host's published caps sum above its capacity.
     DFRS = "SAN009"
+
+    #: The scheduler hook a switch's cause hands the outgoing VCPU to,
+    #: and the state that VCPU must be in.
+    _REQUEUE = {EXPIRE: ("on_slice_expired", RUNNABLE), PREEMPT: ("on_preempted", RUNNABLE),
+                BLOCK: ("on_block", BLOCKED)}
 
     def __init__(
         self,
@@ -140,9 +147,11 @@ class SimSanitizer:
         self.total_violations = 0
         self.max_violations = max_violations
         self._last_event_ns = -1
-        self._install_trace(sim)
+        #: The pre-accounting credit snapshot of the period being checked.
+        self._snapshot: list = []
+        sim.observe(self.event)
         for vmm in vmms:
-            self._install_vmm(vmm)
+            vmm.observer = self
 
     # ------------------------------------------------------------------
     # Recording
@@ -160,29 +169,49 @@ class SimSanitizer:
             raise SanitizerViolationError(self.violations)
 
     # ------------------------------------------------------------------
-    # SAN001: event-time monotonicity (Simulator.trace hook)
+    # SAN001: event-time monotonicity (the simulator's event point)
     # ------------------------------------------------------------------
-    def _install_trace(self, sim: "Simulator") -> None:
-        prev = sim.trace
+    def event(self, time_ns: int, fn, cat, depth) -> None:
+        if time_ns < self._last_event_ns:
+            self.record(
+                self.MONOTONIC,
+                f"event executed at t={time_ns} after t={self._last_event_ns}",
+                event_time_ns=time_ns,
+                previous_time_ns=self._last_event_ns,
+            )
+        else:
+            self._last_event_ns = time_ns
 
-        def trace(time_ns: int, fn) -> None:
-            if prev is not None:
-                prev(time_ns, fn)
-            if time_ns < self._last_event_ns:
+    # ------------------------------------------------------------------
+    # VMM decision points (SAN002 / SAN004 / SAN006 / SAN007)
+    # ------------------------------------------------------------------
+    def switch(self, vmm: "VMM", pcpu, prev: "VCPU | None", cause, picked) -> None:
+        if prev is not None:
+            where, expected = self._REQUEUE[cause]
+            self._expect_decision(where, prev, expected, vmm)
+        self._expect_alive("pick_next", vmm)
+        if picked is not None:
+            vcpu, slice_ns = picked
+            self._expect_resident("pick_next", vcpu, vmm)
+            self._expect_state("pick_next", vcpu, RUNNABLE)
+            if slice_ns <= 0:
                 self.record(
-                    self.MONOTONIC,
-                    f"event executed at t={time_ns} after t={self._last_event_ns}",
-                    event_time_ns=time_ns,
-                    previous_time_ns=self._last_event_ns,
+                    self.SLICE,
+                    f"pick_next returned non-positive slice {slice_ns} ns "
+                    f"for {vcpu.name}",
+                    vcpu=vcpu.name,
+                    slice_ns=slice_ns,
                 )
-            else:
-                self._last_event_ns = time_ns
 
-        sim.trace = trace
+    def wake(self, vmm: "VMM", vcpu: "VCPU") -> None:
+        self._expect_decision("on_wake", vcpu, RUNNABLE, vmm)
 
-    # ------------------------------------------------------------------
-    # Scheduler decision-point hooks (SAN002 / SAN004 / SAN003)
-    # ------------------------------------------------------------------
+    def _expect_decision(self, where: str, vcpu: "VCPU", expected: VCPUState,
+                         vmm: "VMM") -> None:
+        self._expect_alive(where, vmm)
+        self._expect_resident(where, vcpu, vmm)
+        self._expect_state(where, vcpu, expected)
+
     def _expect_state(self, where: str, vcpu: "VCPU", expected: VCPUState) -> None:
         if vcpu.state is not expected:
             self.record(
@@ -216,77 +245,20 @@ class SimSanitizer:
                 where=where,
             )
 
-    def _install_vmm(self, vmm: "VMM") -> None:
+    # ------------------------------------------------------------------
+    # The VMM period point (SAN003 / SAN004 / SAN005)
+    # ------------------------------------------------------------------
+    def period(self, vmm: "VMM", stage: str) -> None:
         sched = vmm.scheduler
-
-        orig_wake = sched.on_wake
-        orig_pick = sched.pick_next
-        orig_expired = sched.on_slice_expired
-        orig_preempted = sched.on_preempted
-        orig_block = sched.on_block
-
-        def on_wake(vcpu: "VCPU") -> None:
-            self._expect_alive("on_wake", vmm)
-            self._expect_resident("on_wake", vcpu, vmm)
-            self._expect_state("on_wake", vcpu, RUNNABLE)
-            orig_wake(vcpu)
-
-        def pick_next(pcpu):
-            self._expect_alive("pick_next", vmm)
-            picked = orig_pick(pcpu)
-            if picked is not None:
-                vcpu, slice_ns = picked
-                self._expect_resident("pick_next", vcpu, vmm)
-                self._expect_state("pick_next", vcpu, RUNNABLE)
-                if slice_ns <= 0:
-                    self.record(
-                        self.SLICE,
-                        f"pick_next returned non-positive slice {slice_ns} ns "
-                        f"for {vcpu.name}",
-                        vcpu=vcpu.name,
-                        slice_ns=slice_ns,
-                    )
-            return picked
-
-        def on_slice_expired(vcpu: "VCPU") -> None:
-            self._expect_alive("on_slice_expired", vmm)
-            self._expect_resident("on_slice_expired", vcpu, vmm)
-            self._expect_state("on_slice_expired", vcpu, RUNNABLE)
-            orig_expired(vcpu)
-
-        def on_preempted(vcpu: "VCPU") -> None:
-            self._expect_alive("on_preempted", vmm)
-            self._expect_resident("on_preempted", vcpu, vmm)
-            self._expect_state("on_preempted", vcpu, RUNNABLE)
-            orig_preempted(vcpu)
-
-        def on_block(vcpu: "VCPU") -> None:
-            self._expect_alive("on_block", vmm)
-            self._expect_resident("on_block", vcpu, vmm)
-            self._expect_state("on_block", vcpu, BLOCKED)
-            orig_block(vcpu)
-
-        sched.on_wake = on_wake
-        sched.pick_next = pick_next
-        sched.on_slice_expired = on_slice_expired
-        sched.on_preempted = on_preempted
-        sched.on_block = on_block
-
-        if isinstance(sched, CreditScheduler):
-            orig_period = sched.on_period
-
-            def on_period(now: int) -> None:
+        if stage == "end":
+            if getattr(sched, "controller", None) is not None:  # ATC
+                self._check_atc(vmm, sched)
+        elif isinstance(sched, CreditScheduler):
+            if stage == "begin":
                 self._check_run_totals(vmm)
-                snapshot = self._credit_snapshot(vmm)
-                orig_period(now)
-                self._check_credit(vmm, sched, snapshot)
-
-            sched.on_period = on_period
-
-        if getattr(sched, "controller", None) is not None:  # ATC
-            # Appended after the ATC controller's own hook (installed at
-            # scheduler construction), so it sees the applied slices.
-            vmm.period_hooks.append(lambda now, vmm=vmm, sched=sched: self._check_atc(vmm, sched))
+                self._snapshot = self._credit_snapshot(vmm)
+            else:
+                self._check_credit(vmm, sched, self._snapshot)
 
     # ------------------------------------------------------------------
     # SAN003: per-period credit conservation

@@ -323,15 +323,18 @@ class CloudWorld:
         LS set, the ATC monitor's history) and the world VM list.  An
         in-flight migration of the VM is aborted.  The host census
         changed, so the per-host slice minimum (Algorithm 2) is re-run
-        immediately, exactly as after a migration handoff.  Every node
-        then forgets the VM's VCPUs (each PCPU's cache history and the
-        scheduler's per-VCPU bookkeeping), since a VM that migrated left
-        them on every host it ran on: a torn-down VM is unreachable.
+        immediately, exactly as after a migration handoff.  The migration
+        engine forgets the VM's cooldown, and every node forgets its VCPUs
+        (each PCPU's cache history and the scheduler's per-VCPU
+        bookkeeping), since a VM that migrated left them on every host it
+        ran on: a torn-down VM is unreachable.
         """
         if vm.is_dom0:
             raise ValueError(f"{vm.name}: dom0 cannot be torn down")
         if self.migration_engine is not None:
             self.migration_engine.cancel(vm, reason="teardown")
+            # Only a live VM's cooldown reads the entry.
+            self.migration_engine.last_migrated_ns.pop(vm.name, None)
         vmm = vm.node.vmm
         vmm.pause_vm(vm)  # never resumed: late wakes stay latched forever
         self._unhost_vm(vm)

@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from repro.metrics.summary import normalize_map
-
-__all__ = [
-    "format_table",
-    "format_normalized",
-]
+__all__ = ["format_table"]
 
 
 def _cell(c) -> str:
@@ -33,14 +28,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = 
     for row in cells[1:]:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_normalized(results: Mapping[str, float], baseline: str = "CR", title: str = "") -> str:
-    """Render a {approach: time} map as normalized-vs-baseline rows.
-
-    Division goes through :func:`repro.metrics.summary.normalize_map`, so a
-    missing or zero baseline raises the same descriptive error everywhere
-    normalization happens, instead of a bare ``KeyError``/``ZeroDivisionError``.
-    """
-    rows = list(normalize_map(results, baseline).items())
-    return format_table(["approach", f"normalized vs {baseline}"], rows, title=title)

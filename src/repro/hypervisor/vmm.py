@@ -17,11 +17,28 @@ leave time), hands it to the scheduler hook for the cause
 (``on_slice_expired``, ``on_preempted`` or ``on_block``; a pause requeues
 nothing and stops there), picks the next VCPU and starts it.  A real
 switch, and only that, costs ``ctx_switch_ns`` plus the refill penalty
-``PCPUCache.on_dispatch`` returns.  Scheduler and runner hooks are looked
-up on their instances at each call, so per-instance wrappers (the
-sanitizer's) see every switch.  Each PCPU's slice timer calls
+``PCPUCache.on_dispatch`` returns.  Each PCPU's slice timer calls
 ``dispatch`` as bound when the VMM is built: wrap ``VMM.dispatch`` before
 building a world to observe expiries.
+
+Decision points
+---------------
+The VMM reports each scheduler decision to its one ``observer`` (the
+runtime sanitizer; ``None`` by default, so a plain run pays one test per
+switch, wake and period tick):
+
+* ``observer.switch(vmm, pcpu, prev, cause, picked)`` once per
+  ``pick_next`` call in :meth:`VMM.dispatch`, after it returns and before
+  the picked VCPU is checked or started.  ``prev`` is the VCPU that left
+  for ``cause`` and has been handed to the scheduler's hook for it, or
+  ``None`` when an idle PCPU starts; ``picked`` is what ``pick_next``
+  returned.  A pause calls no scheduler hook and reports nothing;
+* ``observer.wake(vmm, vcpu)`` before ``scheduler.on_wake``;
+* ``observer.period(vmm, stage)`` on each live period tick, ``stage``
+  being ``"begin"`` before ``scheduler.on_period``, ``"accounted"``
+  after it and ``"end"`` after the period hooks.
+
+An observer only reads: an observed run is bit-identical to a plain one.
 
 Reentrancy contract
 -------------------
@@ -80,6 +97,7 @@ class VMM:
         "_slice_timers",
         "_ctx_switch_ns",
         "_exact_charge",
+        "observer",
     )
 
     def __init__(
@@ -107,6 +125,8 @@ class VMM:
         self.scheduler = scheduler_factory(self)
         #: Debit the run time itself unless ``charge_ns`` samples ticks.
         self._exact_charge = not getattr(self.scheduler.params, "tick_accounting", False)
+        #: The decision-point observer (see the module docstring), or ``None``.
+        self.observer = None
 
     # ------------------------------------------------------------------
     # Topology
@@ -125,9 +145,16 @@ class VMM:
     def _period_tick(self) -> None:
         now = self.sim.now
         if not self.node.crashed:
+            observer = self.observer
+            if observer is not None:
+                observer.period(self, "begin")
             self.scheduler.on_period(now)
+            if observer is not None:
+                observer.period(self, "accounted")
             for hook in self.period_hooks:
                 hook(now)
+            if observer is not None:
+                observer.period(self, "end")
         # Keep ticking even while crashed so the period phase survives a
         # restart without rescheduling bookkeeping.
         self.sim.post_after(self.period_ns, self._period_tick, cat="vmm.period")
@@ -215,6 +242,8 @@ class VMM:
                 return
 
         picked = sched.pick_next(pcpu)
+        if self.observer is not None:
+            self.observer.switch(self, pcpu, vcpu, cause, picked)
         if picked is None:
             return
         vcpu, slice_ns = picked
@@ -271,6 +300,8 @@ class VMM:
 
     def on_vcpu_wake(self, vcpu: VCPU) -> None:
         """A blocked VCPU became runnable; let the scheduler place it."""
+        if self.observer is not None:
+            self.observer.wake(self, vcpu)
         self.scheduler.on_wake(vcpu)
 
     def kick(self, pcpu: "PCPU") -> None:

@@ -1,13 +1,11 @@
-"""Metric collection and summaries (normalized execution time, Pearson)."""
+"""Metric collection and summaries (means, Pearson)."""
 
 from repro.metrics.collectors import cluster_stats, node_stats
-from repro.metrics.summary import mean, normalize_map, normalized, pearson
+from repro.metrics.summary import mean, pearson
 
 __all__ = [
     "cluster_stats",
     "node_stats",
     "mean",
-    "normalize_map",
-    "normalized",
     "pearson",
 ]

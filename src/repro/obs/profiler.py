@@ -2,8 +2,8 @@
 
 The simulated figures in ``BENCH_*.json`` say nothing about how fast the
 simulator runs on the host — CI could not tell if a PR made the event
-loop 3× slower.  :class:`SimProfiler` attaches to a
-:class:`~repro.sim.engine.Simulator` and measures:
+loop 3× slower.  :class:`SimProfiler` observes the events of a
+:class:`~repro.sim.engine.Simulator` (``Simulator.observe``) and measures:
 
 * **events/sec** — callbacks executed per host wall-clock second;
 * **per-category attribution** — wall time and call counts keyed by the
@@ -47,6 +47,8 @@ class SimProfiler:
         "max_heap_depth",
         "_base_processed",
         "_base_cancelled",
+        "_bucket",
+        "_start",
     )
 
     def __init__(self, sim: "Simulator", clock: Optional[Callable[[], float]] = None) -> None:
@@ -59,34 +61,37 @@ class SimProfiler:
         self.max_heap_depth = 0
         self._base_processed = sim.events_processed
         self._base_cancelled = sim.cancelled_popped
-        sim.profiler = self
+        #: The running event's bucket and its start time.
+        self._bucket: list = []
+        self._start = 0.0
+        sim.observe(self._begin)
 
     # ------------------------------------------------------------------
-    def run_event(self, cat: Optional[str], fn: Callable[[], None], depth: int) -> None:
-        """Execute one event callback under timing (called by the engine).
+    def _begin(self, now: int, fn: Callable[[], None], cat: Optional[str], depth: int):
+        """Start timing one event (the simulator's event observer).
 
-        ``depth`` is the queue depth *including* the event being run (the
-        engine passes ``len(queue) + 1`` before the callback schedules
-        successors).  Sampling after the pop — as an earlier version did —
-        systematically under-reported the true peak by one plus however
-        many successors the deepest event scheduled.
+        ``depth`` is the queue depth *including* the event about to run,
+        sampled before the callback schedules successors.  Sampling after
+        the pop — as an earlier version did — systematically under-reported
+        the true peak by one plus however many successors the deepest
+        event scheduled.
         """
         if depth > self.max_heap_depth:
             self.max_heap_depth = depth
-        t0 = self._clock()
-        fn()
-        dt = self._clock() - t0
-        bucket = self.categories.get(cat or UNCATEGORIZED)
+        key = cat or UNCATEGORIZED
+        bucket = self.categories.get(key)
         if bucket is None:
-            self.categories[cat or UNCATEGORIZED] = [1, dt]
-        else:
-            bucket[0] += 1
-            bucket[1] += dt
+            bucket = self.categories[key] = [0, 0.0]
+        self._bucket = bucket
+        self._start = self._clock()
+        return self._end
 
-    def detach(self) -> None:
-        """Stop profiling (the simulator reverts to the plain loop)."""
-        if self.sim.profiler is self:
-            self.sim.profiler = None
+    def _end(self) -> None:
+        """Charge the event that just returned to its category."""
+        dt = self._clock() - self._start
+        bucket = self._bucket
+        bucket[0] += 1
+        bucket[1] += dt
 
     # ------------------------------------------------------------------
     def report(self) -> dict:

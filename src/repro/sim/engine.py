@@ -123,8 +123,7 @@ def install_watchdog(
 ) -> None:
     """Arm a simulated-time / event-count watchdog on ``sim``.
 
-    Piggybacks on the per-event ``sim.trace`` probe (chaining any tracer
-    already installed, e.g. the runtime sanitizer) and raises
+    Observes the run's events (:meth:`Simulator.observe`) and raises
     :exc:`WatchdogExceeded` from inside the run loop once either budget is
     exceeded.  Purely observational until it fires: the check reads
     counters the loop maintains anyway, so a run that stays within budget
@@ -132,12 +131,9 @@ def install_watchdog(
     """
     if max_events is None and max_now_ns is None:
         return
-    prev = sim.trace
     budget_events = None if max_events is None else sim.events_processed + max_events
 
-    def _watch(now: int, fn: Callable[[], None]) -> None:
-        if prev is not None:
-            prev(now, fn)
+    def _watch(now: int, fn: Callable[[], None], cat: Optional[str], depth: int) -> None:
         if budget_events is not None and sim.events_processed >= budget_events:
             raise WatchdogExceeded(
                 f"watchdog: event budget {max_events} exhausted at t={now}"
@@ -147,7 +143,7 @@ def install_watchdog(
                 f"watchdog: simulated time {now} ns past budget {max_now_ns} ns"
             )
 
-    sim.trace = _watch
+    sim.observe(_watch)
 
 
 class Event:
@@ -170,8 +166,9 @@ class Event:
         self.seq = seq
         self.fn = fn
         self.cancelled = False
-        #: Profiling category tag (``"guest"``, ``"dom0"``, ``"vmm.slice"``,
-        #: ...); purely observational — never read by the event loop itself.
+        #: Category tag (``"guest"``, ``"dom0"``, ``"vmm.slice"``, ...): it
+        #: sets the event's phase (:data:`ACCOUNTING_CATS`) and is passed to
+        #: event observers.
         self.cat = cat
         #: The queue entry standing for this handle (``None``: none is);
         #: its key may sort before the live ``(time, seq)`` (see ``_stale``).
@@ -219,8 +216,7 @@ class Simulator:
         "events_processed",
         "cancelled_popped",
         "_stopped",
-        "trace",
-        "profiler",
+        "observers",
     )
 
     def __init__(self, tie_order: str = "fifo") -> None:
@@ -245,16 +241,27 @@ class Simulator:
         #: Cancelled events lazily discarded when popped (waste metric).
         self.cancelled_popped: int = 0
         self._stopped = False
-        #: Optional callable(time, fn) invoked before each event; used by
-        #: the runtime sanitizer, tests and debugging tools.  ``None``
-        #: disables tracing (default).
-        self.trace: Optional[Callable[[int, Callable[[], None]], None]] = None
-        #: Optional :class:`repro.obs.profiler.SimProfiler`; when set, the
-        #: loop routes each callback through ``profiler.run_event`` so
-        #: wall-clock time is attributed per category.  ``None`` = off.
-        self.profiler = None
+        #: Event observers registered by :meth:`observe`, in registration
+        #: order; ``None`` (no observer) keeps the loop to one test per event.
+        self.observers: Optional[list[Callable]] = None
         if on_simulator_created is not None:
             on_simulator_created(self)
+
+    def observe(self, hook: Callable) -> None:
+        """Call ``hook(now, fn, cat, depth)`` before each event from now on.
+
+        ``fn`` is the callback about to run at ``now``, ``cat`` its
+        category tag and ``depth`` the queue length counting the event.
+        A hook may return a callable, which runs after ``fn`` returns;
+        those run in reverse registration order, so the last hook
+        registered sits closest to the callback.  Hooks only observe: a
+        run is bit-identical with or without them.  An exception raised by
+        a hook (the watchdog's) ends the run before ``fn`` runs.
+        """
+        if self.observers is None:
+            self.observers = [hook]
+        else:
+            self.observers.append(hook)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -417,16 +424,10 @@ class Simulator:
                     break
                 fn = ev
             self.now = entry[0]
-            if self.trace is not None:
-                self.trace(self.now, fn)
-            if self.profiler is None:
+            if self.observers is None:
                 fn()
             else:
-                # cat is only needed for attribution; read it lazily so the
-                # unprofiled hot path skips the extra attribute/index load.
-                self.profiler.run_event(
-                    ev.cat if ev.__class__ is Event else entry[3], fn, len(heap) + 1
-                )
+                self._observed(fn, ev.cat if ev.__class__ is Event else entry[3], len(heap) + 1)
             self.events_processed += 1
             processed += 1
             if max_events is not None and processed >= max_events:
@@ -435,6 +436,18 @@ class Simulator:
             nxt = self.peek()
             if nxt is None or nxt > until:
                 self.now = until
+
+    def _observed(self, fn: Callable[[], None], cat: Optional[str], depth: int) -> None:
+        """Run one event's callback between its observers (see :meth:`observe`)."""
+        now = self.now
+        afters = []
+        for hook in self.observers:
+            after = hook(now, fn, cat, depth)
+            if after is not None:
+                afters.append(after)
+        fn()
+        for after in reversed(afters):
+            after()
 
     # ------------------------------------------------------------------
     # Introspection

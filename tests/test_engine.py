@@ -336,7 +336,7 @@ def test_cancel_after_peek_discard_is_harmless(sim):
 
 
 # ----------------------------------------------------------------------
-# install_watchdog: budget enforcement via the trace probe
+# install_watchdog: budget enforcement via the event point
 # ----------------------------------------------------------------------
 def test_watchdog_event_budget_raises(sim):
     install_watchdog(sim, max_events=3)
@@ -370,17 +370,17 @@ def test_watchdog_budget_is_relative_to_install_point(sim):
 
 def test_watchdog_chains_existing_trace_hook(sim):
     seen = []
-    sim.trace = lambda t, fn: seen.append(t)
+    sim.observe(lambda t, fn, cat, depth: seen.append(t))
     install_watchdog(sim, max_events=100)
     sim.at(7, lambda: None)
     sim.run()
-    assert seen == [7]  # previous probe still fires
+    assert seen == [7]  # the earlier observer still fires
+    assert len(sim.observers) == 2
 
 
 def test_watchdog_without_budgets_is_a_no_op(sim):
-    probe = sim.trace
     install_watchdog(sim)
-    assert sim.trace is probe
+    assert sim.observers is None
 
 
 def test_watchdog_within_budget_leaves_run_untouched(sim):

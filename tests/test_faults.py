@@ -234,7 +234,7 @@ def test_san006_flags_decision_on_crashed_node(single_node):
     san = SimSanitizer(sim, [vmm])
     vmm.crash()
     assert san.violations == []  # the crash itself is clean
-    vmm.scheduler.pick_next(vmm.node.pcpus[0])  # leaked decision
+    vmm.kick(vmm.node.pcpus[0])  # leaked decision
     assert "SAN006" in [v.code for v in san.violations]
     assert san.violations[0].context["node"] == vmm.node.index
 

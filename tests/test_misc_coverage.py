@@ -17,7 +17,7 @@ def test_barrier_size_validation():
 def test_engine_trace_hook():
     sim = Simulator()
     seen = []
-    sim.trace = lambda t, fn: seen.append(t)
+    sim.observe(lambda t, fn, cat, depth: seen.append(t))
     sim.at(5, lambda: None)
     sim.at(9, lambda: None)
     sim.run()

@@ -184,18 +184,14 @@ def test_profiler_categories_and_report():
     assert list(rep["categories"]) == sorted(rep["categories"])
 
 
-def test_profiler_tracks_heap_depth_and_detach():
+def test_profiler_tracks_heap_depth():
     sim = Simulator()
     prof = SimProfiler(sim, clock=FakeClock())
     for i in range(5):
         sim.at(i + 1, lambda: None)
     sim.run()
     assert prof.max_heap_depth >= 4
-    prof.detach()
-    assert sim.profiler is None
-    sim.at(100, lambda: None)
-    sim.run()
-    assert prof.report()["events"] == 6  # counters still readable after detach
+    assert prof.report()["events"] == 5
 
 
 def test_simulator_hook_chains_in_order_and_restores():
@@ -218,7 +214,8 @@ def test_simulator_hook_chains_in_order_and_restores():
         # the inner hook is gone after the exception; the outer one stays
         s3 = Simulator()
     assert calls == [("outer", s1), ("outer", s2), ("inner", s2), ("outer", s3)]
-    assert [s1.profiler, s2.profiler, s3.profiler] == profs
+    assert [p.sim for p in profs] == [s1, s2, s3]
+    assert [s.observers for s in (s1, s2, s3)] == [[p._begin] for p in profs]
     assert engine_mod.on_simulator_created is before
-    assert Simulator().profiler is None
+    assert Simulator().observers is None
     assert len(calls) == 4

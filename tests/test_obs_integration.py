@@ -13,12 +13,12 @@ from repro.sim.engine import Simulator
 
 
 # ----------------------------------------------------------------------
-# Engine trace hook fires on both execution paths (step and run)
+# Engine event observers fire on both execution paths (step and run)
 # ----------------------------------------------------------------------
 def test_trace_hook_fires_in_step_path():
     sim = Simulator()
     seen = []
-    sim.trace = lambda t, fn: seen.append(t)
+    sim.observe(lambda t, fn, cat, depth: seen.append(t))
     sim.at(10, lambda: None)
     sim.at(20, lambda: None)
     assert sim.step() and sim.step()
@@ -28,7 +28,7 @@ def test_trace_hook_fires_in_step_path():
 def test_trace_hook_fires_in_run_path():
     sim = Simulator()
     seen = []
-    sim.trace = lambda t, fn: seen.append(t)
+    sim.observe(lambda t, fn, cat, depth: seen.append(t))
     sim.at(10, lambda: None)
     sim.at(20, lambda: None)
     sim.run()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.races import TieRaceTracker
 from repro.analysis.sanitizer import SanitizerViolationError, SimSanitizer, Violation
 from repro.dfrs.controller import DFRSConfig
 from repro.experiments.harness import CloudWorld, WorldConfig
@@ -11,10 +12,10 @@ from repro.experiments.runner import SCENARIOS, RunSpec, _execute_cell
 from repro.experiments.scenarios import run_dfrs_compare, run_type_a
 from repro.guest.process import compute
 from repro.hypervisor.vm import VCPUState
-from repro.hypervisor.vmm import EXPIRE, VMM
+from repro.hypervisor.vmm import BLOCK, EXPIRE, VMM
 from repro.migration import MigrationConfig
 from repro.schedulers.atc_sched import ATCScheduler
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, install_watchdog, simulator_hook
 from repro.sim.units import MSEC
 
 from .conftest import add_guest_vm, make_node_world
@@ -33,8 +34,9 @@ def _sanitized_world(scheduler_factory=None):
 def test_monotonic_trace_violation():
     sim = Simulator()
     san = SimSanitizer(sim, [])
-    sim.trace(100, lambda: None)
-    sim.trace(50, lambda: None)
+    # The engine never runs time backwards, so feed the event point directly.
+    san.event(100, lambda: None, None, 1)
+    san.event(50, lambda: None, None, 1)
     assert [v.code for v in san.violations] == ["SAN001"]
     with pytest.raises(SanitizerViolationError) as exc:
         san.check()
@@ -44,10 +46,12 @@ def test_monotonic_trace_violation():
 def test_trace_hook_chains_previous():
     sim = Simulator()
     seen = []
-    sim.trace = lambda t, fn: seen.append(t)
-    SimSanitizer(sim, [])
-    sim.trace(7, lambda: None)
+    sim.observe(lambda t, fn, cat, depth: seen.append(t))
+    san = SimSanitizer(sim, [])
+    sim.at(7, lambda: None)
+    sim.run()
     assert seen == [7]
+    assert san._last_event_ns == 7  # both observers saw the event
 
 
 def test_clean_simulation_records_nothing():
@@ -71,7 +75,7 @@ def test_on_wake_with_running_vcpu_flagged():
     # The VMM's own dispatch guard also trips further down the wake path;
     # the sanitizer must have recorded the root cause first.
     with pytest.raises(RuntimeError):
-        vmm.scheduler.on_wake(vcpu)
+        vmm.on_vcpu_wake(vcpu)
     assert "SAN002" in [v.code for v in san.violations]
     assert san.violations[0].context["where"] == "on_wake"
 
@@ -80,41 +84,44 @@ def test_on_block_with_runnable_vcpu_flagged():
     sim, vmm, vm, san = _sanitized_world()
     vcpu = vm.vcpus[0]
     vcpu.state = VCPUState.RUNNABLE
-    vmm.scheduler.on_block(vcpu)
+    # ``VMM.dispatch`` marks a blocking VCPU BLOCKED itself, so only a
+    # direct report can show the switch point a RUNNABLE one.
+    san.switch(vmm, vmm.node.pcpus[0], vcpu, BLOCK, None)
     assert [v.code for v in san.violations] == ["SAN002"]
+    assert san.violations[0].context["where"] == "on_block"
 
 
 def test_legal_wake_not_flagged():
     sim, vmm, vm, san = _sanitized_world()
     vcpu = vm.vcpus[0]
     vcpu.state = VCPUState.RUNNABLE
-    vmm.scheduler.on_wake(vcpu)
+    vmm.on_vcpu_wake(vcpu)
+    assert vcpu.state is VCPUState.RUNNING  # woken, picked and started
     assert san.violations == []
 
 
-def test_wrappers_run_once_per_slice_expiry(monkeypatch):
-    """An expiry settles, requeues and picks inside one ``VMM.dispatch``;
-    the hooks are looked up on the scheduler instance at each call, so
-    the sanitizer's ``on_slice_expired`` and ``pick_next`` wrappers each
-    run exactly once per expiry."""
-    calls = {"on_slice_expired": 0, "pick_next": 0}
-    expect_alive = SimSanitizer._expect_alive
+def test_sanitizer_sees_one_switch_per_slice_expiry(monkeypatch):
+    """An expiry settles, requeues and picks inside one ``VMM.dispatch``,
+    which reports exactly one ``switch`` to the sanitizer, carrying the
+    expired VCPU and its cause."""
+    switches = []
+    switch = SimSanitizer.switch
 
-    def counted(self, where, vmm):
-        if where in calls:
-            calls[where] += 1
-        expect_alive(self, where, vmm)
+    def counted(self, vmm, pcpu, prev, cause, picked):
+        switches.append((prev, cause))
+        switch(self, vmm, pcpu, prev, cause, picked)
 
     per_expiry = []
     dispatch = VMM.dispatch
 
     def observed(self, pcpu, cause=None):
-        before = dict(calls)
+        before = len(switches)
+        prev = pcpu.current
         dispatch(self, pcpu, cause)
         if cause == EXPIRE:
-            per_expiry.append({k: calls[k] - before[k] for k in calls})
+            per_expiry.append((switches[before:], prev))
 
-    monkeypatch.setattr(SimSanitizer, "_expect_alive", counted)
+    monkeypatch.setattr(SimSanitizer, "switch", counted)
     # Before the world is built: each slice timer binds ``dispatch`` then.
     monkeypatch.setattr(VMM, "dispatch", observed)
     sim, cluster, vmms = make_node_world(n_pcpus=1)
@@ -128,7 +135,7 @@ def test_wrappers_run_once_per_slice_expiry(monkeypatch):
     sim.run(until=100 * MSEC)
     san.check()
     assert len(per_expiry) >= 15
-    assert all(d == {"on_slice_expired": 1, "pick_next": 1} for d in per_expiry)
+    assert all(seen == [(prev, EXPIRE)] for seen, prev in per_expiry)
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +155,7 @@ def test_credit_drift_detected():
     san = SimSanitizer(sim, vmms)
     for v in vm.vcpus:
         v.state = VCPUState.RUNNABLE
-    sched.on_period(0)
+    vmms[0]._period_tick()
     assert "SAN003" in [v.code for v in san.violations]
 
 
@@ -160,7 +167,7 @@ def test_correct_accounting_passes():
         v.state = VCPUState.RUNNABLE
         v.period_run_ns = 5 * MSEC
     vm.period_run_ns = 10 * MSEC
-    vmms[0].scheduler.on_period(0)
+    vmms[0]._period_tick()
     assert san.violations == []
 
 
@@ -172,7 +179,7 @@ def test_cached_vm_run_total_drift_detected():
         v.state = VCPUState.RUNNABLE
         v.period_run_ns = 5 * MSEC
     vm.period_run_ns = 7 * MSEC  # the VCPUs ran 10 ms between them
-    vmms[0].scheduler.on_period(0)
+    vmms[0]._period_tick()
     drift = [v for v in san.violations if v.context.get("vm") == vm.name]
     assert [v.code for v in drift] == ["SAN003"]
     assert drift[0].context["cached_ns"] == 7 * MSEC
@@ -223,24 +230,58 @@ def _atc_world():
 
 def test_atc_slice_out_of_bounds_flagged():
     sim, vmm, vm, san = _atc_world()
-    vm.slice_ns = 1  # far below min_threshold_ns
-    vmm.period_hooks[-1](0)  # the sanitizer's ATC hook
+    # ATC's own period hook clamps every slice, so stand in a broken one.
+    vmm.period_hooks[:] = [lambda now: setattr(vm, "slice_ns", 1)]  # below min_threshold_ns
+    vmm._period_tick()
     assert "SAN004" in [v.code for v in san.violations]
 
 
 def test_negative_latency_flagged():
     sim, vmm, vm, san = _atc_world()
     st = vmm.scheduler.controller.monitor.state_for(vm)
-    st.latencies.append(-5.0)
-    vmm.period_hooks[-1](0)
+    vmm.period_hooks[:] = [lambda now: st.latencies.append(-5.0)]
+    vmm._period_tick()
     assert "SAN005" in [v.code for v in san.violations]
 
 
 def test_atc_slice_within_bounds_ok():
     sim, vmm, vm, san = _atc_world()
     vm.slice_ns = 6 * MSEC
-    vmm.period_hooks[-1](0)
+    vmm._period_tick()
     assert san.violations == []
+
+
+# ----------------------------------------------------------------------
+# One observation surface: subscribers, not wrappers
+# ----------------------------------------------------------------------
+SCHEDULER_HOOKS = ("on_wake", "pick_next", "on_slice_expired", "on_preempted",
+                   "on_block", "on_period")
+
+
+@pytest.mark.parametrize("factory", [None, ATCScheduler], ids=["CR", "ATC"])
+def test_sanitizer_replaces_no_method_and_no_engine_slot(factory):
+    sim, cluster, vmms = make_node_world(n_nodes=2, scheduler_factory=factory)
+    period_hooks = [list(vmm.period_hooks) for vmm in vmms]
+    SimSanitizer(sim, vmms)
+    for vmm in vmms:
+        assert not set(SCHEDULER_HOOKS) & set(vars(vmm.scheduler))
+    assert [vmm.period_hooks for vmm in vmms] == period_hooks
+    assert not hasattr(sim, "trace") and not hasattr(sim, "profiler")
+
+
+def test_every_observer_on_one_cell_leaves_the_result_alone():
+    cell = dict(app_name="lu", scheduler="ATC", n_nodes=2, rounds=1, warmup_rounds=0, seed=0)
+    plain = run_type_a(**cell)
+    tracker = TieRaceTracker()
+    with simulator_hook(tracker.attach), \
+            simulator_hook(lambda sim: install_watchdog(sim, 10 * plain["events"], 10**12)):
+        try:
+            observed = run_type_a(**cell, sanitize=True, profile=True, trace=True)
+        finally:
+            tracker.detach()
+    assert {k: v for k, v in observed.items() if k not in ("profile", "trace")} == plain
+    assert observed["profile"]["events"] == plain["events"]
+    assert tracker.groups_checked > 0 and observed["trace"]["total"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.experiments.reporting import format_normalized, format_table
+from repro.experiments.reporting import format_table
 from repro.experiments.runner import SCENARIOS
 from repro.experiments.scenarios import (
     run_packet_path_probe,
@@ -149,8 +149,3 @@ def test_format_table_alignment():
     assert lines[0] == "T"
     assert "a" in lines[1] and "bb" in lines[1]
     assert "2.500" in out
-
-
-def test_format_normalized():
-    out = format_normalized({"CR": 10.0, "ATC": 2.5})
-    assert "0.250" in out and "1.000" in out

@@ -304,6 +304,8 @@ def test_departed_tenants_become_unreachable(scheduler):
     live = [repr(o) for o in gc.get_objects()
             if isinstance(o, (VM, VCPU, GuestProcess)) and tenant(o) in gone]
     assert live == []
+    # Nor through the migration engine's cooldown map.
+    assert set(w.migration_engine.last_migrated_ns) <= {vm.name for vm in w.vms}
 
 
 def test_teardown_refuses_dom0():

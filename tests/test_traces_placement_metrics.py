@@ -5,7 +5,7 @@ import collections
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.metrics.summary import mean, normalize_map, normalized, pearson
+from repro.metrics.summary import mean, pearson
 from repro.sim.rng import SimRNG
 from repro.virtcluster.cluster import VirtualCluster
 from repro.virtcluster.placement import (
@@ -213,16 +213,6 @@ def test_mean_and_empty():
     assert mean([1, 2, 3]) == 2
     assert mean([]) is None  # no sample: undefined, not NaN
     assert mean([1.0, None]) is None
-
-
-def test_normalized_and_map():
-    assert normalized(5, 10) == 0.5
-    with pytest.raises(ZeroDivisionError):
-        normalized(1, 0)
-    out = normalize_map({"CR": 10.0, "ATC": 2.0})
-    assert out == {"CR": 1.0, "ATC": 0.2}
-    with pytest.raises(KeyError):
-        normalize_map({"ATC": 1.0})
 
 
 def test_pearson_perfect_and_inverse():
