@@ -11,7 +11,7 @@ Public API layers:
 * :mod:`repro.core` — the ATC control algorithms (the paper's contribution).
 * :mod:`repro.workloads` — NPB models, non-parallel apps, LLNL trace mix.
 * :mod:`repro.virtcluster` — virtual-cluster construction and placement.
-* :mod:`repro.migration` — pre-copy live migration + rebalancing policies.
+* :mod:`repro.migration` — pre-copy live migration + the demix rebalancer.
 * :mod:`repro.metrics` — collectors and summary statistics (means, Pearson).
 * :mod:`repro.experiments` — per-figure scenario builders and harness.
 

@@ -140,12 +140,6 @@ class Fabric:
         self._degraded.pop(node, None)
 
     @property
-    def degraded_nodes(self) -> list[int]:
-        """Node indices with a currently degraded NIC, ascending (the
-        migration rebalancer's ``evacuate`` policy reads this)."""
-        return sorted(self._degraded)
-
-    @property
     def wire_bytes_total(self) -> int:
         """Total payload bytes actually serialized on NICs, including
         every retransmission attempt (consistent with the egress time the

@@ -4,9 +4,8 @@ end of.
 
 Instead of adapting *time slices* on each host, DFRS periodically
 re-solves a *fractional allocation* for every VM in the cluster — a
-(cap, weight) pair pushed down into the per-host credit schedulers —
-and, when the solve demands it, relocates VMs through the live-migration
-engine.  The model follows Stillwell/Vivien/Casanova's yield-maximizing
+(cap, weight) pair pushed down into the per-host credit schedulers.
+The model follows Stillwell/Vivien/Casanova's yield-maximizing
 formulation: each VM has an estimated resource *need*, its *yield* is
 allocation/need, and the solver maximizes the minimum yield per host.
 

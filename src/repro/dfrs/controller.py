@@ -17,9 +17,7 @@ Every ``solve_every``-th period the leader:
 3. publishes each VM's (cap, weight) through the scheduler-registry
    cluster hook (``set_vm_cap`` / ``set_vm_weight``; applied by the host
    scheduler at its next accounting boundary);
-4. optionally asks the solver for relocations and issues them through
-   the live-migration engine (:mod:`repro.migration`);
-5. self-checks SAN009: the caps/weights a host actually applied match
+4. self-checks SAN009: the caps/weights a host actually applied match
    the last published solve, and no host's published caps sum above its
    capacity.
 """
@@ -29,12 +27,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.dfrs.solver import VMNeed, propose_moves, solve_cluster
+from repro.dfrs.solver import VMNeed, solve_cluster
 from repro.obs import trace as obstrace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.harness import CloudWorld
-    from repro.hypervisor.vm import VM
 
 __all__ = ["DFRSConfig", "DFRSController"]
 
@@ -62,10 +59,6 @@ class DFRSConfig:
     #: leave burst room.  Caps are per-VM limits, not a partition, so
     #: with headroom they may sum above 1.0 on a packed host.
     headroom: float = 1.25
-    #: Issue solver-proposed relocations through the migration engine.
-    allow_moves: bool = False
-    #: Relocation budget per control round.
-    max_moves_per_round: int = 1
 
     def __post_init__(self) -> None:
         if self.solve_every < 0:
@@ -97,7 +90,6 @@ class DFRSController:
         self.solves = 0
         self.caps_applied = 0
         self.weights_applied = 0
-        self.moves_requested = 0
         self.last_min_yield = 1.0
         self.last_mean_yield = 1.0
         #: SAN009 violations found when no sanitizer is attached
@@ -115,7 +107,6 @@ class DFRSController:
             "solves": self.solves,
             "caps_applied": self.caps_applied,
             "weights_applied": self.weights_applied,
-            "moves_requested": self.moves_requested,
             "last_min_yield": self.last_min_yield,
             "last_mean_yield": self.last_mean_yield,
             "violations": len(self.violations),
@@ -157,10 +148,9 @@ class DFRSController:
     # ------------------------------------------------------------------
     def _control(self, now: int) -> None:
         self._check_applied(now)
-        cfg = self.cfg
         needs = self._estimate_needs(now)
         self._last_solve_ns = now
-        solves = solve_cluster(needs, self.world.config.n_nodes, cfg.headroom)
+        solves = solve_cluster(needs, self.world.config.n_nodes, self.cfg.headroom)
         self.solves += 1
         occupied = [s for s in solves.values() if s.allocations]
         self.last_min_yield = min((s.min_yield for s in occupied), default=1.0)
@@ -177,8 +167,6 @@ class DFRSController:
                 yields={s.node: s.min_yield for s in occupied},
             )
         self._publish(now, solves)
-        if cfg.allow_moves:
-            self._relocate(needs)
 
     def _publish(self, now: int, solves) -> None:
         self._published.clear()
@@ -224,27 +212,6 @@ class DFRSController:
                         weight=a.weight,
                         vm_yield=a.vm_yield,
                     )
-
-    def _relocate(self, needs) -> None:
-        engine = self.world.migration_engine
-        if engine is None:
-            return
-        moves = propose_moves(
-            needs,
-            self.world.config.n_nodes,
-            self.world._node_vm_load,
-            self.world.config.vms_per_node,
-            self.cfg.max_moves_per_round,
-        )
-        vms_by_id = {vm.vmid: vm for vm in self.world.vms}
-        for vmid, dst in moves:
-            vm = vms_by_id.get(vmid)
-            if vm is None or vm.paused or vm.vmid in engine.active:
-                continue
-            if vm.node.index == dst:
-                continue
-            if engine.start(vm, dst):
-                self.moves_requested += 1
 
     # ------------------------------------------------------------------
     # SAN009: published allocations are the applied ones

@@ -43,7 +43,6 @@ __all__ = [
     "HostSolve",
     "solve_host",
     "solve_cluster",
-    "propose_moves",
 ]
 
 #: Binary-search iterations: 2^-60 relative error, far below any
@@ -148,68 +147,11 @@ def solve_host(node: int, needs: list[VMNeed], headroom: float = 1.0) -> HostSol
 def solve_cluster(
     needs: list[VMNeed], n_nodes: int, headroom: float = 1.0
 ) -> dict[int, HostSolve]:
-    """Solve every host independently; hosts are coupled only through
-    relocation (the controller's move proposals), not through the caps.
+    """Solve every host independently: caps never couple two hosts.
 
-    Returns ``{node_index: HostSolve}`` for all ``n_nodes`` hosts (empty
-    hosts included, so move proposals can target them)."""
+    Returns ``{node_index: HostSolve}`` for all ``n_nodes`` hosts, empty
+    hosts included."""
     by_node: dict[int, list[VMNeed]] = {i: [] for i in range(n_nodes)}
     for n in needs:
         by_node[n.node].append(n)
     return {i: solve_host(i, by_node[i], headroom) for i in range(n_nodes)}
-
-
-def propose_moves(
-    needs: list[VMNeed],
-    n_nodes: int,
-    node_loads: list[int],
-    vms_per_node: int,
-    max_moves: int,
-    improvement_eps: float = 1e-6,
-) -> list[tuple[int, int]]:
-    """Greedy relocation pass: let the worst-yield host shed load.
-
-    Repeatedly takes the host with the lowest ``min_yield`` (ties broken
-    by lowest index), picks its smallest-need VM (ties by vmid) and the
-    recipient host whose post-move minimum yield over the donor/recipient
-    pair is best (must have a free slot and actually improve the pair's
-    minimum by more than ``improvement_eps``).  Returns at most
-    ``max_moves`` ``(vmid, dst_node)`` pairs, computed on a scratch copy
-    of the needs — the real solve happens next round, after the engine
-    has (maybe) executed the moves.
-
-    Deterministic: pure arithmetic, all ties index- or vmid-ordered.
-    """
-    needs_by_node: dict[int, list[VMNeed]] = {i: [] for i in range(n_nodes)}
-    for n in needs:
-        needs_by_node[n.node].append(n)
-    loads = list(node_loads)
-    moves: list[tuple[int, int]] = []
-    for _ in range(max_moves):
-        yields = {i: solve_host(i, ns).min_yield for i, ns in needs_by_node.items()}
-        donor = min(yields, key=lambda i: (yields[i], i))
-        if yields[donor] >= 1.0 or not needs_by_node[donor]:
-            break
-        victim = min(needs_by_node[donor], key=lambda n: (n.need, n.vmid))
-        base = yields[donor]
-        best = None
-        for dst in range(n_nodes):
-            if dst == donor or loads[dst] >= vms_per_node:
-                continue
-            moved = VMNeed(victim.name, victim.vmid, dst, victim.need, victim.ceil)
-            y_donor = solve_host(
-                donor, [n for n in needs_by_node[donor] if n.vmid != victim.vmid]
-            ).min_yield
-            y_dst = solve_host(dst, needs_by_node[dst] + [moved]).min_yield
-            gain = min(y_donor, y_dst) - min(base, yields[dst])
-            if gain > improvement_eps and (best is None or gain > best[0]):
-                best = (gain, dst, moved)
-        if best is None:
-            break
-        _, dst, moved = best
-        needs_by_node[donor] = [n for n in needs_by_node[donor] if n.vmid != victim.vmid]
-        needs_by_node[dst] = needs_by_node[dst] + [moved]
-        loads[donor] -= 1
-        loads[dst] += 1
-        moves.append((victim.vmid, dst))
-    return moves

@@ -183,11 +183,10 @@ def chaos_claims(results: Sequence[RunResult]) -> list[str]:
 # ----------------------------------------------------------------------
 # migrate: static placement vs online rebalancing
 # ----------------------------------------------------------------------
-def migrate_cells(policy: str = "demix", bound: Optional[str] = "spread",
-                  **params) -> list[RunSpec]:
+def migrate_cells(bound: Optional[str] = "spread", **params) -> list[RunSpec]:
     """Static baseline, a static cell at the ``bound`` placement (the
     paper's spread placement as the static upper bound; ``None`` leaves it
-    out), then the ``policy`` cell.  The first cell is the baseline every
+    out), then the ``demix`` cell.  The first cell is the baseline every
     round time is normalized to."""
     specs = [RunSpec("migration_rebalance", dict(params, policy="static"),
                      label="migrate:static")]
@@ -195,8 +194,8 @@ def migrate_cells(policy: str = "demix", bound: Optional[str] = "spread",
         specs.append(RunSpec("migration_rebalance",
                              dict(params, placement=bound, policy="static"),
                              label=f"migrate:static@{bound}"))
-    specs.append(RunSpec("migration_rebalance", dict(params, policy=policy),
-                         label=f"migrate:{policy}"))
+    specs.append(RunSpec("migration_rebalance", dict(params, policy="demix"),
+                         label="migrate:demix"))
     return specs
 
 

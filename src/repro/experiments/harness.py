@@ -173,6 +173,9 @@ class CloudWorld:
         self._rng_key = 0
         self.vms: list[VM] = []
         self.virtual_clusters: list[VirtualCluster] = []
+        #: Virtual clusters ever built: an unnamed one is ``vc<N>`` by this
+        #: count, which teardown never lowers, so no two share a name.
+        self._clusters_built = 0
         #: Cluster controllers on the control tick (:meth:`every_period`),
         #: as ``(fn, every)`` in registration order.
         self._period_fns: list[tuple[Callable[[int], None], int]] = []
@@ -192,15 +195,6 @@ class CloudWorld:
         if cfg.dfrs is not None:
             from repro.dfrs.controller import DFRSController
 
-            if cfg.dfrs.allow_moves and self.migration_engine is None:
-                # DFRS relocations go through the standard engine; attach
-                # one (no rebalancer) when the config demands moves but no
-                # migration control plane was requested.  DFRS moves VMs
-                # of very different shapes, so the footprint scales with
-                # VCPU count.
-                from repro.migration.engine import MigrationEngine, per_vcpu_params
-
-                self.migration_engine = MigrationEngine(self, per_vcpu_params())
             self.dfrs = DFRSController(self, cfg.dfrs)
         self.service: Optional[CloudService] = None
         if cfg.service is not None:
@@ -285,7 +279,7 @@ class CloudWorld:
         where possible; ``"pack"`` fills nodes in order (for ablations
         isolating the cross-VM network overhead).
         """
-        name = name or f"vc{len(self.virtual_clusters)}"
+        name = name or f"vc{self._clusters_built}"
         if node_indices is None:
             assignment, new_loads = place(
                 placement or self.config.placement,
@@ -307,6 +301,7 @@ class CloudWorld:
         ]
         vc = VirtualCluster(name, vms)
         self.virtual_clusters.append(vc)
+        self._clusters_built += 1
         return vc
 
     # ------------------------------------------------------------------

@@ -26,9 +26,8 @@ Setups reproduced:
 * ``run_packet_path_probe`` — Fig. 4: per-hop timestamps of cross-VM
   messages under load, splitting the four scheduling-wait overheads.
 * ``run_migration_rebalance`` — mixed-tenancy world (Fig. 12/13-style)
-  under a live-migration rebalancing policy (:mod:`repro.migration`):
-  compares static placements against dynamically demixed/consolidated/
-  evacuated ones.
+  under live-migration rebalancing (:mod:`repro.migration`): compares
+  static placements against dynamically demixed ones.
 * ``run_dfrs_compare`` — design-space comparator (:mod:`repro.dfrs`):
   the same mixed-tenancy cell run under plain CR, the paper's ATC
   (per-VCPU slice control), cluster-level DFRS fractional allocation
@@ -549,8 +548,8 @@ def run_migration_rebalance(
     * ``"static"`` — no migration subsystem at all (baseline);
     * ``"none"``   — engine constructed but no rebalancer (bit-identity
       control: must match ``"static"`` exactly);
-    * ``"demix"`` / ``"consolidate"`` / ``"evacuate"`` — live policies
-      (:mod:`repro.migration.policies`).
+    * ``"demix"``  — the live rebalancer
+      (:func:`repro.migration.policies.demix`).
 
     ``migration`` holds :class:`~repro.migration.engine.MigrationConfig`
     overrides as a JSON-friendly dict (``control_every``, ``params``...).
@@ -615,10 +614,9 @@ def run_dfrs_compare(
       ``"baseline"`` exactly, event count included.
 
     ``dfrs`` holds :class:`~repro.dfrs.controller.DFRSConfig` overrides
-    as a JSON-friendly dict (``solve_every``, ``headroom``,
-    ``allow_moves``...).  Results carry the same round-time keys as the
-    migration scenario so benches can put all modes on one normalized
-    axis.
+    as a JSON-friendly dict (``solve_every``, ``headroom``).  Results
+    carry the same round-time keys as the migration scenario so benches
+    can put all modes on one normalized axis.
     """
     modes = {
         "baseline": ("CR", None),

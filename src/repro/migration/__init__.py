@@ -5,8 +5,8 @@ share a host: Algorithm 2 takes the minimum slice over all co-resident
 parallel VMs, so placement is the hidden variable behind every number.
 This subsystem makes placement dynamic: a deterministic pre-copy
 live-migration model (:mod:`repro.migration.engine`) plus a periodic
-cluster-level rebalancer (:mod:`repro.migration.rebalancer`) driving
-migrations under pluggable policies (:mod:`repro.migration.policies`).
+cluster-level rebalancer (:mod:`repro.migration.rebalancer`) that
+separates co-hosted parallel clusters (:mod:`repro.migration.policies`).
 
 Everything is zero-entropy when idle: constructing the engine and
 rebalancer adds no simulator events and draws no RNG, so a run with the
@@ -20,7 +20,7 @@ from repro.migration.engine import (
     MigrationEngine,
     MigrationParams,
 )
-from repro.migration.policies import POLICIES, parallel_census, policy_names
+from repro.migration.policies import parallel_census
 from repro.migration.rebalancer import Rebalancer
 
 __all__ = [
@@ -28,8 +28,6 @@ __all__ = [
     "MigrationConfig",
     "MigrationEngine",
     "MigrationParams",
-    "POLICIES",
     "parallel_census",
-    "policy_names",
     "Rebalancer",
 ]

@@ -48,24 +48,9 @@ __all__ = [
     "MigrationConfig",
     "Migration",
     "MigrationEngine",
-    "per_vcpu_params",
 ]
 
 MIB = 1 << 20
-
-
-def per_vcpu_params(
-    base: "MigrationParams | None" = None, mem_bytes_per_vcpu: int = 8 * MIB
-) -> "MigrationParams":
-    """A :class:`MigrationParams` with VCPU-scaled memory footprints.
-
-    The default cost model keeps ``mem_bytes_per_vcpu=0`` for
-    bit-identity with historical runs; controllers that relocate VMs of
-    very different shapes (DFRS) use this so a 16-VCPU VM costs more
-    fabric traffic to move than a 1-VCPU VM."""
-    from dataclasses import replace
-
-    return replace(base or MigrationParams(), mem_bytes_per_vcpu=mem_bytes_per_vcpu)
 
 
 @dataclass(frozen=True)
@@ -74,11 +59,6 @@ class MigrationParams:
 
     #: Guest memory image base size to transfer in round 1.
     mem_bytes: int = 64 * MIB
-    #: Additional image size per VCPU: a 16-VCPU VM carries more state
-    #: (and costs more fabric traffic to move) than a 1-VCPU VM.  The
-    #: default 0 keeps the historical fixed-size cost model bit-identical;
-    #: DFRS-triggered moves enable it (see ``per_vcpu_params``).
-    mem_bytes_per_vcpu: int = 0
     #: Rate at which the running guest dirties pages during pre-copy.
     dirty_bytes_per_s: int = 8 * MIB
     #: Stop-and-copy when the dirty residue falls below this.
@@ -95,18 +75,14 @@ class MigrationParams:
     #: streams stalled by crashed destinations or dead links).
     abort_timeout_ns: int = 30 * SEC
 
-    def mem_for(self, vm: "VM") -> int:
-        """Memory image size for migrating ``vm``: the base image plus
-        the per-VCPU component (0 unless configured)."""
-        return self.mem_bytes + self.mem_bytes_per_vcpu * len(vm.vcpus)
-
 
 @dataclass(frozen=True)
 class MigrationConfig:
     """Control-plane configuration (WorldConfig.migration)."""
 
-    #: Rebalancing policy name (repro.migration.policies) or ``"none"``
-    #: for an engine with no controller (manual ``engine.start`` only).
+    #: ``"demix"`` (:func:`repro.migration.policies.demix` every
+    #: ``control_every`` periods) or ``"none"`` for an engine with no
+    #: controller (manual ``engine.start`` only).
     policy: str = "none"
     #: Run the control loop every N VMM periods.
     control_every: int = 2
@@ -117,6 +93,10 @@ class MigrationConfig:
     params: MigrationParams = field(default_factory=MigrationParams)
 
     def __post_init__(self) -> None:
+        if self.policy not in ("none", "demix"):
+            raise ValueError(
+                f"unknown migration policy {self.policy!r}; known: demix (or 'none')"
+            )
         if self.control_every < 1:
             raise ValueError(f"control_every must be >= 1, got {self.control_every}")
 
@@ -240,7 +220,7 @@ class MigrationEngine:
             return False
         self.world._node_vm_load[dst_idx] += 1  # reserve the slot now
         m = Migration(vm, src_idx, dst_idx, self.sim.now)
-        m.mem_bytes = self.params.mem_for(vm)
+        m.mem_bytes = self.params.mem_bytes
         m.remaining = m.mem_bytes
         self.active[vm.vmid] = m
         self.started += 1

@@ -1,39 +1,28 @@
-"""Pluggable rebalancing policies.
+"""The rebalancing policy: demix co-hosted parallel clusters.
 
-A policy is a pure function ``policy(world, rebalancer) -> moves`` that
-inspects the world (read-only) and returns an ordered list of proposed
-``(vm, dst_node_idx)`` moves.  The :class:`~repro.migration.rebalancer.
-Rebalancer` applies them front-to-back under its concurrency budget,
-re-checking eligibility per move, so policies may over-propose.
+:func:`demix` is a pure function of the world (read-only) that returns
+an ordered list of proposed ``(vm, dst_node_idx)`` moves.  The
+:class:`~repro.migration.rebalancer.Rebalancer` applies them
+front-to-back under its concurrency budget, re-checking eligibility per
+move, so the policy may over-propose.
 
-Policies must be deterministic: no RNG, no set-order iteration, ties
-broken by node index / vmid / insertion order.  Inputs are the signals
-the cloud control plane can see without guest cooperation: the per-host
-parallel-VM census (which virtual clusters share which node — the
-hidden variable of Algorithm 2's per-host minimum), per-node VM load,
-and the fault state (crashed nodes, degraded NICs) surfaced by
-:mod:`repro.faults`.
-
-* ``demix``    — hosts where two parallel clusters mix drag *both*
-  clusters down to the stricter slice minimum; move the minority
-  cluster's VM to a host owned by (or free for) its own cluster.
-* ``consolidate`` — pack non-parallel VMs onto parallel-free hosts so
-  parallel hosts stop paying mixed-tenancy overhead.
-* ``evacuate`` — drain nodes that have been marked unhealthy (a
-  ``node_crash`` observed, or a currently degraded NIC).  Crash marks
-  are sticky: VMs are moved off as soon as the node is back up.
+It is deterministic: no RNG, no set-order iteration, ties broken by node
+index / vmid / insertion order.  Its inputs are signals the cloud control
+plane sees without guest cooperation: the per-host parallel-VM census
+(which virtual clusters share which node — the hidden variable of
+Algorithm 2's per-host minimum), per-node VM load and which nodes are
+down.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.harness import CloudWorld
     from repro.hypervisor.vm import VM
-    from repro.migration.rebalancer import Rebalancer
 
-__all__ = ["POLICIES", "policy_names", "parallel_census", "demix", "consolidate", "evacuate"]
+__all__ = ["parallel_census", "demix"]
 
 
 def parallel_census(world: "CloudWorld") -> dict[int, dict[str, list["VM"]]]:
@@ -50,7 +39,7 @@ def parallel_census(world: "CloudWorld") -> dict[int, dict[str, list["VM"]]]:
     return census
 
 
-def demix(world: "CloudWorld", rb: "Rebalancer") -> list[tuple["VM", int]]:
+def demix(world: "CloudWorld") -> list[tuple["VM", int]]:
     """Separate parallel clusters sharing a host.
 
     For each node hosting ≥ 2 parallel clusters, the *minority* cluster
@@ -86,65 +75,3 @@ def demix(world: "CloudWorld", rb: "Rebalancer") -> list[tuple["VM", int]]:
         if best is not None:
             moves.append((vm, best[1]))
     return moves
-
-
-def consolidate(world: "CloudWorld", rb: "Rebalancer") -> list[tuple["VM", int]]:
-    """Move non-parallel VMs off hosts that also run parallel VMs, onto
-    the most-loaded parallel-free host with capacity (tightest pack)."""
-    census = parallel_census(world)
-    nodes = world.cluster.nodes
-    cap = world.config.vms_per_node
-    load = world._node_vm_load
-    moves: list[tuple["VM", int]] = []
-    for vm in world.vms:  # creation order
-        if vm.is_parallel or vm.is_dom0:
-            continue
-        src = vm.node.index
-        if src not in census or nodes[src].crashed:
-            continue
-        best = None
-        for i in range(len(nodes)):
-            if i == src or i in census or nodes[i].crashed or load[i] >= cap:
-                continue
-            key = (-load[i], i)
-            if best is None or key < best[0]:
-                best = (key, i)
-        if best is not None:
-            moves.append((vm, best[1]))
-    return moves
-
-
-def evacuate(world: "CloudWorld", rb: "Rebalancer") -> list[tuple["VM", int]]:
-    """Drain unhealthy nodes (see :attr:`Rebalancer.unhealthy`) onto the
-    least-loaded healthy node, lowest vmid first.  Nodes currently down
-    are skipped — their VMs are frozen — and drained after restart."""
-    nodes = world.cluster.nodes
-    cap = world.config.vms_per_node
-    load = world._node_vm_load
-    moves: list[tuple["VM", int]] = []
-    for src in rb.unhealthy:  # detection order
-        if nodes[src].crashed:
-            continue
-        for vm in sorted(world.vmms[src].guest_vms, key=lambda v: v.vmid):
-            best = None
-            for i in range(len(nodes)):
-                if i in rb.unhealthy or nodes[i].crashed or load[i] >= cap:
-                    continue
-                key = (load[i], i)
-                if best is None or key < best[0]:
-                    best = (key, i)
-            if best is not None:
-                moves.append((vm, best[1]))
-    return moves
-
-
-#: Policy registry: name -> policy(world, rebalancer) -> [(vm, dst), ...].
-POLICIES: dict[str, Callable[["CloudWorld", "Rebalancer"], list[tuple["VM", int]]]] = {
-    "demix": demix,
-    "consolidate": consolidate,
-    "evacuate": evacuate,
-}
-
-
-def policy_names() -> list[str]:
-    return sorted(POLICIES)

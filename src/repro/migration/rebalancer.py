@@ -7,18 +7,17 @@ simulator events and zero RNG draws — a world with a rebalancer that
 never migrates is bit-identical (including the event count) to a world
 without the subsystem.
 
-Every ``control_every``-th period the leader refreshes the health map
-(sticky crash marks + currently degraded NICs, both from
-:mod:`repro.faults` state), asks the configured policy for moves, and
-starts them through the :class:`~repro.migration.engine.MigrationEngine`
-under the concurrency budget and per-VM cooldown.
+Every ``control_every``-th period the leader asks
+:func:`~repro.migration.policies.demix` for moves and starts them through
+the :class:`~repro.migration.engine.MigrationEngine` under the
+concurrency budget and per-VM cooldown.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.migration.policies import POLICIES, policy_names
+from repro.migration.policies import demix
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.harness import CloudWorld
@@ -29,24 +28,15 @@ __all__ = ["Rebalancer"]
 
 
 class Rebalancer:
-    """Drives a migration policy off the world's control tick."""
+    """Drives the demix policy off the world's control tick."""
 
     def __init__(
         self, world: "CloudWorld", engine: "MigrationEngine", config: "MigrationConfig"
     ) -> None:
-        if config.policy not in POLICIES:
-            raise ValueError(
-                f"unknown migration policy {config.policy!r}; known: "
-                f"{', '.join(policy_names())} (or 'none')"
-            )
         self.world = world
         self.sim = world.sim
         self.engine = engine
         self.cfg = config
-        self.policy = POLICIES[config.policy]
-        #: Sticky unhealthy-node marks in detection order (crashes stay
-        #: marked after restart; degraded NICs while degraded).
-        self.unhealthy: dict[int, None] = {}
         self.control_rounds = 0
         self.migrations_requested = 0
         self.kicks = 0
@@ -61,7 +51,6 @@ class Rebalancer:
             "control_rounds": self.control_rounds,
             "migrations_requested": self.migrations_requested,
             "kicks": self.kicks,
-            "unhealthy_nodes": list(self.unhealthy),
         }
 
     # ------------------------------------------------------------------
@@ -79,16 +68,10 @@ class Rebalancer:
 
     def _control(self, now: int) -> None:
         self.control_rounds += 1
-        for i, node in enumerate(self.world.cluster.nodes):
-            if node.crashed and i not in self.unhealthy:
-                self.unhealthy[i] = None
-        for i in self.world.cluster.fabric.degraded_nodes:
-            if i not in self.unhealthy:
-                self.unhealthy[i] = None
         budget = self.cfg.max_concurrent - len(self.engine.active)
         if budget <= 0:
             return
-        for vm, dst in self.policy(self.world, self):
+        for vm, dst in demix(self.world):
             if budget <= 0:
                 break
             if not self._eligible(vm) or vm.node.index == dst:

@@ -162,7 +162,7 @@ def test_set_values_are_typed_by_their_annotation(tmp_path):
     assert [s.label for s in GRIDS["sweep"].cells(**_settings("sweep", "apps=lu", "slices=30,6"))
             ] == ["sweep:lu@30.0ms", "sweep:lu@6.0ms"]
     assert _settings("attack", "schedulers=CR")["schedulers"] == ["CR"]
-    assert _settings("dfrs", 'dfrs={"allow_moves": true}')["dfrs"] == {"allow_moves": True}
+    assert _settings("dfrs", 'dfrs={"headroom": 1.5}')["dfrs"] == {"headroom": 1.5}
     assert _settings("kernels", 'sched_params={"atc": {}}')["sched_params"] == {"atc": {}}
     assert _settings("fig09", "slices=30,none")["slices"] == [30.0, None]
     assert _settings("dfrs", "sanitize=true")["sanitize"] is True
@@ -178,19 +178,19 @@ def test_set_values_are_typed_by_their_annotation(tmp_path):
 
 
 @pytest.mark.parametrize("sets,why", [
-    (["bogus=1"], "unknown key 'bogus'"),
-    (["horizon_s=abc"], "bad value for horizon_s"),
-    (["sanitize=yes"], "bad value for sanitize"),
-    (["faults=random:x"], "bad value for faults"),
-    (["rounds=2"], "missing required key 'faults'"),
+    (_run("chaos", "faults=random:1", "bogus=1"), "unknown key 'bogus'"),
+    (_run("chaos", "faults=random:1", "horizon_s=abc"), "bad value for horizon_s"),
+    (_run("chaos", "faults=random:1", "sanitize=yes"), "bad value for sanitize"),
+    (_run("chaos", "faults=random:1", "faults=random:x"), "bad value for faults"),
+    (_run("chaos", "rounds=2"), "missing required key 'faults'"),
+    # migrate's cells are static and demix: the policy is the grid's own
+    (_run("migrate", "policy=evacuate"), "key 'policy' is set by the grid itself"),
 ])
 def test_run_rejects_bad_settings_before_any_cell(sets, why, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("a cell ran"))
-    argv = _run("chaos", *sets) if why.startswith("missing") else _run(
-        "chaos", "faults=random:1", *sets)
-    assert main(argv) == 2
+    assert main(sets) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"repro run: chaos: {why}") and err.count("\n") == 1
+    assert err.startswith(f"repro run: {sets[1]}: {why}") and err.count("\n") == 1
     assert "settable keys: app_name, " in err and "Traceback" not in err
 
 

@@ -1,11 +1,10 @@
 """Tests for the DFRS cluster-scope subsystem (repro.dfrs).
 
-Covers the pure solver (water-fill arithmetic, determinism, move
-proposals), the scheduler-registry cluster hooks (staged cap/weight
-application at the accounting boundary), Xen-style cap enforcement in
-the Credit scheduler, the controller's bit-identity-when-idle guarantee,
-SAN009 self-checks, and DFRS-triggered relocations through the
-migration engine.
+Covers the pure solver (water-fill arithmetic, determinism), the
+scheduler-registry cluster hooks (staged cap/weight application at the
+accounting boundary), Xen-style cap enforcement in the Credit scheduler,
+the controller's bit-identity-when-idle guarantee and SAN009
+self-checks.
 """
 
 import pytest
@@ -13,7 +12,6 @@ import pytest
 from repro.dfrs.controller import DFRSConfig, DFRSController
 from repro.dfrs.solver import (
     VMNeed,
-    propose_moves,
     solve_cluster,
     solve_host,
 )
@@ -116,38 +114,6 @@ def test_solve_cluster_covers_empty_nodes():
     assert set(solves) == {0, 1, 2, 3}
     assert solves[1].allocations == ()
     assert solves[3].allocations == ()
-
-
-def test_propose_moves_sheds_load_to_empty_node():
-    # Node 0 over-committed (four half-need VMs), node 1 empty with free
-    # slots: the donor's smallest-need VM moves.
-    needs = [_need(f"v{i}", i, 0, 0.5) for i in range(4)]
-    needs[2] = _need("v2", 2, 0, 0.3)  # smallest need -> the victim
-    moves = propose_moves(needs, n_nodes=2, node_loads=[4, 0],
-                          vms_per_node=4, max_moves=1)
-    assert moves == [(2, 1)]
-
-
-def test_propose_moves_respects_capacity():
-    needs = [_need(f"v{i}", i, 0, 0.5) for i in range(4)]
-    moves = propose_moves(needs, n_nodes=2, node_loads=[4, 4],
-                          vms_per_node=4, max_moves=2)
-    assert moves == []
-
-
-def test_propose_moves_stops_when_balanced():
-    needs = [_need("a", 1, 0, 0.2), _need("b", 2, 1, 0.2)]
-    moves = propose_moves(needs, n_nodes=2, node_loads=[1, 1],
-                          vms_per_node=4, max_moves=3)
-    assert moves == []
-
-
-def test_propose_moves_budget():
-    needs = [_need(f"v{i}", i, 0, 0.5) for i in range(4)]
-    moves = propose_moves(needs, n_nodes=4, node_loads=[4, 0, 0, 0],
-                          vms_per_node=4, max_moves=2)
-    assert len(moves) == 2
-    assert all(dst != 0 for _, dst in moves)
 
 
 # ----------------------------------------------------------------------
@@ -396,33 +362,6 @@ def test_unsanitized_allocation_mismatch_fails_the_cell(monkeypatch):
     assert not r.ok and r.error["type"] == "SanitizerViolationError"
     assert "SAN009" in r.error["message"] and "synthetic mismatch" in r.error["message"]
     assert {v["code"] for v in r.error["violations"]} == {"SAN009"}
-
-
-def test_dfrs_moves_ride_the_migration_engine():
-    # Packed placement on 3 nodes concentrates every VM on node 0;
-    # allow_moves lets the controller shed load through the engine, and
-    # the auto-attached engine uses per-VCPU-scaled memory footprints.
-    r = run_dfrs_compare(
-        mode="dfrs", horizon_s=6.0, seed=0,
-        dfrs={"allow_moves": True, "max_moves_per_round": 1},
-    )
-    d = r["dfrs"]
-    mig = r["migration"]
-    assert d["moves_requested"] >= 1
-    assert mig["completed"] >= 1
-    assert mig["bytes_copied"] > 0
-    assert d["violations"] == 0
-    # The moves actually changed the placement away from the pack.
-    assert len(set(r["final_nodes"].values())) > 1
-
-
-def test_dfrs_auto_engine_uses_per_vcpu_footprint():
-    cfg = WorldConfig(n_nodes=2, vms_per_node=2, vcpus_per_vm=2,
-                      scheduler="CR", seed=0,
-                      dfrs=DFRSConfig(allow_moves=True))
-    world = CloudWorld(cfg)
-    assert world.migration_engine is not None
-    assert world.migration_engine.params.mem_bytes_per_vcpu > 0
 
 
 def test_wait_delta_does_not_depend_on_the_atc_monitor_mode(monkeypatch):

@@ -146,6 +146,6 @@ def test_a_set_the_grid_owns_fails_resolution():
     """A documented ``--set`` that parses but names a key the grid sets
     itself is caught."""
     args = build_parser().parse_args(
-        ["run", "migrate", "--set", "policy=demix", "--set", "placement=pack"])
+        ["run", "migrate", "--set", "horizon_s=2", "--set", "placement=pack"])
     with pytest.raises(ValueError, match="'placement' is set by the grid itself"):
         _resolve(args)

@@ -84,12 +84,12 @@ GOLDEN = {
     ("lu_cr", "reversed"): ("e189c9b17f93f8aeb62b285d3d81b44a5733d91eaa64e7bc83fe8da75911bbc2", 22194),
     ("is_cr", "fifo"): ("1a33140aba58678ad7fbbf973d436da52acd7dee7bb29bb72e182910daa0ca7d", 19911),
     ("is_cr", "reversed"): ("15dcfeba7dbcc92e492c3c588b76e4f8e24730f278faa9c57b6be32259b0bf94", 19862),
-    ("dfrs_hybrid", "fifo"): ("498907861bdc6f1ab99c427d327c51847d3854d26ef9510b188bf226c0d77e0b", 48262),
-    ("dfrs_hybrid", "reversed"): ("89e808753f8016fcac84d7d0cc21da4eff9f52cd90b574ad2d5a3e8b554c48fb", 48992),
+    ("dfrs_hybrid", "fifo"): ("02ae5a5263153660b2ccce466e548e0e38262fb1c20c5b6f36d9d83f54dc960c", 48262),
+    ("dfrs_hybrid", "reversed"): ("b959090160fd355cbe062b45893e92fdbd72409d8344defc28d0f666940518e9", 48992),
     ("lu_atc_faults", "fifo"): ("777d9fbcaaa74628a2100a04cf0688ee90dc16742f4b435b6524fb3f40ac77cb", 64210),
     ("lu_atc_faults", "reversed"): ("b9d729f011724e8b96ef99a246ca61cb9f8bf1af4c2d78795654e3f4c78fc61b", 64210),
-    ("service_migrate", "fifo"): ("2183b2ea2d836ff17511c4c7aa9d15a5076f856be88e47fe00f186800589392b", 75272),
-    ("service_migrate", "reversed"): ("88c489b1fef88f1c32b2d92d4bbc17fcf0f7b40976e174432af70a4b767f3e7a", 79180),
+    ("service_migrate", "fifo"): ("4e80549e218eb3bd192f830395a7ea17902f71d4608140304f0a633e79c82469", 75272),
+    ("service_migrate", "reversed"): ("df344e8595d3b449210235280188eeab571d82a6432ff7f2fa80289ce75ced53", 79180),
     ("attack_tick", "fifo"): ("04bbcf44e3460b68f43e3b50b90e08b13d00660b4294c5c29ff9e6ded58eb60b", 6873),
     ("attack_tick", "reversed"): ("81f7fd2717e56f44ad4cdcbbb9162a5af57167a94cd870190458ffa361372b53", 5558),
     ("attack_hardened", "fifo"): ("d587787d7d0b1c5484c0e06f310e1bd769cf0f6912bd4114efa79b694b1bc819", 7125),

@@ -53,6 +53,19 @@ def test_virtual_cluster_explicit_nodes():
     assert [vm.node.index for vm in vc.vms] == [2, 2]
 
 
+def test_unnamed_cluster_after_a_teardown_takes_a_fresh_name():
+    """An unnamed cluster is named by how many clusters were ever built,
+    so one built after a teardown cannot take a live cluster's name (and
+    merge two VMs in every name-keyed map)."""
+    w = CloudWorld(WorldConfig(n_nodes=2, vms_per_node=4))
+    first = w.virtual_cluster(1)
+    w.virtual_cluster(1)
+    w.teardown_cluster(first)
+    w.virtual_cluster(1)
+    assert [vc.name for vc in w.virtual_clusters] == ["vc1", "vc2"]
+    assert len({vm.name for vm in w.vms}) == len(w.vms)
+
+
 def test_uniform_slice_applied_to_guests():
     w = CloudWorld(WorldConfig(uniform_slice_ns=ns_from_ms(5)))
     vm = w.new_vm()
