@@ -187,7 +187,7 @@ class TieRaceTracker:
         _unpatch_classes()
 
     # ------------------------------------------------------------------
-    # Hooks (called from the patched schedule methods / the event point)
+    # Hooks (called from the patched ``rearm`` / the event point)
     # ------------------------------------------------------------------
     def _on_schedule(self, time: int, fn) -> None:
         cur = self.cur
@@ -302,19 +302,14 @@ class TieRaceTracker:
 # Class-level instrumentation
 # ----------------------------------------------------------------------
 def _patch_classes() -> None:
-    """Install read/write recording on the tracked classes and the
-    schedule methods.  Originals are stacked for :func:`_unpatch_classes`."""
+    """Install read/write recording on the tracked classes and schedule
+    recording on :meth:`Simulator.rearm`.  Originals are stacked for
+    :func:`_unpatch_classes`."""
     saved = _saved_methods
 
-    orig_at = Simulator.at
+    # Every arming (``at``/``after`` included) passes through ``rearm``
+    # exactly once, so it is the one schedule method to patch.
     orig_rearm = Simulator.rearm
-    orig_post_at = Simulator.post_at
-
-    def at(self, time, fn, cat=None):
-        tr = _active
-        if tr is not None and self is tr.sim:
-            tr._on_schedule(int(time), fn)
-        return orig_at(self, time, fn, cat)
 
     def rearm(self, ev, time):
         tr = _active
@@ -322,16 +317,8 @@ def _patch_classes() -> None:
             tr._on_schedule(int(time), ev.fn)
         return orig_rearm(self, ev, time)
 
-    def post_at(self, time, fn, cat=None):
-        tr = _active
-        if tr is not None and self is tr.sim:
-            tr._on_schedule(int(time), fn)
-        return orig_post_at(self, time, fn, cat)
-
-    for name, orig, patched in (("at", orig_at, at), ("rearm", orig_rearm, rearm),
-                                ("post_at", orig_post_at, post_at)):
-        saved.append((Simulator, name, orig, True))
-        setattr(Simulator, name, patched)
+    saved.append((Simulator, "rearm", orig_rearm, True))
+    Simulator.rearm = rearm
 
     for cls in TRACKED_CLASSES:
         attrs = _data_attrs(cls)

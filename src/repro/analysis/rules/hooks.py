@@ -13,7 +13,7 @@ instant:
 
 * two appends to the same ``X.period_hooks`` list (period hooks all run
   at the period boundary), or
-* two ``sim.at/after/post_at/post_after`` calls whose time argument has
+* two ``sim.at/after`` calls whose time argument has
   the identical expression AST, or
 * two ``sim.rearm(handle, time)`` calls whose time (the second argument)
   has the identical expression AST; the callback is the ``fn=`` of the
@@ -40,7 +40,7 @@ from repro.analysis.rules.common import dotted_name
 __all__ = ["SameTimeWriteOverlapRule", "ClosureCaptureRaceRule"]
 
 #: Scheduling methods whose first argument is the time/delay expression.
-_SCHEDULE_METHODS = frozenset({"at", "after", "post_at", "post_after"})
+_SCHEDULE_METHODS = frozenset({"at", "after"})
 
 
 class _Registration:

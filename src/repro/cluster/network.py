@@ -200,15 +200,13 @@ class Fabric:
             self._schedule_retry(src_node, dst_node, nbytes, deliver_fn, attempt, arrival)
             return arrival
         if self.crashed_of is not None:
-            self.sim.post_at(
+            self.sim.at(
                 arrival,
                 lambda: self._deliver_checked(src_node, dst_node, nbytes, deliver_fn, attempt),
                 cat="net",
             )
         else:
-            # Fire-and-forget: deliveries are never cancelled, so skip the
-            # Event handle allocation on the per-message hot path.
-            self.sim.post_at(arrival, deliver_fn, cat="net")
+            self.sim.at(arrival, deliver_fn, cat="net")
         return arrival
 
     def _deliver_checked(
@@ -247,7 +245,7 @@ class Fabric:
             return
         rto = min(p.retransmit_timeout_ns << (attempt - 1), p.retransmit_cap_ns)
         self.retransmits += 1
-        self.sim.post_at(
+        self.sim.at(
             from_ns + rto,
             lambda: self._attempt(src_node, dst_node, nbytes, deliver_fn, attempt + 1),
             cat="net",

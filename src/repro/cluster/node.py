@@ -75,8 +75,7 @@ class Disk:
         self._free_at = finish
         self.requests += 1
         self.bytes_moved += nbytes
-        # Disk completions are never cancelled: fire-and-forget.
-        self.sim.post_at(finish, done_fn, cat="disk")
+        self.sim.at(finish, done_fn, cat="disk")
         return finish
 
 

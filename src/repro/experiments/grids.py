@@ -187,7 +187,10 @@ def migrate_cells(bound: Optional[str] = "spread", **params) -> list[RunSpec]:
     """Static baseline, a static cell at the ``bound`` placement (the
     paper's spread placement as the static upper bound; ``None`` leaves it
     out), then the ``demix`` cell.  The first cell is the baseline every
-    round time is normalized to."""
+    round time is normalized to.  A ``migration`` dict may not name the
+    ``policy``: each cell's label names the policy it runs."""
+    if "policy" in (params.get("migration") or {}):
+        raise ValueError("the migration dict may not set 'policy'; each cell sets its own")
     specs = [RunSpec("migration_rebalance", dict(params, policy="static"),
                      label="migrate:static")]
     if bound is not None:

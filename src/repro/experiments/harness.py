@@ -277,9 +277,12 @@ class CloudWorld:
         ``"random:SEED"``); ``None`` uses ``WorldConfig.placement``.
         ``"spread"`` (the paper's setup) puts each VM on a different node
         where possible; ``"pack"`` fills nodes in order (for ablations
-        isolating the cross-VM network overhead).
+        isolating the cross-VM network overhead).  A name a live cluster
+        already has, passed in or generated, raises :exc:`ValueError`.
         """
         name = name or f"vc{self._clusters_built}"
+        if any(vc.name == name for vc in self.virtual_clusters):
+            raise ValueError(f"a live virtual cluster is already named {name!r}")
         if node_indices is None:
             assignment, new_loads = place(
                 placement or self.config.placement,
@@ -530,6 +533,8 @@ class CloudWorld:
         :class:`~repro.analysis.sanitizer.SanitizerViolationError` if any
         simulation invariant was violated during the run.
         """
+        if horizon_ns < 0:
+            raise ValueError(f"horizon_ns must be >= 0, got {horizon_ns}")
         self.start()
         if self.tracelog is not None:
             with self.tracelog.activate():

@@ -480,8 +480,7 @@ class GuestProcess:
                 self.state = "sleep"
                 ns = seg[1]
                 self.vcpu.block()
-                # Sleep timers are never cancelled: fire-and-forget.
-                self.sim.post_after(ns, self._sleep_done, cat="guest")
+                self.sim.after(ns, self._sleep_done, cat="guest")
                 return
             if k == "disk":
                 self.state = "disk"

@@ -140,7 +140,7 @@ class VMM:
         """Begin periodic scheduler accounting.  Idempotent."""
         if not self._period_started:
             self._period_started = True
-            self.sim.post_after(self.period_ns, self._period_tick, cat="vmm.period")
+            self.sim.after(self.period_ns, self._period_tick, cat="vmm.period")
 
     def _period_tick(self) -> None:
         now = self.sim.now
@@ -157,7 +157,7 @@ class VMM:
                 observer.period(self, "end")
         # Keep ticking even while crashed so the period phase survives a
         # restart without rescheduling bookkeeping.
-        self.sim.post_after(self.period_ns, self._period_tick, cat="vmm.period")
+        self.sim.after(self.period_ns, self._period_tick, cat="vmm.period")
 
     # ------------------------------------------------------------------
     # The switch transaction

@@ -161,7 +161,7 @@ class CoScheduler(CreditScheduler):
         gang = self.params.gang_slice_ns
         nxt = (now // gang + 1) * gang
         self._boundary_armed = True
-        self.vmm.sim.post_at(nxt, self._boundary, cat="sched.cosched")
+        self.vmm.sim.at(nxt, self._boundary, cat="sched.cosched")
         self._slot_gang(now)
 
     def _boundary(self) -> None:

@@ -1,28 +1,25 @@
 """Discrete-event simulation engine.
 
 A minimal, fast event-queue kernel in the style of classic DES libraries:
-events are ``(time, key, callback)`` tuples kept in a binary heap
+every queue entry is a ``(time, key, Event)`` tuple kept in a binary heap
 (:mod:`heapq`).  The key (phase and sequence number in one int) breaks
 ties deterministically (FIFO among simultaneous events), which keeps
-whole-cluster simulations bit-reproducible for a given seed.  Queue
-entries are plain tuples, so every sift comparison is a C-level tuple
-compare; the ``Event`` handle rides in slot 2 and is never compared.
+whole-cluster simulations bit-reproducible for a given seed.  Every sift
+comparison is a C-level tuple compare of ints; the ``Event`` handle rides
+in slot 2 and is never compared.
 
 Design notes (following the repository's HPC-Python guidelines):
 
-* the hot path (``schedule`` / ``run``) avoids allocation beyond the event
-  record itself and uses ``__slots__`` everywhere;
+* :meth:`Simulator.rearm` is the one place that computes a key and pushes
+  an entry; :meth:`Simulator.at` / :meth:`Simulator.after` arm a fresh
+  handle through it, and a caller that never cancels drops the handle;
 * cancellation is O(1): a cancelled event stays in the queue but is
   skipped when popped (lazy deletion), which is far cheaper than heap
   surgery for the preemption-heavy scheduler workloads simulated here;
 * a timer owner (a PCPU's slice expiry, a guest's work/spin/poll timers,
-  a dom0 worker) keeps one :class:`Event` and re-arms it in place
-  (:meth:`Simulator.rearm`): no handle per arming, and no push when the
-  handle's queued entry sorts no later — it moves to the live key on pop;
-* fire-and-forget callbacks that are never cancelled can skip the
-  ``Event`` handle entirely via :meth:`Simulator.post_at` /
-  :meth:`Simulator.post_after` — the queue entry is then a bare
-  ``(time, key, fn, cat)`` tuple with no per-event object allocation;
+  a dom0 worker) keeps one :class:`Event` and re-arms it in place: no
+  handle per arming, and no push when the handle's queued entry sorts no
+  later — it moves to the live key on pop;
 * callbacks receive no arguments; closures or ``functools.partial`` bind
   whatever context they need.  This keeps the queue entries small.
 """
@@ -178,14 +175,6 @@ class Event:
         """Cancel the event; it will not fire (until re-armed).  Idempotent."""
         self.cancelled = True
 
-    # Ordering ------------------------------------------------------------
-    # Queue entries are tuples keyed by (time, seq), so the queue never
-    # compares Event objects; __lt__ is kept for introspection and tests.
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time} seq={self.seq} {state}>"
@@ -231,10 +220,9 @@ class Simulator:
         #: no branch, and the (time, seq) key stays a pure int tuple.
         self._seqsign = 1 if tie_order == "fifo" else -1
         self.now: int = 0
-        #: The event queue.  Entries are ``(time, key, Event)``
-        #: or ``(time, key, fn, cat)`` tuples (see :meth:`post_at`), where
-        #: ``key`` encodes phase and (sign-adjusted) sequence number in one
-        #: int; heapq therefore only ever compares ints, never objects.
+        #: The event queue of ``(time, key, Event)`` entries, where ``key``
+        #: encodes phase and (sign-adjusted) sequence number in one int;
+        #: heapq therefore only ever compares ints, never objects.
         self._heap: list = []
         self._seq: int = 0
         self.events_processed: int = 0
@@ -267,25 +255,18 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def at(self, time: int, fn: Callable[[], None], cat: Optional[str] = None) -> Event:
-        """Schedule ``fn`` to run at absolute time ``time`` (ns).
+        """Schedule ``fn`` to run at absolute time ``time`` (ns) on a fresh
+        handle, returned for cancelling.
 
         ``cat`` is an optional profiling category tag; the self-profiler
         attributes the callback's wall-clock cost to it.  It has no effect
-        on simulation behaviour.
+        on simulation behaviour beyond the phase (:data:`ACCOUNTING_CATS`).
         """
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
-        time = int(time)
-        key = self._seqsign * self._seq
-        if cat not in ACCOUNTING_CATS:
-            key += _PHASE_STRIDE
-        self._seq += 1
-        ev = Event(time, key, fn, cat)
-        ev.entry = entry = (time, key, ev)
-        heappush(self._heap, entry)
-        return ev
+        return self.rearm(Event(fn=fn, cat=cat), int(time))
 
     def rearm(self, ev: Event, time: int) -> Event:
         """Arm ``ev`` at absolute time ``time`` (int ns), superseding any
@@ -314,30 +295,6 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self.at(self.now + int(delay), fn, cat)
-
-    def post_at(self, time: int, fn: Callable[[], None], cat: Optional[str] = None) -> None:
-        """Fire-and-forget :meth:`at`: no :class:`Event` handle, no cancel.
-
-        The queue entry is a bare ``(time, seq, fn, cat)`` tuple — use this
-        on hot paths that never cancel (message deliveries, stat ticks) to
-        skip the per-event object allocation.
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at t={time} before now={self.now}"
-            )
-        key = self._seqsign * self._seq
-        if cat not in ACCOUNTING_CATS:
-            key += _PHASE_STRIDE
-        entry = (int(time), key, fn, cat)
-        self._seq += 1
-        heappush(self._heap, entry)
-
-    def post_after(self, delay: int, fn: Callable[[], None], cat: Optional[str] = None) -> None:
-        """Fire-and-forget :meth:`after` (see :meth:`post_at`)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self.post_at(self.now + int(delay), fn, cat)
 
     # ------------------------------------------------------------------
     # Execution
@@ -370,7 +327,7 @@ class Simulator:
         while heap:
             entry = heap[0]
             ev = entry[2]
-            if ev.__class__ is Event and (ev.cancelled or entry[1] != ev.seq):
+            if ev.cancelled or entry[1] != ev.seq:
                 self._stale(heappop(heap))
                 continue
             return entry[0]
@@ -409,25 +366,19 @@ class Simulator:
         while heap and not self._stopped:
             entry = heappop(heap)
             ev = entry[2]
-            if ev.__class__ is Event:
-                if ev.cancelled or entry[1] != ev.seq:
-                    self._stale(entry)
-                    continue
-                if until is not None and entry[0] > until:
-                    heappush(heap, entry)
-                    break
-                ev.entry = None
-                fn = ev.fn
-            else:
-                if until is not None and entry[0] > until:
-                    heappush(heap, entry)
-                    break
-                fn = ev
+            if ev.cancelled or entry[1] != ev.seq:
+                self._stale(entry)
+                continue
+            if until is not None and entry[0] > until:
+                heappush(heap, entry)
+                break
+            ev.entry = None
+            fn = ev.fn
             self.now = entry[0]
             if self.observers is None:
                 fn()
             else:
-                self._observed(fn, ev.cat if ev.__class__ is Event else entry[3], len(heap) + 1)
+                self._observed(fn, ev.cat, len(heap) + 1)
             self.events_processed += 1
             processed += 1
             if max_events is not None and processed >= max_events:
@@ -454,21 +405,15 @@ class Simulator:
     # ------------------------------------------------------------------
     def live_events(self) -> Iterator[Event]:
         """Non-cancelled :class:`Event` handles still queued, unordered.
-
-        Fire-and-forget entries (:meth:`post_at`) have no handle and are
-        not included.  O(n); introspection/tests only.
-        """
+        O(n); introspection/tests only."""
         for entry in self._heap:
             ev = entry[2]
-            if ev.__class__ is Event and entry is ev.entry and not ev.cancelled:
+            if entry is ev.entry and not ev.cancelled:
                 yield ev
 
     def pending(self) -> int:
         """Number of events still due to fire (O(n); tests only)."""
-        return sum(
-            1 for entry in self._heap
-            if entry[2].__class__ is not Event or entry is entry[2].entry and not entry[2].cancelled
-        )
+        return sum(1 for _ in self.live_events())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self.now} pending={len(self._heap)}>"

@@ -62,13 +62,21 @@ def test_sweep_rejects_a_non_positive_slice(capsys):
 
 @pytest.mark.parametrize("period_ns", ["0", "-5"])
 def test_compare_rejects_a_non_positive_period(capsys, period_ns):
-    # Unchecked, a zero period livelocks at t=0 (each period tick posts
+    # Unchecked, a zero period livelocks at t=0 (each period tick arms
     # the next at the same instant) and a negative one fails only inside
     # VMM.start.
     argv = _run("compare", "apps=is", "schedulers=CR", "nodes=1", "rounds=1",
                 f"period_ns={period_ns}")
     assert main(argv + ["--no-cache"]) == 1
     assert f"ValueError: period_ns must be > 0, got {period_ns}" in capsys.readouterr().err
+
+
+def test_compare_rejects_a_negative_horizon(capsys):
+    # Unchecked, a negative horizon runs no event and prints n/a cells.
+    argv = _run("compare", "apps=is", "schedulers=CR", "nodes=1", "rounds=1") + ["--no-cache"]
+    assert main(argv + ["--set", "horizon_s=-1"]) == 1
+    assert "ValueError: horizon_ns must be >= 0, got -1000000000" in capsys.readouterr().err
+    assert main(argv + ["--set", "horizon_s=0"]) == 0  # a zero horizon stays valid
 
 
 def test_check_reports_a_one_slice_sweep(tmp_path, capsys):
@@ -185,6 +193,8 @@ def test_set_values_are_typed_by_their_annotation(tmp_path):
     (_run("chaos", "rounds=2"), "missing required key 'faults'"),
     # migrate's cells are static and demix: the policy is the grid's own
     (_run("migrate", "policy=evacuate"), "key 'policy' is set by the grid itself"),
+    (_run("migrate", 'migration={"policy": "none"}'),
+     "the migration dict may not set 'policy'"),
 ])
 def test_run_rejects_bad_settings_before_any_cell(sets, why, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("a cell ran"))

@@ -120,7 +120,7 @@ def test_max_events(sim):
 def test_max_events_zero_runs_nothing(sim):
     fired = []
     for t in (10, 20, 30):
-        sim.post_at(t, lambda t=t: fired.append(t))
+        sim.at(t, lambda t=t: fired.append(t))
     sim.run(max_events=0)
     assert fired == [] and sim.events_processed == 0 and sim.now == 0
     sim.run(until=5, max_events=0)  # nothing due by 5: the clock still lands
@@ -185,12 +185,15 @@ def test_pending_counts_only_live_events(sim):
 
 
 def test_event_ordering_operator():
-    from repro.sim.engine import Event
-
-    a = Event(10, 0, lambda: None)
-    b = Event(10, 1, lambda: None)
-    c = Event(5, 2, lambda: None)
-    assert c < a < b
+    """Queue entries order by ``(time, key)`` as int tuples; the handle in
+    slot 2 defines no ordering, so a heap sift never compares it."""
+    sim = Simulator()
+    a = sim.at(10, lambda: None)
+    b = sim.at(10, lambda: None)
+    c = sim.at(5, lambda: None)
+    assert c.entry < a.entry < b.entry
+    with pytest.raises(TypeError):
+        a < b
 
 
 def test_large_volume_determinism():

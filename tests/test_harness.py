@@ -66,6 +66,20 @@ def test_unnamed_cluster_after_a_teardown_takes_a_fresh_name():
     assert len({vm.name for vm in w.vms}) == len(w.vms)
 
 
+def test_a_cluster_name_a_live_cluster_has_is_rejected():
+    """A passed-in or generated name that a live cluster already has
+    raises before any VM is built; a torn-down cluster's name is free."""
+    w = CloudWorld(WorldConfig(n_nodes=2))
+    named = w.virtual_cluster(1, name="vc1")
+    with pytest.raises(ValueError, match="already named 'vc1'"):
+        w.virtual_cluster(1)  # generated: vc1
+    with pytest.raises(ValueError, match="already named 'vc1'"):
+        w.virtual_cluster(1, name="vc1")
+    assert [vm.name for vm in w.vms] == ["vc1.vm0"]
+    w.teardown_cluster(named)
+    assert w.virtual_cluster(1, name="vc1").vms[0].name == "vc1.vm0"
+
+
 def test_uniform_slice_applied_to_guests():
     w = CloudWorld(WorldConfig(uniform_slice_ns=ns_from_ms(5)))
     vm = w.new_vm()

@@ -225,12 +225,12 @@ def test_cross_phase_pair_excluded():
 
 def test_detach_restores_classes():
     sim = Simulator()
-    orig_at = Simulator.at
+    orig_at, orig_rearm = Simulator.at, Simulator.rearm
     tracker = _tracked(sim)
-    assert Simulator.at is not orig_at
+    assert Simulator.rearm is not orig_rearm and Simulator.at is orig_at
     assert "__getattribute__" in SpinLock.__dict__
     tracker.detach()
-    assert Simulator.at is orig_at
+    assert Simulator.rearm is orig_rearm
     assert "__getattribute__" not in SpinLock.__dict__
     assert "__setattr__" not in SpinLock.__dict__
     tracker.detach()  # idempotent

@@ -82,8 +82,8 @@ def _drive(owners_cls, tie_order: str, ops, reactions) -> list:
             owners.arm(op[1], sim.now + op[2])
         elif kind == "cancel":
             owners.cancel(op[1])
-        elif kind == "post":
-            sim.post_at(sim.now + op[1], partial(log.append, (sim.now + op[1], "post")))
+        elif kind == "at":
+            sim.at(sim.now + op[1], partial(log.append, (sim.now + op[1], "at")))
         elif kind == "run":
             sim.run(until=sim.now + op[1])
             seen.append(("run", sim.now, sim.events_processed))
@@ -102,7 +102,7 @@ _ops = st.lists(
     st.one_of(
         st.tuples(st.just("arm"), _handle, _dt),
         st.tuples(st.just("cancel"), _handle),
-        st.tuples(st.just("post"), _dt),
+        st.tuples(st.just("at"), _dt),
         st.tuples(st.just("run"), _dt),
         st.tuples(st.just("step")),
         st.tuples(st.just("peek")),
@@ -276,3 +276,23 @@ def test_race_tracker_records_a_rearmed_poll_as_the_armers_child():
     assert _tracked_pair(from_callback=True).total_suspects == 0
     # Control: the same pair with no causal link is a suspect.
     assert _tracked_pair(from_callback=False).total_suspects == 1
+
+
+def test_race_tracker_records_one_schedule_per_arming(monkeypatch):
+    """``at`` and ``after`` arm through ``rearm``: the tracker's one patch
+    sees each call exactly once, with the armed time."""
+    sim = Simulator()
+    tracker = TieRaceTracker()
+    seen = []
+    monkeypatch.setattr(tracker, "_on_schedule", lambda time, fn: seen.append((time, fn)))
+    fns = [lambda: None for _ in range(3)]
+    tracker.attach(sim)
+    try:
+        sim.at(5, fns[0])
+        sim.after(7, fns[1])
+        sim.rearm(Event(fn=fns[2]), 9)
+    finally:
+        tracker.detach()
+    assert seen == [(5, fns[0]), (7, fns[1]), (9, fns[2])]
+    sim.at(11, fns[0])  # detached: nothing recorded
+    assert len(seen) == 3
