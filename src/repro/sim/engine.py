@@ -157,10 +157,9 @@ class Event:
 
     __slots__ = ("time", "seq", "fn", "cancelled", "cat", "entry")
 
-    def __init__(self, time: int = 0, seq: int = 0, fn: Optional[Callable[[], None]] = None,
-                 cat: Optional[str] = None) -> None:
-        self.time = time
-        self.seq = seq
+    def __init__(self, fn: Optional[Callable[[], None]] = None, cat: Optional[str] = None) -> None:
+        self.time = 0
+        self.seq = 0
         self.fn = fn
         self.cancelled = False
         #: Category tag (``"guest"``, ``"dom0"``, ``"vmm.slice"``, ...): it

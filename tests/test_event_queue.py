@@ -21,4 +21,3 @@ def test_profiler_depth_includes_running_event():
         sim.at(10 * (i + 1), lambda: None, cat="x")
     sim.run()
     assert prof.report()["max_heap_depth"] == 5
-
