@@ -271,7 +271,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro.experiments.scenarios import run_type_a
-    from repro.obs import trace as obstrace
+    from repro.obs.trace import records_from_dicts, write_chrome_trace, write_jsonl
 
     r = run_type_a(
         args.app, args.scheduler, args.nodes,
@@ -280,9 +280,9 @@ def _cmd_trace(args) -> int:
         trace=True, trace_capacity=args.capacity,
     )
     tr = r["trace"]
-    records = obstrace.records_from_dicts(tr["records"])
-    jsonl_path = obstrace.write_jsonl(records, args.out + ".jsonl")
-    chrome_path = obstrace.write_chrome_trace(records, args.out + ".trace.json")
+    records = records_from_dicts(tr["records"])
+    jsonl_path = write_jsonl(records, args.out + ".jsonl")
+    chrome_path = write_chrome_trace(records, args.out + ".trace.json")
     rows = [(kind, count) for kind, count in tr["by_kind"].items()]
     rows.append(("total", tr["total"]))
     rows.append(("retained", tr["retained"]))

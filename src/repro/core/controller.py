@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.config import ATCConfig
 from repro.core.monitor import SpinLatencyMonitor
-from repro.obs import trace as obstrace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hypervisor.vmm import VMM
@@ -51,7 +50,7 @@ class ATCController:
     def on_period(self, now: int) -> None:
         vmm = self.vmm
         cfg = self.cfg
-        trace_on = obstrace.enabled
+        record = vmm.sim.record
         parallel = []
         candidates = []
         spin_inputs = []  # Algorithm-1 input per parallel VM (trace only)
@@ -64,7 +63,7 @@ class ATCController:
                 )
                 candidates.append(st.next_slice())
                 parallel.append(vm)
-                if trace_on:
+                if record is not None:
                     spin_inputs.append(st.latencies[-1] if st.latencies else 0.0)
             else:
                 # Algorithm 2 lines 17-20: admin-specified or VMM default.
@@ -79,8 +78,8 @@ class ATCController:
                 vm.slice_ns = min_slice
             if self.record_series:
                 self.slice_history.append((now, min_slice))
-            if trace_on:
-                obstrace.emit(
+            if record is not None:
+                record(
                     "slice.change",
                     now,
                     node=vmm.node.index,

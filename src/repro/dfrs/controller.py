@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.dfrs.solver import VMNeed, solve_cluster
-from repro.obs import trace as obstrace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.harness import CloudWorld
@@ -157,8 +156,9 @@ class DFRSController:
         self.last_mean_yield = (
             sum(s.min_yield for s in occupied) / len(occupied) if occupied else 1.0
         )
-        if obstrace.enabled:
-            obstrace.emit(
+        record = self.sim.record
+        if record is not None:
+            record(
                 "dfrs.solve",
                 now,
                 n_vms=len(needs),
@@ -170,6 +170,7 @@ class DFRSController:
 
     def _publish(self, now: int, solves) -> None:
         self._published.clear()
+        record = self.sim.record
         vms_by_id = {vm.vmid: vm for vm in self.world.vms}
         for node in sorted(solves):
             host = solves[node]
@@ -201,8 +202,8 @@ class DFRSController:
                 sched.set_vm_weight(vm, a.weight)
                 self.weights_applied += 1
                 self._published[vm.vmid] = (cap, a.weight)
-                if obstrace.enabled:
-                    obstrace.emit(
+                if record is not None:
+                    record(
                         "dfrs.apply",
                         now,
                         vm=vm.name,

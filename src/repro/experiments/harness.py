@@ -26,7 +26,6 @@ from repro.guest.kernel import GuestKernel
 from repro.hypervisor.dom0 import Dom0, Dom0Params
 from repro.hypervisor.vm import VM
 from repro.hypervisor.vmm import VMM
-from repro.obs.trace import TraceLog
 from repro.schedulers.base import SchedulerParams
 from repro.schedulers.registry import make_scheduler_factory
 from repro.sim.engine import Simulator
@@ -47,6 +46,7 @@ if TYPE_CHECKING:
     from repro.migration.engine import MigrationConfig, MigrationEngine
     from repro.migration.rebalancer import Rebalancer
     from repro.obs.profiler import SimProfiler
+    from repro.obs.trace import TraceLog
     from repro.service.service import CloudService, ServiceConfig
     from repro.workloads.attacks import TickleAbuseApp, YieldTheftApp
     from repro.workloads.nonparallel import BonnieApp, CpuApp, PingApp, StreamApp, WebServerApp
@@ -87,7 +87,8 @@ class WorldConfig:
     #: Install the runtime invariant sanitizer (repro.analysis.sanitizer).
     #: Read-only hooks: a sanitized run is bit-identical to a plain one.
     sanitize: bool = False
-    #: Collect a structured trace (repro.obs.trace) of every run.  Like the
+    #: Collect a structured trace (repro.obs.trace) of the world from the
+    #: moment it is built, start-up records included.  Like the
     #: sanitizer, tracing is read-only: a traced run is bit-identical to an
     #: untraced one.
     trace: bool = False
@@ -156,9 +157,12 @@ class CloudWorld:
             from repro.analysis.sanitizer import SimSanitizer
 
             self.sanitizer = SimSanitizer(self.sim, self.vmms)
-        self.tracelog: Optional[TraceLog] = (
-            TraceLog(capacity=cfg.trace_capacity) if cfg.trace else None
-        )
+        self.tracelog: Optional[TraceLog] = None
+        if cfg.trace:
+            from repro.obs.trace import TraceLog
+
+            self.tracelog = TraceLog(capacity=cfg.trace_capacity)
+            self.sim.record = self.tracelog.record
         self.profiler: Optional[SimProfiler] = None
         if cfg.profile:
             from repro.obs.profiler import SimProfiler
@@ -536,11 +540,7 @@ class CloudWorld:
         if horizon_ns < 0:
             raise ValueError(f"horizon_ns must be >= 0, got {horizon_ns}")
         self.start()
-        if self.tracelog is not None:
-            with self.tracelog.activate():
-                self.sim.run(until=self.sim.now + horizon_ns)
-        else:
-            self.sim.run(until=self.sim.now + horizon_ns)
+        self.sim.run(until=self.sim.now + horizon_ns)
         if self.sanitizer is not None:
             self.sanitizer.check()
 

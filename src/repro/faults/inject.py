@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.faults.plan import RNG_KEY, FaultEvent, FaultPlan
-from repro.obs import trace as obstrace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.harness import CloudWorld
@@ -82,10 +81,11 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
     def _emit(self, phase: str, ev: FaultEvent) -> None:
-        if obstrace.enabled:
-            obstrace.emit(
+        sim = self.sim
+        if sim.record is not None:
+            sim.record(
                 f"fault.{phase}",
-                self.sim.now,
+                sim.now,
                 fault=ev.kind,
                 node=ev.node,
                 vm=ev.vm or None,
@@ -145,9 +145,10 @@ class FaultInjector:
 
     def _skip(self, ev: FaultEvent) -> None:
         self.skipped[ev.kind] = self.skipped.get(ev.kind, 0) + 1
-        if obstrace.enabled:
-            obstrace.emit(
-                "fault.skip", self.sim.now,
+        sim = self.sim
+        if sim.record is not None:
+            sim.record(
+                "fault.skip", sim.now,
                 fault=ev.kind, node=ev.node, vm=ev.vm or None,
             )
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.guest.process import GuestProcess
-from repro.obs import trace as obstrace
 from repro.sim.units import MSEC
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -86,10 +85,11 @@ class GuestKernel:
     # Spinlock-latency monitor
     # ------------------------------------------------------------------
     def record_spin_wait(self, wait_ns: int, kind: str) -> None:
-        if obstrace.enabled:
-            obstrace.emit(
+        sim = self.sim
+        if sim.record is not None:
+            sim.record(
                 "spin.episode",
-                self.sim.now,
+                sim.now,
                 node=self.vm.node.index,
                 vm=self.vm.name,
                 spin_kind=kind,

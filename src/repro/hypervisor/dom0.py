@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.hypervisor.vm import BLOCKED, RUNNING, VM
-from repro.obs import trace as obstrace
 from repro.sim.engine import Event
 from repro.sim.units import USEC
 
@@ -236,7 +235,7 @@ class Dom0:
     # Network path (Fig. 4)
     # ------------------------------------------------------------------
     def _emit_hop(self, hop: str, pkt: Packet) -> None:
-        obstrace.emit(
+        self.sim.record(
             "pkt.hop",
             self.sim.now,
             node=self.vmm.node.index,
@@ -251,14 +250,14 @@ class Dom0:
         """Steps 1-2: guest placed ``pkt`` in the I/O ring and notified us."""
         pkt.t_send = self.sim.now
         self.packets_tx += 1
-        if obstrace.enabled:
+        if self.sim.record is not None:
             self._emit_hop("send", pkt)
         self._enqueue(self.params.netback_tx_ns, lambda: self._tx_done(pkt))
 
     def _tx_done(self, pkt: Packet) -> None:
         """Steps 4-5: netback copied the packet and the NIC sends it."""
         pkt.t_netback_tx = self.sim.now
-        if obstrace.enabled:
+        if self.sim.record is not None:
             self._emit_hop("netback_tx", pkt)
         dst_node = pkt.dst_vm.node
         if dst_node is self.vmm.node:
@@ -278,7 +277,7 @@ class Dom0:
         must run to copy it into the destination guest's I/O ring."""
         pkt.t_arrive = self.sim.now
         self.packets_rx += 1
-        if obstrace.enabled:
+        if self.sim.record is not None:
             self._emit_hop("arrive", pkt)
         self._enqueue(self.params.netback_rx_ns, lambda: self._rx_done(pkt))
 
@@ -292,7 +291,7 @@ class Dom0:
         dst_node = pkt.dst_vm.node
         if dst_node is not self.vmm.node:
             self.packets_forwarded += 1
-            if obstrace.enabled:
+            if self.sim.record is not None:
                 self._emit_hop("forward", pkt)
             dst_dom0 = dst_node.vmm.dom0
             self.fabric.transmit(
@@ -303,7 +302,7 @@ class Dom0:
             )
             return
         pkt.t_delivered = self.sim.now
-        if obstrace.enabled:
+        if self.sim.record is not None:
             self._emit_hop("delivered", pkt)
         pkt.dst_vm.deliver(pkt)
 

@@ -67,7 +67,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.hypervisor.vm import BLOCKED, RUNNABLE, RUNNING, VCPU, VM
-from repro.obs import trace as obstrace
 from repro.sim.engine import Event
 from repro.sim.units import MSEC
 
@@ -204,9 +203,9 @@ class VMM:
             vm.cpu_debited_ns += charged
             pcpu.busy_ns += ran
             pcpu.cache.left_ns = now
-            if obstrace.enabled:
+            if sim.record is not None:
                 if charged != ran:
-                    obstrace.emit(
+                    sim.record(
                         "sched.theft",
                         now,
                         node=self.node.index,
@@ -216,7 +215,7 @@ class VMM:
                         ran_ns=ran,
                         charged_ns=charged,
                     )
-                obstrace.emit(
+                sim.record(
                     "vcpu.state",
                     now,
                     node=self.node.index,
@@ -254,8 +253,8 @@ class VMM:
         wait_ns = now - vcpu.wake_ns
         vm.total_queue_wait_ns += wait_ns
         vm.total_queue_waits += 1
-        if obstrace.enabled:
-            obstrace.emit(
+        if sim.record is not None:
+            sim.record(
                 "sched.dispatch",
                 now,
                 node=self.node.index,

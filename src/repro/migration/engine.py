@@ -37,7 +37,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from repro.hypervisor.vm import BLOCKED, VM
-from repro.obs import trace as obstrace
 from repro.sim.units import MSEC, SEC, USEC
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -229,8 +228,8 @@ class MigrationEngine:
         m.abort_ev = self.sim.after(
             self.params.abort_timeout_ns, partial(self._timeout, vm.vmid), cat="migration"
         )
-        if obstrace.enabled:
-            obstrace.emit(
+        if self.sim.record is not None:
+            self.sim.record(
                 "migrate.start",
                 self.sim.now,
                 vm=vm.name,
@@ -267,8 +266,8 @@ class MigrationEngine:
             m.mem_bytes, self.params.dirty_bytes_per_s * elapsed // SEC
         )
         self.precopy_rounds += 1
-        if obstrace.enabled:
-            obstrace.emit(
+        if self.sim.record is not None:
+            self.sim.record(
                 "migrate.round",
                 now,
                 vm=m.vm.name,
@@ -336,8 +335,8 @@ class MigrationEngine:
         downtime = now - m.pause_start_ns
         self.downtime_by_vm[vm.name] = self.downtime_by_vm.get(vm.name, 0) + downtime
         self.pause_intervals.setdefault(vm.name, []).append((m.pause_start_ns, now))
-        if obstrace.enabled:
-            obstrace.emit(
+        if self.sim.record is not None:
+            self.sim.record(
                 "migrate.downtime",
                 now,
                 vm=vm.name,
@@ -354,8 +353,8 @@ class MigrationEngine:
         self.active.pop(vm.vmid, None)
         self.completed += 1
         self.last_migrated_ns[vm.name] = now
-        if obstrace.enabled:
-            obstrace.emit(
+        if self.sim.record is not None:
+            self.sim.record(
                 "migrate.done",
                 now,
                 vm=vm.name,
@@ -413,8 +412,8 @@ class MigrationEngine:
         self.active.pop(vm.vmid, None)
         self.aborted += 1
         self.last_migrated_ns[vm.name] = now
-        if obstrace.enabled:
-            obstrace.emit(
+        if self.sim.record is not None:
+            self.sim.record(
                 "migrate.done",
                 now,
                 vm=vm.name,

@@ -5,8 +5,9 @@ state (an observed run is bit-identical to an unobserved one):
 
 * :mod:`repro.obs.trace` — a bounded ring buffer of typed trace records
   (scheduling decisions, slice recomputations, VCPU state transitions,
-  spin episodes, dom0 packet-path hops, steals) emitted from lightweight
-  hooks at the existing decision points, with JSON-lines and Chrome
+  spin episodes, dom0 packet-path hops, steals) emitted through each
+  world's record point (``Simulator.record``) at the existing decision
+  points, with JSON-lines and Chrome
   ``trace_event`` exporters (open a run in Perfetto / ``chrome://tracing``).
 * :mod:`repro.obs.profiler` — a wall-clock profiler for the simulator
   itself: events/sec, per-category callback time (keyed off the ``cat``
@@ -14,6 +15,7 @@ state (an observed run is bit-identical to an unobserved one):
   cancelled-event waste.  ``profile=True`` runs and the end-to-end
   benchmark's per-category split (``benchmarks/e2e``) read it.
 
-The package imports neither module, so the simulator's
-``from repro.obs import trace`` does not load the profiler.
+The package imports neither module: a world imports the one it builds
+(``trace=True`` or ``profile=True``) and an untraced, unprofiled run
+loads neither.
 """

@@ -4,8 +4,9 @@ The paper's methodology rests on seeing *when* things happened inside the
 stack — the in-guest spinlock monitor of Fig. 3 and the 11-step
 packet-path timing of Fig. 4, read through Xenoprof-style counters.  This
 module is the reproduction's equivalent: the scheduling and I/O layers
-carry ``emit()`` hooks at their existing decision points, each guarded by
-the module-level :data:`enabled` flag so a disabled run pays exactly one
+emit records at their existing decision points through their world's one
+record point, ``Simulator.record``.  Each site tests that slot before it
+builds the record's fields, so an untraced run (slot ``None``) pays one
 attribute load + branch per site.
 
 Record kinds (``TraceLog.KINDS``):
@@ -68,9 +69,10 @@ Record kinds (``TraceLog.KINDS``):
     One VM's solved (cap, weight) pair was published to its host
     scheduler (applied at the host's next accounting boundary).
 
-Activation is scoped: ``with log.activate(): world.run(...)``.  Only one
-log is active at a time per process (sweep workers are separate
-processes, so parallel sweeps trace independently).
+A log subscribes to one world: ``sim.record = log.record``.
+``CloudWorld`` does so when it is built with ``WorldConfig(trace=True)``,
+so the records that ``CloudWorld.start()`` emits at t=0 are kept, and two
+traced worlds in one process fill two separate logs.
 
 Exporters: :func:`write_jsonl` (one JSON object per record) and
 :func:`write_chrome_trace` (Chrome ``trace_event`` JSON — open in
@@ -80,8 +82,7 @@ tracks and a dom0 packet track per node).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from pathlib import Path
@@ -89,19 +90,11 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "TraceRecord",
     "TraceLog",
-    "enabled",
-    "emit",
     "records_from_dicts",
     "write_jsonl",
     "chrome_events",
     "write_chrome_trace",
 ]
-
-#: Fast-path guard read by every emit site: ``if trace.enabled: ...``.
-#: Kept in lockstep with :data:`_active` by :meth:`TraceLog.activate`.
-enabled: bool = False
-
-_active: Optional["TraceLog"] = None
 
 
 class TraceRecord:
@@ -167,7 +160,8 @@ class TraceLog:
         self.by_kind: dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    def append(self, kind: str, t: int, args: dict) -> None:
+    def record(self, kind: str, t: int, **args) -> None:
+        """Append one record; the signature of ``Simulator.record``."""
         self.total += 1
         self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
         rec = TraceRecord(kind, t, args)
@@ -198,32 +192,12 @@ class TraceLog:
             out["records"] = [r.to_dict() for r in self.records()]
         return out
 
-    # ------------------------------------------------------------------
-    @contextmanager
-    def activate(self) -> Iterator["TraceLog"]:
-        """Route module-level :func:`emit` calls into this log while the
-        context is active.  Nesting restores the previous log on exit."""
-        global _active, enabled
-        prev = _active
-        _active = self
-        enabled = True
-        try:
-            yield self
-        finally:
-            _active = prev
-            enabled = prev is not None
-
     # Convenience wrappers ---------------------------------------------
     def export_jsonl(self, path) -> Path:
         return write_jsonl(self.records(), path)
 
     def export_chrome(self, path) -> Path:
         return write_chrome_trace(self.records(), path)
-
-
-def active_log() -> Optional[TraceLog]:
-    """The currently activated log, if any (introspection/tests)."""
-    return _active
 
 
 def records_from_dicts(dicts: Iterable[dict]) -> list[TraceRecord]:
@@ -234,17 +208,6 @@ def records_from_dicts(dicts: Iterable[dict]) -> list[TraceRecord]:
         TraceRecord(d["kind"], d["t"], {k: v for k, v in d.items() if k not in ("kind", "t")})
         for d in dicts
     ]
-
-
-def emit(kind: str, t: int, **args) -> None:
-    """Append a record to the active log; no-op when tracing is off.
-
-    Hot emit sites guard with ``if trace.enabled:`` *before* building the
-    kwargs dict, so the disabled cost is one branch.
-    """
-    log = _active
-    if log is not None:
-        log.append(kind, t, args)
 
 
 # ----------------------------------------------------------------------

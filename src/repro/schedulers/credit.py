@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.hypervisor.vm import BLOCKED
-from repro.obs import trace as obstrace
 from repro.sim.units import MSEC
 
 from repro.schedulers.base import (
@@ -211,10 +210,11 @@ class CreditScheduler(Scheduler):
         if vcpu.prio == PRIO_BOOST:
             self.stat_boost_wakes += 1
         qi = self.choose_wake_queue(vcpu)
-        if obstrace.enabled:
-            obstrace.emit(
+        sim = self.vmm.sim
+        if sim.record is not None:
+            sim.record(
                 "sched.wake",
-                self.vmm.sim.now,
+                sim.now,
                 node=self.vmm.node.index,
                 vcpu=vcpu.name,
                 vm=vcpu.vm.name,
@@ -352,10 +352,11 @@ class CreditScheduler(Scheduler):
         """Theft accounting: a BOOST-priority wake evicted a running VCPU."""
         by.vm.boost_preempts_inflicted += 1
         victim.vm.boost_preempts_suffered += 1
-        if obstrace.enabled:
-            obstrace.emit(
+        sim = self.vmm.sim
+        if sim.record is not None:
+            sim.record(
                 "sched.boost_preempt",
-                self.vmm.sim.now,
+                sim.now,
                 node=self.vmm.node.index,
                 by_vm=by.vm.name,
                 by_vcpu=by.name,
@@ -398,10 +399,11 @@ class CreditScheduler(Scheduler):
         vcpu = self._pop_best(best_q)
         if vcpu is not None:
             self.stat_steals += 1
-            if obstrace.enabled:
-                obstrace.emit(
+            sim = self.vmm.sim
+            if sim.record is not None:
+                sim.record(
                     "sched.steal",
-                    self.vmm.sim.now,
+                    sim.now,
                     node=self.vmm.node.index,
                     vcpu=vcpu.name,
                     vm=vcpu.vm.name,

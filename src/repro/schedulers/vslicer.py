@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.obs import trace as obstrace
 from repro.schedulers.credit import CreditParams, CreditScheduler
 from repro.sim.units import MSEC
 
@@ -56,6 +55,7 @@ class VSlicerScheduler(CreditScheduler):
     def on_period(self, now: int) -> None:
         p: VSlicerParams = self.params
         period = self.vmm.period_ns
+        record = self.vmm.sim.record
         # Classify BEFORE credit accounting resets period_run_ns.
         for vm in self.vmm.guest_vms:
             wakes = sum(v.period_wakes for v in vm.vcpus)
@@ -63,8 +63,8 @@ class VSlicerScheduler(CreditScheduler):
             for v in vm.vcpus:
                 v.period_wakes = 0
             if wakes >= p.ls_min_wakes and util <= p.ls_max_util:
-                if vm.vmid not in self.ls_vms and obstrace.enabled:
-                    obstrace.emit(
+                if vm.vmid not in self.ls_vms and record is not None:
+                    record(
                         "slice.change",
                         now,
                         node=self.vmm.node.index,
@@ -78,8 +78,8 @@ class VSlicerScheduler(CreditScheduler):
                 self.ls_vms[vm.vmid] = None
                 vm.slice_ns = p.micro_slice_ns
             else:
-                if vm.vmid in self.ls_vms and obstrace.enabled:
-                    obstrace.emit(
+                if vm.vmid in self.ls_vms and record is not None:
+                    record(
                         "slice.change",
                         now,
                         node=self.vmm.node.index,

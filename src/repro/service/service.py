@@ -45,7 +45,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.obs import trace as obstrace
 from repro.service.admission import ADMISSIONS, admission_names
 from repro.service.arrivals import (
     SERVICE_RNG_KEY,
@@ -280,8 +279,8 @@ class CloudService:
         t.app.on_complete = lambda _app, t=t: self._complete(t)
         self.running[t.tid] = t
         t.app.start()
-        if obstrace.enabled:
-            obstrace.emit(
+        if self.sim.record is not None:
+            self.sim.record(
                 "service.admit",
                 now,
                 tenant=t.name,
@@ -295,8 +294,8 @@ class CloudService:
     def _reject(self, t: Tenant) -> None:
         t.state = "rejected"
         self.rejected += 1
-        if obstrace.enabled:
-            obstrace.emit(
+        if self.sim.record is not None:
+            self.sim.record(
                 "service.reject",
                 self.sim.now,
                 tenant=t.name,
@@ -326,8 +325,8 @@ class CloudService:
         while bucket <= ms:
             bucket <<= 1
         self._hist[bucket] = self._hist.get(bucket, 0) + 1
-        if obstrace.enabled:
-            obstrace.emit(
+        if self.sim.record is not None:
+            self.sim.record(
                 "service.depart",
                 now,
                 tenant=t.name,

@@ -205,6 +205,7 @@ class Simulator:
         "cancelled_popped",
         "_stopped",
         "observers",
+        "record",
     )
 
     def __init__(self, tie_order: str = "fifo") -> None:
@@ -231,6 +232,10 @@ class Simulator:
         #: Event observers registered by :meth:`observe`, in registration
         #: order; ``None`` (no observer) keeps the loop to one test per event.
         self.observers: Optional[list[Callable]] = None
+        #: The world's trace record point: ``record(kind, now, **fields)``,
+        #: or ``None`` (untraced).  Emitters test it before building the
+        #: fields, so an untraced run pays one test per emit site.
+        self.record: Optional[Callable[..., None]] = None
         if on_simulator_created is not None:
             on_simulator_created(self)
 

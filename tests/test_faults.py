@@ -11,7 +11,6 @@ from repro.experiments.harness import CloudWorld, WorldConfig
 from repro.experiments.scenarios import run_type_a
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, parse_fault_spec
 from repro.hypervisor.vm import VCPUState
-from repro.obs.trace import TraceLog
 from repro.sim.units import MSEC, SEC
 
 from tests.conftest import add_guest_vm, make_node_world
@@ -278,11 +277,10 @@ def test_fault_trace_records_emitted():
     plan = FaultPlan.of([
         FaultEvent("vm_pause", at_ns=1 * MSEC, node=0, duration_ns=2 * MSEC),
     ])
-    w = CloudWorld(WorldConfig(n_nodes=2, faults=plan))
+    w = CloudWorld(WorldConfig(n_nodes=2, faults=plan, trace=True))
     w.new_vm(name="g0", node_idx=0)
-    log = TraceLog()
-    with log.activate():
-        w.run(horizon_ns=5 * MSEC)
+    w.run(horizon_ns=5 * MSEC)
+    log = w.tracelog
     kinds = [r.kind for r in log.records() if r.kind.startswith("fault.")]
     assert kinds == ["fault.inject", "fault.heal"]
     rec = next(r for r in log.records() if r.kind == "fault.inject")

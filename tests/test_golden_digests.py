@@ -124,16 +124,17 @@ def test_trace_record_stream_is_bit_identical():
     record stream of a small ATC cell with tick-sampled accounting, so the
     deschedule and dispatch records (``sched.theft``, ``vcpu.state``,
     ``sched.dispatch``) of every cause are covered: slice expiries, boost
-    preemptions, blocks and a VM pause."""
+    preemptions, blocks and a VM pause.  The stream opens with the 48
+    wakes and first dispatches that ``CloudWorld.start()`` emits at t=0."""
     result = run_type_a(
         "lu", "ATC", n_nodes=2, rounds=1, warmup_rounds=1, n_vclusters=4, vcpus_per_vm=4,
         seed=0, faults=[FAULTS[0]], sched_params={"tick_accounting": True},
         trace=True, trace_capacity=1 << 16,
     )
     trace = result["trace"]
-    assert trace["dropped"] == 0 and trace["total"] == 10843
+    assert trace["dropped"] == 0 and trace["total"] == 10891
     assert {k: trace["by_kind"][k] for k in ("sched.dispatch", "sched.theft", "vcpu.state")} == {
-        "sched.dispatch": 2655, "sched.theft": 2629, "vcpu.state": 2671}
+        "sched.dispatch": 2671, "sched.theft": 2629, "vcpu.state": 2671}
     text = json.dumps(trace["records"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "4e7fbd6680a9fdc503cea2385ffcf3d43b51c4667a8d811985405c7d11563d3c")
+        "876a8a72d1c38cc667c9eb25886a60c9e9fbe0b6bf6508198632ef9d256e3bb4")

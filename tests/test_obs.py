@@ -5,9 +5,15 @@ import json
 import pytest
 
 from repro.obs.profiler import SimProfiler
-from repro.obs import trace as obstrace
-from repro.obs.trace import TraceLog, chrome_events, records_from_dicts
+from repro.obs.trace import (
+    TraceLog,
+    chrome_events,
+    records_from_dicts,
+    write_chrome_trace,
+    write_jsonl,
+)
 from repro.sim.engine import Simulator, simulator_hook
+from repro.sim.units import USEC
 
 
 # ----------------------------------------------------------------------
@@ -16,7 +22,7 @@ from repro.sim.engine import Simulator, simulator_hook
 def test_tracelog_appends_in_order():
     log = TraceLog(capacity=10)
     for i in range(5):
-        log.append("sched.wake", i * 100, {"i": i})
+        log.record("sched.wake", i * 100, i=i)
     recs = log.records()
     assert [r.t for r in recs] == [0, 100, 200, 300, 400]
     assert log.total == 5
@@ -26,7 +32,7 @@ def test_tracelog_appends_in_order():
 def test_tracelog_evicts_oldest_when_full():
     log = TraceLog(capacity=3)
     for i in range(7):
-        log.append("sched.wake", i, {"i": i})
+        log.record("sched.wake", i, i=i)
     recs = log.records()
     # Oldest overwritten: the 3 retained records are the newest, in order.
     assert [r.args["i"] for r in recs] == [4, 5, 6]
@@ -38,8 +44,8 @@ def test_tracelog_evicts_oldest_when_full():
 def test_tracelog_by_kind_counts_survive_eviction():
     log = TraceLog(capacity=2)
     for i in range(5):
-        log.append("spin.episode", i, {})
-    log.append("pkt.hop", 5, {})
+        log.record("spin.episode", i)
+    log.record("pkt.hop", 5)
     assert log.by_kind == {"spin.episode": 5, "pkt.hop": 1}
     s = log.summary()
     assert s["total"] == 6 and s["retained"] == 2 and s["dropped"] == 4
@@ -51,39 +57,9 @@ def test_tracelog_rejects_bad_capacity():
         TraceLog(capacity=0)
 
 
-def test_emit_noop_when_inactive():
-    assert obstrace.active_log() is None
-    assert not obstrace.enabled
-    obstrace.emit("sched.wake", 0, x=1)  # must not raise, must not record
-
-
-def test_activate_routes_emit_and_restores():
-    log = TraceLog(capacity=8)
-    with log.activate():
-        assert obstrace.enabled
-        assert obstrace.active_log() is log
-        obstrace.emit("sched.wake", 7, vcpu="v0")
-    assert not obstrace.enabled
-    assert obstrace.active_log() is None
-    assert log.total == 1
-    assert log.records()[0].to_dict() == {"kind": "sched.wake", "t": 7, "vcpu": "v0"}
-
-
-def test_activate_nests():
-    outer, inner = TraceLog(), TraceLog()
-    with outer.activate():
-        obstrace.emit("pkt.hop", 1)
-        with inner.activate():
-            obstrace.emit("pkt.hop", 2)
-        obstrace.emit("pkt.hop", 3)
-        assert obstrace.enabled
-    assert [r.t for r in outer.records()] == [1, 3]
-    assert [r.t for r in inner.records()] == [2]
-
-
 def test_records_from_dicts_roundtrip():
     log = TraceLog()
-    log.append("spin.episode", 5, {"vm": "a", "wait_ns": 10})
+    log.record("spin.episode", 5, vm="a", wait_ns=10)
     dicts = [r.to_dict() for r in log.records()]
     back = records_from_dicts(dicts)
     assert back[0].kind == "spin.episode"
@@ -96,21 +72,18 @@ def test_records_from_dicts_roundtrip():
 # ----------------------------------------------------------------------
 def _sample_records():
     log = TraceLog()
-    log.append("sched.dispatch", 1_000, {"node": 0, "pcpu": 1, "vcpu": "vm0.v0",
-                                         "vm": "vm0", "slice_ns": 30, "wait_ns": 5})
-    log.append("spin.episode", 2_000, {"node": 0, "vm": "vm0",
-                                       "spin_kind": "barrier", "wait_ns": 99})
-    log.append("pkt.hop", 3_000, {"node": 1, "hop": "send", "src": "a.0",
-                                  "dst": "b.0", "nbytes": 64, "tag": 0})
-    log.append("vcpu.state", 4_000, {"node": 0, "pcpu": 1, "vcpu": "vm0.v0",
-                                     "vm": "vm0", "to_state": "RUNNABLE", "ran_ns": 3_000})
-    log.append("sched.steal", 5_000, {"node": 0, "vcpu": "vm0.v1", "vm": "vm0",
-                                      "from_rq": 0, "to_rq": 1})
+    log.record("sched.dispatch", 1_000, node=0, pcpu=1, vcpu="vm0.v0",
+               vm="vm0", slice_ns=30, wait_ns=5)
+    log.record("spin.episode", 2_000, node=0, vm="vm0", spin_kind="barrier", wait_ns=99)
+    log.record("pkt.hop", 3_000, node=1, hop="send", src="a.0", dst="b.0", nbytes=64, tag=0)
+    log.record("vcpu.state", 4_000, node=0, pcpu=1, vcpu="vm0.v0",
+               vm="vm0", to_state="RUNNABLE", ran_ns=3 * USEC)
+    log.record("sched.steal", 5_000, node=0, vcpu="vm0.v1", vm="vm0", from_rq=0, to_rq=1)
     return log.records()
 
 
 def test_write_jsonl(tmp_path):
-    path = obstrace.write_jsonl(_sample_records(), tmp_path / "t.jsonl")
+    path = write_jsonl(_sample_records(), tmp_path / "t.jsonl")
     lines = path.read_text().splitlines()
     assert len(lines) == 5
     first = json.loads(lines[0])
@@ -144,7 +117,7 @@ def test_chrome_events_schema():
 
 
 def test_write_chrome_trace_file(tmp_path):
-    path = obstrace.write_chrome_trace(_sample_records(), tmp_path / "t.trace.json")
+    path = write_chrome_trace(_sample_records(), tmp_path / "t.trace.json")
     doc = json.loads(path.read_text())
     assert "traceEvents" in doc
     assert doc["displayTimeUnit"] == "ms"

@@ -6,10 +6,12 @@ from __future__ import annotations
 import json
 
 from repro.cli import main
+from repro.experiments.harness import CloudWorld, WorldConfig
 from repro.experiments.runner import RunSpec, _execute_cell
 from repro.experiments.scenarios import run_packet_path_probe, run_type_a
-from repro.obs.trace import TraceLog
+from repro.obs.trace import TraceLog, chrome_events, records_from_dicts
 from repro.sim.engine import Simulator
+from repro.sim.units import MSEC
 
 
 # ----------------------------------------------------------------------
@@ -75,6 +77,63 @@ def test_trace_capacity_bounds_retained_records():
     assert tr["retained"] == 16
     assert tr["dropped"] == tr["total"] - 16
     assert len(tr["records"]) == 16
+
+
+# ----------------------------------------------------------------------
+# A trace belongs to one world
+# ----------------------------------------------------------------------
+def _is_world(seed: int, trace: bool = True) -> CloudWorld:
+    world = CloudWorld(WorldConfig(n_nodes=2, scheduler="ATC", seed=seed, trace=trace))
+    for k in range(2):
+        vc = world.virtual_cluster(n_vms=2, name=f"vc{k}")
+        world.add_npb("is", vc.vms, rounds=1, warmup_rounds=0)
+    return world
+
+
+def _dicts(world: CloudWorld) -> list[dict]:
+    return [r.to_dict() for r in world.tracelog.records()]
+
+
+def test_interleaved_traced_worlds_keep_separate_logs():
+    alone = {}
+    for seed in (1, 2):
+        w = _is_world(seed)
+        w.run(horizon_ns=50 * MSEC)
+        w.run(horizon_ns=50 * MSEC)
+        alone[seed] = _dicts(w)
+    a, b = _is_world(1), _is_world(2)
+    a.run(horizon_ns=50 * MSEC)
+    b.run(horizon_ns=100 * MSEC)
+    a.run(horizon_ns=50 * MSEC)
+    assert a.tracelog.dropped == b.tracelog.dropped == 0
+    assert _dicts(a) == alone[1] and _dicts(b) == alone[2]
+    assert alone[1] != alone[2]
+    # the start-up wakes and first dispatches open each log
+    assert _dicts(a)[0]["t"] == 0 and _dicts(b)[0]["t"] == 0
+
+
+def test_untraced_world_records_nothing():
+    traced = _is_world(1)
+    traced.start()
+    before = _dicts(traced)
+    plain = _is_world(1, trace=False)
+    plain.run(horizon_ns=50 * MSEC)
+    assert plain.tracelog is None and plain.sim.record is None
+    # nothing the plain run emits lands in the other world's log
+    assert _dicts(traced) == before and before
+
+
+def test_chrome_pcpu_tracks_open_with_a_dispatch():
+    tr = _type_a(trace=True)["trace"]
+    assert tr["dropped"] == 0
+    phases: dict[tuple, list[str]] = {}
+    for e in chrome_events(records_from_dicts(tr["records"])):
+        if e["ph"] in ("B", "E"):
+            phases.setdefault((e["pid"], e["tid"]), []).append(e["ph"])
+    assert len(phases) == 16  # 2 nodes x 8 PCPUs
+    for track in phases.values():
+        assert track[0] == "B"
+        assert all(ph == "BE"[i % 2] for i, ph in enumerate(track))
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ UNBUILT_PACKAGES = ("repro.analysis", "repro.faults", "repro.migration", "repro.
 #: Modules of other layers that such a world does not use either.
 UNBUILT_MODULES = {
     "repro.obs.profiler",
+    "repro.obs.trace",
     "repro.workloads.attacks",
     "repro.workloads.nonparallel",
     "repro.workloads.traces",
