@@ -113,10 +113,6 @@ class PCPU:
         self.context_switches = 0
         self.busy_ns = 0
 
-    @property
-    def is_idle(self) -> bool:
-        return self.current is None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cur = getattr(self.current, "name", None)
         return f"<PCPU {self.node.index}.{self.index} current={cur}>"

@@ -17,7 +17,6 @@ paper's scale (hours).  Grids read no environment.
 
 from __future__ import annotations
 
-import ast
 import inspect
 import json
 import math
@@ -28,14 +27,11 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from repro.core.threshold import ThresholdStudy
-from repro.dfrs.controller import DFRSConfig
 from repro.experiments.harness import WorldConfig
 from repro.experiments.runner import SCENARIOS, RunResult, RunSpec
-from repro.experiments.scenarios import _world
-from repro.faults.plan import FaultPlan, parse_fault_spec
+from repro.experiments.scenarios import scenario_keys
+from repro.faults.plan import parse_fault_spec
 from repro.metrics.summary import pearson
-from repro.migration.engine import MigrationConfig
-from repro.service.service import ServiceConfig
 from repro.sim.units import MSEC, SEC, ns_from_ms
 from repro.workloads.npb import NPB_NAMES
 
@@ -69,7 +65,9 @@ Table = tuple[str, list[str], list[tuple]]
 @dataclass(frozen=True)
 class Grid:
     """One experiment: its cells, derived table, claims and detail tables,
-    and the ``cells()`` keywords that scale its defaults up to the paper's."""
+    the ``cells()`` keywords that scale its defaults up to the paper's,
+    and the scenario keys its ``cells()`` set themselves (in every cell or
+    some), which ``--set`` may not name."""
 
     name: str
     scenario: str
@@ -78,6 +76,7 @@ class Grid:
     claims: Callable[[Sequence[RunResult]], list[str]]
     details: Callable[[Sequence[RunResult]], list[Table]] = lambda results: []
     paper_scale: dict = field(default_factory=dict)
+    sets: tuple[str, ...] = ()
 
 
 def _ratio(value: Optional[float], base: Optional[float]) -> float:
@@ -525,6 +524,10 @@ def _all_done(results: Sequence[RunResult]) -> list[str]:
 
 
 # ---- type A: four identical clusters (Figs. 1, 10, headline, kernels, placement)
+#: The keys :func:`type_a_cells` sets on every cell.
+TYPE_A_SETS = ("app_name", "scheduler", "n_nodes")
+
+
 def type_a_cells(prefix: str, schedulers: Sequence[str], apps: Sequence[str] = ("lu",),
                  nodes: Sequence[int] = (2,), **params) -> list[RunSpec]:
     """Per app and scale, one type-A cell per scheduler; the first
@@ -705,6 +708,10 @@ def ablation_claims(results: Sequence[RunResult]) -> list[str]:
 
 
 # ---- static slice sweeps under CR (Figs. 5, 8, Eq. 1)
+#: The keys :func:`slice_cells` sets on every cell.
+SLICE_SETS = ("app_name", "scheduler", "uniform_slice_ms")
+
+
 def slice_cells(prefix: str, slices: Sequence[float] = (30.0, 12.0, 6.0, 1.0, 0.3),
                 apps: Sequence[str] = ("lu",), n_nodes: int = 2, npb_class: str = "B",
                 **params) -> list[RunSpec]:
@@ -823,6 +830,10 @@ def eq1_claims(results: Sequence[RunResult]) -> list[str]:
 
 
 # ---- Section II-A2 small mix (Figs. 2, 9)
+#: The keys :func:`mix_cells` sets on every cell.
+MIX_SETS = ("scheduler", "uniform_slice_ms")
+
+
 def mix_cells(prefix: str, schedulers: Sequence[str] = ("CR",),
               slices: Sequence[Optional[float]] = (None,), **params) -> list[RunSpec]:
     """One small-mix cell per scheduler and uniform slice (``None``: the
@@ -1140,38 +1151,40 @@ GRIDS = {
         # placement, and the packed placement repaired online by demix.
         Grid("migrate", "migration_rebalance",
              partial(migrate_cells, n_clusters=2, seed=0), migrate_table, migrate_claims,
-             migrate_details, paper_scale={"horizon_s": 30.0}),
+             migrate_details, paper_scale={"horizon_s": 30.0}, sets=("policy", "placement")),
         # Plain Credit (the 1.0 mark), ATC, CR plus the DFRS cap/weight
         # controller, ATC plus DFRS, and a constructed-but-disabled
         # controller (solve_every=0), the bit-identity control cell.
         Grid("dfrs", "dfrs_compare", partial(dfrs_cells, "dfrs", horizon_s=10.0, seed=0),
-             dfrs_table, dfrs_claims, paper_scale={"horizon_s": 30.0}),
+             dfrs_table, dfrs_claims, paper_scale={"horizon_s": 30.0}, sets=("mode",)),
         # One Poisson tenant stream, offered well above what 3 packed
         # nodes absorb at once, under each admission policy.
         Grid("serve", "service",
              partial(serve_cells, placement="pack", n_nodes=3, rate_per_s=10.0, max_tenants=12,
                      rounds=3, horizon_s=60.0, seed=0),
              serve_table, serve_claims, serve_details,
-             paper_scale={"max_tenants": 24, "horizon_s": 120.0}),
+             paper_scale={"max_tenants": 24, "horizon_s": 120.0}, sets=("admission",)),
         # A victim cluster beside yield-theft and tickle-storm attackers on
         # tick-sampled accounting: stock knobs vs deboost-on-yield, a BOOST
         # rate limit, a randomized tick phase and (ATC) the slice floor.
         Grid("attack", "attack", partial(attack_cells, "attack", n_nodes=1, horizon_s=4.0, seed=0),
-             attack_table, attack_claims, paper_scale={"horizon_s": 8.0}),
+             attack_table, attack_claims, paper_scale={"horizon_s": 8.0},
+             sets=("scheduler", "hardened", "attack")),
         # CS gangs each VM's VCPUs on its host, but a cluster's VMs on
         # different hosts stay unsynchronized, so CS's gain erodes as the
         # cluster spans more hosts.
         Grid("fig01", "type_a", partial(type_a_cells, "fig01", schedulers=("CR", "CS"),
                                         nodes=(2, 4)),
-             fig01_table, fig01_claims, paper_scale={"nodes": PAPER_NODES}),
+             fig01_table, fig01_claims, paper_scale={"nodes": PAPER_NODES}, sets=TYPE_A_SETS),
         Grid("fig02", "small_mix",
              partial(mix_cells, "fig02", schedulers=("CR", "CS"), horizon_s=6.0),
-             fig02_table, fig02_claims, mix_details, paper_scale={"horizon_s": 20.0}),
+             fig02_table, fig02_claims, mix_details, paper_scale={"horizon_s": 20.0},
+             sets=MIX_SETS),
         Grid("fig04", "packet_path_probe", partial(fig04_cells, n_probes=200),
-             fig04_table, fig04_claims),
+             fig04_table, fig04_claims, sets=("sched_params", "uniform_slice_ms")),
         Grid("sweep", "type_a", partial(slice_cells, "sweep", apps=("lu", "is", "cg")),
              sweep_table, sweep_claims,
-             paper_scale={"apps": PAPER_APPS, "slices": PAPER_SLICES_MS}),
+             paper_scale={"apps": PAPER_APPS, "slices": PAPER_SLICES_MS}, sets=SLICE_SETS),
         # Known deviation (EXPERIMENTS.md): the inflection sits at ~0.5 ms,
         # about 2x to the right of the paper's ~0.2 ms, because the
         # simulator's wake path saturates the benefit of sub-millisecond
@@ -1179,50 +1192,55 @@ GRIDS = {
         Grid("fig08", "type_a",
              partial(slice_cells, "fig08", npb_class="C", apps=("lu", "cg"),
                      slices=(2, 1, 0.5, 0.4, 0.3, 0.2, 0.1, 0.03)),
-             fig08_table, fig08_claims, paper_scale={"apps": PAPER_APPS}),
+             fig08_table, fig08_claims, paper_scale={"apps": PAPER_APPS}, sets=SLICE_SETS),
         # The paper's candidates {0.5 ... 0.03} ms plus 1.0 and 2.0 ms, so
         # the optimum is interior at our resolution.
         Grid("eq1", "type_a",
              partial(slice_cells, "eq1", npb_class="C", apps=("lu", "is", "cg"),
                      slices=(2.0, 1.0, 0.5, 0.4, 0.3, 0.2, 0.1, 0.03)),
-             eq1_table, eq1_claims, paper_scale={"apps": PAPER_APPS}),
+             eq1_table, eq1_claims, paper_scale={"apps": PAPER_APPS}, sets=SLICE_SETS),
         Grid("fig09", "small_mix",
              partial(mix_cells, "fig09", slices=(30, 6, 0.3), horizon_s=6.0),
              fig09_table, fig09_claims, mix_details,
-             paper_scale={"slices": (30, 12, 6, 1, 0.3), "horizon_s": 12.0}),
+             paper_scale={"slices": (30, 12, 6, 1, 0.3), "horizon_s": 12.0}, sets=MIX_SETS),
         Grid("compare", "type_a", partial(type_a_cells, "compare", schedulers=TYPE_A_SCHEDS,
                                           apps=("lu", "is"), nodes=(2, 4)),
              compare_table, compare_claims, compare_details,
-             paper_scale={"apps": PAPER_APPS, "nodes": PAPER_NODES}),
+             paper_scale={"apps": PAPER_APPS, "nodes": PAPER_NODES}, sets=TYPE_A_SETS),
         # The paper's exact 32-node type-B platform (one cell; no smaller scale).
         Grid("table1", "table1_cell", partial(type_b_cells, "table1_cell", "table1",
                                               schedulers=("ATC",), horizon_s=2.0),
-             table1_table, table1_claims, table1_details),
+             table1_table, table1_claims, table1_details, sets=("scheduler",)),
         # The seed fixes the trace draw across approaches, so each VC is
         # normalized against CR on the same VC/app assignment.
         Grid("fig11", "type_b", partial(type_b_cells, "type_b", "fig11", schedulers=TYPE_A_SCHEDS,
                                         seed=11, n_nodes=6, horizon_s=8.0),
-             fig11_table, fig11_claims, vc_details, paper_scale=TYPE_B_PAPER),
+             fig11_table, fig11_claims, vc_details, paper_scale=TYPE_B_PAPER,
+             sets=("scheduler",)),
         *(Grid(f"fig{n}", "type_b_mixed", partial(mixed_cells, f"fig{n}",
                                                   schedulers=MIXED_SCHEDS, np_slices=(6.0,),
                                                   seed=n, n_nodes=6, horizon_s=8.0),
-               _mixed_table(n), claims, vc_details, paper_scale=TYPE_B_PAPER)
+               _mixed_table(n), claims, vc_details, paper_scale=TYPE_B_PAPER,
+               sets=("scheduler", "atc_np_slice_ms"))
           for n, claims in ((12, fig12_claims), (13, fig13_claims), (14, fig14_claims))),
         Grid("headline", "type_a",
              partial(type_a_cells, "headline", schedulers=("CR", "CS", "BS", "ATC"),
                      apps=("lu", "is", "cg")),
-             headline_table, headline_claims, paper_scale={"apps": PAPER_APPS, "nodes": (8,)}),
+             headline_table, headline_claims, paper_scale={"apps": PAPER_APPS, "nodes": (8,)},
+             sets=TYPE_A_SETS),
         # ep has no synchronization, the control no scheduler should move;
         # ft's all-to-all transposes are the most communication-bound.
         Grid("kernels", "type_a", partial(type_a_cells, "kernels", schedulers=("CR", "ATC"),
                                           apps=("ep", "ft", "is")),
-             kernels_table, kernels_claims),
+             kernels_table, kernels_claims, sets=TYPE_A_SETS),
         # The whole placement registry: striped interleaves clusters over
         # nodes by global VM index, and random:SEED draws a reproducible
         # placement; both land between spread and pack.
-        Grid("placement", "type_a", placement_cells, placement_table, placement_claims),
+        Grid("placement", "type_a", placement_cells, placement_table, placement_claims,
+             sets=(*TYPE_A_SETS, "placement", "seed")),
         Grid("ablation", "type_a", partial(ablation_cells, app_name="lu", n_nodes=2),
-             ablation_table, ablation_claims, compare_details),
+             ablation_table, ablation_claims, compare_details,
+             sets=("scheduler", "sched_params")),
     )
 }
 
@@ -1230,74 +1248,22 @@ GRIDS = {
 # ----------------------------------------------------------------------
 # repro run GRID --set KEY=VALUE
 # ----------------------------------------------------------------------
-#: The optional subsystems' config classes that :class:`WorldConfig`'s
-#: annotations name: the harness imports each only where it builds the
-#: subsystem, so its annotations resolve against these.
-_CONFIG_CLASSES = {cls.__name__: cls
-                   for cls in (DFRSConfig, FaultPlan, MigrationConfig, ServiceConfig)}
-
-
-def _declared(*fns: Callable) -> dict[str, tuple]:
-    """Each named parameter of ``fns``: its first annotation and first
-    default (``inspect.Parameter.empty`` when none declares one).  A
-    partial's keywords that its function takes through ``**params`` count
-    as parameters with that default."""
-    empty, keys = inspect.Parameter.empty, {}
-    for fn in fns:
-        hints = get_type_hints(getattr(fn, "func", fn), localns=_CONFIG_CLASSES)
-        params = {k: p.default for k, p in inspect.signature(fn).parameters.items()
-                  if p.kind is not p.VAR_KEYWORD}
-        for k, value in {**getattr(fn, "keywords", {}), **params}.items():
-            hint, default = keys.get(k, (None, empty))
-            keys[k] = (hint or hints.get(k), value if default is empty else default)
-    return keys
-
-
-def _has_form(hint) -> bool:
-    """Whether ``--set`` can spell a value of ``hint``: a config class such
-    as :class:`~repro.cluster.node.NodeParams` has no form (``sched_params``
-    is a dict, which ``_world`` turns into the scheduler's params)."""
-    if get_origin(hint) is Union:
-        hint = next(a for a in get_args(hint) if a is not type(None))
-    return not isinstance(hint, type) or hint in (bool, int, float, str, dict, list)
-
-
-def _world_keywords(builder: Callable) -> set[str]:
-    """The keywords ``builder`` passes to ``_world`` by name, read from its
-    source (``run_type_a``'s ``uniform_slice_ns``, ``run_attack``'s
-    ``vms_per_node``): the same key in ``**world_opts`` would be a second
-    value for it."""
-    tree = ast.parse(inspect.getsource(builder))
-    return {kw.arg for call in ast.walk(tree)
-            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_world"
-            for kw in call.keywords if kw.arg is not None}
-
-
-def _keys(grid: Grid) -> dict[str, object]:
-    """Every key ``--set`` may name on ``grid`` and its first annotation:
-    those its ``cells()`` or scenario builder declares, and the world
-    options builders forward (:class:`WorldConfig` fields and ``_world``'s
-    config dicts, less the positionals and keywords each builder passes
-    itself and the config classes)."""
-    own = (grid.cells, SCENARIOS[grid.scenario])
-    fixed = ({k for k, (_, d) in _declared(_world).items() if d is inspect.Parameter.empty}
-             | _world_keywords(SCENARIOS[grid.scenario])) - set(_declared(*own))
-    return {k: hint for k, (hint, _) in sorted(_declared(*own, _world, WorldConfig).items())
-            if k not in fixed and _has_form(hint)}
+def _cells_params(grid: Grid) -> dict[str, inspect.Parameter]:
+    """The named parameters of ``grid.cells()``, with the defaults its
+    partial binds."""
+    return {k: p for k, p in inspect.signature(grid.cells).parameters.items()
+            if p.kind is not p.VAR_KEYWORD}
 
 
 def settable(grid: Grid) -> dict[str, object]:
-    """:func:`_keys` less those ``grid.cells()`` writes itself (such as
-    ``compare``'s ``scheduler``): a probe passed for each of them does not
-    reach every cell's params unchanged.  ``repro run`` lists these."""
-    own = inspect.signature(grid.cells).parameters
-    keys = _keys(grid)
-    probe = "\0probe"
-    specs = grid.cells(**{k: probe for k in keys if k not in own},
-                       **{k: probe for k, p in own.items()
-                          if p.default is p.empty and p.kind is not p.VAR_KEYWORD})
-    return {k: hint for k, hint in keys.items()
-            if k in own or all(s.params.get(k) == probe for s in specs)}
+    """Every key ``--set`` may name on ``grid``, sorted, with its type:
+    the scenario's declared keys and the ``cells()`` parameters, less the
+    keys the grid's cells set themselves (``Grid.sets``).  ``repro run``
+    lists these."""
+    hints = get_type_hints(getattr(grid.cells, "func", grid.cells))
+    keys = {**scenario_keys(SCENARIOS[grid.scenario].params),
+            **{k: hints[k] for k in _cells_params(grid)}}
+    return {k: keys[k] for k in sorted(keys) if k not in grid.sets}
 
 
 def _typed(text: str, hint):
@@ -1321,41 +1287,43 @@ def _typed(text: str, hint):
 def grid_cells(grid: Grid, pairs: Sequence[str], full_scale: bool = False) -> list[RunSpec]:
     """``grid.cells()`` under ``KEY=VALUE`` strings (:func:`grid_settings`),
     on top of ``grid.paper_scale`` when ``full_scale``; :class:`ValueError`
-    also for a key that is not a ``cells()`` parameter and whose value does
-    not reach every cell's params unchanged, because the grid sets that
-    key itself."""
-    settings = {**(grid.paper_scale if full_scale else {}), **grid_settings(grid, pairs)}
-    specs = grid.cells(**settings)
-    own = inspect.signature(grid.cells).parameters
-    fixed = [k for k, v in settings.items() if k not in own
-             and any(k not in s.params or s.params[k] != v for s in specs)]
-    if fixed:
-        raise ValueError(f"key {fixed[0]!r} is set by the grid itself")
-    return specs
+    also for a value out of its key's range (:class:`RunSpec` checks each
+    cell's params)."""
+    return grid.cells(**{**(grid.paper_scale if full_scale else {}),
+                         **grid_settings(grid, pairs)})
 
 
 def grid_settings(grid: Grid, pairs: Sequence[str]) -> dict:
-    """``KEY=VALUE`` strings as typed ``grid.cells()`` keyword arguments;
-    :class:`ValueError` for an unknown key, a malformed value or a missing
-    required ``cells()`` argument."""
-    keys = _keys(grid)
+    """``KEY=VALUE`` strings as ``grid.cells()`` keyword arguments, each
+    typed by its declared type; :class:`ValueError` for a key the grid
+    sets itself, an unknown key, a malformed value or a missing required
+    ``cells()`` argument."""
+    keys = settable(grid)
+    params = _cells_params(grid)
     texts = dict(pair.partition("=")[::2] for pair in pairs)
-    unknown = [k for k in texts if k not in keys]
-    missing = [k for k, p in inspect.signature(grid.cells).parameters.items()
-               if p.default is p.empty and p.kind is not p.VAR_KEYWORD and k not in texts]
-    if unknown or missing:
-        raise ValueError(f"unknown key {unknown[0]!r}" if unknown
-                         else f"missing required key {missing[0]!r}")
+    for key in texts:
+        if key in grid.sets:
+            raise ValueError(f"key {key!r} is set by the grid itself")
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r}")
+    missing = [k for k, p in params.items() if p.default is p.empty and k not in texts]
+    if missing:
+        raise ValueError(f"missing required key {missing[0]!r}")
     out: dict = {}
     # faults last: its plan (a repro.faults spec) is drawn against the
-    # n_nodes and horizon_s set, else the first default declared for them
-    declared = _declared(grid.cells, SCENARIOS[grid.scenario], _world, WorldConfig)
+    # n_nodes and horizon_s set, else the grid's partial or cells()
+    # default, else the scenario's, else WorldConfig's
+    declared = SCENARIOS[grid.scenario].params
+    defaults = {k: getattr(declared, k, getattr(WorldConfig, k, None))
+                for k in ("n_nodes", "horizon_s")}
+    defaults.update(getattr(grid.cells, "keywords", {}))
+    defaults.update((k, p.default) for k, p in params.items() if p.default is not p.empty)
     for key in sorted(texts, key=lambda k: k == "faults"):
         try:
             if key != "faults":
                 out[key] = _typed(texts[key], keys[key])
                 continue
-            n_nodes, horizon_s = (out.get(k, declared[k][1]) for k in ("n_nodes", "horizon_s"))
+            n_nodes, horizon_s = (out.get(k, defaults[k]) for k in ("n_nodes", "horizon_s"))
             plan = parse_fault_spec(texts[key], n_nodes, round(horizon_s * SEC))
             out[key] = plan.to_dicts() if plan else None
         except (ValueError, KeyError, TypeError, OSError) as exc:
@@ -1391,7 +1359,7 @@ def load_results(path) -> list[RunResult]:
                           error=r["error"], wall_s=r["wall_s"], attempts=r["attempts"],
                           cached=r["cached"])
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
                 f"{path}: results[{i}] is not a cell record of this version: "
                 f"{type(exc).__name__}: {exc}"

@@ -28,11 +28,11 @@ from repro.hypervisor.vm import VM
 from repro.hypervisor.vmm import VMM
 from repro.schedulers.base import SchedulerParams
 from repro.schedulers.registry import make_scheduler_factory
-from repro.sim.engine import Simulator
+from repro.sim.engine import TIE_ORDERS, Simulator
 from repro.sim.rng import SimRNG
 from repro.sim.units import MSEC, SEC
 from repro.virtcluster.cluster import VirtualCluster
-from repro.virtcluster.placement import place
+from repro.virtcluster.placement import place, placer
 from repro.workloads.base import BSPSpec, ParallelApp
 from repro.workloads.npb import npb_spec
 
@@ -131,8 +131,12 @@ class WorldConfig:
     def __post_init__(self) -> None:
         if self.uniform_slice_ns is not None and self.uniform_slice_ns <= 0:
             raise ValueError(f"uniform_slice_ns must be > 0, got {self.uniform_slice_ns}")
-        if self.period_ns <= 0:
-            raise ValueError(f"period_ns must be > 0, got {self.period_ns}")
+        for name in ("period_ns", "vms_per_node", "vcpus_per_vm"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.tie_order not in TIE_ORDERS:
+            raise ValueError(f"tie_order must be one of {TIE_ORDERS}, got {self.tie_order!r}")
+        placer(self.placement)
 
 
 class CloudWorld:

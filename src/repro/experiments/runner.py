@@ -72,7 +72,6 @@ SCENARIOS: dict[str, Callable[..., dict]] = {
     "type_b": scenarios.run_type_b,
     "type_b_mixed": scenarios.run_type_b_mixed,
     "packet_path_probe": scenarios.run_packet_path_probe,
-    "fault_probe": scenarios.run_fault_probe,
     "migration_rebalance": scenarios.run_migration_rebalance,
     "service": scenarios.run_service,
     "dfrs_compare": scenarios.run_dfrs_compare,
@@ -129,8 +128,13 @@ class RunSpec:
 
     ``scenario`` names an entry of :data:`SCENARIOS`; ``params`` are its
     keyword arguments and must be JSON-serializable (they form the cache
-    key).  ``label`` is only for progress display and defaults to a
-    compact rendering of the params.  Run-wide world options
+    key).  They pass through the scenario's declared keys
+    (:func:`~repro.experiments.scenarios.normalize`): each value is
+    coerced by its type, so ``2`` and ``2.0`` for a float key are one
+    cell, and an unknown key or an out-of-range value raises
+    :class:`ValueError` before any cell runs.  ``label`` is only for
+    progress display and defaults to a compact rendering of the params.
+    Run-wide world options
     (``sanitize``, ``trace``, ``profile``, ``faults``, ``tie_order``...)
     are scenario keywords like any other: they travel in ``params`` and
     so enter the cache key only when set.  A profiled value embeds host
@@ -155,7 +159,10 @@ class RunSpec:
             raise KeyError(
                 f"unknown scenario {self.scenario!r}; known: {sorted(SCENARIOS)}"
             )
-        object.__setattr__(self, "params", dict(self.params))
+        declared = getattr(SCENARIOS[self.scenario], "params", None)
+        params = (dict(self.params) if declared is None  # a bare test double
+                  else scenarios.normalize(declared, self.params))
+        object.__setattr__(self, "params", params)
         self.key()  # fail fast on non-JSON-serializable params
         if not self.label:
             short = ",".join(f"{k}={v}" for k, v in self.params.items())

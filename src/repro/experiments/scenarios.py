@@ -38,23 +38,23 @@ Setups reproduced:
   down with their resources reclaimed.  Compares admission policies at
   equal offered load.
 
-Run-wide options are declared once, as :class:`WorldConfig` fields
-(``sched_params``, ``sanitize``, ``trace``, ``profile``, ``faults``,
-``tie_order``...).  Every builder takes them as ``**world_opts`` and
-hands them to :func:`_world` unchanged, so a misspelled option raises
-``TypeError`` when the config is built, before any simulation.
-``sched_params`` travels as a JSON dict of the scheduler's parameter
-fields (``{"boost": false}``, ``{"atc": {"trend_policy": "prose"}}``),
-which :func:`_world` turns into the scheduler's
-:class:`~repro.schedulers.base.SchedulerParams` subclass.  A
-builder spells out only the parameters it inspects itself.
+Each builder's keys are declared once, in a frozen params dataclass
+beside it (:class:`ScenarioParams`), and the builder is called like it,
+positional or by name.  Its other keyword arguments are run-wide world
+options (``sched_params``, ``sanitize``, ``trace``, ``faults``,
+``tie_order``...), :class:`WorldConfig` fields it hands to :func:`_world`
+unchanged, so a misspelled one raises ``TypeError`` before any
+simulation.  ``sched_params`` travels as a JSON dict of the scheduler's
+parameter fields (``{"boost": false}``, ``{"atc": {"trend_policy":
+"prose"}}``), which :func:`_world` turns into the scheduler's
+:class:`~repro.schedulers.base.SchedulerParams` subclass.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from typing import Optional, Sequence
+import functools
+from dataclasses import dataclass, fields
+from typing import Callable, Mapping, Optional, Sequence, get_args, get_type_hints
 
 from repro.experiments.harness import CloudWorld, WorldConfig
 from repro.guest.process import recv_block, send
@@ -63,21 +63,121 @@ from repro.metrics.summary import mean
 from repro.schedulers.registry import params_class
 from repro.sim.rng import SimRNG
 from repro.sim.units import MSEC, SEC, ns_from_ms
-from repro.workloads.npb import NPB_NAMES, npb_spec
+from repro.workloads.npb import CLASS_SCALES, NPB_NAMES
 
 __all__ = [
+    "ScenarioParams",
+    "scenario_keys",
+    "normalize",
     "run_type_a",
     "run_table1_cell",
     "run_small_mix",
     "run_type_b",
     "run_type_b_mixed",
     "run_packet_path_probe",
-    "run_fault_probe",
     "run_migration_rebalance",
     "run_service",
     "run_dfrs_compare",
     "run_attack",
 ]
+
+
+# ----------------------------------------------------------------------
+# Declared keys
+# ----------------------------------------------------------------------
+#: Range checks of the scenario keys, by name: one per key, whichever
+#: scenario declares it.  World options are checked by WorldConfig.
+CHECKS: dict[str, tuple[Callable[[object], bool], str]] = {
+    # a zero horizon builds the world and runs no event
+    "horizon_s": (lambda s: s >= 0, ">= 0"),
+    # npb_spec accepts either case
+    "npb_class": (lambda c: c.upper() in CLASS_SCALES, f"one of {'/'.join(CLASS_SCALES)}"),
+}
+
+#: The config classes :func:`_world` builds from JSON, as a scenario's
+#: params carry them: a dict of fields, or a fault plan's list of dicts.
+_JSON_FORMS = {"SchedulerParams": dict, "FaultPlan": Sequence[dict], "MigrationConfig": dict,
+               "ServiceConfig": dict, "DFRSConfig": dict}
+#: WorldConfig fields no builder forwards: :func:`_world` takes the first
+#: three positionally, and the hardware parameter classes have no JSON form.
+_NOT_FORWARDED = ("n_nodes", "scheduler", "seed", "node_params", "net_params", "dom0_params")
+
+
+class ScenarioParams:
+    """One scenario's keys: a subclass's fields, with their types and
+    defaults, are the keys its builder reads, range-checked by
+    :data:`CHECKS`.  The builder also forwards every world option but
+    those ``_world`` takes positionally and those in ``world_set``.
+
+    A subclass becomes a frozen dataclass on first use (:func:`_declared`):
+    decorating all ten at import would add ~15 ms, a fifth of a cell's
+    setup.
+    """
+
+    #: WorldConfig fields the builder sets itself: not keys of the scenario.
+    world_set: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            _check(f.name, getattr(self, f.name))
+
+
+def _declared(cls: type[ScenarioParams]) -> type[ScenarioParams]:
+    if "__dataclass_fields__" not in cls.__dict__:
+        dataclass(frozen=True)(cls)
+    return cls
+
+
+def _check(key: str, value) -> None:
+    check, expect = CHECKS.get(key, (None, ""))
+    if check is not None and not check(value):
+        raise ValueError(f"{key} must be {expect}, got {value!r}")
+
+
+def _builder(params: type[ScenarioParams]) -> Callable[[Callable], Callable[..., dict]]:
+    """Make ``body(p, **world_opts)`` a builder called like ``params``, its
+    other keywords world options; the builder's ``params`` is the class."""
+
+    def wrap(body: Callable[..., dict]) -> Callable[..., dict]:
+        @functools.wraps(body)
+        def build(*args, **kwargs) -> dict:
+            keys = _declared(params).__dataclass_fields__
+            own = {k: kwargs.pop(k) for k in [*kwargs] if k in keys}
+            return body(params(*args, **own), **kwargs)
+
+        build.params = params
+        return build
+
+    return wrap
+
+
+@functools.cache
+def scenario_keys(params: type[ScenarioParams]) -> dict[str, object]:
+    """Every key of a scenario and its type: its params fields, then the
+    world options its builder forwards, typed as its params carry them."""
+    hints = get_type_hints(_declared(params))
+    keys = {f.name: hints[f.name] for f in fields(params)}
+    hints = get_type_hints(WorldConfig, localns=_JSON_FORMS)
+    keys.update((f.name, hints[f.name]) for f in fields(WorldConfig)
+                if f.name not in (*keys, *_NOT_FORWARDED, *params.world_set))
+    return keys
+
+
+def normalize(params: type[ScenarioParams], values: Mapping) -> dict:
+    """``values`` as a cell of the scenario keeps them: the same keys, an
+    int where a float is declared made that float.  :class:`ValueError`
+    for an unknown key or an out-of-range value, by :data:`CHECKS` or by
+    :class:`WorldConfig`'s checks of the world keys."""
+    keys = scenario_keys(params)
+    out = {}
+    for key, value in values.items():
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r}")
+        floats = type(value) is int and float in (keys[key], *get_args(keys[key]))
+        out[key] = float(value) if floats else value
+        _check(key, out[key])
+    WorldConfig(**{k: v for k, v in out.items() if k in WorldConfig.__dataclass_fields__})
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +219,8 @@ def _world(
 
 
 def _attach_obs(result: dict, world: CloudWorld) -> dict:
-    """Fold observability outputs into a scenario result.
+    """End a scenario result with the world's simulated time and event
+    count, then fold in its observability outputs.
 
     Only adds keys when the corresponding layer was enabled, so results of
     plain runs are byte-identical with and without this call (the traced-run
@@ -138,6 +239,8 @@ def _attach_obs(result: dict, world: CloudWorld) -> dict:
             for code, layer in ((SimSanitizer.MIGRATION, world.migration_engine),
                                 (SimSanitizer.DFRS, world.dfrs))
             if layer is not None for message in layer.violations])
+    result["sim_time_ns"] = world.sim.now
+    result["events"] = world.sim.events_processed
     if world.tracelog is not None:
         result["trace"] = world.tracelog.summary(include_records=True)
     if world.profiler is not None:
@@ -155,20 +258,23 @@ def _attach_obs(result: dict, world: CloudWorld) -> dict:
     return result
 
 
-def run_type_a(
-    app_name: str,
-    scheduler: str,
-    n_nodes: int,
-    rounds: int = 2,
-    warmup_rounds: int = 1,
-    n_vclusters: int = 4,
-    npb_class: str = "B",
-    seed: int = 0,
-    vcpus_per_vm: int = 8,
-    horizon_s: float = 300.0,
-    uniform_slice_ms: Optional[float] = None,
-    **world_opts,
-) -> dict:
+class TypeAParams(ScenarioParams):
+    app_name: str
+    scheduler: str
+    n_nodes: int
+    rounds: int = 2
+    warmup_rounds: int = 1
+    n_vclusters: int = 4
+    npb_class: str = "B"
+    seed: int = 0
+    vcpus_per_vm: int = 8
+    horizon_s: float = 300.0
+    uniform_slice_ms: Optional[float] = None
+    world_set = ("uniform_slice_ns",)
+
+
+@_builder(TypeAParams)
+def run_type_a(p: TypeAParams, **world_opts) -> dict:
     """Evaluation type A (Figs. 1, 10): four identical virtual clusters,
     one VM per node each, all running ``app_name``.
 
@@ -176,43 +282,41 @@ def run_type_a(
     of the slice sweeps (Figs. 5, 8, Eq. 1), and the ``repro trace`` CLI.
     """
     world = _world(
-        n_nodes, scheduler, seed, vcpus_per_vm=vcpus_per_vm,
-        uniform_slice_ns=None if uniform_slice_ms is None else ns_from_ms(uniform_slice_ms),
+        p.n_nodes, p.scheduler, p.seed, vcpus_per_vm=p.vcpus_per_vm,
+        uniform_slice_ns=None if p.uniform_slice_ms is None else ns_from_ms(p.uniform_slice_ms),
         **world_opts,
     )
     apps = []
-    for k in range(n_vclusters):
-        vc = world.virtual_cluster(n_vms=n_nodes, name=f"vc{k}")
+    for k in range(p.n_vclusters):
+        vc = world.virtual_cluster(n_vms=p.n_nodes, name=f"vc{k}")
         apps.append(
-            world.add_npb(app_name, vc.vms, rounds=rounds, warmup_rounds=warmup_rounds, npb_class=npb_class)
+            world.add_npb(p.app_name, vc.vms, rounds=p.rounds, warmup_rounds=p.warmup_rounds, npb_class=p.npb_class)
         )
-    world.run(horizon_ns=round(horizon_s * SEC))
+    world.run(horizon_ns=round(p.horizon_s * SEC))
     times = [t for a in apps for t in a.round_times]
     spin = [vm.kernel.avg_spin_ns for vm in world.vms]
-    return _attach_obs(
-        {
-            "scheduler": scheduler,
-            "app": app_name,
-            "n_nodes": n_nodes,
-            "mean_round_ns": mean(times),
-            "rounds_measured": len(times),
-            "all_done": world.all_apps_done,
-            "avg_spin_ns": mean(spin),
-            "cluster": cluster_stats(world.cluster),
-            "sim_time_ns": world.sim.now,
-            "events": world.sim.events_processed,
-        },
-        world,
-    )
+    return _attach_obs({
+        "scheduler": p.scheduler,
+        "app": p.app_name,
+        "n_nodes": p.n_nodes,
+        "mean_round_ns": mean(times),
+        "rounds_measured": len(times),
+        "all_done": world.all_apps_done,
+        "avg_spin_ns": mean(spin),
+        "cluster": cluster_stats(world.cluster),
+    }, world)
 
 
-def run_table1_cell(
-    scheduler: str = "ATC",
-    seed: int = 0,
-    horizon_s: float = 2.0,
-    n_nodes: int = 32,
-    **world_opts,
-) -> dict:
+class Table1CellParams(ScenarioParams):
+    scheduler: str = "ATC"
+    seed: int = 0
+    horizon_s: float = 2.0
+    n_nodes: int = 32
+    world_set = ("vcpus_per_vm", "vms_per_node")
+
+
+@_builder(Table1CellParams)
+def run_table1_cell(p: Table1CellParams, **world_opts) -> dict:
     """One full-scale Table-I trace cell: the paper's exact 32-node /
     256-core evaluation-type-B platform (Section IV-B2).
 
@@ -228,50 +332,35 @@ def run_table1_cell(
 
     mix = paper_vc_mix()
     world = _world(
-        n_nodes, scheduler, seed, vcpus_per_vm=mix.vcpus_per_vm, vms_per_node=4,
+        p.n_nodes, p.scheduler, p.seed, vcpus_per_vm=mix.vcpus_per_vm, vms_per_node=4,
         **world_opts,
     )
     rng = world.rng.substream(999)
-    vc_apps = []
-    for i, size in enumerate(mix.cluster_sizes_vms):
-        vc = world.virtual_cluster(n_vms=size, name=f"VC{i + 1}")
-        app_name = rng.choice(NPB_NAMES)
-        vc_apps.append((vc, world.add_npb(app_name, vc.vms, rounds=None, warmup_rounds=1)))
-    indep_apps = []
-    for j in range(mix.independent_vms):
-        vm = world.new_vm(name=f"ind{j}")
-        indep_apps.append(world.add_npb(rng.choice(["lu", "is"]), [vm], rounds=None, warmup_rounds=1))
-    world.run(horizon_ns=round(horizon_s * SEC))
+    vc_apps = _vc_apps(world, rng, mix.cluster_sizes_vms)
+    indep_apps = [_independent(world, rng, j) for j in range(mix.independent_vms)]
+    world.run(horizon_ns=round(p.horizon_s * SEC))
     return _attach_obs({
-        "scheduler": scheduler,
-        "n_nodes": n_nodes,
+        "scheduler": p.scheduler,
+        "n_nodes": p.n_nodes,
         "n_vms": len(world.vms),
         "total_vcpus": sum(len(vm.vcpus) for vm in world.vms),
-        "vcs": [
-            {
-                "vc": vc.name,
-                "n_vms": vc.n_vms,
-                "app": app.spec.name,
-                "mean_round_ns": app.mean_round_ns,
-                "rounds": len(app.round_times),
-            }
-            for vc, app in vc_apps
-        ],
+        "vcs": _vc_rows(vc_apps),
         "independent_rounds": sum(len(a.round_times) for a in indep_apps),
-        "sim_time_ns": world.sim.now,
-        "events": world.sim.events_processed,
     }, world)
 
 
-def run_small_mix(
-    scheduler: str,
-    seed: int = 0,
-    horizon_s: float = 8.0,
-    uniform_slice_ms: Optional[float] = None,
-    parallel_app: str = "lu",
-    atc_np_slice_ms: Optional[float] = None,
-    **world_opts,
-) -> dict:
+class SmallMixParams(ScenarioParams):
+    scheduler: str
+    seed: int = 0
+    horizon_s: float = 8.0
+    uniform_slice_ms: Optional[float] = None
+    parallel_app: str = "lu"
+    atc_np_slice_ms: Optional[float] = None
+    world_set = ("uniform_slice_ns",)
+
+
+@_builder(SmallMixParams)
+def run_small_mix(p: SmallMixParams, **world_opts) -> dict:
     """Section II-A2 platform (Figs. 2 and 9): two nodes, four VMs each;
     three two-VM virtual clusters run ``parallel_app`` in the background,
     the remaining two VMs host bonnie++, sphinx3, stream and ping.
@@ -281,42 +370,60 @@ def run_small_mix(
     under ATC (the ATC(6ms) variant of Section IV-C).
     """
     world = _world(
-        2, scheduler, seed,
-        uniform_slice_ns=None if uniform_slice_ms is None else ns_from_ms(uniform_slice_ms),
+        2, p.scheduler, p.seed,
+        uniform_slice_ns=None if p.uniform_slice_ms is None else ns_from_ms(p.uniform_slice_ms),
         **world_opts,
     )
     bg_apps = []
     for k in range(3):
         vc = world.virtual_cluster(n_vms=2, name=f"vc{k}")
-        bg_apps.append(world.add_npb(parallel_app, vc.vms, rounds=None, warmup_rounds=1))
+        bg_apps.append(world.add_npb(p.parallel_app, vc.vms, rounds=None, warmup_rounds=1))
     np1 = world.new_vm(node_idx=0, name="np0")
     np2 = world.new_vm(node_idx=1, name="np1")
-    if atc_np_slice_ms is not None:
-        np1.admin_slice_ns = ns_from_ms(atc_np_slice_ms)
-        np2.admin_slice_ns = ns_from_ms(atc_np_slice_ms)
-    if uniform_slice_ms is not None:
-        np1.slice_ns = ns_from_ms(uniform_slice_ms)
-        np2.slice_ns = ns_from_ms(uniform_slice_ms)
+    for vm in (np1, np2):
+        if p.atc_np_slice_ms is not None:
+            vm.admin_slice_ns = ns_from_ms(p.atc_np_slice_ms)
+        if p.uniform_slice_ms is not None:
+            vm.slice_ns = ns_from_ms(p.uniform_slice_ms)
     sphinx = world.add_cpu_app("sphinx3", np1)
     stream = world.add_stream(np1)
     bonnie = world.add_bonnie(np2)
     ping = world.add_ping(np1, np2)
-    world.run(horizon_ns=round(horizon_s * SEC))
-    return _attach_obs(
-        {
-            "scheduler": scheduler,
-            "uniform_slice_ms": uniform_slice_ms,
-            "sphinx3_mean_run_ns": sphinx.mean_run_ns,
-            "stream_bandwidth_Bps": stream.bandwidth_Bps,
-            "bonnie_throughput_Bps": bonnie.throughput_Bps,
-            "ping_mean_rtt_ns": ping.mean_rtt_ns,
-            "ping_samples": len(ping.rtts),
-            "parallel_mean_round_ns": mean([t for a in bg_apps for t in a.round_times]),
-            "sim_time_ns": world.sim.now,
-            "events": world.sim.events_processed,
-        },
-        world,
-    )
+    world.run(horizon_ns=round(p.horizon_s * SEC))
+    return _attach_obs({
+        "scheduler": p.scheduler,
+        "uniform_slice_ms": p.uniform_slice_ms,
+        "sphinx3_mean_run_ns": sphinx.mean_run_ns,
+        "stream_bandwidth_Bps": stream.bandwidth_Bps,
+        "bonnie_throughput_Bps": bonnie.throughput_Bps,
+        "ping_mean_rtt_ns": ping.mean_rtt_ns,
+        "ping_samples": len(ping.rtts),
+        "parallel_mean_round_ns": mean([t for a in bg_apps for t in a.round_times]),
+    }, world)
+
+
+def _vc_apps(world: CloudWorld, rng: SimRNG, sizes: Sequence[int]) -> list[tuple]:
+    """One virtual cluster per size, each repeating an NPB kernel drawn
+    from ``rng``: ``(cluster, app)`` pairs."""
+    vc_apps = []
+    for i, size in enumerate(sizes):
+        vc = world.virtual_cluster(n_vms=size, name=f"VC{i + 1}")
+        vc_apps.append((vc, world.add_npb(rng.choice(NPB_NAMES), vc.vms, rounds=None,
+                                          warmup_rounds=1)))
+    return vc_apps
+
+
+def _independent(world: CloudWorld, rng: SimRNG, j: int):
+    """Independent VM ``j``, repeating lu or is as drawn from ``rng``."""
+    vm = world.new_vm(name=f"ind{j}")
+    return world.add_npb(rng.choice(["lu", "is"]), [vm], rounds=None, warmup_rounds=1)
+
+
+def _vc_rows(vc_apps: list[tuple]) -> list[dict]:
+    """Each virtual cluster's size, kernel and round times."""
+    return [{"vc": vc.name, "n_vms": vc.n_vms, "app": app.spec.name,
+             "mean_round_ns": app.mean_round_ns, "rounds": len(app.round_times)}
+            for vc, app in vc_apps]
 
 
 def _scaled_vc_mix(world: CloudWorld, rng: SimRNG, reserve_vms: int = 0):
@@ -331,80 +438,61 @@ def _scaled_vc_mix(world: CloudWorld, rng: SimRNG, reserve_vms: int = 0):
     )
 
 
-def run_type_b(
-    scheduler: str,
-    n_nodes: int = 8,
-    seed: int = 0,
-    horizon_s: float = 6.0,
-    **world_opts,
-) -> dict:
+class TypeBParams(ScenarioParams):
+    scheduler: str
+    n_nodes: int = 8
+    seed: int = 0
+    horizon_s: float = 6.0
+
+
+@_builder(TypeBParams)
+def run_type_b(p: TypeBParams, **world_opts) -> dict:
     """Evaluation type B (Fig. 11): LLNL-trace virtual-cluster mix, every
     cluster running a random NPB kernel repeatedly;
     independent VMs run lu.B or is.B.  Per-VC mean round times returned."""
-    world = _world(n_nodes, scheduler, seed, **world_opts)
+    world = _world(p.n_nodes, p.scheduler, p.seed, **world_opts)
     rng = world.rng.substream(999)
     mix = _scaled_vc_mix(world, rng)
-    vc_apps = []
-    for i, size in enumerate(mix.cluster_sizes_vms):
-        vc = world.virtual_cluster(n_vms=size, name=f"VC{i + 1}")
-        app_name = rng.choice(NPB_NAMES)
-        vc_apps.append((vc, world.add_npb(app_name, vc.vms, rounds=None, warmup_rounds=1)))
-    indep_apps = []
-    for j in range(mix.independent_vms):
-        vm = world.new_vm(name=f"ind{j}")
-        app_name = rng.choice(["lu", "is"])
-        indep_apps.append(world.add_npb(app_name, [vm], rounds=None, warmup_rounds=1))
-    world.run(horizon_ns=round(horizon_s * SEC))
+    vc_apps = _vc_apps(world, rng, mix.cluster_sizes_vms)
+    indep_apps = [_independent(world, rng, j) for j in range(mix.independent_vms)]
+    world.run(horizon_ns=round(p.horizon_s * SEC))
     return _attach_obs({
-        "scheduler": scheduler,
-        "n_nodes": n_nodes,
-        "vcs": [
-            {
-                "vc": vc.name,
-                "n_vms": vc.n_vms,
-                "app": app.spec.name,
-                "mean_round_ns": app.mean_round_ns,
-                "rounds": len(app.round_times),
-            }
-            for vc, app in vc_apps
-        ],
+        "scheduler": p.scheduler,
+        "n_nodes": p.n_nodes,
+        "vcs": _vc_rows(vc_apps),
         "independents": [
             {"app": a.spec.name, "mean_round_ns": a.mean_round_ns, "rounds": len(a.round_times)}
             for a in indep_apps
         ],
-        "sim_time_ns": world.sim.now,
-        "events": world.sim.events_processed,
     }, world)
 
 
-def run_type_b_mixed(
-    scheduler: str,
-    n_nodes: int = 8,
-    seed: int = 0,
-    horizon_s: float = 6.0,
-    atc_np_slice_ms: Optional[float] = None,
-    **world_opts,
-) -> dict:
+class TypeBMixedParams(ScenarioParams):
+    scheduler: str
+    n_nodes: int = 8
+    seed: int = 0
+    horizon_s: float = 6.0
+    atc_np_slice_ms: Optional[float] = None
+
+
+@_builder(TypeBMixedParams)
+def run_type_b_mixed(p: TypeBMixedParams, **world_opts) -> dict:
     """Section IV-C (Figs. 12-14): type B clusters plus independent VMs
     running lu/is and the non-parallel suite.  One extra node hosts the
     httperf client (the paper drives web load from separate machines)."""
-    world = _world(n_nodes + 1, scheduler, seed, **world_opts)
+    world = _world(p.n_nodes + 1, p.scheduler, p.seed, **world_opts)
     # keep the client node (last index) out of general placement
-    world._node_vm_load[n_nodes] = world.config.vms_per_node - 1
+    world._node_vm_load[p.n_nodes] = world.config.vms_per_node - 1
     rng = world.rng.substream(999)
 
     # Reserve independent slots for the non-parallel apps (5 VMs).
     mix = _scaled_vc_mix(world, rng, reserve_vms=world.config.vms_per_node + 5)
-    vc_apps = []
-    for i, size in enumerate(mix.cluster_sizes_vms):
-        vc = world.virtual_cluster(n_vms=size, name=f"VC{i + 1}")
-        app_name = rng.choice(NPB_NAMES)
-        vc_apps.append((vc, world.add_npb(app_name, vc.vms, rounds=None, warmup_rounds=1)))
+    vc_apps = _vc_apps(world, rng, mix.cluster_sizes_vms)
 
     def np_vm(name):
         vm = world.new_vm(name=name)
-        if atc_np_slice_ms is not None:
-            vm.admin_slice_ns = ns_from_ms(atc_np_slice_ms)
+        if p.atc_np_slice_ms is not None:
+            vm.admin_slice_ns = ns_from_ms(p.atc_np_slice_ms)
         return vm
 
     web_vm = np_vm("web")
@@ -412,7 +500,7 @@ def run_type_b_mixed(
     stream_vm = np_vm("streamvm")
     bonnie_vm = np_vm("bonnievm")
     ping_vm = np_vm("pingvm")
-    client_vm = world.new_vm(node_idx=n_nodes, name="httperf-client")
+    client_vm = world.new_vm(node_idx=p.n_nodes, name="httperf-client")
 
     webserver = world.add_webserver(web_vm, client_vm)
     gcc = world.add_cpu_app("gcc", cpu_vm)
@@ -424,26 +512,14 @@ def run_type_b_mixed(
 
     # Remaining independent capacity runs lu/is, as in the paper.
     indep_apps = []
-    j = 0
-    while sum(world._node_vm_load[:n_nodes]) < n_nodes * world.config.vms_per_node:
-        vm = world.new_vm(name=f"ind{j}")
-        indep_apps.append(world.add_npb(rng.choice(["lu", "is"]), [vm], rounds=None, warmup_rounds=1))
-        j += 1
+    while sum(world._node_vm_load[:p.n_nodes]) < p.n_nodes * world.config.vms_per_node:
+        indep_apps.append(_independent(world, rng, len(indep_apps)))
 
-    world.run(horizon_ns=round(horizon_s * SEC))
+    world.run(horizon_ns=round(p.horizon_s * SEC))
     return _attach_obs({
-        "scheduler": scheduler,
-        "atc_np_slice_ms": atc_np_slice_ms,
-        "vcs": [
-            {
-                "vc": vc.name,
-                "n_vms": vc.n_vms,
-                "app": app.spec.name,
-                "mean_round_ns": app.mean_round_ns,
-                "rounds": len(app.round_times),
-            }
-            for vc, app in vc_apps
-        ],
+        "scheduler": p.scheduler,
+        "atc_np_slice_ms": p.atc_np_slice_ms,
+        "vcs": _vc_rows(vc_apps),
         "webserver_mean_response_ns": webserver.mean_response_ns,
         "gcc_mean_run_ns": gcc.mean_run_ns,
         "bzip2_mean_run_ns": bzip2.mean_run_ns,
@@ -454,20 +530,21 @@ def run_type_b_mixed(
         "independent_mean_round_ns": mean(
             [t for a in indep_apps for t in a.round_times]
         ),
-        "sim_time_ns": world.sim.now,
-        "events": world.sim.events_processed,
     }, world)
 
 
-def run_packet_path_probe(
-    scheduler: str = "CR",
-    uniform_slice_ms: Optional[float] = None,
-    n_probes: int = 50,
-    seed: int = 0,
-    horizon_s: float = 30.0,
-    background_app: str = "lu",
-    **world_opts,
-) -> dict:
+class PacketPathProbeParams(ScenarioParams):
+    scheduler: str = "CR"
+    uniform_slice_ms: Optional[float] = None
+    n_probes: int = 50
+    seed: int = 0
+    horizon_s: float = 30.0
+    background_app: str = "lu"
+    world_set = ("uniform_slice_ns",)
+
+
+@_builder(PacketPathProbeParams)
+def run_packet_path_probe(p: PacketPathProbeParams, **world_opts) -> dict:
     """Fig. 4: measure the four scheduling-wait overhead sources on the
     cross-VM packet path while parallel load keeps the hosts busy.
 
@@ -477,13 +554,13 @@ def run_packet_path_probe(
     inter-send gaps and reported as send interval jitter.)
     """
     world = _world(
-        2, scheduler, seed,
-        uniform_slice_ns=None if uniform_slice_ms is None else ns_from_ms(uniform_slice_ms),
+        2, p.scheduler, p.seed,
+        uniform_slice_ns=None if p.uniform_slice_ms is None else ns_from_ms(p.uniform_slice_ms),
         **world_opts,
     )
     for k in range(3):
         vc = world.virtual_cluster(n_vms=2, name=f"vc{k}")
-        world.add_npb(background_app, vc.vms, rounds=None, warmup_rounds=1)
+        world.add_npb(p.background_app, vc.vms, rounds=None, warmup_rounds=1)
     src = world.new_vm(node_idx=0, name="probe-src")
     dst = world.new_vm(node_idx=1, name="probe-dst")
     log: list = []
@@ -495,7 +572,7 @@ def run_packet_path_probe(
     def send_prog():
         from repro.guest.process import sleep as sleep_seg
 
-        for i in range(n_probes):
+        for i in range(p.n_probes):
             yield send(dst, receiver.index, 1024, tag=i)
             yield sleep_seg(20 * MSEC)
 
@@ -505,39 +582,57 @@ def run_packet_path_probe(
 
     sender.load_program(send_prog())
     receiver.load_program(recv_prog())
-    world.background.append(_ProcPair(sender, receiver))
-    world.run(horizon_ns=round(horizon_s * SEC))
+    world.background += (sender, receiver)
+    world.run(horizon_ns=round(p.horizon_s * SEC))
 
-    stamped = [p for p in log if p.t_consumed >= 0]
+    stamped = [pkt for pkt in log if pkt.t_consumed >= 0]
     return _attach_obs({
-        "scheduler": scheduler,
+        "scheduler": p.scheduler,
         "probes": len(stamped),
-        "mean_netback_tx_wait_ns": mean([p.t_netback_tx - p.t_send for p in stamped]),
-        "mean_wire_ns": mean([p.t_arrive - p.t_netback_tx for p in stamped]),
-        "mean_netback_rx_wait_ns": mean([p.t_delivered - p.t_arrive for p in stamped]),
-        "mean_consume_wait_ns": mean([p.t_consumed - p.t_delivered for p in stamped]),
-        "mean_end_to_end_ns": mean([p.t_consumed - p.t_send for p in stamped]),
-        "sim_time_ns": world.sim.now,
-        "events": world.sim.events_processed,
+        "mean_netback_tx_wait_ns": mean([pkt.t_netback_tx - pkt.t_send for pkt in stamped]),
+        "mean_wire_ns": mean([pkt.t_arrive - pkt.t_netback_tx for pkt in stamped]),
+        "mean_netback_rx_wait_ns": mean([pkt.t_delivered - pkt.t_arrive for pkt in stamped]),
+        "mean_consume_wait_ns": mean([pkt.t_consumed - pkt.t_delivered for pkt in stamped]),
+        "mean_end_to_end_ns": mean([pkt.t_consumed - pkt.t_send for pkt in stamped]),
     }, world)
 
 
-def run_migration_rebalance(
-    policy: str = "demix",
-    placement: str = "pack",
-    scheduler: str = "ATC",
-    n_nodes: int = 3,
-    n_clusters: int = 2,
-    vms_per_cluster: int = 2,
-    vms_per_node: int = 4,
-    vcpus_per_vm: int = 4,
-    app_name: str = "lu",
-    n_nonparallel: int = 1,
-    seed: int = 0,
-    horizon_s: float = 10.0,
-    migration: Optional[dict] = None,
-    **world_opts,
-) -> dict:
+def _tenants(world: CloudWorld, p) -> tuple[list, list]:
+    """The migration and DFRS cells' tenants: ``n_clusters`` clusters of
+    ``vms_per_cluster`` VMs repeating ``app_name``, then ``n_nonparallel``
+    VMs running sphinx3.  Returns both kinds' apps."""
+    apps = []
+    for k in range(p.n_clusters):
+        vc = world.virtual_cluster(n_vms=p.vms_per_cluster, name=f"vc{k}")
+        apps.append(world.add_npb(p.app_name, vc.vms, rounds=None, warmup_rounds=1))
+    return apps, [world.add_cpu_app("sphinx3", world.new_vm(name=f"np{j}"))
+                  for j in range(p.n_nonparallel)]
+
+
+def _tenant_rounds(p, apps: list) -> dict:
+    return {"placement": p.placement, "app": p.app_name,
+            "parallel_mean_round_ns": mean([t for a in apps for t in a.round_times]),
+            "per_cluster_mean_round_ns": {f"vc{k}": a.mean_round_ns for k, a in enumerate(apps)}}
+
+
+class MigrationRebalanceParams(ScenarioParams):
+    policy: str = "demix"
+    placement: str = "pack"
+    scheduler: str = "ATC"
+    n_nodes: int = 3
+    n_clusters: int = 2
+    vms_per_cluster: int = 2
+    vms_per_node: int = 4
+    vcpus_per_vm: int = 4
+    app_name: str = "lu"
+    n_nonparallel: int = 1
+    seed: int = 0
+    horizon_s: float = 10.0
+    migration: Optional[dict] = None
+
+
+@_builder(MigrationRebalanceParams)
+def run_migration_rebalance(p: MigrationRebalanceParams, **world_opts) -> dict:
     """Mixed-tenancy world under a live-migration rebalancing policy.
 
     ``n_clusters`` virtual clusters of ``vms_per_cluster`` VMs each run
@@ -555,48 +650,38 @@ def run_migration_rebalance(
     overrides as a JSON-friendly dict (``control_every``, ``params``...).
     """
     world = _world(
-        n_nodes, scheduler, seed, vcpus_per_vm=vcpus_per_vm,
-        vms_per_node=vms_per_node, placement=placement,
-        migration=None if policy == "static" else {"policy": policy, **(migration or {})},
+        p.n_nodes, p.scheduler, p.seed, vcpus_per_vm=p.vcpus_per_vm,
+        vms_per_node=p.vms_per_node, placement=p.placement,
+        migration=None if p.policy == "static" else {"policy": p.policy, **(p.migration or {})},
         **world_opts,
     )
-    apps = []
-    for k in range(n_clusters):
-        vc = world.virtual_cluster(n_vms=vms_per_cluster, name=f"vc{k}")
-        apps.append(world.add_npb(app_name, vc.vms, rounds=None, warmup_rounds=1))
-    for j in range(n_nonparallel):
-        world.add_cpu_app("sphinx3", world.new_vm(name=f"np{j}"))
-    world.run(horizon_ns=round(horizon_s * SEC))
+    apps, _ = _tenants(world, p)
+    world.run(horizon_ns=round(p.horizon_s * SEC))
     return _attach_obs({
-        "scheduler": scheduler,
-        "policy": policy,
-        "placement": placement,
-        "app": app_name,
-        "parallel_mean_round_ns": mean([t for a in apps for t in a.round_times]),
-        "per_cluster_mean_round_ns": {
-            f"vc{k}": apps[k].mean_round_ns for k in range(n_clusters)
-        },
+        "scheduler": p.scheduler,
+        "policy": p.policy,
+        **_tenant_rounds(p, apps),
         "final_nodes": {vm.name: vm.node.index for vm in world.vms},
-        "sim_time_ns": world.sim.now,
-        "events": world.sim.events_processed,
     }, world)
 
 
-def run_dfrs_compare(
-    mode: str = "hybrid",
-    placement: str = "pack",
-    n_nodes: int = 3,
-    n_clusters: int = 2,
-    vms_per_cluster: int = 2,
-    vms_per_node: int = 4,
-    vcpus_per_vm: int = 4,
-    app_name: str = "lu",
-    n_nonparallel: int = 1,
-    seed: int = 0,
-    horizon_s: float = 10.0,
-    dfrs: Optional[dict] = None,
-    **world_opts,
-) -> dict:
+class DFRSCompareParams(ScenarioParams):
+    mode: str = "hybrid"
+    placement: str = "pack"
+    n_nodes: int = 3
+    n_clusters: int = 2
+    vms_per_cluster: int = 2
+    vms_per_node: int = 4
+    vcpus_per_vm: int = 4
+    app_name: str = "lu"
+    n_nonparallel: int = 1
+    seed: int = 0
+    horizon_s: float = 10.0
+    dfrs: Optional[dict] = None
+
+
+@_builder(DFRSCompareParams)
+def run_dfrs_compare(p: DFRSCompareParams, **world_opts) -> dict:
     """DFRS comparator cell: one mixed-tenancy packed world (the
     ``run_migration_rebalance`` shape) run under one point of the
     {scheduler} × {cluster allocator} design space:
@@ -621,66 +706,56 @@ def run_dfrs_compare(
     modes = {
         "baseline": ("CR", None),
         "atc": ("ATC", None),
-        "dfrs": ("CR", dict(dfrs or {})),
-        "hybrid": ("ATC", dict(dfrs or {})),
-        "idle": ("CR", {**(dfrs or {}), "solve_every": 0}),
+        "dfrs": ("CR", dict(p.dfrs or {})),
+        "hybrid": ("ATC", dict(p.dfrs or {})),
+        "idle": ("CR", {**(p.dfrs or {}), "solve_every": 0}),
     }
     try:
-        scheduler, dfrs_cfg = modes[mode]
+        scheduler, dfrs_cfg = modes[p.mode]
     except KeyError:
         raise ValueError(
-            f"unknown dfrs_compare mode {mode!r}; choose from {sorted(modes)}"
+            f"unknown dfrs_compare mode {p.mode!r}; choose from {sorted(modes)}"
         ) from None
     world = _world(
-        n_nodes, scheduler, seed, vcpus_per_vm=vcpus_per_vm,
-        vms_per_node=vms_per_node, placement=placement, dfrs=dfrs_cfg,
+        p.n_nodes, scheduler, p.seed, vcpus_per_vm=p.vcpus_per_vm,
+        vms_per_node=p.vms_per_node, placement=p.placement, dfrs=dfrs_cfg,
         **world_opts,
     )
-    apps = []
-    for k in range(n_clusters):
-        vc = world.virtual_cluster(n_vms=vms_per_cluster, name=f"vc{k}")
-        apps.append(world.add_npb(app_name, vc.vms, rounds=None, warmup_rounds=1))
-    np_apps = []
-    for j in range(n_nonparallel):
-        np_apps.append(world.add_cpu_app("sphinx3", world.new_vm(name=f"np{j}")))
-    world.run(horizon_ns=round(horizon_s * SEC))
+    apps, np_apps = _tenants(world, p)
+    world.run(horizon_ns=round(p.horizon_s * SEC))
     return _attach_obs({
-        "mode": mode,
+        "mode": p.mode,
         "scheduler": scheduler,
-        "placement": placement,
-        "app": app_name,
-        "parallel_mean_round_ns": mean([t for a in apps for t in a.round_times]),
-        "per_cluster_mean_round_ns": {
-            f"vc{k}": apps[k].mean_round_ns for k in range(n_clusters)
-        },
+        **_tenant_rounds(p, apps),
         "np_mean_run_ns": mean([a.mean_run_ns for a in np_apps]),
         "final_nodes": {vm.name: vm.node.index for vm in world.vms},
-        "sim_time_ns": world.sim.now,
-        "events": world.sim.events_processed,
     }, world)
 
 
-def run_service(
-    admission: str = "fcfs-queue",
-    arrival: str = "poisson",
-    scheduler: str = "ATC",
-    n_nodes: int = 3,
-    vms_per_node: int = 4,
-    vcpus_per_vm: int = 4,
-    placement: str = "pack",
-    rate_per_s: float = 2.0,
-    max_tenants: int = 6,
-    service_trace: Optional[Sequence[dict]] = None,
-    min_vcpus: int = 8,
-    max_vcpus: int = 16,
-    rounds: int = 1,
-    apps: Sequence[str] = ("lu", "is"),
-    npb_class: str = "A",
-    seed: int = 0,
-    horizon_s: float = 30.0,
-    migration: Optional[dict] = None,
-    **world_opts,
-) -> dict:
+class ServiceParams(ScenarioParams):
+    admission: str = "fcfs-queue"
+    arrival: str = "poisson"
+    scheduler: str = "ATC"
+    n_nodes: int = 3
+    vms_per_node: int = 4
+    vcpus_per_vm: int = 4
+    placement: str = "pack"
+    rate_per_s: float = 2.0
+    max_tenants: int = 6
+    service_trace: Optional[Sequence[dict]] = None
+    min_vcpus: int = 8
+    max_vcpus: int = 16
+    rounds: int = 1
+    apps: Sequence[str] = ("lu", "is")
+    npb_class: str = "A"
+    seed: int = 0
+    horizon_s: float = 30.0
+    migration: Optional[dict] = None
+    world_set = ("service",)
+
+
+@_builder(ServiceParams)
+def run_service(p: ServiceParams, **world_opts) -> dict:
     """Always-on cloud service: streaming tenant arrivals under an
     online admission policy (:mod:`repro.service`).
 
@@ -694,53 +769,55 @@ def run_service(
     rebalancer unless ``migration`` overrides it; the policy queues and
     kicks the rebalancer when no foreign-cluster-free placement exists.
     """
-    if admission == "migration-aware" and migration is None:
+    migration = p.migration
+    if p.admission == "migration-aware" and migration is None:
         migration = {"policy": "demix"}
     service = {
-        "arrival": arrival,
-        "admission": admission,
-        "rate_per_s": rate_per_s,
-        "max_tenants": max_tenants,
-        "trace": list(service_trace or ()),
-        "min_vcpus": min_vcpus,
-        "max_vcpus": max_vcpus,
-        "rounds": rounds,
-        "apps": list(apps),
-        "npb_class": npb_class,
+        "arrival": p.arrival,
+        "admission": p.admission,
+        "rate_per_s": p.rate_per_s,
+        "max_tenants": p.max_tenants,
+        "trace": list(p.service_trace or ()),
+        "min_vcpus": p.min_vcpus,
+        "max_vcpus": p.max_vcpus,
+        "rounds": p.rounds,
+        "apps": list(p.apps),
+        "npb_class": p.npb_class,
     }
     world = _world(
-        n_nodes, scheduler, seed, vcpus_per_vm=vcpus_per_vm,
-        vms_per_node=vms_per_node, placement=placement,
+        p.n_nodes, p.scheduler, p.seed, vcpus_per_vm=p.vcpus_per_vm,
+        vms_per_node=p.vms_per_node, placement=p.placement,
         migration=migration, service=service, **world_opts,
     )
-    world.run(horizon_ns=round(horizon_s * SEC))
+    world.run(horizon_ns=round(p.horizon_s * SEC))
     return _attach_obs({
-        "scheduler": scheduler,
-        "admission": admission,
-        "arrival": arrival,
-        "n_nodes": n_nodes,
-        "offered_load_per_s": rate_per_s,
-        "sim_time_ns": world.sim.now,
-        "events": world.sim.events_processed,
+        "scheduler": p.scheduler,
+        "admission": p.admission,
+        "arrival": p.arrival,
+        "n_nodes": p.n_nodes,
+        "offered_load_per_s": p.rate_per_s,
     }, world)
 
 
-def run_attack(
-    scheduler: str = "CR",
-    hardened: bool = False,
-    attack: bool = True,
-    seed: int = 0,
-    horizon_s: float = 6.0,
-    n_nodes: int = 1,
-    vcpus_per_vm: int = 4,
-    victim_app: str = "lu",
-    npb_class: str = "A",
-    n_attack_procs: int = 4,
-    boost_rate_limit: int = 2,
-    slice_floor_ms: float = 6.0,
-    sched_params: Optional[dict] = None,
-    **world_opts,
-) -> dict:
+class AttackParams(ScenarioParams):
+    scheduler: str = "CR"
+    hardened: bool = False
+    attack: bool = True
+    seed: int = 0
+    horizon_s: float = 6.0
+    n_nodes: int = 1
+    vcpus_per_vm: int = 4
+    victim_app: str = "lu"
+    npb_class: str = "A"
+    n_attack_procs: int = 4
+    boost_rate_limit: int = 2
+    slice_floor_ms: float = 6.0
+    sched_params: Optional[dict] = None
+    world_set = ("vms_per_node",)
+
+
+@_builder(AttackParams)
+def run_attack(p: AttackParams, **world_opts) -> dict:
     """Adversarial-tenancy cell (DESIGN.md §15): one over-committed node
     hosting a parallel victim cluster, a non-parallel victim, and two
     attacker VMs — a yield-before-tick thief and a BOOST/tickle stormer
@@ -765,33 +842,34 @@ def run_attack(
     from repro.schedulers.credit import CreditParams
     from repro.workloads.attacks import ATTACK_RNG_KEY, theft_gain
 
-    if scheduler not in ("CR", "ATC"):
-        raise ValueError(f"run_attack supports CR/ATC, got {scheduler!r}")
+    if p.scheduler not in ("CR", "ATC"):
+        raise ValueError(f"run_attack supports CR/ATC, got {p.scheduler!r}")
+    sched_params = p.sched_params
     if sched_params is None:
         # The randomized tick phase is adversarial-layer entropy: draw it
         # off the dedicated attack substream (distinct stream key 0xF0 so
         # attacker apps and the phase never share draws), only when the
         # hardened configuration actually uses it.
         phase = 0
-        if hardened:
+        if p.hardened:
             tick = CreditParams.tick_ns
-            phase = SimRNG(seed).substream(ATTACK_RNG_KEY, 0xF0).uniform_ns(0, tick - 1)
+            phase = SimRNG(p.seed).substream(ATTACK_RNG_KEY, 0xF0).uniform_ns(0, tick - 1)
         sched_params = dict(
             tick_accounting=True,
-            deboost_on_yield=hardened,
-            boost_rate_limit=boost_rate_limit if hardened else 0,
+            deboost_on_yield=p.hardened,
+            boost_rate_limit=p.boost_rate_limit if p.hardened else 0,
             tick_phase_ns=phase,
         )
-        if scheduler == "ATC":
+        if p.scheduler == "ATC":
             sched_params["atc"] = {
-                "slice_floor_ns": ns_from_ms(slice_floor_ms) if hardened else 0}
+                "slice_floor_ns": ns_from_ms(p.slice_floor_ms) if p.hardened else 0}
     world = _world(
-        n_nodes, scheduler, seed, sched_params=sched_params,
-        vcpus_per_vm=vcpus_per_vm, vms_per_node=4, **world_opts,
+        p.n_nodes, p.scheduler, p.seed, sched_params=sched_params,
+        vcpus_per_vm=p.vcpus_per_vm, vms_per_node=4, **world_opts,
     )
-    vc = world.virtual_cluster(n_vms=n_nodes, name="victim")
-    victim = world.add_npb(victim_app, vc.vms, rounds=None, warmup_rounds=1,
-                           npb_class=npb_class)
+    vc = world.virtual_cluster(n_vms=p.n_nodes, name="victim")
+    victim = world.add_npb(p.victim_app, vc.vms, rounds=None, warmup_rounds=1,
+                           npb_class=p.npb_class)
     np_vm = world.new_vm(name="np-victim")
     np_app = world.add_cpu_app("sphinx3", np_vm)
     world.add_cpu_app("gcc", np_vm)
@@ -799,18 +877,18 @@ def run_attack(
     tickler_vm = world.new_vm(name="tickler")
     thieves = []
     ticklers = []
-    if attack:
+    if p.attack:
         thieves = [world.add_yield_theft(thief_vm, stream=i)
-                   for i in range(n_attack_procs)]
+                   for i in range(p.n_attack_procs)]
         ticklers = [world.add_tickle_abuse(tickler_vm, stream=0x10 + i)
-                    for i in range(n_attack_procs)]
-    world.run(horizon_ns=round(horizon_s * SEC))
+                    for i in range(p.n_attack_procs)]
+    world.run(horizon_ns=round(p.horizon_s * SEC))
     victim_vms = list(vc.vms) + [np_vm]
     return _attach_obs({
-        "scheduler": scheduler,
-        "hardened": hardened,
-        "attack": attack,
-        "victim_app": victim_app,
+        "scheduler": p.scheduler,
+        "hardened": p.hardened,
+        "attack": p.attack,
+        "victim_app": p.victim_app,
         "victim_mean_round_ns": victim.mean_round_ns,
         "victim_rounds": len(victim.round_times),
         "np_mean_run_ns": np_app.mean_run_ns,
@@ -829,60 +907,4 @@ def run_attack(
             "cpu_consumed_ns": tickler_vm.cpu_consumed_ns,
             "cpu_debited_ns": tickler_vm.cpu_debited_ns,
         },
-        "sim_time_ns": world.sim.now,
-        "events": world.sim.events_processed,
     }, world)
-
-
-class _ProcPair:
-    """Adapter so raw processes can sit in ``world.background``."""
-
-    def __init__(self, *procs) -> None:
-        self.procs = procs
-
-    def start(self) -> None:
-        for p in self.procs:
-            p.start()
-
-
-def run_fault_probe(
-    mode: str = "ok",
-    seed: int = 0,
-    hang_s: float = 30.0,
-    horizon_ms: float = 50.0,
-) -> dict:
-    """Degradation-test scenario: a tiny world that can misbehave on cue.
-
-    Modes: ``ok`` runs cleanly; ``raise`` throws (retryable failure path);
-    ``exit`` kills the worker process outright (``os._exit``, so no
-    exception propagates — exercises BrokenProcessPool recovery);
-    ``hang`` sleeps ``hang_s`` host seconds (cell-timeout path);
-    ``runaway`` floods the simulator with 1 µs self-rescheduling ticks so
-    only a watchdog or the horizon stops it.
-    """
-    from repro.sim.engine import Simulator
-    from repro.sim.units import USEC, ns_from_ms
-
-    if mode == "raise":
-        raise RuntimeError(f"fault_probe: injected failure (seed={seed})")
-    if mode == "exit":
-        os._exit(17)  # simulated worker crash: bypasses all exception handling
-    if mode == "hang":
-        time.sleep(hang_s)
-    sim = Simulator()
-    ticks = 0
-
-    def tick() -> None:
-        nonlocal ticks
-        ticks += 1
-        sim.after(1 * USEC, tick, cat="probe")
-
-    sim.after(0, tick, cat="probe")
-    sim.run(until=ns_from_ms(horizon_ms) if mode == "runaway" else ns_from_ms(1.0))
-    return {
-        "mode": mode,
-        "seed": seed,
-        "ticks": ticks,
-        "sim_time_ns": sim.now,
-        "events": sim.events_processed,
-    }

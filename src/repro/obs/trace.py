@@ -192,13 +192,6 @@ class TraceLog:
             out["records"] = [r.to_dict() for r in self.records()]
         return out
 
-    # Convenience wrappers ---------------------------------------------
-    def export_jsonl(self, path) -> Path:
-        return write_jsonl(self.records(), path)
-
-    def export_chrome(self, path) -> Path:
-        return write_chrome_trace(self.records(), path)
-
 
 def records_from_dicts(dicts: Iterable[dict]) -> list[TraceRecord]:
     """Rebuild :class:`TraceRecord` objects from ``to_dict()`` output
@@ -239,7 +232,9 @@ def chrome_events(records: Sequence[TraceRecord]) -> list[dict]:
 
     * ``sched.dispatch`` opens a duration slice (``ph: "B"``) named after
       the VCPU on the (node, PCPU) track; the matching ``vcpu.state``
-      deschedule record closes it (``ph: "E"``).
+      deschedule record closes it (``ph: "E"``).  A track starts at its
+      first retained dispatch: a deschedule whose dispatch the ring
+      buffer evicted is left out, so no track opens with an ``"E"``.
     * Everything else becomes a thread-scoped instant (``ph: "i"``).
     * Metadata events name each process ``node<i>`` and each track.
 
@@ -249,6 +244,7 @@ def chrome_events(records: Sequence[TraceRecord]) -> list[dict]:
     events: list[dict] = []
     tracks: dict[tuple[int, int], str] = {}  # (pid, tid) -> name
     guest_tids: dict[str, int] = {}  # vm name -> synthetic tid
+    dispatched: set[tuple[int, int]] = set()  # PCPU tracks with a retained "B"
 
     def track(pid: int, tid: int, name: str) -> None:
         tracks.setdefault((pid, tid), name)
@@ -259,6 +255,7 @@ def chrome_events(records: Sequence[TraceRecord]) -> list[dict]:
         ts = rec.t / 1000
         if rec.kind == "sched.dispatch":
             tid = a["pcpu"]
+            dispatched.add((pid, tid))
             track(pid, tid, f"pcpu{tid}")
             events.append(
                 {
@@ -273,6 +270,8 @@ def chrome_events(records: Sequence[TraceRecord]) -> list[dict]:
             )
         elif rec.kind == "vcpu.state":
             tid = a["pcpu"]
+            if (pid, tid) not in dispatched:
+                continue
             track(pid, tid, f"pcpu{tid}")
             events.append(
                 {

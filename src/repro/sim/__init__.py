@@ -16,7 +16,6 @@ from repro.sim.units import (
     ns_from_s,
     ns_from_us,
     s_from_ns,
-    us_from_ns,
 )
 
 __all__ = [
@@ -31,6 +30,5 @@ __all__ = [
     "ns_from_ms",
     "ns_from_s",
     "ms_from_ns",
-    "us_from_ns",
     "s_from_ns",
 ]

@@ -39,11 +39,6 @@ def ms_from_ns(ns: int) -> float:
     return ns / MSEC
 
 
-def us_from_ns(ns: int) -> float:
-    """Convert nanoseconds to (float) microseconds, for reporting."""
-    return ns / USEC
-
-
 def s_from_ns(ns: int) -> float:
     """Convert nanoseconds to (float) seconds, for reporting."""
     return ns / SEC

@@ -3,10 +3,8 @@
 from repro.virtcluster.cluster import VirtualCluster
 from repro.virtcluster.placement import (
     PLACEMENTS,
-    pack_placement,
     place,
     placement_names,
-    spread_placement,
 )
 
 __all__ = [
@@ -14,6 +12,4 @@ __all__ = [
     "PLACEMENTS",
     "place",
     "placement_names",
-    "pack_placement",
-    "spread_placement",
 ]

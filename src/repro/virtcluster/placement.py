@@ -10,16 +10,11 @@ draws uniformly among nodes with free capacity from a dedicated
 :class:`~repro.sim.rng.SimRNG` sub-stream (so workload RNG is never
 perturbed by placement).
 
-Two APIs:
-
-* :func:`place` — the pure registry entry point.  Takes the policy name,
-  the current per-node VM loads and the per-node capacity, and returns
-  ``(assignment, new_loads)`` without mutating its inputs.  Ties between
-  equally-loaded nodes always resolve to the lowest node index, for every
-  policy, so placement is deterministic by construction.
-* :func:`spread_placement` / :func:`pack_placement` — thin back-compat
-  wrappers around :func:`place` that keep the historical mutating
-  signature (``node_load`` is updated in place).
+:func:`place` is the pure registry entry point.  It takes the policy
+name, the current per-node VM loads and the per-node capacity, and
+returns ``(assignment, new_loads)`` without mutating its inputs.  Ties
+between equally-loaded nodes always resolve to the lowest node index, for
+every policy, so placement is deterministic by construction.
 """
 
 from __future__ import annotations
@@ -32,8 +27,7 @@ __all__ = [
     "PLACEMENTS",
     "place",
     "placement_names",
-    "spread_placement",
-    "pack_placement",
+    "placer",
 ]
 
 #: Dedicated SimRNG sub-stream key for ``random:SEED`` placement draws
@@ -132,7 +126,8 @@ def placement_names() -> list[str]:
     return [*PLACEMENTS, "random:SEED"]
 
 
-def _resolve(policy: str) -> Callable[[int, list[int], int], list[int]]:
+def placer(policy: str) -> Callable[[int, list[int], int], list[int]]:
+    """The placer of ``policy``; :class:`ValueError` for an unknown name."""
     if policy in PLACEMENTS:
         return PLACEMENTS[policy]
     if policy.startswith("random:"):
@@ -160,33 +155,12 @@ def place(
     ``RuntimeError`` naming ``cluster`` when capacity is exhausted and
     ``ValueError`` for an unknown policy name.
     """
-    placer = _resolve(policy)
+    placement = placer(policy)
     new_loads = list(loads)
     try:
-        assignment = placer(n_vms, new_loads, cap)
+        assignment = placement(n_vms, new_loads, cap)
     except _CapacityError:
         raise RuntimeError(
             f"cluster {cluster!r} out of VM capacity ({cap} per node, {len(loads)} nodes)"
         ) from None
     return assignment, new_loads
-
-
-# ----------------------------------------------------------------------
-# Back-compat wrappers (historical mutating API)
-# ----------------------------------------------------------------------
-def spread_placement(n_vms: int, node_load: list[int], vms_per_node: int) -> list[int]:
-    """Assign ``n_vms`` to the least-loaded nodes, round-robin.
-
-    ``node_load`` is the current VM count per node (mutated in place).
-    Raises if capacity is exhausted.
-    """
-    assignment, new_loads = place("spread", n_vms, node_load, vms_per_node)
-    node_load[:] = new_loads
-    return assignment
-
-
-def pack_placement(n_vms: int, node_load: list[int], vms_per_node: int) -> list[int]:
-    """Fill nodes in index order (anti-spread, for ablations)."""
-    assignment, new_loads = place("pack", n_vms, node_load, vms_per_node)
-    node_load[:] = new_loads
-    return assignment

@@ -48,14 +48,6 @@ class VCMix:
     cluster_sizes_vms: tuple[int, ...]
     independent_vms: int
 
-    @property
-    def total_vms(self) -> int:
-        return sum(self.cluster_sizes_vms) + self.independent_vms
-
-    @property
-    def cluster_sizes_vcpus(self) -> tuple[int, ...]:
-        return tuple(s * self.vcpus_per_vm for s in self.cluster_sizes_vms)
-
 
 def paper_vc_mix() -> VCMix:
     """The exact evaluation-type-B configuration of Section IV-B2:

@@ -1,12 +1,17 @@
 """Tests for the command-line interface."""
 
+import inspect
 import json
+from collections.abc import Sequence as AbcSequence
+from typing import Union, get_args, get_origin
 
 import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
 from repro.experiments.grids import GRIDS, grid_cells, grid_settings, settable
+from repro.experiments.runner import SCENARIOS
+from repro.experiments.scenarios import scenario_keys
 
 
 def test_parser_requires_command():
@@ -60,23 +65,36 @@ def test_sweep_rejects_a_non_positive_slice(capsys):
     assert "ValueError: uniform_slice_ns must be > 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("period_ns", ["0", "-5"])
-def test_compare_rejects_a_non_positive_period(capsys, period_ns):
-    # Unchecked, a zero period livelocks at t=0 (each period tick arms
-    # the next at the same instant) and a negative one fails only inside
-    # VMM.start.
-    argv = _run("compare", "apps=is", "schedulers=CR", "nodes=1", "rounds=1",
-                f"period_ns={period_ns}")
-    assert main(argv + ["--no-cache"]) == 1
-    assert f"ValueError: period_ns must be > 0, got {period_ns}" in capsys.readouterr().err
-
-
-def test_compare_rejects_a_negative_horizon(capsys):
+#: Per out-of-range setting, the message that rejects it.
+OUT_OF_RANGE = {
     # Unchecked, a negative horizon runs no event and prints n/a cells.
-    argv = _run("compare", "apps=is", "schedulers=CR", "nodes=1", "rounds=1") + ["--no-cache"]
-    assert main(argv + ["--set", "horizon_s=-1"]) == 1
-    assert "ValueError: horizon_ns must be >= 0, got -1000000000" in capsys.readouterr().err
-    assert main(argv + ["--set", "horizon_s=0"]) == 0  # a zero horizon stays valid
+    "horizon_s=-1": "horizon_s must be >= 0, got -1.0",
+    # Unchecked, a zero period livelocks at t=0 (each period tick arms the
+    # next at the same instant) and a negative one fails only inside
+    # VMM.start.
+    "period_ns=0": "period_ns must be > 0, got 0",
+    "period_ns=-5": "period_ns must be > 0, got -5",
+    "tie_order=bogus": "tie_order must be one of ('fifo', 'reversed'), got 'bogus'",
+    "placement=nowhere": "unknown placement policy 'nowhere'",
+    "npb_class=Z": "npb_class must be one of A/B/C, got 'Z'",
+    "vcpus_per_vm=0": "vcpus_per_vm must be > 0, got 0",
+}
+
+
+@pytest.mark.parametrize("setting", OUT_OF_RANGE)
+def test_run_rejects_an_out_of_range_value_before_any_cell(setting, capsys, monkeypatch):
+    """A value its key's declared range excludes exits 2 with one line,
+    before any cell runs."""
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("a cell ran"))
+    assert main(_run("kernels", "apps=ep", "schedulers=CR", setting) + ["--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro run: kernels: {OUT_OF_RANGE[setting]}")
+    assert err.count("\n") == 1
+
+
+def test_a_zero_horizon_stays_valid():
+    argv = _run("compare", "apps=is", "schedulers=CR", "nodes=1", "rounds=1", "horizon_s=0")
+    assert main(argv + ["--no-cache"]) == 0
 
 
 def test_check_reports_a_one_slice_sweep(tmp_path, capsys):
@@ -231,6 +249,45 @@ def test_settable_keys_leave_out_the_keys_the_grid_sets(grid, capsys):
         assert f"key {key!r} is set by the grid itself" in err
         listed = err.rpartition("settable keys: ")[2].strip().split(", ")
         assert "seed" in listed and not set(fixed) & set(listed)
+
+
+def _probe(key: str, hint):
+    """A valid value of ``hint`` for ``key`` that no grid sets itself."""
+    if get_origin(hint) is Union:
+        hint = get_args(hint)[0]
+    if get_origin(hint) is AbcSequence:
+        return [_probe(key, get_args(hint)[0])]
+    return {"tie_order": "reversed", "placement": "striped", "npb_class": "A"}.get(
+        key, {bool: True, int: 7, float: 0.25, str: "\0probe", dict: {"probe": 1}}[hint])
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_settable_scenario_keys_reach_every_cell(name):
+    """Each scenario key ``--set`` offers reaches every cell's params
+    unchanged, and each key the grid declares it sets does not: the
+    cells overwrite it in some cell, and ``--set`` rejects it."""
+    grid = GRIDS[name]
+    keys = scenario_keys(SCENARIOS[grid.scenario].params)
+    own = inspect.signature(grid.cells).parameters
+    required = {"faults": []} if name == "chaos" else {}
+    probes = {k: _probe(k, hint) for k, hint in keys.items() if k not in own}
+    specs = grid.cells(**{k: v for k, v in probes.items() if k not in grid.sets}, **required)
+    for key in set(probes) - set(grid.sets):
+        assert all(s.params[key] == probes[key] for s in specs), key
+    assert set(grid.sets) <= set(keys)
+    for key in grid.sets:
+        specs = grid.cells(**{key: probes[key]}, **required)
+        assert not all(s.params.get(key) == probes[key] for s in specs), key
+        with pytest.raises(ValueError, match=f"key {key!r} is set by the grid itself"):
+            grid_settings(grid, [f"{key}=1"])
+
+
+def test_fig08_shares_its_cells_with_eq1():
+    """fig08 spells its slices 2 and 1 where eq1 spells 2.0 and 1.0: the
+    declared float type makes them one cell, so one digest each."""
+    eq1 = {s.digest(salt="") for s in GRIDS["eq1"].cells()}
+    fig08 = [s.digest(salt="") for s in GRIDS["fig08"].cells()]
+    assert len(fig08) == 16 and set(fig08) <= eq1
 
 
 @pytest.mark.parametrize("grid,key,value", [

@@ -378,5 +378,5 @@ def test_build_cluster_rejects_zero_nodes():
 def test_node_pcpus_start_idle():
     sim = Simulator()
     node = PhysicalNode(sim, 0, NodeParams(n_pcpus=3))
-    assert all(p.is_idle for p in node.pcpus)
+    assert all(p.current is None for p in node.pcpus)
     assert [p.index for p in node.pcpus] == [0, 1, 2]

@@ -124,16 +124,19 @@ def test_untraced_world_records_nothing():
 
 
 def test_chrome_pcpu_tracks_open_with_a_dispatch():
-    tr = _type_a(trace=True)["trace"]
-    assert tr["dropped"] == 0
-    phases: dict[tuple, list[str]] = {}
-    for e in chrome_events(records_from_dicts(tr["records"])):
-        if e["ph"] in ("B", "E"):
-            phases.setdefault((e["pid"], e["tid"]), []).append(e["ph"])
-    assert len(phases) == 16  # 2 nodes x 8 PCPUs
-    for track in phases.values():
-        assert track[0] == "B"
-        assert all(ph == "BE"[i % 2] for i, ph in enumerate(track))
+    """Every PCPU track starts with a dispatch, also when the ring buffer
+    evicted the first records (1,000 of the cell's 5,244 are retained)."""
+    for capacity in (65536, 1000):
+        tr = _type_a(trace=True, trace_capacity=capacity)["trace"]
+        assert (tr["dropped"] == 0) == (capacity == 65536), tr["dropped"]
+        phases: dict[tuple, list[str]] = {}
+        for e in chrome_events(records_from_dicts(tr["records"])):
+            if e["ph"] in ("B", "E"):
+                phases.setdefault((e["pid"], e["tid"]), []).append(e["ph"])
+        assert len(phases) == 16  # 2 nodes x 8 PCPUs
+        for track in phases.values():
+            assert track[0] == "B"
+            assert all(ph == "BE"[i % 2] for i, ph in enumerate(track))
 
 
 # ----------------------------------------------------------------------

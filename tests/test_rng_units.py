@@ -20,7 +20,6 @@ from repro.sim.units import (
     ns_from_s,
     ns_from_us,
     s_from_ns,
-    us_from_ns,
 )
 
 
@@ -51,7 +50,7 @@ def test_conversions_to_ns(fn, val, expected):
 
 def test_conversions_from_ns():
     assert ms_from_ns(30 * MSEC) == 30.0
-    assert us_from_ns(1500) == 1.5
+    assert 1500 / USEC == 1.5
     assert s_from_ns(SEC) == 1.0
 
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import time
 
 from repro.experiments.runner import (
+    SCENARIOS,
     CellTimeoutError,
     RunSpec,
     WorkerCrashError,
@@ -13,7 +16,46 @@ from repro.experiments.runner import (
     sweep_stats,
     write_salvage,
 )
-from repro.sim.units import MSEC
+from repro.sim.engine import Simulator
+from repro.sim.units import MSEC, USEC, ns_from_ms
+
+
+def run_fault_probe(mode: str = "ok", seed: int = 0, hang_s: float = 30.0,
+                    horizon_ms: float = 50.0) -> dict:
+    """The runner's chaos test double: a tiny simulation that can
+    misbehave on cue.
+
+    Modes: ``ok`` runs cleanly; ``raise`` throws (retryable failure path);
+    ``exit`` kills the worker process outright (``os._exit``, so no
+    exception propagates — exercises BrokenProcessPool recovery);
+    ``hang`` sleeps ``hang_s`` host seconds (cell-timeout path);
+    ``runaway`` floods the simulator with 1 µs self-rescheduling ticks so
+    only a watchdog or the horizon stops it.
+    """
+    if mode == "raise":
+        raise RuntimeError(f"fault_probe: injected failure (seed={seed})")
+    if mode == "exit":
+        os._exit(17)  # simulated worker crash: bypasses all exception handling
+    if mode == "hang":
+        time.sleep(hang_s)
+    sim = Simulator()
+    ticks = 0
+
+    def tick() -> None:
+        nonlocal ticks
+        ticks += 1
+        sim.after(1 * USEC, tick, cat="probe")
+
+    sim.after(0, tick, cat="probe")
+    sim.run(until=ns_from_ms(horizon_ms) if mode == "runaway" else ns_from_ms(1.0))
+    return {"mode": mode, "seed": seed, "ticks": ticks, "sim_time_ns": sim.now,
+            "events": sim.events_processed}
+
+
+# Registered at import, before any sweep forks its workers: they inherit
+# the registry.  A bare function has no declared keys, so RunSpec passes
+# its params through unchecked.
+SCENARIOS["fault_probe"] = run_fault_probe
 
 # A cheap healthy cell the degraded sweeps must preserve.
 OK = RunSpec("fault_probe", {"mode": "ok", "seed": 5}, label="probe:ok")

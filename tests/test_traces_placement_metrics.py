@@ -10,10 +10,8 @@ from repro.sim.rng import SimRNG
 from repro.virtcluster.cluster import VirtualCluster
 from repro.virtcluster.placement import (
     PLACEMENTS,
-    pack_placement,
     place,
     placement_names,
-    spread_placement,
 )
 from repro.workloads.traces import ATLAS_TABLE1, paper_vc_mix, synthesize_vc_mix
 
@@ -32,9 +30,9 @@ def test_table1_matches_paper():
 def test_paper_mix_is_the_section_ivb2_configuration():
     mix = paper_vc_mix()
     assert mix.vcpus_per_vm == 8
-    assert mix.total_vms == 128
+    assert sum(mix.cluster_sizes_vms) + mix.independent_vms == 128
     assert mix.independent_vms == 30
-    assert sorted(mix.cluster_sizes_vcpus, reverse=True) == [
+    assert sorted((s * mix.vcpus_per_vm for s in mix.cluster_sizes_vms), reverse=True) == [
         256, 128, 128, 64, 64, 64, 32, 16, 16, 16,
     ]
     assert len(mix.cluster_sizes_vms) == 10
@@ -48,9 +46,9 @@ def test_synthesized_sizes_follow_table1():
     """Over 200 draws, small virtual clusters are drawn more often than
     large ones, as in Table I (64 VCPUs: 12.6% of jobs, 32: 4.5%)."""
     counts = collections.Counter(
-        s for seed in range(200)
+        8 * s for seed in range(200)
         for s in synthesize_vc_mix(128, 8, SimRNG(seed), min_vcpus=16,
-                                   max_vcpus=256).cluster_sizes_vcpus)
+                                   max_vcpus=256).cluster_sizes_vms)
     assert counts[16] > counts[256]
     assert counts[64] > counts[32]
 
@@ -58,7 +56,7 @@ def test_synthesized_sizes_follow_table1():
 def test_synthesize_respects_budget_and_sizes():
     rng = SimRNG(5)
     mix = synthesize_vc_mix(32, 8, rng, min_vcpus=16, max_vcpus=128)
-    assert mix.total_vms == 32
+    assert sum(mix.cluster_sizes_vms) + mix.independent_vms == 32
     assert all(s >= 2 for s in mix.cluster_sizes_vms)
     assert mix.independent_vms >= 0
     # sorted largest first
@@ -83,7 +81,6 @@ def test_synthesize_validates():
 @given(st.integers(min_value=8, max_value=200), st.integers(min_value=1, max_value=100))
 def test_synthesize_property(total, seed):
     mix = synthesize_vc_mix(total, 8, SimRNG(seed))
-    assert mix.total_vms == total
     assert sum(mix.cluster_sizes_vms) + mix.independent_vms == total
 
 
@@ -91,30 +88,27 @@ def test_synthesize_property(total, seed):
 # Placement
 # ----------------------------------------------------------------------
 def test_spread_round_robins():
-    load = [0, 0, 0]
-    assert spread_placement(6, load, 4) == [0, 1, 2, 0, 1, 2]
+    assignment, load = place("spread", 6, [0, 0, 0], 4)
+    assert assignment == [0, 1, 2, 0, 1, 2]
     assert load == [2, 2, 2]
 
 
 def test_spread_prefers_least_loaded():
-    load = [3, 0, 1]
-    assert spread_placement(2, load, 4) == [1, 1]
+    assert place("spread", 2, [3, 0, 1], 4)[0] == [1, 1]
 
 
 def test_spread_capacity_error():
-    load = [4, 4]
     with pytest.raises(RuntimeError):
-        spread_placement(1, load, 4)
+        place("spread", 1, [4, 4], 4)
 
 
 def test_pack_fills_in_order():
-    load = [0, 0]
-    assert pack_placement(5, load, 4) == [0, 0, 0, 0, 1]
+    assert place("pack", 5, [0, 0], 4)[0] == [0, 0, 0, 0, 1]
 
 
 def test_pack_capacity_error():
     with pytest.raises(RuntimeError):
-        pack_placement(9, [0, 0], 4)
+        place("pack", 9, [0, 0], 4)
 
 
 def test_place_is_pure_and_returns_new_loads():
@@ -125,9 +119,9 @@ def test_place_is_pure_and_returns_new_loads():
     assert loads == [1, 0, 2]  # inputs untouched
 
 
-def test_wrappers_still_mutate_in_place():
-    load = [0, 0]
-    assert pack_placement(3, load, 4) == [0, 0, 0]
+def test_pack_returns_the_filled_loads():
+    assignment, load = place("pack", 3, [0, 0], 4)
+    assert assignment == [0, 0, 0]
     assert load == [3, 0]
 
 
@@ -187,8 +181,7 @@ def test_equal_load_ties_are_deterministic(policy):
 def test_spread_balance_property(n_vms, n_nodes, cap):
     if n_vms > n_nodes * cap:
         return
-    load = [0] * n_nodes
-    spread_placement(n_vms, load, cap)
+    _, load = place("spread", n_vms, [0] * n_nodes, cap)
     assert max(load) - min(load) <= 1  # perfectly balanced
     assert sum(load) == n_vms
 
