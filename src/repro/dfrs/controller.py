@@ -24,7 +24,7 @@ Every ``solve_every``-th period the leader:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.dfrs.solver import VMNeed, solve_cluster
@@ -62,13 +62,6 @@ class DFRSConfig:
     def __post_init__(self) -> None:
         if self.solve_every < 0:
             raise ValueError(f"solve_every must be >= 0, got {self.solve_every}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DFRSConfig":
-        return cls(**d)
 
 
 class DFRSController:

@@ -506,9 +506,12 @@ def run_sweep(
                     else:
                         idx, _t, _dl = in_flight.pop(fut)
                         queue.appendleft(idx)
-    finally:
+    except BaseException:
         pool.shutdown(wait=False, cancel_futures=True)
-
+        raise
+    # Every cell settled and the pool is whole: wait for its workers and
+    # manager thread, so none is left for the interpreter's exit hook.
+    pool.shutdown(wait=True)
     return [r for r in results if r is not None]
 
 

@@ -44,23 +44,27 @@ positional or by name.  Its other keyword arguments are run-wide world
 options (``sched_params``, ``sanitize``, ``trace``, ``faults``,
 ``tie_order``...), :class:`WorldConfig` fields it hands to :func:`_world`
 unchanged, so a misspelled one raises ``TypeError`` before any
-simulation.  ``sched_params`` travels as a JSON dict of the scheduler's
-parameter fields (``{"boost": false}``, ``{"atc": {"trend_policy":
-"prose"}}``), which :func:`_world` turns into the scheduler's
-:class:`~repro.schedulers.base.SchedulerParams` subclass.
+simulation.  The nested configs travel as JSON: ``sched_params`` as a
+dict of the scheduler's parameter fields (``{"boost": false}``,
+``{"atc": {"trend_policy": "prose"}}``), ``faults`` as a list of event
+dicts, ``migration``, ``service`` and ``dfrs`` as dicts.  :func:`from_json`
+builds each config class from that form, in :func:`_world` and, to reject
+a bad one before any cell runs, in :func:`normalize`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
-from typing import Callable, Mapping, Optional, Sequence, get_args, get_type_hints
+import importlib
+from dataclasses import dataclass, fields, is_dataclass
+from typing import (Callable, Mapping, Optional, Sequence, get_args, get_origin,
+                    get_type_hints)
 
 from repro.experiments.harness import CloudWorld, WorldConfig
 from repro.guest.process import recv_block, send
 from repro.metrics.collectors import cluster_stats
 from repro.metrics.summary import mean
-from repro.schedulers.registry import params_class
+from repro.schedulers.registry import SCHEDULERS, params_class
 from repro.sim.rng import SimRNG
 from repro.sim.units import MSEC, SEC, ns_from_ms
 from repro.workloads.npb import CLASS_SCALES, NPB_NAMES
@@ -69,6 +73,7 @@ __all__ = [
     "ScenarioParams",
     "scenario_keys",
     "normalize",
+    "from_json",
     "run_type_a",
     "run_table1_cell",
     "run_small_mix",
@@ -85,6 +90,9 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Declared keys
 # ----------------------------------------------------------------------
+#: The scheduler each ``run_dfrs_compare`` mode runs.
+MODE_SCHEDULERS = {"baseline": "CR", "atc": "ATC", "dfrs": "CR", "hybrid": "ATC", "idle": "CR"}
+
 #: Range checks of the scenario keys, by name: one per key, whichever
 #: scenario declares it.  World options are checked by WorldConfig.
 CHECKS: dict[str, tuple[Callable[[object], bool], str]] = {
@@ -92,12 +100,25 @@ CHECKS: dict[str, tuple[Callable[[object], bool], str]] = {
     "horizon_s": (lambda s: s >= 0, ">= 0"),
     # npb_spec accepts either case
     "npb_class": (lambda c: c.upper() in CLASS_SCALES, f"one of {'/'.join(CLASS_SCALES)}"),
+    "scheduler": (lambda s: s in SCHEDULERS, f"one of {'/'.join(SCHEDULERS)}"),
+    "mode": (lambda m: m in MODE_SCHEDULERS, f"one of {'/'.join(MODE_SCHEDULERS)}"),
+    "uniform_slice_ms": (lambda s: s is None or s > 0, "None or > 0"),
 }
 
-#: The config classes :func:`_world` builds from JSON, as a scenario's
-#: params carry them: a dict of fields, or a fault plan's list of dicts.
-_JSON_FORMS = {"SchedulerParams": dict, "FaultPlan": Sequence[dict], "MigrationConfig": dict,
-               "ServiceConfig": dict, "DFRSConfig": dict}
+#: The nested configs :func:`_world` builds from JSON, by world key: the
+#: module and name of the class WorldConfig declares (``sched_params``
+#: takes the scheduler's subclass), the JSON form a scenario's params carry,
+#: and whether an empty form builds one (an empty ``dfrs`` dict builds a
+#: default controller, an empty ``migration`` dict no engine).
+_NESTED: dict[str, tuple[str, str, object, bool]] = {
+    "sched_params": ("repro.schedulers.base", "SchedulerParams", dict, True),
+    "faults": ("repro.faults.plan", "FaultPlan", Sequence[dict], False),
+    "migration": ("repro.migration.engine", "MigrationConfig", dict, False),
+    "service": ("repro.service.service", "ServiceConfig", dict, False),
+    "dfrs": ("repro.dfrs.controller", "DFRSConfig", dict, True),
+}
+#: The JSON forms by class name, to read WorldConfig's hints as params carry them.
+_JSON_FORMS = {name: form for _, name, form, _ in _NESTED.values()}
 #: WorldConfig fields no builder forwards: :func:`_world` takes the first
 #: three positionally, and the hardware parameter classes have no JSON form.
 _NOT_FORWARDED = ("n_nodes", "scheduler", "seed", "node_params", "net_params", "dom0_params")
@@ -166,8 +187,9 @@ def scenario_keys(params: type[ScenarioParams]) -> dict[str, object]:
 def normalize(params: type[ScenarioParams], values: Mapping) -> dict:
     """``values`` as a cell of the scenario keeps them: the same keys, an
     int where a float is declared made that float.  :class:`ValueError`
-    for an unknown key or an out-of-range value, by :data:`CHECKS` or by
-    :class:`WorldConfig`'s checks of the world keys."""
+    for an unknown key or an out-of-range value, by :data:`CHECKS`, by
+    :class:`WorldConfig`'s checks of the world keys, or by building each
+    nested config as :func:`_world` will."""
     keys = scenario_keys(params)
     out = {}
     for key, value in values.items():
@@ -177,44 +199,68 @@ def normalize(params: type[ScenarioParams], values: Mapping) -> dict:
         out[key] = float(value) if floats else value
         _check(key, out[key])
     WorldConfig(**{k: v for k, v in out.items() if k in WorldConfig.__dataclass_fields__})
+    # sched_params takes the class of the scheduler the cell will run
+    given = {**{k: getattr(params, k, None) for k in ("mode", "scheduler")}, **out}
+    scheduler = MODE_SCHEDULERS.get(given["mode"], given["scheduler"])
+    for key in _NESTED:
+        if key in out:
+            _nested(key, out[key], scheduler)
     return out
 
 
+@functools.cache
+def _field_types(cls: type) -> dict[str, object]:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.init}
+
+
+def from_json(cls, value, path: str):
+    """``cls`` built from its JSON form ``value`` by declared type: a
+    dataclass from a dict of its fields, each built the same way, and a
+    tuple from a list, each item built as the tuple's item type; any
+    other value is kept as given.  :class:`ValueError` names the dotted
+    ``path`` of an unknown key or of a value its class rejects."""
+    if is_dataclass(cls):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path} must be a JSON object, got {value!r}")
+        types = _field_types(cls)
+        for key in value:
+            if key not in types:
+                raise ValueError(f"unknown key {f'{path}.{key}'!r}")
+        kwargs = {k: from_json(types[k], v, f"{path}.{k}") for k, v in value.items()}
+        try:
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if (cls is tuple or get_origin(cls) is tuple) and isinstance(value, (list, tuple)):
+        item = get_args(cls)[0] if get_args(cls) else None
+        return tuple(from_json(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    return value
+
+
+def _nested(key: str, value, scheduler: str):
+    """World key ``key``'s config built from its JSON form ``value``, or
+    ``None`` where the world builds none; the config's module is imported
+    only when one is built."""
+    module, name, _, empty_builds = _NESTED[key]
+    if value is None or not (value or empty_builds):
+        return None
+    if key == "sched_params":
+        return from_json(params_class(scheduler), value, key)
+    cls = getattr(importlib.import_module(module), name)
+    if key == "faults":  # the events in authoring order; the plan sorts them
+        return cls.of(from_json(_field_types(cls)["events"], value, key))
+    return from_json(cls, value, key)
+
+
 # ----------------------------------------------------------------------
-def _world(
-    n_nodes: int,
-    scheduler: str,
-    seed: int,
-    sched_params: Optional[dict] = None,
-    faults: Optional[Sequence[dict]] = None,
-    migration: Optional[dict] = None,
-    service: Optional[dict] = None,
-    dfrs: Optional[dict] = None,
-    **config,
-) -> CloudWorld:
-    # Scheduler overrides, fault plans and migration/service/DFRS configs
-    # travel through scenario params as JSON dicts so they are picklable
-    # and fold into the sweep cache key automatically; every other option
-    # is a WorldConfig field.  A subsystem's config class is imported only
-    # when its dict is given.
-    if sched_params is not None:
-        config["sched_params"] = params_class(scheduler).from_dict(sched_params)
-    if faults:
-        from repro.faults.plan import FaultPlan
-
-        config["faults"] = FaultPlan.from_dicts(faults)
-    if migration:
-        from repro.migration.engine import MigrationConfig
-
-        config["migration"] = MigrationConfig.from_dict(migration)
-    if service:
-        from repro.service.service import ServiceConfig
-
-        config["service"] = ServiceConfig.from_dict(service)
-    if dfrs is not None:
-        from repro.dfrs.controller import DFRSConfig
-
-        config["dfrs"] = DFRSConfig.from_dict(dfrs)
+def _world(n_nodes: int, scheduler: str, seed: int, **config) -> CloudWorld:
+    # The nested configs travel through scenario params as JSON so they
+    # are picklable and fold into the sweep cache key automatically; every
+    # other option is a WorldConfig field.
+    for key in _NESTED:
+        if key in config:
+            config[key] = _nested(key, config[key], scheduler)
     return CloudWorld(WorldConfig(n_nodes=n_nodes, scheduler=scheduler, seed=seed, **config))
 
 
@@ -703,19 +749,10 @@ def run_dfrs_compare(p: DFRSCompareParams, **world_opts) -> dict:
     carry the same round-time keys as the migration scenario so benches
     can put all modes on one normalized axis.
     """
-    modes = {
-        "baseline": ("CR", None),
-        "atc": ("ATC", None),
-        "dfrs": ("CR", dict(p.dfrs or {})),
-        "hybrid": ("ATC", dict(p.dfrs or {})),
-        "idle": ("CR", {**(p.dfrs or {}), "solve_every": 0}),
-    }
-    try:
-        scheduler, dfrs_cfg = modes[p.mode]
-    except KeyError:
-        raise ValueError(
-            f"unknown dfrs_compare mode {p.mode!r}; choose from {sorted(modes)}"
-        ) from None
+    scheduler = MODE_SCHEDULERS[p.mode]
+    dfrs_cfg = None if p.mode in ("baseline", "atc") else dict(p.dfrs or {})
+    if p.mode == "idle":
+        dfrs_cfg["solve_every"] = 0
     world = _world(
         p.n_nodes, scheduler, p.seed, vcpus_per_vm=p.vcpus_per_vm,
         vms_per_node=p.vms_per_node, placement=p.placement, dfrs=dfrs_cfg,

@@ -32,7 +32,7 @@ simulation clock.  An idle engine schedules no events.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Optional
 
@@ -98,23 +98,6 @@ class MigrationConfig:
             )
         if self.control_every < 1:
             raise ValueError(f"control_every must be >= 1, got {self.control_every}")
-
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "control_every": self.control_every,
-            "max_concurrent": self.max_concurrent,
-            "cooldown_ns": self.cooldown_ns,
-            "params": asdict(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MigrationConfig":
-        d = dict(d)
-        params = d.pop("params", None)
-        if isinstance(params, dict):
-            params = MigrationParams(**params)
-        return cls(params=params or MigrationParams(), **d)
 
 
 class Migration:

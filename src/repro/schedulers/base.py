@@ -15,7 +15,6 @@ import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.config import ATCConfig
 from repro.sim.units import MSEC
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,11 +38,10 @@ class SchedulerParams:
     #: Enable wake-time BOOST priority (credit-family schedulers).
     boost: bool = True
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SchedulerParams":
-        """``cls`` from a JSON dict of its fields (the ``sched_params``
-        scenario param); a nested ``atc`` dict becomes :class:`ATCConfig`."""
-        return cls(**{k: ATCConfig(**v) if k == "atc" else v for k, v in d.items()})
+    def __post_init__(self) -> None:
+        # a zero slice expires at its own dispatch instant: livelock at t=0
+        if self.slice_ns <= 0:
+            raise ValueError(f"slice_ns must be > 0, got {self.slice_ns}")
 
 
 class Scheduler(abc.ABC):

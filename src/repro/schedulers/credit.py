@@ -84,6 +84,11 @@ class CreditParams(SchedulerParams):
     #: sampling instants fall.  0 keeps the historical grid.
     tick_phase_ns: int = 0
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.tick_ns <= 0:
+            raise ValueError(f"tick_ns must be > 0, got {self.tick_ns}")
+
 
 class CreditScheduler(Scheduler):
     """Xen Credit scheduler model."""

@@ -77,7 +77,7 @@ class ServiceConfig:
     #: arrivals, no events, no RNG draws — the bit-identity baseline).
     max_tenants: int = 0
     #: Trace-replay entries: ``{"at_ms", "n_vms"?, "app"?, "rounds"?}``.
-    trace: tuple = ()
+    trace: tuple[dict, ...] = ()
     #: Table-I size window for tenant shape draws (VCPUs).
     min_vcpus: int = 8
     max_vcpus: int = 16
@@ -86,31 +86,9 @@ class ServiceConfig:
     #: Warm-up rounds per tenant (excluded from round timing).
     warmup_rounds: int = 0
     #: NPB kernels tenants draw from, uniformly.
-    apps: tuple = ("lu", "is")
+    apps: tuple[str, ...] = ("lu", "is")
     #: NPB problem class of every tenant app.
     npb_class: str = "A"
-
-    def to_dict(self) -> dict:
-        return {
-            "arrival": self.arrival,
-            "admission": self.admission,
-            "rate_per_s": self.rate_per_s,
-            "max_tenants": self.max_tenants,
-            "trace": [dict(e) for e in self.trace],
-            "min_vcpus": self.min_vcpus,
-            "max_vcpus": self.max_vcpus,
-            "rounds": self.rounds,
-            "warmup_rounds": self.warmup_rounds,
-            "apps": list(self.apps),
-            "npb_class": self.npb_class,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ServiceConfig":
-        d = dict(d)
-        d["trace"] = tuple(dict(e) for e in d.get("trace", ()))
-        d["apps"] = tuple(d.get("apps", ("lu", "is")))
-        return cls(**d)
 
 
 class Tenant:

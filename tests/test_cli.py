@@ -60,9 +60,12 @@ def test_sweep_command(capsys):
     assert "30" in out and "1" in out
 
 
-def test_sweep_rejects_a_non_positive_slice(capsys):
-    assert main(["run", "sweep", "--set", "apps=is", "--set", "slices= -1", "--no-cache"]) == 1
-    assert "ValueError: uniform_slice_ns must be > 0" in capsys.readouterr().err
+def test_sweep_rejects_a_non_positive_slice(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("a cell ran"))
+    assert main(["run", "sweep", "--set", "apps=is", "--set", "slices= -1", "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro run: sweep: uniform_slice_ms must be None or > 0, got -1.0")
+    assert err.count("\n") == 1
 
 
 #: Per out-of-range setting, the message that rejects it.
@@ -78,7 +81,44 @@ OUT_OF_RANGE = {
     "placement=nowhere": "unknown placement policy 'nowhere'",
     "npb_class=Z": "npb_class must be one of A/B/C, got 'Z'",
     "vcpus_per_vm=0": "vcpus_per_vm must be > 0, got 0",
+    # Unchecked, an unknown scheduler failed every cell in-run.
+    "schedulers=FIFO": "scheduler must be one of CR/CS/BS/DSS/VS/ATC, got 'FIFO'",
 }
+
+
+#: Per bad nested config, a grid and settings that take it, and the
+#: message that rejects it.  Unchecked, each failed every cell in-run, and
+#: a zero slice livelocked at t=0.
+BAD_NESTED = {
+    "sched-unknown": ("kernels", ("schedulers=CR", 'sched_params={"bogus": 1}'),
+                      "unknown key 'sched_params.bogus'"),
+    "atc-unknown": ("kernels", ("schedulers=ATC", 'sched_params={"atc": {"bogus": 1}}'),
+                    "unknown key 'sched_params.atc.bogus'"),
+    "atc-alpha": ("kernels", ("schedulers=ATC", 'sched_params={"atc": {"alpha_ns": -1}}'),
+                  "sched_params.atc: alpha (-1) must exceed beta"),
+    "zero-slice": ("kernels", ("schedulers=CR", 'sched_params={"slice_ns": 0}'),
+                   "sched_params: slice_ns must be > 0, got 0"),
+    "zero-tick": ("kernels", ("schedulers=ATC", 'sched_params={"tick_ns": 0}'),
+                  "sched_params: tick_ns must be > 0, got 0"),
+    "dfrs-unknown": ("kernels", ("schedulers=CR", 'dfrs={"bogus": 1}'),
+                     "unknown key 'dfrs.bogus'"),
+    "migration-unknown": ("migrate", ('migration={"bogus": 1}',),
+                          "unknown key 'migration.bogus'"),
+    "dfrs-mode": ("dfrs", ("modes=baseline,bogus",),
+                  "mode must be one of baseline/atc/dfrs/hybrid/idle, got 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NESTED)
+def test_run_rejects_a_bad_nested_config_before_any_cell(case, capsys, monkeypatch):
+    """A nested config is built from its JSON form while the cells are
+    declared, so a bad key or value exits 2 with one line naming it."""
+    grid, sets, why = BAD_NESTED[case]
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("a cell ran"))
+    extra = ("apps=ep",) if grid == "kernels" else ()
+    assert main(_run(grid, *extra, *sets) + ["--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro run: {grid}: {why}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("setting", OUT_OF_RANGE)
@@ -251,13 +291,22 @@ def test_settable_keys_leave_out_the_keys_the_grid_sets(grid, capsys):
         assert "seed" in listed and not set(fixed) & set(listed)
 
 
+#: A valid JSON form of each nested config, every one off its default.
+NESTED_PROBES = {"sched_params": {"slice_ns": 7 * 10**6}, "migration": {"control_every": 3},
+                 "service": {"rate_per_s": 3.0}, "dfrs": {"headroom": 1.5},
+                 "faults": [{"kind": "node_crash", "at_ns": 7}]}
+
+
 def _probe(key: str, hint):
     """A valid value of ``hint`` for ``key`` that no grid sets itself."""
+    if key in NESTED_PROBES:
+        return NESTED_PROBES[key]
     if get_origin(hint) is Union:
         hint = get_args(hint)[0]
     if get_origin(hint) is AbcSequence:
         return [_probe(key, get_args(hint)[0])]
-    return {"tie_order": "reversed", "placement": "striped", "npb_class": "A"}.get(
+    return {"tie_order": "reversed", "placement": "striped", "npb_class": "A",
+            "scheduler": "DSS"}.get(
         key, {bool: True, int: 7, float: 0.25, str: "\0probe", dict: {"probe": 1}}[hint])
 
 

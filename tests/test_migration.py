@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import pytest
 
 from repro.analysis.sanitizer import SimSanitizer
 from repro.experiments.harness import CloudWorld, WorldConfig
-from repro.experiments.scenarios import run_migration_rebalance
+from repro.experiments.scenarios import from_json, run_migration_rebalance
 from repro.hypervisor.vm import VCPUState
 from repro.migration import (
     MigrationConfig,
@@ -33,8 +36,9 @@ def _world(n_nodes=2, policy="none", params=SMALL, **kw):
 def test_config_dict_round_trip():
     cfg = MigrationConfig(policy="demix", control_every=3, max_concurrent=2,
                           cooldown_ns=250 * MSEC, params=SMALL)
-    assert MigrationConfig.from_dict(cfg.to_dict()) == cfg
-    assert cfg.to_dict()["params"]["mem_bytes"] == 2 * MIB
+    form = json.loads(json.dumps(asdict(cfg)))
+    assert from_json(MigrationConfig, form, "migration") == cfg
+    assert form["params"]["mem_bytes"] == 2 * MIB
 
 
 def test_control_every_below_one_rejected():

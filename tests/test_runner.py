@@ -1,6 +1,7 @@
 """Tests for the parallel sweep runner (repro.experiments.runner)."""
 
 import json
+import threading
 
 import pytest
 
@@ -71,6 +72,15 @@ def test_warm_cache_skips_simulation_work(tmp_path):
     run_sweep(CELLS[:1], jobs=1, cache_dir=cache)
     (warm,) = run_sweep(CELLS[:1], jobs=1, cache_dir=cache)
     assert warm.cached and warm.wall_s == 0.0 and warm.attempts == 1
+
+
+def test_a_parallel_sweep_leaves_no_executor_thread():
+    """A healthy pool is shut down and waited for, so no executor manager
+    thread is left for the interpreter's exit hook to join."""
+    results = run_sweep(CELLS[:2], jobs=2, use_cache=False)
+    assert all(r.ok for r in results)
+    assert [t for t in threading.enumerate()
+            if type(t).__name__ == "_ExecutorManagerThread"] == []
 
 
 def test_corrupt_cache_entry_is_a_miss(tmp_path):

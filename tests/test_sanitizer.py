@@ -201,7 +201,7 @@ def test_vm_run_totals_survive_handoff_and_mid_period_teardown():
     world = CloudWorld(WorldConfig(
         n_nodes=3, scheduler="ATC", vms_per_node=4, vcpus_per_vm=4,
         placement="pack", dfrs=DFRSConfig(),
-        migration=MigrationConfig.from_dict({"policy": "demix"}),
+        migration=MigrationConfig(policy="demix"),
         sanitize=True,
     ))
     vcs = [world.virtual_cluster(n_vms=2, name=f"vc{k}") for k in range(2)]

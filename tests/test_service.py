@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import gc
 import json
+from dataclasses import asdict
 
 import pytest
 
 from repro.experiments.harness import CloudWorld, WorldConfig
 from repro.experiments.runner import RunSpec, run_sweep
-from repro.experiments.scenarios import run_service
+from repro.experiments.scenarios import from_json, run_service
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.service.admission import admission_names
 from repro.service.arrivals import (
@@ -41,8 +42,9 @@ def test_config_dict_round_trip():
         max_tenants=7, trace=({"at_ms": 5.0, "app": "is"},),
         min_vcpus=8, max_vcpus=32, rounds=2, apps=("lu", "cg"),
     )
-    assert ServiceConfig.from_dict(cfg.to_dict()) == cfg
-    assert cfg.to_dict()["trace"] == [{"at_ms": 5.0, "app": "is"}]
+    form = json.loads(json.dumps(asdict(cfg)))
+    assert from_json(ServiceConfig, form, "service") == cfg
+    assert form["trace"] == [{"at_ms": 5.0, "app": "is"}]
 
 
 def test_unknown_admission_and_arrival_rejected():
