@@ -3,7 +3,7 @@ runtime simulation sanitizer.
 
 The whole evaluation pipeline rests on one promise: every sweep cell is
 bit-identical for a given seed.  That is what makes the content-hash
-result cache and the process-pool fan-out of
+result cache and the per-cell process fan-out of
 :mod:`repro.experiments.runner` sound.  Two tools enforce it:
 
 * :mod:`repro.analysis.lint` — an AST-based static checker that flags

@@ -34,13 +34,12 @@ sanitizer of :mod:`repro.analysis.sanitizer`, with bit-identical
 results and violations reported as structured cell failures).  A key
 the grid sets itself (``compare``'s ``scheduler``) or a config class
 (``node_params``) exits 2 before any cell runs.  The cells execute
-through :mod:`repro.experiments.runner`: ``--jobs N`` fans them over N
-worker processes (bit-identical to serial), results are cached under
-``.repro_cache/`` (``--no-cache`` to bypass), ``--json PATH`` exports
-the full result set, ``--cell-timeout S`` bounds each cell's host wall
-clock (hung workers are killed, the sweep continues) and ``--salvage
-PATH`` writes the structured partial-result report
-(:func:`repro.experiments.runner.salvage_report`).
+through :mod:`repro.experiments.runner`: ``--jobs N`` runs up to N
+cells at once, each in its own process (bit-identical to serial),
+results are cached under ``.repro_cache/`` (``--no-cache`` to bypass),
+``--json PATH`` exports the full result set, failed cells included, and
+``--cell-timeout S`` bounds each cell's host wall clock (a hung cell's
+process is killed, the sweep continues).
 ``check GRID RESULTS.json [REPEAT.json]`` evaluates a grid's claims on a
 ``--json`` export (exit 1 on any failed cell or claim) and, given a
 second export, requires equal spec/value lists.
@@ -71,7 +70,7 @@ from typing import Optional, Sequence
 
 from repro.experiments.grids import GRIDS, grid_cells, load_results, repeat_diff, settable
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import export_json, run_sweep, sweep_stats, write_salvage
+from repro.experiments.runner import export_json, run_sweep, sweep_stats
 from repro.schedulers.registry import scheduler_names
 from repro.workloads.npb import NPB_EXTENDED
 
@@ -100,17 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run the grid at the paper's scale (its paper_scale "
                     "params, beneath any --set; slow: hours)")
     sp.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="worker processes for independent cells (default 1)")
+                    help="cells run at once, each in its own process (default 1)")
     sp.add_argument("--no-cache", action="store_true",
                     help="bypass the on-disk result cache (.repro_cache/)")
     sp.add_argument("--json", metavar="PATH", default=None,
                     help="export the full sweep results as JSON")
     sp.add_argument("--cell-timeout", type=float, default=None, metavar="S",
-                    help="host wall-clock budget per cell; overdue workers "
-                    "are killed and the cell fails, the sweep continues")
-    sp.add_argument("--salvage", metavar="PATH", default=None,
-                    help="write the structured salvage report (healthy + "
-                    "failed cells) as JSON")
+                    help="host wall-clock budget per cell; an overdue cell's "
+                    "process is killed and the cell fails, the sweep continues")
 
     sp = sub.add_parser("check", help="evaluate a grid's claims on a --json export "
                         "(repro.experiments.grids)")
@@ -226,8 +222,6 @@ def _cmd_run(args) -> int:
     )
     if args.json:
         export_json(results, args.json)
-    if args.salvage:
-        print(f"salvage report: {write_salvage(results, args.salvage)}", file=sys.stderr)
     stats = sweep_stats(results)
     if len(specs) > 1:
         print(

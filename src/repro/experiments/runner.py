@@ -1,4 +1,4 @@
-"""Parallel sweep execution: fan independent simulation cells over workers.
+"""Parallel sweep execution: fan independent simulation cells over processes.
 
 Every figure the reproduction regenerates is a sweep over independent,
 deterministic cells (scheduler x app x scale x slice).  Each cell owns its
@@ -15,10 +15,10 @@ The moving parts:
   on success, or a structured error record (type, message, traceback,
   attempts) on failure.  A failing cell never aborts the sweep.
 * :func:`run_sweep` — executes a list of specs, serially (``jobs=1``) or
-  over a ``ProcessPoolExecutor`` (``jobs=N``), consulting an on-disk
-  result cache under ``.repro_cache/`` keyed by a content hash of the
-  spec plus a code-version salt (any change to ``repro``'s sources
-  invalidates every cached cell).
+  in one fresh process per cell, at most ``jobs`` at a time, consulting
+  an on-disk result cache under ``.repro_cache/`` keyed by a content
+  hash of the spec plus a code-version salt (any change to ``repro``'s
+  sources invalidates every cached cell).
 * :func:`sweep_stats` / :func:`export_json` — wall-clock and
   events-processed aggregates, and machine-readable result dumps.
 
@@ -33,14 +33,16 @@ Typical use::
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import multiprocessing
 import os
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -57,8 +59,6 @@ __all__ = [
     "run_sweep",
     "sweep_stats",
     "export_json",
-    "salvage_report",
-    "write_salvage",
     "default_cache_dir",
     "code_salt",
 ]
@@ -80,7 +80,8 @@ SCENARIOS: dict[str, Callable[..., dict]] = {
 
 
 class WorkerCrashError(RuntimeError):
-    """A sweep worker process died (segfault, OOM kill, ``os._exit``).
+    """A cell's process died before sending its payload (segfault, OOM
+    kill, ``os._exit``).
 
     Never raised: used as the ``error["type"]`` of the structured failure
     record once a cell's bounded crash-retry budget is exhausted.
@@ -225,7 +226,7 @@ class RunResult:
 
 
 # ----------------------------------------------------------------------
-# Cell execution (runs in worker processes; must stay picklable/top-level)
+# Cell execution (runs in a cell's own process, or inline)
 # ----------------------------------------------------------------------
 def _execute_cell(spec: RunSpec, retries: int = 1) -> dict:
     """Run one cell with retry; always returns a plain (picklable) dict."""
@@ -275,6 +276,13 @@ def _execute_cell(spec: RunSpec, retries: int = 1) -> dict:
     }
 
 
+def _cell_process(spec: RunSpec, retries: int, conn: Connection) -> None:
+    """Body of one cell's process: send :func:`_execute_cell`'s payload."""
+    gc.freeze()  # collections skip the inherited heap, so they do not copy its pages
+    conn.send(_execute_cell(spec, retries))
+    conn.close()
+
+
 # ----------------------------------------------------------------------
 # Cache
 # ----------------------------------------------------------------------
@@ -320,29 +328,30 @@ def run_sweep(
     progress: Optional[Callable[[int, int, RunResult], None]] = None,
     cell_timeout_s: Optional[float] = None,
 ) -> list[RunResult]:
-    """Execute every cell, in spec order, over ``jobs`` worker processes.
+    """Execute every cell, in spec order, at most ``jobs`` at a time.
 
     Results come back in the same order as ``specs`` regardless of the
-    completion order of the workers.  ``jobs=1`` runs inline (no pool), so
-    a parallel sweep can always be checked against a serial one.  A cell
-    that raises is retried ``retries`` times and then reported as a
-    failed :class:`RunResult`; the sweep itself never aborts.
+    order in which cells finish.  ``jobs=1`` without ``cell_timeout_s``
+    runs inline (no process), so a parallel sweep can always be checked
+    against a serial one; otherwise each uncached cell runs in a fresh
+    process of its own and sends its payload back over a pipe.  A cell
+    that raises is retried ``retries`` times inside its process and then
+    reported as a failed :class:`RunResult`; the sweep itself never
+    aborts.  Only this process reads and writes the cache.
 
-    Graceful degradation (parallel path):
+    Graceful degradation (process path):
 
     * ``cell_timeout_s`` bounds each cell's *host* wall clock.  An overdue
-      cell's worker is terminated, the cell fails with a
-      :class:`CellTimeoutError` record (no retry — a hang reproduces),
-      and the pool is rebuilt so the remaining cells keep running.
-    * A worker that dies (segfault, ``os._exit``, OOM kill) breaks the
-      pool; every in-flight cell earns a crash mark and is requeued until
-      its marks exceed ``retries``, at which point it fails with a
-      :class:`WorkerCrashError` record.  The pool is rebuilt with a short
-      exponential backoff between rebuilds.
+      cell's process is killed and the cell fails with a
+      :class:`CellTimeoutError` record (no retry — a hang reproduces).
+    * A cell whose process dies (segfault, ``os._exit``, OOM kill) before
+      sending its payload earns a crash mark and is requeued until its
+      marks exceed ``retries``, at which point it fails with a
+      :class:`WorkerCrashError` record.
 
-    Either way the sweep always returns a :class:`RunResult` per spec —
-    completed cells are never lost to one bad neighbour (see
-    :func:`salvage_report`).
+    Neither touches any other cell.  If the sweep itself is interrupted
+    (an exception from ``progress``, Ctrl-C), every cell still running is
+    killed before the exception propagates.
 
     ``progress`` (if given) is invoked as ``progress(done, total, result)``
     each time a cell settles, in completion order.
@@ -395,123 +404,64 @@ def run_sweep(
             ),
         )
 
-    if jobs <= 1 or len(misses) <= 1:
+    if cell_timeout_s is None and (jobs <= 1 or len(misses) <= 1):
         for i in misses:
             record(i, _execute_cell(specs[i], retries=retries))
         return [r for r in results if r is not None]
 
-    max_workers = min(jobs, len(misses))
-    queue: deque[int] = deque(misses)
-    suspects: deque[int] = deque()
-    crash_marks = {i: 0 for i in misses}
-    rebuilds = 0
-    pool = ProcessPoolExecutor(max_workers=max_workers)
-    in_flight: dict = {}  # future -> (cell index, submit time, deadline)
+    # One fresh process per cell, at most ``jobs`` at a time: a crash or a
+    # timeout kill takes down only its own cell.
+    queue = deque(misses)
+    crash_marks = dict.fromkeys(misses, 0)
+    running: dict = {}  # reader -> (cell index, process, start, deadline)
 
-    def launch(i: int) -> None:
-        t_sub = time.monotonic()  # repro: ignore[RPR001]
-        deadline = None if cell_timeout_s is None else t_sub + cell_timeout_s
-        in_flight[pool.submit(_execute_cell, specs[i], retries)] = (i, t_sub, deadline)
-
-    def submit_ready() -> None:
-        # Windowed submission: at most ``max_workers`` cells in flight, so
-        # every in-flight cell is actually running and both the per-cell
-        # deadline and the crash blame stay meaningful.
-        while queue and len(in_flight) < max_workers:
-            launch(queue.popleft())
-        # Crash suspects retry in isolation — one at a time, nothing else
-        # in flight — because a dying worker breaks the whole pool and
-        # every concurrent future with it; only a solo re-crash proves the
-        # cell itself is guilty (and only then burns its retry budget).
-        if not queue and not in_flight and suspects:
-            launch(suspects.popleft())
-
-    def rebuild_pool() -> None:
-        nonlocal pool, rebuilds
-        rebuilds += 1
-        # Hung/broken workers don't exit on shutdown(); terminate directly.
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            try:
-                proc.terminate()
-            except OSError:  # repro: ignore[RPR031]  (already gone)
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
-        time.sleep(min(0.1 * (2 ** (rebuilds - 1)), 2.0))
-        pool = ProcessPoolExecutor(max_workers=max_workers)
-
-    def reap(fut, force_crash: bool = False) -> bool:
-        """Settle or requeue one no-longer-flying future.  Returns True if
-        the worker holding it had crashed."""
-        idx, t_sub, _deadline = in_flight.pop(fut)
-        wall = time.monotonic() - t_sub  # repro: ignore[RPR001]
-        if fut.done() and not fut.cancelled() and not force_crash:
-            try:
-                record(idx, fut.result())
-                return False
-            except BaseException as exc:  # noqa: BLE001 - broken pool
-                reason = f"worker died: {type(exc).__name__}: {exc}"
-        else:
-            reason = "worker pool broke while the cell was in flight"
-        crash_marks[idx] += 1
-        if crash_marks[idx] > retries:
-            fail(idx, WorkerCrashError.__name__, reason, crash_marks[idx], wall)
-        else:
-            suspects.append(idx)  # retry in isolation on the rebuilt pool
-        return True
+    def stop(reader) -> tuple[int, Optional[int], float]:
+        """Kill (a no-op once it has exited) and reap one cell's process."""
+        idx, proc, t0, _deadline = running.pop(reader)
+        proc.kill()
+        proc.join()
+        reader.close()
+        return idx, proc.exitcode, time.monotonic() - t0  # repro: ignore[RPR001]
 
     try:
-        while queue or suspects or in_flight:
-            submit_ready()
+        while queue or running:
+            while queue and len(running) < max(jobs, 1):
+                i = queue.popleft()
+                reader, writer = multiprocessing.Pipe(duplex=False)
+                proc = multiprocessing.Process(
+                    target=_cell_process, args=(specs[i], retries, writer), daemon=True)
+                proc.start()
+                writer.close()  # the child's copy is the only writer: EOF on exit
+                t0 = time.monotonic()  # repro: ignore[RPR001]
+                deadline = None if cell_timeout_s is None else t0 + cell_timeout_s
+                running[reader] = (i, proc, t0, deadline)
             timeout = None
-            if cell_timeout_s is not None and in_flight:
-                now = time.monotonic()  # repro: ignore[RPR001]
-                earliest = min(dl for _, _, dl in in_flight.values())
-                timeout = max(0.05, earliest - now)
-            finished, _ = wait(set(in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
-
-            broken = False
-            for fut in finished:
-                broken = reap(fut) or broken
-
-            overdue = []
             if cell_timeout_s is not None:
-                now = time.monotonic()  # repro: ignore[RPR001]
-                overdue = [
-                    fut
-                    for fut, (_, _, dl) in in_flight.items()
-                    if dl is not None and now >= dl and not fut.done()
-                ]
-            if overdue:
-                # A hung worker never returns: kill the whole pool, fail the
-                # overdue cells, and resubmit the innocent bystanders.
-                for fut in overdue:
-                    idx, t_sub, _dl = in_flight.pop(fut)
-                    fail(
-                        idx,
-                        CellTimeoutError.__name__,
-                        f"cell exceeded host budget of {cell_timeout_s} s",
-                        1,
-                        time.monotonic() - t_sub,  # repro: ignore[RPR001]
-                    )
-                broken = True
-
-            if broken:
-                rebuild_pool()
-                # Anything else in flight went down with the pool: reap
-                # what finished (good results recorded, broken ones earn a
-                # crash mark), requeue the rest without blame.
-                for fut in list(in_flight):
-                    if fut.done() and not fut.cancelled():
-                        reap(fut)
-                    else:
-                        idx, _t, _dl = in_flight.pop(fut)
-                        queue.appendleft(idx)
-    except BaseException:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    # Every cell settled and the pool is whole: wait for its workers and
-    # manager thread, so none is left for the interpreter's exit hook.
-    pool.shutdown(wait=True)
+                earliest = min(dl for *_, dl in running.values())
+                timeout = max(0.0, earliest - time.monotonic())  # repro: ignore[RPR001]
+            for reader in wait(list(running), timeout):
+                try:
+                    payload = reader.recv()
+                except EOFError:  # the process died before sending
+                    payload = None
+                idx, exitcode, wall = stop(reader)
+                if payload is not None:
+                    record(idx, payload)
+                    continue
+                crash_marks[idx] += 1
+                if crash_marks[idx] > retries:
+                    fail(idx, WorkerCrashError.__name__,
+                         f"cell process died (exit code {exitcode})", crash_marks[idx], wall)
+                else:
+                    queue.append(idx)
+            now = time.monotonic()  # repro: ignore[RPR001]
+            for reader in [r for r, (*_, dl) in running.items() if dl is not None and now >= dl]:
+                idx, _exitcode, wall = stop(reader)
+                fail(idx, CellTimeoutError.__name__,
+                     f"cell exceeded host budget of {cell_timeout_s} s", 1, wall)
+    finally:
+        for reader in list(running):
+            stop(reader)
     return [r for r in results if r is not None]
 
 
@@ -533,43 +483,6 @@ def sweep_stats(results: Sequence[RunResult]) -> dict:
         "wall_s": sum(r.wall_s for r in results),
         "events": sum(r.events for r in results),
     }
-
-
-def salvage_report(results: Sequence[RunResult]) -> dict:
-    """Partial-result salvage: what survived a degraded sweep, structured.
-
-    Splits a sweep into ``healthy`` (full :class:`RunResult` dicts, values
-    included) and ``failed`` (spec + error record, no value), so that a
-    sweep hit by crashes or timeouts still delivers every completed cell
-    in machine-readable form.  ``schema`` versions the layout for CI
-    consumers.
-    """
-    return {
-        "schema": "repro.sweep.salvage/v1",
-        "code_salt": code_salt(),
-        "stats": sweep_stats(results),
-        "healthy": [r.to_dict() for r in results if r.ok],
-        "failed": [
-            {
-                "spec": r.spec.to_dict(),
-                "error": r.error,
-                "attempts": r.attempts,
-                "wall_s": r.wall_s,
-            }
-            for r in results
-            if not r.ok
-        ],
-    }
-
-
-def write_salvage(results: Sequence[RunResult], path: os.PathLike) -> Path:
-    """Write :func:`salvage_report` as JSON; returns the path."""
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(salvage_report(results), fh, indent=2, default=str)
-    return path
 
 
 def export_json(results: Sequence[RunResult], path: os.PathLike) -> None:

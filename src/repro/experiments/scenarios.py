@@ -94,7 +94,8 @@ __all__ = [
 MODE_SCHEDULERS = {"baseline": "CR", "atc": "ATC", "dfrs": "CR", "hybrid": "ATC", "idle": "CR"}
 
 #: Range checks of the scenario keys, by name: one per key, whichever
-#: scenario declares it.  World options are checked by WorldConfig.
+#: scenario declares it (a scenario that accepts less overrides
+#: :meth:`ScenarioParams.check`).  World options are checked by WorldConfig.
 CHECKS: dict[str, tuple[Callable[[object], bool], str]] = {
     # a zero horizon builds the world and runs no event
     "horizon_s": (lambda s: s >= 0, ">= 0"),
@@ -127,7 +128,7 @@ _NOT_FORWARDED = ("n_nodes", "scheduler", "seed", "node_params", "net_params", "
 class ScenarioParams:
     """One scenario's keys: a subclass's fields, with their types and
     defaults, are the keys its builder reads, range-checked by
-    :data:`CHECKS`.  The builder also forwards every world option but
+    :meth:`check`.  The builder also forwards every world option but
     those ``_world`` takes positionally and those in ``world_set``.
 
     A subclass becomes a frozen dataclass on first use (:func:`_declared`):
@@ -140,19 +141,21 @@ class ScenarioParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            _check(f.name, getattr(self, f.name))
+            self.check(f.name, getattr(self, f.name))
+
+    @classmethod
+    def check(cls, key: str, value) -> None:
+        """:class:`ValueError` if ``value`` is out of ``key``'s range, by
+        :data:`CHECKS`; a scenario that accepts less overrides this."""
+        check, expect = CHECKS.get(key, (None, ""))
+        if check is not None and not check(value):
+            raise ValueError(f"{key} must be {expect}, got {value!r}")
 
 
 def _declared(cls: type[ScenarioParams]) -> type[ScenarioParams]:
     if "__dataclass_fields__" not in cls.__dict__:
         dataclass(frozen=True)(cls)
     return cls
-
-
-def _check(key: str, value) -> None:
-    check, expect = CHECKS.get(key, (None, ""))
-    if check is not None and not check(value):
-        raise ValueError(f"{key} must be {expect}, got {value!r}")
 
 
 def _builder(params: type[ScenarioParams]) -> Callable[[Callable], Callable[..., dict]]:
@@ -187,7 +190,7 @@ def scenario_keys(params: type[ScenarioParams]) -> dict[str, object]:
 def normalize(params: type[ScenarioParams], values: Mapping) -> dict:
     """``values`` as a cell of the scenario keeps them: the same keys, an
     int where a float is declared made that float.  :class:`ValueError`
-    for an unknown key or an out-of-range value, by :data:`CHECKS`, by
+    for an unknown key or an out-of-range value, by ``params.check``, by
     :class:`WorldConfig`'s checks of the world keys, or by building each
     nested config as :func:`_world` will."""
     keys = scenario_keys(params)
@@ -197,7 +200,7 @@ def normalize(params: type[ScenarioParams], values: Mapping) -> dict:
             raise ValueError(f"unknown key {key!r}")
         floats = type(value) is int and float in (keys[key], *get_args(keys[key]))
         out[key] = float(value) if floats else value
-        _check(key, out[key])
+        params.check(key, out[key])
     WorldConfig(**{k: v for k, v in out.items() if k in WorldConfig.__dataclass_fields__})
     # sched_params takes the class of the scheduler the cell will run
     given = {**{k: getattr(params, k, None) for k in ("mode", "scheduler")}, **out}
@@ -790,6 +793,14 @@ class ServiceParams(ScenarioParams):
     migration: Optional[dict] = None
     world_set = ("service",)
 
+    @classmethod
+    def check(cls, key: str, value) -> None:
+        if key == "service_trace" and value is not None:
+            from repro.service.arrivals import check_trace
+
+            check_trace(value, key)
+        super().check(key, value)
+
 
 @_builder(ServiceParams)
 def run_service(p: ServiceParams, **world_opts) -> dict:
@@ -852,6 +863,12 @@ class AttackParams(ScenarioParams):
     sched_params: Optional[dict] = None
     world_set = ("vms_per_node",)
 
+    @classmethod
+    def check(cls, key: str, value) -> None:
+        if key == "scheduler" and value not in ("CR", "ATC"):
+            raise ValueError(f"scheduler must be CR or ATC for an attack cell, got {value!r}")
+        super().check(key, value)
+
 
 @_builder(AttackParams)
 def run_attack(p: AttackParams, **world_opts) -> dict:
@@ -879,8 +896,6 @@ def run_attack(p: AttackParams, **world_opts) -> dict:
     from repro.schedulers.credit import CreditParams
     from repro.workloads.attacks import ATTACK_RNG_KEY, theft_gain
 
-    if p.scheduler not in ("CR", "ATC"):
-        raise ValueError(f"run_attack supports CR/ATC, got {p.scheduler!r}")
     sched_params = p.sched_params
     if sched_params is None:
         # The randomized tick phase is adversarial-layer entropy: draw it

@@ -74,6 +74,19 @@ class FaultEvent:
     #: per period while the fault is live.
     steal_period_ns: int = 0
 
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown fault kind {self.kind!r} (have {KINDS})")
+        if self.at_ns < 0:
+            raise ValueError(f"{self.kind}: at_ns must be >= 0, got {self.at_ns}")
+        if self.duration_ns < 0:
+            raise ValueError(f"{self.kind}: negative duration {self.duration_ns}")
+        if self.kind == "nic_degrade":
+            if not (0.0 < self.bw_factor <= 1.0):
+                raise ValueError(f"nic_degrade: bw_factor {self.bw_factor} not in (0, 1]")
+            if not (0.0 <= self.drop_prob < 1.0):
+                raise ValueError(f"nic_degrade: drop_prob {self.drop_prob} not in [0, 1)")
+
     def to_dict(self) -> dict:
         """Compact dict: kind, at_ns, plus non-default fields only."""
         d = asdict(self)
@@ -83,21 +96,12 @@ class FaultEvent:
         }
 
     def validate(self, n_nodes: int, n_pcpus: int = 8) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r} (have {KINDS})")
-        if self.at_ns < 0:
-            raise ValueError(f"{self.kind}: at_ns must be >= 0, got {self.at_ns}")
-        if self.duration_ns < 0:
-            raise ValueError(f"{self.kind}: negative duration {self.duration_ns}")
+        """The checks that need the world's shape; the rest run on
+        construction."""
         if not (0 <= self.node < n_nodes):
             raise ValueError(
                 f"{self.kind}: node {self.node} out of range [0, {n_nodes})"
             )
-        if self.kind == "nic_degrade":
-            if not (0.0 < self.bw_factor <= 1.0):
-                raise ValueError(f"nic_degrade: bw_factor {self.bw_factor} not in (0, 1]")
-            if not (0.0 <= self.drop_prob < 1.0):
-                raise ValueError(f"nic_degrade: drop_prob {self.drop_prob} not in [0, 1)")
         if self.kind == "pcpu_straggler":
             if not (0 <= self.pcpu < n_pcpus):
                 raise ValueError(

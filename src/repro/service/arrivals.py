@@ -39,7 +39,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.service.service import ServiceConfig
     from repro.sim.rng import SimRNG
 
-__all__ = ["SERVICE_RNG_KEY", "PoissonArrivals", "TraceArrivals", "draw_tenant_shape"]
+__all__ = [
+    "SERVICE_RNG_KEY",
+    "TRACE_KEYS",
+    "PoissonArrivals",
+    "TraceArrivals",
+    "check_trace",
+    "draw_tenant_shape",
+]
 
 #: Dedicated SimRNG substream key for the service layer (disjoint from
 #: workload keys 1..N, fault key 0xFA, placement key 0x9C, mix key 999).
@@ -68,6 +75,20 @@ class PoissonArrivals:
         self.emitted += 1
         mean_ns = max(1, int(SEC / cfg.rate_per_s))
         return now_ns + self.rng.exponential_ns(mean_ns), None
+
+
+#: The keys a trace entry may carry (:class:`TraceArrivals`).
+TRACE_KEYS = ("at_ms", "n_vms", "app", "rounds")
+
+
+def check_trace(trace, path: str = "trace") -> None:
+    """:class:`ValueError` naming, under ``path``, the first entry key
+    not in :data:`TRACE_KEYS`."""
+    for i, entry in enumerate(trace):
+        for key in entry:
+            if key not in TRACE_KEYS:
+                raise ValueError(f"unknown key {f'{path}[{i}].{key}'!r} "
+                                 f"(a trace entry has {', '.join(TRACE_KEYS)})")
 
 
 class TraceArrivals:

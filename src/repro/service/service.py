@@ -50,6 +50,7 @@ from repro.service.arrivals import (
     SERVICE_RNG_KEY,
     PoissonArrivals,
     TraceArrivals,
+    check_trace,
     draw_tenant_shape,
 )
 from repro.sim.units import MSEC
@@ -89,6 +90,9 @@ class ServiceConfig:
     apps: tuple[str, ...] = ("lu", "is")
     #: NPB problem class of every tenant app.
     npb_class: str = "A"
+
+    def __post_init__(self) -> None:
+        check_trace(self.trace)
 
 
 class Tenant:

@@ -86,9 +86,10 @@ OUT_OF_RANGE = {
 }
 
 
-#: Per bad nested config, a grid and settings that take it, and the
-#: message that rejects it.  Unchecked, each failed every cell in-run, and
-#: a zero slice livelocked at t=0.
+#: Per bad nested config (or scenario-specific value), a grid and settings
+#: that take it, and the message that rejects it.  Unchecked, each failed
+#: every cell in-run, a zero slice livelocked at t=0, and an unknown trace
+#: entry key was ignored.
 BAD_NESTED = {
     "sched-unknown": ("kernels", ("schedulers=CR", 'sched_params={"bogus": 1}'),
                       "unknown key 'sched_params.bogus'"),
@@ -106,6 +107,13 @@ BAD_NESTED = {
                           "unknown key 'migration.bogus'"),
     "dfrs-mode": ("dfrs", ("modes=baseline,bogus",),
                   "mode must be one of baseline/atc/dfrs/hybrid/idle, got 'bogus'"),
+    "attack-scheduler": ("attack", ("schedulers=BS", "horizon_s=1"),
+                         "scheduler must be CR or ATC for an attack cell, got 'BS'"),
+    "trace-unknown": ("serve", ("admissions=fcfs-queue", "horizon_s=2", "arrival=trace",
+                                'service_trace=[{"bogus": 1}]'),
+                      "unknown key 'service_trace[0].bogus'"),
+    "service-trace-unknown": ("kernels", ("schedulers=CR", 'service={"trace": [{"bogus": 1}]}'),
+                              "service: unknown key 'trace[0].bogus'"),
 }
 
 
@@ -291,10 +299,12 @@ def test_settable_keys_leave_out_the_keys_the_grid_sets(grid, capsys):
         assert "seed" in listed and not set(fixed) & set(listed)
 
 
-#: A valid JSON form of each nested config, every one off its default.
+#: A valid JSON form of each nested config (and of a service trace), every
+#: one off its default.
 NESTED_PROBES = {"sched_params": {"slice_ns": 7 * 10**6}, "migration": {"control_every": 3},
                  "service": {"rate_per_s": 3.0}, "dfrs": {"headroom": 1.5},
-                 "faults": [{"kind": "node_crash", "at_ns": 7}]}
+                 "faults": [{"kind": "node_crash", "at_ns": 7}],
+                 "service_trace": [{"at_ms": 7.0}]}
 
 
 def _probe(key: str, hint):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis.sanitizer import SimSanitizer
 from repro.experiments.harness import CloudWorld, WorldConfig
+from repro.experiments.runner import RunSpec
 from repro.experiments.scenarios import run_type_a
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, parse_fault_spec
 from repro.hypervisor.vm import VCPUState
@@ -58,18 +59,26 @@ def test_dict_round_trip_is_compact():
 
 
 @pytest.mark.parametrize("ev", [
-    FaultEvent("meteor_strike", at_ns=0),
-    FaultEvent("node_crash", at_ns=-1),
-    FaultEvent("node_crash", at_ns=0, duration_ns=-1),
-    FaultEvent("node_crash", at_ns=0, node=9),
-    FaultEvent("nic_degrade", at_ns=0, bw_factor=0.0),
-    FaultEvent("nic_degrade", at_ns=0, drop_prob=1.0),
-    FaultEvent("pcpu_straggler", at_ns=0, pcpu=99, steal_period_ns=MSEC),
-    FaultEvent("pcpu_straggler", at_ns=0, steal_period_ns=0),
+    dict(kind="meteor_strike", at_ns=0),
+    dict(kind="node_crash", at_ns=-1),
+    dict(kind="node_crash", at_ns=0, duration_ns=-1),
+    dict(kind="node_crash", at_ns=0, node=9),
+    dict(kind="nic_degrade", at_ns=0, bw_factor=0.0),
+    dict(kind="nic_degrade", at_ns=0, drop_prob=1.0),
+    dict(kind="pcpu_straggler", at_ns=0, pcpu=99, steal_period_ns=MSEC),
+    dict(kind="pcpu_straggler", at_ns=0, steal_period_ns=0),
 ])
 def test_validate_rejects_bad_events(ev):
+    """Checks that need no world shape fail on construction, the rest in
+    ``validate``."""
     with pytest.raises(ValueError):
-        ev.validate(n_nodes=2, n_pcpus=8)
+        FaultEvent(**ev).validate(n_nodes=2, n_pcpus=8)
+
+
+def test_a_bad_event_is_rejected_when_the_cell_is_declared():
+    with pytest.raises(ValueError, match="faults\\[0\\]: unknown fault kind 'bogus'"):
+        RunSpec("type_a", {"app_name": "is", "scheduler": "CR", "n_nodes": 2,
+                           "faults": [{"kind": "bogus", "at_ns": 1}]})
 
 
 def test_parse_fault_spec_forms(tmp_path):

@@ -75,8 +75,8 @@ def test_warm_cache_skips_simulation_work(tmp_path):
 
 
 def test_a_parallel_sweep_leaves_no_executor_thread():
-    """A healthy pool is shut down and waited for, so no executor manager
-    thread is left for the interpreter's exit hook to join."""
+    """A parallel sweep runs each cell in a process of its own and starts
+    no executor manager thread for the interpreter's exit hook to join."""
     results = run_sweep(CELLS[:2], jobs=2, use_cache=False)
     assert all(r.ok for r in results)
     assert [t for t in threading.enumerate()

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
-import json
 import os
+import subprocess
+import sys
+import textwrap
 import time
 
+import pytest
+
+import repro
 from repro.experiments.runner import (
     SCENARIOS,
     CellTimeoutError,
     RunSpec,
     WorkerCrashError,
     run_sweep,
-    salvage_report,
     sweep_stats,
-    write_salvage,
 )
 from repro.sim.engine import Simulator
 from repro.sim.units import MSEC, USEC, ns_from_ms
@@ -27,7 +30,7 @@ def run_fault_probe(mode: str = "ok", seed: int = 0, hang_s: float = 30.0,
 
     Modes: ``ok`` runs cleanly; ``raise`` throws (retryable failure path);
     ``exit`` kills the worker process outright (``os._exit``, so no
-    exception propagates — exercises BrokenProcessPool recovery);
+    exception propagates — exercises worker-crash recovery);
     ``hang`` sleeps ``hang_s`` host seconds (cell-timeout path);
     ``runaway`` floods the simulator with 1 µs self-rescheduling ticks so
     only a watchdog or the horizon stops it.
@@ -135,6 +138,64 @@ def test_cell_timeout_kills_hang_and_preserves_neighbours():
     assert stats["timeouts"] == 1 and stats["ok"] == 2
 
 
+HANG_3S = RunSpec("fault_probe", {"mode": "hang", "hang_s": 3.0}, label="probe:hang3")
+
+
+@pytest.mark.parametrize("jobs, specs", [
+    (1, [HANG_3S]),      # a serial sweep
+    (2, [HANG_3S]),      # a parallel sweep with one uncached cell
+    (1, [HANG_3S, OK]),  # a serial sweep of two cells
+], ids=["serial", "parallel-one-cell", "serial-two-cells"])
+def test_cell_timeout_holds_where_a_sweep_would_run_inline(jobs, specs):
+    results = run_sweep(specs, jobs=jobs, use_cache=False, cell_timeout_s=1.0)
+    assert results[0].error["type"] == CellTimeoutError.__name__
+    assert results[0].wall_s < 2.5
+    assert [r.ok for r in results[1:]] == [True] * (len(specs) - 1)
+
+
+INTERRUPTED_SWEEP = textwrap.dedent("""
+    import os, signal, threading, time
+    from repro.experiments.runner import SCENARIOS, RunSpec, run_sweep
+
+    def probe(hang_s=0.0):
+        time.sleep(hang_s)
+        return {"hang_s": hang_s}
+
+    SCENARIOS["probe"] = probe
+    specs = [RunSpec("probe", {}), RunSpec("probe", {"hang_s": 30.0})]
+    # Ctrl-C at the sweep's own process, once the healthy cell has settled
+    threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGINT)).start()
+    try:
+        run_sweep(specs, jobs=2, use_cache=False)
+    except KeyboardInterrupt:
+        print(time.monotonic(), flush=True)
+""")
+
+
+def test_an_interrupted_sweep_kills_its_running_cells():
+    """The 30 s hang in flight when the sweep is interrupted must not hold
+    the interpreter's exit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    proc = subprocess.run([sys.executable, "-c", INTERRUPTED_SWEEP], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    exited = time.monotonic()  # repro: ignore[RPR001]  (host clock)
+    assert proc.returncode == 0, proc.stderr
+    assert exited - float(proc.stdout) < 5.0
+
+
+def test_an_exception_from_progress_is_not_a_cell_crash():
+    """It propagates at once; the cell that settled is not run again."""
+    seen = []
+
+    def progress(done, total, result):
+        seen.append(result.ok)
+        raise RuntimeError("progress failed")
+
+    with pytest.raises(RuntimeError, match="progress failed"):
+        run_sweep([OK, HANG_3S], jobs=2, use_cache=False, progress=progress)
+    assert seen == [True]
+
+
 def test_worker_crash_is_retried_then_reported():
     crash = RunSpec("fault_probe", {"mode": "exit"}, label="probe:exit")
     results = run_sweep([OK, crash, OK], jobs=2, use_cache=False, retries=1)
@@ -147,11 +208,10 @@ def test_worker_crash_is_retried_then_reported():
 
 
 def test_pool_break_collateral_does_not_fail_innocent_cells():
-    """Regression: a dying worker breaks the whole pool, failing every
-    concurrent future with it.  Innocent cells caught in the blast were
-    burning their retry budget on collateral crash marks; they must be
-    retried in isolation and survive, however often the guilty cell
-    re-crashes."""
+    """Regression: when cells shared a process pool, a dying worker broke
+    it and failed every concurrent cell, burning the innocent cells' retry
+    budget on collateral crash marks.  They must survive, however often
+    the guilty cell re-crashes."""
     crash = RunSpec("fault_probe", {"mode": "exit"}, label="probe:exit")
     oks = [
         RunSpec("fault_probe", {"mode": "ok", "seed": s}, label=f"probe:ok{s}")
@@ -165,30 +225,10 @@ def test_pool_break_collateral_does_not_fail_innocent_cells():
 
 
 def test_crashed_sweep_results_match_clean_run():
-    """Healthy cells salvaged from a broken pool are bit-identical to the
-    same cells run serially (acceptance criterion)."""
+    """Healthy cells of a sweep with a crashing cell are bit-identical to
+    the same cells run serially."""
     crash = RunSpec("fault_probe", {"mode": "exit"})
     degraded = run_sweep([OK, crash], jobs=2, use_cache=False)
     (clean,) = run_sweep([OK], jobs=1, use_cache=False)
     salvaged = next(r for r in degraded if r.ok)
     assert salvaged.value == clean.value
-
-
-# ----------------------------------------------------------------------
-# Salvage report
-# ----------------------------------------------------------------------
-def test_salvage_report_schema_and_partition(tmp_path):
-    crash = RunSpec("fault_probe", {"mode": "exit"}, label="probe:exit")
-    results = run_sweep([OK, crash], jobs=2, use_cache=False)
-    report = salvage_report(results)
-    assert report["schema"] == "repro.sweep.salvage/v1"
-    assert report["code_salt"]
-    assert [h["spec"]["label"] for h in report["healthy"]] == ["probe:ok"]
-    assert report["healthy"][0]["value"]["ticks"] > 0
-    (failed,) = report["failed"]
-    assert failed["spec"]["label"] == "probe:exit"
-    assert failed["error"]["type"] == WorkerCrashError.__name__
-    assert "value" not in failed  # failed cells carry no payload
-
-    out = write_salvage(results, tmp_path / "salvage.json")
-    assert json.loads(out.read_text())["stats"]["worker_crashes"] == 1
